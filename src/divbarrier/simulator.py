@@ -1,19 +1,31 @@
 """Monte Carlo oracle for the regulated risk process.
 
-Paths follow x + c t - sum of claims + sigma B_t, reflected at a
-barrier (dividends are the reflection amounts), with Parisian ruin:
+Paths follow x + c t - sum of claims + sigma B_t, with Parisian ruin:
 a path dies once it stays strictly below zero for longer than the
 grace period d, the clock restarting whenever the path is >= 0.
 
-With sigma = 0 the simulation is exact and event driven: between
-claims the path is a line, so barrier hits, recoveries from deficit
-and Parisian deadlines are all explicit. Dividend stream collected at
-the barrier over [t1, t2] with k claims so far is worth
-r^k c (e^{-q t1} - e^{-q t2}) / q under per-payment discounting.
-With sigma > 0 the path takes Euler steps of size dt between claim
-epochs (stepping exactly onto each claim time), reflection and
-absorption resolved per step, zero crossings of the Parisian clock
-placed by linear interpolation within the step.
+One engine estimates all three quantities. Each public function builds
+a stopping rule: the level (barrier a or target y) and the start; at
+the level the path either reflects and pays the overshoot as dividends
+(value) or is absorbed with payoff r^K e^{-q t} (h, upcross); the
+Parisian grace below zero (none for upcross, whose paths ignore zero);
+an absolute deadline (upcross d); the retirement horizon; and the
+discount mode. One chunk loop runs the rule through one of two
+steppers:
+
+- sigma = 0, exact and event driven: between claims the path is a
+  line, so level hits, recoveries from deficit and Parisian deadlines
+  are all explicit. Dividend stream collected at the barrier over
+  [t1, t2] with k claims so far is worth r^k c (e^{-q t1} - e^{-q t2})
+  / q under per-payment discounting.
+- sigma > 0, Euler steps of size dt between claim epochs (stepping
+  exactly onto each claim time): reflection and absorption resolved
+  per step, level hits and zero crossings of the Parisian clock placed
+  by linear interpolation within the step.
+
+A path retires once what it could still earn falls below RETIRE_TOL
+or its time reaches the horizon; that remaining worth is summed into
+truncation_bias_bound.
 
 Two discount semantics are offered because they genuinely differ:
 "per_payment" weights each dividend by r^{claims so far at payment},
@@ -26,15 +38,26 @@ Determinism: paths run in fixed chunks of 16384, each chunk seeded by
 SeedSequence(seed, spawn_key=(chunk,)) through Philox, and the
 reduction runs in chunk order, so results are bit-identical for a
 given (model, arguments, config) regardless of how work is scheduled.
+They stay so across versions only while the draw order is kept: each
+exact round draws the gap T and then the claim C for every alive
+path; the Euler stepper draws every path's first gap up front, then
+each step draws Z for the alive paths, followed by C and the next gap
+only for paths at a claim epoch, after absorbed paths have left. A
+start at or above an absorbing level draws nothing.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 CHUNK = 16384
 RETIRE_TOL = 1e-12
+# upcross takes no t_max from SimConfig; a path still running at this
+# time retires and its remaining worth joins the bias bound
+_UPCROSS_T_MAX = 1e6
 
 _MODES = ("per_payment", "terminal_factor")
 
@@ -48,10 +71,16 @@ class SimConfig:
     discount_mode: str = "per_payment"
 
     def __post_init__(self):
+        if not isinstance(self.n_paths, numbers.Integral):
+            raise ValueError("n_paths must be an integer")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
+        if self.t_max is not None and not self.t_max > 0:
+            raise ValueError("t_max must be positive")
         if self.discount_mode not in _MODES:
             raise ValueError("discount_mode must be one of %s" % (_MODES,))
 
@@ -62,6 +91,17 @@ class SimEstimate:
     stderr: float
     n_paths: int
     truncation_bias_bound: float
+
+
+@dataclass(frozen=True)
+class _Rule:
+    level: float      # barrier a or target level y
+    x0: float
+    reflect: bool     # pay the overshoot at the level, else absorb there
+    grace: float      # Parisian grace below zero; None: zero is no event
+    deadline: float   # absorption after this time is worth nothing
+    t_max: float      # retirement horizon
+    terminal: bool    # terminal_factor discounting
 
 
 def _horizon(model, cfg):
@@ -98,548 +138,254 @@ class _ClaimSampler:
         return np.interp(rng.random(n), self.cdf, self.xs)
 
 
-def _combine(chunks_vals, chunks_bounds, n):
-    s = 0.0
-    s2 = 0.0
-    b = 0.0
-    for v in chunks_vals:
-        s += float(np.sum(v))
-        s2 += float(np.sum(v * v))
-    for tb in chunks_bounds:
-        b += float(tb)
-    mean = s / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return mean, math.sqrt(var / n), b / n
-
-
-def _chunk_sizes(n_paths):
-    out = []
-    left = n_paths
-    while left > 0:
-        out.append(min(CHUNK, left))
-        left -= CHUNK
-    return out
-
-
 def simulate_value(model, a, x, cfg: SimConfig) -> SimEstimate:
     """Expected discounted dividends under a barrier at a, started at x."""
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise ValueError("a and x must be finite")
     if a < 0:
         raise ValueError("barrier must be >= 0")
-    t_max = _horizon(model, cfg)
-    sampler = _ClaimSampler(model)
-    terminal = cfg.discount_mode == "terminal_factor"
-    vals, bounds = [], []
-    for ci, m in enumerate(_chunk_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, ci)
-        if model.sigma == 0.0:
-            v, tb = _value_chunk_sigma0(model, a, x, m, rng, sampler,
-                                        t_max, terminal)
-        else:
-            v, tb = _value_chunk_sigma_pos(model, a, x, m, rng, sampler,
-                                           t_max, terminal, cfg.dt)
-        vals.append(v)
-        bounds.append(tb)
-    mean, se, bias = _combine(vals, bounds, cfg.n_paths)
-    return SimEstimate(mean, se, cfg.n_paths, bias)
-
-
-def _value_chunk_sigma0(model, a, x0, m, rng, sampler, t_max, terminal):
-    lam, c, q, r, d = model.lam, model.c, model.q, model.r, model.d
-    x = np.full(m, float(x0))
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
-    s0 = np.full(m, np.nan)  # start of the running sub-zero excursion
-    D = np.zeros(m)          # per-payment discounted dividends
-    S = np.zeros(m)          # r-free discounted dividends (terminal mode)
-    out = np.zeros(m)
-    bound_total = 0.0
-    lump = max(float(x0) - a, 0.0)
-    if lump > 0.0:
-        D += lump
-        S += lump
-        x[:] = a
-    if x0 < 0:
-        s0[:] = 0.0
-
-    alive = np.ones(m, dtype=bool)
-    cq = c / q
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        T = rng.exponential(1.0 / lam, n)
-        C = sampler.draw(rng, n)
-        xi, ti, Ki, s0i = x[idx], t[idx], K[idx], s0[idx]
-        rK = np.power(r, Ki.astype(float))
-
-        up = ~(xi < 0)
-        # --- paths at or above zero: drift to the barrier, then pay ---
-        if np.any(up):
-            ui = np.nonzero(up)[0]
-            tb = (a - xi[ui]) / c
-            hit = T[ui] >= tb
-            h_ = ui[hit]
-            if len(h_):
-                t1 = ti[h_] + tb[hit]
-                t2 = ti[h_] + T[h_]
-                seg = cq * (np.exp(-q * t1) - np.exp(-q * t2))
-                D[idx[h_]] += rK[h_] * seg
-                S[idx[h_]] += seg
-                xi[h_] = a - C[h_]
-            nh = ui[~hit]
-            if len(nh):
-                xi[nh] = xi[nh] + c * T[nh] - C[nh]
-            ti[ui] += T[ui]
-            Ki[ui] += 1
-            newneg = up & (xi < 0)
-            s0i[newneg] = ti[newneg]
-
-        # --- paths below zero: claim, recovery, or Parisian deadline ---
-        dn = ~up
-        if np.any(dn):
-            di = np.nonzero(dn)[0]
-            trec = -xi[di] / c
-            tdead = (s0i[di] + d) - ti[di]
-            ruin = tdead <= np.minimum(T[di], trec)
-            rec = (~ruin) & (trec <= T[di])
-            claim = ~(ruin | rec)
-            ru = di[ruin]
-            if len(ru):
-                g = idx[ru]
-                out[g] = S[g] * rK[ru] if terminal else D[g]
-                alive[g] = False
-            rc = di[rec]
-            if len(rc):
-                ti[rc] += trec[rec]
-                xi[rc] = 0.0
-                s0i[rc] = np.nan
-            cl = di[claim]
-            if len(cl):
-                xi[cl] = xi[cl] + c * T[cl] - C[cl]
-                ti[cl] += T[cl]
-                Ki[cl] += 1
-
-        x[idx], t[idx], K[idx], s0[idx] = xi, ti, Ki, s0i
-
-        # --- retire paths whose remaining worth is negligible ---
-        live = np.nonzero(alive)[0]
-        if len(live):
-            rKl = np.power(r, K[live].astype(float))
-            future = rKl * cq * np.exp(-q * t[live])
-            if terminal:
-                drift = rKl * S[live] + future
-            else:
-                drift = future
-            done = (drift < RETIRE_TOL) | (t[live] >= t_max)
-            g = live[done]
-            if len(g):
-                rKg = np.power(r, K[g].astype(float))
-                out[g] = S[g] * rKg if terminal else D[g]
-                bound_total += float(np.sum(
-                    (rKg * S[g] + rKg * cq * np.exp(-q * t[g])) if terminal
-                    else rKg * cq * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
-
-
-def _value_chunk_sigma_pos(model, a, x0, m, rng, sampler, t_max, terminal, dt):
-    lam, c, q, r, d = model.lam, model.c, model.q, model.r, model.d
-    sig = model.sigma
-    x = np.full(m, min(float(x0), a))
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
-    neg_since = np.full(m, np.nan)
-    D = np.zeros(m)
-    S = np.zeros(m)
-    out = np.zeros(m)
-    bound_total = 0.0
-    lump = max(float(x0) - a, 0.0)
-    if lump > 0.0:
-        D += lump
-        S += lump
-    if x0 < 0:
-        neg_since[:] = 0.0
-    T_next = rng.exponential(1.0 / lam, m)
-    alive = np.ones(m, dtype=bool)
-    cq = c / q
-
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        xi, ti = x[idx], t[idx]
-        h = np.minimum(dt, np.maximum(T_next[idx] - ti, 0.0))
-        Z = rng.standard_normal(n)
-        xn = xi + c * h + sig * np.sqrt(h) * Z
-        tn = ti + h
-
-        # reflection at the barrier pays the overflow as a dividend,
-        # strictly before any claim landing at the step's end
-        over = xn > a
-        if np.any(over):
-            pay = xn[over] - a
-            disc = np.exp(-q * tn[over]) * pay
-            g = idx[over]
-            D[g] += np.power(r, K[g].astype(float)) * disc
-            S[g] += disc
-            xn[over] = a
-
-        # Parisian clock, part 1: diffusion crossings interpolated
-        # within the step while xn is still the pre-claim endpoint
-        was = xi < 0
-        mid = xn < 0
-        enter_diff = (~was) & mid
-        if np.any(enter_diff):
-            x_lo, x_hi = xi[enter_diff], xn[enter_diff]
-            den = x_lo - x_hi
-            frac = np.where(np.abs(den) > 0, x_lo / den, 0.0)
-            neg_since[idx[enter_diff]] = (ti[enter_diff]
-                                          + np.clip(frac, 0, 1) * h[enter_diff])
-        leave = was & (~mid)
-        if np.any(leave):
-            neg_since[idx[leave]] = np.nan
-
-        at_claim = tn >= T_next[idx] - 1e-15
-        nc = int(np.count_nonzero(at_claim))
-        if nc:
-            C = sampler.draw(rng, nc)
-            xn[at_claim] -= C
-            K[idx[at_claim]] += 1
-            T_next[idx[at_claim]] = tn[at_claim] + rng.exponential(1.0 / lam, nc)
-
-        # part 2: claim-caused drops are stamped at the claim instant
-        now = xn < 0
-        enter_claim = (~mid) & now
-        if np.any(enter_claim):
-            neg_since[idx[enter_claim]] = tn[enter_claim]
-        x[idx], t[idx] = xn, tn
-
-        stay = np.nonzero(alive)[0]
-        elapsed = t[stay] - neg_since[stay]
-        dead = elapsed >= d
-        dead = np.where(np.isnan(elapsed), False, dead)
-        g = stay[dead]
-        if len(g):
-            rKg = np.power(r, K[g].astype(float))
-            out[g] = S[g] * rKg if terminal else D[g]
-            alive[g] = False
-
-        live = np.nonzero(alive)[0]
-        if len(live):
-            rKl = np.power(r, K[live].astype(float))
-            future = rKl * cq * np.exp(-q * t[live])
-            drift = rKl * S[live] + future if terminal else future
-            done = (drift < RETIRE_TOL) | (t[live] >= t_max)
-            g = live[done]
-            if len(g):
-                rKg = np.power(r, K[g].astype(float))
-                out[g] = S[g] * rKg if terminal else D[g]
-                bound_total += float(np.sum(
-                    (rKg * S[g] + rKg * cq * np.exp(-q * t[g])) if terminal
-                    else rKg * cq * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
+    return _run(model, cfg, _Rule(
+        float(a), float(x), reflect=True, grace=model.d, deadline=math.inf,
+        t_max=_horizon(model, cfg),
+        terminal=cfg.discount_mode == "terminal_factor"))
 
 
 def simulate_h(model, a, x, cfg: SimConfig) -> SimEstimate:
     """E[r^N e^{-q tau_a} on reaching a before Parisian ruin], from x."""
+    if not (math.isfinite(a) and math.isfinite(x)):
+        raise ValueError("a and x must be finite")
     cd = model.c * model.d
     if not (-cd < x <= a) and not (x == a):
         raise ValueError("x must satisfy -c d < x <= a")
-    t_max = _horizon(model, cfg)
-    sampler = _ClaimSampler(model)
-    vals, bounds = [], []
-    for ci, m in enumerate(_chunk_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, ci)
-        if model.sigma == 0.0:
-            v, tb = _h_chunk_sigma0(model, a, x, m, rng, sampler, t_max)
-        else:
-            v, tb = _h_chunk_sigma_pos(model, a, x, m, rng, sampler,
-                                       t_max, cfg.dt)
-        vals.append(v)
-        bounds.append(tb)
-    mean, se, bias = _combine(vals, bounds, cfg.n_paths)
-    return SimEstimate(mean, se, cfg.n_paths, bias)
-
-
-def _h_chunk_sigma0(model, a, x0, m, rng, sampler, t_max):
-    lam, c, q, r, d = model.lam, model.c, model.q, model.r, model.d
-    x = np.full(m, float(x0))
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
-    s0 = np.full(m, np.nan)
-    out = np.zeros(m)
-    bound_total = 0.0
-    if x0 < 0:
-        s0[:] = 0.0
-    alive = np.ones(m, dtype=bool)
-
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        T = rng.exponential(1.0 / lam, n)
-        C = sampler.draw(rng, n)
-        xi, ti, Ki, s0i = x[idx], t[idx], K[idx], s0[idx]
-
-        up = ~(xi < 0)
-        if np.any(up):
-            ui = np.nonzero(up)[0]
-            tb = (a - xi[ui]) / c
-            absorb = T[ui] >= tb
-            ab = ui[absorb]
-            if len(ab):
-                g = idx[ab]
-                out[g] = np.power(r, Ki[ab].astype(float)) * np.exp(
-                    -q * (ti[ab] + tb[absorb]))
-                alive[g] = False
-            nh = ui[~absorb]
-            if len(nh):
-                xi[nh] = xi[nh] + c * T[nh] - C[nh]
-                ti[nh] += T[nh]
-                Ki[nh] += 1
-                newneg = xi[nh] < 0
-                s0i[nh[newneg]] = ti[nh[newneg]]
-
-        dn = ~up  # only paths that started this round below zero
-        if np.any(dn):
-            di = np.nonzero(dn)[0]
-            trec = -xi[di] / c
-            tdead = (s0i[di] + d) - ti[di]
-            ruin = tdead <= np.minimum(T[di], trec)
-            rec = (~ruin) & (trec <= T[di])
-            claim = ~(ruin | rec)
-            ru = di[ruin]
-            if len(ru):
-                alive[idx[ru]] = False  # value stays 0
-            rc = di[rec]
-            if len(rc):
-                ti[rc] += trec[rec]
-                xi[rc] = 0.0
-                s0i[rc] = np.nan
-            cl = di[claim]
-            if len(cl):
-                xi[cl] = xi[cl] + c * T[cl] - C[cl]
-                ti[cl] += T[cl]
-                Ki[cl] += 1
-
-        x[idx], t[idx], K[idx], s0[idx] = xi, ti, Ki, s0i
-
-        live = np.nonzero(alive)[0]
-        if len(live):
-            worth = np.power(r, K[live].astype(float)) * np.exp(-q * t[live])
-            done = (worth < RETIRE_TOL) | (t[live] >= t_max)
-            g = live[done]
-            if len(g):
-                bound_total += float(np.sum(
-                    np.power(r, K[g].astype(float)) * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
-
-
-def _h_chunk_sigma_pos(model, a, x0, m, rng, sampler, t_max, dt):
-    lam, c, q, r, d = model.lam, model.c, model.q, model.r, model.d
-    sig = model.sigma
-    x = np.full(m, float(x0))
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
-    neg_since = np.full(m, np.nan)
-    out = np.zeros(m)
-    bound_total = 0.0
-    if x0 < 0:
-        neg_since[:] = 0.0
-    if x0 >= a:
-        return np.ones(m), 0.0
-    T_next = rng.exponential(1.0 / lam, m)
-    alive = np.ones(m, dtype=bool)
-
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        xi, ti = x[idx], t[idx]
-        h = np.minimum(dt, np.maximum(T_next[idx] - ti, 0.0))
-        Z = rng.standard_normal(n)
-        xn = xi + c * h + sig * np.sqrt(h) * Z
-        tn = ti + h
-
-        # absorb at the barrier with an interpolated hit time
-        hit = xn >= a
-        if np.any(hit):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = (a - xi[hit]) / (xn[hit] - xi[hit])
-            frac = np.clip(np.nan_to_num(frac, nan=0.0), 0.0, 1.0)
-            t_hit = ti[hit] + frac * h[hit]
-            g = idx[hit]
-            out[g] = np.power(r, K[g].astype(float)) * np.exp(-q * t_hit)
-            alive[g] = False
-
-        go = ~hit
-        gi = idx[go]
-        xg, tg = xn[go], tn[go]
-
-        was = xi[go] < 0
-        mid = xg < 0
-        enter_diff = (~was) & mid
-        if np.any(enter_diff):
-            x_lo, x_hi = xi[go][enter_diff], xg[enter_diff]
-            den = x_lo - x_hi
-            frac = np.where(np.abs(den) > 0, x_lo / den, 0.0)
-            neg_since[gi[enter_diff]] = (ti[go][enter_diff]
-                                         + np.clip(frac, 0, 1) * h[go][enter_diff])
-        leave = was & (~mid)
-        if np.any(leave):
-            neg_since[gi[leave]] = np.nan
-
-        at_claim = tg >= T_next[gi] - 1e-15
-        nc = int(np.count_nonzero(at_claim))
-        if nc:
-            C = sampler.draw(rng, nc)
-            xg[at_claim] -= C
-            K[gi[at_claim]] += 1
-            T_next[gi[at_claim]] = tg[at_claim] + rng.exponential(1.0 / lam, nc)
-
-        now = xg < 0
-        enter_claim = (~mid) & now
-        if np.any(enter_claim):
-            neg_since[gi[enter_claim]] = tg[enter_claim]
-        x[gi], t[gi] = xg, tg
-
-        stay = np.nonzero(alive)[0]
-        elapsed = t[stay] - neg_since[stay]
-        dead = np.where(np.isnan(elapsed), False, elapsed >= d)
-        alive[stay[dead]] = False  # ruined, value 0
-
-        live = np.nonzero(alive)[0]
-        if len(live):
-            worth = np.power(r, K[live].astype(float)) * np.exp(-q * t[live])
-            done = (worth < RETIRE_TOL) | (t[live] >= t_max)
-            g = live[done]
-            if len(g):
-                bound_total += float(np.sum(
-                    np.power(r, K[g].astype(float)) * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
+    return _run(model, cfg, _Rule(
+        float(a), float(x), reflect=False, grace=model.d, deadline=math.inf,
+        t_max=_horizon(model, cfg), terminal=False))
 
 
 def simulate_upcross(model, y, d, cfg: SimConfig) -> SimEstimate:
     """E[r^N e^{-q tau_y}; tau_y <= d] for first passage from 0 up to y."""
+    if not math.isfinite(y):
+        raise ValueError("level y must be finite")
     if y < 0:
         raise ValueError("level y must be >= 0")
+    if math.isnan(d):
+        raise ValueError("deadline d must not be nan")
+    return _run(model, cfg, _Rule(
+        float(y), 0.0, reflect=False, grace=None, deadline=d,
+        t_max=_UPCROSS_T_MAX, terminal=False))
+
+
+def _run(model, cfg, rule):
+    """Run the rule chunk by chunk and reduce in chunk order."""
     sampler = _ClaimSampler(model)
-    vals, bounds = [], []
-    for ci, m in enumerate(_chunk_sizes(cfg.n_paths)):
-        rng = _rng(cfg.seed, ci)
-        if model.sigma == 0.0:
-            v, tb = _upcross_chunk_sigma0(model, y, d, m, rng, sampler)
+    stepper = _exact_chunk if model.sigma == 0.0 else _euler_chunk
+    n = cfg.n_paths
+    s = s2 = b = 0.0
+    for ci, start in enumerate(range(0, n, CHUNK)):
+        m = min(CHUNK, n - start)
+        if not rule.reflect and rule.x0 >= rule.level:
+            v, tb = np.ones(m), 0.0
         else:
-            v, tb = _upcross_chunk_sigma_pos(model, y, d, m, rng, sampler,
-                                             cfg.dt)
-        vals.append(v)
-        bounds.append(tb)
-    mean, se, bias = _combine(vals, bounds, cfg.n_paths)
-    return SimEstimate(mean, se, cfg.n_paths, bias)
+            v, tb = stepper(model, rule, m, _rng(cfg.seed, ci), sampler,
+                            cfg.dt)
+        s += float(np.sum(v))
+        s2 += float(np.sum(v * v))
+        b += tb
+    mean = s / n
+    var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
+    return SimEstimate(mean, math.sqrt(var / n), n, b / n)
 
 
-def _upcross_chunk_sigma0(model, y, d, m, rng, sampler):
-    lam, c, q, r = model.lam, model.c, model.q, model.r
-    x = np.zeros(m)
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
+def _start(rule, m, clock):
+    """Alive paths of one chunk, one array per field, in path order."""
+    x0 = rule.x0
+    p = SimpleNamespace(id=np.arange(m), x=np.full(m, min(x0, rule.level)),
+                        t=np.zeros(m), K=np.zeros(m, dtype=np.int64))
+    if clock:
+        # start of the running sub-zero excursion
+        p.s0 = np.full(m, 0.0 if x0 < 0 else np.nan)
+    if rule.reflect:
+        # a start above the barrier is paid down to it at once
+        lump = x0 - rule.level if x0 > rule.level else 0.0
+        p.D = np.full(m, lump)  # per-payment discounted dividends
+        p.S = np.full(m, lump)  # r-free discounted dividends (terminal)
+    return p
+
+
+def _keep(p, mask):
+    # integer gathers: a boolean one is slow on a mask that mixes
+    # True and False at random
+    keep = np.flatnonzero(mask)
+    vars(p).update({k: v[keep] for k, v in vars(p).items()})
+
+
+def _banked(rule, r, p, sel):
+    """What the selected reflected paths have earned, if they stop now."""
+    if rule.terminal:
+        return p.S[sel] * np.power(r, p.K[sel].astype(float))
+    return p.D[sel]
+
+
+def _settle(model, rule, p, out, left):
+    """Drop the paths that left, then retire those whose remaining worth
+    is negligible or whose horizon has passed, paying them what they
+    hold; returns the worth the retired paths gave up."""
+    if left.any():
+        _keep(p, ~left)
+    rK = np.power(model.r, p.K.astype(float))
+    rate = rK * (model.c / model.q) if rule.reflect else rK
+    worth = rate * np.exp(-model.q * p.t)
+    if rule.terminal:
+        worth = rK * p.S + worth
+    done = (worth < RETIRE_TOL) | (p.t >= rule.t_max)
+    if not done.any():
+        return 0.0
+    if rule.reflect:
+        out[p.id[done]] = _banked(rule, model.r, p, done)
+    bound = float(np.sum(worth[done]))
+    _keep(p, ~done)
+    return bound
+
+
+def _exact_chunk(model, rule, m, rng, sampler, dt):
+    """sigma = 0: one round per alive path moves it to its next event."""
+    c, q, r = model.c, model.q, model.r
+    zero = rule.grace is not None
+    p = _start(rule, m, zero)
     out = np.zeros(m)
-    bound_total = 0.0
-    if y == 0.0:
-        return np.ones(m), 0.0
-    alive = np.ones(m, dtype=bool)
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        T = rng.exponential(1.0 / lam, n)
+    bound = 0.0
+    while len(p.id):
+        n = len(p.id)
+        T = rng.exponential(1.0 / model.lam, n)
         C = sampler.draw(rng, n)
-        xi, ti, Ki = x[idx], t[idx], K[idx]
-        ty = (y - xi) / c
-        t_left = d - ti
-        # arrival wins ties against the deadline (tau <= d succeeds)
-        arrive = (ty <= T) & (ty <= t_left)
-        timeout = (~arrive) & (t_left <= T) & np.isfinite(t_left)
-        claim = ~(timeout | arrive)
-        to = idx[timeout]
-        alive[to] = False
-        ar = idx[arrive]
-        if len(ar):
-            out[ar] = np.power(r, Ki[arrive].astype(float)) * np.exp(
-                -q * (ti[arrive] + ty[arrive]))
-            alive[ar] = False
-        cl = np.nonzero(claim)[0]
-        if len(cl):
-            xi[cl] = xi[cl] + c * T[cl] - C[cl]
-            ti[cl] += T[cl]
-            Ki[cl] += 1
-        x[idx], t[idx], K[idx] = xi, ti, Ki
-        live = np.nonzero(alive)[0]
-        if len(live):
-            worth = np.power(r, K[live].astype(float)) * np.exp(-q * t[live])
-            done = worth < RETIRE_TOL
-            g = live[done]
-            if len(g):
-                bound_total += float(np.sum(
-                    np.power(r, K[g].astype(float)) * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
+        tb = (rule.level - p.x) / c
+        hit = T >= tb
+        left = np.zeros(n, dtype=bool)
+        if rule.deadline < math.inf:
+            # arrival wins ties against the deadline (tau <= d succeeds);
+            # a path out of time leaves where it is, worth 0
+            t_left = rule.deadline - p.t
+            hit &= tb <= t_left
+            left = ~hit & (t_left <= T)
+
+        # below zero: claim, recovery, or Parisian deadline
+        rec = None
+        if zero:
+            below = p.x < 0
+            hit &= ~below
+            if below.any():
+                di = np.nonzero(below)[0]
+                trec = -p.x[di] / c
+                ruin = ((p.s0[di] + rule.grace) - p.t[di]
+                        <= np.minimum(T[di], trec))
+                back = ~ruin & (trec <= T[di])
+                ru = di[ruin]
+                if rule.reflect and len(ru):
+                    out[p.id[ru]] = _banked(rule, r, p, ru)
+                left[ru] = True
+                rec, trec = di[back], trec[back]
+
+        # at or above zero: drift to the level, then pay or absorb
+        hit = np.flatnonzero(hit)
+        if len(hit):
+            th, tbh = p.t[hit], tb[hit]
+            rK = np.power(r, p.K[hit].astype(float))
+            if rule.reflect:
+                seg = (c / q) * (np.exp(-q * (th + tbh))
+                                 - np.exp(-q * (th + T[hit])))
+                p.D[hit] += rK * seg
+                p.S[hit] += seg
+            else:
+                out[p.id[hit]] = rK * np.exp(-q * (th + tbh))
+                left[hit] = True
+
+        x = p.x + c * T - C
+        if rule.reflect:
+            x[hit] = rule.level - C[hit]
+        t = p.t + T
+        K = p.K + 1
+        if rec is not None:
+            x[rec] = 0.0
+            t[rec] = p.t[rec] + trec
+            K[rec] = p.K[rec]
+            p.s0[rec] = np.nan
+        if zero:
+            new = ~below & (x < 0)
+            p.s0[new] = t[new]
+        p.x, p.t, p.K = x, t, K
+        bound += _settle(model, rule, p, out, left)
+    return out, bound
 
 
-def _upcross_chunk_sigma_pos(model, y, d, m, rng, sampler, dt):
-    lam, c, q, r = model.lam, model.c, model.q, model.r
-    sig = model.sigma
-    x = np.zeros(m)
-    t = np.zeros(m)
-    K = np.zeros(m, dtype=np.int64)
+def _euler_chunk(model, rule, m, rng, sampler, dt):
+    """sigma > 0: one Euler step per round, landing on claim epochs."""
+    c, q, r, sig = model.c, model.q, model.r, model.sigma
+    # at d = inf the Parisian clock can never fire
+    clock = rule.grace is not None and rule.grace < math.inf
+    p = _start(rule, m, clock)
+    p.T_next = rng.exponential(1.0 / model.lam, m)
     out = np.zeros(m)
-    bound_total = 0.0
-    if y == 0.0:
-        return np.ones(m), 0.0
-    cap = d if math.isfinite(d) else 1e6
-    T_next = rng.exponential(1.0 / lam, m)
-    alive = np.ones(m, dtype=bool)
-    while np.any(alive):
-        idx = np.nonzero(alive)[0]
-        n = len(idx)
-        xi, ti = x[idx], t[idx]
-        h = np.minimum(dt, np.maximum(T_next[idx] - ti, 0.0))
-        Z = rng.standard_normal(n)
-        xn = xi + c * h + sig * np.sqrt(h) * Z
-        tn = ti + h
-        hit = xn >= y
-        if np.any(hit):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                frac = (y - xi[hit]) / (xn[hit] - xi[hit])
-            frac = np.clip(np.nan_to_num(frac, nan=0.0), 0.0, 1.0)
-            t_hit = ti[hit] + frac * h[hit]
-            ok = t_hit <= d
-            g = idx[hit]
-            out[g[ok]] = np.power(r, K[g[ok]].astype(float)) * np.exp(
-                -q * t_hit[ok])
-            alive[g] = False
-        go = ~hit
-        gi = idx[go]
-        xg, tg = xn[go], tn[go]
-        at_claim = tg >= T_next[gi] - 1e-15
+    bound = 0.0
+    while len(p.id):
+        h = np.minimum(dt, np.maximum(p.T_next - p.t, 0.0))
+        Z = rng.standard_normal(len(p.id))
+        xn = p.x + c * h + sig * np.sqrt(h) * Z
+        tn = p.t + h
+
+        if rule.reflect:
+            # reflection at the barrier pays the overflow as a dividend,
+            # strictly before any claim landing at the step's end
+            left = np.zeros(len(xn), dtype=bool)
+            over = xn > rule.level
+            if over.any():
+                disc = np.exp(-q * tn[over]) * (xn[over] - rule.level)
+                p.D[over] += np.power(r, p.K[over].astype(float)) * disc
+                p.S[over] += disc
+                xn[over] = rule.level
+        else:
+            # absorb at the level with an interpolated hit time
+            left = xn >= rule.level
+            if left.any():
+                xl = p.x[left]
+                frac = np.clip((rule.level - xl) / (xn[left] - xl), 0.0, 1.0)
+                t_hit = p.t[left] + frac * h[left]
+                pay = np.power(r, p.K[left].astype(float)) * np.exp(-q * t_hit)
+                out[p.id[left]] = np.where(t_hit <= rule.deadline, pay, 0.0)
+
+        if clock:
+            # Parisian clock, part 1: diffusion crossings interpolated
+            # within the step while xn is still the pre-claim endpoint
+            was = p.x < 0
+            mid = xn < 0
+            enter = ~was & mid
+            if enter.any():
+                xl = p.x[enter]
+                frac = np.clip(xl / (xl - xn[enter]), 0, 1)
+                p.s0[enter] = p.t[enter] + frac * h[enter]
+            p.s0[was & ~mid] = np.nan
+
+        at_claim = tn >= p.T_next - 1e-15
+        if not rule.reflect:
+            at_claim &= ~left
         nc = int(np.count_nonzero(at_claim))
         if nc:
-            C = sampler.draw(rng, nc)
-            xg[at_claim] -= C
-            K[gi[at_claim]] += 1
-            T_next[gi[at_claim]] = tg[at_claim] + rng.exponential(1.0 / lam, nc)
-        x[gi], t[gi] = xg, tg
-        over = t[gi] >= cap
-        if np.any(over):
-            g = gi[over]
-            if not math.isfinite(d):
-                bound_total += float(np.sum(
-                    np.power(r, K[g].astype(float)) * np.exp(-q * t[g])))
-            alive[g] = False
-        live = np.nonzero(alive)[0]
-        if len(live):
-            worth = np.power(r, K[live].astype(float)) * np.exp(-q * t[live])
-            g = live[worth < RETIRE_TOL]
-            if len(g):
-                bound_total += float(np.sum(
-                    np.power(r, K[g].astype(float)) * np.exp(-q * t[g])))
-                alive[g] = False
-    return out, bound_total
+            xn[at_claim] -= sampler.draw(rng, nc)
+            p.K[at_claim] += 1
+            p.T_next[at_claim] = tn[at_claim] + rng.exponential(
+                1.0 / model.lam, nc)
+            if clock:
+                # part 2: claim-caused drops are stamped at the claim
+                # instant
+                new = ~mid & (xn < 0)
+                p.s0[new] = tn[new]
+        p.x, p.t = xn, tn
+
+        if clock:
+            dead = p.t - p.s0 >= rule.grace
+            if rule.reflect:
+                out[p.id[dead]] = _banked(rule, r, p, dead)
+            left |= dead
+        if rule.deadline < math.inf:
+            left |= p.t >= rule.deadline
+        bound += _settle(model, rule, p, out, left)
+    return out, bound

@@ -196,6 +196,13 @@ class TestSimulateCommand:
         rc, _, _ = run(capsys, ["simulate", "--target", "drawdown"])
         assert rc == 2
 
+    def test_nan_step_rejected(self, capsys):
+        rc, _, err = run(capsys, [
+            "simulate", "--target", "value", "--a", "0.5", "--x", "0.3",
+            "--sigma", "0.5", "--t-max", "1", "--dt", "nan"])
+        assert rc == 2
+        assert "dt must be finite" in err
+
 
 class TestCompareCommand:
     def test_repeat_runs_identical(self, capsys):
