@@ -21,7 +21,7 @@ from .model import (
     InvalidParameter,
 )
 from .gridmath import GridFunction, NonConvergenceError
-from .lundberg import LundbergRoot, psi_r, lundberg_root, Phi_r_of_q
+from .lundberg import LundbergRoot, psi_r, lundberg_root
 from .firstpassage import UpcrossTransform, vy_density, upcross_transform
 from .hfun import HFunction, w_d, h_d_sigma0, h_d_sigma_pos, ide_residual
 from .expmodel import u_of_d, vartheta, varrho, exp_value_function
@@ -48,7 +48,7 @@ __all__ = [
     "ModelError", "NonPositivePremium", "NegativeLoading",
     "RNotInUnitInterval", "InvalidParameter",
     "GridFunction", "NonConvergenceError",
-    "LundbergRoot", "psi_r", "lundberg_root", "Phi_r_of_q",
+    "LundbergRoot", "psi_r", "lundberg_root",
     "UpcrossTransform", "vy_density", "upcross_transform",
     "HFunction", "w_d", "h_d_sigma0", "h_d_sigma_pos", "ide_residual",
     "u_of_d", "vartheta", "varrho", "exp_value_function",

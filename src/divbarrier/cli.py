@@ -28,8 +28,8 @@ from .model import (
 from .gridmath import GridFunction, NonConvergenceError
 from .lundberg import lundberg_root, psi_r
 from .firstpassage import upcross_transform
-from .hfun import h_d_sigma0, h_d_sigma_pos
 from .valuation import (
+    _build_h,
     optimal_barrier,
     barrier_solution_at,
     hjb_verify,
@@ -182,10 +182,12 @@ def _write_json(path, payload):
             fh.write(text)
 
 
-def _build_h(model, a, step):
-    if model.sigma == 0.0:
-        return h_d_sigma0(model, a, step)
-    return h_d_sigma_pos(model, a, min(step, 1e-5))
+def _sim_config(cfg):
+    return SimConfig(
+        n_paths=int(cfg["paths"]), seed=int(cfg["seed"]), dt=float(cfg["dt"]),
+        t_max=None if cfg["t-max"] is None else float(cfg["t-max"]),
+        discount_mode=str(cfg["mode"]),
+    )
 
 
 def _solution(model, cfg):
@@ -224,7 +226,10 @@ def cmd_h(cfg):
     model = _model_from(cfg)
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
-    h = _build_h(model, float(cfg["a"]), float(cfg["grid-step"]))
+    step = float(cfg["grid-step"])
+    if model.sigma != 0.0:
+        step = min(step, 1e-5)
+    h = _build_h(model, float(cfg["a"]), step)
     print("a=%.17g ide_residual=%.3e" % (h.a, h.ide_residual), file=sys.stderr)
     _write_csv(cfg["out"], ("x", "h", "hprime", "hprimeprime"),
                (h.grid.x, h.grid.values, h.hp.values, h.hpp.values))
@@ -288,14 +293,10 @@ def cmd_figures(cfg):
     out_dir = cfg["out"] or "."
     os.makedirs(out_dir, exist_ok=True)
     worst = -math.inf
-    claims = cfg["claims"]
-    if isinstance(claims, str):
-        claims = _parse_claims(claims)
+    if isinstance(cfg["claims"], str):
+        cfg = dict(cfg, claims=_parse_claims(cfg["claims"]))
     for d in (0.0, 2.0):
-        params = ModelParams(lam=float(cfg["lambda"]), c=float(cfg["c"]),
-                             sigma=float(cfg["sigma"]), q=float(cfg["q"]),
-                             r=float(cfg["r"]), d=d)
-        model = validate(params, claims)
+        model = _model_from(dict(cfg, d=d))
         sol = optimal_barrier(model, float(cfg["a-max"]), float(cfg["grid-step"]))
         h = sol.h
         tag = "d%g" % d
@@ -314,11 +315,7 @@ def cmd_figures(cfg):
 
 def cmd_simulate(cfg):
     model = _model_from(cfg)
-    sim_cfg = SimConfig(
-        n_paths=int(cfg["paths"]), seed=int(cfg["seed"]), dt=float(cfg["dt"]),
-        t_max=None if cfg["t-max"] is None else float(cfg["t-max"]),
-        discount_mode=str(cfg["mode"]),
-    )
+    sim_cfg = _sim_config(cfg)
     target = str(cfg["target"])
     if target == "value":
         if cfg["a"] is None:
@@ -348,11 +345,7 @@ def cmd_simulate(cfg):
 def cmd_compare(cfg):
     model = _model_from(cfg)
     sol = _solution(model, cfg)
-    sim_cfg = SimConfig(
-        n_paths=int(cfg["paths"]), seed=int(cfg["seed"]), dt=float(cfg["dt"]),
-        t_max=None if cfg["t-max"] is None else float(cfg["t-max"]),
-        discount_mode=str(cfg["mode"]),
-    )
+    sim_cfg = _sim_config(cfg)
     tokens = [t.strip() for t in str(cfg["xs"]).split(",") if t.strip()]
     xs = []
     for tok in tokens:

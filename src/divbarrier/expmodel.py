@@ -174,16 +174,6 @@ def vartheta(model, x):
     return float(v[0]) if np.ndim(x) == 0 else v
 
 
-def vartheta_d1(model, x):
-    _, v1, _ = _series_eval(model, x, 0.0)
-    return float(v1[0]) if np.ndim(x) == 0 else v1
-
-
-def vartheta_d2(model, x):
-    _, _, v2 = _series_eval(model, x, 0.0)
-    return float(v2[0]) if np.ndim(x) == 0 else v2
-
-
 def _kappa(model, d):
     mu = model.claims.mu
     rho = lundberg_root(model).rho
@@ -198,22 +188,11 @@ def varrho(model, x, d):
     return float(v[0]) if np.ndim(x) == 0 else v
 
 
-def varrho_d1(model, x, d):
-    if d <= 0:
-        raise ValueError("varrho needs d > 0; use vartheta at d = 0")
-    _, v1, _ = _series_eval(model, x, _kappa(model, d))
-    return float(v1[0]) if np.ndim(x) == 0 else v1
-
-
-def varrho_d2(model, x, d):
-    if d <= 0:
-        raise ValueError("varrho needs d > 0; use vartheta at d = 0")
-    _, _, v2 = _series_eval(model, x, _kappa(model, d))
-    return float(v2[0]) if np.ndim(x) == 0 else v2
-
-
 def exp_series(model, x, d):
-    """(value, d1, d2) of the exit series for delay d (0 allowed)."""
+    """(value, d1, d2) of the exit series for delay d (0 allowed).
+
+    Each is an array, of length one for a scalar x.
+    """
     kap = 0.0 if d == 0 else _kappa(model, d)
     return _series_eval(model, x, kap)
 

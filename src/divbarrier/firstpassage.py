@@ -59,23 +59,25 @@ def _bessel_series_scaled(a, z, extra_exponent):
     """sum_{k>=1} a^k z^{k-1}/(k!(k-1)!) * e^{extra_exponent}.
 
     Equals sqrt(a/z) I_1(2 sqrt(a z)) e^{extra}; evaluated through the
-    scaled Bessel function so the exponent never overflows. a is a
-    scalar >= 0, z an array >= 0, extra_exponent scalar or array.
+    scaled Bessel function so the exponent never overflows. a >= 0 is a
+    scalar or an array shaped like z, z an array >= 0, extra_exponent
+    scalar or array.
     """
     z = np.asarray(z, dtype=float)
     extra = np.broadcast_to(np.asarray(extra_exponent, dtype=float), z.shape)
-    if a == 0.0:
-        return np.zeros_like(z)
+    per_node = np.ndim(a) > 0
     s = a * z
     out = np.empty_like(z)
     small = s < 1e-8
     if np.any(small):
         ss = s[small]
-        out[small] = a * (1.0 + ss / 2.0 + ss * ss / 12.0) * np.exp(extra[small])
+        out[small] = (a[small] if per_node else a) \
+            * (1.0 + ss / 2.0 + ss * ss / 12.0) * np.exp(extra[small])
     big = ~small
     if np.any(big):
         w = 2.0 * np.sqrt(s[big])
-        out[big] = np.sqrt(a / z[big]) * i1e(w) * np.exp(w + extra[big])
+        out[big] = np.sqrt((a[big] if per_node else a) / z[big]) * i1e(w) \
+            * np.exp(w + extra[big])
     return out
 
 
@@ -189,22 +191,9 @@ def _phi_sigma0_exp(model, d, y):
 
     def fun(ts):
         zs = np.maximum(c * ts - y, 0.0)
-        aa = r * lam * mu * ts
         # one shared exponent keeps every factor in range
         extra = -mu * zs - (lam + q) * ts
-        s = aa * zs
-        vals = np.empty_like(ts)
-        small = s < 1e-8
-        if np.any(small):
-            ss = s[small]
-            vals[small] = aa[small] * (1.0 + ss / 2.0 + ss * ss / 12.0) \
-                * np.exp(extra[small])
-        big = ~small
-        if np.any(big):
-            w = 2.0 * np.sqrt(s[big])
-            vals[big] = np.sqrt(aa[big] / zs[big]) * i1e(w) \
-                * np.exp(w + extra[big])
-        return (y / ts) * vals
+        return (y / ts) * _bessel_series_scaled(r * lam * mu * ts, zs, extra)
 
     integral, err = _adaptive_simpson(fun, t0, d, tol=1e-12)
     return atom + integral, err
@@ -369,35 +358,40 @@ def _phi_sigma_pos(model, d, y_arr):
     return vals, K, tail_est
 
 
+def _phi_table(model, d, ys):
+    """(Phi_d on the deficits ys >= 0, truncation K, tail bound)."""
+    if not d >= 0.0:
+        raise ValueError("deadline d must be nonnegative, got %r" % (d,))
+    if d == 0.0 or not np.any(ys > 0.0):
+        return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
+    if math.isinf(d):
+        return np.exp(-lundberg_root(model).rho * ys), 0, 0.0
+    if model.sigma != 0.0:
+        return _phi_sigma_pos(model, d, ys)
+    if model.claims.kind != "exponential":
+        return _phi_sigma0_tab(model, d, ys)
+    vals, errs = np.ones_like(ys), [0.0]
+    for i in np.nonzero(ys > 0.0)[0]:
+        vals[i], err = _phi_sigma0_exp(model, d, ys[i])
+        errs.append(err)
+    return vals, 0, max(errs)
+
+
 def upcross_transform(model, y, d) -> UpcrossTransform:
     """Discounted weight of recovering from deficit y within time d.
 
     E[e^{-q tau} r^{claims before tau}; tau <= d] for the first
     up-crossing time tau of level zero from -y.
     """
-    if y < 0:
+    if not y >= 0:
         raise ValueError("deficit y must be nonnegative")
-    if d < 0:
-        raise ValueError("deadline d must be nonnegative")
-    if y == 0.0:
-        return UpcrossTransform(y=y, d=d, value=1.0, truncation_k=0, tail_bound=0.0)
-    if d == 0.0:
-        return UpcrossTransform(y=y, d=d, value=0.0, truncation_k=0, tail_bound=0.0)
-    if math.isinf(d):
-        rho = lundberg_root(model).rho
-        return UpcrossTransform(y=y, d=d, value=math.exp(-rho * y),
-                                truncation_k=0, tail_bound=0.0)
-    if model.sigma == 0.0:
-        if model.claims.kind == "exponential":
-            value, err = _phi_sigma0_exp(model, d, y)
-            return UpcrossTransform(y=y, d=d, value=value,
-                                    truncation_k=0, tail_bound=err)
-        vals, K, tb = _phi_sigma0_tab(model, d, np.array([y], dtype=float))
-        return UpcrossTransform(y=y, d=d, value=float(vals[0]),
-                                truncation_k=K, tail_bound=tb)
-    vals, K, tb = _phi_sigma_pos(model, d, np.array([y], dtype=float))
-    return UpcrossTransform(y=y, d=d, value=float(vals[0]),
-                            truncation_k=K, tail_bound=tb)
+    if d == math.inf and y > 0:
+        # math.exp: np.exp can differ from it in the last bit
+        value, K, tail = math.exp(-lundberg_root(model).rho * y), 0, 0.0
+    else:
+        vals, K, tail = _phi_table(model, d, np.array([y], dtype=float))
+        value = float(vals[0])
+    return UpcrossTransform(y=y, d=d, value=value, truncation_k=K, tail_bound=tail)
 
 
 def upcross_table(model, d, y_grid):
@@ -407,20 +401,6 @@ def upcross_table(model, d, y_grid):
     makes grid-sized w_d integrals affordable.
     """
     y_grid = np.asarray(y_grid, dtype=float)
-    if np.any(y_grid < 0):
+    if not np.all(y_grid >= 0):
         raise ValueError("deficits must be nonnegative")
-    if d == 0.0:
-        return np.where(y_grid == 0.0, 1.0, 0.0)
-    if math.isinf(d):
-        rho = lundberg_root(model).rho
-        return np.exp(-rho * y_grid)
-    if model.sigma == 0.0:
-        if model.claims.kind == "exponential":
-            out = np.empty_like(y_grid)
-            for i, y in enumerate(y_grid):
-                out[i] = 1.0 if y == 0.0 else _phi_sigma0_exp(model, d, y)[0]
-            return out
-        vals, _, _ = _phi_sigma0_tab(model, d, y_grid)
-        return vals
-    vals, _, _ = _phi_sigma_pos(model, d, y_grid)
-    return vals
+    return _phi_table(model, d, y_grid)[0]

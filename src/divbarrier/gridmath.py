@@ -198,6 +198,26 @@ def derivative(g: GridFunction, order: int) -> GridFunction:
 N_MAX_TERMS = 200
 
 
+def _series(apply_kernel, forcing: GridFunction, tol):
+    """forcing + K forcing + K^2 forcing + ... for K = apply_kernel,
+    truncated once a term's sup-norm falls below tol."""
+    term = forcing.values.copy()
+    acc = term.copy()
+    last = float(np.max(np.abs(term)))
+    for n in range(1, N_MAX_TERMS + 1):
+        term = apply_kernel(term)
+        last = float(np.max(np.abs(term)))
+        if not np.isfinite(last) or last > 1e80:
+            raise NonConvergenceError("series diverged", last_norm=last, terms=n)
+        acc += term
+        if last < tol:
+            return forcing.with_values(acc)
+    raise NonConvergenceError(
+        "series did not reach tolerance after %d terms" % N_MAX_TERMS,
+        last_norm=last, terms=N_MAX_TERMS,
+    )
+
+
 def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff, tol=1e-12):
     """Sum_n coeff^n kernel^{*n} * forcing, truncated at sup-norm tol.
 
@@ -208,21 +228,9 @@ def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff, tol=1e-12
         raise ValueError("coeff must be nonnegative")
     if not kernel.same_grid(forcing):
         raise ValueError("grid mismatch in neumann_series")
-    term = forcing.values.copy()
-    acc = term.copy()
-    last = float(np.max(np.abs(term)))
-    for n in range(1, N_MAX_TERMS + 1):
-        term = coeff * convolve_values(kernel.values, term, kernel.step)
-        last = float(np.max(np.abs(term)))
-        if not np.isfinite(last) or last > 1e80:
-            raise NonConvergenceError("series diverged", last_norm=last, terms=n)
-        acc += term
-        if last < tol:
-            return forcing.with_values(acc)
-    raise NonConvergenceError(
-        "series did not reach tolerance after %d terms" % N_MAX_TERMS,
-        last_norm=last, terms=N_MAX_TERMS,
-    )
+    return _series(
+        lambda term: coeff * convolve_values(kernel.values, term, kernel.step),
+        forcing, tol)
 
 
 def neumann_series_exp(rates, weights, forcing: GridFunction, coeff, tol=1e-12):
@@ -233,24 +241,14 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff, tol=1e-12):
     rates cost nothing in accuracy.
     """
     step = forcing.step
-    term = forcing.values.copy()
-    acc = term.copy()
-    last = float(np.max(np.abs(term)))
-    for n in range(1, N_MAX_TERMS + 1):
+
+    def apply_kernel(term):
         nxt = np.zeros_like(term)
         for b, w in zip(rates, weights):
             nxt += w * convolve_exp(b, term, step)
-        term = coeff * nxt
-        last = float(np.max(np.abs(term)))
-        if not np.isfinite(last) or last > 1e80:
-            raise NonConvergenceError("series diverged", last_norm=last, terms=n)
-        acc += term
-        if last < tol:
-            return forcing.with_values(acc)
-    raise NonConvergenceError(
-        "series did not reach tolerance after %d terms" % N_MAX_TERMS,
-        last_norm=last, terms=N_MAX_TERMS,
-    )
+        return coeff * nxt
+
+    return _series(apply_kernel, forcing, tol)
 
 
 def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFunction:

@@ -36,7 +36,7 @@ panel and Neumann machinery in gridmath.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,11 +60,6 @@ from . import expmodel
 from .firstpassage import upcross_table, _phi_sigma_pos
 
 _CACHE = {}
-
-
-@dataclass(frozen=True)
-class WdFunction:
-    grid: GridFunction
 
 
 @dataclass(frozen=True)
@@ -155,19 +150,6 @@ def w_d(model, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def w_d_table(model, x_max, step) -> WdFunction:
-    n = int(round(x_max / step))
-    xs = step * np.arange(n + 1)
-    return WdFunction(grid=GridFunction(0.0, n * step, step, _w_values(model, xs)))
-
-
-def _density_on(model, xs):
-    if model.claims.kind == "exponential":
-        mu = model.claims.mu
-        return mu * np.exp(-mu * xs)
-    return model.claims.density(xs)
-
-
 def _t_rho_f(model, rho, xs, step):
     """T_rho f on the solver grid."""
     if model.claims.kind == "exponential":
@@ -182,6 +164,14 @@ def _t_rho_f(model, rho, xs, step):
     return tg.values[: len(xs)]
 
 
+def _solve_renewal(kernel, forcing, coeff):
+    """xi = forcing + coeff (kernel * xi): Neumann series, else marching."""
+    try:
+        return neumann_series(kernel, forcing, coeff).values
+    except NonConvergenceError:
+        return volterra_march(kernel, forcing, coeff).values
+
+
 def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     """Exit function for the drift-only model (sigma = 0)."""
     if model.sigma != 0.0:
@@ -194,19 +184,15 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     step = a / n
     xs = step * np.arange(n + 1)
 
-    f_res = _density_on(model, xs)
+    f_res = model.claims.density(xs)
     trf = _t_rho_f(model, rho, xs, step)
     zeta = np.exp(rho * xs)
     w = _w_values(model, xs)
 
     coeff = lam * r / c
     forcing = zeta - coeff * zeta * cumexp(rho, w, step)
-    kern = GridFunction(0.0, n * step, step, trf)
-    forc = GridFunction(0.0, n * step, step, forcing)
-    try:
-        xi = neumann_series(kern, forc, coeff).values
-    except NonConvergenceError:
-        xi = volterra_march(kern, forc, coeff).values
+    xi = _solve_renewal(GridFunction(0.0, n * step, step, trf),
+                        GridFunction(0.0, n * step, step, forcing), coeff)
 
     # derivatives read off the equation itself, not finite differences
     f_xi = convolve_values(f_res, xi, step)
@@ -228,9 +214,7 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
         xi_prime_zero=None,
         ide_residual=0.0,
     )
-    res = ide_residual(model, hf)
-    return HFunction(grid=hf.grid, hp=hf.hp, hpp=hf.hpp, a=a,
-                     xi_prime_zero=None, ide_residual=res)
+    return replace(hf, ide_residual=ide_residual(model, hf))
 
 
 def _continuation_slope(model):
@@ -261,7 +245,7 @@ def _sigma_pos_pieces(model, a, step):
     n = max(int(round(a / step)), 8)
     step = a / n
     xs = step * np.arange(n + 1)
-    f_res = _density_on(model, xs)
+    f_res = model.claims.density(xs)
     trf = _t_rho_f(model, rho, xs, step)
     if math.isinf(model.d):
         w = trf.copy()
@@ -296,11 +280,7 @@ def _sigma_pos_pieces(model, a, step):
         if exp_kind:
             wgt = mu / ((rho + mu) * (b1 - mu))
             return neumann_series_exp([mu, b1], [wgt, -wgt], forc, gam).values
-        kg = GridFunction(0.0, n * step, step, kern)
-        try:
-            return neumann_series(kg, forc, gam).values
-        except NonConvergenceError:
-            return volterra_march(kg, forc, gam).values
+        return _solve_renewal(GridFunction(0.0, n * step, step, kern), forc, gam)
 
     A = solve(phi0)
     B = solve(zb)
@@ -342,21 +322,14 @@ def _shoot(model, a, step):
     lo = 0.2 * p_star if p_star > 0 else p_star - 1.0
     hi = 3.0 * p_star if p_star > 0 else p_star + 1.0
     p_hat, _ = golden_min(residual, lo, hi, tol=1e-10)
-    return pieces, p_hat, residual(p_hat), p_star
-
-
-def shoot_xi_prime_zero(model, a, step=1e-5):
-    """Slope xi'(0) selected by residual-minimizing shooting."""
-    if model.sigma <= 0.0:
-        raise ValueError("shooting applies to sigma > 0 only")
-    _, p_hat, res, p_star = _shoot(model, a, step)
+    res = residual(p_hat)
     if res > 1e-4:
         raise NonConvergenceError(
             "shooting residual floor %.3e exceeds 1e-4 "
             "(continuation slope %.6f, shot slope %.6f)" % (res, p_star, p_hat),
             last_norm=res,
         )
-    return p_hat
+    return pieces, p_hat, res, p_star
 
 
 def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
@@ -365,13 +338,7 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
     if a <= 0:
         raise ValueError("barrier a must be positive")
-    pieces, p_hat, res, p_star = _shoot(model, a, step)
-    if res > 1e-4:
-        raise NonConvergenceError(
-            "shooting residual floor %.3e exceeds 1e-4 "
-            "(continuation slope %.6f, shot slope %.6f)" % (res, p_star, p_hat),
-            last_norm=res,
-        )
+    pieces, p_hat, res, _ = _shoot(model, a, step)
     xi = pieces["A"] + p_hat * pieces["B"]
     xip = pieces["C"] + p_hat * pieces["D"]
     xipp = pieces["E"] + p_hat * pieces["F"]
@@ -402,7 +369,7 @@ def ide_residual(model, h: HFunction) -> float:
     step = grid.step
     xs = grid.x
     lam, c, q, r = model.lam, model.c, model.q, model.r
-    f_res = _density_on(model, xs)
+    f_res = model.claims.density(xs)
     w = _w_values(model, xs)
     conv = convolve_values(f_res, grid.values, step) + grid.values[0] * w
     if model.sigma == 0.0:

@@ -71,8 +71,3 @@ def lundberg_root(model) -> LundbergRoot:
     if abs(gs) <= 10 * RESIDUAL_TOL:
         return LundbergRoot(rho=s, residual=gs, iterations=it)
     raise RuntimeError("root refinement stalled; residual %.3e" % gs)
-
-
-def Phi_r_of_q(model) -> LundbergRoot:
-    """Alias: the right inverse of psi_r evaluated at q."""
-    return lundberg_root(model)

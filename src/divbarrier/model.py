@@ -78,8 +78,8 @@ class ExponentialClaims:
     kind = "exponential"
 
     def __init__(self, mu):
-        if mu <= 0:
-            raise InvalidParameter("claim rate mu must be positive")
+        if not 0 < mu < math.inf:
+            raise InvalidParameter("claim rate mu must be positive and finite")
         self.mu = float(mu)
 
     @property
@@ -118,8 +118,8 @@ class TabulatedClaims:
     def __init__(self, grid: GridFunction):
         if abs(grid.lo) > 1e-12:
             raise InvalidParameter("tabulated density must start at 0")
-        if np.any(grid.values < -1e-12):
-            raise InvalidParameter("tabulated density has negative values")
+        if not np.all(grid.values >= -1e-12):
+            raise InvalidParameter("tabulated density has negative or nan values")
         mass = grid.trapz()
         if abs(mass - 1.0) > 1e-8:
             raise InvalidParameter("tabulated density mass %.3e is not 1" % mass)
@@ -230,6 +230,11 @@ def validate(params: ModelParams, dist) -> ValidatedModel:
         raise RNotInUnitInterval("r must lie in (0, 1]")
     if params.d < 0:
         raise InvalidParameter("Parisian delay must be nonnegative")
+    for name in ("lam", "c", "sigma", "q"):
+        if not math.isfinite(getattr(params, name)):
+            raise InvalidParameter("%s must be finite" % name)
+    if math.isnan(params.d):
+        raise InvalidParameter("Parisian delay must be a number (inf is allowed)")
     mean_claim = dist.mean
     if mean_claim <= 0:
         raise InvalidParameter("claim mean must be positive")

@@ -24,7 +24,7 @@ anything when the density's derivative is monotone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ from .hfun import (
     h_d_sigma_pos,
     h_callable,
     _w_values,
-    _density_on,
 )
 from .firstpassage import upcross_table
 
@@ -111,9 +110,10 @@ def _value_callable(model, h: HFunction):
     return value
 
 
-def _boundary_value_callable(model, slope0):
-    """Value of the pay-everything barrier at 0: x plus a lump 1/slope0."""
-    v0 = 1.0 / slope0
+def _boundary_solution(model, scan: HFunction) -> BarrierSolution:
+    """The pay-everything barrier at 0: x plus a lump 1/slope0, with the
+    unnormalized slope at zero read off the exit function scan."""
+    v0 = 1.0 / float(scan.hp.values[0] / scan.grid.values[0])
     cd = model.c * model.d
 
     def value(x):
@@ -126,7 +126,7 @@ def _boundary_value_callable(model, slope0):
             out[neg] = v0 * upcross_table(model, model.d, -xs[neg])
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    return value
+    return BarrierSolution(0.0, scan, value, None, True, ())
 
 
 def _refine_root(xs, ys, i):
@@ -183,13 +183,8 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     roots = sorted(set(round(t, 12) for t in roots))
 
     if roots:
-        a_star = roots[0]
-        h_final = _build_h(model, a_star, _solver_step(model, grid_step))
-        value = _value_callable(model, h_final)
-        sol = BarrierSolution(
-            a_star=a_star, h=h_final, value=value, hjb_report=None,
-            boundary=False, alternatives=tuple(roots[1:]),
-        )
+        sol = replace(barrier_solution_at(model, roots[0], grid_step),
+                      alternatives=tuple(roots[1:]))
     else:
         hp = scan.hp.values
         j = int(np.argmin(hp))
@@ -200,25 +195,12 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
         if xs[j] > grid_step:
             # interior argmin without a sign change should not happen on a
             # smooth curve; treat it as a root found by the slope instead
-            a_star = float(xs[j])
-            h_final = _build_h(model, a_star, _solver_step(model, grid_step))
-            value = _value_callable(model, h_final)
-            sol = BarrierSolution(
-                a_star=a_star, h=h_final, value=value, hjb_report=None,
-                boundary=True, alternatives=(),
-            )
+            sol = replace(barrier_solution_at(model, float(xs[j]), grid_step),
+                          boundary=True)
         else:
-            slope0 = float(scan.hp.values[0] / scan.grid.values[0])
-            value = _boundary_value_callable(model, slope0)
-            sol = BarrierSolution(
-                a_star=0.0, h=scan, value=value, hjb_report=None,
-                boundary=True, alternatives=(),
-            )
+            sol = _boundary_solution(model, scan)
     report = hjb_verify(model, sol, sol.a_star + 10.0, tol=1e-5)
-    return BarrierSolution(
-        a_star=sol.a_star, h=sol.h, value=sol.value, hjb_report=report,
-        boundary=sol.boundary, alternatives=sol.alternatives,
-    )
+    return replace(sol, hjb_report=report)
 
 
 def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
@@ -226,10 +208,8 @@ def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
     if a < 0:
         raise ValueError("barrier must be >= 0")
     if a == 0.0:
-        scan = _build_h(model, max(10 * grid_step, 1e-2), _solver_step(model, grid_step))
-        slope0 = float(scan.hp.values[0] / scan.grid.values[0])
-        return BarrierSolution(0.0, scan, _boundary_value_callable(model, slope0),
-                               None, True, ())
+        return _boundary_solution(model, _build_h(
+            model, max(10 * grid_step, 1e-2), _solver_step(model, grid_step)))
     h = _build_h(model, a, _solver_step(model, grid_step))
     return BarrierSolution(a, h, _value_callable(model, h), None, False, ())
 
@@ -284,7 +264,7 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         m = max(int(math.ceil((hi - lo) / y_step)), 4)
         ys = np.linspace(lo, hi, m + 1)
-        fy = _density_on(model, ys)
+        fy = model.claims.density(ys)
         gv = np.asarray(g(x - ys), dtype=float)
         total += float(trapezoid(fy * gv, ys))
 
@@ -315,7 +295,7 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         mu = model.claims.mu
         conv = mu * convolve_exp(mu, v, st)
     else:
-        conv = convolve_values(_density_on(model, xs), v, st)
+        conv = convolve_values(model.claims.density(xs), v, st)
     w = _w_values(model, xs)
     gen = (0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v
            + lam * r * (conv + v[0] * w))

@@ -70,7 +70,7 @@ def test_criterion_02_optimal_barriers(request, m_d0, m_d2):
         # diagnosis: with the full reach-back weight u(2) = 0.803241
         # the exit curvature is positive on all of (0, 2], so the
         # honest optimum is the pay-everything boundary
-        curv = expmodel.varrho_d2(m_d2, np.linspace(1e-3, 2.0, 400), 2.0)
+        curv = expmodel.exp_series(m_d2, np.linspace(1e-3, 2.0, 400), 2.0)[2]
         mc = simulate_value(m_d2, 0.0, 0.0, SimConfig(20000, seed=606))
         z = (mc.mean - s2.value(0.0)) / mc.stderr
         # the reference number is reproduced by truncating the weight
@@ -126,7 +126,7 @@ def test_criterion_03_hjb_inequalities(request, m_d0, m_d2, sol_d0, sol_d2):
 
 
 def test_criterion_04_boundary_slope(request, m_d0):
-    got = expmodel.vartheta_d1(m_d0, 0.0)
+    got = expmodel.exp_series(m_d0, 0.0, 0.0)[1][0]
     want = (10.0 + 0.1) / 15.0
     ok = abs(got - want) <= 1e-10
     record(request, 4, ok,

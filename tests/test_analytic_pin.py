@@ -1,0 +1,258 @@
+"""Analytic outputs pinned bit for bit.
+
+Every number the library computes without simulation is captured here
+as float.hex (scalars) or as the leading sha256 digits of the float64
+bytes (grids), so a change to the arithmetic of any regime shows at
+once. The rows cover the deadline transform Phi_d (value, truncation
+K, tail bound, and the grid route) at sigma = 0 with exponential and
+with tabulated claims and at sigma = 0.5, each at d in {0, 0.4, 2, inf}
+and deficits y in {0, 0.3, 0.5}; the exit function with its two
+derivatives in both solvers; the w_d forcing; the optimal barrier with
+its value; the closed exponential series; and the bytes of the
+`divbarrier h` CSV.
+
+The tabulated rows use a 1e-2 claim grid, which keeps the whole file
+to a few seconds. The pins were captured with numpy 2.4.6 and scipy
+1.17.1; a library upgrade that moves a last bit means recapturing them
+from a tree whose numbers are trusted, not loosening them.
+"""
+
+import hashlib
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+
+import divbarrier as db
+from divbarrier import cli, expmodel
+from divbarrier.firstpassage import upcross_table, upcross_transform
+from divbarrier.hfun import h_d_sigma0, h_d_sigma_pos, w_d
+
+inf = math.inf
+YS = (0.0, 0.3, 0.5)
+TAB = db.tabulated_exponential(1.0, step=1e-2)
+
+
+def _model(claims, d, sigma=0.0):
+    dist = TAB if claims == "tab" else db.ExponentialClaims(1.0)
+    return db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=sigma, q=0.1,
+                                      r=0.8, d=d), dist)
+
+
+def _fingerprint(x):
+    if isinstance(x, (bool, int, np.integer)):
+        return repr(x)
+    if isinstance(x, bytes):
+        data = x
+    else:
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return float(arr).hex()
+        data = np.ascontiguousarray(arr).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _transform(claims, sigma, d):
+    m = _model(claims, d, sigma)
+    out = []
+    for y in YS:
+        tr = upcross_transform(m, y, d)
+        out += [tr.value, tr.truncation_k, tr.tail_bound]
+    return out + [upcross_table(m, d, np.array(YS))]
+
+
+def _transform_inf(sigma, ys):
+    # deficits where np.exp(-rho y) and math.exp(-rho y) differ in the
+    # last bit, so the scalar route's math.exp is pinned too
+    m = _model("exp", inf, sigma)
+    return [upcross_transform(m, y, inf).value for y in ys]
+
+
+def _h(claims, sigma, d, a, step):
+    m = _model(claims, d, sigma)
+    build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
+    h = build(m, a, step)
+    return [h.grid.values, h.hp.values, h.hpp.values, h.ide_residual,
+            h.xi_prime_zero or 0.0]
+
+
+def _w(claims, sigma, d):
+    return [w_d(_model(claims, d, sigma), np.linspace(0.0, 1.5, 7))]
+
+
+def _barrier(sigma, d):
+    sol = db.optimal_barrier(_model("exp", d, sigma), a_max=2.0)
+    xs = np.array([-0.2, 0.0, 0.3, sol.a_star, sol.a_star + 0.5])
+    return [sol.a_star, sol.boundary, sol.hjb_report.passed, sol.value(xs)]
+
+
+def _series(d):
+    return list(expmodel.exp_series(_model("exp", d), np.linspace(0.0, 2.0, 9), d))
+
+
+def _cli_h(sigma, d):
+    # at sigma > 0 the command clamps the 1e-3 step to 1e-5
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "h.csv")
+        assert cli.main(["h", "--a", "0.5", "--sigma", repr(sigma), "--d", repr(d),
+                         "--grid-step", "1e-3", "--out", out]) == 0
+        with open(out, "rb") as fh:
+            return [fh.read()]
+
+
+CASES = {}
+for _claims, _sigma in (("exp", 0.0), ("tab", 0.0), ("exp", 0.5)):
+    for _d in (0.0, 0.4, 2.0, inf):
+        CASES["phi-%s-s%g-d%g" % (_claims, _sigma, _d)] = (
+            _transform, (_claims, _sigma, _d))
+CASES["phi-exp-s0-dinf-ulp"] = (_transform_inf, (0.0, (1.1, 1.8)))
+CASES["phi-exp-s0.5-dinf-ulp"] = (_transform_inf, (0.5, (0.2, 0.9)))
+for _d in (0.0, 2.0):
+    CASES["h-exp-s0-d%g" % _d] = (_h, ("exp", 0.0, _d, 0.7693, 1e-3))
+CASES["h-tab-s0-d2"] = (_h, ("tab", 0.0, 2.0, 0.7693, 1e-3))
+for _d in (0.0, 1.0, inf):
+    CASES["h-exp-s0.5-d%g" % _d] = (_h, ("exp", 0.5, _d, 0.5, 1e-4))
+CASES["w-exp-s0-d2"] = (_w, ("exp", 0.0, 2.0))
+CASES["w-tab-s0-d2"] = (_w, ("tab", 0.0, 2.0))
+CASES["w-exp-s0.5-d1"] = (_w, ("exp", 0.5, 1.0))
+CASES["barrier-s0-d0"] = (_barrier, (0.0, 0.0))
+CASES["barrier-s0-d2"] = (_barrier, (0.0, 2.0))
+CASES["barrier-s0.5-d0"] = (_barrier, (0.5, 0.0))
+CASES["barrier-s0.5-d1"] = (_barrier, (0.5, 1.0))
+for _d in (0.0, 0.4, 2.0, inf):
+    CASES["series-d%g" % _d] = (_series, (_d,))
+CASES["cli-h-s0.5-d1"] = (_cli_h, (0.5, 1.0))
+
+PINS = {
+    'barrier-s0-d0': [
+        '0x1.89e3b604b6ac8p-1', 'False', 'True', 'e864c435456ff5a8',
+    ],
+    'barrier-s0-d2': [
+        '0x0.0p+0', 'True', 'True', '745853e4818cc649',
+    ],
+    'barrier-s0.5-d0': [
+        '0x1.e1a541b834b59p-1', 'False', 'False', 'cfebeb2f83fe3d7f',
+    ],
+    'barrier-s0.5-d1': [
+        '0x0.0p+0', 'True', 'True', 'd008951ee7f6700c',
+    ],
+    'cli-h-s0.5-d1': [
+        'bc872191d272cf4f',
+    ],
+    'h-exp-s0-d0': [
+        '0fd22e46cbb88bb0', '474f1a16339a98bd', 'ec02a9aaeeb2553e',
+        '0x1.335a636800000p-20', '0x0.0p+0',
+    ],
+    'h-exp-s0-d2': [
+        '559fa97c412e1554', '49174d5a2a46d544', '1c297a6aa7aeeaef',
+        '0x1.62cdbaf800000p-21', '0x0.0p+0',
+    ],
+    'h-exp-s0.5-d0': [
+        'a9ac9e5629dc4b5b', '7b6f58f1e8fbd610', 'e0645eaa5f8d640b',
+        '0x1.fa360e140e84bp-22', '0x1.2c002072e8a6ap+6',
+    ],
+    'h-exp-s0.5-d1': [
+        '184ebea44566b8ac', 'b94e5e1927559e02', 'b662280944a5b4e3',
+        '0x1.20db15d8179e9p-22', '0x1.f53b0dab4dee8p-3',
+    ],
+    'h-exp-s0.5-dinf': [
+        '5d6d6d168c102328', '495f26c28a4492cc', 'b1c76b2ac2958707',
+        '0x1.213e1e2624744p-22', '0x1.f40eb40cc8bb4p-3',
+    ],
+    'h-tab-s0-d2': [
+        '9cf924a5987621e1', '8814f51d49dc5401', '3999c51394d9adcd',
+        '0x1.289493b280000p-15', '0x0.0p+0',
+    ],
+    'phi-exp-s0-d0': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x0.0p+0', '0', '0x0.0p+0',
+        '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
+    ],
+    'phi-exp-s0-d0.4': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5917p-1', '0',
+        '0x1.450eeeeeeeeefp-42', '0x1.c195353dc1e2ep-1', '0',
+        '0x1.7d78888888889p-42', 'db47e8168f0e4996',
+    ],
+    'phi-exp-s0-d2': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb60aed2p-1', '0',
+        '0x1.d418222222222p-41', '0x1.c4fb96fe20e0ep-1', '0',
+        '0x1.3471111111111p-44', '0f69620e713c4b4f',
+    ],
+    'phi-exp-s0-dinf': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c2524bcp-1', '0',
+        '0x0.0p+0', '0x1.c4fc507247089p-1', '0', '0x0.0p+0',
+        '8df0f1c44a4c21b3',
+    ],
+    'phi-exp-s0-dinf-ulp': [
+        '0x1.871395c4bb742p-1', '0x1.49759cee28aa7p-1',
+    ],
+    'phi-exp-s0.5-d0': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x0.0p+0', '0', '0x0.0p+0',
+        '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
+    ],
+    'phi-exp-s0.5-d0.4': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3b832d514p-1', '0',
+        '0x1.27402ae9794bap-47', '0x1.c1bc1221a8d88p-1', '0',
+        '0x1.03e0866b0e815p-46', 'be895c82fe8fed27',
+    ],
+    'phi-exp-s0.5-d2': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1cdc74p-1', '0',
+        '0x1.9efda989e1678p-46', '0x1.c52784d1a73c5p-1', '0',
+        '0x1.6d49ec5a964dcp-45', 'fe4f12ff2315c234',
+    ],
+    'phi-exp-s0.5-dinf': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
+        '0x0.0p+0', '0x1.c528420d37468p-1', '0', '0x0.0p+0',
+        '8a8303ed2763450d',
+    ],
+    'phi-exp-s0.5-dinf-ulp': [
+        '0x1.e798fbd29a6c2p-1', '0x1.9afda681073d0p-1',
+    ],
+    'phi-tab-s0-d0': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x0.0p+0', '0', '0x0.0p+0',
+        '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
+    ],
+    'phi-tab-s0-d0.4': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d2a96612528p-1', '25',
+        '0x1.02a6ba4092aafp-42', '0x1.c19545840c303p-1', '25',
+        '0x1.02a6ba4092aafp-42', '72cd2a1d351ad189',
+    ],
+    'phi-tab-s0-d2': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9f9e86fc69p-1', '69',
+        '0x1.c492328fe530fp-48', '0x1.c4fb9f1521902p-1', '69',
+        '0x1.c492328fe530fp-48', 'cf7a9c60a101cfcc',
+    ],
+    'phi-tab-s0-dinf': [
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba73c063421p-1', '0',
+        '0x0.0p+0', '0x1.c4fc7cdec3df9p-1', '0', '0x0.0p+0',
+        'b3abec16f2763e1d',
+    ],
+    'series-d0': [
+        '291747017cd060ca', 'fce076b3ae6cb09f', '425820394d78a148',
+    ],
+    'series-d0.4': [
+        '097f98bf26b4c4af', '88eb36be70589094', '647a40a23f22954a',
+    ],
+    'series-d2': [
+        'e9641019bbda0eb7', '7b4c8ab46cca618a', 'c3fe85b3dc8996fe',
+    ],
+    'series-dinf': [
+        '67d8923e8e732a77', '1666ade449581577', 'ca9ab72e6a17cb9a',
+    ],
+    'w-exp-s0-d2': [
+        'de750bfe7b5b1a06',
+    ],
+    'w-exp-s0.5-d1': [
+        '09e4deae57df83e7',
+    ],
+    'w-tab-s0-d2': [
+        '5cf839f6854e9410',
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_analytic_output_pinned(case):
+    fn, args = CASES[case]
+    assert [_fingerprint(v) for v in fn(*args)] == PINS[case]

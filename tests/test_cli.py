@@ -106,6 +106,11 @@ class TestInputErrors:
         rc, _, _ = run(capsys, ["root", "--d", "soon"])
         assert rc == 2
 
+    def test_nan_parameter(self, capsys):
+        rc, _, err = run(capsys, ["root", "--lambda", "nan"])
+        assert rc == 2
+        assert "InvalidParameter" in err
+
 
 class TestClaimsTable:
     def _write_triangle(self, path):

@@ -94,21 +94,20 @@ class TestCollapseIdentities:
         al = alpha_of(m_d0)
         mu = 1.0
         th = expmodel.vartheta(m_d0, self.XS)
-        th1 = expmodel.vartheta_d1(m_d0, self.XS)
+        th1 = expmodel.exp_series(m_d0, self.XS, 0.0)[1]
         want = RHO * th + al * np.exp((al - mu) * self.XS)
         np.testing.assert_allclose(th1, want, rtol=1e-12)
 
     def test_theta_second_derivative(self, m_d0):
         al = alpha_of(m_d0)
         mu = 1.0
-        th1 = expmodel.vartheta_d1(m_d0, self.XS)
-        th2 = expmodel.vartheta_d2(m_d0, self.XS)
+        _, th1, th2 = expmodel.exp_series(m_d0, self.XS, 0.0)
         want = RHO * th1 + al * (al - mu) * np.exp((al - mu) * self.XS)
         np.testing.assert_allclose(th2, want, rtol=1e-11, atol=1e-13)
 
     def test_boundary_slope(self, m_d0):
         # theta'(0) = (lam + q)/c restates the exponent equation at rho
-        assert expmodel.vartheta_d1(m_d0, 0.0) == pytest.approx(
+        assert expmodel.exp_series(m_d0, 0.0, 0.0)[1][0] == pytest.approx(
             10.1 / 15.0, abs=1e-12)
         al = alpha_of(m_d0)
         assert RHO + al == pytest.approx(10.1 / 15.0, abs=1e-12)
@@ -125,7 +124,7 @@ class TestCollapseIdentities:
     def test_varrho_boundary_slope(self, m_d2):
         # varrho'(0) = (lam + q - lam r u(d)) / c
         want = (10.1 - 8.0 * U_2) / 15.0
-        assert expmodel.varrho_d1(m_d2, 0.0, 2.0) == pytest.approx(
+        assert expmodel.exp_series(m_d2, 0.0, 2.0)[1][0] == pytest.approx(
             want, abs=1e-12)
 
     def test_varrho_value_at_zero(self, m_d2):
@@ -148,8 +147,8 @@ class TestBarrierFromClosedForms:
         assert a == pytest.approx(A_STAR_CLOSED, abs=1e-9)
         assert roots == [pytest.approx(A_STAR_CLOSED, abs=1e-9)]
         # curvature flips sign there
-        assert expmodel.vartheta_d2(m_d0, a - 1e-4) < 0
-        assert expmodel.vartheta_d2(m_d0, a + 1e-4) > 0
+        assert expmodel.exp_series(m_d0, a - 1e-4, 0.0)[2][0] < 0
+        assert expmodel.exp_series(m_d0, a + 1e-4, 0.0)[2][0] > 0
 
     def test_delay_two_boundary_optimum(self, m_d2):
         # with the full reach-back weight the curvature is positive on
@@ -160,7 +159,7 @@ class TestBarrierFromClosedForms:
         assert a == 0.0
         assert roots == []
         xs = np.linspace(1e-3, 3.0, 400)
-        assert np.all(expmodel.varrho_d2(m_d2, xs, 2.0) > 0)
+        assert np.all(expmodel.exp_series(m_d2, xs, 2.0)[2] > 0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -214,7 +213,8 @@ class TestValueFunction:
         a = A_STAR_CLOSED
         v0 = expmodel.exp_value_function(m_d0, 0.0, 0.0)
         # v(0) = 1 / theta'(a*)
-        assert v0 * expmodel.vartheta_d1(m_d0, a) == pytest.approx(1.0, abs=1e-10)
+        slope = expmodel.exp_series(m_d0, a, 0.0)[1][0]
+        assert v0 * slope == pytest.approx(1.0, abs=1e-10)
         # slope one above the barrier
         v_hi = expmodel.exp_value_function(m_d0, 0.0, np.array([a + 1.0, a + 2.0]))
         assert v_hi[1] - v_hi[0] == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +235,7 @@ class TestValueFunction:
 
     def test_forced_barrier(self, m_d0):
         v = expmodel.exp_value_function(m_d0, 0.0, 0.3, barrier=0.5)
-        want = expmodel.vartheta(m_d0, 0.3) / expmodel.vartheta_d1(m_d0, 0.5)
+        want = expmodel.vartheta(m_d0, 0.3) / expmodel.exp_series(m_d0, 0.5, 0.0)[1][0]
         assert v == pytest.approx(want, abs=1e-12)
         # forcing a suboptimal barrier cannot beat the scanned one
         assert v < expmodel.exp_value_function(m_d0, 0.0, 0.3)

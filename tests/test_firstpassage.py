@@ -79,6 +79,20 @@ class TestFiniteClock:
             assert v == pytest.approx(
                 upcross_transform(m_d2, float(y), 2.0).value, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [math.nan, -1.0, -math.inf])
+    def test_bad_deadline_rejected(self, m_d2, d):
+        for y in (0.0, 0.5):
+            with pytest.raises(ValueError):
+                upcross_transform(m_d2, y, d)
+        with pytest.raises(ValueError):
+            upcross_table(m_d2, d, np.array([0.0, 0.5]))
+
+    def test_nan_deficit_rejected(self, m_d2):
+        with pytest.raises(ValueError):
+            upcross_transform(m_d2, math.nan, 2.0)
+        with pytest.raises(ValueError):
+            upcross_table(m_d2, 2.0, np.array([0.5, math.nan]))
+
     def test_tabulated_claims_agree_with_closed_route(self, tab_dist):
         mt = db.validate(
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0), tab_dist)

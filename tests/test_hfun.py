@@ -28,9 +28,7 @@ from divbarrier.hfun import (
     h_d_sigma0,
     h_d_sigma_pos,
     ide_residual,
-    shoot_xi_prime_zero,
     w_d,
-    w_d_table,
 )
 from divbarrier.lundberg import lundberg_root
 
@@ -46,8 +44,9 @@ class TestSigma0ClosedFormAgreement:
         xs = h.grid.x
         za = expmodel.vartheta(m_d0, A)
         assert np.max(np.abs(h.grid.values - expmodel.vartheta(m_d0, xs) / za)) < 1e-8
-        assert np.max(np.abs(h.hp.values - expmodel.vartheta_d1(m_d0, xs) / za)) < 1e-8
-        assert np.max(np.abs(h.hpp.values - expmodel.vartheta_d2(m_d0, xs) / za)) < 1e-7
+        _, th1, th2 = expmodel.exp_series(m_d0, xs, 0.0)
+        assert np.max(np.abs(h.hp.values - th1 / za)) < 1e-8
+        assert np.max(np.abs(h.hpp.values - th2 / za)) < 1e-7
 
     def test_delay_two_ratios(self, m_d2):
         h = h_d_sigma0(m_d2, A, step=1e-4)
@@ -56,7 +55,7 @@ class TestSigma0ClosedFormAgreement:
         assert np.max(np.abs(h.grid.values
                              - expmodel.varrho(m_d2, xs, 2.0) / za)) < 1e-6
         assert np.max(np.abs(h.hp.values
-                             - expmodel.varrho_d1(m_d2, xs, 2.0) / za)) < 1e-6
+                             - expmodel.exp_series(m_d2, xs, 2.0)[1] / za)) < 1e-6
 
     def test_normalization_and_residual(self, m_d0):
         h = h_d_sigma0(m_d0, A, step=1e-4)
@@ -101,11 +100,6 @@ class TestReachBackForcing:
     def test_rejects_negative_argument(self, m_d2):
         with pytest.raises(ValueError):
             w_d(m_d2, -0.1)
-
-    def test_table_matches_pointwise(self, m_d2):
-        tab = w_d_table(m_d2, 1.0, 1e-2)
-        np.testing.assert_allclose(
-            tab.grid.values, w_d(m_d2, tab.grid.x), rtol=1e-12)
 
     def test_tabulated_route_matches_closed_form(self, tab_dist):
         mt = db.validate(
@@ -166,17 +160,9 @@ class TestSigmaPositive:
         assert functional(1.1 * p_hat) > 1e-4
         assert functional(0.9 * p_hat) > 1e-4
 
-    def test_public_slope_matches(self):
-        m = make_model(1.0, sigma=0.5)
-        p = shoot_xi_prime_zero(m, 1.0, step=1e-5)
-        h = h_d_sigma_pos(m, 1.0, step=1e-5)
-        assert p == pytest.approx(h.xi_prime_zero, rel=1e-12)
-
     def test_guards(self, m_d0):
         with pytest.raises(ValueError):
             h_d_sigma_pos(m_d0, 1.0)
-        with pytest.raises(ValueError):
-            shoot_xi_prime_zero(m_d0, 1.0)
         m = make_model(1.0, sigma=0.5)
         with pytest.raises(ValueError):
             h_d_sigma_pos(m, -1.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import Phi_r_of_q, lundberg_root, psi_r
+from divbarrier import lundberg_root, psi_r
 
 from conftest import make_model
 
@@ -70,9 +70,6 @@ class TestRoot:
         m = db.validate(
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 0.0), tab_dist)
         assert lundberg_root(m).rho == pytest.approx(BASE_RHO, abs=1e-7)
-
-    def test_alias(self, m_d0):
-        assert Phi_r_of_q(m_d0).rho == lundberg_root(m_d0).rho
 
     def test_delay_does_not_enter(self, m_d0, m_d2, m_dinf):
         r0 = lundberg_root(m_d0).rho

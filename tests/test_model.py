@@ -66,6 +66,12 @@ class TestValidate:
             validate(params(q=0.0), ExponentialClaims(1.0))
         with pytest.raises(InvalidParameter):
             validate(params(d=-1.0), ExponentialClaims(1.0))
+        # non-finite values; d = inf stays valid (see below)
+        bad = [dict(d=math.nan)] + [{name: v} for name in ("lam", "c", "sigma", "q")
+                                    for v in (math.nan, math.inf)]
+        for kw in bad:
+            with pytest.raises(InvalidParameter):
+                validate(params(**kw), ExponentialClaims(1.0))
 
     def test_errors_are_value_errors(self):
         for cls in (NonPositivePremium, NegativeLoading,
@@ -87,8 +93,9 @@ class TestValidate:
 
 class TestExponentialClaims:
     def test_mu_must_be_positive(self):
-        with pytest.raises(InvalidParameter):
-            ExponentialClaims(0.0)
+        for mu in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameter):
+                ExponentialClaims(mu)
 
     def test_mean(self):
         assert ExponentialClaims(2.0).mean == 0.5
@@ -159,6 +166,12 @@ class TestTabulatedClaims:
         vals[50] = -0.5
         with pytest.raises(InvalidParameter):
             TabulatedClaims(GridFunction(0.0, 1.0, step, vals))
+        # a nan slips past the mass check, where every comparison is false
+        tri = 1.0 - np.arange(201) * step / 2.0   # triangle on [0, 2], mass 1
+        TabulatedClaims(GridFunction(0.0, 2.0, step, tri))
+        tri[50] = math.nan
+        with pytest.raises(InvalidParameter):
+            TabulatedClaims(GridFunction(0.0, 2.0, step, tri))
 
     def test_rejects_bad_mass(self):
         step = 0.01

@@ -50,7 +50,7 @@ class TestOptimalBarrierNoDelay:
         assert rep.a_star == sol_d0.a_star
 
     def test_value_reciprocal_slope(self, m_d0, sol_d0):
-        got = sol_d0.value(0.0) * expmodel.vartheta_d1(m_d0, sol_d0.a_star)
+        got = sol_d0.value(0.0) * expmodel.exp_series(m_d0, sol_d0.a_star, 0.0)[1][0]
         assert got == pytest.approx(1.0, rel=1e-6)
 
     def test_linear_above_and_continuous(self, sol_d0):
