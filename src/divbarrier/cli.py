@@ -1,12 +1,17 @@
 """Command-line surface.
 
 Subcommands: root, transform, h, value, barrier, verify, figures,
-simulate, compare. Model parameters come from flags or from a flat
-JSON config file whose keys mirror the flag names; flags win, unknown
-config keys are rejected. CSV output is one header line plus rows at
-17 significant digits with LF endings, so files diff cleanly across
-runs. Exit codes: 0 success or pass, 1 verification failure, 2 input
-error, 3 numerical non-convergence.
+simulate, compare. FLAGS declares each flag once, with its parser and
+default; COMMANDS gives each subcommand its handler and the flags it
+takes on top of COMMON (`divbarrier <cmd> --help` lists them). Values
+can also come from a flat JSON config file whose keys are the flag
+names; flags win, unknown config keys are rejected, and a config value
+is parsed exactly like the same flag on the command line. JSON null is
+allowed only for flags that default to unset (a, x-max, t-max, out)
+and leaves them unset. CSV output is one header line plus rows at 17
+significant digits with LF endings, so files diff cleanly across runs.
+Exit codes: 0 success or pass, 1 verification failure, 2 input error,
+3 numerical non-convergence.
 """
 
 import argparse
@@ -39,42 +44,9 @@ from .simulator import SimConfig, simulate_value, simulate_h, simulate_upcross
 
 SCHEMA = "divbarrier/v1"
 
-COMMON_KEYS = ("lambda", "c", "sigma", "q", "r", "d", "claims",
-               "grid-step", "config", "out", "seed", "paths")
-EXTRA_KEYS = {
-    "root": (),
-    "transform": ("y",),
-    "h": ("a",),
-    "value": ("a", "x", "a-max"),
-    "barrier": ("a-max",),
-    "verify": ("a", "a-max", "x-max", "tol"),
-    "figures": ("a-max", "x-span"),
-    "simulate": ("target", "a", "x", "y", "dt", "t-max", "mode"),
-    "compare": ("a", "a-max", "xs", "dt", "t-max", "mode"),
-}
-
-DEFAULTS = {
-    "lambda": 10.0, "c": 15.0, "sigma": 0.0, "q": 0.1, "r": 0.8, "d": 0.0,
-    "claims": "exponential:1.0", "grid-step": 1e-3, "out": None,
-    "seed": 12345, "paths": 20000,
-    "y": 0.5, "a": None, "x": 0.0, "a-max": 2.0, "x-max": None, "tol": 1e-5,
-    "x-span": 10.0, "target": "value", "dt": 1e-4, "t-max": None,
-    "mode": "per_payment", "xs": "0,0.5,astar",
-}
-
 
 class InputError(ValueError):
     pass
-
-
-def _parse_d(text):
-    s = str(text).strip().lower()
-    if s in ("inf", "infinity", "+inf"):
-        return math.inf
-    try:
-        return float(s)
-    except ValueError:
-        raise InputError("cannot parse d=%r" % (text,))
 
 
 def _parse_claims(text):
@@ -83,10 +55,7 @@ def _parse_claims(text):
         raise InputError("claims must look like exponential:<mu> or table:<path>")
     kind, _, arg = s.partition(":")
     if kind == "exponential":
-        try:
-            return ExponentialClaims(float(arg))
-        except ValueError:
-            raise InputError("bad exponential rate %r" % (arg,))
+        return ExponentialClaims(float(arg))
     if kind == "table":
         return _load_table(arg)
     raise InputError("unknown claims kind %r" % (kind,))
@@ -120,9 +89,46 @@ def _load_table(path):
     return TabulatedClaims(GridFunction(float(xs[0]), float(xs[-1]), step, fs))
 
 
+def _parse_whole(value):
+    """int() that refuses to drop a fraction: 2000, 2000.0, "2000" pass."""
+    number = int(value) if isinstance(value, str) else value
+    if number != int(number):
+        raise ValueError("%r is not a whole number" % (value,))
+    return int(number)
+
+
+# flag -> (parser, default); float also reads inf, Infinity and +inf
+FLAGS = {
+    "lambda": (float, 10.0), "c": (float, 15.0), "sigma": (float, 0.0),
+    "q": (float, 0.1), "r": (float, 0.8), "d": (float, 0.0),
+    "claims": (_parse_claims, "exponential:1.0"), "grid-step": (float, 1e-3),
+    "config": (str, None), "out": (str, None),
+    "seed": (_parse_whole, 12345), "paths": (_parse_whole, 20000),
+    "y": (float, 0.5), "a": (float, None), "x": (float, 0.0),
+    "a-max": (float, 2.0), "x-max": (float, None), "tol": (float, 1e-5),
+    "x-span": (float, 10.0), "target": (str, "value"), "dt": (float, 1e-4),
+    "t-max": (float, None), "mode": (str, "per_payment"),
+    "xs": (str, "0,0.5,astar"),
+}
+COMMON = ("lambda", "c", "sigma", "q", "r", "d", "claims",
+          "grid-step", "config", "out", "seed", "paths")
+
+
+def _parse(flag, value):
+    parse, default = FLAGS[flag]
+    if value is None and default is None:
+        return None
+    try:
+        if value is None or isinstance(value, (bool, list, dict)):
+            raise TypeError("%s is not allowed" % json.dumps(value))
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError("bad value for --%s: %s" % (flag, exc))
+
+
 def _merge_config(args, command):
-    allowed = set(COMMON_KEYS) | set(EXTRA_KEYS[command])
-    merged = {k: DEFAULTS[k] for k in allowed if k in DEFAULTS}
+    """Defaults, then the config file, then flags; each value parsed once."""
+    raw = {k: FLAGS[k][1] for k in COMMON + COMMANDS[command][1]}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -134,66 +140,54 @@ def _merge_config(args, command):
         if not isinstance(file_cfg, dict):
             raise InputError("config must be a flat JSON object")
         for k, v in file_cfg.items():
-            if k not in allowed:
+            if k not in raw:
                 raise InputError("unknown config key %r for command %s"
                                  % (k, command))
-            merged[k] = v
-    flag_name = {k: k.replace("-", "_") for k in allowed}
-    flag_name["lambda"] = "lam"
-    for k in allowed:
-        v = getattr(args, flag_name[k], None)
-        if v is not None:
-            merged[k] = v
-    return merged
+            raw[k] = v
+    raw.update((k, v) for k, v in vars(args).items()
+               if k in raw and v is not None)
+    return {k: _parse(k, v) for k, v in raw.items()}
 
 
 def _model_from(cfg):
-    claims = cfg["claims"]
-    if isinstance(claims, str):
-        claims = _parse_claims(claims)
-    params = ModelParams(
-        lam=float(cfg["lambda"]), c=float(cfg["c"]), sigma=float(cfg["sigma"]),
-        q=float(cfg["q"]), r=float(cfg["r"]), d=_parse_d(cfg["d"]),
-    )
-    return validate(params, claims)
+    params = ModelParams(lam=cfg["lambda"], c=cfg["c"], sigma=cfg["sigma"],
+                         q=cfg["q"], r=cfg["r"], d=cfg["d"])
+    return validate(params, cfg["claims"])
 
 
-def _write_csv(path, header, columns):
-    rows = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join("%.17g" % col[i] for col in columns))
-    text = "\n".join(lines) + "\n"
+def _emit(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _write_csv(path, header, rows):
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    _emit(path, "\n".join(lines) + "\n")
+
+
+def _write_h_csv(path, h):
+    _write_csv(path, ("x", "h", "hprime", "hprimeprime"),
+               zip(h.grid.x, h.grid.values, h.hp.values, h.hpp.values))
 
 
 def _write_json(path, payload):
-    payload = dict(payload)
-    payload["schema"] = SCHEMA
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(dict(payload, schema=SCHEMA), indent=2,
+                           sort_keys=True) + "\n")
 
 
 def _sim_config(cfg):
-    return SimConfig(
-        n_paths=int(cfg["paths"]), seed=int(cfg["seed"]), dt=float(cfg["dt"]),
-        t_max=None if cfg["t-max"] is None else float(cfg["t-max"]),
-        discount_mode=str(cfg["mode"]),
-    )
+    return SimConfig(n_paths=cfg["paths"], seed=cfg["seed"], dt=cfg["dt"],
+                     t_max=cfg["t-max"], discount_mode=cfg["mode"])
 
 
 def _solution(model, cfg):
-    if cfg.get("a") is not None:
-        return barrier_solution_at(model, float(cfg["a"]), float(cfg["grid-step"]))
-    return optimal_barrier(model, float(cfg["a-max"]), float(cfg["grid-step"]))
+    if cfg["a"] is not None:
+        return barrier_solution_at(model, cfg["a"], cfg["grid-step"])
+    return optimal_barrier(model, cfg["a-max"], cfg["grid-step"])
 
 
 def cmd_root(cfg):
@@ -210,7 +204,7 @@ def cmd_root(cfg):
 
 def cmd_transform(cfg):
     model = _model_from(cfg)
-    tr = upcross_transform(model, float(cfg["y"]), model.d)
+    tr = upcross_transform(model, cfg["y"], model.d)
     print("phi=%.17g" % tr.value)
     print("truncation_k=%d tail_bound=%.3e" % (tr.truncation_k, tr.tail_bound))
     if cfg["out"]:
@@ -226,33 +220,31 @@ def cmd_h(cfg):
     model = _model_from(cfg)
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
-    step = float(cfg["grid-step"])
+    step = cfg["grid-step"]
     if model.sigma != 0.0:
         step = min(step, 1e-5)
-    h = _build_h(model, float(cfg["a"]), step)
+    h = _build_h(model, cfg["a"], step)
     print("a=%.17g ide_residual=%.3e" % (h.a, h.ide_residual), file=sys.stderr)
-    _write_csv(cfg["out"], ("x", "h", "hprime", "hprimeprime"),
-               (h.grid.x, h.grid.values, h.hp.values, h.hpp.values))
+    _write_h_csv(cfg["out"], h)
     return 0
 
 
 def cmd_value(cfg):
     model = _model_from(cfg)
     sol = _solution(model, cfg)
-    x = float(cfg["x"])
-    v = sol.value(x)
+    v = sol.value(cfg["x"])
     print("a=%.17g" % sol.a_star)
     print("value=%.17g" % v)
     if cfg["out"]:
         _write_json(cfg["out"], {"command": "value", "a": sol.a_star,
-                                 "x": x, "value": v,
+                                 "x": cfg["x"], "value": v,
                                  "boundary": sol.boundary})
     return 0
 
 
 def cmd_barrier(cfg):
     model = _model_from(cfg)
-    sol = optimal_barrier(model, float(cfg["a-max"]), float(cfg["grid-step"]))
+    sol = optimal_barrier(model, cfg["a-max"], cfg["grid-step"])
     print("a_star=%.17g" % sol.a_star)
     print("boundary=%s" % sol.boundary)
     if sol.alternatives:
@@ -260,20 +252,18 @@ def cmd_barrier(cfg):
     if sol.hjb_report is not None:
         print("hjb_passed=%s" % sol.hjb_report.passed)
     if cfg["out"]:
-        _write_csv(cfg["out"], ("x", "h", "hprime", "hprimeprime"),
-                   (sol.h.grid.x, sol.h.grid.values,
-                    sol.h.hp.values, sol.h.hpp.values))
+        _write_h_csv(cfg["out"], sol.h)
     return 0
 
 
 def cmd_verify(cfg):
     model = _model_from(cfg)
     sol = _solution(model, cfg)
-    x_max = cfg["x-max"]
-    x_max = sol.a_star + 10.0 if x_max is None else float(x_max)
-    report = hjb_verify(model, sol, x_max, tol=float(cfg["tol"]))
-    for chk in (report.generator_above, report.generator_interior,
-                report.slope_floor):
+    x_max = sol.a_star + 10.0 if cfg["x-max"] is None else cfg["x-max"]
+    report = hjb_verify(model, sol, x_max, tol=cfg["tol"])
+    checks = (report.generator_above, report.generator_interior,
+              report.slope_floor)
+    for chk in checks:
         where = "" if chk.worst_x is None else (
             " worst=%.6g at x=%.6g" % (chk.worst_value, chk.worst_x))
         print("%s: %s%s" % (chk.name, "PASS" if chk.passed else "FAIL", where))
@@ -282,9 +272,7 @@ def cmd_verify(cfg):
         _write_json(cfg["out"], {
             "command": "verify", "a_star": report.a_star,
             "x_max": report.x_max, "passed": report.passed,
-            "checks": [dataclasses.asdict(c) for c in
-                       (report.generator_above, report.generator_interior,
-                        report.slope_floor)],
+            "checks": [dataclasses.asdict(c) for c in checks],
         })
     return 0 if report.passed else 1
 
@@ -293,19 +281,14 @@ def cmd_figures(cfg):
     out_dir = cfg["out"] or "."
     os.makedirs(out_dir, exist_ok=True)
     worst = -math.inf
-    if isinstance(cfg["claims"], str):
-        cfg = dict(cfg, claims=_parse_claims(cfg["claims"]))
     for d in (0.0, 2.0):
         model = _model_from(dict(cfg, d=d))
-        sol = optimal_barrier(model, float(cfg["a-max"]), float(cfg["grid-step"]))
-        h = sol.h
+        sol = optimal_barrier(model, cfg["a-max"], cfg["grid-step"])
         tag = "d%g" % d
-        _write_csv(os.path.join(out_dir, "h_%s.csv" % tag),
-                   ("x", "h", "hprime", "hprimeprime"),
-                   (h.grid.x, h.grid.values, h.hp.values, h.hpp.values))
-        xs, gen = hjb_curve(model, sol, sol.a_star + float(cfg["x-span"]))
+        _write_h_csv(os.path.join(out_dir, "h_%s.csv" % tag), sol.h)
+        xs, gen = hjb_curve(model, sol, sol.a_star + cfg["x-span"])
         _write_csv(os.path.join(out_dir, "hjb_%s.csv" % tag),
-                   ("x", "generator_minus_q_v"), (xs, gen))
+                   ("x", "generator_minus_q_v"), zip(xs, gen))
         worst = max(worst, float(np.max(gen)))
         print("d=%g a_star=%.17g files=h_%s.csv,hjb_%s.csv"
               % (d, sol.a_star, tag, tag))
@@ -316,17 +299,14 @@ def cmd_figures(cfg):
 def cmd_simulate(cfg):
     model = _model_from(cfg)
     sim_cfg = _sim_config(cfg)
-    target = str(cfg["target"])
-    if target == "value":
+    target = cfg["target"]
+    if target in ("value", "h"):
         if cfg["a"] is None:
-            raise InputError("simulate --target value needs --a")
-        est = simulate_value(model, float(cfg["a"]), float(cfg["x"]), sim_cfg)
-    elif target == "h":
-        if cfg["a"] is None:
-            raise InputError("simulate --target h needs --a")
-        est = simulate_h(model, float(cfg["a"]), float(cfg["x"]), sim_cfg)
+            raise InputError("simulate --target %s needs --a" % target)
+        run = simulate_value if target == "value" else simulate_h
+        est = run(model, cfg["a"], cfg["x"], sim_cfg)
     elif target == "upcross":
-        est = simulate_upcross(model, float(cfg["y"]), model.d, sim_cfg)
+        est = simulate_upcross(model, cfg["y"], model.d, sim_cfg)
     else:
         raise InputError("unknown simulate target %r" % (target,))
     print("mean=%.17g" % est.mean)
@@ -346,12 +326,11 @@ def cmd_compare(cfg):
     model = _model_from(cfg)
     sol = _solution(model, cfg)
     sim_cfg = _sim_config(cfg)
-    tokens = [t.strip() for t in str(cfg["xs"]).split(",") if t.strip()]
     xs = []
-    for tok in tokens:
+    for tok in (t.strip() for t in cfg["xs"].split(",")):
         if tok in ("astar", "a_star", "a*"):
             xs.append(sol.a_star)
-        else:
+        elif tok:
             try:
                 xs.append(float(tok))
             except ValueError:
@@ -359,89 +338,53 @@ def cmd_compare(cfg):
     if sim_cfg.discount_mode == "terminal_factor":
         print("note: terminal_factor semantics; the analytic column is the "
               "per-payment value", file=sys.stderr)
-    cols = {"x": [], "analytic": [], "mc_mean": [], "mc_stderr": [], "z": []}
+    rows = []
     for x in xs:
         analytic = float(sol.value(x))
         est = simulate_value(model, sol.a_star, x, sim_cfg)
         z = 0.0 if est.stderr == 0 else (est.mean - analytic) / est.stderr
-        cols["x"].append(x)
-        cols["analytic"].append(analytic)
-        cols["mc_mean"].append(est.mean)
-        cols["mc_stderr"].append(est.stderr)
-        cols["z"].append(z)
+        rows.append((x, analytic, est.mean, est.stderr, z))
         print("x=%.6g analytic=%.10g mc=%.10g se=%.3g z=%+.3f"
               % (x, analytic, est.mean, est.stderr, z))
     if cfg["out"]:
         _write_csv(cfg["out"], ("x", "analytic", "mc_mean", "mc_stderr", "z"),
-                   tuple(np.asarray(cols[k]) for k in
-                         ("x", "analytic", "mc_mean", "mc_stderr", "z")))
+                   rows)
     return 0
 
 
-_COMMANDS = {
-    "root": cmd_root,
-    "transform": cmd_transform,
-    "h": cmd_h,
-    "value": cmd_value,
-    "barrier": cmd_barrier,
-    "verify": cmd_verify,
-    "figures": cmd_figures,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
+# subcommand -> (handler, flags taken on top of COMMON)
+COMMANDS = {
+    "root": (cmd_root, ()),
+    "transform": (cmd_transform, ("y",)),
+    "h": (cmd_h, ("a",)),
+    "value": (cmd_value, ("a", "x", "a-max")),
+    "barrier": (cmd_barrier, ("a-max",)),
+    "verify": (cmd_verify, ("a", "a-max", "x-max", "tol")),
+    "figures": (cmd_figures, ("a-max", "x-span")),
+    "simulate": (cmd_simulate, ("target", "a", "x", "y", "dt", "t-max", "mode")),
+    "compare": (cmd_compare, ("a", "a-max", "xs", "dt", "t-max", "mode")),
 }
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lambda", dest="lam", type=float)
-    common.add_argument("--c", type=float)
-    common.add_argument("--sigma", type=float)
-    common.add_argument("--q", type=float)
-    common.add_argument("--r", type=float)
-    common.add_argument("--d", type=str)
-    common.add_argument("--claims", type=str)
-    common.add_argument("--grid-step", dest="grid_step", type=float)
-    common.add_argument("--config", type=str)
-    common.add_argument("--out", type=str)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--paths", type=int)
-
+    """argparse only collects strings; _merge_config parses them."""
     parser = argparse.ArgumentParser(
         prog="divbarrier",
         description="Dividend valuation with Parisian ruin and "
                     "claim-count discounting.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = {}
-    for name in _COMMANDS:
-        sp[name] = subs.add_parser(name, parents=[common])
-    sp["transform"].add_argument("--y", type=float)
-    sp["h"].add_argument("--a", type=float)
-    for name in ("value", "verify", "simulate", "compare"):
-        sp[name].add_argument("--a", type=float)
-    for name in ("value", "barrier", "verify", "figures", "compare"):
-        sp[name].add_argument("--a-max", dest="a_max", type=float)
-    for name in ("value", "simulate"):
-        sp[name].add_argument("--x", type=float)
-    sp["verify"].add_argument("--x-max", dest="x_max", type=float)
-    sp["verify"].add_argument("--tol", type=float)
-    sp["figures"].add_argument("--x-span", dest="x_span", type=float)
-    sp["simulate"].add_argument("--target", type=str)
-    sp["simulate"].add_argument("--y", type=float)
-    for name in ("simulate", "compare"):
-        sp[name].add_argument("--dt", type=float)
-        sp[name].add_argument("--t-max", dest="t_max", type=float)
-        sp[name].add_argument("--mode", type=str)
-    sp["compare"].add_argument("--xs", type=str)
+    for name, (_, extra) in COMMANDS.items():
+        sub = subs.add_parser(name)
+        for flag in COMMON + extra:
+            sub.add_argument("--" + flag, dest=flag)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except (InputError, ModelError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2

@@ -61,6 +61,9 @@ from .firstpassage import upcross_table, _phi_sigma_pos
 
 _CACHE = {}
 
+# sup-norm equation residual above which a built exit function is refused
+_RESIDUAL_GATE = 1e-4
+
 
 @dataclass(frozen=True)
 class HFunction:
@@ -214,7 +217,12 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
         xi_prime_zero=None,
         ide_residual=0.0,
     )
-    return replace(hf, ide_residual=ide_residual(model, hf))
+    res = ide_residual(model, hf)
+    if not res <= _RESIDUAL_GATE:
+        raise NonConvergenceError(
+            "equation residual %.3e exceeds %.0e at step %g"
+            % (res, _RESIDUAL_GATE, step), last_norm=res)
+    return replace(hf, ide_residual=res)
 
 
 def _continuation_slope(model):
@@ -323,10 +331,11 @@ def _shoot(model, a, step):
     hi = 3.0 * p_star if p_star > 0 else p_star + 1.0
     p_hat, _ = golden_min(residual, lo, hi, tol=1e-10)
     res = residual(p_hat)
-    if res > 1e-4:
+    if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
-            "shooting residual floor %.3e exceeds 1e-4 "
-            "(continuation slope %.6f, shot slope %.6f)" % (res, p_star, p_hat),
+            "shooting residual floor %.3e exceeds %.0e "
+            "(continuation slope %.6f, shot slope %.6f)"
+            % (res, _RESIDUAL_GATE, p_star, p_hat),
             last_norm=res,
         )
     return pieces, p_hat, res, p_star

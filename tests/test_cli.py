@@ -8,6 +8,9 @@ flags, config files, CSV and JSON round-trip and fail loudly.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +88,90 @@ class TestConfigFile:
         rc, _, err = run(capsys, ["root", "--config", str(tmp_path / "no.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, file_cfg", [
+        (["root"], {"lambda": None}),
+        (["simulate"], {"paths": [1]}),
+        (["simulate", "--a", "0.5", "--x", "0.3"], {"paths": 2.5}),
+    ])
+    def test_wrong_type_is_input_error(self, capsys, tmp_path, argv, file_cfg):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(file_cfg))
+        rc, _, err = run(capsys, argv + ["--config", str(p)])
+        assert rc == 2
+        assert "InputError" in err
+        assert "--" + next(iter(file_cfg)) in err
+
+    def test_null_unsets_optional_flag(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"out": None}))
+        rc, out, _ = run(capsys, ["root", "--config", str(p)])
+        assert rc == 0
+        assert float(first_value(out, "rho")) == pytest.approx(
+            BASE_RHO, abs=1e-12)
+
+
+# each subcommand's flags beyond the common ones, and every default,
+# written out apart from cli.FLAGS/COMMANDS so that an edit to the table
+# that drops, adds or changes a flag fails here
+EXTRAS = {
+    "root": (),
+    "transform": ("y",),
+    "h": ("a",),
+    "value": ("a", "x", "a-max"),
+    "barrier": ("a-max",),
+    "verify": ("a", "a-max", "x-max", "tol"),
+    "figures": ("a-max", "x-span"),
+    "simulate": ("target", "a", "x", "y", "dt", "t-max", "mode"),
+    "compare": ("a", "a-max", "xs", "dt", "t-max", "mode"),
+}
+DEFAULTS = {
+    "lambda": 10.0, "c": 15.0, "sigma": 0.0, "q": 0.1, "r": 0.8, "d": 0.0,
+    "claims": "exponential:1.0", "grid-step": 1e-3, "config": None,
+    "out": None, "seed": 12345, "paths": 20000,
+    "y": 0.5, "a": None, "x": 0.0, "a-max": 2.0, "x-max": None, "tol": 1e-5,
+    "x-span": 10.0, "target": "value", "dt": 1e-4, "t-max": None,
+    "mode": "per_payment", "xs": "0,0.5,astar",
+}
+# a non-default value for every flag but --config, as JSON would carry it
+SAMPLES = {
+    "lambda": 9.5, "c": 14.0, "sigma": 0.25, "q": 0.2, "r": 0.7, "d": 1.5,
+    "claims": "exponential:2.0", "grid-step": 0.002, "out": "o.json",
+    "seed": 7, "paths": 300, "y": 0.25, "a": 0.6, "x": 0.1, "a-max": 3.0,
+    "x-max": 4.0, "tol": 1e-6, "x-span": 3.0, "target": "h", "dt": 0.001,
+    "t-max": 2.0, "mode": "terminal_factor", "xs": "0,0.2",
+}
+
+
+def merged(argv):
+    args = cli._build_parser().parse_args(argv)
+    cfg = cli._merge_config(args, args.command)
+    cfg.pop("config")
+    return dict(cfg, claims=cfg["claims"].key())
+
+
+class TestFlagTable:
+    def test_table_keeps_flags_and_defaults(self):
+        assert {k: v[1] for k, v in cli.FLAGS.items()} == DEFAULTS
+        assert {k: v[1] for k, v in cli.COMMANDS.items()} == EXTRAS
+
+    @pytest.mark.parametrize("command", sorted(EXTRAS))
+    def test_subparser_takes_common_plus_extras(self, command):
+        subs = cli._build_parser()._subparsers._group_actions[0]
+        got = {s for act in subs.choices[command]._actions
+               for s in act.option_strings} - {"-h", "--help"}
+        assert got == {"--" + f for f in cli.COMMON + EXTRAS[command]}
+
+    @pytest.mark.parametrize("command, flag", [
+        (c, f) for c in sorted(EXTRAS) for f in cli.COMMON + EXTRAS[c]
+        if f != "config"])
+    def test_flag_and_config_agree(self, tmp_path, command, flag):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({flag: SAMPLES[flag]}))
+        from_flag = merged([command, "--" + flag, str(SAMPLES[flag])])
+        from_file = merged([command, "--config", str(p)])
+        assert from_flag == from_file
+        assert from_flag != merged([command])
+
 
 class TestInputErrors:
     def test_negative_loading(self, capsys):
@@ -103,8 +190,9 @@ class TestInputErrors:
         assert rc == 2
 
     def test_bad_delay(self, capsys):
-        rc, _, _ = run(capsys, ["root", "--d", "soon"])
+        rc, _, err = run(capsys, ["root", "--d", "soon"])
         assert rc == 2
+        assert "--d" in err
 
     def test_nan_parameter(self, capsys):
         rc, _, err = run(capsys, ["root", "--lambda", "nan"])
@@ -149,6 +237,12 @@ class TestHCommand:
         assert data[0, 0] == 0.0
         assert data[-1, 0] == pytest.approx(0.7693, abs=1e-12)
         assert data[-1, 1] == 1.0
+
+    def test_coarse_grid_fails_residual_gate(self, capsys):
+        rc, out, err = run(capsys, ["h", "--a", "0.7693", "--grid-step", "0.1"])
+        assert rc == 3
+        assert out == ""
+        assert "NonConvergenceError" in err
 
 
 class TestBarrierCommand:
@@ -243,3 +337,29 @@ class TestFiguresCommand:
                             skip_header=1)
         assert float(np.max(hjb[:, 1])) <= 1e-6
         assert "max_generator_minus_q_v" in out
+
+
+class TestProcess:
+    """The command in a process of its own: real exit codes, no traceback."""
+
+    def _run(self, tmp_path, argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "divbarrier.cli"] + argv,
+                              cwd=str(tmp_path), env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_root_exits_zero(self, tmp_path):
+        proc = self._run(tmp_path, ["root"])
+        assert proc.returncode == 0
+        assert float(first_value(proc.stdout, "rho")) == pytest.approx(
+            BASE_RHO, abs=1e-12)
+
+    def test_null_config_value_exits_two(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"lambda": None}))
+        proc = self._run(tmp_path, ["root", "--config", "cfg.json"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "InputError" in proc.stderr

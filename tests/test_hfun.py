@@ -75,6 +75,12 @@ class TestSigma0ClosedFormAgreement:
         with pytest.raises(ValueError):
             h_d_sigma0(m_d0, 0.0)
 
+    def test_coarse_step_residual_is_gated(self, m_d0):
+        # at step 0.1 the equation residual is ~1e-2, far above the gate
+        with pytest.raises(NonConvergenceError) as info:
+            h_d_sigma0(m_d0, A, step=0.1)
+        assert info.value.last_norm > 1e-4
+
     def test_tabulated_matches_exponential(self, tab_dist):
         for d in (0.0, 2.0):
             mt = db.validate(
