@@ -278,6 +278,9 @@ def cmd_verify(cfg):
 
 
 def cmd_figures(cfg):
+    if cfg["d"] != 0.0:
+        raise InputError("figures always draws d = 0 and d = 2; "
+                         "--d must be left at 0, got %r" % cfg["d"])
     out_dir = cfg["out"] or "."
     os.makedirs(out_dir, exist_ok=True)
     worst = -math.inf

@@ -98,26 +98,15 @@ def _simpson_weights(n, step):
     return w
 
 
-def _u_weight(model):
-    """u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy for exponential claims."""
-    mu = model.claims.mu
-    d = model.d
-    if d == 0:
-        return 0.0
-    if model.sigma == 0.0:
-        return expmodel.u_of_d(model, d)
-    rho = lundberg_root(model).rho
-    if math.isinf(d):
-        return mu / (rho + mu)
-    key = (model.key(), "u_weight")
+def _phi_grid(model, y_hi):
+    """Phi_d on the 2e-2 deficit grid over [0, y_hi], memoized per model,
+    with the grid's Simpson weights."""
+    ystep = 2e-2
+    ys = np.arange(0.0, y_hi + ystep / 2, ystep)
+    key = (model.key(), "phi_for_w", ystep, float(ys[-1]))
     if key not in _CACHE:
-        ystep = 2e-2
-        y_max = 40.0 / mu
-        ys = np.arange(0.0, y_max + ystep / 2, ystep)
-        phi, _, _ = _phi_sigma_pos(model, d, ys)
-        wts = _simpson_weights(len(ys), ystep)
-        _CACHE[key] = float(np.sum(wts * phi * mu * np.exp(-mu * ys)))
-    return _CACHE[key]
+        _CACHE[key] = upcross_table(model, model.d, ys)
+    return ys, _CACHE[key], _simpson_weights(len(ys), ystep)
 
 
 def _w_values(model, xs):
@@ -126,20 +115,20 @@ def _w_values(model, xs):
     if d == 0:
         return np.zeros_like(xs)
     if model.claims.kind == "exponential":
-        return _u_weight(model) * np.exp(-model.claims.mu * xs)
+        # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
+        mu = model.claims.mu
+        if model.sigma == 0.0:
+            u = expmodel.u_of_d(model, d)
+        elif math.isinf(d):
+            u = mu / (lundberg_root(model).rho + mu)
+        else:
+            ys, phi, wts = _phi_grid(model, 40.0 / mu)
+            u = float(np.sum(wts * phi * mu * np.exp(-mu * ys)))
+        return u * np.exp(-mu * xs)
     # tabulated: quadrature of Phi against the shifted density
-    grid = model.claims.grid
-    ystep = 2e-2
-    ys = np.arange(0.0, grid.hi + ystep / 2, ystep)
-    key = (model.key(), "phi_for_w", float(ystep), float(ys[-1]))
-    if key not in _CACHE:
-        _CACHE[key] = upcross_table(model, d, ys)
-    phi = _CACHE[key]
+    ys, phi, wts = _phi_grid(model, model.claims.grid.hi)
     out = np.zeros_like(xs)
-    wts = _simpson_weights(len(ys), ystep)
-    for j in range(len(ys)):
-        if phi[j] == 0.0:
-            continue
+    for j in np.nonzero(phi)[0]:
         out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
     return out
 
@@ -175,27 +164,43 @@ def _solve_renewal(kernel, forcing, coeff):
         return volterra_march(kernel, forcing, coeff).values
 
 
-def h_d_sigma0(model, a, step=1e-4) -> HFunction:
-    """Exit function for the drift-only model (sigma = 0)."""
-    if model.sigma != 0.0:
-        raise ValueError("h_d_sigma0 requires sigma = 0")
+def _solver_grid(model, a, step):
+    """Grid [0, a] with a step near `step` that lands on the barrier.
+
+    Returns rho, the grid (its values are its abscissae), and the claim
+    density and T_rho f sampled on it.
+    """
     if a <= 0:
         raise ValueError("barrier a must be positive")
-    lam, c, q, r = model.lam, model.c, model.q, model.r
     rho = lundberg_root(model).rho
     n = max(int(round(a / step)), 8)
     step = a / n
     xs = step * np.arange(n + 1)
+    grid = GridFunction(0.0, n * step, step, xs)
+    return rho, grid, model.claims.density(xs), _t_rho_f(model, rho, xs, step)
 
-    f_res = model.claims.density(xs)
-    trf = _t_rho_f(model, rho, xs, step)
+
+def _exit_function(grid, a, xi, xip, xipp, xi_prime_zero=None, res=0.0):
+    """h = xi / xi(a) with its derivatives, on the solver grid."""
+    Z = xi[-1]
+    gf = grid.with_values(xi / Z)
+    return HFunction(gf, gf.with_values(xip / Z), gf.with_values(xipp / Z),
+                     a, xi_prime_zero, res)
+
+
+def h_d_sigma0(model, a, step=1e-4) -> HFunction:
+    """Exit function for the drift-only model (sigma = 0)."""
+    if model.sigma != 0.0:
+        raise ValueError("h_d_sigma0 requires sigma = 0")
+    lam, c, q, r = model.lam, model.c, model.q, model.r
+    rho, grid, f_res, trf = _solver_grid(model, a, step)
+    xs, step = grid.values, grid.step
     zeta = np.exp(rho * xs)
     w = _w_values(model, xs)
 
     coeff = lam * r / c
     forcing = zeta - coeff * zeta * cumexp(rho, w, step)
-    xi = _solve_renewal(GridFunction(0.0, n * step, step, trf),
-                        GridFunction(0.0, n * step, step, forcing), coeff)
+    xi = _solve_renewal(grid.with_values(trf), grid.with_values(forcing), coeff)
 
     # derivatives read off the equation itself, not finite differences
     f_xi = convolve_values(f_res, xi, step)
@@ -204,19 +209,10 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     if model.claims.kind == "exponential":
         wp = -model.claims.mu * w
     else:
-        wp = derivative(GridFunction(0.0, n * step, step, w), 1).values
+        wp = derivative(grid.with_values(w), 1).values
     xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
 
-    Z = xi[-1]
-    gf = GridFunction(0.0, n * step, step, xi / Z)
-    hf = HFunction(
-        grid=gf,
-        hp=gf.with_values(xip / Z),
-        hpp=gf.with_values(xipp / Z),
-        a=a,
-        xi_prime_zero=None,
-        ide_residual=0.0,
-    )
+    hf = _exit_function(grid, a, xi, xip, xipp)
     res = ide_residual(model, hf)
     if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
@@ -246,19 +242,11 @@ def _sigma_pos_pieces(model, a, step):
     xi = A + p B, xi' = C + p D, xi'' = E + p F.
     """
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
-    rho = lundberg_root(model).rho
+    rho, grid, f_res, trf = _solver_grid(model, a, step)
+    xs, step = grid.values, grid.step
     b1 = rho + 2.0 * c / (sigma * sigma)
     gam = 2.0 * lam * r / (sigma * sigma)
-
-    n = max(int(round(a / step)), 8)
-    step = a / n
-    xs = step * np.arange(n + 1)
-    f_res = model.claims.density(xs)
-    trf = _t_rho_f(model, rho, xs, step)
-    if math.isinf(model.d):
-        w = trf.copy()
-    else:
-        w = _w_values(model, xs)
+    w = trf.copy() if math.isinf(model.d) else _w_values(model, xs)
 
     beta = np.exp(-b1 * xs)
     erx = np.exp(rho * xs)
@@ -270,10 +258,9 @@ def _sigma_pos_pieces(model, a, step):
     if exp_kind:
         mu = model.claims.mu
         kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
-        bw = convolve_exp(b1, w, step)
     else:
         kern = convolve_exp(b1, trf, step)
-        bw = convolve_exp(b1, w, step)
+    bw = convolve_exp(b1, w, step)
     zbw = erx * cumexp(rho, bw, step)
     dzbw = bw + rho * zbw
     d2zbw = (w - b1 * bw) + rho * dzbw
@@ -284,11 +271,11 @@ def _sigma_pos_pieces(model, a, step):
     d2phi0 = b1 * d2zb + b1 * b1 * beta - gam * d2zbw
 
     def solve(values):
-        forc = GridFunction(0.0, n * step, step, values)
+        forc = grid.with_values(values)
         if exp_kind:
             wgt = mu / ((rho + mu) * (b1 - mu))
             return neumann_series_exp([mu, b1], [wgt, -wgt], forc, gam).values
-        return _solve_renewal(GridFunction(0.0, n * step, step, kern), forc, gam)
+        return _solve_renewal(grid.with_values(kern), forc, gam)
 
     A = solve(phi0)
     B = solve(zb)
@@ -304,9 +291,9 @@ def _sigma_pos_pieces(model, a, step):
     res_lin = half_s2 * F + c * D - (lam + q) * B + lam * r * fB
 
     return {
-        "step": step, "xs": xs, "A": A, "B": B, "C": C, "D": D,
+        "grid": grid, "A": A, "B": B, "C": C, "D": D,
         "E": E, "F": F, "res_base": res_base, "res_lin": res_lin,
-        "half_s2": half_s2, "n": n,
+        "half_s2": half_s2, "n": grid.n,
     }
 
 
@@ -345,23 +332,10 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     """Exit function for the diffusion-perturbed model (sigma > 0)."""
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
-    if a <= 0:
-        raise ValueError("barrier a must be positive")
     pieces, p_hat, res, _ = _shoot(model, a, step)
-    xi = pieces["A"] + p_hat * pieces["B"]
-    xip = pieces["C"] + p_hat * pieces["D"]
-    xipp = pieces["E"] + p_hat * pieces["F"]
-    Z = xi[-1]
-    n, st = pieces["n"], pieces["step"]
-    gf = GridFunction(0.0, n * st, st, xi / Z)
-    return HFunction(
-        grid=gf,
-        hp=gf.with_values(xip / Z),
-        hpp=gf.with_values(xipp / Z),
-        a=a,
-        xi_prime_zero=p_hat,
-        ide_residual=res,
-    )
+    A, B, C, D, E, F = (pieces[k] for k in "ABCDEF")
+    return _exit_function(pieces["grid"], a, A + p_hat * B, C + p_hat * D,
+                          E + p_hat * F, p_hat, res)
 
 
 def ide_residual(model, h: HFunction) -> float:
@@ -391,6 +365,23 @@ def ide_residual(model, h: HFunction) -> float:
     return float(np.max(np.abs(res[lo:-2])))
 
 
+def _whole_line(model, x, at_zero, inside):
+    """inside(x) on x >= 0, at_zero * Phi_d(-x) on (-c d, 0), zero below.
+
+    From a deficit the surplus must climb back to 0 within the grace
+    period, so a quantity worth at_zero at 0 is worth at_zero Phi_d(-x)
+    at x < 0. Both h and the barrier value continue below zero this way.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x_arr)
+    pos = x_arr >= 0
+    out[pos] = inside(x_arr[pos])
+    neg = (~pos) & (x_arr > -(model.c * model.d))
+    if np.any(neg):
+        out[neg] = at_zero * upcross_table(model, model.d, -x_arr[neg])
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def h_callable(model, h: HFunction):
     """Whole-line evaluator for an exit function.
 
@@ -399,18 +390,11 @@ def h_callable(model, h: HFunction):
     zero. Evaluation above the barrier is a contract violation.
     """
     grid = h.grid
-    cd = model.c * model.d
 
     def fun(x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x_arr > grid.hi + 1e-9):
+        if np.any(np.asarray(x, dtype=float) > grid.hi + 1e-9):
             raise ValueError("h is defined only up to its barrier")
-        out = np.zeros_like(x_arr)
-        inside = x_arr >= 0
-        out[inside] = np.interp(x_arr[inside], grid.x, grid.values)
-        neg = (~inside) & (x_arr > -cd)
-        if np.any(neg):
-            out[neg] = grid.values[0] * upcross_table(model, model.d, -x_arr[neg])
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return _whole_line(model, x, grid.values[0],
+                           lambda t: np.interp(t, grid.x, grid.values))
 
     return fun

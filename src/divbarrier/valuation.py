@@ -3,10 +3,16 @@
 Under a barrier at a, everything above a is paid out immediately, so
 the value function is v(x) = h(x)/h'(a) below the barrier and
 v(x) = x - a + 1/h'(a) above it, where h is the two-sided exit
-function built in hfun. The optimal barrier is the zero of h'' (the
-point where the normalizing slope h'(a) is smallest); when h'' never
-changes sign on [0, a_max] the optimum sits on the boundary and is
-flagged rather than polished.
+function built in hfun; below zero v continues as v(0) Phi_d(-x)
+until the Parisian clock runs out at -c d. The optimal barrier is
+where the normalizing slope h'(a) is smallest (Loeffen 2008): the
+slope at 0 is compared with the slope at each zero where h'' rises
+through 0, a local minimum of h'. Zeros where h'' falls are maxima of
+h' and are never chosen; every zero other than the chosen one is
+reported as an alternative. When the smallest slope is at 0 the
+optimum sits on the pay-everything boundary and is flagged rather
+than polished; when h'' has no zero on [0, a_max] the grid minimum of
+h' decides; a slope still falling at a_max is an error naming it.
 
 Verification never trusts the construction: hjb_verify re-applies the
 integro-differential generator to the assembled value function on a
@@ -25,6 +31,7 @@ anything when the density's derivative is monotone.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,8 +43,8 @@ from .hfun import (
     h_d_sigma_pos,
     h_callable,
     _w_values,
+    _whole_line,
 )
-from .firstpassage import upcross_table
 
 
 @dataclass(frozen=True)
@@ -81,13 +88,19 @@ def _solver_step(model, grid_step):
     return min(grid_step, 1e-5)
 
 
+def _barrier_slope(h: HFunction):
+    """h'(a), the normalizing slope of a barrier value; must be positive."""
+    slope = float(h.hp.values[-1])
+    if slope <= 0.0:
+        raise ValueError("degenerate barrier slope h'(a) <= 0")
+    return slope
+
+
 def value_barrier(model, h: HFunction, a, x):
     """Barrier-strategy value at x for the barrier a carried by h."""
     if abs(h.a - a) > 1e-9:
         raise ValueError("h was built at barrier %g, not %g" % (h.a, a))
-    slope = float(h.hp.values[-1])
-    if slope <= 0.0:
-        raise ValueError("degenerate barrier slope h'(a) <= 0")
+    slope = _barrier_slope(h)
     hc = h_callable(model, h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(xs)
@@ -98,33 +111,13 @@ def value_barrier(model, h: HFunction, a, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _value_callable(model, h: HFunction):
-    slope = float(h.hp.values[-1])
-    if slope <= 0.0:
-        raise ValueError("degenerate barrier slope h'(a) <= 0")
-    a = h.a
-
-    def value(x):
-        return value_barrier(model, h, a, x)
-
-    return value
-
-
 def _boundary_solution(model, scan: HFunction) -> BarrierSolution:
     """The pay-everything barrier at 0: x plus a lump 1/slope0, with the
     unnormalized slope at zero read off the exit function scan."""
     v0 = 1.0 / float(scan.hp.values[0] / scan.grid.values[0])
-    cd = model.c * model.d
 
     def value(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        pos = xs >= 0
-        out[pos] = xs[pos] + v0
-        neg = (~pos) & (xs > -cd)
-        if np.any(neg):
-            out[neg] = v0 * upcross_table(model, model.d, -xs[neg])
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return _whole_line(model, x, v0, lambda t: t + v0)
 
     return BarrierSolution(0.0, scan, value, None, True, ())
 
@@ -172,25 +165,31 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     if a_max <= 0:
         raise ValueError("a_max must be positive")
     scan = _build_h(model, a_max, grid_step)
-    xs = scan.grid.x
-    hpp = scan.hpp.values
+    xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values
     sign = np.sign(hpp)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.nonzero(hpp == 0.0)[0]
+    exact = [i for i in np.nonzero(hpp == 0.0)[0] if 0 < i < len(xs) - 1]
 
-    roots = [float(xs[i]) for i in exact if 0 < i < len(xs) - 1]
-    roots += [_refine_root(xs, hpp, i) for i in flips]
-    roots = sorted(set(round(t, 12) for t in roots))
+    # (zero of h'', whether h'' rises through it: a local minimum of h')
+    zeros = [(float(xs[i]), hpp[i - 1] < 0 < hpp[i + 1]) for i in exact]
+    zeros += [(_refine_root(xs, hpp, i), hpp[i] < 0) for i in flips]
+    roots = sorted(set(round(t, 12) for t, _ in zeros))
+    cands = [0.0] + sorted(set(round(t, 12) for t, up in zeros if up))
 
-    if roots:
-        sol = replace(barrier_solution_at(model, roots[0], grid_step),
-                      alternatives=tuple(roots[1:]))
+    if len(cands) > 1:
+        slopes = np.interp(cands, xs, hp)
+        k = int(np.argmin(slopes))
+        if hp[-1] < slopes[k]:
+            raise ValueError(
+                "the slope at a_max = %g is below its value at 0 and at every "
+                "minimum of h'; enlarge a_max" % a_max)
+        sol = (barrier_solution_at(model, cands[k], grid_step) if k
+               else _boundary_solution(model, scan))
     else:
-        hp = scan.hp.values
         j = int(np.argmin(hp))
         if j >= len(xs) - 2:
             raise ValueError(
-                "h'' has no zero and the slope keeps falling at a_max = %g; "
+                "h' has no interior minimum and keeps falling at a_max = %g; "
                 "enlarge a_max" % a_max)
         if xs[j] > grid_step:
             # interior argmin without a sign change should not happen on a
@@ -200,7 +199,8 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
         else:
             sol = _boundary_solution(model, scan)
     report = hjb_verify(model, sol, sol.a_star + 10.0, tol=1e-5)
-    return replace(sol, hjb_report=report)
+    return replace(sol, hjb_report=report, alternatives=tuple(
+        t for t in roots if t != sol.a_star))
 
 
 def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
@@ -211,7 +211,8 @@ def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
         return _boundary_solution(model, _build_h(
             model, max(10 * grid_step, 1e-2), _solver_step(model, grid_step)))
     h = _build_h(model, a, _solver_step(model, grid_step))
-    return BarrierSolution(a, h, _value_callable(model, h), None, False, ())
+    _barrier_slope(h)  # a degenerate slope fails here, not at first use
+    return BarrierSolution(a, h, partial(value_barrier, model, h, a), None, False, ())
 
 
 def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
@@ -309,38 +310,34 @@ def hjb_curve(model, sol: BarrierSolution, x_max, grid_step=2e-4):
     return xs[keep], gen[keep]
 
 
+def _worst(name, xs, values, region, badness, ok, tol):
+    """CheckResult at the point of region where badness(values) peaks;
+    an empty region passes vacuously."""
+    idx = np.nonzero(region)[0]
+    if not len(idx):
+        return CheckResult(name, True, None, None, tol)
+    i = idx[int(np.argmax(badness(values[idx])))]
+    return CheckResult(name, bool(ok(values[i])), float(xs[i]), float(values[i]), tol)
+
+
 def hjb_verify(model, sol: BarrierSolution, x_max, tol=1e-5,
                grid_step=2e-4) -> HJBReport:
     """Re-apply the generator to the assembled value function on a grid."""
     a = sol.a_star
+    if x_max < a:
+        raise ValueError("x_max = %g lies below the barrier %g" % (x_max, a))
     xs, gen, v1 = _generator_sweep(model, sol, x_max, grid_step)
-
-    above = xs >= a - 1e-12
-    i_above = np.nonzero(above)[0]
-    worst_ai = i_above[int(np.argmax(gen[i_above]))]
-    check_above = CheckResult(
-        "generator_above", bool(gen[worst_ai] <= tol),
-        float(xs[worst_ai]), float(gen[worst_ai]), tol)
-
     interior = (xs > 0) & (xs < a)
-    i_int = np.nonzero(interior)[0]
-    if len(i_int):
-        worst_ii = i_int[int(np.argmax(np.abs(gen[i_int])))]
-        check_int = CheckResult(
-            "generator_interior", bool(abs(gen[worst_ii]) <= tol),
-            float(xs[worst_ii]), float(gen[worst_ii]), tol)
-        slope_reg = (xs > 0) & (xs <= a + 1e-12)
-        i_sl = np.nonzero(slope_reg)[0]
-        worst_si = i_sl[int(np.argmin(v1[i_sl]))]
-        check_slope = CheckResult(
-            "slope_floor", bool(v1[worst_si] >= 1.0 - tol),
-            float(xs[worst_si]), float(v1[worst_si]), tol)
-    else:
-        check_int = CheckResult("generator_interior", True, None, None, tol)
-        check_slope = CheckResult("slope_floor", True, None, None, tol)
-
-    passed = check_above.passed and check_int.passed and check_slope.passed
-    return HJBReport(passed, check_above, check_int, check_slope, a, x_max)
+    checks = (
+        _worst("generator_above", xs, gen, xs >= a - 1e-12,
+               lambda g: g, lambda g: g <= tol, tol),
+        _worst("generator_interior", xs, gen, interior,
+               np.abs, lambda g: abs(g) <= tol, tol),
+        # the slope floor is vacuous exactly when the interior is empty
+        _worst("slope_floor", xs, v1, (xs > 0) & (xs <= a + 1e-12) & interior.any(),
+               np.negative, lambda s: s >= 1.0 - tol, tol),
+    )
+    return HJBReport(all(c.passed for c in checks), *checks, a, x_max)
 
 
 def _nondecreasing_violation(values):

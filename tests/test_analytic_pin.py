@@ -9,7 +9,10 @@ with tabulated claims and at sigma = 0.5, each at d in {0, 0.4, 2, inf}
 and deficits y in {0, 0.3, 0.5}; the exit function with its two
 derivatives in both solvers; the w_d forcing; the optimal barrier with
 its value; the closed exponential series; and the bytes of the
-`divbarrier h` CSV.
+`divbarrier h` CSV. The value rows add every field of the HJB report,
+forced barriers at a in {0, 0.3}, the value function, value_barrier
+and h_callable on both sides of zero (down to past the Parisian reach
+-c d), the HJB curve and the slope-monotonicity screen.
 
 The tabulated rows use a 1e-2 claim grid, which keeps the whole file
 to a few seconds. The pins were captured with numpy 2.4.6 and scipy
@@ -17,6 +20,7 @@ to a few seconds. The pins were captured with numpy 2.4.6 and scipy
 from a tree whose numbers are trusted, not loosening them.
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -28,7 +32,14 @@ import pytest
 import divbarrier as db
 from divbarrier import cli, expmodel
 from divbarrier.firstpassage import upcross_table, upcross_transform
-from divbarrier.hfun import h_d_sigma0, h_d_sigma_pos, w_d
+from divbarrier.hfun import h_callable, h_d_sigma0, h_d_sigma_pos, w_d
+from divbarrier.valuation import (
+    barrier_solution_at,
+    gprime_monotone_check,
+    hjb_curve,
+    hjb_verify,
+    value_barrier,
+)
 
 inf = math.inf
 YS = (0.0, 0.3, 0.5)
@@ -42,7 +53,7 @@ def _model(claims, d, sigma=0.0):
 
 
 def _fingerprint(x):
-    if isinstance(x, (bool, int, np.integer)):
+    if x is None or isinstance(x, (bool, int, np.integer, str)):
         return repr(x)
     if isinstance(x, bytes):
         data = x
@@ -82,10 +93,54 @@ def _w(claims, sigma, d):
     return [w_d(_model(claims, d, sigma), np.linspace(0.0, 1.5, 7))]
 
 
+@functools.lru_cache(maxsize=None)
+def _optimal(sigma, d):
+    return db.optimal_barrier(_model("exp", d, sigma), a_max=2.0)
+
+
 def _barrier(sigma, d):
-    sol = db.optimal_barrier(_model("exp", d, sigma), a_max=2.0)
+    sol = _optimal(sigma, d)
     xs = np.array([-0.2, 0.0, 0.3, sol.a_star, sol.a_star + 0.5])
     return [sol.a_star, sol.boundary, sol.hjb_report.passed, sol.value(xs)]
+
+
+def _report(rep):
+    out = [rep.passed, rep.a_star, rep.x_max]
+    for chk in (rep.generator_above, rep.generator_interior, rep.slope_floor):
+        out += [chk.name, chk.passed, chk.worst_x, chk.worst_value, chk.tol]
+    return out
+
+
+def _value_xs(a):
+    # -31 lies past the Parisian reach -c d = -30 at d = 2
+    return np.array([-31.0, -0.4, -0.01, 0.0, 0.3, a, a + 1.0])
+
+
+def _hjb(sigma, d):
+    return _report(_optimal(sigma, d).hjb_report)
+
+
+def _forced(claims, d, a):
+    m = _model(claims, d)
+    sol = barrier_solution_at(m, a)
+    xs = _value_xs(a)
+    out = [sol.a_star, sol.boundary, sol.value(xs)]
+    if a > 0:
+        out += [value_barrier(m, sol.h, a, xs), h_callable(m, sol.h)(xs[:-1]),
+                h_callable(m, sol.h)(-0.01)]
+    return out + _report(hjb_verify(m, sol, a + 3.0))
+
+
+def _value(sigma, d):
+    m, sol = _model("exp", d, sigma), _optimal(sigma, d)
+    a = sol.a_star
+    xs = _value_xs(a)
+    out = [sol.value(xs), sol.value(-0.01)]
+    if a > 0:
+        out += [value_barrier(m, sol.h, a, xs), h_callable(m, sol.h)(xs[:-1])]
+    xc, gen = hjb_curve(m, sol, a + 2.0)
+    mono = gprime_monotone_check(m, a, a + 1.0)
+    return out + [xc, gen, mono.passed, mono.worst_violation]
 
 
 def _series(d):
@@ -121,11 +176,55 @@ CASES["barrier-s0-d0"] = (_barrier, (0.0, 0.0))
 CASES["barrier-s0-d2"] = (_barrier, (0.0, 2.0))
 CASES["barrier-s0.5-d0"] = (_barrier, (0.5, 0.0))
 CASES["barrier-s0.5-d1"] = (_barrier, (0.5, 1.0))
+for _d in (0.0, 2.0):
+    CASES["hjb-s0-d%g" % _d] = (_hjb, (0.0, _d))
+    CASES["value-s0-d%g" % _d] = (_value, (0.0, _d))
+for _claims in ("exp", "tab"):
+    for _a in (0.0, 0.3):
+        CASES["at-%s-s0-d2-a%g" % (_claims, _a)] = (_forced, (_claims, 2.0, _a))
+CASES["value-s0.5-d1"] = (_value, (0.5, 1.0))
 for _d in (0.0, 0.4, 2.0, inf):
     CASES["series-d%g" % _d] = (_series, (_d,))
 CASES["cli-h-s0.5-d1"] = (_cli_h, (0.5, 1.0))
 
 PINS = {
+    'at-exp-s0-d2-a0': [
+        '0x0.0p+0', 'True', '1c4e5e392adc4270', 'True', '0x0.0p+0',
+        '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
+        '-0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17',
+    ],
+    'at-exp-s0-d2-a0.3': [
+        '0x1.3333333333333p-2', 'False', 'eb65926539aac206',
+        'eb65926539aac206', '471e4f8d15c63f28', '0x1.da9018ee318d0p-1',
+        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
+        "'generator_above'", 'True', '0x1.3333333333333p-2',
+        '-0x1.32ae880000000p-27', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
+        '-0x1.327f780000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc10818ab00fp-1',
+        '0x1.4f8b588e368f1p-17',
+    ],
+    'at-tab-s0-d2-a0': [
+        '0x0.0p+0', 'True', '0cb17a68b3f9bee0', 'True', '0x0.0p+0',
+        '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
+        '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
+        'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
+        'None', 'None', '0x1.4f8b588e368f1p-17',
+    ],
+    'at-tab-s0-d2-a0.3': [
+        '0x1.3333333333333p-2', 'False', '58cb98bda399bdfb',
+        '58cb98bda399bdfb', '96828130c7a1576f', '0x1.da90297a510d3p-1',
+        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
+        "'generator_above'", 'True', '0x1.3333333333333p-2',
+        '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
+        '0x1.81f7000000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07e8p-1',
+        '0x1.4f8b588e368f1p-17',
+    ],
     'barrier-s0-d0': [
         '0x1.89e3b604b6ac8p-1', 'False', 'True', 'e864c435456ff5a8',
     ],
@@ -164,6 +263,22 @@ PINS = {
     'h-tab-s0-d2': [
         '9cf924a5987621e1', '8814f51d49dc5401', '3999c51394d9adcd',
         '0x1.289493b280000p-15', '0x0.0p+0',
+    ],
+    'hjb-s0-d0': [
+        'True', '0x1.89e3b604b6ac8p-1', '0x1.589e3b604b6acp+3',
+        "'generator_above'", 'True', '0x1.89ee013a50799p-1',
+        '-0x1.721ea00000000p-26', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.89d3ca64e362ep-1',
+        '-0x1.c6d0900000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'True', '0x1.89d3ca64e362ep-1', '0x1.00000004ea87ap+0',
+        '0x1.4f8b588e368f1p-17',
+    ],
+    'hjb-s0-d2': [
+        'True', '0x0.0p+0', '0x1.4000000000000p+3', "'generator_above'",
+        'True', '0x0.0p+0', '0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17',
     ],
     'phi-exp-s0-d0': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x0.0p+0', '0', '0x0.0p+0',
@@ -239,6 +354,19 @@ PINS = {
     ],
     'series-dinf': [
         '67d8923e8e732a77', '1666ade449581577', 'ca9ab72e6a17cb9a',
+    ],
+    'value-s0-d0': [
+        '3d8d553b8639d4ff', '0x0.0p+0', '3d8d553b8639d4ff',
+        'f2dc7c493d5a08f0', '79bc415240a2c67d', 'de0bdf86c45ddbe5', 'True',
+        '0x0.0p+0',
+    ],
+    'value-s0-d2': [
+        'bcc5f207a128c3ca', '0x1.04a6b8bfe74d1p+2', '3c65c57e7d92d1b5',
+        'baacba8262c23ac1', 'True', '0x0.0p+0',
+    ],
+    'value-s0.5-d1': [
+        '7e53dde0caff69c4', '0x1.0514e6d1f9fa9p+2', '3c65c57e7d92d1b5',
+        'c696f15610e33a47', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
         'de750bfe7b5b1a06',

@@ -1,7 +1,9 @@
 """The names the benchmark harness reaches into stay in place.
 
 perfbench/tracer.py rebinds library functions by module and name to
-time them, and the harness reads hfun._CACHE to keep cold solves cold.
+time them, and the harness reads hfun._CACHE to keep cold solves cold:
+its worker refuses a cold op whose model key is the first item of any
+memo key, and reports how many entries each op added.
 A refactor that renames or moves one of them breaks a traced benchmark
 run while every numerical test still passes, so this file loads the
 tracer's own tables (the tracer is stdlib-only and is not modified)
@@ -50,3 +52,19 @@ def test_names_the_harness_reads():
     assert hfun.convolve_values is db.gridmath.convolve_values
     # the worker's cache-isolation check iterates the memo's keys
     assert isinstance(hfun._CACHE, dict)
+
+
+@pytest.mark.parametrize("claims,sigma,d", [("exp", 0.5, 1.0), ("tab", 0.0, 2.0)])
+def test_solve_adds_one_memo_entry_keyed_by_model(claims, sigma, d):
+    # parameters no other test uses, so the model is not in the memo yet
+    dist = (db.ExponentialClaims(1.25) if claims == "exp"
+            else db.tabulated_exponential(1.25, step=1e-2, x_max=25.0))
+    model = db.validate(db.ModelParams(lam=9.5, c=12.0, sigma=sigma, q=0.11,
+                                       r=0.75, d=d), dist)
+    assert not any(k[0] == model.key() for k in hfun._CACHE)
+    before = set(hfun._CACHE)
+    db.optimal_barrier(model, a_max=1.5)
+    added = set(hfun._CACHE) - before
+    assert len(added) == 1
+    (key,) = added
+    assert isinstance(key, tuple) and key[0] == model.key()

@@ -338,6 +338,24 @@ class TestFiguresCommand:
         assert float(np.max(hjb[:, 1])) <= 1e-6
         assert "max_generator_minus_q_v" in out
 
+    def test_delay_flag_rejected_before_writing(self, capsys, tmp_path):
+        # the panels are fixed at d = 0 and d = 2, so a --d would be ignored
+        rc, out, err = run(capsys, ["figures", "--out", str(tmp_path),
+                                    "--x-span", "2", "--d", "1"])
+        assert rc == 2
+        assert "InputError" in err and "--d" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
+    def test_delay_from_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 2.0}))
+        out_dir = tmp_path / "out"
+        rc, _, err = run(capsys, ["figures", "--config", str(cfg),
+                                  "--out", str(out_dir)])
+        assert rc == 2
+        assert "--d" in err
+        assert not out_dir.exists()
+
 
 class TestProcess:
     """The command in a process of its own: real exit codes, no traceback."""

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divbarrier as db
 from divbarrier import expmodel
@@ -76,6 +77,36 @@ class TestOptimalBarrierNoDelay:
     def test_scan_range_too_small(self, m_d0):
         with pytest.raises(ValueError, match="a_max"):
             optimal_barrier(m_d0, 0.3)
+
+
+class TestSmallestSlopeRule:
+    """Erlang(2) claims (Azcue & Muler 2005): h' rises from 0, peaks at
+    1.766 and dips to a local minimum at 10.34 that is still above h'(0).
+
+    The first zero of h'' is a local maximum of h', so it must not be
+    chosen; the smallest slope (Loeffen 2008) is at 0. No barrier is
+    optimal here, and the HJB check says so.
+    """
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        step = 1e-3
+        xs = np.arange(0.0, 40.0 + step / 2, step)
+        g = GridFunction(0.0, 40.0, step, xs * np.exp(-xs))
+        dist = db.TabulatedClaims(g.with_values(g.values / g.trapz()))
+        m = db.validate(db.ModelParams(lam=10.0, c=21.4, sigma=0.0, q=0.1,
+                                       r=1.0, d=0.0), dist)
+        return optimal_barrier(m, a_max=20.0)
+
+    def test_picks_smallest_slope(self, sol):
+        assert sol.a_star == 0.0
+        assert sol.boundary
+        # every zero of h'' is reported, the rejected maximum included
+        assert sol.alternatives == pytest.approx((1.766284, 10.342284), abs=1e-6)
+
+    def test_certificate_fails(self, sol):
+        assert not sol.hjb_report.passed
+        assert not sol.hjb_report.generator_above.passed
 
 
 class TestBoundaryOptimumWithDelay:
@@ -226,3 +257,40 @@ class TestDensityShapeAdvisory:
         assert not adv.monotone
         assert adv.direction == "none"
         assert "inconclusive" in adv.message
+
+
+@st.composite
+def forced_barriers(draw):
+    """sigma = 0, exponential claims, positive loading, a forced barrier."""
+    lam = draw(st.floats(2.0, 12.0))
+    mu = draw(st.floats(0.5, 2.0))
+    loading = draw(st.floats(0.1, 1.0))
+    params = db.ModelParams(
+        lam=lam, c=(1.0 + loading) * lam / mu, sigma=0.0,
+        q=draw(st.floats(0.02, 0.3)), r=draw(st.floats(0.3, 1.0)),
+        d=draw(st.sampled_from([0.0, 0.5, 2.0, math.inf])))
+    model = db.validate(params, db.ExponentialClaims(mu))
+    return model, draw(st.floats(0.2, 1.5))
+
+
+class TestValueAssemblyProperties:
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(forced_barriers())
+    def test_value_shape(self, case):
+        model, a = case
+        v = barrier_solution_at(model, a, grid_step=1e-2).value
+        reach = model.c * model.d
+        if math.isfinite(reach):
+            # past the Parisian reach no claim-free climb gets back to 0
+            assert v(np.array([-reach - 1.0, -reach - 1e-3])).tolist() == [0.0, 0.0]
+            if reach > 0:
+                assert v(-reach) == 0.0
+        if model.d > 0:
+            assert v(-1e-9) == pytest.approx(v(0.0), rel=1e-6)
+        lo = max(-reach, -5.0)
+        xs = np.concatenate([np.linspace(lo, 0.0, 40, endpoint=False),
+                             np.linspace(0.0, a + 1.0, 200)])
+        vals = v(xs)
+        assert np.all(np.diff(vals) >= -1e-12 * np.max(vals))
+        above = np.array([a + 0.1, a + 0.5, a + 1.0])
+        np.testing.assert_allclose(v(above) - v(a), above - a, rtol=1e-12)
