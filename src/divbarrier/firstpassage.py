@@ -217,7 +217,7 @@ def _phi_sigma0_tab(model, d, y_arr):
     while _tail_sum(lam * r * d, K) * c * maxf * d > K_TAIL_TOL and K < 10000:
         K += 5
     tail_bound = _tail_sum(lam * r * d, K) * c * maxf * d
-    F = np.vstack([claims.conv_power(k, grid.x) for k in range(1, K + 1)])
+    F = np.vstack([claims._power_values(k) for k in range(1, K + 1)])
 
     out = np.zeros_like(y_arr, dtype=float)
     for idx, y in enumerate(y_arr):
@@ -355,7 +355,8 @@ def _phi_sigma_pos(model, d, y_arr):
             break
     vals = np.clip(closed - total, 0.0, 1.0)
     vals = np.where(y_arr == 0.0, 1.0, vals)
-    return vals, K, tail_est
+    # the remainder estimate is signed; the bound is its size
+    return vals, K, abs(tail_est)
 
 
 def _phi_table(model, d, ys):

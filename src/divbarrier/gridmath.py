@@ -10,6 +10,7 @@ computes the same sums a Python loop would, in C.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
@@ -51,9 +52,12 @@ class GridFunction:
     def n(self):
         return len(self.values) - 1
 
-    @property
+    @cached_property
     def x(self):
-        return self.lo + self.step * np.arange(len(self.values))
+        """The nodes, built on first use and shared read-only."""
+        x = self.lo + self.step * np.arange(len(self.values))
+        x.flags.writeable = False
+        return x
 
     def same_grid(self, other):
         return (

@@ -109,8 +109,11 @@ class ExponentialClaims:
 class TabulatedClaims:
     """Claim density on a uniform grid [0, x_max].
 
-    Convolution powers come from repeated grid convolution and are
-    cached; point evaluation is linear interpolation.
+    Density, convolution powers and CDF are node tables read linearly
+    between the nodes. The density and its powers are zero below 0 and
+    above x_max; the CDF (trapezoid sums of the density) is zero below
+    0 and saturates at the table mass above x_max. Powers come from
+    repeated grid convolution and are cached.
     """
 
     kind = "tabulated"
@@ -131,28 +134,22 @@ class TabulatedClaims:
                 raise InvalidParameter("mass beyond the grid end is not negligible")
         self.grid = grid
         self._powers = {1: grid.values}
+        v = grid.values
+        self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * grid.step)))
 
     @property
     def mean(self):
         return float(trapezoid(self.grid.x * self.grid.values, dx=self.grid.step))
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            (x >= 0) & (x <= self.grid.hi),
-            np.interp(np.clip(x, 0.0, self.grid.hi), self.grid.x, self.grid.values),
-            0.0,
-        )
+    def _read(self, table, x, right=0.0):
+        out = np.interp(x, self.grid.x, table, left=0.0, right=right)
         return float(out) if out.ndim == 0 else out
 
+    def density(self, x):
+        return self._read(self.grid.values, x)
+
     def cdf(self, x):
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * self.grid.step * (self.grid.values[1:] + self.grid.values[:-1]))]
-        )
-        x = np.asarray(x, dtype=float)
-        out = np.interp(np.clip(x, 0.0, self.grid.hi), self.grid.x, cum)
-        out = np.where(x < 0, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        return self._read(self._cum, x, right=self._cum[-1])
 
     def laplace(self, s):
         w = np.exp(-s * self.grid.x) * self.grid.values
@@ -167,14 +164,7 @@ class TabulatedClaims:
     def conv_power(self, n, x):
         if n < 1:
             raise ValueError("n = 0 is the point mass at zero; handle it separately")
-        v = self._power_values(n)
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            (x >= 0) & (x <= self.grid.hi),
-            np.interp(np.clip(x, 0.0, self.grid.hi), self.grid.x, v),
-            0.0,
-        )
-        return float(out) if out.ndim == 0 else out
+        return self._read(self._power_values(n), x)
 
     def key(self):
         return ("tab", self.grid.lo, self.grid.hi, self.grid.step,

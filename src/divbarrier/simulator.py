@@ -122,15 +122,11 @@ class _ClaimSampler:
         if self.kind == "exponential":
             self.scale = 1.0 / model.claims.mu
         else:
-            grid = model.claims.grid
-            xs = grid.x
-            cdf = np.concatenate(([0.0], np.cumsum(
-                0.5 * (grid.values[1:] + grid.values[:-1]) * grid.step)))
-            cdf /= cdf[-1]
+            cdf = model.claims._cum / model.claims._cum[-1]
             # collapse flat stretches so interp inverts cleanly
             keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
             self.cdf = cdf[keep]
-            self.xs = xs[keep]
+            self.xs = model.claims.grid.x[keep]
 
     def draw(self, rng, n):
         if self.kind == "exponential":

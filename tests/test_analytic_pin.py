@@ -6,13 +6,15 @@ bytes (grids), so a change to the arithmetic of any regime shows at
 once. The rows cover the deadline transform Phi_d (value, truncation
 K, tail bound, and the grid route) at sigma = 0 with exponential and
 with tabulated claims and at sigma = 0.5, each at d in {0, 0.4, 2, inf}
-and deficits y in {0, 0.3, 0.5}; the exit function with its two
-derivatives in both solvers; the w_d forcing; the optimal barrier with
-its value; the closed exponential series; and the bytes of the
-`divbarrier h` CSV. The value rows add every field of the HJB report,
-forced barriers at a in {0, 0.3}, the value function, value_barrier
-and h_callable on both sides of zero (down to past the Parisian reach
--c d), the HJB curve and the slope-monotonicity screen.
+and deficits y in {0, 0.3, 0.5}, plus tabulated claims at sigma = 0.5
+(r = 0.5, d = 1), the one route that reads the claim powers between
+table nodes, with a nonnegative tail bound; the exit function with
+its two derivatives in both solvers; the w_d forcing; the optimal
+barrier with its value; the closed exponential series; and the bytes
+of the `divbarrier h` CSV. The value rows add every field of the HJB
+report, forced barriers at a in {0, 0.3}, the value function,
+value_barrier and h_callable on both sides of zero (down to past the
+Parisian reach -c d), the HJB curve and the slope-monotonicity screen.
 
 The tabulated rows use a 1e-2 claim grid, which keeps the whole file
 to a few seconds. The pins were captured with numpy 2.4.6 and scipy
@@ -46,10 +48,10 @@ YS = (0.0, 0.3, 0.5)
 TAB = db.tabulated_exponential(1.0, step=1e-2)
 
 
-def _model(claims, d, sigma=0.0):
+def _model(claims, d, sigma=0.0, r=0.8):
     dist = TAB if claims == "tab" else db.ExponentialClaims(1.0)
     return db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=sigma, q=0.1,
-                                      r=0.8, d=d), dist)
+                                      r=r, d=d), dist)
 
 
 def _fingerprint(x):
@@ -79,6 +81,16 @@ def _transform_inf(sigma, ys):
     # last bit, so the scalar route's math.exp is pinned too
     m = _model("exp", inf, sigma)
     return [upcross_transform(m, y, inf).value for y in ys]
+
+
+def _transform_tab_diffusion():
+    # the one solver route that reads the claim powers between table
+    # nodes; its remainder estimate comes out negative at r = 0.5
+    m = _model("tab", 1.0, 0.5, r=0.5)
+    tr = upcross_transform(m, 0.5, 1.0)
+    assert tr.tail_bound >= 0.0
+    return [tr.value, tr.truncation_k, tr.tail_bound,
+            upcross_table(m, 1.0, np.array(YS))]
 
 
 def _h(claims, sigma, d, a, step):
@@ -162,6 +174,7 @@ for _claims, _sigma in (("exp", 0.0), ("tab", 0.0), ("exp", 0.5)):
     for _d in (0.0, 0.4, 2.0, inf):
         CASES["phi-%s-s%g-d%g" % (_claims, _sigma, _d)] = (
             _transform, (_claims, _sigma, _d))
+CASES["phi-tab-s0.5-r0.5-d1"] = (_transform_tab_diffusion, ())
 CASES["phi-exp-s0-dinf-ulp"] = (_transform_inf, (0.0, (1.1, 1.8)))
 CASES["phi-exp-s0.5-dinf-ulp"] = (_transform_inf, (0.5, (0.2, 0.9)))
 for _d in (0.0, 2.0):
@@ -342,6 +355,10 @@ PINS = {
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba73c063421p-1', '0',
         '0x0.0p+0', '0x1.c4fc7cdec3df9p-1', '0', '0x0.0p+0',
         'b3abec16f2763e1d',
+    ],
+    'phi-tab-s0.5-r0.5-d1': [
+        '0x1.9ad4d87c22941p-1', '197', '0x1.2d6d67d45e8a2p-86',
+        'ec2fad76967131fd',
     ],
     'series-d0': [
         '291747017cd060ca', 'fce076b3ae6cb09f', '425820394d78a148',

@@ -222,6 +222,44 @@ class TestClaimsTable:
         assert rc == 2
         assert "uniform" in err
 
+    def test_transform_matches_exponential(self, capsys, tmp_path):
+        # exp(1) on a 1e-2 grid up to 30, normalized to unit trapezoid mass
+        step = 1e-2
+        xs = step * np.arange(3001)
+        fs = np.exp(-xs)
+        fs /= np.trapezoid(fs, dx=step)
+        p = tmp_path / "exp.csv"
+        p.write_text("x,f\n" + "".join("%r,%r\n" % (float(x), float(f))
+                                       for x, f in zip(xs, fs)))
+        out_json = tmp_path / "tr.json"
+        rc, out, _ = run(capsys, ["transform", "--claims", "table:%s" % p, "--d", "2",
+                                  "--y", "0.5", "--out", str(out_json)])
+        assert rc == 0
+        rc, ref, _ = run(capsys, ["transform", "--claims", "exponential:1.0",
+                                  "--d", "2", "--y", "0.5"])
+        assert rc == 0
+        phi = float(first_value(out, "phi"))
+        assert phi == pytest.approx(float(first_value(ref, "phi")), abs=1e-6)
+        doc = json.loads(out_json.read_text())
+        assert set(doc) >= {"command", "y", "d", "phi", "truncation_k", "tail_bound"}
+        assert doc["command"] == "transform" and doc["phi"] == phi
+        assert doc["y"] == 0.5 and doc["d"] == "2.0"
+        assert doc["truncation_k"] > 0 and doc["tail_bound"] >= 0.0
+
+    @pytest.mark.parametrize("text,needle", [
+        ("x,f\n0,1\n0.5,oops\n1,0\n", "bad table row"),
+        (None, "cannot read"),
+        ("x,f\n0,1\n1,1\n", "at least 3 rows"),
+        ("x,f\n1,0\n0.5,1\n0,0\n", "uniform"),    # decreasing x: negative step
+    ])
+    def test_bad_table_exits_two(self, capsys, tmp_path, text, needle):
+        p = tmp_path / "t.csv"
+        if text is not None:
+            p.write_text(text)
+        rc, _, err = run(capsys, ["root", "--claims", "table:%s" % p])
+        assert rc == 2
+        assert needle in err
+
 
 class TestHCommand:
     def test_csv_shape(self, capsys, tmp_path):

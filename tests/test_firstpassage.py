@@ -131,6 +131,27 @@ class TestPassageDensities:
 
 
 class TestWithDiffusion:
+    @pytest.mark.parametrize("claims,rel", [("exp", 1e-6), ("tab", 1e-5)])
+    def test_small_sigma_passage_density_matches_sigma_zero(self, claims, rel):
+        # the Gaussian smear of f^{k*} collapses onto the drift closed form
+        dist = (db.ExponentialClaims(1.0) if claims == "exp"
+                else db.tabulated_exponential(1.0, step=1e-2))
+
+        def model(sigma):
+            return db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=sigma,
+                                              q=0.1, r=0.8, d=2.0), dist)
+
+        m0, ms = model(0.0), model(1e-3)
+        for k in (1, 2):
+            for t in (0.1, 0.3):
+                want = vy_density(m0, 0.5, k, t)
+                assert vy_density(ms, 0.5, k, t) == pytest.approx(want, rel=rel)
+
+    def test_claim_free_passage_is_a_density(self):
+        # with diffusion the claim-free climb is spread in time, not an atom
+        v = vy_density(make_model(2.0, sigma=0.5), 0.5, 0, 0.1)
+        assert math.isfinite(v) and v > 0.0
+
     def test_infinite_clock_closed_form(self):
         m = make_model(math.inf, sigma=0.5)
         rho = lundberg_root(m).rho

@@ -19,7 +19,7 @@ from divbarrier import (
     tabulated_exponential,
     validate,
 )
-from divbarrier.gridmath import GridFunction
+from divbarrier.gridmath import GridFunction, convolve_values
 
 
 def params(**kw):
@@ -159,6 +159,44 @@ class TestTabulatedClaims:
         g = tab_dist.grid
         v2 = tab_dist.conv_power(2, g.x)
         assert np.trapezoid(v2, dx=g.step) == pytest.approx(1.0, abs=1e-4)
+
+    def test_reader_matches_masked_interpolation(self, tab_dist):
+        # reference: the masked np.where/np.clip/np.interp formulas the
+        # single reader replaced, compared bit for bit
+        g = tab_dist.grid
+        v = g.values
+
+        def masked(table, x):
+            inside = np.interp(np.clip(x, 0.0, g.hi), g.x, table)
+            return np.where((x >= 0) & (x <= g.hi), inside, 0.0)
+
+        def masked_cdf(x):
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * g.step * (v[1:] + v[:-1]))])
+            return np.where(x < 0, 0.0, np.interp(np.clip(x, 0.0, g.hi), g.x, cum))
+
+        v2 = convolve_values(v, v, g.step)
+        edges = [0.0, -0.0, g.hi, -1e-9, -2.0, g.hi + 1e-9, 2.0 * g.hi, math.inf]
+        xs = np.concatenate([g.x[::97], g.x[:-1:89] + 0.37 * g.step, edges])
+        for got, want in ((tab_dist.density(xs), masked(v, xs)),
+                          (tab_dist.conv_power(2, xs), masked(v2, xs)),
+                          (tab_dist.cdf(xs), masked_cdf(xs))):
+            assert got.tobytes() == want.tobytes()
+        for x in edges + [0.5 * g.step, 1.2345]:
+            for got, want in ((tab_dist.density(x), masked(v, x)),
+                              (tab_dist.conv_power(2, x), masked(v2, x)),
+                              (tab_dist.cdf(x), masked_cdf(x))):
+                assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+
+    def test_nodes_built_once_and_read_only(self, tab_dist):
+        xs = tab_dist.grid.x
+        assert tab_dist.grid.x is xs
+        assert not xs.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+
+    def test_density_of_nan_is_nan(self, tab_dist):
+        assert math.isnan(tab_dist.density(math.nan))
+        assert math.isnan(tab_dist.conv_power(2, math.nan))
 
     def test_rejects_negative_density(self):
         step = 0.01
