@@ -221,7 +221,7 @@ def cmd_h(cfg):
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
     step = cfg["grid-step"]
-    if model.sigma != 0.0:
+    if model.sigma != 0.0 and math.isfinite(step):
         step = min(step, 1e-5)
     h = _build_h(model, cfg["a"], step)
     print("a=%.17g ide_residual=%.3e" % (h.a, h.ide_residual), file=sys.stderr)
@@ -288,8 +288,8 @@ def cmd_figures(cfg):
         model = _model_from(dict(cfg, d=d))
         sol = optimal_barrier(model, cfg["a-max"], cfg["grid-step"])
         tag = "d%g" % d
-        _write_h_csv(os.path.join(out_dir, "h_%s.csv" % tag), sol.h)
         xs, gen = hjb_curve(model, sol, sol.a_star + cfg["x-span"])
+        _write_h_csv(os.path.join(out_dir, "h_%s.csv" % tag), sol.h)
         _write_csv(os.path.join(out_dir, "hjb_%s.csv" % tag),
                    ("x", "generator_minus_q_v"), zip(xs, gen))
         worst = max(worst, float(np.max(gen)))

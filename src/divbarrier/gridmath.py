@@ -165,11 +165,6 @@ def dickson(rho, g: GridFunction) -> GridFunction:
     return g.with_values(T)
 
 
-def dickson_exp(rho, mu, grid_x):
-    """Closed form of the tail transform for an exponential density."""
-    return mu / (rho + mu) * np.exp(-mu * np.asarray(grid_x, dtype=float))
-
-
 def dickson_commutation_residual(s, r, g: GridFunction) -> float:
     """Max grid deviation in T_s T_r g = (T_s g - T_r g)/(r - s)."""
     if s == r:

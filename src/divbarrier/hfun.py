@@ -48,8 +48,6 @@ from .gridmath import (
     cumexp,
     convolve_exp,
     derivative,
-    dickson,
-    dickson_exp,
     golden_min,
     neumann_series,
     neumann_series_exp,
@@ -122,11 +120,11 @@ def _w_values(model, xs):
         elif math.isinf(d):
             u = mu / (lundberg_root(model).rho + mu)
         else:
-            ys, phi, wts = _phi_grid(model, 40.0 / mu)
+            ys, phi, wts = _phi_grid(model, model.claims.reach)
             u = float(np.sum(wts * phi * mu * np.exp(-mu * ys)))
         return u * np.exp(-mu * xs)
     # tabulated: quadrature of Phi against the shifted density
-    ys, phi, wts = _phi_grid(model, model.claims.grid.hi)
+    ys, phi, wts = _phi_grid(model, model.claims.reach)
     out = np.zeros_like(xs)
     for j in np.nonzero(phi)[0]:
         out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
@@ -142,20 +140,6 @@ def w_d(model, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _t_rho_f(model, rho, xs, step):
-    """T_rho f on the solver grid."""
-    if model.claims.kind == "exponential":
-        return dickson_exp(rho, model.claims.mu, xs)
-    # resample the density to the solver step over its full support,
-    # run the backward recursion there, keep the solver window
-    hi = model.claims.grid.hi
-    m = int(math.ceil(hi / step))
-    full_x = step * np.arange(m + 1)
-    fv = model.claims.density(full_x)
-    tg = dickson(rho, GridFunction(0.0, m * step, step, fv))
-    return tg.values[: len(xs)]
-
-
 def _solve_renewal(kernel, forcing, coeff):
     """xi = forcing + coeff (kernel * xi): Neumann series, else marching."""
     try:
@@ -164,20 +148,27 @@ def _solve_renewal(kernel, forcing, coeff):
         return volterra_march(kernel, forcing, coeff).values
 
 
+def _require_step(step):
+    if not 0.0 < step < math.inf:
+        raise ValueError("grid step must be positive and finite, got %g" % (step,))
+
+
 def _solver_grid(model, a, step):
     """Grid [0, a] with a step near `step` that lands on the barrier.
 
     Returns rho, the grid (its values are its abscissae), and the claim
     density and T_rho f sampled on it.
     """
-    if a <= 0:
-        raise ValueError("barrier a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("barrier a must be positive and finite, got %g" % (a,))
+    _require_step(step)
     rho = lundberg_root(model).rho
     n = max(int(round(a / step)), 8)
     step = a / n
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
-    return rho, grid, model.claims.density(xs), _t_rho_f(model, rho, xs, step)
+    return (rho, grid, model.claims.density(xs),
+            model.claims.tail_transform(rho, xs, step))
 
 
 def _exit_function(grid, a, xi, xip, xipp, xi_prime_zero=None, res=0.0):

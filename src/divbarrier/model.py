@@ -4,6 +4,26 @@ The surplus process is x + c t - (compound Poisson, rate lam) + sigma B_t.
 Dividends above a barrier are discounted by e^{-q t} and by r per claim
 that has already occurred; d is the Parisian grace period. Everything
 downstream is a pure function of a ValidatedModel.
+
+The claim law enters only through its density f, and each claim class
+answers for how it stores f. Besides density, cdf, mean, laplace and
+conv_power, both classes offer the same six members:
+
+- reach: a claim size beyond which the mass is negligible;
+- survival(y): the mass P(C > y) above y;
+- sample(rng, n): n independent claim draws;
+- tail_transform(rho, xs, step): T_rho f(x) = int_x^inf e^{-rho(u-x)}
+  f(u) du on the solver grid xs;
+- convolve_grid(values, step): the trapezoid convolution f * g of g
+  sampled on [0, x] at that step;
+- density_slope(xs, step): f' on a uniform grid.
+
+Code outside this module reads the `kind` attribute (and mu) only
+where exponential claims allow a closed-form algorithm, never to read
+a storage format: the per-deficit series of Phi_d at sigma = 0 and the
+Bessel claim sum at sigma > 0 (firstpassage), the u(d) forcing, the
+slope w_d' = -mu w_d and the two-rate Neumann kernel of the exit
+function (hfun), and the closed series of expmodel.
 """
 
 import math
@@ -12,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gridmath import GridFunction, convolve_values, trapezoid
+from .gridmath import GridFunction, convolve_exp, convolve_values, dickson, trapezoid
 
 
 class ModelError(ValueError):
@@ -81,6 +101,7 @@ class ExponentialClaims:
         if not 0 < mu < math.inf:
             raise InvalidParameter("claim rate mu must be positive and finite")
         self.mu = float(mu)
+        self.reach = 40.0 / self.mu  # mass e^{-40} beyond
 
     @property
     def mean(self):
@@ -101,6 +122,21 @@ class ExponentialClaims:
 
     def conv_power(self, n, x):
         return exp_conv_power(self.mu, n, x)
+
+    def survival(self, y):
+        return math.exp(-self.mu * y)
+
+    def sample(self, rng, n):
+        return rng.exponential(1.0 / self.mu, n)
+
+    def tail_transform(self, rho, xs, step):
+        return self.mu / (rho + self.mu) * np.exp(-self.mu * np.asarray(xs, dtype=float))
+
+    def convolve_grid(self, values, step):
+        return self.mu * convolve_exp(self.mu, values, step)
+
+    def density_slope(self, xs, step):
+        return -self.mu ** 2 * np.exp(-self.mu * xs)
 
     def key(self):
         return ("exp", self.mu)
@@ -133,9 +169,15 @@ class TabulatedClaims:
             if grid.values[-1] * grid.step > 1e-10:
                 raise InvalidParameter("mass beyond the grid end is not negligible")
         self.grid = grid
+        self.reach = grid.hi
         self._powers = {1: grid.values}
         v = grid.values
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * grid.step)))
+        # inverse-CDF nodes for sampling, with flat stretches collapsed
+        # so interp inverts cleanly
+        cdf = self._cum / self._cum[-1]
+        keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
+        self._inverse_cdf = (cdf[keep], grid.x[keep])
 
     @property
     def mean(self):
@@ -165,6 +207,25 @@ class TabulatedClaims:
         if n < 1:
             raise ValueError("n = 0 is the point mass at zero; handle it separately")
         return self._read(self._power_values(n), x)
+
+    def survival(self, y):
+        return max(0.0, 1.0 - self.cdf(y))
+
+    def sample(self, rng, n):
+        return np.interp(rng.random(n), *self._inverse_cdf)
+
+    def tail_transform(self, rho, xs, step):
+        # resample the density to the solver step over its full support,
+        # run the backward recursion there, keep the solver window
+        m = int(math.ceil(self.grid.hi / step))
+        fv = self.density(step * np.arange(m + 1))
+        return dickson(rho, GridFunction(0.0, m * step, step, fv)).values[: len(xs)]
+
+    def convolve_grid(self, values, step):
+        return convolve_values(self.density(step * np.arange(len(values))), values, step)
+
+    def density_slope(self, xs, step):
+        return np.gradient(self.density(xs), step)
 
     def key(self):
         return ("tab", self.grid.lo, self.grid.hi, self.grid.step,

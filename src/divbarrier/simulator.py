@@ -116,24 +116,6 @@ def _rng(seed, chunk_idx):
     return np.random.Generator(np.random.Philox(ss))
 
 
-class _ClaimSampler:
-    def __init__(self, model):
-        self.kind = model.claims.kind
-        if self.kind == "exponential":
-            self.scale = 1.0 / model.claims.mu
-        else:
-            cdf = model.claims._cum / model.claims._cum[-1]
-            # collapse flat stretches so interp inverts cleanly
-            keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
-            self.cdf = cdf[keep]
-            self.xs = model.claims.grid.x[keep]
-
-    def draw(self, rng, n):
-        if self.kind == "exponential":
-            return rng.exponential(self.scale, n)
-        return np.interp(rng.random(n), self.cdf, self.xs)
-
-
 def simulate_value(model, a, x, cfg: SimConfig) -> SimEstimate:
     """Expected discounted dividends under a barrier at a, started at x."""
     if not (math.isfinite(a) and math.isfinite(x)):
@@ -150,9 +132,10 @@ def simulate_h(model, a, x, cfg: SimConfig) -> SimEstimate:
     """E[r^N e^{-q tau_a} on reaching a before Parisian ruin], from x."""
     if not (math.isfinite(a) and math.isfinite(x)):
         raise ValueError("a and x must be finite")
-    cd = model.c * model.d
-    if not (-cd < x <= a) and not (x == a):
-        raise ValueError("x must satisfy -c d < x <= a")
+    # [0, a] always; below zero only inside the Parisian reach -c d
+    if not (x <= a and (x >= 0.0 or x > -model.c * model.d)):
+        raise ValueError("x must satisfy -c d < x <= a, or 0 <= x <= a "
+                         "when d = 0")
     return _run(model, cfg, _Rule(
         float(a), float(x), reflect=False, grace=model.d, deadline=math.inf,
         t_max=_horizon(model, cfg), terminal=False))
@@ -164,8 +147,8 @@ def simulate_upcross(model, y, d, cfg: SimConfig) -> SimEstimate:
         raise ValueError("level y must be finite")
     if y < 0:
         raise ValueError("level y must be >= 0")
-    if math.isnan(d):
-        raise ValueError("deadline d must not be nan")
+    if not d >= 0.0:
+        raise ValueError("deadline d must be nonnegative, got %r" % (d,))
     return _run(model, cfg, _Rule(
         float(y), 0.0, reflect=False, grace=None, deadline=d,
         t_max=_UPCROSS_T_MAX, terminal=False))
@@ -173,7 +156,6 @@ def simulate_upcross(model, y, d, cfg: SimConfig) -> SimEstimate:
 
 def _run(model, cfg, rule):
     """Run the rule chunk by chunk and reduce in chunk order."""
-    sampler = _ClaimSampler(model)
     stepper = _exact_chunk if model.sigma == 0.0 else _euler_chunk
     n = cfg.n_paths
     s = s2 = b = 0.0
@@ -182,8 +164,7 @@ def _run(model, cfg, rule):
         if not rule.reflect and rule.x0 >= rule.level:
             v, tb = np.ones(m), 0.0
         else:
-            v, tb = stepper(model, rule, m, _rng(cfg.seed, ci), sampler,
-                            cfg.dt)
+            v, tb = stepper(model, rule, m, _rng(cfg.seed, ci), cfg.dt)
         s += float(np.sum(v))
         s2 += float(np.sum(v * v))
         b += tb
@@ -243,7 +224,7 @@ def _settle(model, rule, p, out, left):
     return bound
 
 
-def _exact_chunk(model, rule, m, rng, sampler, dt):
+def _exact_chunk(model, rule, m, rng, dt):
     """sigma = 0: one round per alive path moves it to its next event."""
     c, q, r = model.c, model.q, model.r
     zero = rule.grace is not None
@@ -253,7 +234,7 @@ def _exact_chunk(model, rule, m, rng, sampler, dt):
     while len(p.id):
         n = len(p.id)
         T = rng.exponential(1.0 / model.lam, n)
-        C = sampler.draw(rng, n)
+        C = model.claims.sample(rng, n)
         tb = (rule.level - p.x) / c
         hit = T >= tb
         left = np.zeros(n, dtype=bool)
@@ -313,7 +294,7 @@ def _exact_chunk(model, rule, m, rng, sampler, dt):
     return out, bound
 
 
-def _euler_chunk(model, rule, m, rng, sampler, dt):
+def _euler_chunk(model, rule, m, rng, dt):
     """sigma > 0: one Euler step per round, landing on claim epochs."""
     c, q, r, sig = model.c, model.q, model.r, model.sigma
     # at d = inf the Parisian clock can never fire
@@ -365,7 +346,7 @@ def _euler_chunk(model, rule, m, rng, sampler, dt):
             at_claim &= ~left
         nc = int(np.count_nonzero(at_claim))
         if nc:
-            xn[at_claim] -= sampler.draw(rng, nc)
+            xn[at_claim] -= model.claims.sample(rng, nc)
             p.K[at_claim] += 1
             p.T_next[at_claim] = tn[at_claim] + rng.exponential(
                 1.0 / model.lam, nc)

@@ -36,12 +36,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gridmath import GridFunction, convolve_values, convolve_exp, trapezoid
+from .gridmath import GridFunction, trapezoid
 from .hfun import (
     HFunction,
     h_d_sigma0,
     h_d_sigma_pos,
     h_callable,
+    _require_step,
     _w_values,
     _whole_line,
 )
@@ -83,6 +84,7 @@ def _build_h(model, a, step):
 
 
 def _solver_step(model, grid_step):
+    _require_step(grid_step)
     if model.sigma == 0.0:
         return min(grid_step, 1e-4)
     return min(grid_step, 1e-5)
@@ -162,8 +164,8 @@ def _refine_root(xs, ys, i):
 
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     """Locate the barrier where the exit function's slope is smallest."""
-    if a_max <= 0:
-        raise ValueError("a_max must be positive")
+    if not 0.0 < a_max < math.inf:
+        raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
     scan = _build_h(model, a_max, grid_step)
     xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values
     sign = np.sign(hpp)
@@ -205,8 +207,8 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
 
 def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
     """Solution object for a forced (possibly suboptimal) barrier a."""
-    if a < 0:
-        raise ValueError("barrier must be >= 0")
+    if not 0.0 <= a < math.inf:
+        raise ValueError("barrier must be >= 0 and finite, got %g" % (a,))
     if a == 0.0:
         return _boundary_solution(model, _build_h(
             model, max(10 * grid_step, 1e-2), _solver_step(model, grid_step)))
@@ -228,6 +230,7 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
     than guessing. knots lists argument values where g has kinks, so
     the quadrature can split there.
     """
+    _require_step(y_step)
     x = float(x)
     if g1 is None:
         hstep = 1e-5
@@ -240,20 +243,16 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
     else:
         g2v = float(g2(x))
 
-    if model.claims.kind == "exponential":
-        mu = model.claims.mu
-        y_hi = 40.0 / mu
-        tail_mass_beyond = lambda y: math.exp(-mu * y)
-    else:
-        y_hi = model.claims.grid.hi
-        tail_mass_beyond = lambda y: max(0.0, 1.0 - model.claims.cdf(y))
+    claims = model.claims
+    y_hi = claims.reach
     if support_lo is not None:
-        reach = x - support_lo
-        if reach < y_hi and tail_mass_beyond(max(reach, 0.0)) > 1e-9:
+        room = x - support_lo
+        lost = claims.survival(max(room, 0.0))
+        if room < y_hi and lost > 1e-9:
             raise ValueError(
                 "g's support [%g, inf) leaves claim mass %.2e unreachable "
-                "below x = %g" % (support_lo, tail_mass_beyond(max(reach, 0.0)), x))
-        y_hi = min(y_hi, reach)
+                "below x = %g" % (support_lo, lost, x))
+        y_hi = min(y_hi, room)
 
     cuts = [0.0, y_hi]
     for u in knots:
@@ -265,7 +264,7 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         m = max(int(math.ceil((hi - lo) / y_step)), 4)
         ys = np.linspace(lo, hi, m + 1)
-        fy = model.claims.density(ys)
+        fy = claims.density(ys)
         gv = np.asarray(g(x - ys), dtype=float)
         total += float(trapezoid(fy * gv, ys))
 
@@ -275,6 +274,9 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
 
 def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
     """(Gamma - q)v and v' on a fresh uniform grid over [0, x_max]."""
+    if not 0.0 < x_max < math.inf:
+        raise ValueError("x_max must be positive and finite, got %g" % (x_max,))
+    _require_step(grid_step)
     a = sol.a_star
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     n = int(math.ceil(x_max / grid_step))
@@ -292,11 +294,7 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         v1 = np.ones_like(xs)
         v2 = np.zeros_like(xs)
 
-    if model.claims.kind == "exponential":
-        mu = model.claims.mu
-        conv = mu * convolve_exp(mu, v, st)
-    else:
-        conv = convolve_values(model.claims.density(xs), v, st)
+    conv = model.claims.convolve_grid(v, st)
     w = _w_values(model, xs)
     gen = (0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v
            + lam * r * (conv + v[0] * w))
@@ -389,16 +387,9 @@ def density_shape_advisory(dist, grid_step=1e-3, tol=1e-9) -> ShapeAdvisory:
     barrier found by optimal_barrier is known to be globally optimal;
     anything else defers to hjb_verify.
     """
-    if dist.kind == "exponential":
-        hi = 20.0 / dist.mu
-    else:
-        hi = dist.grid.hi
-    xs = np.arange(0.0, hi + grid_step / 2, grid_step)
-    if dist.kind == "exponential":
-        fp = -dist.mu ** 2 * np.exp(-dist.mu * xs)
-    else:
-        fv = dist.density(xs)
-        fp = np.gradient(fv, grid_step)
+    _require_step(grid_step)
+    xs = np.arange(0.0, dist.reach + grid_step / 2, grid_step)
+    fp = dist.density_slope(xs, grid_step)
     scale = max(float(np.max(np.abs(fp))), 1e-30)
     up = _nondecreasing_violation(fp) / scale
     down = _nondecreasing_violation(-fp) / scale

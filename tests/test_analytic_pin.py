@@ -9,7 +9,10 @@ with tabulated claims and at sigma = 0.5, each at d in {0, 0.4, 2, inf}
 and deficits y in {0, 0.3, 0.5}, plus tabulated claims at sigma = 0.5
 (r = 0.5, d = 1), the one route that reads the claim powers between
 table nodes, with a nonnegative tail bound; the exit function with
-its two derivatives in both solvers; the w_d forcing; the optimal
+its two derivatives in both solvers, tabulated claims included; the
+w_d forcing; the generator applied to a test function with both claim
+laws, with the text of its unreachable-mass error; the density-shape
+advisory; the optimal
 barrier with its value; the closed exponential series; and the bytes
 of the `divbarrier h` CSV. The value rows add every field of the HJB
 report, forced barriers at a in {0, 0.3}, the value function,
@@ -37,6 +40,8 @@ from divbarrier.firstpassage import upcross_table, upcross_transform
 from divbarrier.hfun import h_callable, h_d_sigma0, h_d_sigma_pos, w_d
 from divbarrier.valuation import (
     barrier_solution_at,
+    density_shape_advisory,
+    generator_apply,
     gprime_monotone_check,
     hjb_curve,
     hjb_verify,
@@ -99,6 +104,25 @@ def _h(claims, sigma, d, a, step):
     h = build(m, a, step)
     return [h.grid.values, h.hp.values, h.hpp.values, h.ide_residual,
             h.xi_prime_zero or 0.0]
+
+
+def _generator(claims):
+    # support [0, inf) leaves claim mass out of reach at x = 0.8;
+    # [-25, inf) leaves only e^{-25.8}
+    m = _model(claims, 2.0)
+    g = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float))
+    with pytest.raises(ValueError) as err:
+        generator_apply(m, g, 0.8, support_lo=0.0)
+    return [generator_apply(m, g, 0.8),
+            generator_apply(m, g, 0.8, support_lo=-25.0), str(err.value)]
+
+
+def _advisory():
+    out = []
+    for dist in (db.ExponentialClaims(1.0), TAB):
+        adv = density_shape_advisory(dist)
+        out += [adv.monotone, adv.direction, adv.message]
+    return out
 
 
 def _w(claims, sigma, d):
@@ -182,6 +206,10 @@ for _d in (0.0, 2.0):
 CASES["h-tab-s0-d2"] = (_h, ("tab", 0.0, 2.0, 0.7693, 1e-3))
 for _d in (0.0, 1.0, inf):
     CASES["h-exp-s0.5-d%g" % _d] = (_h, ("exp", 0.5, _d, 0.5, 1e-4))
+CASES["h-tab-s0.5-dinf"] = (_h, ("tab", 0.5, inf, 0.5, 1e-4))
+for _claims in ("exp", "tab"):
+    CASES["gen-%s-s0-d2" % _claims] = (_generator, (_claims,))
+CASES["advisory"] = (_advisory, ())
 CASES["w-exp-s0-d2"] = (_w, ("exp", 0.0, 2.0))
 CASES["w-tab-s0-d2"] = (_w, ("tab", 0.0, 2.0))
 CASES["w-exp-s0.5-d1"] = (_w, ("exp", 0.5, 1.0))
@@ -201,6 +229,12 @@ for _d in (0.0, 0.4, 2.0, inf):
 CASES["cli-h-s0.5-d1"] = (_cli_h, (0.5, 1.0))
 
 PINS = {
+    'advisory': [
+        'True', "'nondecreasing'",
+        "'barrier optimality guaranteed (monotone density slope)'", 'True',
+        "'nondecreasing'",
+        "'barrier optimality guaranteed (monotone density slope)'",
+    ],
     'at-exp-s0-d2-a0': [
         '0x0.0p+0', 'True', '1c4e5e392adc4270', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
@@ -253,6 +287,14 @@ PINS = {
     'cli-h-s0.5-d1': [
         'bc872191d272cf4f',
     ],
+    'gen-exp-s0-d2': [
+        '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
+        '"g\'s support [0, inf) leaves claim mass 4.49e-01 unreachable below x = 0.8"',
+    ],
+    'gen-tab-s0-d2': [
+        '-0x1.01675b7429c58p+0', '-0x1.0168e5e75cd88p+0',
+        '"g\'s support [0, inf) leaves claim mass 4.49e-01 unreachable below x = 0.8"',
+    ],
     'h-exp-s0-d0': [
         '0fd22e46cbb88bb0', '474f1a16339a98bd', 'ec02a9aaeeb2553e',
         '0x1.335a636800000p-20', '0x0.0p+0',
@@ -276,6 +318,10 @@ PINS = {
     'h-tab-s0-d2': [
         '9cf924a5987621e1', '8814f51d49dc5401', '3999c51394d9adcd',
         '0x1.289493b280000p-15', '0x0.0p+0',
+    ],
+    'h-tab-s0.5-dinf': [
+        '82340f4ce49c55b0', '2d863329b7d305f5', 'e97e43816487e55c',
+        '0x1.1639e16298a72p-15', '0x1.f38329f3f8a75p-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3b604b6ac8p-1', '0x1.589e3b604b6acp+3',

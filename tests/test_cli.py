@@ -199,6 +199,36 @@ class TestInputErrors:
         assert rc == 2
         assert "InvalidParameter" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["value", "--grid-step", "0"],
+        ["value", "--grid-step", "-1"],
+        ["value", "--grid-step", "inf"],
+        ["value", "--a", "0.5", "--grid-step", "inf"],
+        ["barrier", "--a-max", "inf"],
+        ["barrier", "--a-max", "nan"],
+        ["value", "--a", "inf"],
+        ["value", "--a", "nan"],
+        ["h", "--a", "inf"],
+        ["h", "--a", "0.5", "--grid-step", "-1"],
+        ["h", "--a", "0.5", "--sigma", "0.5", "--grid-step", "inf"],
+        ["verify", "--a", "0.5", "--x-max", "inf"],
+    ])
+    def test_bad_barrier_or_grid_is_input_error(self, capsys, argv):
+        # no traceback, no exit 1 ("verification failed"), no silent
+        # 8-node grid
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ValueError:")
+        assert "finite" in err
+
+    def test_figures_bad_span_writes_nothing(self, capsys, tmp_path):
+        rc, _, err = run(capsys, ["figures", "--x-span", "inf",
+                                  "--out", str(tmp_path)])
+        assert rc == 2
+        assert err.startswith("error: ValueError:")
+        assert os.listdir(tmp_path) == []
+
 
 class TestClaimsTable:
     def _write_triangle(self, path):
@@ -328,6 +358,12 @@ class TestSimulateCommand:
         assert payload["stderr"] == api.stderr
         assert float(first_value(out, "mean")) == pytest.approx(
             api.mean, rel=1e-15)
+
+    def test_h_from_default_start(self, capsys):
+        # defaults x = 0, d = 0: a start at zero with no grace period
+        rc, out, _ = run(capsys, ["simulate", "--target", "h", "--a", "1"])
+        assert rc == 0
+        assert 0.0 < float(first_value(out, "mean")) < 1.0
 
     def test_unknown_target(self, capsys):
         rc, _, _ = run(capsys, ["simulate", "--target", "drawdown"])

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from divbarrier import ExponentialClaims
 from divbarrier.gridmath import (
     GridFunction,
     NonConvergenceError,
@@ -29,7 +30,6 @@ from divbarrier.gridmath import (
     derivative,
     dickson,
     dickson_commutation_residual,
-    dickson_exp,
     golden_min,
     neumann_series,
     neumann_series_exp,
@@ -146,7 +146,7 @@ class TestDickson:
         g = grid_of(lambda x: np.exp(-x), 30.0, step)
         for s in (0.1, 0.245, 1.0):
             got = dickson(s, g).values
-            want = dickson_exp(s, 1.0, g.x)
+            want = ExponentialClaims(1.0).tail_transform(s, g.x, step)
             assert np.max(np.abs(got - want)) < 5e-7
 
     def test_tail_guard(self):

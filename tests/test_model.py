@@ -235,3 +235,63 @@ class TestTabulatedClaims:
         # not enough room for the tail: e^{-mu x_max} is far from zero
         with pytest.raises(InvalidParameter):
             tabulated_exponential(1.0, x_max=5.0)
+
+
+CLAIM_LAW = ("reach", "survival", "sample", "tail_transform", "convolve_grid",
+             "density_slope")
+
+
+class TestClaimLawContract:
+    """Both claim classes answer the same questions about their law;
+    a table sampled from exponential(1) answers them like the closed
+    form, within the error of its grid."""
+
+    def test_same_members(self, tab_dist):
+        def public(cls):
+            return {n for n in dir(cls) if not n.startswith("_")}
+
+        assert public(ExponentialClaims) == public(TabulatedClaims)
+        for claims in (ExponentialClaims(1.0), tab_dist):
+            assert set(CLAIM_LAW) <= set(dir(claims))
+
+    def test_tail_transform(self, tab_dist):
+        step = 1e-3
+        xs = step * np.arange(2001)
+        for rho in (0.1, 0.245, 1.0):
+            want = ExponentialClaims(1.0).tail_transform(rho, xs, step)
+            got = tab_dist.tail_transform(rho, xs, step)
+            assert np.max(np.abs(got - want)) < 5e-7
+
+    def test_convolve_grid(self, tab_dist):
+        step = 1e-3
+        xs = step * np.arange(2001)
+        for g in (np.cos(xs), np.exp(-0.5 * xs), xs):
+            want = ExponentialClaims(1.0).convolve_grid(g, step)
+            got = tab_dist.convolve_grid(g, step)
+            assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_survival_and_reach(self, tab_dist):
+        exp = ExponentialClaims(1.0)
+        for y in (0.0, 0.5, 3.0, 10.0, 29.0):
+            assert tab_dist.survival(y) == pytest.approx(exp.survival(y), abs=1e-10)
+        for claims in (exp, tab_dist):
+            assert claims.survival(claims.reach) < 1e-12
+
+    def test_density_slope(self, tab_dist):
+        step = 1e-3
+        xs = np.arange(0.0, 10.0 + step / 2, step)
+        diff = (tab_dist.density_slope(xs, step)
+                - ExponentialClaims(1.0).density_slope(xs, step))
+        assert np.max(np.abs(diff[1:])) < 1e-6
+        # the table's slope at 0 is a one-sided difference
+        assert abs(diff[0]) < step
+
+    def test_sample_follows_survival(self, tab_dist):
+        n = 20000
+        for claims in (ExponentialClaims(1.0), tab_dist):
+            draws = claims.sample(np.random.default_rng(5), n)
+            assert draws.shape == (n,) and np.all(draws >= 0.0)
+            for y in (0.5, 1.0, 2.0):
+                p = claims.survival(y)
+                se = math.sqrt(p * (1.0 - p) / n)
+                assert abs(np.mean(draws > y) - p) < 5.0 * se

@@ -154,6 +154,16 @@ class TestExitWeight:
         # strictly inside the kinematic window is fine
         simulate_h(m_d2, 0.7693, -(m_d2.c * 2.0) + 0.5, cfg)
 
+    def test_start_at_zero_without_grace(self, m_d0):
+        # with d = 0 the window below zero is empty, but x = 0 is a start
+        # on [0, a] like any other
+        a = 0.7693
+        v, _, _ = expmodel.exp_series(m_d0, np.array([0.0, a]), 0.0)
+        e = simulate_h(m_d0, a, 0.0, SimConfig(20000, seed=41))
+        assert abs(e.mean - v[0] / v[1]) <= 5 * e.stderr + e.truncation_bias_bound
+        with pytest.raises(ValueError):
+            simulate_h(m_d0, a, -1e-9, SimConfig(10))
+
 
 class TestUpcross:
     def test_matches_transform(self, m_d2):
@@ -181,6 +191,13 @@ class TestUpcross:
     def test_negative_level_rejected(self, m_d0):
         with pytest.raises(ValueError):
             simulate_upcross(m_d0, -0.1, 1.0, SimConfig(10))
+
+    def test_negative_deadline_rejected_like_transform(self, m_d0):
+        with pytest.raises(ValueError) as want:
+            db.upcross_transform(m_d0, 0.5, -1.0)
+        with pytest.raises(ValueError) as got:
+            simulate_upcross(m_d0, 0.5, -1.0, SimConfig(10))
+        assert str(got.value) == str(want.value)
 
 
 class TestDiffusionEngine:
@@ -287,6 +304,9 @@ PINNED = [
     ("h-euler-at-barrier",
      "h", 0.5, 1.0, "exp", 0.6, 0.6, 100, 26, 1e-2, None, False, 0.1, 0.8,
      "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("value-euler-tabulated-d1",
+     "value", 0.5, 1.0, "tab", 0.5, 0.2, 200, 31, 1e-2, 1.5, False, 0.1, 0.8,
+     "0x1.f25ce1f6d399ap+1", "0x1.5f527a5c6f20cp-3", "0x1.96b6e9926202cp+2"),
     ("h-euler-dinf-tmax-tabulated",
      "h", 0.5, inf, "tab", 1.0, 0.1, 300, 27, 1e-2, 0.2, False, 0.1, 0.8,
      "0x1.85ad4d095d571p-1", "0x1.46d60be4ae6f3p-6", "0x1.12ae37235dbf2p-4"),

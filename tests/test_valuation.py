@@ -294,3 +294,35 @@ class TestValueAssemblyProperties:
         assert np.all(np.diff(vals) >= -1e-12 * np.max(vals))
         above = np.array([a + 0.1, a + 0.5, a + 1.0])
         np.testing.assert_allclose(v(above) - v(a), above - a, rtol=1e-12)
+
+
+class TestInputGuards:
+    # a barrier, a_max or x_max that is not finite, or a grid step that
+    # is not positive and finite, is refused before any grid is built
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_levels(self, m_d0, sol_d0, bad):
+        with pytest.raises(ValueError, match="a_max"):
+            optimal_barrier(m_d0, bad)
+        with pytest.raises(ValueError, match="barrier"):
+            barrier_solution_at(m_d0, bad)
+        with pytest.raises(ValueError):
+            hjb_verify(m_d0, sol_d0, bad)
+        with pytest.raises(ValueError, match="x_max"):
+            hjb_curve(m_d0, sol_d0, bad)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_steps(self, m_d0, sol_d0, step):
+        g = lambda x: np.ones_like(np.asarray(x, float))
+        calls = (
+            lambda: optimal_barrier(m_d0, 2.0, step),
+            lambda: barrier_solution_at(m_d0, 0.5, step),
+            lambda: barrier_solution_at(m_d0, 0.0, step),
+            lambda: hjb_verify(m_d0, sol_d0, 3.0, grid_step=step),
+            lambda: hjb_curve(m_d0, sol_d0, 3.0, grid_step=step),
+            lambda: gprime_monotone_check(m_d0, 0.77, 2.0, grid_step=step),
+            lambda: generator_apply(m_d0, g, 0.5, y_step=step),
+            lambda: density_shape_advisory(db.ExponentialClaims(1.0), grid_step=step),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="grid step"):
+                call()
