@@ -273,27 +273,3 @@ def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFu
             s += float(np.dot(k[1:i][::-1], xi[1:i]))
         xi[i] = (f[i] + coeff * h * s) / denom
     return forcing.with_values(xi)
-
-
-_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min(fun, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section minimum of a unimodal scalar function."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = fun(c), fun(d)
-    it = 0
-    while abs(b - a) > tol and it < max_iter:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fun(d)
-        it += 1
-    xm = 0.5 * (a + b)
-    return xm, fun(xm)

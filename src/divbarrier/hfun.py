@@ -23,16 +23,18 @@ solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
-    phi = (rho + 2c/sigma^2 + p) (zeta*beta) + beta
-          - (2 lam r / sigma^2) (zeta*beta*w_d),
+    phi = xi(0) [(rho + 2c/sigma^2) (zeta*beta) + beta
+                 - (2 lam r / sigma^2) (zeta*beta*w_d)] + p (zeta*beta),
 
-with one free slope p = xi'(0) fixed by shooting: the interior
-residual of the equation is insensitive to p (any p gives a solution
-of the homogeneous-extended family), so the identifying condition is
-the slope of the below-zero continuation at 0-, and the reported
-residual is the larger of the interior residual and that interface
-mismatch. Everything here works on uniform grids via the exponential
-panel and Neumann machinery in gridmath.
+with one free slope p = xi'(0). Every p solves the equation on (0, a),
+so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+)
+(rho at d = inf). At d = 0 a diffusion started at 0 is ruined at once,
+so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
+function W. The reported residual is the larger of the equation
+residual and the interface mismatch between the solved slope at 0+
+and the continuation's slope read off the Phi grid a second way, both
+in h units. Everything here works on uniform grids via the
+exponential panel and Neumann machinery in gridmath.
 """
 
 import math
@@ -48,19 +50,21 @@ from .gridmath import (
     cumexp,
     convolve_exp,
     derivative,
-    golden_min,
     neumann_series,
     neumann_series_exp,
     volterra_march,
 )
 from .lundberg import lundberg_root
 from . import expmodel
-from .firstpassage import upcross_table, _phi_sigma_pos
+from .firstpassage import upcross_table
 
 _CACHE = {}
 
 # sup-norm equation residual above which a built exit function is refused
 _RESIDUAL_GATE = 1e-4
+
+# deficit step of the memoized Phi grid, and so of the slope stencils
+_PHI_STEP = 2e-2
 
 
 @dataclass(frozen=True)
@@ -97,14 +101,13 @@ def _simpson_weights(n, step):
 
 
 def _phi_grid(model, y_hi):
-    """Phi_d on the 2e-2 deficit grid over [0, y_hi], memoized per model,
-    with the grid's Simpson weights."""
-    ystep = 2e-2
-    ys = np.arange(0.0, y_hi + ystep / 2, ystep)
-    key = (model.key(), "phi_for_w", ystep, float(ys[-1]))
+    """Phi_d on the _PHI_STEP deficit grid over [0, y_hi], memoized per
+    model, with the grid's Simpson weights."""
+    ys = np.arange(0.0, y_hi + _PHI_STEP / 2, _PHI_STEP)
+    key = (model.key(), "phi_for_w", _PHI_STEP, float(ys[-1]))
     if key not in _CACHE:
         _CACHE[key] = upcross_table(model, model.d, ys)
-    return ys, _CACHE[key], _simpson_weights(len(ys), ystep)
+    return ys, _CACHE[key], _simpson_weights(len(ys), _PHI_STEP)
 
 
 def _w_values(model, xs):
@@ -212,32 +215,49 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     return replace(hf, ide_residual=res)
 
 
-def _continuation_slope(model):
-    """-d/dy Phi_d(y) at y = 0+, the slope the shot solution must meet."""
-    d = model.d
-    if math.isinf(d):
+# one-sided stencils for -f'(0) on the nodes 0, h, 2h, 3h: 3rd and 2nd order
+_SLOPE_3 = np.array([11.0, -18.0, 9.0, -2.0]) / 6.0
+_SLOPE_2 = np.array([3.0, -4.0, 1.0, 0.0]) / 2.0
+
+
+def _phi_slope(model, stencil):
+    """-Phi_d'(0+) off the memoized Phi grid (rho at d = inf)."""
+    if math.isinf(model.d):
         return lundberg_root(model).rho
-    hstep = 2e-2
-    ys = np.array([0.0, hstep, 2 * hstep, 3 * hstep])
-    phi, _, _ = _phi_sigma_pos(model, d, ys)
-    # one-sided 2nd-order stencil, Phi(0) = 1 exactly
-    slope = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * hstep)
-    return -slope
+    return float(stencil @ _phi_grid(model, model.claims.reach)[1][:4]) / _PHI_STEP
 
 
-def _sigma_pos_pieces(model, a, step):
-    """Everything p-independent of the sigma > 0 solve.
+def _continuation_slope(model):
+    """The slope xi'(0)/xi(0) that xi shares at 0 with its continuation
+    xi(0) Phi_d(-z) below zero, by the 3rd-order stencil."""
+    return _phi_slope(model, _SLOPE_3)
 
-    xi depends affinely on the shot slope p, so six Neumann sums give
-    xi, xi', xi'' for every p at once:
-    xi = A + p B, xi' = C + p D, xi'' = E + p F.
+
+def _extrap_zero(vals):
+    """Quadratic extrapolation of grid samples at 1,2,3 steps to 0+."""
+    return 3.0 * vals[1] - 3.0 * vals[2] + vals[3]
+
+
+def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
+    """Exit function for the diffusion-perturbed model (sigma > 0).
+
+    xi starts from xi(0) = 1 with the continuation slope at d > 0, and
+    from xi(0) = 0 with unit slope at d = 0 (proportional to W). xi,
+    xi' and xi'' are one Neumann series each; the certificate is the
+    larger of the equation residual and the interface mismatch.
     """
+    if model.sigma <= 0.0:
+        raise ValueError("h_d_sigma_pos requires sigma > 0")
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     rho, grid, f_res, trf = _solver_grid(model, a, step)
     xs, step = grid.values, grid.step
     b1 = rho + 2.0 * c / (sigma * sigma)
     gam = 2.0 * lam * r / (sigma * sigma)
-    w = trf.copy() if math.isinf(model.d) else _w_values(model, xs)
+    w = trf if math.isinf(model.d) else _w_values(model, xs)
+    if model.d == 0:
+        x0, p, p_cont = 0.0, 1.0, 1.0
+    else:
+        x0, p, p_cont = 1.0, _continuation_slope(model), _phi_slope(model, _SLOPE_2)
 
     beta = np.exp(-b1 * xs)
     erx = np.exp(rho * xs)
@@ -255,11 +275,6 @@ def _sigma_pos_pieces(model, a, step):
     zbw = erx * cumexp(rho, bw, step)
     dzbw = bw + rho * zbw
     d2zbw = (w - b1 * bw) + rho * dzbw
-    kernp = trf - b1 * kern
-
-    phi0 = b1 * zb + beta - gam * zbw
-    dphi0 = b1 * dzb - b1 * beta - gam * dzbw
-    d2phi0 = b1 * d2zb + b1 * b1 * beta - gam * d2zbw
 
     def solve(values):
         forc = grid.with_values(values)
@@ -268,65 +283,25 @@ def _sigma_pos_pieces(model, a, step):
             return neumann_series_exp([mu, b1], [wgt, -wgt], forc, gam).values
         return _solve_renewal(grid.with_values(kern), forc, gam)
 
-    A = solve(phi0)
-    B = solve(zb)
-    C = solve(dphi0 + gam * kern)
-    D = solve(dzb)
-    E = solve(d2phi0 + gam * kernp)
-    F = solve(d2zb + gam * kern)
+    # xi = phi + gam kern * xi with phi(0) = x0, phi'(0) = p; xi' and
+    # xi'' carry the boundary terms kern xi(0) and kern' xi(0) + kern p
+    xi = solve(x0 * (b1 * zb + beta - gam * zbw) + p * zb)
+    xip = solve(x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb)
+    xipp = solve(x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
+                 + p * (d2zb + gam * kern))
 
-    fA = convolve_values(f_res, A, step)
-    fB = convolve_values(f_res, B, step)
-    half_s2 = 0.5 * sigma * sigma
-    res_base = half_s2 * E + c * C - (lam + q) * A + lam * r * (fA + w)
-    res_lin = half_s2 * F + c * D - (lam + q) * B + lam * r * fB
-
-    return {
-        "grid": grid, "A": A, "B": B, "C": C, "D": D,
-        "E": E, "F": F, "res_base": res_base, "res_lin": res_lin,
-        "half_s2": half_s2, "n": grid.n,
-    }
-
-
-def _extrap_zero(vals):
-    """Quadratic extrapolation of grid samples at 1,2,3 steps to 0+."""
-    return 3.0 * vals[1] - 3.0 * vals[2] + vals[3]
-
-
-def _shoot(model, a, step):
-    pieces = _sigma_pos_pieces(model, a, step)
-    p_star = _continuation_slope(model)
-    lo_i, hi_i = pieces["n"] // 20 + 2, pieces["n"] - 2
-
-    def residual(p):
-        interior = float(np.max(np.abs(
-            pieces["res_base"][lo_i:hi_i] + p * pieces["res_lin"][lo_i:hi_i])))
-        slope0 = _extrap_zero(pieces["C"] + p * pieces["D"])
-        interface = pieces["half_s2"] * abs(slope0 - p_star)
-        return max(interior, interface)
-
-    lo = 0.2 * p_star if p_star > 0 else p_star - 1.0
-    hi = 3.0 * p_star if p_star > 0 else p_star + 1.0
-    p_hat, _ = golden_min(residual, lo, hi, tol=1e-10)
-    res = residual(p_hat)
+    # in h units: the equation on the solver's own w, and the mismatch
+    # between the solved slope at 0+ and the lower-order continuation slope
+    eq = (0.5 * sigma * sigma * xipp + c * xip - (lam + q) * xi
+          + lam * r * (convolve_values(f_res, xi, step) + x0 * w))
+    res = max(float(np.max(np.abs(eq[max(2, grid.n // 100):-2]))),
+              0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont)) / xi[-1]
     if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
-            "shooting residual floor %.3e exceeds %.0e "
-            "(continuation slope %.6f, shot slope %.6f)"
-            % (res, _RESIDUAL_GATE, p_star, p_hat),
-            last_norm=res,
-        )
-    return pieces, p_hat, res, p_star
-
-
-def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
-    """Exit function for the diffusion-perturbed model (sigma > 0)."""
-    if model.sigma <= 0.0:
-        raise ValueError("h_d_sigma_pos requires sigma > 0")
-    pieces, p_hat, res, _ = _shoot(model, a, step)
-    A, B, C, D, E, F = (pieces[k] for k in "ABCDEF")
-    return _exit_function(pieces["grid"], a, A + p_hat * B, C + p_hat * D,
-                          E + p_hat * F, p_hat, res)
+            "equation residual %.3e exceeds %.0e at step %g "
+            "(slope at 0 imposed %.6f, checked against %.6f)"
+            % (res, _RESIDUAL_GATE, step, p, p_cont), last_norm=res)
+    return _exit_function(grid, a, xi, xip, xipp, p if x0 else None, res)
 
 
 def ide_residual(model, h: HFunction) -> float:

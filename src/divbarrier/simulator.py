@@ -132,6 +132,8 @@ def simulate_h(model, a, x, cfg: SimConfig) -> SimEstimate:
     """E[r^N e^{-q tau_a} on reaching a before Parisian ruin], from x."""
     if not (math.isfinite(a) and math.isfinite(x)):
         raise ValueError("a and x must be finite")
+    if a < 0:
+        raise ValueError("barrier must be >= 0")
     # [0, a] always; below zero only inside the Parisian reach -c d
     if not (x <= a and (x >= 0.0 or x > -model.c * model.d)):
         raise ValueError("x must satisfy -c d < x <= a, or 0 <= x <= a "

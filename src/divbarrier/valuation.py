@@ -115,8 +115,10 @@ def value_barrier(model, h: HFunction, a, x):
 
 def _boundary_solution(model, scan: HFunction) -> BarrierSolution:
     """The pay-everything barrier at 0: x plus a lump 1/slope0, with the
-    unnormalized slope at zero read off the exit function scan."""
-    v0 = 1.0 / float(scan.hp.values[0] / scan.grid.values[0])
+    unnormalized slope at zero read off the exit function scan. With
+    h(0) = 0 (sigma > 0, d = 0) ruin at 0 is immediate and the lump is 0."""
+    h0 = scan.grid.values[0]
+    v0 = 1.0 / float(scan.hp.values[0] / h0) if h0 else 0.0
 
     def value(x):
         return _whole_line(model, x, v0, lambda t: t + v0)
@@ -362,8 +364,8 @@ def gprime_monotone_check(model, a_star, b_max, grid_step=1e-3,
         raise ValueError("b_max must exceed a_star")
     if gprime is None:
         h = _build_h(model, b_max, _solver_step(model, grid_step))
-        # xi(0) = 1 normalization recovers the unnormalized slope
-        vals = h.hp.values / h.grid.values[0]
+        # the slope of xi with xi(0) = 1, or with xi'(0) = 1 when h(0) = 0
+        vals = h.hp.values / (h.grid.values[0] or h.hp.values[0])
         xs = h.grid.x
     else:
         vals = gprime.values

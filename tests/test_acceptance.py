@@ -233,5 +233,5 @@ def test_criterion_10_diffusion_pipeline(request):
         ok = ok and gap <= 3 * est.stderr + est.truncation_bias_bound
         zs.append("x=%g z=%+.2f" % (x, (est.mean - want) / est.stderr))
     record(request, 10, ok,
-           "shooting residual %.2e (tol 1e-4); MC agreement %s "
+           "equation residual %.2e (tol 1e-4); MC agreement %s "
            "at 2e4 paths" % (h.ide_residual, "; ".join(zs)))

@@ -12,12 +12,13 @@ table nodes, with a nonnegative tail bound; the exit function with
 its two derivatives in both solvers, tabulated claims included; the
 w_d forcing; the generator applied to a test function with both claim
 laws, with the text of its unreachable-mass error; the density-shape
-advisory; the optimal
-barrier with its value; the closed exponential series; and the bytes
-of the `divbarrier h` CSV. The value rows add every field of the HJB
-report, forced barriers at a in {0, 0.3}, the value function,
-value_barrier and h_callable on both sides of zero (down to past the
-Parisian reach -c d), the HJB curve and the slope-monotonicity screen.
+advisory; the optimal barrier with its value (at sigma > 0, d = 0 the
+refusal at the default grid step and the answer at step 2e-5); the
+closed exponential series; and the bytes of the `divbarrier h` CSV.
+The value rows add every field of the HJB report, forced barriers at
+a in {0, 0.3}, the value function, value_barrier and h_callable on
+both sides of zero (down to past the Parisian reach -c d), the HJB
+curve and the slope-monotonicity screen.
 
 The tabulated rows use a 1e-2 claim grid, which keeps the whole file
 to a few seconds. The pins were captured with numpy 2.4.6 and scipy
@@ -37,6 +38,7 @@ import pytest
 import divbarrier as db
 from divbarrier import cli, expmodel
 from divbarrier.firstpassage import upcross_table, upcross_transform
+from divbarrier.gridmath import NonConvergenceError
 from divbarrier.hfun import h_callable, h_d_sigma0, h_d_sigma_pos, w_d
 from divbarrier.valuation import (
     barrier_solution_at,
@@ -130,14 +132,20 @@ def _w(claims, sigma, d):
 
 
 @functools.lru_cache(maxsize=None)
-def _optimal(sigma, d):
-    return db.optimal_barrier(_model("exp", d, sigma), a_max=2.0)
+def _optimal(sigma, d, grid_step=1e-3):
+    return db.optimal_barrier(_model("exp", d, sigma), a_max=2.0, grid_step=grid_step)
 
 
-def _barrier(sigma, d):
-    sol = _optimal(sigma, d)
+def _barrier(sigma, d, grid_step=1e-3):
+    sol = _optimal(sigma, d, grid_step)
     xs = np.array([-0.2, 0.0, 0.3, sol.a_star, sol.a_star + 0.5])
     return [sol.a_star, sol.boundary, sol.hjb_report.passed, sol.value(xs)]
+
+
+def _barrier_refused(sigma, d):
+    with pytest.raises(NonConvergenceError) as err:
+        _optimal(sigma, d)
+    return [str(err.value), err.value.last_norm]
 
 
 def _report(rep):
@@ -215,7 +223,8 @@ CASES["w-tab-s0-d2"] = (_w, ("tab", 0.0, 2.0))
 CASES["w-exp-s0.5-d1"] = (_w, ("exp", 0.5, 1.0))
 CASES["barrier-s0-d0"] = (_barrier, (0.0, 0.0))
 CASES["barrier-s0-d2"] = (_barrier, (0.0, 2.0))
-CASES["barrier-s0.5-d0"] = (_barrier, (0.5, 0.0))
+CASES["barrier-s0.5-d0"] = (_barrier_refused, (0.5, 0.0))
+CASES["barrier-s0.5-d0-step2e-5"] = (_barrier, (0.5, 0.0, 2e-5))
 CASES["barrier-s0.5-d1"] = (_barrier, (0.5, 1.0))
 for _d in (0.0, 2.0):
     CASES["hjb-s0-d%g" % _d] = (_hjb, (0.0, _d))
@@ -279,13 +288,17 @@ PINS = {
         '0x0.0p+0', 'True', 'True', '745853e4818cc649',
     ],
     'barrier-s0.5-d0': [
-        '0x1.e1a541b834b59p-1', 'False', 'False', 'cfebeb2f83fe3d7f',
+        "'equation residual 9.518e-03 exceeds 1e-04 at step 0.001 (slope at 0 imposed 1.000000, checked against 1.000000)'",
+        '0x1.37df0d78eb55cp-7',
+    ],
+    'barrier-s0.5-d0-step2e-5': [
+        '0x1.928325ded183ep-1', 'False', 'True', '6cef9f543bc78309',
     ],
     'barrier-s0.5-d1': [
-        '0x0.0p+0', 'True', 'True', 'd008951ee7f6700c',
+        '0x0.0p+0', 'True', 'True', '990c6204eaa970f1',
     ],
     'cli-h-s0.5-d1': [
-        'bc872191d272cf4f',
+        'e6041b7880b6161f',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -304,24 +317,24 @@ PINS = {
         '0x1.62cdbaf800000p-21', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
-        'a9ac9e5629dc4b5b', '7b6f58f1e8fbd610', 'e0645eaa5f8d640b',
-        '0x1.fa360e140e84bp-22', '0x1.2c002072e8a6ap+6',
+        'c79d052d384a7d63', '2c1fa0b84daf5e22', '45c710e6ce39e2ae',
+        '0x1.480a09f2e9dd2p-16', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
-        '184ebea44566b8ac', 'b94e5e1927559e02', 'b662280944a5b4e3',
-        '0x1.20db15d8179e9p-22', '0x1.f53b0dab4dee8p-3',
+        '89709eda081b6832', '90e2a747565a214c', '4c454d7d30f1f785',
+        '0x1.ff3249571b998p-23', '0x1.f53d338b6f6d1p-3',
     ],
     'h-exp-s0.5-dinf': [
-        '5d6d6d168c102328', '495f26c28a4492cc', 'b1c76b2ac2958707',
-        '0x1.213e1e2624744p-22', '0x1.f40eb40cc8bb4p-3',
+        '6f2d90238bfa7d22', 'e18533a1778555b2', 'e92ccb580ba3f213',
+        '0x1.00003407a3e9fp-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
         '9cf924a5987621e1', '8814f51d49dc5401', '3999c51394d9adcd',
         '0x1.289493b280000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
-        '82340f4ce49c55b0', '2d863329b7d305f5', 'e97e43816487e55c',
-        '0x1.1639e16298a72p-15', '0x1.f38329f3f8a75p-3',
+        'faad38a94519d06e', '0fc00f75778cab91', '4beefc3ae392db09',
+        '0x1.ec83c5303f734p-16', '0x1.f40e46f3e045bp-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3b604b6ac8p-1', '0x1.589e3b604b6acp+3',
@@ -428,8 +441,8 @@ PINS = {
         'baacba8262c23ac1', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        '7e53dde0caff69c4', '0x1.0514e6d1f9fa9p+2', '3c65c57e7d92d1b5',
-        'c696f15610e33a47', 'True', '0x0.0p+0',
+        '025aa2b3e03f5a58', '0x1.04db5414f62c7p+2', '3c65c57e7d92d1b5',
+        '559910f0f6db5e8b', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
         'de750bfe7b5b1a06',

@@ -222,6 +222,13 @@ class TestInputErrors:
         assert err.startswith("error: ValueError:")
         assert "finite" in err
 
+    def test_simulate_h_negative_barrier(self, capsys):
+        rc, out, err = run(capsys, ["simulate", "--target", "h", "--a", "-1",
+                                    "--x", "-2", "--d", "2"])
+        assert rc == 2
+        assert out == ""
+        assert "barrier must be >= 0" in err
+
     def test_figures_bad_span_writes_nothing(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["figures", "--x-span", "inf",
                                   "--out", str(tmp_path)])
@@ -314,6 +321,13 @@ class TestHCommand:
 
 
 class TestBarrierCommand:
+    def test_diffusion_no_delay_needs_fine_grid(self, capsys):
+        # W's boundary layer at 0 fails the certificate at step 1e-3
+        rc, out, err = run(capsys, ["barrier", "--sigma", "0.5", "--d", "0"])
+        assert rc == 3
+        assert out == ""
+        assert "NonConvergenceError" in err
+
     def test_no_delay(self, capsys):
         rc, out, _ = run(capsys, ["barrier"])
         assert rc == 0

@@ -30,7 +30,6 @@ from divbarrier.gridmath import (
     derivative,
     dickson,
     dickson_commutation_residual,
-    golden_min,
     neumann_series,
     neumann_series_exp,
     volterra_march,
@@ -249,14 +248,3 @@ class TestSecondKindSolvers:
             neumann_series(self.kernel, other, 0.5)
         with pytest.raises(ValueError):
             volterra_march(self.kernel, other, 0.5)
-
-
-class TestGoldenMin:
-    def test_quadratic(self):
-        xm, fm = golden_min(lambda x: (x - 1.3) ** 2 + 0.25, 0.0, 3.0)
-        assert xm == pytest.approx(1.3, abs=1e-8)
-        assert fm == pytest.approx(0.25, abs=1e-12)
-
-    def test_kinked(self):
-        xm, _ = golden_min(lambda x: abs(x - 0.7), 0.0, 2.0, tol=1e-12)
-        assert xm == pytest.approx(0.7, abs=1e-9)

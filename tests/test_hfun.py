@@ -6,10 +6,12 @@ on the closed series ratios, which is the main correctness anchor:
     h(x) = theta(x) / theta(a)              at d = 0
     h(x) = varrho(x; d) / varrho(a; d)      at d > 0
 
-With sigma > 0 and d = inf the exit function is e^{-rho (a - x)}
-exactly, which pins the shooting construction. The equation residual
-doubles as a certificate: it must sit far below the acceptance floor
-at the shot slope and blow through it when the slope is perturbed.
+With sigma > 0 the scale-function oracle in scale_oracle.py pins the
+construction: h = e^{-rho (a - x)} at d = inf, W(x)/W(a) at d = 0,
+and at d = 1 the slope at 0 is Lambda'(0)/Lambda(0). The certificate
+(equation residual and interface mismatch) must sit far below the
+acceptance floor at the imposed slope and blow through it when that
+slope is perturbed.
 """
 
 import math
@@ -18,12 +20,10 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import expmodel
+from divbarrier import expmodel, firstpassage, hfun
 from divbarrier.gridmath import GridFunction, NonConvergenceError
 from divbarrier.hfun import (
     HFunction,
-    _extrap_zero,
-    _shoot,
     h_callable,
     h_d_sigma0,
     h_d_sigma_pos,
@@ -33,6 +33,7 @@ from divbarrier.hfun import (
 from divbarrier.lundberg import lundberg_root
 
 from conftest import make_model
+import scale_oracle
 
 U_2 = 0.8032410060529585
 A = 0.7693
@@ -147,24 +148,18 @@ class TestSigmaPositive:
         # monotone increasing exit weight
         assert np.all(np.diff(h.grid.values) > 0)
 
-    def test_shot_slope_is_certified(self):
-        # the residual functional must reject slopes off the optimum,
-        # otherwise the shooting match carries no information
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_imposed_slope_is_certified(self, monkeypatch, factor):
+        # every slope solves the equation on (0, a); only the interface
+        # check against the continuation can reject a wrong one
         m = make_model(1.0, sigma=0.5)
-        pieces, p_hat, res, p_star = _shoot(m, 1.0, 1e-5)
-        assert res < 1e-6
-
-        lo_i, hi_i = pieces["n"] // 20 + 2, pieces["n"] - 2
-
-        def functional(p):
-            interior = float(np.max(np.abs(
-                pieces["res_base"][lo_i:hi_i] + p * pieces["res_lin"][lo_i:hi_i])))
-            slope0 = _extrap_zero(pieces["C"] + p * pieces["D"])
-            return max(interior, pieces["half_s2"] * abs(slope0 - p_star))
-
-        assert functional(p_hat) == pytest.approx(res, rel=1e-9)
-        assert functional(1.1 * p_hat) > 1e-4
-        assert functional(0.9 * p_hat) > 1e-4
+        h = h_d_sigma_pos(m, 1.0, step=1e-5)
+        assert h.ide_residual < 1e-6
+        p = h.xi_prime_zero
+        monkeypatch.setattr(hfun, "_continuation_slope", lambda model: factor * p)
+        with pytest.raises(NonConvergenceError) as info:
+            h_d_sigma_pos(m, 1.0, step=1e-5)
+        assert info.value.last_norm > 1e-4
 
     def test_guards(self, m_d0):
         with pytest.raises(ValueError):
@@ -172,6 +167,66 @@ class TestSigmaPositive:
         m = make_model(1.0, sigma=0.5)
         with pytest.raises(ValueError):
             h_d_sigma_pos(m, -1.0)
+
+
+class TestScaleFunctionOracle:
+    """sigma = 0.5, exponential claims, against scale_oracle."""
+
+    T, WT = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, 0.5, 1.0)
+
+    @pytest.mark.parametrize("claims", ["exp", "tab"])
+    def test_infinite_clock_derivatives(self, claims):
+        dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
+                else db.ExponentialClaims(1.0))
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, math.inf), dist)
+        rho = lundberg_root(m).rho
+        h = h_d_sigma_pos(m, 0.5, step=1e-4)
+        want = np.exp(-rho * (0.5 - h.grid.x))
+        assert np.max(np.abs(h.grid.values - want)) < 1e-7
+        assert np.max(np.abs(h.hp.values - rho * want)) < 1e-6
+        assert np.max(np.abs(h.hpp.values - rho * rho * want)) < 1e-6
+
+    def test_no_delay_is_scale_function_ratio(self):
+        m = make_model(0.0, sigma=0.5)
+        h = h_d_sigma_pos(m, 0.5, step=1e-4)
+        wx = scale_oracle.scale_w(self.T, self.WT, h.grid.x)
+        assert h.grid.values[0] == 0.0
+        assert h.xi_prime_zero is None
+        assert np.max(np.abs(h.grid.values - wx / wx[-1])) < 1e-7
+
+    def test_no_delay_optimal_barrier(self):
+        m = make_model(0.0, sigma=0.5)
+        sol = db.optimal_barrier(m, a_max=2.0, grid_step=2e-5)
+        want = scale_oracle.w_curvature_root(self.T, self.WT, 0.1, 2.0)
+        assert want == pytest.approx(0.785978, abs=1e-6)
+        assert abs(sol.a_star - want) < 5e-4
+        assert not sol.boundary
+        assert sol.hjb_report.passed
+        assert sol.value(0.0) == 0.0
+
+    def test_unit_clock_boundary_value(self):
+        slope = scale_oracle.continuation_slope(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, 1.0)
+        assert slope == pytest.approx(0.24474564, abs=1e-8)
+        sol = db.optimal_barrier(make_model(1.0, sigma=0.5), a_max=2.0)
+        assert sol.boundary and sol.a_star == 0.0
+        assert sol.value(0.0) == pytest.approx(1.0 / slope, rel=1e-4)
+
+    def test_one_transform_per_optimal_barrier(self, monkeypatch):
+        # the continuation slope, the w_d forcing and the certificate all
+        # read the one memoized Phi grid
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        calls = []
+        real = firstpassage._phi_sigma_pos
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(firstpassage, "_phi_sigma_pos", counted)
+        # a module that imported the name itself is counted too
+        monkeypatch.setattr(hfun, "_phi_sigma_pos", counted, raising=False)
+        db.optimal_barrier(make_model(1.0, sigma=0.5), a_max=2.0)
+        assert len(calls) == 1
 
 
 class TestWholeLineEvaluator:

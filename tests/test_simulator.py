@@ -154,6 +154,13 @@ class TestExitWeight:
         # strictly inside the kinematic window is fine
         simulate_h(m_d2, 0.7693, -(m_d2.c * 2.0) + 0.5, cfg)
 
+    def test_negative_barrier_rejected(self, m_d2):
+        # a barrier below zero is refused by both barrier quantities,
+        # even with the start inside the Parisian reach
+        for fn in (simulate_value, simulate_h):
+            with pytest.raises(ValueError, match="barrier must be >= 0"):
+                fn(m_d2, -1.0, -2.0, SimConfig(10))
+
     def test_start_at_zero_without_grace(self, m_d0):
         # with d = 0 the window below zero is empty, but x = 0 is a start
         # on [0, a] like any other

@@ -229,6 +229,18 @@ class TestMonotoneSlopeScreen:
         with pytest.raises(ValueError):
             gprime_monotone_check(m_d0, 1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_diffusion_no_delay_starts_from_zero(self):
+        # h(0) = 0 at sigma > 0, d = 0: the screen scales by h'(0) and the
+        # pay-everything barrier is worth x, both without dividing by 0
+        m = make_model(0.0, sigma=0.5)
+        rep = gprime_monotone_check(m, 0.786, 1.5)
+        assert rep.passed and rep.worst_violation == 0.0
+        assert not gprime_monotone_check(m, 0.3, 1.5).passed
+        xs = np.array([-0.1, 0.0, 0.5])
+        np.testing.assert_array_equal(barrier_solution_at(m, 0.0).value(xs),
+                                      [0.0, 0.0, 0.5])
+
 
 class TestDensityShapeAdvisory:
     def test_exponential_guaranteed(self):
