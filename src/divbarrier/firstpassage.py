@@ -203,7 +203,31 @@ def _phi_sigma0_tab(model, d, y_arr):
     """Deadline transform, sigma = 0, tabulated claims, many y at once.
 
     Works in the overshoot variable z = c t - y so the k-fold tables
-    are read exactly at their own nodes.
+    are read exactly at their own nodes: for each deficit y the
+    trapezoid rule runs over the table nodes z_0..z_J below
+    z_end = c d - y, plus a last partial panel to z_end where the
+    powers are read linearly. The integrand is
+
+        (y / (z + y)) e^{-(lam + q) t} sum_{k=1}^K (r lam t)^k / k! f^{k*}(z)
+
+    with t = (z + y) / c. Two routes compute the claim-count sum:
+
+    - per deficit, the K-term Poisson recursion over that deficit's
+      J + 1 nodes, about K * sum_y (J_y + 1) vector operations;
+    - factored, for all deficits at once. With a = r lam / c and
+      b = (lam + q) / c the binomial theorem splits every term,
+      e^{-b(z + y)} (a(z + y))^k / k! = sum_{i+m=k} U_i(y) V_m(z), with
+      U_i(y) = e^{-by} (ay)^i / i! and V_m(z) = e^{-bz} (az)^m / m!,
+      so the sum is sum_i U_i(y) B_i(z) with
+      B_i(z) = sum_m V_m(z) f^{(i+m)*}(z). Building B takes about
+      K^2 (J_max + 1) vector operations; the product U B is one BLAS
+      call per block of deficits, and only y / (z + y) and the
+      trapezoid weights stay per (y, z) pair. Every term is
+      nonnegative, so nothing cancels.
+
+    The factored route runs when building B costs fewer operations than
+    the recursions it replaces, which is the case for a whole deficit
+    grid and not for a few deficits.
     """
     lam, c, q, r = model.lam, model.c, model.q, model.r
     claims = model.claims
@@ -217,40 +241,103 @@ def _phi_sigma0_tab(model, d, y_arr):
     while _tail_sum(lam * r * d, K) * c * maxf * d > K_TAIL_TOL and K < 10000:
         K += 5
     tail_bound = _tail_sum(lam * r * d, K) * c * maxf * d
-    F = np.vstack([claims._power_values(k) for k in range(1, K + 1)])
+    # built in order, so each call makes at most one new power
+    powers = [claims._power_values(k) for k in range(1, K + 1)]
 
-    out = np.zeros_like(y_arr, dtype=float)
-    for idx, y in enumerate(y_arr):
-        if y == 0.0:
-            out[idx] = 1.0
-            continue
-        t0 = y / c
-        if t0 > d:
-            out[idx] = 0.0
-            continue
-        val = math.exp(-(lam + q) * t0)
-        z_end = c * d - y
-        if z_end > 0:
-            J = int(math.floor(z_end / dz + 1e-12))
-            J = min(J, grid.n - 1)
-            zs = grid.x[: J + 1]
-            Fs = F[:, : J + 1]
-            if z_end > zs[-1] + 1e-12 and J + 1 <= grid.n - 1:
-                frac = (z_end - zs[-1]) / dz
-                zs = np.append(zs, z_end)
-                Fs = np.hstack([Fs, (F[:, J:J + 1] * (1 - frac)
-                                     + F[:, J + 1:J + 2] * frac)])
-            ts = (zs + y) / c
-            base = (y / ts) * np.exp(-(lam + q) * ts) / c
-            # claim-count sum via the Poisson-term recursion
-            wk = r * lam * ts
-            acc = wk * Fs[0]
-            for k in range(2, K + 1):
-                wk = wk * (r * lam * ts) / k
-                acc = acc + wk * Fs[k - 1]
-            val += float(trapezoid(base * acc, zs))
-        out[idx] = val
+    out = np.where(y_arr == 0.0, 1.0, 0.0)
+    live = np.nonzero((y_arr > 0.0) & (y_arr / c <= d))[0]
+    for idx in live:
+        # the claim-free passage: an atom at t = y / c
+        out[idx] = math.exp(-(lam + q) * (y_arr[idx] / c))
+    z_end = c * d - y_arr
+    inside = live[z_end[live] > 0.0]
+    last = np.minimum(np.floor(z_end[inside] / dz + 1e-12), grid.n - 1).astype(int)
+    # K^2 (J_max + 1) operations to build B against K (J_y + 1) per deficit
+    if len(inside) and K * (last.max() + 1) < np.sum(last + 1):
+        out[inside] += _factored_sums(model, d, powers, y_arr[inside], last)
+    else:
+        for idx, J in zip(inside, last):
+            out[idx] += _one_deficit(model, powers, y_arr[idx], z_end[idx], J)
     return out, K, float(tail_bound)
+
+
+def _last_panel(grid, z_end, J):
+    """Fraction of a step from node J to z_end, or 0 without a last panel."""
+    if z_end > grid.x[J] + 1e-12 and J + 1 <= grid.n - 1:
+        return (z_end - grid.x[J]) / grid.step
+    return 0.0
+
+
+def _one_deficit(model, powers, y, z_end, J):
+    """The claim integral of Phi_d(y) by the K-term Poisson recursion."""
+    lam, c, q, r = model.lam, model.c, model.q, model.r
+    grid = model.claims.grid
+    zs = grid.x[: J + 1]
+    frac = _last_panel(grid, z_end, J)
+    if frac:
+        zs = np.append(zs, z_end)
+        Fs = np.vstack([p[: J + 2] for p in powers])
+        Fs[:, J + 1] = Fs[:, J] * (1 - frac) + Fs[:, J + 1] * frac
+    else:
+        Fs = np.vstack([p[: J + 1] for p in powers])
+    ts = (zs + y) / c
+    base = (y / ts) * np.exp(-(lam + q) * ts) / c
+    wk = r * lam * ts
+    acc = wk * Fs[0]
+    for k in range(2, len(powers) + 1):
+        wk = wk * (r * lam * ts) / k
+        acc = acc + wk * Fs[k - 1]
+    return float(trapezoid(base * acc, zs))
+
+
+# deficits per U B product, so the block's (y, z) arrays stay a few MB
+_BLOCK = 16
+
+
+def _factored_sums(model, d, powers, ys, last):
+    """The claim integrals of Phi_d(ys) by the factored sum."""
+    lam, c, q, r = model.lam, model.c, model.q, model.r
+    grid = model.claims.grid
+    K = len(powers)
+    a, b = r * lam / c, (lam + q) / c
+    n_z = min(int(last.max()) + 2, grid.n)
+    zs = grid.x[:n_z]
+    # B_i(z) = sum_m V_m(z) f^{(i+m)*}(z) for i = 0..K; f^{0*} is the atom
+    B = np.zeros((K + 1, n_z))
+    v = np.exp(-b * zs)
+    for m in range(K + 1):
+        if m:
+            v = v * (a * zs) / m
+        for i in range(max(1 - m, 0), K + 1 - m):
+            B[i] += v * powers[i + m - 1][:n_z]
+    U = np.empty((len(ys), K + 1))
+    U[:, 0] = np.exp(-b * ys)
+    for i in range(1, K + 1):
+        U[:, i] = U[:, i - 1] * (a * ys) / i
+    # every last panel ends at t = d: one claim-count sum serves them all
+    at_d = np.zeros(n_z)
+    wk = math.exp(-(lam + q) * d) / (c * d)
+    for k, p in enumerate(powers, 1):
+        wk *= r * lam * d / k
+        at_d += wk * p[:n_z]
+    z_end = c * d - ys
+    out = np.empty(len(ys))
+    for lo in range(0, len(ys), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        n_cols = int(last[blk].max()) + 1
+        ratio = zs[:n_cols] + ys[blk, None]
+        np.divide(ys[blk, None], ratio, out=ratio)
+        dens = U[blk] @ B[:, :n_cols]
+        dens *= ratio
+        for row, (y, J, ze) in enumerate(zip(ys[blk], last[blk], z_end[blk])):
+            f = dens[row, : J + 1]
+            val = grid.step * (np.sum(f) - 0.5 * (f[0] + f[J]))
+            frac = _last_panel(grid, ze, J)
+            if frac:
+                f_end = y * ((1 - frac) * at_d[J] + frac * at_d[J + 1])
+                val += 0.5 * (ze - zs[J]) * (f[J] + f_end)
+            out[lo + row] = val
+    return out
 
 
 def _tail_sum(s, K):
@@ -398,8 +485,12 @@ def upcross_transform(model, y, d) -> UpcrossTransform:
 def upcross_table(model, d, y_grid):
     """upcross_transform values on a whole grid of deficits.
 
-    Shares the per-time claim-sum work across deficits, which is what
-    makes grid-sized w_d integrals affordable.
+    Shares the claim-count sum across deficits, which is what makes
+    grid-sized w_d integrals affordable: at sigma > 0 per time node, and
+    at sigma = 0 with tabulated claims through the factored sum of
+    _phi_sigma0_tab, one matrix product per block of deficits. A few
+    deficits, where building the factors costs more than it saves, take
+    the per-deficit recursion instead, as upcross_transform does.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if not np.all(y_grid >= 0):

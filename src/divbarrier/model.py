@@ -198,9 +198,10 @@ class TabulatedClaims:
         return float(trapezoid(w, dx=self.grid.step))
 
     def _power_values(self, n):
-        if n not in self._powers:
-            prev = self._power_values(n - 1)
-            self._powers[n] = convolve_values(self.grid.values, prev, self.grid.step)
+        # powers 1..max are cached; build the missing ones in order
+        for k in range(len(self._powers) + 1, n + 1):
+            self._powers[k] = convolve_values(self.grid.values, self._powers[k - 1],
+                                              self.grid.step)
         return self._powers[n]
 
     def conv_power(self, n, x):

@@ -264,11 +264,12 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
-        '0x0.0p+0', 'True', '0cb17a68b3f9bee0', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', 'bbd1acdf153a4418', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17',
+        '-0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
         '0x1.3333333333333p-2', 'False', '58cb98bda399bdfb',
@@ -278,7 +279,7 @@ PINS = {
         '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
         '0x1.81f7000000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07e8p-1',
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07ebp-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -329,8 +330,8 @@ PINS = {
         '0x1.00003407a3e9fp-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '9cf924a5987621e1', '8814f51d49dc5401', '3999c51394d9adcd',
-        '0x1.289493b280000p-15', '0x0.0p+0',
+        '2601603e15eb935b', 'cd3f0f07631be6bc', '84f603064484e34f',
+        '0x1.289493b2a0000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
         'faad38a94519d06e', '0fc00f75778cab91', '4beefc3ae392db09',
@@ -451,7 +452,7 @@ PINS = {
         '09e4deae57df83e7',
     ],
     'w-tab-s0-d2': [
-        '5cf839f6854e9410',
+        'a60c8375be3c3513',
     ],
 }
 

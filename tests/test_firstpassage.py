@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
+from divbarrier import firstpassage
 from divbarrier.firstpassage import (
     AtomNotDensity,
     UpcrossTransform,
@@ -128,6 +129,55 @@ class TestPassageDensities:
             ts = np.linspace(0.04, 1.0, 25)
             vals = np.array([vy_density(m_d2, 0.5, k, float(t)) for t in ts])
             assert np.all(vals >= 0.0)
+
+
+class TestTabulatedRoutes:
+    """The factored claim-count sum against the per-deficit recursion.
+
+    A whole deficit grid takes the factored route and a call with a few
+    deficits the per-deficit one; both must give the same K, the same
+    tail bound and values within 1e-13 (about K eps on values <= 1).
+    """
+
+    @pytest.fixture(scope="class", params=[1e-2, 1e-3])
+    def table(self, request):
+        return db.tabulated_exponential(1.0, step=request.param)
+
+    @pytest.mark.parametrize("d", [0.4, 2.0])
+    def test_grid_route_matches_per_deficit_route(self, table, d, monkeypatch):
+        model = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d), table)
+        cd = 15.0 * d
+        # off-node deficits leave a partial last panel, one of them
+        # shorter than a table step; c d and beyond are the atom and zero
+        off_node = [0.0137, 0.5555, 2.71828, cd - 0.37 * table.grid.step,
+                    cd - 1.3 * table.grid.step, cd, cd + 0.01]
+        ys = np.concatenate([np.arange(0.0, table.reach + 1e-2, 2e-2), off_node])
+        routes = []
+
+        def spy(name):
+            fn = getattr(firstpassage, name)
+
+            def counted(*args):
+                routes.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(firstpassage, name, counted)
+
+        spy("_factored_sums")
+        spy("_one_deficit")
+        grid_vals, grid_k, grid_tail = firstpassage._phi_table(model, d, ys)
+        assert set(routes) == {"_factored_sums"}
+        # every 37th grid deficit up to c d, and the off-node ones
+        shared = list(range(1, int(cd / 2e-2) + 1, 37)) + \
+            list(range(len(ys) - len(off_node), len(ys)))
+        for i in shared:
+            del routes[:]
+            tr = upcross_transform(model, float(ys[i]), d)
+            assert "_factored_sums" not in routes
+            assert tr.truncation_k == grid_k and tr.tail_bound == grid_tail
+            assert abs(tr.value - grid_vals[i]) <= 1e-13, ys[i]
+        assert grid_vals[-1] == 0.0
+        assert grid_vals[-2] == math.exp(-10.1 * d)
 
 
 class TestWithDiffusion:

@@ -160,6 +160,16 @@ class TestTabulatedClaims:
         v2 = tab_dist.conv_power(2, g.x)
         assert np.trapezoid(v2, dx=g.step) == pytest.approx(1.0, abs=1e-4)
 
+    def test_high_power_built_in_a_loop(self):
+        # a fresh table builds every missing power in order, with no call
+        # per level, so a power past the interpreter's recursion limit works
+        dist = db.tabulated_exponential(1.0, step=1e-2)
+        assert dist.conv_power(1200, 5.0) == 0.0
+        assert sorted(dist._powers) == list(range(1, 1201))
+        v, step = dist.grid.values, dist.grid.step
+        want = convolve_values(v, convolve_values(v, v, step), step)
+        assert dist._power_values(3).tobytes() == want.tobytes()
+
     def test_reader_matches_masked_interpolation(self, tab_dist):
         # reference: the masked np.where/np.clip/np.interp formulas the
         # single reader replaced, compared bit for bit
