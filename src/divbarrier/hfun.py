@@ -13,6 +13,14 @@ xi(z) = xi(0) * Phi_d(-z) for z in (-c d, 0):
 
     w_d(x) = int_0^inf Phi_d(y) f(y + x) dy.
 
+Except for the closed form u(d) f of exponential claims at sigma = 0,
+w_d is a Simpson sum over the memoized _PHI_STEP grid of Phi_d, built
+once per model by the claim law's shift_sum (for a table, a node table
+read with one interpolation) and kept in the same memo entry as the
+grid. On a uniform grid from 0, w_inf is T_rho f itself, the forcing
+the solvers use at d = inf; only w_d at arbitrary points still sums
+e^{-rho y} over the grid there.
+
 With sigma = 0 the equation is first order and marches from xi(0)=1;
 the equivalent renewal form
 
@@ -100,38 +108,36 @@ def _simpson_weights(n, step):
     return w
 
 
-def _phi_grid(model, y_hi):
-    """Phi_d on the _PHI_STEP deficit grid over [0, y_hi], memoized per
-    model, with the grid's Simpson weights."""
-    ys = np.arange(0.0, y_hi + _PHI_STEP / 2, _PHI_STEP)
+def _phi_grid(model):
+    """Phi_d on the _PHI_STEP deficit grid over the claims' reach, and
+    the w_d reader built from it, memoized per model as one entry."""
+    ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
     key = (model.key(), "phi_for_w", _PHI_STEP, float(ys[-1]))
     if key not in _CACHE:
-        _CACHE[key] = upcross_table(model, model.d, ys)
-    return ys, _CACHE[key], _simpson_weights(len(ys), _PHI_STEP)
+        phi = upcross_table(model, model.d, ys)
+        wts = _simpson_weights(len(ys), _PHI_STEP)
+        _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)
+    return _CACHE[key]
 
 
-def _w_values(model, xs):
-    """w_d sampled on the solver grid xs (uniform, starts at 0)."""
+def _w_values(model, xs, step=None):
+    """w_d sampled at the points xs >= 0. Given the step of a uniform
+    grid xs from 0, w_inf is T_rho f itself, not a quadrature of Phi."""
     d = model.d
     if d == 0:
         return np.zeros_like(xs)
-    if model.claims.kind == "exponential":
+    if math.isinf(d) and step is not None:
+        return model.claims.tail_transform(lundberg_root(model).rho, xs, step)
+    if model.claims.kind == "exponential" and (model.sigma == 0.0 or math.isinf(d)):
         # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
         mu = model.claims.mu
         if model.sigma == 0.0:
             u = expmodel.u_of_d(model, d)
-        elif math.isinf(d):
-            u = mu / (lundberg_root(model).rho + mu)
         else:
-            ys, phi, wts = _phi_grid(model, model.claims.reach)
-            u = float(np.sum(wts * phi * mu * np.exp(-mu * ys)))
+            u = mu / (lundberg_root(model).rho + mu)
         return u * np.exp(-mu * xs)
-    # tabulated: quadrature of Phi against the shifted density
-    ys, phi, wts = _phi_grid(model, model.claims.reach)
-    out = np.zeros_like(xs)
-    for j in np.nonzero(phi)[0]:
-        out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
-    return out
+    # Simpson quadrature of Phi against the shifted density
+    return _phi_grid(model)[1](xs)
 
 
 def w_d(model, x):
@@ -190,7 +196,7 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     rho, grid, f_res, trf = _solver_grid(model, a, step)
     xs, step = grid.values, grid.step
     zeta = np.exp(rho * xs)
-    w = _w_values(model, xs)
+    w = trf if math.isinf(model.d) else _w_values(model, xs)
 
     coeff = lam * r / c
     forcing = zeta - coeff * zeta * cumexp(rho, w, step)
@@ -224,7 +230,7 @@ def _phi_slope(model, stencil):
     """-Phi_d'(0+) off the memoized Phi grid (rho at d = inf)."""
     if math.isinf(model.d):
         return lundberg_root(model).rho
-    return float(stencil @ _phi_grid(model, model.claims.reach)[1][:4]) / _PHI_STEP
+    return float(stencil @ _phi_grid(model)[0][:4]) / _PHI_STEP
 
 
 def _continuation_slope(model):
@@ -319,7 +325,7 @@ def ide_residual(model, h: HFunction) -> float:
     xs = grid.x
     lam, c, q, r = model.lam, model.c, model.q, model.r
     f_res = model.claims.density(xs)
-    w = _w_values(model, xs)
+    w = _w_values(model, xs, step)
     conv = convolve_values(f_res, grid.values, step) + grid.values[0] * w
     if model.sigma == 0.0:
         hp = derivative(grid, 1).values

@@ -7,7 +7,7 @@ downstream is a pure function of a ValidatedModel.
 
 The claim law enters only through its density f, and each claim class
 answers for how it stores f. Besides density, cdf, mean, laplace and
-conv_power, both classes offer the same six members:
+conv_power, both classes offer the same seven members:
 
 - reach: a claim size beyond which the mass is negligible;
 - survival(y): the mass P(C > y) above y;
@@ -16,7 +16,9 @@ conv_power, both classes offer the same six members:
   f(u) du on the solver grid xs;
 - convolve_grid(values, step): the trapezoid convolution f * g of g
   sampled on [0, x] at that step;
-- density_slope(xs, step): f' on a uniform grid.
+- density_slope(xs, step): f' on a uniform grid;
+- shift_sum(ys, weights): a reader x -> sum_j weights_j f(x + y_j)
+  for x >= 0, built once so that each later read costs one pass.
 
 Code outside this module reads the `kind` attribute (and mu) only
 where exponential claims allow a closed-form algorithm, never to read
@@ -138,6 +140,11 @@ class ExponentialClaims:
     def density_slope(self, xs, step):
         return -self.mu ** 2 * np.exp(-self.mu * xs)
 
+    def shift_sum(self, ys, weights):
+        # f(x + y) = e^{-mu y} f(x): the sum is a multiple of e^{-mu x}
+        u = float(np.sum(weights * self.mu * np.exp(-self.mu * np.asarray(ys))))
+        return lambda x: u * np.exp(-self.mu * np.asarray(x, dtype=float))
+
     def key(self):
         return ("exp", self.mu)
 
@@ -227,6 +234,25 @@ class TabulatedClaims:
 
     def density_slope(self, xs, step):
         return np.gradient(self.density(xs), step)
+
+    def shift_sum(self, ys, weights):
+        # x_i + y_j lies at fraction t_j between nodes i + k_j and
+        # i + k_j + 1, so on the nodes the sum is the table correlated
+        # with a kernel of two taps per shift. Read linearly it is exact
+        # at the nodes, and between them too when every shift is a whole
+        # number of steps (t_j = 0); otherwise it is off by O(step^2).
+        n = len(self.grid.values)
+        u = np.asarray(ys, dtype=float) / self.grid.step
+        k = np.rint(u)
+        whole = np.abs(u - k) < 1e-9
+        k = np.where(whole, k, np.floor(u)).astype(int)
+        t = np.where(whole, 0.0, u - k)
+        kern = (np.bincount(k, weights * (1.0 - t), minlength=n + 1)[:n]
+                + np.bincount(k + 1, weights * t, minlength=n + 1)[:n])
+        table = np.zeros(n)
+        for j in np.nonzero(kern)[0]:
+            table[:n - j] += kern[j] * self.grid.values[j:]
+        return lambda x: np.interp(x, self.grid.x, table, right=0.0)
 
     def key(self):
         return ("tab", self.grid.lo, self.grid.hi, self.grid.step,

@@ -297,7 +297,7 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         v2 = np.zeros_like(xs)
 
     conv = model.claims.convolve_grid(v, st)
-    w = _w_values(model, xs)
+    w = _w_values(model, xs, st)
     gen = (0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v
            + lam * r * (conv + v[0] * w))
     return xs, gen, v1

@@ -279,7 +279,7 @@ PINS = {
         '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
         '0x1.81f7000000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07ebp-1',
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07f6p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -330,8 +330,8 @@ PINS = {
         '0x1.00003407a3e9fp-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '2601603e15eb935b', 'cd3f0f07631be6bc', '84f603064484e34f',
-        '0x1.289493b2a0000p-15', '0x0.0p+0',
+        '780060d18add5c23', '4b18977ced2aea6d', '24eda528a7b1be17',
+        '0x1.289493b260000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
         'faad38a94519d06e', '0fc00f75778cab91', '4beefc3ae392db09',
@@ -452,7 +452,7 @@ PINS = {
         '09e4deae57df83e7',
     ],
     'w-tab-s0-d2': [
-        'a60c8375be3c3513',
+        '4e7b4cd0773e17b7',
     ],
 }
 

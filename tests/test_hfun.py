@@ -82,6 +82,16 @@ class TestSigma0ClosedFormAgreement:
             h_d_sigma0(m_d0, A, step=0.1)
         assert info.value.last_norm > 1e-4
 
+    def test_infinite_clock_on_a_table(self):
+        # at d = inf the forcing is T_rho f itself, as on the solver grid,
+        # so h = e^{-rho (a - x)} up to the solver's own error
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, math.inf),
+                        db.tabulated_exponential(1.0, step=1e-2))
+        rho = lundberg_root(m).rho
+        h = h_d_sigma0(m, 0.5, step=1e-4)
+        assert np.max(np.abs(h.grid.values - np.exp(-rho * (0.5 - h.grid.x)))) < 1e-10
+        assert ide_residual(m, h) == h.ide_residual < 1e-4
+
     def test_tabulated_matches_exponential(self, tab_dist):
         for d in (0.0, 2.0):
             mt = db.validate(
@@ -114,6 +124,57 @@ class TestReachBackForcing:
         xs = np.linspace(0.0, 0.7693, 40)
         got = w_d(mt, xs)
         assert np.max(np.abs(got - U_2 * np.exp(-xs))) < 2e-7
+
+
+def _tab_model(step, d):
+    return db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d),
+                       db.tabulated_exponential(1.0, step=step))
+
+
+class TestForcingNodeTable:
+    """Tabulated w_d is one read of a node table built once per model,
+    against the per-deficit quadrature it replaced."""
+
+    @staticmethod
+    def _per_deficit(model, xs):
+        # Simpson weights times Phi times the density read at x + y,
+        # one deficit at a time
+        phi = hfun._phi_grid(model)[0]
+        ys = np.arange(0.0, model.claims.reach + hfun._PHI_STEP / 2, hfun._PHI_STEP)
+        wts = hfun._simpson_weights(len(ys), hfun._PHI_STEP)
+        out = np.zeros_like(xs)
+        for j in np.nonzero(phi)[0]:
+            out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
+        return out
+
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    @pytest.mark.parametrize("d", [0.5, 2.0, math.inf])
+    def test_matches_per_deficit_quadrature(self, step, d):
+        # off the table nodes and past the table end at 30
+        m = _tab_model(step, d)
+        xs = np.linspace(0.0, 31.0, 3001)
+        assert np.max(np.abs(w_d(m, xs) - self._per_deficit(m, xs))) < 1e-13
+
+    def test_step_off_the_deficit_grid(self):
+        # 3e-3 does not divide the 2e-2 deficit step: two taps per
+        # deficit, exact at the nodes, O(step^2) between them
+        xs = np.linspace(0.0, 10.3, 5001)
+        got = w_d(_tab_model(3e-3, 2.0), xs)
+        assert np.max(np.abs(got - U_2 * np.exp(-xs))) < 1e-6
+
+    def test_reads_no_density_after_a_solve(self, monkeypatch):
+        m = _tab_model(1e-2, 2.0)
+        db.optimal_barrier(m, a_max=2.0)
+        reads = []
+        density = db.TabulatedClaims.density
+
+        def counted(self, x):
+            reads.append(np.size(x))
+            return density(self, x)
+
+        monkeypatch.setattr(db.TabulatedClaims, "density", counted)
+        assert w_d(m, np.linspace(0.0, 10.3, 50001)).shape == (50001,)
+        assert reads == []
 
 
 class TestResidualDetector:

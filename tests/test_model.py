@@ -248,7 +248,7 @@ class TestTabulatedClaims:
 
 
 CLAIM_LAW = ("reach", "survival", "sample", "tail_transform", "convolve_grid",
-             "density_slope")
+             "density_slope", "shift_sum")
 
 
 class TestClaimLawContract:
@@ -279,6 +279,24 @@ class TestClaimLawContract:
             want = ExponentialClaims(1.0).convolve_grid(g, step)
             got = tab_dist.convolve_grid(g, step)
             assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_shift_sum(self, tab_dist):
+        # shifts on and off the 1e-3 table nodes, read past the table end
+        exp = ExponentialClaims(1.0)
+        ys = np.array([0.0, 0.02, 0.5, 1.2345])
+        weights = np.array([0.3, 0.2, 0.4, 0.1])
+        xs = np.linspace(0.0, 31.0, 1001)
+
+        def direct(claims, x):
+            return sum(w * claims.density(x + y) for y, w in zip(ys, weights))
+
+        want = direct(exp, xs)
+        assert np.max(np.abs(exp.shift_sum(ys, weights)(xs) - want)) < 1e-15
+        assert np.max(np.abs(tab_dist.shift_sum(ys, weights)(xs) - want)) < 1e-6
+        # on the table's own nodes the two-tap kernel is exact
+        nodes = tab_dist.grid.x[::7]
+        got = tab_dist.shift_sum(ys, weights)(nodes)
+        assert np.max(np.abs(got - direct(tab_dist, nodes))) < 1e-15
 
     def test_survival_and_reach(self, tab_dist):
         exp = ExponentialClaims(1.0)
