@@ -165,6 +165,38 @@ def dickson(rho, g: GridFunction) -> GridFunction:
     return g.with_values(T)
 
 
+def dickson_at(rho, g: GridFunction, x):
+    """T_rho g at points x >= lo, for g read linearly between its nodes
+    and zero beyond hi; exact for that reading.
+
+    Backward recursion over whole panels with exponential weights,
+    T_i = A g_i + B g_{i+1} + e^{-rho step} T_{i+1}. A point x in panel
+    i then adds its partial panel to the next node: with d = x_{i+1} - x
+    and s the panel's slope, T(x) = e^{-rho d} T_{i+1}
+    + g(x) int_0^d e^{-rho t} dt + s int_0^d t e^{-rho t} dt.
+    """
+    if rho <= 0:
+        raise ValueError("tilt rate must be positive")
+    step, v = g.step, g.values
+    A, B = _exp_panel_coeffs(rho, step)
+    E = np.exp(-rho * step)
+    u = np.empty(len(v))
+    u[0] = 0.0
+    u[1:] = (A * v[:-1] + B * v[1:])[::-1]
+    T = lfilter([1.0], [1.0, -E], u)[::-1]
+
+    x = np.asarray(x, dtype=float)
+    xc = np.clip(x, g.lo, g.hi)
+    i = np.minimum(np.floor((xc - g.lo) / step).astype(int), len(v) - 2)
+    d = np.clip(g.x[i + 1] - xc, 0.0, None)
+    e = np.exp(-rho * d)
+    e0 = -np.expm1(-rho * d) / rho       # int_0^d e^{-rho t} dt
+    e1 = (e0 - d * e) / rho              # int_0^d t e^{-rho t} dt
+    slope = (v[i + 1] - v[i]) / step
+    out = e * T[i + 1] + np.interp(xc, g.x, v) * e0 + slope * e1
+    return np.where(x > g.hi, 0.0, out)
+
+
 def dickson_commutation_residual(s, r, g: GridFunction) -> float:
     """Max grid deviation in T_s T_r g = (T_s g - T_r g)/(r - s)."""
     if s == r:

@@ -13,21 +13,23 @@ xi(z) = xi(0) * Phi_d(-z) for z in (-c d, 0):
 
     w_d(x) = int_0^inf Phi_d(y) f(y + x) dy.
 
-Except for the closed form u(d) f of exponential claims at sigma = 0,
-w_d is a Simpson sum over the memoized _PHI_STEP grid of Phi_d, built
-once per model by the claim law's shift_sum (for a table, a node table
-read with one interpolation) and kept in the same memo entry as the
-grid. On a uniform grid from 0, w_inf is T_rho f itself, the forcing
-the solvers use at d = inf; only w_d at arbitrary points still sums
-e^{-rho y} over the grid there.
+At d = inf, w_d is T_rho f itself, from the claim law on the solver
+grid or at any points. Otherwise, except for the closed form u(d) f of
+exponential claims at sigma = 0, w_d is a Simpson sum over the
+memoized _PHI_STEP grid of Phi_d, built once per model by the claim
+law's shift_sum (for a table, a node table read with one
+interpolation) and kept in the same memo entry as the grid.
 
 With sigma = 0 the equation is first order and marches from xi(0)=1;
 the equivalent renewal form
 
     xi = [zeta - (lam r / c) (zeta * w_d)] + (lam r / c) (T_rho f) * xi
 
-(zeta(x) = e^{rho x}) sums by Neumann iteration. With sigma > 0 the
-solution family is
+(zeta(x) = e^{rho x}) sums by Neumann iteration. For Exp(mu) claims the
+kernel T_rho f = (mu/(rho+mu)) e^{-mu x} is one exponential, so each
+term is an O(n) exponential-panel convolution, as are the claim
+convolutions f * xi; a table sums by FFT convolutions. With sigma > 0
+the solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
@@ -41,7 +43,9 @@ so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
 function W. The reported residual is the larger of the equation
 residual and the interface mismatch between the solved slope at 0+
 and the continuation's slope read off the Phi grid a second way, both
-in h units. Everything here works on uniform grids via the
+in h units. For Exp(mu) claims beta * T_rho f is a mixture of two
+exponentials (rates mu and rho + 2c/sigma^2), summed with two-rate
+exponential panels. Everything here works on uniform grids via the
 exponential panel and Neumann machinery in gridmath.
 """
 
@@ -121,21 +125,18 @@ def _phi_grid(model):
 
 
 def _w_values(model, xs, step=None):
-    """w_d sampled at the points xs >= 0. Given the step of a uniform
-    grid xs from 0, w_inf is T_rho f itself, not a quadrature of Phi."""
+    """w_d sampled at the points xs >= 0. w_inf is T_rho f itself, not a
+    quadrature of Phi: on the solver grid of that step, or at any points
+    when no step is given."""
     d = model.d
     if d == 0:
         return np.zeros_like(xs)
-    if math.isinf(d) and step is not None:
+    if math.isinf(d):
         return model.claims.tail_transform(lundberg_root(model).rho, xs, step)
-    if model.claims.kind == "exponential" and (model.sigma == 0.0 or math.isinf(d)):
+    if model.claims.kind == "exponential" and model.sigma == 0.0:
         # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
         mu = model.claims.mu
-        if model.sigma == 0.0:
-            u = expmodel.u_of_d(model, d)
-        else:
-            u = mu / (lundberg_root(model).rho + mu)
-        return u * np.exp(-mu * xs)
+        return expmodel.u_of_d(model, d) * np.exp(-mu * xs)
     # Simpson quadrature of Phi against the shifted density
     return _phi_grid(model)[1](xs)
 
@@ -149,8 +150,17 @@ def w_d(model, x):
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _solve_renewal(kernel, forcing, coeff):
-    """xi = forcing + coeff (kernel * xi): Neumann series, else marching."""
+def _solve_renewal(grid, kernel, forcing, coeff, mix=None):
+    """xi = forcing + coeff (kernel * xi) on the solver grid.
+
+    A kernel that is a mixture of exponentials, mix = (rates, weights),
+    sums with exponential panels, O(n) per term; any other kernel by
+    the FFT Neumann series, else by marching.
+    """
+    forcing = grid.with_values(forcing)
+    if mix is not None:
+        return neumann_series_exp(*mix, forcing, coeff).values
+    kernel = grid.with_values(kernel)
     try:
         return neumann_series(kernel, forcing, coeff).values
     except NonConvergenceError:
@@ -199,17 +209,22 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     w = trf if math.isinf(model.d) else _w_values(model, xs)
 
     coeff = lam * r / c
-    forcing = zeta - coeff * zeta * cumexp(rho, w, step)
-    xi = _solve_renewal(grid.with_values(trf), grid.with_values(forcing), coeff)
+    if model.claims.kind == "exponential":
+        # T_rho f = (mu / (rho + mu)) e^{-mu x} is one exponential panel
+        # rate, and w_d = w_d(0) e^{-mu x} integrates in closed form
+        mu = model.claims.mu
+        mix, wp = ([mu], [mu / (rho + mu)]), -mu * w
+        cw = w[0] * -np.expm1(-(rho + mu) * xs) / (rho + mu)
+    else:
+        mix, wp = None, derivative(grid.with_values(w), 1).values
+        cw = cumexp(rho, w, step)
+    forcing = zeta - coeff * zeta * cw
+    xi = _solve_renewal(grid, trf, forcing, coeff, mix)
 
     # derivatives read off the equation itself, not finite differences
-    f_xi = convolve_values(f_res, xi, step)
+    f_xi = model.claims.convolve_grid(xi, step)
     xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
-    f_xip = convolve_values(f_res, xip, step)
-    if model.claims.kind == "exponential":
-        wp = -model.claims.mu * w
-    else:
-        wp = derivative(grid.with_values(w), 1).values
+    f_xip = model.claims.convolve_grid(xip, step)
     xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
 
     hf = _exit_function(grid, a, xi, xip, xipp)
@@ -271,30 +286,27 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     dzb = (rho * erx + b1 * beta) / (rho + b1)
     d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
 
-    exp_kind = model.claims.kind == "exponential"
-    if exp_kind:
+    if model.claims.kind == "exponential":
+        # beta * T_rho f is a two-rate mixture of exponentials
         mu = model.claims.mu
         kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
+        wgt = mu / ((rho + mu) * (b1 - mu))
+        mix = ([mu, b1], [wgt, -wgt])
     else:
-        kern = convolve_exp(b1, trf, step)
+        kern, mix = convolve_exp(b1, trf, step), None
     bw = convolve_exp(b1, w, step)
     zbw = erx * cumexp(rho, bw, step)
     dzbw = bw + rho * zbw
     d2zbw = (w - b1 * bw) + rho * dzbw
 
-    def solve(values):
-        forc = grid.with_values(values)
-        if exp_kind:
-            wgt = mu / ((rho + mu) * (b1 - mu))
-            return neumann_series_exp([mu, b1], [wgt, -wgt], forc, gam).values
-        return _solve_renewal(grid.with_values(kern), forc, gam)
-
     # xi = phi + gam kern * xi with phi(0) = x0, phi'(0) = p; xi' and
     # xi'' carry the boundary terms kern xi(0) and kern' xi(0) + kern p
-    xi = solve(x0 * (b1 * zb + beta - gam * zbw) + p * zb)
-    xip = solve(x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb)
-    xipp = solve(x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
-                 + p * (d2zb + gam * kern))
+    forcings = (
+        x0 * (b1 * zb + beta - gam * zbw) + p * zb,
+        x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb,
+        x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
+        + p * (d2zb + gam * kern))
+    xi, xip, xipp = (_solve_renewal(grid, kern, v, gam, mix) for v in forcings)
 
     # in h units: the equation on the solver's own w, and the mismatch
     # between the solved slope at 0+ and the lower-order continuation slope
@@ -324,9 +336,8 @@ def ide_residual(model, h: HFunction) -> float:
     step = grid.step
     xs = grid.x
     lam, c, q, r = model.lam, model.c, model.q, model.r
-    f_res = model.claims.density(xs)
     w = _w_values(model, xs, step)
-    conv = convolve_values(f_res, grid.values, step) + grid.values[0] * w
+    conv = model.claims.convolve_grid(grid.values, step) + grid.values[0] * w
     if model.sigma == 0.0:
         hp = derivative(grid, 1).values
         res = c * hp - (lam + q) * grid.values + lam * r * conv

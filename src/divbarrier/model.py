@@ -12,8 +12,9 @@ conv_power, both classes offer the same seven members:
 - reach: a claim size beyond which the mass is negligible;
 - survival(y): the mass P(C > y) above y;
 - sample(rng, n): n independent claim draws;
-- tail_transform(rho, xs, step): T_rho f(x) = int_x^inf e^{-rho(u-x)}
-  f(u) du on the solver grid xs;
+- tail_transform(rho, xs, step=None): T_rho f(x) = int_x^inf
+  e^{-rho(u-x)} f(u) du on the solver grid xs of that step, or, with no
+  step, at any points xs >= 0;
 - convolve_grid(values, step): the trapezoid convolution f * g of g
   sampled on [0, x] at that step;
 - density_slope(xs, step): f' on a uniform grid;
@@ -24,7 +25,8 @@ Code outside this module reads the `kind` attribute (and mu) only
 where exponential claims allow a closed-form algorithm, never to read
 a storage format: the per-deficit series of Phi_d at sigma = 0 and the
 Bessel claim sum at sigma > 0 (firstpassage), the u(d) forcing, the
-slope w_d' = -mu w_d and the two-rate Neumann kernel of the exit
+slope w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
+one-rate sigma = 0 and two-rate sigma > 0 Neumann kernels of the exit
 function (hfun), and the closed series of expmodel.
 """
 
@@ -34,7 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gridmath import GridFunction, convolve_exp, convolve_values, dickson, trapezoid
+from .gridmath import (GridFunction, convolve_exp, convolve_values, dickson, dickson_at,
+                       trapezoid)
 
 
 class ModelError(ValueError):
@@ -131,7 +134,7 @@ class ExponentialClaims:
     def sample(self, rng, n):
         return rng.exponential(1.0 / self.mu, n)
 
-    def tail_transform(self, rho, xs, step):
+    def tail_transform(self, rho, xs, step=None):
         return self.mu / (rho + self.mu) * np.exp(-self.mu * np.asarray(xs, dtype=float))
 
     def convolve_grid(self, values, step):
@@ -222,7 +225,10 @@ class TabulatedClaims:
     def sample(self, rng, n):
         return np.interp(rng.random(n), *self._inverse_cdf)
 
-    def tail_transform(self, rho, xs, step):
+    def tail_transform(self, rho, xs, step=None):
+        if step is None:
+            # exact for the linearly read table, at any points
+            return dickson_at(rho, self.grid, xs)
         # resample the density to the solver step over its full support,
         # run the backward recursion there, keep the solver window
         m = int(math.ceil(self.grid.hi / step))

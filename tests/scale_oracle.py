@@ -1,4 +1,4 @@
-"""Scale-function oracle for exponential claims with sigma > 0.
+"""Scale-function oracle for exponential claims, sigma >= 0.
 
 Independent of the solver: weighting each claim by r is the same as
 thinning the claims to rate lam r and killing at rate lam (1 - r), so
@@ -15,7 +15,8 @@ Exp(mu), W is a sum of three exponentials
     W(x) = sum_i (mu + t_i) / Q'(t_i) e^{t_i x},
     Q(s) = (sigma^2 s^2 / 2 + c s - lam - q)(mu + s) + lam r mu,
 
-so Lambda'(0)/Lambda(0) = sum c_i t_i M_i / sum c_i M_i with
+(two exponentials at sigma = 0, where Q is quadratic), so
+Lambda'(0)/Lambda(0) = sum c_i t_i M_i / sum c_i M_i with
 c_i = (mu + t_i) / Q'(t_i) and M_i = E[e^{t_i X_d} X_d; X_d > 0].
 M_i is one integral over the claim total S_d of a Gaussian moment that
 has a closed form.

@@ -253,14 +253,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', 'eb65926539aac206',
-        'eb65926539aac206', '471e4f8d15c63f28', '0x1.da9018ee318d0p-1',
+        '0x1.3333333333333p-2', 'False', 'cf752bfa3366271d',
+        'cf752bfa3366271d', '48c5f5194745e56e', '0x1.da9018ee90679p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '-0x1.32ae880000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.5114400000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '-0x1.327f780000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc10818ab00fp-1',
+        '0x1.50df800000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc108142dd12p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -283,7 +283,7 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
-        '0x1.89e3b604b6ac8p-1', 'False', 'True', 'e864c435456ff5a8',
+        '0x1.89e3aaa597e43p-1', 'False', 'True', '331cf1202278aa61',
     ],
     'barrier-s0-d2': [
         '0x0.0p+0', 'True', 'True', '745853e4818cc649',
@@ -310,12 +310,12 @@ PINS = {
         '"g\'s support [0, inf) leaves claim mass 4.49e-01 unreachable below x = 0.8"',
     ],
     'h-exp-s0-d0': [
-        '0fd22e46cbb88bb0', '474f1a16339a98bd', 'ec02a9aaeeb2553e',
-        '0x1.335a636800000p-20', '0x0.0p+0',
+        '58731430a4b2337f', '90adce7b521b0c5c', '7e82ded1ab3d7bfb',
+        '0x1.708eb06ec0000p-23', '0x0.0p+0',
     ],
     'h-exp-s0-d2': [
-        '559fa97c412e1554', '49174d5a2a46d544', '1c297a6aa7aeeaef',
-        '0x1.62cdbaf800000p-21', '0x0.0p+0',
+        'a10bd14b1aa5d9e2', '0f676fa5ef3853ec', 'cab8e28f8210ec3a',
+        '0x1.27d8108000000p-24', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
         'c79d052d384a7d63', '2c1fa0b84daf5e22', '45c710e6ce39e2ae',
@@ -338,12 +338,12 @@ PINS = {
         '0x1.ec83c5303f734p-16', '0x1.f40e46f3e045bp-3',
     ],
     'hjb-s0-d0': [
-        'True', '0x1.89e3b604b6ac8p-1', '0x1.589e3b604b6acp+3',
-        "'generator_above'", 'True', '0x1.89ee013a50799p-1',
-        '-0x1.721ea00000000p-26', '0x1.4f8b588e368f1p-17',
-        "'generator_interior'", 'True', '0x1.89d3ca64e362ep-1',
-        '-0x1.c6d0900000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'True', '0x1.89d3ca64e362ep-1', '0x1.00000004ea87ap+0',
+        'True', '0x1.89e3aaa597e43p-1', '0x1.589e3aaa597e4p+3',
+        "'generator_above'", 'True', '0x1.89ee006a55b00p-1',
+        '-0x1.ebfc700000000p-28', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.89d3c994f6706p-1',
+        '0x1.34e8200000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'True', '0x1.89d3c994f6706p-1', '0x1.00000004e985bp+0',
         '0x1.4f8b588e368f1p-17',
     ],
     'hjb-s0-d2': [
@@ -433,9 +433,8 @@ PINS = {
         '67d8923e8e732a77', '1666ade449581577', 'ca9ab72e6a17cb9a',
     ],
     'value-s0-d0': [
-        '3d8d553b8639d4ff', '0x0.0p+0', '3d8d553b8639d4ff',
-        'f2dc7c493d5a08f0', '79bc415240a2c67d', 'de0bdf86c45ddbe5', 'True',
-        '0x0.0p+0',
+        'e31a5f8daaa87264', '0x0.0p+0', 'e31a5f8daaa87264', 'ffb395e3905c9067',
+        '658af42fefa1e7c9', '5446fd33bbfd1668', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
         'bcc5f207a128c3ca', '0x1.04a6b8bfe74d1p+2', '3c65c57e7d92d1b5',

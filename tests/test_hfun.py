@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import expmodel, firstpassage, hfun
+from divbarrier import expmodel, firstpassage, gridmath, hfun, model
 from divbarrier.gridmath import GridFunction, NonConvergenceError
 from divbarrier.hfun import (
     HFunction,
@@ -92,6 +92,24 @@ class TestSigma0ClosedFormAgreement:
         assert np.max(np.abs(h.grid.values - np.exp(-rho * (0.5 - h.grid.x)))) < 1e-10
         assert ide_residual(m, h) == h.ide_residual < 1e-4
 
+    def test_no_delay_is_scale_function_ratio(self, m_d0):
+        # at sigma = 0 the oracle's W has two exponentials
+        t, wt = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, 0.0, 1.0)
+        assert len(t) == 2
+        h = h_d_sigma0(m_d0, A, step=1e-4)
+        wa = scale_oracle.scale_w(t, wt, A)
+        for k, got in enumerate((h.grid, h.hp, h.hpp)):
+            want = scale_oracle.scale_w(t, wt, h.grid.x, k) / wa
+            assert np.max(np.abs(got.values - want)) < 2e-11
+
+    @pytest.mark.parametrize("d", [0.5, 2.0, math.inf])
+    def test_delayed_series_ratios(self, d):
+        m = make_model(d)
+        h = h_d_sigma0(m, A, step=1e-4)
+        series = expmodel.exp_series(m, h.grid.x, d)
+        for got, want in zip((h.grid, h.hp, h.hpp), series):
+            assert np.max(np.abs(got.values - want / series[0][-1])) < 5e-11
+
     def test_tabulated_matches_exponential(self, tab_dist):
         for d in (0.0, 2.0):
             mt = db.validate(
@@ -118,6 +136,19 @@ class TestReachBackForcing:
         with pytest.raises(ValueError):
             w_d(m_d2, -0.1)
 
+    def test_infinite_clock_is_the_tail_transform(self):
+        # at d = inf w_d is T_rho f at any point: exact for the linearly
+        # read table, against the solver's own resampled T_rho f
+        m = _tab_model(1e-2, math.inf)
+        rho = lundberg_root(m).rho
+        xs = np.array([0.0, 0.005, 0.0137, 0.25, 1.5])
+        grid = 1e-5 * np.arange(150001)
+        want = m.claims.tail_transform(rho, grid, 1e-5)[np.rint(xs / 1e-5).astype(int)]
+        assert np.max(np.abs(w_d(m, xs) - want)) < 1e-10
+        me = make_model(math.inf)
+        rho = lundberg_root(me).rho
+        assert np.array_equal(w_d(me, xs), 1.0 / (rho + 1.0) * np.exp(-xs))
+
     def test_tabulated_route_matches_closed_form(self, tab_dist):
         mt = db.validate(
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0), tab_dist)
@@ -132,8 +163,9 @@ def _tab_model(step, d):
 
 
 class TestForcingNodeTable:
-    """Tabulated w_d is one read of a node table built once per model,
-    against the per-deficit quadrature it replaced."""
+    """Tabulated w_d at finite d is one read of a node table built once
+    per model, against the per-deficit quadrature it replaced. The table
+    is read directly, so d = inf (where w_d is T_rho f) checks it too."""
 
     @staticmethod
     def _per_deficit(model, xs):
@@ -153,7 +185,10 @@ class TestForcingNodeTable:
         # off the table nodes and past the table end at 30
         m = _tab_model(step, d)
         xs = np.linspace(0.0, 31.0, 3001)
-        assert np.max(np.abs(w_d(m, xs) - self._per_deficit(m, xs))) < 1e-13
+        table = hfun._phi_grid(m)[1]
+        assert np.max(np.abs(table(xs) - self._per_deficit(m, xs))) < 1e-13
+        if not math.isinf(d):
+            assert np.array_equal(w_d(m, xs), table(xs))
 
     def test_step_off_the_deficit_grid(self):
         # 3e-3 does not divide the 2e-2 deficit step: two taps per
@@ -175,6 +210,44 @@ class TestForcingNodeTable:
         monkeypatch.setattr(db.TabulatedClaims, "density", counted)
         assert w_d(m, np.linspace(0.0, 10.3, 50001)).shape == (50001,)
         assert reads == []
+
+
+class TestRenewalRoute:
+    """At sigma = 0 the kernel T_rho f of Exp(mu) claims is one
+    exponential, summed with exponential panels; a table keeps the FFT
+    Neumann series."""
+
+    NAMES = ("neumann_series", "neumann_series_exp", "convolve_values")
+
+    def _spy(self, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        for name in self.NAMES:
+            spy = counted(name, getattr(gridmath, name))
+            for mod in (gridmath, hfun, model):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("d", [0.0, 2.0, math.inf])
+    def test_exponential_claims_use_exponential_panels(self, monkeypatch, d):
+        calls = self._spy(monkeypatch)
+        db.optimal_barrier(make_model(d), a_max=2.0)
+        assert "neumann_series_exp" in calls
+        assert "neumann_series" not in calls
+        assert "convolve_values" not in calls
+
+    def test_tabulated_claims_use_the_fft_series(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        db.optimal_barrier(_tab_model(1e-2, 0.0), a_max=2.0)
+        assert "neumann_series" in calls
+        assert "neumann_series_exp" not in calls
 
 
 class TestResidualDetector:

@@ -272,6 +272,15 @@ class TestClaimLawContract:
             got = tab_dist.tail_transform(rho, xs, step)
             assert np.max(np.abs(got - want)) < 5e-7
 
+    def test_tail_transform_at_points(self, tab_dist):
+        # no step: any points, off the table nodes and past its end
+        xs = np.array([0.0, 0.0004, 0.25, 1.2345, 29.9995, 30.0, 31.0])
+        for rho in (0.1, 0.245, 1.0):
+            want = ExponentialClaims(1.0).tail_transform(rho, xs)
+            got = tab_dist.tail_transform(rho, xs)
+            assert np.max(np.abs(got[:5] - want[:5])) < 5e-7
+            assert np.all(got[5:] == 0.0)
+
     def test_convolve_grid(self, tab_dist):
         step = 1e-3
         xs = step * np.arange(2001)
