@@ -13,8 +13,8 @@ xi(z) = xi(0) * Phi_d(-z) for z in (-c d, 0):
 
     w_d(x) = int_0^inf Phi_d(y) f(y + x) dy.
 
-At d = inf, w_d is T_rho f itself, from the claim law on the solver
-grid or at any points. Otherwise, except for the closed form u(d) f of
+At d = inf, w_d is T_rho f itself, the claim law's exact tail
+transform at any points. Otherwise, except for the closed form u(d) f of
 exponential claims at sigma = 0, w_d is a Simpson sum over the
 memoized _PHI_STEP grid of Phi_d, built once per model by the claim
 law's shift_sum (for a table, a node table read with one
@@ -40,13 +40,20 @@ with one free slope p = xi'(0). Every p solves the equation on (0, a),
 so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+)
 (rho at d = inf). At d = 0 a diffusion started at 0 is ruined at once,
 so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
-function W. The reported residual is the larger of the equation
-residual and the interface mismatch between the solved slope at 0+
-and the continuation's slope read off the Phi grid a second way, both
-in h units. For Exp(mu) claims beta * T_rho f is a mixture of two
+function W. For Exp(mu) claims beta * T_rho f is a mixture of two
 exponentials (rates mu and rho + 2c/sigma^2), summed with two-rate
 exponential panels. Everything here works on uniform grids via the
 exponential panel and Neumann machinery in gridmath.
+
+The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
++ lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
+function's check ide_residual and the HJB sweep of valuation both call
+it. The residual an exit function reports is ide_residual on the
+returned h, at sigma > 0 raised to the interface mismatch between the
+solved slope at 0+ and the continuation's slope read off the Phi grid
+a second way when that is larger, both in h units; so it is never
+below the check a caller can rerun. Both solvers refuse an h whose
+reported residual exceeds the gate with the same NonConvergenceError.
 """
 
 import math
@@ -58,6 +65,9 @@ import numpy as np
 from .gridmath import (
     GridFunction,
     NonConvergenceError,
+    # not called here: perfbench's self-test and tests/test_bench_contract
+    # read hfun.convolve_values to see the tracer's by-name rebinding reach
+    # a module that imports it
     convolve_values,
     cumexp,
     convolve_exp,
@@ -124,15 +134,14 @@ def _phi_grid(model):
     return _CACHE[key]
 
 
-def _w_values(model, xs, step=None):
+def _w_values(model, xs):
     """w_d sampled at the points xs >= 0. w_inf is T_rho f itself, not a
-    quadrature of Phi: on the solver grid of that step, or at any points
-    when no step is given."""
+    quadrature of Phi."""
     d = model.d
     if d == 0:
         return np.zeros_like(xs)
     if math.isinf(d):
-        return model.claims.tail_transform(lundberg_root(model).rho, xs, step)
+        return model.claims.tail_transform(lundberg_root(model).rho, xs)
     if model.claims.kind == "exponential" and model.sigma == 0.0:
         # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
         mu = model.claims.mu
@@ -186,16 +195,25 @@ def _solver_grid(model, a, step):
     step = a / n
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
-    return (rho, grid, model.claims.density(xs),
-            model.claims.tail_transform(rho, xs, step))
+    return rho, grid, model.claims.density(xs), model.claims.tail_transform(rho, xs)
 
 
-def _exit_function(grid, a, xi, xip, xipp, xi_prime_zero=None, res=0.0):
-    """h = xi / xi(a) with its derivatives, on the solver grid."""
+def _exit_function(grid, a, xi, xip, xipp, xi_prime_zero=None):
+    """h = xi / xi(a) with its derivatives, on the solver grid, not yet
+    certified."""
     Z = xi[-1]
     gf = grid.with_values(xi / Z)
     return HFunction(gf, gf.with_values(xip / Z), gf.with_values(xipp / Z),
-                     a, xi_prime_zero, res)
+                     a, xi_prime_zero, math.nan)
+
+
+def _certified(h, res, detail=""):
+    """h carrying the residual res, or NonConvergenceError above the gate."""
+    if not res <= _RESIDUAL_GATE:
+        raise NonConvergenceError(
+            "equation residual %.3e exceeds %.0e at step %g%s"
+            % (res, _RESIDUAL_GATE, h.grid.step, detail), last_norm=res)
+    return replace(h, ide_residual=res)
 
 
 def h_d_sigma0(model, a, step=1e-4) -> HFunction:
@@ -206,7 +224,7 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     rho, grid, f_res, trf = _solver_grid(model, a, step)
     xs, step = grid.values, grid.step
     zeta = np.exp(rho * xs)
-    w = trf if math.isinf(model.d) else _w_values(model, xs)
+    w = _w_values(model, xs)
 
     coeff = lam * r / c
     if model.claims.kind == "exponential":
@@ -228,12 +246,7 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
 
     hf = _exit_function(grid, a, xi, xip, xipp)
-    res = ide_residual(model, hf)
-    if not res <= _RESIDUAL_GATE:
-        raise NonConvergenceError(
-            "equation residual %.3e exceeds %.0e at step %g"
-            % (res, _RESIDUAL_GATE, step), last_norm=res)
-    return replace(hf, ide_residual=res)
+    return _certified(hf, ide_residual(model, hf))
 
 
 # one-sided stencils for -f'(0) on the nodes 0, h, 2h, 3h: 3rd and 2nd order
@@ -270,11 +283,11 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
-    rho, grid, f_res, trf = _solver_grid(model, a, step)
+    rho, grid, _, trf = _solver_grid(model, a, step)
     xs, step = grid.values, grid.step
     b1 = rho + 2.0 * c / (sigma * sigma)
     gam = 2.0 * lam * r / (sigma * sigma)
-    w = trf if math.isinf(model.d) else _w_values(model, xs)
+    w = _w_values(model, xs)
     if model.d == 0:
         x0, p, p_cont = 0.0, 1.0, 1.0
     else:
@@ -308,43 +321,40 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
         + p * (d2zb + gam * kern))
     xi, xip, xipp = (_solve_renewal(grid, kern, v, gam, mix) for v in forcings)
 
-    # in h units: the equation on the solver's own w, and the mismatch
-    # between the solved slope at 0+ and the lower-order continuation slope
-    eq = (0.5 * sigma * sigma * xipp + c * xip - (lam + q) * xi
-          + lam * r * (convolve_values(f_res, xi, step) + x0 * w))
-    res = max(float(np.max(np.abs(eq[max(2, grid.n // 100):-2]))),
-              0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont)) / xi[-1]
-    if not res <= _RESIDUAL_GATE:
-        raise NonConvergenceError(
-            "equation residual %.3e exceeds %.0e at step %g "
-            "(slope at 0 imposed %.6f, checked against %.6f)"
-            % (res, _RESIDUAL_GATE, step, p, p_cont), last_norm=res)
-    return _exit_function(grid, a, xi, xip, xipp, p if x0 else None, res)
+    # in h units: the mismatch between the solved slope at 0+ and the
+    # lower-order continuation slope
+    mismatch = 0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont) / xi[-1]
+    hf = _exit_function(grid, a, xi, xip, xipp, p if x0 else None)
+    return _certified(hf, max(ide_residual(model, hf), mismatch),
+                      " (slope at 0 imposed %.6f, checked against %.6f)" % (p, p_cont))
+
+
+def _generator_grid(model, step, v, v1, v2):
+    """sigma^2/2 v'' + c v' - (lam+q) v + lam r (f*v + v(0) w_d), given v,
+    v' and v'' on the uniform grid of that step from 0.
+
+    This is (Gamma - q) v for a v that continues below zero as
+    v(0) Phi_d(-z), the continuation entering through w_d.
+    """
+    lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
+    w = _w_values(model, step * np.arange(len(v)))
+    conv = model.claims.convolve_grid(v, step) + v[0] * w
+    return 0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v + lam * r * conv
 
 
 def ide_residual(model, h: HFunction) -> float:
     """Sup-norm equation residual of a constructed exit function.
 
-    The below-zero continuation h(z) = h(0) Phi_d(-z) enters through
-    the w_d term. For sigma = 0 the derivative is re-taken by finite
-    differences, making the check independent of how h was built; for
-    sigma > 0 the carried analytic derivatives are used, because a
-    second difference at the stiff rate rho + 2c/sigma^2 would only
-    measure interpolation noise.
+    For sigma = 0 the derivative is re-taken by finite differences,
+    making the check independent of how h was built; for sigma > 0 the
+    carried analytic derivatives are used, because a second difference
+    at the stiff rate rho + 2c/sigma^2 would only measure interpolation
+    noise.
     """
     grid = h.grid
-    step = grid.step
-    xs = grid.x
-    lam, c, q, r = model.lam, model.c, model.q, model.r
-    w = _w_values(model, xs, step)
-    conv = model.claims.convolve_grid(grid.values, step) + grid.values[0] * w
-    if model.sigma == 0.0:
-        hp = derivative(grid, 1).values
-        res = c * hp - (lam + q) * grid.values + lam * r * conv
-    else:
-        res = (0.5 * model.sigma ** 2 * h.hpp.values + c * h.hp.values
-               - (lam + q) * grid.values + lam * r * conv)
-    lo = max(2, len(xs) // 100)
+    hp = derivative(grid, 1).values if model.sigma == 0.0 else h.hp.values
+    res = _generator_grid(model, grid.step, grid.values, hp, h.hpp.values)
+    lo = max(2, len(res) // 100)
     return float(np.max(np.abs(res[lo:-2])))
 
 

@@ -12,9 +12,9 @@ conv_power, both classes offer the same seven members:
 - reach: a claim size beyond which the mass is negligible;
 - survival(y): the mass P(C > y) above y;
 - sample(rng, n): n independent claim draws;
-- tail_transform(rho, xs, step=None): T_rho f(x) = int_x^inf
-  e^{-rho(u-x)} f(u) du on the solver grid xs of that step, or, with no
-  step, at any points xs >= 0;
+- tail_transform(rho, xs): T_rho f(x) = int_x^inf e^{-rho(u-x)} f(u) du
+  at any points xs >= 0, exact (for a table, exact for its linear
+  reading between the nodes);
 - convolve_grid(values, step): the trapezoid convolution f * g of g
   sampled on [0, x] at that step;
 - density_slope(xs, step): f' on a uniform grid;
@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gridmath import (GridFunction, convolve_exp, convolve_values, dickson, dickson_at,
-                       trapezoid)
+from .gridmath import GridFunction, convolve_exp, convolve_values, dickson_at, trapezoid
 
 
 class ModelError(ValueError):
@@ -129,12 +128,12 @@ class ExponentialClaims:
         return exp_conv_power(self.mu, n, x)
 
     def survival(self, y):
-        return math.exp(-self.mu * y)
+        return math.exp(-self.mu * max(y, 0.0))
 
     def sample(self, rng, n):
         return rng.exponential(1.0 / self.mu, n)
 
-    def tail_transform(self, rho, xs, step=None):
+    def tail_transform(self, rho, xs):
         return self.mu / (rho + self.mu) * np.exp(-self.mu * np.asarray(xs, dtype=float))
 
     def convolve_grid(self, values, step):
@@ -225,15 +224,8 @@ class TabulatedClaims:
     def sample(self, rng, n):
         return np.interp(rng.random(n), *self._inverse_cdf)
 
-    def tail_transform(self, rho, xs, step=None):
-        if step is None:
-            # exact for the linearly read table, at any points
-            return dickson_at(rho, self.grid, xs)
-        # resample the density to the solver step over its full support,
-        # run the backward recursion there, keep the solver window
-        m = int(math.ceil(self.grid.hi / step))
-        fv = self.density(step * np.arange(m + 1))
-        return dickson(rho, GridFunction(0.0, m * step, step, fv)).values[: len(xs)]
+    def tail_transform(self, rho, xs):
+        return dickson_at(rho, self.grid, xs)
 
     def convolve_grid(self, values, step):
         return convolve_values(self.density(step * np.arange(len(values))), values, step)

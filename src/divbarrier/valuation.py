@@ -42,8 +42,8 @@ from .hfun import (
     h_d_sigma0,
     h_d_sigma_pos,
     h_callable,
+    _generator_grid,
     _require_step,
-    _w_values,
     _whole_line,
 )
 
@@ -280,7 +280,6 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         raise ValueError("x_max must be positive and finite, got %g" % (x_max,))
     _require_step(grid_step)
     a = sol.a_star
-    lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     n = int(math.ceil(x_max / grid_step))
     st = x_max / n
     xs = st * np.arange(n + 1)
@@ -296,11 +295,7 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         v1 = np.ones_like(xs)
         v2 = np.zeros_like(xs)
 
-    conv = model.claims.convolve_grid(v, st)
-    w = _w_values(model, xs, st)
-    gen = (0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v
-           + lam * r * (conv + v[0] * w))
-    return xs, gen, v1
+    return xs, _generator_grid(model, st, v, v1, v2), v1
 
 
 def hjb_curve(model, sol: BarrierSolution, x_max, grid_step=2e-4):

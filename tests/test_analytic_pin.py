@@ -272,14 +272,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '58cb98bda399bdfb',
-        '58cb98bda399bdfb', '96828130c7a1576f', '0x1.da90297a510d3p-1',
+        '0x1.3333333333333p-2', 'False', '5f9d150c22df1d43',
+        '5f9d150c22df1d43', '6d80e1a0ebf0ffcd', '0x1.da90297abb7bbp-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.81f7000000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b7c07f6p-1',
+        '0x1.81f6d00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b8c5865p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -323,19 +323,19 @@ PINS = {
     ],
     'h-exp-s0.5-d1': [
         '89709eda081b6832', '90e2a747565a214c', '4c454d7d30f1f785',
-        '0x1.ff3249571b998p-23', '0x1.f53d338b6f6d1p-3',
+        '0x1.0001e73000000p-22', '0x1.f53d338b6f6d1p-3',
     ],
     'h-exp-s0.5-dinf': [
         '6f2d90238bfa7d22', 'e18533a1778555b2', 'e92ccb580ba3f213',
-        '0x1.00003407a3e9fp-22', '0x1.f40fd54a9a94ep-3',
+        '0x1.0068e8b000000p-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '780060d18add5c23', '4b18977ced2aea6d', '24eda528a7b1be17',
-        '0x1.289493b260000p-15', '0x0.0p+0',
+        '866f8f719930cd25', '5973fe58727bd5f6', 'e6f70c96d955451c',
+        '0x1.2dd3f0bb60000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
-        'faad38a94519d06e', '0fc00f75778cab91', '4beefc3ae392db09',
-        '0x1.ec83c5303f734p-16', '0x1.f40e46f3e045bp-3',
+        '2a0fb252b8680b85', '8ef7e2649bfa1ed1', 'eb0a1a501dc3ab16',
+        '0x1.ec8a893600000p-16', '0x1.f40e46f3e045bp-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3aaa597e43p-1', '0x1.589e3aaa597e4p+3',

@@ -137,13 +137,13 @@ class TestReachBackForcing:
             w_d(m_d2, -0.1)
 
     def test_infinite_clock_is_the_tail_transform(self):
-        # at d = inf w_d is T_rho f at any point: exact for the linearly
-        # read table, against the solver's own resampled T_rho f
+        # at d = inf w_d is T_rho f at any point, read here off T_rho f
+        # on a 1e-5 grid
         m = _tab_model(1e-2, math.inf)
         rho = lundberg_root(m).rho
         xs = np.array([0.0, 0.005, 0.0137, 0.25, 1.5])
         grid = 1e-5 * np.arange(150001)
-        want = m.claims.tail_transform(rho, grid, 1e-5)[np.rint(xs / 1e-5).astype(int)]
+        want = m.claims.tail_transform(rho, grid)[np.rint(xs / 1e-5).astype(int)]
         assert np.max(np.abs(w_d(m, xs) - want)) < 1e-10
         me = make_model(math.inf)
         rho = lundberg_root(me).rho
@@ -294,6 +294,26 @@ class TestSigmaPositive:
         with pytest.raises(NonConvergenceError) as info:
             h_d_sigma_pos(m, 1.0, step=1e-5)
         assert info.value.last_norm > 1e-4
+
+    @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0),
+                                          ("exp", math.inf), ("tab", math.inf)])
+    def test_certificate_covers_the_rerun_check(self, claims, d):
+        # the reported residual is ide_residual on the returned h, raised
+        # to the interface mismatch at 0 only where that is larger
+        dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
+                else db.ExponentialClaims(1.0))
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
+        h = h_d_sigma_pos(m, 0.5, step=1e-4)
+        check = ide_residual(m, h)
+        assert h.ide_residual >= check
+        # sigma^2/2 times the gap between h'(0+) and h(0) times the
+        # lower-order continuation slope
+        slope = hfun._phi_slope(m, hfun._SLOPE_2)
+        mismatch = 0.125 * abs(hfun._extrap_zero(h.hp.values) - h.grid.values[0] * slope)
+        if mismatch < check * (1.0 - 1e-6):
+            assert h.ide_residual == check
+        else:
+            assert h.ide_residual == pytest.approx(mismatch, rel=1e-6)
 
     def test_guards(self, m_d0):
         with pytest.raises(ValueError):

@@ -264,22 +264,16 @@ class TestClaimLawContract:
         for claims in (ExponentialClaims(1.0), tab_dist):
             assert set(CLAIM_LAW) <= set(dir(claims))
 
-    def test_tail_transform(self, tab_dist):
-        step = 1e-3
-        xs = step * np.arange(2001)
-        for rho in (0.1, 0.245, 1.0):
-            want = ExponentialClaims(1.0).tail_transform(rho, xs, step)
-            got = tab_dist.tail_transform(rho, xs, step)
-            assert np.max(np.abs(got - want)) < 5e-7
-
     def test_tail_transform_at_points(self, tab_dist):
-        # no step: any points, off the table nodes and past its end
-        xs = np.array([0.0, 0.0004, 0.25, 1.2345, 29.9995, 30.0, 31.0])
+        # the table's own 1e-3 nodes up to 2, then points off the nodes
+        # and past the table's end
+        xs = np.concatenate((1e-3 * np.arange(2001),
+                             [0.0004, 0.25, 1.2345, 29.9995, 30.0, 31.0]))
         for rho in (0.1, 0.245, 1.0):
             want = ExponentialClaims(1.0).tail_transform(rho, xs)
             got = tab_dist.tail_transform(rho, xs)
-            assert np.max(np.abs(got[:5] - want[:5])) < 5e-7
-            assert np.all(got[5:] == 0.0)
+            assert np.max(np.abs(got[:-2] - want[:-2])) < 5e-7
+            assert np.all(got[-2:] == 0.0)
 
     def test_convolve_grid(self, tab_dist):
         step = 1e-3
@@ -313,6 +307,9 @@ class TestClaimLawContract:
             assert tab_dist.survival(y) == pytest.approx(exp.survival(y), abs=1e-10)
         for claims in (exp, tab_dist):
             assert claims.survival(claims.reach) < 1e-12
+            # no claim is negative: all the mass lies above y <= 0
+            for y in (-1.0, 0.0):
+                assert claims.survival(y) == 1.0
 
     def test_density_slope(self, tab_dist):
         step = 1e-3
