@@ -264,16 +264,22 @@ class TestClaimLawContract:
         for claims in (ExponentialClaims(1.0), tab_dist):
             assert set(CLAIM_LAW) <= set(dir(claims))
 
-    def test_tail_transform_at_points(self, tab_dist):
-        # the table's own 1e-3 nodes up to 2, then points off the nodes
-        # and past the table's end
-        xs = np.concatenate((1e-3 * np.arange(2001),
-                             [0.0004, 0.25, 1.2345, 29.9995, 30.0, 31.0]))
+    def test_tail_transform(self, tab_dist):
+        # the table's own 1e-3 nodes up to 2, as the solvers ask for them
+        xs = 1e-3 * np.arange(2001)
         for rho in (0.1, 0.245, 1.0):
             want = ExponentialClaims(1.0).tail_transform(rho, xs)
             got = tab_dist.tail_transform(rho, xs)
-            assert np.max(np.abs(got[:-2] - want[:-2])) < 5e-7
-            assert np.all(got[-2:] == 0.0)
+            assert np.max(np.abs(got - want)) < 5e-7
+
+    def test_tail_transform_at_points(self, tab_dist):
+        # any points, off the table nodes and past its end
+        xs = np.array([0.0, 0.0004, 0.25, 1.2345, 29.9995, 30.0, 31.0])
+        for rho in (0.1, 0.245, 1.0):
+            want = ExponentialClaims(1.0).tail_transform(rho, xs)
+            got = tab_dist.tail_transform(rho, xs)
+            assert np.max(np.abs(got[:5] - want[:5])) < 5e-7
+            assert np.all(got[5:] == 0.0)
 
     def test_convolve_grid(self, tab_dist):
         step = 1e-3
