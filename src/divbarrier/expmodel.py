@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lundberg import lundberg_root
-
 SERIES_TOL = 1e-14
 N_TERMS_CAP = 400
 
@@ -79,7 +77,7 @@ def _u_closed(model, d) -> ExpClosedForms:
     _require_exp_sigma0(model)
     mu = model.claims.mu
     lam, c, q, r = model.lam, model.c, model.q, model.r
-    rho = lundberg_root(model).rho
+    rho = model.rho
     if d < 0:
         raise ValueError("negative delay")
     if d == 0:
@@ -119,7 +117,7 @@ def _series_eval(model, x, kappa):
     _require_exp_sigma0(model)
     mu = model.claims.mu
     lam, c, r = model.lam, model.c, model.r
-    rho = lundberg_root(model).rho
+    rho = model.rho
     b = rho + mu
     alpha = lam * r * mu / (c * b)       # cf_1; cf_n = alpha^n / (n-1)!
     w = alpha / b                        # cf_n * Gamma(n)/b^n = w^n
@@ -176,7 +174,7 @@ def vartheta(model, x):
 
 def _kappa(model, d):
     mu = model.claims.mu
-    rho = lundberg_root(model).rho
+    rho = model.rho
     return model.lam * model.r * u_of_d(model, d) / (model.c * (rho + mu))
 
 

@@ -32,7 +32,6 @@ from scipy.signal import fftconvolve
 from scipy.special import i1e, roots_legendre
 
 from .gridmath import trapezoid
-from .lundberg import lundberg_root
 
 K_TAIL_TOL = 1e-12
 
@@ -366,7 +365,7 @@ def _phi_sigma_pos(model, d, y_arr):
     sharing the smeared claim-sum across every y at each time node.
     """
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
-    rho = lundberg_root(model).rho
+    rho = model.rho
     y_arr = np.asarray(y_arr, dtype=float)
     closed = np.exp(-rho * y_arr)
     if d == 0.0:
@@ -453,7 +452,7 @@ def _phi_table(model, d, ys):
     if d == 0.0 or not np.any(ys > 0.0):
         return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
     if math.isinf(d):
-        return np.exp(-lundberg_root(model).rho * ys), 0, 0.0
+        return np.exp(-model.rho * ys), 0, 0.0
     if model.sigma != 0.0:
         return _phi_sigma_pos(model, d, ys)
     if model.claims.kind != "exponential":
@@ -475,7 +474,7 @@ def upcross_transform(model, y, d) -> UpcrossTransform:
         raise ValueError("deficit y must be nonnegative")
     if d == math.inf and y > 0:
         # math.exp: np.exp can differ from it in the last bit
-        value, K, tail = math.exp(-lundberg_root(model).rho * y), 0, 0.0
+        value, K, tail = math.exp(-model.rho * y), 0, 0.0
     else:
         vals, K, tail = _phi_table(model, d, np.array([y], dtype=float))
         value = float(vals[0])

@@ -144,25 +144,14 @@ def convolve_exp(b, values, step):
 
 
 def dickson(rho, g: GridFunction) -> GridFunction:
-    """Tail transform T_rho g(x) = int_x^inf e^{-rho(u-x)} g(u) du.
-
-    Backward recursion with trapezoid panels; the grid must carry
-    essentially all of g's mass (|g(hi)| below 1e-8).
+    """Tail transform T_rho g(x) = int_x^inf e^{-rho(u-x)} g(u) du on g's
+    own nodes, by dickson_at; the grid must carry essentially all of g's
+    mass (|g(hi)| below 1e-8).
     """
-    if rho < 0:
-        raise ValueError("negative tilt rate")
     _require_zero_lo(g)
     if abs(g.values[-1]) > 1e-8:
         raise ValueError("tail of g is not negligible at the grid end")
-    step = g.step
-    E = np.exp(-rho * step)
-    v = g.values
-    p = 0.5 * step * (v[:-1] + E * v[1:])   # panel i: [x_i, x_i + step]
-    u = np.empty(len(v))
-    u[0] = 0.0
-    u[1:] = p[::-1]
-    T = lfilter([1.0], [1.0, -E], u)[::-1]
-    return g.with_values(T)
+    return g.with_values(dickson_at(rho, g, g.x))
 
 
 def dickson_at(rho, g: GridFunction, x):

@@ -9,16 +9,18 @@ unnormalized solution xi of
         + lam r [ (f * xi)(x) + xi(0) w_d(x) ] = 0,     xi(0) = 1,
 
 where the w_d term carries the below-zero continuation
-xi(z) = xi(0) * Phi_d(-z) for z in (-c d, 0):
+xi(z) = xi(0) * Phi_d(-z) for z < 0 (zero from -c d down at sigma = 0,
+where the drift cannot climb back in time):
 
     w_d(x) = int_0^inf Phi_d(y) f(y + x) dy.
 
-At d = inf, w_d is T_rho f itself, the claim law's exact tail
-transform at any points. Otherwise, except for the closed form u(d) f of
-exponential claims at sigma = 0, w_d is a Simpson sum over the
-memoized _PHI_STEP grid of Phi_d, built once per model by the claim
-law's shift_sum (for a table, a node table read with one
-interpolation) and kept in the same memo entry as the grid.
+At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
+exact tail transform at any points. At every finite d > 0, w_d is read
+from one memo entry per model (_phi_grid): for exponential claims at
+sigma = 0 the closed form u(d) f, with u(d) from expmodel taken once;
+otherwise a Simpson sum over the _PHI_STEP grid of Phi_d, built by the
+claim law's shift_sum (for a table, a node table read with one
+interpolation) and kept next to the grid.
 
 With sigma = 0 the equation is first order and marches from xi(0)=1;
 the equivalent renewal form
@@ -76,7 +78,6 @@ from .gridmath import (
     neumann_series_exp,
     volterra_march,
 )
-from .lundberg import lundberg_root
 from . import expmodel
 from .firstpassage import upcross_table
 
@@ -124,29 +125,33 @@ def _simpson_weights(n, step):
 
 def _phi_grid(model):
     """Phi_d on the _PHI_STEP deficit grid over the claims' reach, and
-    the w_d reader built from it, memoized per model as one entry."""
+    the w_d reader built from it, memoized per model as one entry.
+
+    For Exp(mu) claims at sigma = 0 the reader is the closed form
+    u(d) e^{-mu x} and no grid is built (None in its place).
+    """
     ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
     key = (model.key(), "phi_for_w", _PHI_STEP, float(ys[-1]))
     if key not in _CACHE:
-        phi = upcross_table(model, model.d, ys)
-        wts = _simpson_weights(len(ys), _PHI_STEP)
-        _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)
+        if model.claims.kind == "exponential" and model.sigma == 0.0:
+            # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
+            u, mu = expmodel.u_of_d(model, model.d), model.claims.mu
+            _CACHE[key] = None, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
+        else:
+            # Simpson quadrature of Phi against the shifted density
+            phi = upcross_table(model, model.d, ys)
+            wts = _simpson_weights(len(ys), _PHI_STEP)
+            _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)
     return _CACHE[key]
 
 
 def _w_values(model, xs):
     """w_d sampled at the points xs >= 0. w_inf is T_rho f itself, not a
     quadrature of Phi."""
-    d = model.d
-    if d == 0:
+    if model.d == 0:
         return np.zeros_like(xs)
-    if math.isinf(d):
-        return model.claims.tail_transform(lundberg_root(model).rho, xs)
-    if model.claims.kind == "exponential" and model.sigma == 0.0:
-        # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
-        mu = model.claims.mu
-        return expmodel.u_of_d(model, d) * np.exp(-mu * xs)
-    # Simpson quadrature of Phi against the shifted density
+    if math.isinf(model.d):
+        return model.claims.tail_transform(model.rho, xs)
     return _phi_grid(model)[1](xs)
 
 
@@ -190,7 +195,7 @@ def _solver_grid(model, a, step):
     if not 0.0 < a < math.inf:
         raise ValueError("barrier a must be positive and finite, got %g" % (a,))
     _require_step(step)
-    rho = lundberg_root(model).rho
+    rho = model.rho
     n = max(int(round(a / step)), 8)
     step = a / n
     xs = step * np.arange(n + 1)
@@ -257,7 +262,7 @@ _SLOPE_2 = np.array([3.0, -4.0, 1.0, 0.0]) / 2.0
 def _phi_slope(model, stencil):
     """-Phi_d'(0+) off the memoized Phi grid (rho at d = inf)."""
     if math.isinf(model.d):
-        return lundberg_root(model).rho
+        return model.rho
     return float(stencil @ _phi_grid(model)[0][:4]) / _PHI_STEP
 
 
@@ -359,17 +364,21 @@ def ide_residual(model, h: HFunction) -> float:
 
 
 def _whole_line(model, x, at_zero, inside):
-    """inside(x) on x >= 0, at_zero * Phi_d(-x) on (-c d, 0), zero below.
+    """inside(x) on x >= 0 and at_zero * Phi_d(-x) below zero.
 
     From a deficit the surplus must climb back to 0 within the grace
     period, so a quantity worth at_zero at 0 is worth at_zero Phi_d(-x)
     at x < 0. Both h and the barrier value continue below zero this way.
+    At sigma = 0 the drift cannot climb back from -c d or below in time,
+    so the value there is zero without a transform; a diffusion can
+    recover from any deficit.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x_arr)
     pos = x_arr >= 0
     out[pos] = inside(x_arr[pos])
-    neg = (~pos) & (x_arr > -(model.c * model.d))
+    reach = model.c * model.d if model.sigma == 0.0 else math.inf
+    neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
         out[neg] = at_zero * upcross_table(model, model.d, -x_arr[neg])
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -378,9 +387,10 @@ def _whole_line(model, x, at_zero, inside):
 def h_callable(model, h: HFunction):
     """Whole-line evaluator for an exit function.
 
-    Inside [0, a] the grid is interpolated; on (-c d, 0) the value is
-    h(0) times the recovery transform of the deficit; below -c d it is
-    zero. Evaluation above the barrier is a contract violation.
+    Inside [0, a] the grid is interpolated; below zero the value is
+    h(0) times the recovery transform of the deficit, zero from -c d
+    down at sigma = 0. Evaluation above the barrier is a contract
+    violation.
     """
     grid = h.grid
 

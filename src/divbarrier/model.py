@@ -3,7 +3,9 @@
 The surplus process is x + c t - (compound Poisson, rate lam) + sigma B_t.
 Dividends above a barrier are discounted by e^{-q t} and by r per claim
 that has already occurred; d is the Parisian grace period. Everything
-downstream is a pure function of a ValidatedModel.
+downstream is a pure function of a ValidatedModel, which also keeps
+the one constant every layer reads, the adjusted Lundberg root rho,
+solved on first read.
 
 The claim law enters only through its density f, and each claim class
 answers for how it stores f. Besides density, cdf, mean, laplace and
@@ -32,11 +34,12 @@ function (hfun), and the closed series of expmodel.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .gridmath import GridFunction, convolve_exp, convolve_values, dickson_at, trapezoid
+from .lundberg import lundberg_root
 
 
 class ModelError(ValueError):
@@ -171,12 +174,9 @@ class TabulatedClaims:
         mass = grid.trapz()
         if abs(mass - 1.0) > 1e-8:
             raise InvalidParameter("tabulated density mass %.3e is not 1" % mass)
-        # crude but conservative tail check: remaining mass under an
-        # exponential hugging the last two samples
-        tail = grid.values[-1] * grid.step * 10.0 + grid.values[-1] ** 2
-        if grid.values[-1] > 0 and tail > 1e-10:
-            if grid.values[-1] * grid.step > 1e-10:
-                raise InvalidParameter("mass beyond the grid end is not negligible")
+        # the density must have decayed by the grid end
+        if grid.values[-1] * grid.step > 1e-10:
+            raise InvalidParameter("mass beyond the grid end is not negligible")
         self.grid = grid
         self.reach = grid.hi
         self._powers = {1: grid.values}
@@ -286,6 +286,15 @@ class ValidatedModel:
     @property
     def d(self):
         return self.params.d
+
+    @cached_property
+    def rho(self):
+        """The adjusted Lundberg root, psi_r(rho) = q, solved on first read.
+
+        Every exit function, deadline transform and closed series of the
+        model reads this one value; lundberg_root gives its residual.
+        """
+        return lundberg_root(self).rho
 
     def key(self):
         p = self.params

@@ -134,10 +134,12 @@ def simulate_h(model, a, x, cfg: SimConfig) -> SimEstimate:
         raise ValueError("a and x must be finite")
     if a < 0:
         raise ValueError("barrier must be >= 0")
-    # [0, a] always; below zero only inside the Parisian reach -c d
-    if not (x <= a and (x >= 0.0 or x > -model.c * model.d)):
-        raise ValueError("x must satisfy -c d < x <= a, or 0 <= x <= a "
-                         "when d = 0")
+    # [0, a] always; below zero at d > 0, and at sigma = 0 only inside
+    # the Parisian reach -c d, below which the drift cannot climb back
+    reach = model.c * model.d if model.sigma == 0.0 or model.d == 0 else math.inf
+    if not (x <= a and (x >= 0.0 or x > -reach)):
+        raise ValueError("x must satisfy x <= a, x > -c d when sigma = 0, "
+                         "and x >= 0 when d = 0")
     return _run(model, cfg, _Rule(
         float(a), float(x), reflect=False, grace=model.d, deadline=math.inf,
         t_max=_horizon(model, cfg), terminal=False))

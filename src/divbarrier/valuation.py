@@ -3,8 +3,9 @@
 Under a barrier at a, everything above a is paid out immediately, so
 the value function is v(x) = h(x)/h'(a) below the barrier and
 v(x) = x - a + 1/h'(a) above it, where h is the two-sided exit
-function built in hfun; below zero v continues as v(0) Phi_d(-x)
-until the Parisian clock runs out at -c d. The optimal barrier is
+function built in hfun; below zero v continues as v(0) Phi_d(-x),
+which at sigma = 0 is zero from -c d down, where the Parisian clock
+runs out before the drift climbs back. The optimal barrier is
 where the normalizing slope h'(a) is smallest (Loeffen 2008): the
 slope at 0 is compared with the slope at each zero where h'' rises
 through 0, a local minimum of h'. Zeros where h'' falls are maxima of

@@ -156,7 +156,8 @@ def _report(rep):
 
 
 def _value_xs(a):
-    # -31 lies past the Parisian reach -c d = -30 at d = 2
+    # -31 lies past the Parisian reach -c d = -30 at d = 2 (and -15 at
+    # d = 1, which a diffusion can still climb back from)
     return np.array([-31.0, -0.4, -0.01, 0.0, 0.3, a, a + 1.0])
 
 
@@ -441,7 +442,7 @@ PINS = {
         'baacba8262c23ac1', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        '025aa2b3e03f5a58', '0x1.04db5414f62c7p+2', '3c65c57e7d92d1b5',
+        '111b656f2295c700', '0x1.04db5414f62c7p+2', '3c65c57e7d92d1b5',
         '559910f0f6db5e8b', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [

@@ -7,17 +7,23 @@ memo key, and reports how many entries each op added.
 A refactor that renames or moves one of them breaks a traced benchmark
 run while every numerical test still passes, so this file loads the
 tracer's own tables (the tracer is stdlib-only and is not modified)
-and checks each name against the package.
+and checks each name against the package. It also checks, through
+the tracer, the per-layer counts that a solve plus a query derive the
+Lundberg root and u(d) once per model, now that the root solve sits
+in model.py (ValidatedModel.rho) and u(d) in the forcing memo.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import divbarrier as db
 from divbarrier import hfun, valuation
+from divbarrier.lundberg import lundberg_root
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -86,3 +92,48 @@ def test_solve_adds_one_memo_entry_keyed_by_model(claims, sigma, d):
     assert len(added) == 1
     (key,) = added
     assert isinstance(key, tuple) and key[0] == model.key()
+
+
+def _traced_solve_and_query(tracer, model):
+    # the harness's solve op, then one forced-barrier query op
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with t.op(0, "solve"):
+            db.optimal_barrier(model, 2.0)
+        with t.op(1, "query"):
+            db.barrier_solution_at(model, 0.6).value(np.array([0.0, 0.3, 0.6, 1.1]))
+    finally:
+        t.uninstall()
+    return t.stats()
+
+
+@pytest.mark.parametrize("claims,d", [("exp", 0.5), ("exp", 2.0), ("tab", math.inf)])
+def test_model_constants_are_derived_once(tracer, claims, d):
+    # the Lundberg root is solved once per model, and for exponential
+    # claims at sigma = 0 the reach-back weight u(d) once per model;
+    # parameters no other test uses, so the forcing memo is cold
+    dist = (db.ExponentialClaims(1.0) if claims == "exp"
+            else db.tabulated_exponential(1.0, step=1e-2))
+    model = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=0.0, q=0.1037,
+                                       r=0.79, d=d), dist)
+    stats = _traced_solve_and_query(tracer, model)
+    assert stats["lundberg.lundberg_root"]["calls"] == 1
+    if claims == "exp":
+        assert stats["expmodel.u_of_d"]["calls"] == 1
+
+
+def test_rho_is_the_root_solved_on_first_read(tracer):
+    model = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=0.3, q=0.1041,
+                                       r=0.81, d=1.0), db.ExponentialClaims(1.0))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with t.op(0, "query"):
+            first = model.rho
+        with t.op(1, "query"):
+            second = model.rho
+    finally:
+        t.uninstall()
+    assert t.calls_by_op("lundberg.lundberg_root") == {0: 1}
+    assert first == second == lundberg_root(model).rho

@@ -154,9 +154,11 @@ class TestDickson:
             dickson(0.3, g)
 
     def test_negative_rate_rejected(self):
+        # zero too: the exponential-panel weights divide by the rate
         g = grid_of(lambda x: np.exp(-x), 30.0, 0.01)
-        with pytest.raises(ValueError):
-            dickson(-0.1, g)
+        for rate in (-0.1, 0.0):
+            with pytest.raises(ValueError):
+                dickson(rate, g)
 
     def test_resolvent_identity_small(self):
         step = 1e-4

@@ -410,3 +410,16 @@ class TestWholeLineEvaluator:
         fun = h_callable(m_d0, h)
         assert fun(-0.01) == 0.0
         assert fun(np.array([-0.5, 0.1]))[0] == 0.0
+
+    @pytest.mark.parametrize("d", [0.3, 1.0])
+    def test_diffusion_continues_past_the_drift_reach(self, d):
+        # a diffusion can climb back from below -c d within d, so h and
+        # v stay h(0) and v(0) times Phi_d on both sides of -c d
+        m = make_model(d, sigma=0.5)
+        sol = db.barrier_solution_at(m, 0.3)
+        xs = -m.c * d + np.array([0.05, -0.05])
+        phi = firstpassage.upcross_table(m, d, -xs)
+        assert np.all(phi > 0.0)
+        np.testing.assert_allclose(sol.value(xs), sol.value(0.0) * phi, rtol=1e-12)
+        np.testing.assert_allclose(h_callable(m, sol.h)(xs), sol.h.grid.values[0] * phi,
+                                   rtol=1e-12)

@@ -154,6 +154,16 @@ class TestExitWeight:
         # strictly inside the kinematic window is fine
         simulate_h(m_d2, 0.7693, -(m_d2.c * 2.0) + 0.5, cfg)
 
+    def test_diffusion_starts_past_the_drift_reach(self, m_d2):
+        # a diffusion can recover from below -c d within d; the drift
+        # alone cannot, and sigma = 0 still refuses the start
+        x = -(m_d2.c * 2.0) - 0.05
+        cfg = SimConfig(10, seed=3, dt=1e-3)
+        e = simulate_h(make_model(2.0, sigma=0.5), 0.7693, x, cfg)
+        assert 0.0 <= e.mean <= 1.0
+        with pytest.raises(ValueError):
+            simulate_h(m_d2, 0.7693, x, cfg)
+
     def test_negative_barrier_rejected(self, m_d2):
         # a barrier below zero is refused by both barrier quantities,
         # even with the start inside the Parisian reach
