@@ -25,6 +25,7 @@ integer order, evaluated by the Poisson-pmf recursion; all power sums
 run in plain recursions with nonnegative terms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,22 +51,25 @@ def _require_exp_sigma0(model):
         raise ValueError("closed forms require sigma = 0")
 
 
-def _poisson_tail_table(nmax, z):
-    """P[n-1] = regularized lower incomplete gamma P(n, z), n = 1..nmax.
-
-    P(n, z) = sum_{m >= n} e^{-z} z^m / m!; built from the pmf
+def _poisson_tails(z):
+    """Yield P(n, z) for n = 1, 2, ..., the regularized lower incomplete
+    gamma P(n, z) = sum_{m >= n} e^{-z} z^m / m!, built from the pmf
     recursion pmf_m = pmf_{m-1} z / m. z may be an array.
     """
-    z = np.asarray(z, dtype=float)
     pmf = np.exp(-z)
     cum = pmf.copy()
-    out = np.empty((nmax,) + z.shape)
-    out[0] = 1.0 - cum
-    for m in range(1, nmax):
+    m = 0
+    while True:
+        yield np.maximum(1.0 - cum, 0.0)
+        m += 1
         pmf = pmf * z / m
         cum = cum + pmf
-        out[m] = 1.0 - cum
-    return np.maximum(out, 0.0)
+
+
+def _poisson_tail_table(nmax, z):
+    """P[n-1] = P(n, z) for n = 1..nmax, one row per n."""
+    tails = _poisson_tails(np.asarray(z, dtype=float))
+    return np.array(list(itertools.islice(tails, nmax)))
 
 
 def u_of_d(model, d):
@@ -92,12 +96,13 @@ def _u_closed(model, d) -> ExpClosedForms:
     kmax = 1 if r == 0 else N_TERMS_CAP
     ln_rlam = 0.0 if r == 0 else math.log(r * lam)
     if not math.isinf(d):
-        Ptab = _poisson_tail_table(2 * kmax + 1, np.array(gam * d))
+        # P(2k + 1, gam d), one row per term the series reaches
+        tails = itertools.islice(_poisson_tails(np.array(gam * d)), 0, None, 2)
     while k < kmax:
         ln_t = (k * ln_rlam + (k + 1) * ln_muc + math.lgamma(2 * k + 1)
                 - math.lgamma(k + 1) - math.lgamma(k + 2) - (2 * k + 1) * ln_gam)
         amp = math.exp(ln_t)
-        term = amp if math.isinf(d) else amp * float(Ptab[2 * k])
+        term = amp if math.isinf(d) else amp * float(next(tails))
         total += term
         if amp < SERIES_TOL and k > 2:
             break

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 from scipy.special import i1e, roots_legendre
 
 from .gridmath import trapezoid
@@ -363,6 +363,16 @@ def _phi_sigma_pos(model, d, y_arr):
         Phi_d(y) = e^{-rho y} - int_d^inf e^{-qt} sum_k r^k v_y(k,t) dt,
 
     sharing the smeared claim-sum across every y at each time node.
+
+    At time t the deficits y in [y_min, y_max] read the smeared sum
+    only at w = c t - y, so each node builds the claim sum only on the
+    overshoot window of z lattice nodes within the Gaussian's reach
+    L dz of [c t - y_max, c t - y_min]. The z = 0 end fix and the
+    claim-free point mass are added only when that window reaches
+    z = 0; further out the Gaussian is below e^{-128}. The nodes of a
+    Simpson chunk are smeared in one batched FFT, and a chunk starts at
+    the previous chunk's last node, bitwise the same t, so that row is
+    reused instead of recomputed.
     """
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     rho = model.rho
@@ -380,56 +390,84 @@ def _phi_sigma_pos(model, d, y_arr):
         K = min(K, 400)
     else:
         K = 0
+    y_min, y_max = float(y_arr.min()), float(y_arr.max())
+    pos = y_arr > 0
+    root_2pi = math.sqrt(2 * math.pi)
 
     def claim_sum(t, zs):
-        """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the grid."""
+        """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the nodes zs."""
         if not tab:
             a = r * lam * model.claims.mu * t
             return _bessel_series_scaled(a, zs, -model.claims.mu * zs - lam * t)
+        # linear reads commute with the k-sum: sum on the table nodes
+        # that span zs, then read once
+        grid = model.claims.grid
+        i_lo = max(int(zs[0] / grid.step) - 1, 0)
+        i_hi = min(int(zs[-1] / grid.step) + 2, grid.n + 1)
+        if i_lo >= i_hi:
+            return np.zeros_like(zs)
         wk = np.exp(-lam * t) * r * lam * t
-        acc = wk * model.claims.conv_power(1, zs)
+        acc = wk * model.claims._power_values(1)[i_lo:i_hi]
         for k in range(2, K + 1):
             wk = wk * (r * lam * t) / k
             if wk < 1e-300:
                 break
-            acc = acc + wk * model.claims.conv_power(k, zs)
-        return acc
+            acc = acc + wk * model.claims._power_values(k)[i_lo:i_hi]
+        return np.interp(zs, grid.x[i_lo:i_hi], acc, left=0.0, right=0.0)
 
     def rate_at(ts):
-        """Vector over y of e^{-qt} sum_k r^k v_y(k,t), one t at a time."""
-        rows = np.empty((len(ts), len(y_arr)))
-        for i, t in enumerate(ts):
+        """Rows over y of e^{-qt} sum_k r^k v_y(k,t), one row per t in ts."""
+        nodes = []
+        for t in ts:
             sd = sigma * math.sqrt(t)
             L = int(math.ceil(8.0 * sd / dz))
             M = int(math.ceil((c * t + (L + 2) * dz) / dz))
-            zs = dz * np.arange(M + 1)
-            gz = claim_sum(t, zs)
+            j_lo = max(0, math.floor((c * t - y_max) / dz) - L - 2)
+            j_hi = max(j_lo, min(M, math.ceil((c * t - y_min) / dz) + L + 2))
+            gz = claim_sum(t, dz * np.arange(j_lo, j_hi + 1))
+            nodes.append((t, sd, L, j_lo, gz))
+        # node i's kernel sits at offset L_max - L_i, so its own full
+        # convolution is columns L_max - L_i onward
+        L_max = max(L for _, _, L, _, _ in nodes)
+        n_fft = sp_fft.next_fast_len(
+            max(len(gz) for *_, gz in nodes) + 2 * L_max, True)
+        gzs = np.zeros((len(ts), n_fft))
+        kerns = np.zeros((len(ts), n_fft))
+        for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
+            gzs[i, :len(gz)] = gz
             xs = dz * (np.arange(2 * L + 1) - L)
-            kern = np.exp(-0.5 * (xs / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
-            conv = fftconvolve(kern, gz)
-            w_grid = dz * (np.arange(len(conv)) - L)
-            hv = dz * conv
-            # trapezoid end fix at z = 0 where the claim sum is finite
-            hv -= 0.5 * dz * gz[0] * np.exp(-0.5 * (w_grid / sd) ** 2) \
-                / (sd * math.sqrt(2 * math.pi))
-            # the claim-free Gaussian point mass at z = 0
-            hv += math.exp(-lam * t) * np.exp(-0.5 * (w_grid / sd) ** 2) \
-                / (sd * math.sqrt(2 * math.pi))
-            w_need = c * t - y_arr
-            vals = np.interp(w_need, w_grid, hv, left=0.0, right=0.0)
-            pos = y_arr > 0
+            kerns[i, L_max - L: L_max + L + 1] = \
+                np.exp(-0.5 * (xs / sd) ** 2) / (sd * root_2pi)
+        convs = sp_fft.irfft(sp_fft.rfft(gzs, axis=1) * sp_fft.rfft(kerns, axis=1),
+                             n_fft, axis=1)
+        rows = np.zeros((len(ts), len(y_arr)))
+        for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
+            w_grid = dz * (np.arange(len(gz) + 2 * L) + (j_lo - L))
+            hv = dz * convs[i, L_max - L: L_max + L + len(gz)]
+            if j_lo == 0:
+                gauss = np.exp(-0.5 * (w_grid / sd) ** 2)
+                # trapezoid end fix at z = 0 where the claim sum is finite
+                hv -= 0.5 * dz * gz[0] * gauss / (sd * root_2pi)
+                # the claim-free Gaussian point mass at z = 0
+                hv += math.exp(-lam * t) * gauss / (sd * root_2pi)
+            vals = np.interp(c * t - y_arr, w_grid, hv, left=0.0, right=0.0)
             rows[i, pos] = math.exp(-q * t) * (y_arr[pos] / t) * vals[pos]
-            rows[i, ~pos] = 0.0
         return rows
 
     total = np.zeros_like(y_arr)
     chunk = max(0.5, 2.0 / max(kill, 1e-6))
     t_lo = d
     tail_est = math.inf
+    last_row = None
     for _ in range(200):
         n = 32
         ts = np.linspace(t_lo, t_lo + chunk, n + 1)
-        rows = rate_at(ts)
+        # linspace ends exactly on t_lo + chunk, this chunk's ts[0]
+        if last_row is None:
+            rows = rate_at(ts)
+        else:
+            rows = np.vstack((last_row, rate_at(ts[1:])))
+        last_row = rows[-1]
         h = chunk / n
         piece = (h / 3.0) * (rows[0] + rows[-1] + 4.0 * rows[1:-1:2].sum(axis=0)
                              + 2.0 * rows[2:-2:2].sum(axis=0))
@@ -437,7 +475,9 @@ def _phi_sigma_pos(model, d, y_arr):
         t_lo += chunk
         decay = math.exp(-kill * chunk)
         tail_est = float(np.max(piece)) * decay / max(1e-300, 1.0 - decay)
-        if tail_est < 1e-13:
+        # before the drift reaches the farthest deficit its rows are 0,
+        # not decaying, and the estimate would stop the loop too early
+        if tail_est < 1e-13 and c * t_lo >= y_max:
             break
     vals = np.clip(closed - total, 0.0, 1.0)
     vals = np.where(y_arr == 0.0, 1.0, vals)
@@ -485,11 +525,12 @@ def upcross_table(model, d, y_grid):
     """upcross_transform values on a whole grid of deficits.
 
     Shares the claim-count sum across deficits, which is what makes
-    grid-sized w_d integrals affordable: at sigma > 0 per time node, and
-    at sigma = 0 with tabulated claims through the factored sum of
-    _phi_sigma0_tab, one matrix product per block of deficits. A few
-    deficits, where building the factors costs more than it saves, take
-    the per-deficit recursion instead, as upcross_transform does.
+    grid-sized w_d integrals affordable: at sigma > 0 per chunk of time
+    nodes, smeared in one batched FFT, and at sigma = 0 with tabulated
+    claims through the factored sum of _phi_sigma0_tab, one matrix
+    product per block of deficits. A few deficits, where building the
+    factors costs more than it saves, take the per-deficit recursion
+    instead, as upcross_transform does.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if not np.all(y_grid >= 0):

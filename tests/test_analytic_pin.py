@@ -92,7 +92,8 @@ def _transform_inf(sigma, ys):
 
 def _transform_tab_diffusion():
     # the one solver route that reads the claim powers between table
-    # nodes; its remainder estimate comes out negative at r = 0.5
+    # nodes. Its remainder estimate is signed, the bound its size; at
+    # r = 0.5 the last chunk reads only past the table end, so it is 0
     m = _model("tab", 1.0, 0.5, r=0.5)
     tr = upcross_transform(m, 0.5, 1.0)
     assert tr.tail_bound >= 0.0
@@ -382,13 +383,13 @@ PINS = {
     ],
     'phi-exp-s0.5-d0.4': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3b832d514p-1', '0',
-        '0x1.27402ae9794bap-47', '0x1.c1bc1221a8d88p-1', '0',
-        '0x1.03e0866b0e815p-46', 'be895c82fe8fed27',
+        '0x1.27402ae97942dp-47', '0x1.c1bc1221a8d88p-1', '0',
+        '0x1.03e0866b0e836p-46', 'be895c82fe8fed27',
     ],
     'phi-exp-s0.5-d2': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1cdc74p-1', '0',
-        '0x1.9efda989e1678p-46', '0x1.c52784d1a73c5p-1', '0',
-        '0x1.6d49ec5a964dcp-45', 'fe4f12ff2315c234',
+        '0x1.9efda989e13ddp-46', '0x1.c52784d1a73c5p-1', '0',
+        '0x1.6d49ec5a96310p-45', 'fe4f12ff2315c234',
     ],
     'phi-exp-s0.5-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
@@ -418,7 +419,7 @@ PINS = {
         'b3abec16f2763e1d',
     ],
     'phi-tab-s0.5-r0.5-d1': [
-        '0x1.9ad4d87c22941p-1', '197', '0x1.2d6d67d45e8a2p-86',
+        '0x1.9ad4d87c22941p-1', '197', '0x0.0p+0',
         'ec2fad76967131fd',
     ],
     'series-d0': [

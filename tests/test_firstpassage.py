@@ -220,3 +220,48 @@ class TestWithDiffusion:
         vals = [upcross_transform(make_model(d, sigma=0.5), 0.5, d).value
                 for d in (0.5, 2.0, 30.0)]
         assert vals[0] < vals[1] < vals[2]
+
+
+class TestDiffusionSmear:
+    """At sigma > 0 each time node smears its claim sum only on the
+    overshoot window its deficits read, and a chunk reuses the previous
+    chunk's last node. A whole deficit grid and a single deficit get
+    very different windows, so they must still agree."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return db.tabulated_exponential(1.0, step=1e-2)
+
+    @pytest.mark.parametrize("claims", ["exp", "tab"])
+    @pytest.mark.parametrize("d", [0.4, 1.0, 2.0])
+    def test_window_does_not_change_the_answer(self, table, claims, d):
+        dist = table if claims == "tab" else db.ExponentialClaims(1.0)
+        model = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
+        ys = np.arange(0.0, dist.reach + 1e-2, 2e-2)
+        grid = upcross_table(model, d, ys)
+        # 0.02, 0.5, 5, the last grid point and, where the grid reaches
+        # it, one deficit past the drift reach c d
+        shared = [1, 25, 250, len(ys) - 1]
+        beyond = int(round((15.0 * d + 1.0) / 2e-2))
+        if beyond < len(ys):
+            shared.append(beyond)
+        for i in shared:
+            tr = upcross_transform(model, float(ys[i]), d)
+            # each call stops its chunk loop on its own largest piece,
+            # so they differ by up to the remainder the tail bound names
+            assert abs(tr.value - grid[i]) <= tr.tail_bound + 1e-14, ys[i]
+
+    def test_each_time_node_is_evaluated_once(self, monkeypatch):
+        model = make_model(1.0, sigma=0.5)
+        seen = []
+        bessel = firstpassage._bessel_series_scaled
+
+        def spy(a, z, extra):
+            # a = r lam mu t names the time node
+            seen.extend(np.ravel(a).tolist())
+            return bessel(a, z, extra)
+
+        monkeypatch.setattr(firstpassage, "_bessel_series_scaled", spy)
+        upcross_table(model, 1.0, np.arange(0.0, model.claims.reach + 1e-2, 2e-2))
+        assert len(seen) > 33
+        assert len(set(seen)) == len(seen)
