@@ -35,6 +35,7 @@ from .lundberg import lundberg_root, psi_r
 from .firstpassage import upcross_transform
 from .valuation import (
     _build_h,
+    _solver_step,
     optimal_barrier,
     barrier_solution_at,
     hjb_verify,
@@ -220,9 +221,11 @@ def cmd_h(cfg):
     model = _model_from(cfg)
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
+    # sigma = 0 solves at the caller's step, unclamped; sigma > 0 at
+    # valuation's floor
     step = cfg["grid-step"]
-    if model.sigma != 0.0 and math.isfinite(step):
-        step = min(step, 1e-5)
+    if model.sigma != 0.0:
+        step = _solver_step(model, step)
     h = _build_h(model, cfg["a"], step)
     print("a=%.17g ide_residual=%.3e" % (h.a, h.ide_residual), file=sys.stderr)
     _write_h_csv(cfg["out"], h)

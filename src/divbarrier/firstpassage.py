@@ -358,7 +358,7 @@ def _tail_sum(s, K):
 
 
 def _phi_sigma_pos(model, d, y_arr):
-    """Deadline transform for sigma > 0 via the complement
+    """Deadline transform for sigma > 0 and d > 0 via the complement
 
         Phi_d(y) = e^{-rho y} - int_d^inf e^{-qt} sum_k r^k v_y(k,t) dt,
 
@@ -378,8 +378,6 @@ def _phi_sigma_pos(model, d, y_arr):
     rho = model.rho
     y_arr = np.asarray(y_arr, dtype=float)
     closed = np.exp(-rho * y_arr)
-    if d == 0.0:
-        return np.where(y_arr == 0.0, 1.0, 0.0), 0, 0.0
 
     kill = q + lam * (1.0 - r)
     dz = min(2e-2, sigma * math.sqrt(d) / 10.0)

@@ -22,8 +22,8 @@ otherwise a Simpson sum over the _PHI_STEP grid of Phi_d, built by the
 claim law's shift_sum (for a table, a node table read with one
 interpolation) and kept next to the grid.
 
-With sigma = 0 the equation is first order and marches from xi(0)=1;
-the equivalent renewal form
+With sigma = 0 the equation is first order in xi, with xi(0) = 1; its
+renewal form
 
     xi = [zeta - (lam r / c) (zeta * w_d)] + (lam r / c) (T_rho f) * xi
 
@@ -44,8 +44,17 @@ so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+)
 so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
 function W. For Exp(mu) claims beta * T_rho f is a mixture of two
 exponentials (rates mu and rho + 2c/sigma^2), summed with two-rate
-exponential panels. Everything here works on uniform grids via the
-exponential panel and Neumann machinery in gridmath.
+exponential panels while the rates are far enough apart, relative to
+the grid step, for its weights not to cancel; otherwise, like a
+table's, the kernel is sampled on the grid. Everything here works on
+uniform grids via the exponential panel and Neumann machinery in
+gridmath.
+
+Every renewal equation is solved by its Neumann series. By the
+Lundberg equation the kernel's L1 mass is 1 - kill/(c rho) at
+sigma = 0 and 1 - 2 kill/(rho (sigma^2 rho + 2c)) at sigma > 0,
+kill = q + lam(1-r) > 0, so it is below 1 for every valid model and
+the series contracts.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
@@ -76,7 +85,6 @@ from .gridmath import (
     derivative,
     neumann_series,
     neumann_series_exp,
-    volterra_march,
 )
 from . import expmodel
 from .firstpassage import upcross_table
@@ -88,6 +96,8 @@ _RESIDUAL_GATE = 1e-4
 
 # deficit step of the memoized Phi grid, and so of the slope stencils
 _PHI_STEP = 2e-2
+
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -165,20 +175,17 @@ def w_d(model, x):
 
 
 def _solve_renewal(grid, kernel, forcing, coeff, mix=None):
-    """xi = forcing + coeff (kernel * xi) on the solver grid.
+    """xi = forcing + coeff (kernel * xi) on the solver grid, by its
+    Neumann series.
 
     A kernel that is a mixture of exponentials, mix = (rates, weights),
-    sums with exponential panels, O(n) per term; any other kernel by
-    the FFT Neumann series, else by marching.
+    convolves with exponential panels, O(n) per term; any other kernel
+    by FFT.
     """
     forcing = grid.with_values(forcing)
     if mix is not None:
         return neumann_series_exp(*mix, forcing, coeff).values
-    kernel = grid.with_values(kernel)
-    try:
-        return neumann_series(kernel, forcing, coeff).values
-    except NonConvergenceError:
-        return volterra_march(kernel, forcing, coeff).values
+    return neumann_series(grid.with_values(kernel), forcing, coeff).values
 
 
 def _require_step(step):
@@ -304,9 +311,13 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     dzb = (rho * erx + b1 * beta) / (rho + b1)
     d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
 
-    if model.claims.kind == "exponential":
-        # beta * T_rho f is a two-rate mixture of exponentials
-        mu = model.claims.mu
+    mu = model.claims.mu if model.claims.kind == "exponential" else None
+    # beta * T_rho f is then a two-rate mixture of exponentials whose
+    # weights +-1/(b1 - mu) cancel. Each panel recursion carries the
+    # rounding of the ~1/(mu step) nodes it remembers, so the mixture's
+    # relative error is about eps b1 / (mu step |b1 - mu|); it is
+    # taken only while that stays below sqrt(eps)
+    if mu is not None and _SQRT_EPS * b1 < abs(b1 - mu) * mu * step:
         kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
         wgt = mu / ((rho + mu) * (b1 - mu))
         mix = ([mu, b1], [wgt, -wgt])

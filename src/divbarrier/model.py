@@ -81,19 +81,12 @@ def exp_conv_power(mu, n, x):
     if n < 1:
         raise ValueError("n = 0 is the point mass at zero; handle it separately")
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    ok = x >= 0
-    if np.any(ok):
-        xo = x[ok]
-        ln = n * math.log(mu) - math.lgamma(n) - mu * xo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.where(xo > 0, (n - 1) * np.log(np.where(xo > 0, xo, 1.0)), 0.0)
-        v = np.exp(ln + lx)
-        if n == 1:
-            out[ok] = v
-        else:
-            v = np.where(xo > 0, v, 0.0)
-            out[ok] = v
+    xo = np.maximum(x, 0.0)
+    # (n-1) log x is -inf at x = 0 for n > 1; the n = 1 density has no x
+    # factor. x < 0 is read at 0 and then masked
+    with np.errstate(divide="ignore"):
+        lx = (n - 1) * np.log(xo) if n > 1 else 0.0
+    out = np.where(x >= 0, np.exp(n * math.log(mu) - math.lgamma(n) - mu * xo + lx), 0.0)
     if out.ndim == 0:
         return float(out)
     return out

@@ -10,10 +10,11 @@ where the normalizing slope h'(a) is smallest (Loeffen 2008): the
 slope at 0 is compared with the slope at each zero where h'' rises
 through 0, a local minimum of h'. Zeros where h'' falls are maxima of
 h' and are never chosen; every zero other than the chosen one is
-reported as an alternative. When the smallest slope is at 0 the
-optimum sits on the pay-everything boundary and is flagged rather
-than polished; when h'' has no zero on [0, a_max] the grid minimum of
-h' decides; a slope still falling at a_max is an error naming it.
+reported as an alternative. 0 is always a candidate, so this one
+rule also covers an h'' with no zero on [0, a_max]. When the smallest
+slope is at 0 the optimum sits on the pay-everything boundary and is
+flagged rather than polished; a slope at a_max below every candidate's
+is an error naming a_max.
 
 Verification never trusts the construction: hjb_verify re-applies the
 integro-differential generator to the assembled value function on a
@@ -166,7 +167,11 @@ def _refine_root(xs, ys, i):
 
 
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
-    """Locate the barrier where the exit function's slope is smallest."""
+    """Locate the barrier where the exit function's slope is smallest.
+
+    The candidates are 0 and every zero where h'' rises through 0; the
+    one with the smallest h' wins (Loeffen 2008).
+    """
     if not 0.0 < a_max < math.inf:
         raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
     scan = _build_h(model, a_max, grid_step)
@@ -181,28 +186,14 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     roots = sorted(set(round(t, 12) for t, _ in zeros))
     cands = [0.0] + sorted(set(round(t, 12) for t, up in zeros if up))
 
-    if len(cands) > 1:
-        slopes = np.interp(cands, xs, hp)
-        k = int(np.argmin(slopes))
-        if hp[-1] < slopes[k]:
-            raise ValueError(
-                "the slope at a_max = %g is below its value at 0 and at every "
-                "minimum of h'; enlarge a_max" % a_max)
-        sol = (barrier_solution_at(model, cands[k], grid_step) if k
-               else _boundary_solution(model, scan))
-    else:
-        j = int(np.argmin(hp))
-        if j >= len(xs) - 2:
-            raise ValueError(
-                "h' has no interior minimum and keeps falling at a_max = %g; "
-                "enlarge a_max" % a_max)
-        if xs[j] > grid_step:
-            # interior argmin without a sign change should not happen on a
-            # smooth curve; treat it as a root found by the slope instead
-            sol = replace(barrier_solution_at(model, float(xs[j]), grid_step),
-                          boundary=True)
-        else:
-            sol = _boundary_solution(model, scan)
+    slopes = np.interp(cands, xs, hp)
+    k = int(np.argmin(slopes))
+    if hp[-1] < slopes[k]:
+        raise ValueError(
+            "the slope at a_max = %g is below its value at 0 and at every "
+            "minimum of h'; enlarge a_max" % a_max)
+    sol = (barrier_solution_at(model, cands[k], grid_step) if k
+           else _boundary_solution(model, scan))
     report = hjb_verify(model, sol, sol.a_star + 10.0, tol=1e-5)
     return replace(sol, hjb_report=report, alternatives=tuple(
         t for t in roots if t != sol.a_star))

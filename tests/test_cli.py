@@ -319,6 +319,15 @@ class TestHCommand:
         assert out == ""
         assert "NonConvergenceError" in err
 
+    def test_diffusion_solves_at_the_step_floor(self, capsys, tmp_path):
+        # sigma > 0 takes valuation's floor of 1e-5; sigma = 0 (above)
+        # keeps the caller's step
+        p = tmp_path / "h.csv"
+        rc, _, _ = run(capsys, ["h", "--a", "0.05", "--sigma", "0.5", "--d", "inf",
+                                "--grid-step", "1e-3", "--out", str(p)])
+        assert rc == 0
+        assert len(p.read_text().splitlines()) == 1 + 5001
+
 
 class TestBarrierCommand:
     def test_diffusion_no_delay_needs_fine_grid(self, capsys):

@@ -227,6 +227,12 @@ class TestSecondKindSolvers:
         a = neumann_series(self.kernel, self.forcing, RENEWAL_G)
         b = volterra_march(self.kernel, self.forcing, RENEWAL_G)
         assert np.max(np.abs(a.values - b.values)) < 1e-8
+        # the kernel's mass 1.6 on [0, 8] is above 1, yet its terms fall
+        # factorially there, so the series also covers the march's own
+        # non-contracting case (xi grows to about 320)
+        a = neumann_series(self.kernel, self.forcing, 1.6)
+        b = volterra_march(self.kernel, self.forcing, 1.6)
+        assert np.max(np.abs(a.values - b.values) / b.values) < 1e-10
 
     def test_march_handles_noncontracting_coeff(self):
         # coeff far above the contraction threshold; the march still

@@ -30,7 +30,7 @@ from divbarrier.hfun import (
     ide_residual,
     w_d,
 )
-from divbarrier.lundberg import lundberg_root
+from divbarrier.lundberg import lundberg_root, psi_r
 
 from conftest import make_model
 import scale_oracle
@@ -212,19 +212,29 @@ class TestForcingNodeTable:
         assert reads == []
 
 
+def _one_percent_loaded(dist):
+    # 1% safety loading, q = 1e-4, r = 1: the renewal kernel's mass
+    # 1 - kill/(c rho) is 0.989, and at a = 150 the series needs 240 terms
+    return db.validate(db.ModelParams(10.0, 10.1, 0.0, 1e-4, 1.0, 0.0), dist)
+
+
 class TestRenewalRoute:
     """At sigma = 0 the kernel T_rho f of Exp(mu) claims is one
     exponential, summed with exponential panels; a table keeps the FFT
-    Neumann series."""
+    Neumann series. Either series runs to tolerance, however many terms
+    that takes, and nothing marches."""
 
-    NAMES = ("neumann_series", "neumann_series_exp", "convolve_values")
+    NAMES = ("neumann_series", "neumann_series_exp", "convolve_values",
+             "volterra_march")
 
     def _spy(self, monkeypatch):
         calls = []
+        self.last = {}
 
         def counted(name, real):
             def spy(*args, **kwargs):
                 calls.append(name)
+                self.last[name] = args
                 return real(*args, **kwargs)
             return spy
 
@@ -248,6 +258,47 @@ class TestRenewalRoute:
         db.optimal_barrier(_tab_model(1e-2, 0.0), a_max=2.0)
         assert "neumann_series" in calls
         assert "neumann_series_exp" not in calls
+
+    def test_slow_contraction_runs_to_tolerance(self):
+        m = _one_percent_loaded(db.ExponentialClaims(1.0))
+        h = h_d_sigma0(m, 150.0, step=1e-2)
+        xi = expmodel.exp_series(m, h.grid.x, 0.0)[0]
+        assert np.max(np.abs(h.grid.values - xi / xi[-1])) < 1e-7
+
+    def test_slow_contraction_on_a_table_does_not_march(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        m = _one_percent_loaded(db.tabulated_exponential(1.0, step=1e-2, x_max=40.0))
+        h = h_d_sigma0(m, 150.0, step=1e-2)
+        assert "volterra_march" not in calls
+        # the march of the same renewal equation is the independent check
+        kernel, forcing, coeff = self.last["neumann_series"]
+        ref = gridmath.volterra_march(kernel, forcing, coeff).values
+        np.testing.assert_allclose(h.grid.values, ref / ref[-1], rtol=1e-12, atol=0.0)
+
+    # at 3e-8 = 2 sqrt(eps) b1 one subtraction of the weights loses
+    # little, but the panel recursions at step 1e-5 lose 5e-6 in h; the
+    # mixture is taken from b1 - mu = sqrt(eps) b1 / (mu step), 1.5e-3
+    @pytest.mark.parametrize("gap,panels", [(0.0, False), (1e-9, False),
+                                            (3e-8, False), (3e-3, True)])
+    def test_diffusion_rates_that_nearly_coincide(self, monkeypatch, gap, panels):
+        # sigma = 6, c = 15: b1 = rho + 2c/sigma^2 meets the claim rate
+        # mu = 1 at rho = 1/6, where the two-rate mixture's weights
+        # +-1/(b1 - mu) cancel; the sampled kernel solves it instead
+        dist = db.ExponentialClaims(1.0)
+        base = db.validate(db.ModelParams(10.0, 15.0, 6.0, 0.1, 1.0, math.inf), dist)
+        q = psi_r(base, 1.0 / 6.0 + gap)
+        m = db.validate(db.ModelParams(10.0, 15.0, 6.0, q, 1.0, math.inf), dist)
+        calls = self._spy(monkeypatch)
+        h = h_d_sigma_pos(m, 1.0, step=1e-5)
+        assert ("neumann_series_exp" in calls) == panels
+        assert np.max(np.abs(h.grid.values - np.exp(-m.rho * (1.0 - h.grid.x)))) < 1e-9
+
+    def test_diffusion_keeps_the_two_rate_mixture(self, monkeypatch):
+        # b1 = 120.2 against mu = 1: far apart, so the exponential panels
+        calls = self._spy(monkeypatch)
+        h_d_sigma_pos(make_model(1.0, sigma=0.5), 0.5, step=1e-4)
+        assert "neumann_series_exp" in calls
+        assert "neumann_series" not in calls
 
 
 class TestResidualDetector:
