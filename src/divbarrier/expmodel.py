@@ -21,18 +21,19 @@ kappa = lam r u(d) / (c b), where u(d) is the reach-back weight
 The k = 0 term is the no-claim recovery mass; dropping it is a known
 way to get this series wrong (see the acceptance-test diagnostics).
 Inner integrals reduce to regularized lower incomplete gammas at
-integer order, evaluated by the Poisson-pmf recursion; all power sums
-run in plain recursions with nonnegative terms.
+integer order, P(n, z) = sum_{m>=n} e^{-z} z^m / m!, read from
+scipy.special.gammainc; all power sums run in plain recursions with
+nonnegative terms. Each series stops where its own bound on the terms
+left out falls below SERIES_TOL, with no term cap.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 SERIES_TOL = 1e-14
-N_TERMS_CAP = 400
 
 
 @dataclass(frozen=True)
@@ -51,27 +52,6 @@ def _require_exp_sigma0(model):
         raise ValueError("closed forms require sigma = 0")
 
 
-def _poisson_tails(z):
-    """Yield P(n, z) for n = 1, 2, ..., the regularized lower incomplete
-    gamma P(n, z) = sum_{m >= n} e^{-z} z^m / m!, built from the pmf
-    recursion pmf_m = pmf_{m-1} z / m. z may be an array.
-    """
-    pmf = np.exp(-z)
-    cum = pmf.copy()
-    m = 0
-    while True:
-        yield np.maximum(1.0 - cum, 0.0)
-        m += 1
-        pmf = pmf * z / m
-        cum = cum + pmf
-
-
-def _poisson_tail_table(nmax, z):
-    """P[n-1] = P(n, z) for n = 1..nmax, one row per n."""
-    tails = _poisson_tails(np.asarray(z, dtype=float))
-    return np.array(list(itertools.islice(tails, nmax)))
-
-
 def u_of_d(model, d):
     """Reach-back weight of the below-zero continuation at level 0."""
     return _u_closed(model, d).u_d
@@ -86,29 +66,27 @@ def _u_closed(model, d) -> ExpClosedForms:
         raise ValueError("negative delay")
     if d == 0:
         return ExpClosedForms(mu=mu, rho=rho, u_d=0.0, series_truncation=0, tail_bound=0.0)
+    if math.isinf(d):
+        # Phi_inf(y) = e^{-rho y}, so u = int_0^inf e^{-rho y} mu e^{-mu y} dy
+        return ExpClosedForms(mu=mu, rho=rho, u_d=mu / (mu + rho),
+                              series_truncation=0, tail_bound=0.0)
     gam = lam + q + mu * c
+    # amplitude k+1 over amplitude k is (r lam mu c / gam^2) 2(2k+1)/(k+2),
+    # below ratio, which q > 0 keeps below 1; P(2k+1, gam d) falls with k,
+    # so term * ratio / (1 - ratio) bounds every term left out
+    ratio = 4.0 * r * lam * mu * c / (gam * gam)
+    ln_rlam, ln_muc, ln_gam = math.log(r * lam), math.log(mu * c), math.log(gam)
     total = 0.0
     k = 0
-    term = 0.0
-    # term ratio approaches 4 r lam mu c / gam^2 < 1 under positive loading
-    ln_muc = math.log(mu * c)
-    ln_gam = math.log(gam)
-    kmax = 1 if r == 0 else N_TERMS_CAP
-    ln_rlam = 0.0 if r == 0 else math.log(r * lam)
-    if not math.isinf(d):
-        # P(2k + 1, gam d), one row per term the series reaches
-        tails = itertools.islice(_poisson_tails(np.array(gam * d)), 0, None, 2)
-    while k < kmax:
+    while True:
         ln_t = (k * ln_rlam + (k + 1) * ln_muc + math.lgamma(2 * k + 1)
                 - math.lgamma(k + 1) - math.lgamma(k + 2) - (2 * k + 1) * ln_gam)
-        amp = math.exp(ln_t)
-        term = amp if math.isinf(d) else amp * float(next(tails))
+        term = math.exp(ln_t) * float(gammainc(2 * k + 1, gam * d))
         total += term
-        if amp < SERIES_TOL and k > 2:
+        tail = term * ratio / (1.0 - ratio)
+        if tail < SERIES_TOL:
             break
         k += 1
-    ratio = 4.0 * r * lam * mu * c / (gam * gam)
-    tail = term * ratio / max(1e-300, 1.0 - ratio) if ratio < 1 else math.inf
     return ExpClosedForms(mu=mu, rho=rho, u_d=total,
                           series_truncation=k + 1, tail_bound=tail)
 
@@ -131,13 +109,17 @@ def _series_eval(model, x, kappa):
     if np.any(x < 0):
         raise ValueError("series defined for x >= 0")
 
-    nmax = 30
-    # enough terms that both w^n and (alpha x)^n / n! are below tolerance
+    # enough terms that the bound w^n P(n, b x) / (1 - w) on the rest of
+    # sum_n w^n P(n, b x) and the term (alpha x)^n / n! are below
+    # tolerance; w < 1, as the Lundberg equation gives q <= c rho
     xm = float(np.max(x)) if len(x) else 0.0
-    while (w ** nmax > SERIES_TOL or (alpha * max(xm, 1.0)) ** nmax / math.exp(math.lgamma(nmax + 1)) > SERIES_TOL) and nmax < N_TERMS_CAP:
+    ln_ax, ln_tol = math.log(alpha * max(xm, 1.0)), math.log(SERIES_TOL)
+    nmax = 30
+    while (w ** nmax * gammainc(nmax, b * xm) / (1.0 - w) > SERIES_TOL
+           or nmax * ln_ax - math.lgamma(nmax + 1) > ln_tol):
         nmax += 10
 
-    P = _poisson_tail_table(nmax, b * x)           # (nmax, len(x))
+    P = gammainc(np.arange(1, nmax + 1)[:, None], b * x)   # P(n, bx), one row per n
     wn = w ** np.arange(1, nmax + 1)
     sumWP = np.tensordot(wn, P, axes=(0, 0))        # sum_n w^n P(n, bx)
 

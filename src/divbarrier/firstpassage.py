@@ -80,27 +80,21 @@ def _bessel_series_scaled(a, z, extra_exponent):
     return out
 
 
-def _count_cutoff(s, tol):
-    """Smallest K with sum_{k>K} s^k / k! < tol (crude, conservative)."""
-    if s <= 0:
-        return 1
-    k = 1
-    term = s
-    # walk past the mode, then accumulate the remainder until it dies
-    while term > tol or k < s:
-        k += 1
-        term *= s / k
-        if k > 10000:
-            break
-    # geometric bound on the remainder beyond k
-    ratio = s / (k + 1)
-    tail = term * ratio / (1.0 - ratio) if ratio < 1 else math.inf
-    while tail >= tol and k <= 10000:
-        k += 1
-        term *= s / k
-        ratio = s / (k + 1)
-        tail = term * ratio / (1.0 - ratio) if ratio < 1 else math.inf
-    return k
+def _claim_cutoff(s, scale):
+    """(K, bound): the smallest K at or past the mode of s^k / k! with
+    bound = scale * sum_{k>K} s^k / k! <= K_TAIL_TOL, for s, scale > 0.
+
+    Past the mode every term ratio s / (k + 1) is at most s / (K + 2) < 1,
+    so the tail is at most the geometric sum term_{K+1} / (1 - s/(K+2)).
+    The terms are kept as logarithms, so neither s^k nor k! overflows.
+    """
+    K = max(1, math.floor(s))
+    ln_s, ln_tol = math.log(s), math.log(K_TAIL_TOL / scale)
+    ln_term = (K + 1) * ln_s - math.lgamma(K + 2)
+    while ln_term - math.log1p(-s / (K + 2)) > ln_tol:
+        K += 1
+        ln_term += ln_s - math.log(K + 1)
+    return K, scale * math.exp(ln_term) / (1.0 - s / (K + 2))
 
 
 _LEG_NODES, _LEG_WEIGHTS = roots_legendre(160)
@@ -209,7 +203,10 @@ def _phi_sigma0_tab(model, d, y_arr):
 
         (y / (z + y)) e^{-(lam + q) t} sum_{k=1}^K (r lam t)^k / k! f^{k*}(z)
 
-    with t = (z + y) / c. Two routes compute the claim-count sum:
+    with t = (z + y) / c. K comes from _claim_cutoff(lam r d, c d max f):
+    t <= d, y / (z + y) <= 1, a convolution power never exceeds max f and
+    z runs over at most c d, so the terms past K add at most the returned
+    tail bound. Two routes compute the claim-count sum:
 
     - per deficit, the K-term Poisson recursion over that deficit's
       J + 1 nodes, about K * sum_y (J_y + 1) vector operations;
@@ -236,10 +233,7 @@ def _phi_sigma0_tab(model, d, y_arr):
         raise ValueError("claim table too short for the c*d horizon; "
                          "extend the density grid")
     maxf = float(np.max(grid.values))
-    K = _count_cutoff(lam * r * d, K_TAIL_TOL)
-    while _tail_sum(lam * r * d, K) * c * maxf * d > K_TAIL_TOL and K < 10000:
-        K += 5
-    tail_bound = _tail_sum(lam * r * d, K) * c * maxf * d
+    K, tail_bound = _claim_cutoff(lam * r * d, c * maxf * d)
     # built in order, so each call makes at most one new power
     powers = [claims._power_values(k) for k in range(1, K + 1)]
 
@@ -339,24 +333,6 @@ def _factored_sums(model, d, powers, ys, last):
     return out
 
 
-def _tail_sum(s, K):
-    """sum_{k>K} s^k / k! (no e^{-s} factor; conservative)."""
-    if s <= 0:
-        return 0.0
-    ln_term = (K + 1) * math.log(s) - math.lgamma(K + 2)
-    term = math.exp(ln_term)
-    ratio = s / (K + 2)
-    if ratio >= 1.0:
-        # sum the slow head explicitly
-        total, k, t = 0.0, K + 1, term
-        while t > 1e-300 and k < K + 10000:
-            total += t
-            k += 1
-            t *= s / k
-        return total
-    return term / (1.0 - ratio)
-
-
 def _phi_sigma_pos(model, d, y_arr):
     """Deadline transform for sigma > 0 and d > 0 via the complement
 
@@ -373,6 +349,13 @@ def _phi_sigma_pos(model, d, y_arr):
     Simpson chunk are smeared in one batched FFT, and a chunk starts at
     the previous chunk's last node, bitwise the same t, so that row is
     reused instead of recomputed.
+
+    With tabulated claims each time node sums its own K_t terms,
+    K_t = _claim_cutoff(r lam t, e^{-lam t} max f y_max / t): a row is
+    the Gaussian smear of the claim sum times at most y_max / t, and a
+    convolution power never exceeds max f. The returned K is the largest
+    K_t, and the tail bound adds the Simpson-weighted K_t bounds to the
+    size of the remainder estimate of the time integral.
     """
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     rho = model.rho
@@ -383,46 +366,46 @@ def _phi_sigma_pos(model, d, y_arr):
     dz = min(2e-2, sigma * math.sqrt(d) / 10.0)
     dz = max(dz, 1e-3)
     tab = model.claims.kind == "tabulated"
-    if tab:
-        K = _count_cutoff(lam * r * (d + 60.0 / max(kill, 1e-6)), K_TAIL_TOL)
-        K = min(K, 400)
-    else:
-        K = 0
     y_min, y_max = float(y_arr.min()), float(y_arr.max())
     pos = y_arr > 0
     root_2pi = math.sqrt(2 * math.pi)
+    ks = [0]
 
     def claim_sum(t, zs):
-        """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the nodes zs."""
+        """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the nodes zs,
+        and the bound of its terms past K_t on a row (y/t factor included)."""
         if not tab:
             a = r * lam * model.claims.mu * t
-            return _bessel_series_scaled(a, zs, -model.claims.mu * zs - lam * t)
+            return _bessel_series_scaled(a, zs, -model.claims.mu * zs - lam * t), 0.0
         # linear reads commute with the k-sum: sum on the table nodes
         # that span zs, then read once
         grid = model.claims.grid
         i_lo = max(int(zs[0] / grid.step) - 1, 0)
         i_hi = min(int(zs[-1] / grid.step) + 2, grid.n + 1)
         if i_lo >= i_hi:
-            return np.zeros_like(zs)
+            return np.zeros_like(zs), 0.0
+        K, bound = _claim_cutoff(r * lam * t, math.exp(-lam * t)
+                                 * float(np.max(grid.values)) * y_max / t)
+        ks.append(K)
         wk = np.exp(-lam * t) * r * lam * t
         acc = wk * model.claims._power_values(1)[i_lo:i_hi]
         for k in range(2, K + 1):
             wk = wk * (r * lam * t) / k
-            if wk < 1e-300:
-                break
             acc = acc + wk * model.claims._power_values(k)[i_lo:i_hi]
-        return np.interp(zs, grid.x[i_lo:i_hi], acc, left=0.0, right=0.0)
+        return np.interp(zs, grid.x[i_lo:i_hi], acc, left=0.0, right=0.0), bound
 
     def rate_at(ts):
-        """Rows over y of e^{-qt} sum_k r^k v_y(k,t), one row per t in ts."""
-        nodes = []
+        """Rows over y of e^{-qt} sum_k r^k v_y(k,t), one row per t in ts,
+        and each row's truncation bound."""
+        nodes, bounds = [], []
         for t in ts:
             sd = sigma * math.sqrt(t)
             L = int(math.ceil(8.0 * sd / dz))
             M = int(math.ceil((c * t + (L + 2) * dz) / dz))
             j_lo = max(0, math.floor((c * t - y_max) / dz) - L - 2)
             j_hi = max(j_lo, min(M, math.ceil((c * t - y_min) / dz) + L + 2))
-            gz = claim_sum(t, dz * np.arange(j_lo, j_hi + 1))
+            gz, bound = claim_sum(t, dz * np.arange(j_lo, j_hi + 1))
+            bounds.append(bound)
             nodes.append((t, sd, L, j_lo, gz))
         # node i's kernel sits at offset L_max - L_i, so its own full
         # convolution is columns L_max - L_i onward
@@ -450,26 +433,31 @@ def _phi_sigma_pos(model, d, y_arr):
                 hv += math.exp(-lam * t) * gauss / (sd * root_2pi)
             vals = np.interp(c * t - y_arr, w_grid, hv, left=0.0, right=0.0)
             rows[i, pos] = math.exp(-q * t) * (y_arr[pos] / t) * vals[pos]
-        return rows
+        return rows, np.array(bounds)
+
+    def simpson(f, h):
+        return (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum(axis=0)
+                            + 2.0 * f[2:-2:2].sum(axis=0))
 
     total = np.zeros_like(y_arr)
     chunk = max(0.5, 2.0 / max(kill, 1e-6))
     t_lo = d
     tail_est = math.inf
-    last_row = None
+    truncation = 0.0
+    last = None
     for _ in range(200):
         n = 32
         ts = np.linspace(t_lo, t_lo + chunk, n + 1)
         # linspace ends exactly on t_lo + chunk, this chunk's ts[0]
-        if last_row is None:
-            rows = rate_at(ts)
+        if last is None:
+            rows, bounds = rate_at(ts)
         else:
-            rows = np.vstack((last_row, rate_at(ts[1:])))
-        last_row = rows[-1]
-        h = chunk / n
-        piece = (h / 3.0) * (rows[0] + rows[-1] + 4.0 * rows[1:-1:2].sum(axis=0)
-                             + 2.0 * rows[2:-2:2].sum(axis=0))
+            rows, bounds = rate_at(ts[1:])
+            rows, bounds = np.vstack((last[0], rows)), np.append(last[1], bounds)
+        last = rows[-1], bounds[-1]
+        piece = simpson(rows, chunk / n)
         total += piece
+        truncation += simpson(bounds, chunk / n)
         t_lo += chunk
         decay = math.exp(-kill * chunk)
         tail_est = float(np.max(piece)) * decay / max(1e-300, 1.0 - decay)
@@ -479,8 +467,9 @@ def _phi_sigma_pos(model, d, y_arr):
             break
     vals = np.clip(closed - total, 0.0, 1.0)
     vals = np.where(y_arr == 0.0, 1.0, vals)
-    # the remainder estimate is signed; the bound is its size
-    return vals, K, abs(tail_est)
+    # the remainder estimate is signed; the bound is its size, plus the
+    # claim-count terms each node left out
+    return vals, max(ks), abs(tail_est) + truncation
 
 
 def _phi_table(model, d, ys):

@@ -140,8 +140,9 @@ def _phi_grid(model):
     For Exp(mu) claims at sigma = 0 the reader is the closed form
     u(d) e^{-mu x} and no grid is built (None in its place).
     """
-    ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
-    key = (model.key(), "phi_for_w", _PHI_STEP, float(ys[-1]))
+    # the step is fixed and the grid end is the claims' reach, so the
+    # model's key alone names the entry
+    key = (model.key(), "phi")
     if key not in _CACHE:
         if model.claims.kind == "exponential" and model.sigma == 0.0:
             # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
@@ -149,6 +150,7 @@ def _phi_grid(model):
             _CACHE[key] = None, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
         else:
             # Simpson quadrature of Phi against the shifted density
+            ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
             phi = upcross_table(model, model.d, ys)
             wts = _simpson_weights(len(ys), _PHI_STEP)
             _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)

@@ -83,10 +83,12 @@ def exp_conv_power(mu, n, x):
     x = np.asarray(x, dtype=float)
     xo = np.maximum(x, 0.0)
     # (n-1) log x is -inf at x = 0 for n > 1; the n = 1 density has no x
-    # factor. x < 0 is read at 0 and then masked
-    with np.errstate(divide="ignore"):
+    # factor. x < 0 is read at 0 and x = +inf (where -inf + inf is nan)
+    # as it comes, then both are masked to the density's limit 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         lx = (n - 1) * np.log(xo) if n > 1 else 0.0
-    out = np.where(x >= 0, np.exp(n * math.log(mu) - math.lgamma(n) - mu * xo + lx), 0.0)
+        dens = np.exp(n * math.log(mu) - math.lgamma(n) - mu * xo + lx)
+    out = np.where((x >= 0) & (x < math.inf), dens, 0.0)
     if out.ndim == 0:
         return float(out)
     return out

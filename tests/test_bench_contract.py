@@ -55,7 +55,7 @@ def test_traced_simulators_and_methods_resolve(tracer):
 def test_power_builds_are_counted_per_layer(tracer):
     # the tracer counts a build when _power_values is called, through the
     # class, for a power not yet cached; a fresh table at d = 2 needs
-    # K = 69 powers, of which the first is the density itself
+    # K = 66 powers, of which the first is the density itself
     dist = db.tabulated_exponential(1.0, step=1e-2)
     model = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=0.0, q=0.1,
                                        r=0.8, d=2.0), dist)
@@ -66,8 +66,8 @@ def test_power_builds_are_counted_per_layer(tracer):
             db.firstpassage.upcross_table(model, 2.0, [0.0, 0.3, 0.5])
     finally:
         t.uninstall()
-    assert t.powers_built == 68
-    assert max(dist._powers) == 69
+    assert t.powers_built == 65
+    assert max(dist._powers) == 66
 
 
 def test_names_the_harness_reads():

@@ -87,6 +87,44 @@ class TestReachBackWeight:
             expmodel.u_of_d(m_d2, -1.0)
 
 
+def _thin_loading(d):
+    # 1% safety loading and no claim discount: the claim-count series
+    # run to hundreds of terms and the Poisson tails to gam d > 745
+    return db.validate(db.ModelParams(lam=10.0, c=10.1, sigma=0.0, q=1e-4,
+                                      r=1.0, d=d), db.ExponentialClaims(1.0))
+
+
+class TestSeriesStopOnTheirBound:
+    @pytest.mark.parametrize("model", [make_model(math.inf), _thin_loading(math.inf)],
+                             ids=["standard", "thin"])
+    def test_infinite_delay_is_exact(self, model):
+        # Phi_inf(y) = e^{-rho y}, so u = mu / (mu + rho)
+        want = 1.0 / (1.0 + model.rho)
+        assert expmodel.u_of_d(model, math.inf) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_long_delay_on_thin_loading(self):
+        # gam d = 1005: a pmf recursion from e^{-gam d} underflows there.
+        # u(d) = int_0^inf Phi_d(y) e^{-y} dy by Gauss-Laguerre; Phi_d is
+        # smooth below c d = 505, past the last node (104)
+        model = _thin_loading(50.0)
+        ys, ws = np.polynomial.laguerre.laggauss(30)
+        quad = float(ws @ upcross_table(model, 50.0, ys))
+        assert expmodel.u_of_d(model, 50.0) == pytest.approx(quad, rel=1e-10)
+
+    def test_no_delay_theta_matches_the_renewal_solve(self):
+        # the exit function h = theta(x) / theta(a) from an independent
+        # Neumann solve, far out where the series needs hundreds of terms
+        model = _thin_loading(0.0)
+        h = db.hfun.h_d_sigma0(model, 400.0, step=2e-2)
+        xs = np.array([50.0, 100.0, 200.0, 300.0])
+        theta = expmodel.vartheta(model, np.append(xs, 400.0))
+        np.testing.assert_allclose(theta[:-1] / theta[-1],
+                                   np.interp(xs, h.grid.x, h.grid.values), rtol=1e-6)
+
+    def test_series_far_out_is_finite(self, m_d2):
+        assert all(np.all(np.isfinite(v)) for v in expmodel.exp_series(m_d2, 150.0, 2.0))
+
+
 class TestCollapseIdentities:
     XS = np.array([0.0, 0.15, 0.52, 0.7693, 1.4, 2.3])
 

@@ -265,3 +265,29 @@ class TestDiffusionSmear:
         upcross_table(model, 1.0, np.arange(0.0, model.claims.reach + 1e-2, 2e-2))
         assert len(seen) > 33
         assert len(set(seen)) == len(seen)
+
+
+class TestClaimCountCutoff:
+    """Every tabulated claim-count sum stops where its own tail bound
+    falls below K_TAIL_TOL, with no cap and no guessed horizon."""
+
+    @pytest.mark.parametrize("s,scale", [(0.3, 1.0), (16.0, 30.0), (8.5, 1e-6),
+                                         (1000.0, 1e3)])
+    def test_smallest_count_past_the_mode(self, s, scale):
+        K, bound = firstpassage._claim_cutoff(s, scale)
+        ln_term = lambda k: k * math.log(s) - math.lgamma(k + 1)
+        # the exact tail, in logs so that s = 1000 does not overflow
+        tail = lambda k: math.fsum(math.exp(ln_term(j)) for j in range(k + 1, k + 2000))
+        assert K >= max(1, math.floor(s))
+        assert scale * tail(K) <= bound <= firstpassage.K_TAIL_TOL
+        if K > max(1, math.floor(s)):
+            assert scale * tail(K - 1) > firstpassage.K_TAIL_TOL * 1e-3
+
+    def test_diffusion_table_builds_only_the_powers_it_reads(self):
+        # a fresh table: the parent capped K at 400 and built 350 powers
+        dist = db.tabulated_exponential(1.0, step=1e-2)
+        model = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0), dist)
+        tr = upcross_transform(model, 0.5, 1.0)
+        assert tr.truncation_k < 400
+        assert tr.truncation_k == max(dist._powers)
+        assert 0.0 < tr.tail_bound < 1e-10

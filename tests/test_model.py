@@ -1,6 +1,7 @@
 """Parameter validation and the claim-distribution contract."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ class TestExponentialClaims:
 
     def test_conv_power_negative_x(self):
         assert exp_conv_power(1.0, 2, -0.5) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_conv_power_at_infinity_is_zero(self, n):
+        # the Erlang density's limit; -mu x + (n-1) log x is -inf + inf there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exp_conv_power(1.0, n, math.inf) == 0.0
+            np.testing.assert_array_equal(
+                exp_conv_power(2.0, n, np.array([0.5, math.inf])),
+                [exp_conv_power(2.0, n, 0.5), 0.0])
 
 
 class TestTabulatedClaims:
