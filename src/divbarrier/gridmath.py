@@ -1,15 +1,22 @@
 """Uniform-grid function arithmetic.
 
-Everything downstream (transform tails, convolution series, residual
+Everything downstream (transform tails, renewal solves, residual
 checks) runs on functions sampled on a uniform grid. Quadrature is
 trapezoid throughout, with one refinement: integrals weighted by an
 exponential factor e^{-b u} use panels that integrate the exponential
 exactly against piecewise-linear data, so stiff rates do not poison
 the error term. Linear recurrences are evaluated with lfilter, which
 computes the same sums a Python loop would, in C.
+
+A renewal equation xi = forcing + coeff (kernel * xi) is solved two
+ways. A kernel that is a mixture of m exponentials makes the panel
+equation a linear recursion of order m, solved exactly by one filter
+pass (neumann_series_exp); any other kernel is summed by its Neumann
+series of FFT convolutions (neumann_series).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -258,22 +265,60 @@ def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff):
         forcing)
 
 
+def _roots(coeffs):
+    """Roots of a real polynomial, highest power first: closed forms up
+    to degree 2 (the stable quadratic formula), else np.roots."""
+    if len(coeffs) == 2:
+        return np.array([-coeffs[1] / coeffs[0]])
+    if len(coeffs) != 3:
+        return np.roots(coeffs)
+    a, b, c = coeffs
+    half = -0.5 * (b + math.copysign(1.0, b) * np.emath.sqrt(b * b - 4.0 * a * c))
+    return np.array([half / a, c / half if half else 0.0])
+
+
 def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
-    """Neumann series for a kernel that is a mixture of exponentials.
+    """xi = forcing + coeff (kernel * xi) for the mixture of exponentials
+    kernel(x) = sum_j weights[j] e^{-rates[j] x} on exponential panels,
+    xi = forcing + coeff sum_j weights[j] convolve_exp(rates[j], xi, step),
+    solved exactly: the whole Neumann series of that discrete equation
+    in one filter pass.
 
-    kernel(x) = sum_j weights[j] e^{-rates[j] x}; every convolution in
-    the series is done with exponential panels, O(n) per term, so stiff
-    rates cost nothing in accuracy.
+    With E_j = e^{-rates[j] step} and convolve_exp's panel weights
+    (A_j, B_j), the equation is the rational filter
+    G(z) = (1/lead) prod_j (1 - E_j/z) / (1 - p_j/z),
+    lead = 1 - coeff sum_j weights[j] A_j, applied to the forcing less
+    convolve_exp's zero start, coeff forcing[0] sum_j weights[j] A_j E_j^i.
+    It runs as one first-order lfilter section per pole. The poles
+    p_j = 1 - step lam_j come from the roots lam_j of the characteristic
+    polynomial in lam = (1 - p)/step, whose coefficients are O(rate)
+    and built from expm1, never from the z-polynomial, whose roots
+    crowd within O(rate step) of 1. O(n) per rate; a solution that
+    leaves the double range raises NonConvergenceError.
     """
-    step = forcing.step
-
-    def apply_kernel(term):
-        nxt = np.zeros_like(term)
-        for b, w in zip(rates, weights):
-            nxt += w * convolve_exp(b, term, step)
-        return coeff * nxt
-
-    return _series(apply_kernel, forcing)
+    step, f = forcing.step, forcing.values
+    rates = np.asarray(rates, dtype=float)
+    cw = coeff * np.asarray(weights, dtype=float)
+    A, B = np.array([_exp_panel_coeffs(b, step) for b in rates]).T
+    # at z = 1 - step lam, z - E_j = step (e_j - lam) with e_j = (1 - E_j)/step,
+    # so the poles solve prod_j (lam - e_j)
+    #     + sum_j cw_j ((A_j + B_j)/step - A_j lam) prod_{k != j} (lam - e_k) = 0
+    e = -np.expm1(-rates * step) / step
+    poly = np.poly(e)
+    for j in range(len(e)):
+        poly = poly + cw[j] * np.convolve([-A[j], (A[j] + B[j]) / step],
+                                          np.poly(np.delete(e, j)))
+    with np.errstate(under="ignore"):
+        start = (cw * A) @ np.exp(np.outer(-rates * step, np.arange(len(f))))
+    x = f - f[0] * start
+    for b, lam in zip(np.sort(rates), np.sort(_roots(poly))):
+        x = lfilter([1.0, -math.exp(-b * step)], [1.0, -(1.0 - step * lam)], x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = np.real(x) / (1.0 - cw @ A)
+    if not np.all(np.isfinite(xi)):
+        raise NonConvergenceError("solution left the double range",
+                                  last_norm=float(np.max(np.abs(xi))))
+    return forcing.with_values(xi)
 
 
 def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFunction:
@@ -281,7 +326,7 @@ def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFu
 
     Left-to-right trapezoid marching, n^2/2 multiply-adds on n nodes.
     No solver calls it: it is the independent reference the tests
-    check the Neumann series against.
+    check both renewal solvers against.
     """
     if not kernel.same_grid(forcing):
         raise ValueError("grid mismatch in volterra_march")

@@ -27,11 +27,12 @@ renewal form
 
     xi = [zeta - (lam r / c) (zeta * w_d)] + (lam r / c) (T_rho f) * xi
 
-(zeta(x) = e^{rho x}) sums by Neumann iteration. For Exp(mu) claims the
-kernel T_rho f = (mu/(rho+mu)) e^{-mu x} is one exponential, so each
-term is an O(n) exponential-panel convolution, as are the claim
-convolutions f * xi; a table sums by FFT convolutions. With sigma > 0
-the solution family is
+(zeta(x) = e^{rho x}). For Exp(mu) claims the kernel
+T_rho f = (mu/(rho+mu)) e^{-mu x} is one exponential, so on
+exponential panels the equation is a first-order recursion, solved
+exactly in O(n), and the claim convolutions f * xi are O(n) panel
+recursions too; a table's equation sums by its Neumann series of FFT
+convolutions. With sigma > 0 the solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
@@ -43,18 +44,20 @@ so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+)
 (rho at d = inf). At d = 0 a diffusion started at 0 is ruined at once,
 so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
 function W. For Exp(mu) claims beta * T_rho f is a mixture of two
-exponentials (rates mu and rho + 2c/sigma^2), summed with two-rate
-exponential panels while the rates are far enough apart, relative to
-the grid step, for its weights not to cancel; otherwise, like a
-table's, the kernel is sampled on the grid. Everything here works on
-uniform grids via the exponential panel and Neumann machinery in
-gridmath.
+exponentials (rates mu and rho + 2c/sigma^2), and on two-rate
+exponential panels the equation is a second-order recursion, solved
+exactly, while the rates are far enough apart, relative to the grid
+step, for its weights not to cancel; otherwise, like a table's, the
+kernel is sampled on the grid. Everything here works on uniform grids
+via the exponential panel and renewal solvers in gridmath.
 
-Every renewal equation is solved by its Neumann series. By the
-Lundberg equation the kernel's L1 mass is 1 - kill/(c rho) at
-sigma = 0 and 1 - 2 kill/(rho (sigma^2 rho + 2c)) at sigma > 0,
-kill = q + lam(1-r) > 0, so it is below 1 for every valid model and
-the series contracts.
+A mixture-of-exponentials kernel is solved exactly
+(gridmath.neumann_series_exp, one filter pass); every other kernel
+by its Neumann series. By the Lundberg equation the kernel's L1 mass
+is 1 - kill/(c rho) at sigma = 0 and
+1 - 2 kill/(rho (sigma^2 rho + 2c)) at sigma > 0, kill = q + lam(1-r)
+> 0, so it is below 1 for every valid model and the series
+contracts.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
@@ -177,12 +180,11 @@ def w_d(model, x):
 
 
 def _solve_renewal(grid, kernel, forcing, coeff, mix=None):
-    """xi = forcing + coeff (kernel * xi) on the solver grid, by its
-    Neumann series.
+    """xi = forcing + coeff (kernel * xi) on the solver grid.
 
     A kernel that is a mixture of exponentials, mix = (rates, weights),
-    convolves with exponential panels, O(n) per term; any other kernel
-    by FFT.
+    is solved exactly on exponential panels, one O(n) filter pass; any
+    other kernel by its Neumann series of FFT convolutions.
     """
     forcing = grid.with_values(forcing)
     if mix is not None:
@@ -291,7 +293,7 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
 
     xi starts from xi(0) = 1 with the continuation slope at d > 0, and
     from xi(0) = 0 with unit slope at d = 0 (proportional to W). xi,
-    xi' and xi'' are one Neumann series each; the certificate is the
+    xi' and xi'' are one renewal solve each; the certificate is the
     larger of the equation residual and the interface mismatch.
     """
     if model.sigma <= 0.0:

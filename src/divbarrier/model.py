@@ -28,7 +28,7 @@ where exponential claims allow a closed-form algorithm, never to read
 a storage format: the per-deficit series of Phi_d at sigma = 0 and the
 Bessel claim sum at sigma > 0 (firstpassage), the u(d) forcing, the
 slope w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
-one-rate sigma = 0 and two-rate sigma > 0 Neumann kernels of the exit
+one-rate sigma = 0 and two-rate sigma > 0 renewal kernels of the exit
 function (hfun), and the closed series of expmodel.
 """
 

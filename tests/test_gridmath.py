@@ -234,6 +234,38 @@ class TestSecondKindSolvers:
         b = volterra_march(self.kernel, self.forcing, 1.6)
         assert np.max(np.abs(a.values - b.values) / b.values) < 1e-10
 
+    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
+    def test_exact_solve_agrees_with_march(self, coeff):
+        # kernel 1.5 e^{-x} - 0.5 e^{-3x}, a two-rate mixture. The exact
+        # panel solve and the trapezoid march of the sampled kernel are
+        # two second-order rules, 2e-8 (3e-7 at 1.6) apart at step 1e-3,
+        # so each is Richardson-extrapolated from steps 2e-3 and 1e-3.
+        # The kernel's mass on [0, 4] is 1.31, so at 1.6 the equation
+        # does not contract
+        rates, wts = [1.0, 3.0], [1.5, -0.5]
+
+        def both(step):
+            kernel = grid_of(lambda x: 1.5 * np.exp(-x) - 0.5 * np.exp(-3.0 * x),
+                             4.0, step)
+            forcing = kernel.with_values(np.ones(kernel.n + 1))
+            xi = neumann_series_exp(rates, wts, forcing, coeff).values
+            # the solve meets its own discrete equation to rounding
+            conv = sum(w * convolve_exp(b, xi, step) for b, w in zip(rates, wts))
+            assert np.max(np.abs(xi - 1.0 - coeff * conv)) < 1e-13 * np.max(xi)
+            return xi, volterra_march(kernel, forcing, coeff).values
+
+        (exact1, march1), (exact2, march2) = both(2e-3), both(1e-3)
+        exact = (4.0 * exact2[::2] - exact1) / 3.0
+        march = (4.0 * march2[::2] - march1) / 3.0
+        assert np.max(np.abs(exact - march) / march) < 1e-10
+
+    def test_exact_solve_overflow_raises(self):
+        # xi = 1 + 10 (e^{-.} * xi) grows like e^{9x}, past the double
+        # range by x = 100
+        flat = GridFunction(0.0, 100.0, 0.1, np.ones(1001))
+        with pytest.raises(NonConvergenceError):
+            neumann_series_exp([1.0], [1.0], flat, 10.0)
+
     def test_march_handles_noncontracting_coeff(self):
         # coeff far above the contraction threshold; the march still
         # solves the equation, checked against its own residual

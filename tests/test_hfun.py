@@ -409,6 +409,19 @@ class TestScaleFunctionOracle:
         assert sol.hjb_report.passed
         assert sol.value(0.0) == 0.0
 
+    @pytest.mark.parametrize("d", [1.0, 2.0])
+    def test_finite_clock_is_the_lambda_ratio(self, d):
+        # h = Lambda(x)/Lambda(a) with Lambda from exit_weights, which never
+        # calls the solver; measured 1.1e-9 / 3.5e-9 / 5.1e-7 (h / h' / h'')
+        # at d = 1 and 3.7e-10 / 5.5e-9 / 5.8e-7 at d = 2
+        t, wts = scale_oracle.exit_weights(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d,
+                                           s_step=2.5e-4)
+        h = h_d_sigma_pos(make_model(d, sigma=0.5), 1.0, step=1e-5)
+        lam_a = scale_oracle.scale_w(t, wts, 1.0)
+        for order, got, tol in ((0, h.grid, 5e-9), (1, h.hp, 2e-8), (2, h.hpp, 2e-6)):
+            want = scale_oracle.scale_w(t, wts, h.grid.x, order) / lam_a
+            assert np.max(np.abs(got.values - want)) < tol
+
     def test_unit_clock_boundary_value(self):
         slope = scale_oracle.continuation_slope(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, 1.0)
         assert slope == pytest.approx(0.24474564, abs=1e-8)

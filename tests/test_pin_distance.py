@@ -1,4 +1,5 @@
-"""tools/pin_distance.py measures the old -> new distance of a pin row."""
+"""tools/pin_distance.py measures the old -> new distance of a pin row and
+prints the row's new PINS entry."""
 
 import importlib.util
 import math
@@ -6,14 +7,20 @@ from pathlib import Path
 
 import numpy as np
 
+import test_analytic_pin
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pin_distance.py"
 
 
-def _distance():
+def _tool():
     spec = importlib.util.spec_from_file_location("pin_distance", TOOL)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.distance
+    return mod
+
+
+def _distance():
+    return _tool().distance
 
 
 def test_numbers_and_arrays():
@@ -42,3 +49,14 @@ def test_text_compares_its_numbers():
     assert distance(old, "residual 9.518e-03 is below 1e-04") == (math.inf, math.inf)
     assert distance(True, False) == (math.inf, math.inf)
     assert distance(np.zeros(3), np.zeros(4)) == (math.inf, math.inf)
+
+
+def test_pins_entry_is_laid_out_as_the_pin_file():
+    # every row of the pin file is the tool's entry for its own list, so
+    # a recaptured row is copied from the tool's output as printed
+    pins_entry = _tool().pins_entry
+    text = (TOOL.parents[1] / "tests" / "test_analytic_pin.py").read_text()
+    for case, fingerprints in test_analytic_pin.PINS.items():
+        assert pins_entry(case, fingerprints) in text
+    assert pins_entry("row", ["0x1.8p+0", "'a'"]) == (
+        "    'row': [\n        '0x1.8p+0', \"'a'\",\n    ],")

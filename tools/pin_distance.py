@@ -15,6 +15,13 @@ same for each changed value of the row, by its index:
         [5] abs 5.04e-13  rel 0.988
         ...
 
+and last each moved row's new fingerprint list as a PINS entry, laid
+out as in the pin file, to be copied over the old entry:
+
+    'phi-tab-s0-d2': [
+        '0x1.0000000000000p+0', '0x1.45d8f9c7d1aabp-1', ...
+    ],
+
 Numbers are compared where both trees give the same shape (arrays) or
 the same text around the numbers (strings, and bytes such as the CLI's
 CSV); any other change, a flipped flag or a row that raises in one tree,
@@ -89,6 +96,18 @@ def distance(old, new):
     return float(gap.max(initial=0.0)), float(rel.max(initial=0.0))
 
 
+def pins_entry(case, fingerprints):
+    """The PINS entry of one row as the pin file lays it out: the
+    repr of each fingerprint, packed into lines of at most 79 columns."""
+    lines, line = ["    %r: [" % (case,)], ""
+    for item in map(repr, fingerprints):
+        if line and len(line) + len(item) + 3 > 79:
+            lines.append(line + ",")
+            line = ""
+        line = (line + ", " if line else "        ") + item
+    return "\n".join(lines + [line + ",", "    ],"])
+
+
 def _run(src, cases, out_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
     subprocess.run([sys.executable, "-c", _RUN, out_path] + cases, env=env,
@@ -108,12 +127,12 @@ def main(argv):
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         old = _run(Path(tmp) / "src", cases, os.path.join(tmp, "old.pkl"))
         new = _run(ROOT / "src", cases, os.path.join(tmp, "new.pkl"))
-    moved = 0
+    moved = []
     for case in sorted(new):
         (fp_old, v_old), (fp_new, v_new) = old[case], new[case]
         if fp_old == fp_new:
             continue
-        moved += 1
+        moved.append(case)
         if len(v_old) != len(v_new):
             print("%s  %d values -> %d values" % (case, len(v_old), len(v_new)))
             continue
@@ -123,7 +142,9 @@ def main(argv):
                                           max(d[1] for _, d in fields)))
         for i, (gap, rel) in fields:
             print("    [%d] abs %.3g  rel %.3g" % (i, gap, rel))
-    print("%d of %d rows moved" % (moved, len(new)))
+    print("%d of %d rows moved" % (len(moved), len(new)))
+    for case in moved:
+        print(pins_entry(case, new[case][0]))
     return 0
 
 
