@@ -28,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy.special import i1e, roots_legendre
 
-from .gridmath import trapezoid
+from .gridmath import fft_convolve, simpson_weights, trapezoid
 
 K_TAIL_TOL = 1e-12
 
@@ -152,23 +151,27 @@ def vy_density(model, y, k, t):
 
 
 def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19):
-    """Composite Simpson with panel doubling; fun maps arrays to arrays."""
+    """Composite Simpson with panel doubling; fun maps arrays to arrays.
+
+    Each doubling keeps the nodes it has (linspace's even nodes at 2n
+    panels are its nodes at n, bitwise) and evaluates fun only at the
+    new midpoints, so every node is evaluated once.
+    """
     if hi <= lo:
         return 0.0, 0.0
     n = n0
+    ys = fun(np.linspace(lo, hi, n + 1))
     prev = None
     while True:
-        xs = np.linspace(lo, hi, n + 1)
-        ys = fun(xs)
-        h = (hi - lo) / n
-        s = (h / 3.0) * (ys[0] + ys[-1] + 4.0 * np.sum(ys[1:-1:2])
-                         + 2.0 * np.sum(ys[2:-2:2]))
+        s = simpson_weights(n + 1, (hi - lo) / n) @ ys
         if prev is not None:
             err = abs(s - prev) / 15.0
             if err < tol or n >= n_cap:
                 return float(s), float(err)
         prev = s
         n *= 2
+        # the new midpoints go between the n/2 + 1 nodes kept
+        ys = np.insert(ys, np.arange(1, n // 2 + 1), fun(np.linspace(lo, hi, n + 1)[1::2]))
 
 
 def _phi_sigma0_exp(model, d, y):
@@ -410,17 +413,14 @@ def _phi_sigma_pos(model, d, y_arr):
         # node i's kernel sits at offset L_max - L_i, so its own full
         # convolution is columns L_max - L_i onward
         L_max = max(L for _, _, L, _, _ in nodes)
-        n_fft = sp_fft.next_fast_len(
-            max(len(gz) for *_, gz in nodes) + 2 * L_max, True)
-        gzs = np.zeros((len(ts), n_fft))
-        kerns = np.zeros((len(ts), n_fft))
+        gzs = np.zeros((len(ts), max(len(gz) for *_, gz in nodes)))
+        kerns = np.zeros((len(ts), 2 * L_max + 1))
         for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
             gzs[i, :len(gz)] = gz
             xs = dz * (np.arange(2 * L + 1) - L)
             kerns[i, L_max - L: L_max + L + 1] = \
                 np.exp(-0.5 * (xs / sd) ** 2) / (sd * root_2pi)
-        convs = sp_fft.irfft(sp_fft.rfft(gzs, axis=1) * sp_fft.rfft(kerns, axis=1),
-                             n_fft, axis=1)
+        convs = fft_convolve(gzs, kerns)
         rows = np.zeros((len(ts), len(y_arr)))
         for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
             w_grid = dz * (np.arange(len(gz) + 2 * L) + (j_lo - L))
@@ -435,18 +435,15 @@ def _phi_sigma_pos(model, d, y_arr):
             rows[i, pos] = math.exp(-q * t) * (y_arr[pos] / t) * vals[pos]
         return rows, np.array(bounds)
 
-    def simpson(f, h):
-        return (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum(axis=0)
-                            + 2.0 * f[2:-2:2].sum(axis=0))
-
     total = np.zeros_like(y_arr)
     chunk = max(0.5, 2.0 / max(kill, 1e-6))
     t_lo = d
     tail_est = math.inf
     truncation = 0.0
     last = None
+    n = 32
+    wts = simpson_weights(n + 1, chunk / n)
     for _ in range(200):
-        n = 32
         ts = np.linspace(t_lo, t_lo + chunk, n + 1)
         # linspace ends exactly on t_lo + chunk, this chunk's ts[0]
         if last is None:
@@ -455,9 +452,9 @@ def _phi_sigma_pos(model, d, y_arr):
             rows, bounds = rate_at(ts[1:])
             rows, bounds = np.vstack((last[0], rows)), np.append(last[1], bounds)
         last = rows[-1], bounds[-1]
-        piece = simpson(rows, chunk / n)
+        piece = wts @ rows
         total += piece
-        truncation += simpson(bounds, chunk / n)
+        truncation += wts @ bounds
         t_lo += chunk
         decay = math.exp(-kill * chunk)
         tail_est = float(np.max(piece)) * decay / max(1e-300, 1.0 - decay)

@@ -1,12 +1,24 @@
 """Uniform-grid function arithmetic.
 
 Everything downstream (transform tails, renewal solves, residual
-checks) runs on functions sampled on a uniform grid. Quadrature is
-trapezoid throughout, with one refinement: integrals weighted by an
-exponential factor e^{-b u} use panels that integrate the exponential
-exactly against piecewise-linear data, so stiff rates do not poison
-the error term. Linear recurrences are evaluated with lfilter, which
-computes the same sums a Python loop would, in C.
+checks) runs on functions sampled on a uniform grid, and this module
+holds the one copy of each grid primitive the others use:
+
+- fft_convolve, the only FFT convolution: the full linear convolution
+  along the last axis, batched over the leading axes. convolve_values
+  (the trapezoid f * g) and the Gaussian smear of the sigma > 0 Phi
+  transform both run through it, at every size;
+- convolve_exp, the only exponential-panel recurrence: integrals
+  weighted by e^{-b u} on panels that integrate the exponential exactly
+  against piecewise-linear data, so stiff rates do not poison the error
+  term. With the rate negated, convolve_exp(-b, S) is the growing
+  integral int_0^x e^{b(x-u)} S(u) du, and on reversed nodes it is
+  dickson_at's backward tail;
+- simpson_weights, the only Simpson rule, for any node count.
+
+Other quadrature is trapezoid. lfilter runs in two functions only,
+convolve_exp and neumann_series_exp; it computes the same sums a
+Python loop would, in C.
 
 A renewal equation xi = forcing + coeff (kernel * xi) is solved two
 ways. A kernel that is a mixture of m exponentials makes the panel
@@ -21,7 +33,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy import fft as sp_fft
+from scipy.signal import lfilter
 
 try:
     trapezoid = np.trapezoid
@@ -89,12 +102,42 @@ def _require_zero_lo(g):
         raise ValueError("operation requires a grid starting at 0")
 
 
+def fft_convolve(f, g):
+    """Full linear convolution of f and g along the last axis, batched
+    over the leading axes (which broadcast), by real FFTs at a fast
+    length."""
+    n = f.shape[-1] + g.shape[-1] - 1
+    m = sp_fft.next_fast_len(n, True)
+    return sp_fft.irfft(sp_fft.rfft(f, m) * sp_fft.rfft(g, m), m)[..., :n]
+
+
+def simpson_weights(n, step):
+    """Composite Simpson weights for n uniformly spaced nodes.
+
+    When n is even the last interval gets a trapezoid patch, which keeps
+    the rule valid for any node count at step**4 accuracy elsewhere.
+    """
+    if n < 3:
+        w = np.full(n, step)
+        if n == 2:
+            w *= 0.5
+        return w
+    m = n if n % 2 == 1 else n - 1
+    w = np.zeros(n)
+    w[:m] = 1.0
+    w[1:m - 1:2] = 4.0
+    w[2:m - 1:2] = 2.0
+    w[:m] *= step / 3.0
+    if m < n:
+        w[m - 1] += 0.5 * step
+        w[m] += 0.5 * step
+    return w
+
+
 def convolve_values(f, g, step):
-    """Trapezoid (f*g) for arrays sampled on the same [0, hi] grid."""
-    if len(f) + len(g) > 8192:
-        full = fftconvolve(f, g)[: len(f)]
-    else:
-        full = np.convolve(f, g)[: len(f)]
+    """Trapezoid (f*g) for arrays sampled on the same [0, hi] grid; g
+    may run past f's end, and only its first len(f) nodes are read."""
+    full = fft_convolve(f, g[: len(f)])[: len(f)]
     out = step * (full - 0.5 * f[0] * g[: len(f)] - 0.5 * f[: len(f)] * g[0])
     out[0] = 0.0
     return out
@@ -123,24 +166,11 @@ def _exp_panel_coeffs(b, step):
     return A, B
 
 
-def cumexp(b, values, step):
-    """C[i] = int_0^{x_i} e^{-b u} S(u) du for S piecewise linear."""
-    A, B = _exp_panel_coeffs(b, step)
-    S = np.asarray(values, dtype=float)
-    i = np.arange(len(S) - 1)
-    with np.errstate(over="ignore", under="ignore"):
-        w = np.exp(-b * step * i)
-    panels = w * (A * S[:-1] + B * S[1:])
-    out = np.empty(len(S))
-    out[0] = 0.0
-    np.cumsum(panels, out=out[1:])
-    return out
-
-
 def convolve_exp(b, values, step):
     """W[i] = int_0^{x_i} e^{-b u} S(x_i - u) du, exact for linear S.
 
-    Recurrence W[i] = e^{-b step} W[i-1] + A S[i] + B S[i-1], O(n).
+    Recurrence W[i] = e^{-b step} W[i-1] + A S[i] + B S[i-1], O(n), for
+    either sign of b.
     """
     A, B = _exp_panel_coeffs(b, step)
     S = np.asarray(values, dtype=float)
@@ -167,7 +197,8 @@ def dickson_at(rho, g: GridFunction, x):
     and zero beyond hi; exact for that reading.
 
     Backward recursion over whole panels with exponential weights,
-    T_i = A g_i + B g_{i+1} + e^{-rho step} T_{i+1}. A point x in panel
+    T_i = A g_i + B g_{i+1} + e^{-rho step} T_{i+1}, which is
+    convolve_exp run on the reversed nodes. A point x in panel
     i then adds its partial panel to the next node: with d = x_{i+1} - x
     and s the panel's slope, T(x) = e^{-rho d} T_{i+1}
     + g(x) int_0^d e^{-rho t} dt + s int_0^d t e^{-rho t} dt.
@@ -175,12 +206,7 @@ def dickson_at(rho, g: GridFunction, x):
     if rho <= 0:
         raise ValueError("tilt rate must be positive")
     step, v = g.step, g.values
-    A, B = _exp_panel_coeffs(rho, step)
-    E = np.exp(-rho * step)
-    u = np.empty(len(v))
-    u[0] = 0.0
-    u[1:] = (A * v[:-1] + B * v[1:])[::-1]
-    T = lfilter([1.0], [1.0, -E], u)[::-1]
+    T = convolve_exp(rho, v[::-1], step)[::-1]
 
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, g.lo, g.hi)

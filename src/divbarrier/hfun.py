@@ -83,11 +83,11 @@ from .gridmath import (
     # read hfun.convolve_values to see the tracer's by-name rebinding reach
     # a module that imports it
     convolve_values,
-    cumexp,
     convolve_exp,
     derivative,
     neumann_series,
     neumann_series_exp,
+    simpson_weights,
 )
 from . import expmodel
 from .firstpassage import upcross_table
@@ -113,29 +113,6 @@ class HFunction:
     ide_residual: float
 
 
-def _simpson_weights(n, step):
-    """Composite Simpson weights for n uniformly spaced nodes.
-
-    When n is even the last interval gets a trapezoid patch, which keeps
-    the rule valid for any node count at step**4 accuracy elsewhere.
-    """
-    if n < 3:
-        w = np.full(n, step)
-        if n == 2:
-            w *= 0.5
-        return w
-    m = n if n % 2 == 1 else n - 1
-    w = np.zeros(n)
-    w[:m] = 1.0
-    w[1:m - 1:2] = 4.0
-    w[2:m - 1:2] = 2.0
-    w[:m] *= step / 3.0
-    if m < n:
-        w[m - 1] += 0.5 * step
-        w[m] += 0.5 * step
-    return w
-
-
 def _phi_grid(model):
     """Phi_d on the _PHI_STEP deficit grid over the claims' reach, and
     the w_d reader built from it, memoized per model as one entry.
@@ -155,7 +132,7 @@ def _phi_grid(model):
             # Simpson quadrature of Phi against the shifted density
             ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
             phi = upcross_table(model, model.d, ys)
-            wts = _simpson_weights(len(ys), _PHI_STEP)
+            wts = simpson_weights(len(ys), _PHI_STEP)
             _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)
     return _CACHE[key]
 
@@ -248,11 +225,12 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
         # rate, and w_d = w_d(0) e^{-mu x} integrates in closed form
         mu = model.claims.mu
         mix, wp = ([mu], [mu / (rho + mu)]), -mu * w
-        cw = w[0] * -np.expm1(-(rho + mu) * xs) / (rho + mu)
+        zw = zeta * w[0] * -np.expm1(-(rho + mu) * xs) / (rho + mu)
     else:
         mix, wp = None, derivative(grid.with_values(w), 1).values
-        cw = cumexp(rho, w, step)
-    forcing = zeta - coeff * zeta * cw
+        # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
+        zw = convolve_exp(-rho, w, step)
+    forcing = zeta - coeff * zw
     xi = _solve_renewal(grid, trf, forcing, coeff, mix)
 
     # derivatives read off the equation itself, not finite differences
@@ -328,7 +306,7 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     else:
         kern, mix = convolve_exp(b1, trf, step), None
     bw = convolve_exp(b1, w, step)
-    zbw = erx * cumexp(rho, bw, step)
+    zbw = convolve_exp(-rho, bw, step)
     dzbw = bw + rho * zbw
     d2zbw = (w - b1 * bw) + rho * dzbw
 

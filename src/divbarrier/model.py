@@ -23,13 +23,18 @@ conv_power, both classes offer the same seven members:
 - shift_sum(ys, weights): a reader x -> sum_j weights_j f(x + y_j)
   for x >= 0, built once so that each later read costs one pass.
 
-Code outside this module reads the `kind` attribute (and mu) only
-where exponential claims allow a closed-form algorithm, never to read
-a storage format: the per-deficit series of Phi_d at sigma = 0 and the
-Bessel claim sum at sigma > 0 (firstpassage), the u(d) forcing, the
-slope w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
-one-rate sigma = 0 and two-rate sigma > 0 renewal kernels of the exit
-function (hfun), and the closed series of expmodel.
+Code outside this module reads the `kind` attribute (and mu) where
+exponential claims allow a closed-form algorithm: the per-deficit
+series of Phi_d at sigma = 0 and the Bessel claim sum at sigma > 0
+(firstpassage), the u(d) forcing, the slope w_d' = -mu w_d, its
+integral in the sigma = 0 forcing, and the one-rate sigma = 0 and
+two-rate sigma > 0 renewal kernels of the exit function (hfun), and the
+closed series of expmodel. One module reads how a table is stored:
+firstpassage's tabulated Phi_d routes (_phi_sigma0_tab with its
+_one_deficit and _factored_sums at sigma = 0, and the claim_sum of
+_phi_sigma_pos) read `claims.grid` and the cached powers
+`claims._power_values(k)` on their nodes, so that each claim-count sum
+runs on the table's own lattice.
 """
 
 import math
@@ -156,7 +161,7 @@ class TabulatedClaims:
     between the nodes. The density and its powers are zero below 0 and
     above x_max; the CDF (trapezoid sums of the density) is zero below
     0 and saturates at the table mass above x_max. Powers come from
-    repeated grid convolution and are cached.
+    repeated grid convolution, are clipped at 0 and are cached.
     """
 
     kind = "tabulated"
@@ -202,10 +207,11 @@ class TabulatedClaims:
         return float(trapezoid(w, dx=self.grid.step))
 
     def _power_values(self, n):
-        # powers 1..max are cached; build the missing ones in order
+        # powers 1..max are cached; build the missing ones in order. Each
+        # is a density, so the FFT's rounding noise below 0 is clipped
         for k in range(len(self._powers) + 1, n + 1):
-            self._powers[k] = convolve_values(self.grid.values, self._powers[k - 1],
-                                              self.grid.step)
+            self._powers[k] = np.maximum(convolve_values(
+                self.grid.values, self._powers[k - 1], self.grid.step), 0.0)
         return self._powers[n]
 
     def conv_power(self, n, x):

@@ -255,14 +255,14 @@ PINS = {
         'None', 'None', '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '62c013110fc637eb',
-        '62c013110fc637eb', '340d840eb6e3fa9e', '0x1.da9018ee9065bp-1',
+        '0x1.3333333333333p-2', 'False', 'db0bb63e90ad93db',
+        'db0bb63e90ad93db', '5936578fe6d589ca', '0x1.da9018ee90655p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.5114000000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.50e0400000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc108142dcc8p-1',
+        '0x1.50e0800000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc108142dcb1p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -274,14 +274,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '5f9d150c22df1d43',
-        '5f9d150c22df1d43', '6d80e1a0ebf0ffcd', '0x1.da90297abb7bbp-1',
+        '0x1.3333333333333p-2', 'False', 'ef261f0bf4e75251',
+        'ef261f0bf4e75251', '93b05bb9cc70daea', '0x1.da90297abb72dp-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.8232780000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.81f6d00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b8c5865p-1',
+        '0x1.81f6f80000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b8c56ffp-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -301,7 +301,7 @@ PINS = {
         '0x0.0p+0', 'True', 'True', 'c4e823751b67c1f2',
     ],
     'cli-h-s0.5-d1': [
-        '899788c28c4c15a0',
+        'a40749b21a6065eb',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -316,28 +316,28 @@ PINS = {
         '0x1.708dbdbac0000p-23', '0x0.0p+0',
     ],
     'h-exp-s0-d2': [
-        '3d5c648f2d581f95', 'd36399d90e279732', '46a2dd1e377207c6',
-        '0x1.27d5588000000p-24', '0x0.0p+0',
+        '672a9b618ab0fff4', '285ffecdb445f7ac', 'e6a2bf97335dd10c',
+        '0x1.27d5594000000p-24', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
         '7872debc05ba9d96', '2b01ef1751a98322', '0734a81e01650df7',
         '0x1.480a09f4561c2p-16', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
-        'b98b6cf5640a9d43', '5c94adef05361c19', '9b04f0ab494c1b74',
+        'e6b0aec7a2c0f0a1', '4c6d54010ce1c286', 'd0d5f6023f9d250e',
         '0x1.0001e56000000p-22', '0x1.f53d338b6f6d1p-3',
     ],
     'h-exp-s0.5-dinf': [
-        '36442981ffa4897a', 'a8edf4f1c277f87c', '126c00ec2d80979d',
-        '0x1.0068e64000000p-22', '0x1.f40fd54a9a94ep-3',
+        '236b1b0391ea0031', '4dc3036f52ee4f52', '6c41744319b7e03a',
+        '0x1.0068e5d000000p-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '866f8f719930cd25', '5973fe58727bd5f6', 'e6f70c96d955451c',
-        '0x1.2dd3f0bb60000p-15', '0x0.0p+0',
+        'fd3240ac39286e4e', 'ef63bacc6386737a', '6eac675ff4420f5b',
+        '0x1.2dd3f04b40000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
-        '2a0fb252b8680b85', '8ef7e2649bfa1ed1', 'eb0a1a501dc3ab16',
-        '0x1.ec8a893600000p-16', '0x1.f40e46f3e045bp-3',
+        '9421e4435e6f96c7', '4490824d99808111', '1de42f45f373599c',
+        '0x1.ec8a8958c0000p-16', '0x1.f40e46f3e045bp-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3aaa597e43p-1', '0x1.589e3aaa597e4p+3',
@@ -360,14 +360,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5917p-1', '0',
-        '0x1.450eeeeeeeeefp-42', '0x1.c195353dc1e2ep-1', '0',
-        '0x1.7d78888888889p-42', 'db47e8168f0e4996',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5918p-1', '0',
+        '0x1.450eaaaaaaaabp-42', '0x1.c195353dc1e2ep-1', '0',
+        '0x1.7d78000000000p-42', '65c2b4a3904a2e3d',
     ],
     'phi-exp-s0-d2': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb60aed2p-1', '0',
-        '0x1.d418222222222p-41', '0x1.c4fb96fe20e0ep-1', '0',
-        '0x1.3471111111111p-44', '0f69620e713c4b4f',
+        '0x1.d418000000000p-41', '0x1.c4fb96fe20e0ep-1', '0',
+        '0x1.346eeeeeeeeefp-44', '0f69620e713c4b4f',
     ],
     'phi-exp-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c2524bcp-1', '0',
@@ -384,12 +384,12 @@ PINS = {
     'phi-exp-s0.5-d0.4': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3b832d514p-1', '0',
         '0x1.27402ae97942dp-47', '0x1.c1bc1221a8d88p-1', '0',
-        '0x1.03e0866b0e836p-46', 'be895c82fe8fed27',
+        '0x1.03e0866b0e837p-46', 'be895c82fe8fed27',
     ],
     'phi-exp-s0.5-d2': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1cdc74p-1', '0',
         '0x1.9efda989e13ddp-46', '0x1.c52784d1a73c5p-1', '0',
-        '0x1.6d49ec5a96310p-45', 'fe4f12ff2315c234',
+        '0x1.6d49ec5a9630fp-45', 'fe4f12ff2315c234',
     ],
     'phi-exp-s0.5-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
@@ -453,7 +453,7 @@ PINS = {
         '09e4deae57df83e7',
     ],
     'w-tab-s0-d2': [
-        '4e7b4cd0773e17b7',
+        'a60c8375be3c3513',
     ],
 }
 

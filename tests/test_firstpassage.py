@@ -104,6 +104,28 @@ class TestFiniteClock:
             assert vt == pytest.approx(ve, abs=1e-7)
 
 
+class TestAdaptiveSimpson:
+    def test_each_node_evaluated_once(self):
+        # a doubling keeps the nodes it has and evaluates only the new
+        # midpoints, so the points evaluated are exactly the final grid
+        seen = []
+
+        def fun(xs):
+            seen.append(np.array(xs))
+            return np.exp(-3.0 * xs) * np.sin(5.0 * xs)
+
+        lo, hi = 0.2, 2.7
+        val, err = firstpassage._adaptive_simpson(fun, lo, hi, tol=1e-12)
+        pts = np.sort(np.concatenate(seen))
+        assert len(seen) > 2
+        assert pts.tobytes() == np.linspace(lo, hi, len(pts)).tobytes()
+        want = (math.exp(-3.0 * lo) * (3.0 * math.sin(5.0 * lo) + 5.0 * math.cos(5.0 * lo))
+                - math.exp(-3.0 * hi) * (3.0 * math.sin(5.0 * hi)
+                                         + 5.0 * math.cos(5.0 * hi))) / 34.0
+        assert err < 1e-12
+        assert val == pytest.approx(want, abs=1e-12)
+
+
 class TestPassageDensities:
     def test_no_claim_passage_is_an_atom(self, m_d2):
         with pytest.raises(AtomNotDensity) as info:

@@ -26,12 +26,13 @@ from divbarrier.gridmath import (
     convolve,
     convolve_exp,
     convolve_values,
-    cumexp,
     derivative,
     dickson,
     dickson_commutation_residual,
+    fft_convolve,
     neumann_series,
     neumann_series_exp,
+    trapezoid,
     volterra_march,
 )
 
@@ -88,7 +89,9 @@ class TestConvolve:
             convolve(f, g)
 
     def test_fft_and_direct_branches_agree(self):
-        # the implementation switches on total length; force both
+        # the one FFT route against np.convolve's direct sum, at sizes on
+        # both sides of the 8,192-point total where a direct branch used
+        # to take over
         rng = np.random.default_rng(3)
         small = rng.standard_normal(500)
         a = convolve_values(small, small, 1e-3)
@@ -105,13 +108,51 @@ class TestConvolve:
         d[0] = 0.0
         np.testing.assert_allclose(c, d, atol=1e-10)
 
+    @staticmethod
+    def _trapezoid_reference(f, g, step):
+        # (f*g)(x_i) = int_0^{x_i} f(x_i - y) g(y) dy, one trapezoid sum
+        # per node: O(n^2)
+        out = np.zeros(len(f))
+        for i in range(1, len(f)):
+            out[i] = trapezoid(f[i::-1] * g[: i + 1], dx=step)
+        return out
+
+    @pytest.mark.parametrize("n_f,n_g", [(300, 300), (300, 2000), (4000, 4000),
+                                         (4500, 9000)])
+    def test_matches_trapezoid_reference(self, n_f, n_g):
+        # totals 600 to 13,500 points, on both sides of the old 8,192
+        # cutoff; an input longer than f is read only on f's nodes
+        rng = np.random.default_rng(n_f + n_g)
+        f, g = rng.standard_normal(n_f), rng.standard_normal(n_g)
+        got = convolve_values(f, g, 1e-3)
+        want = self._trapezoid_reference(f, g, 1e-3)
+        assert got.shape == (n_f,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_batched_rows_are_one_dimensional_convolutions(self):
+        # unequal row and kernel lengths, and the kernel broadcast from
+        # one row across all of them
+        rng = np.random.default_rng(5)
+        rows, kerns = rng.standard_normal((6, 137)), rng.standard_normal((6, 41))
+        got = fft_convolve(rows, kerns)
+        assert got.shape == (6, 137 + 41 - 1)
+        for row, kern, out in zip(rows, kerns, got):
+            np.testing.assert_allclose(out, np.convolve(row, kern), rtol=0, atol=1e-12)
+        shared = fft_convolve(rows, kerns[0])
+        for row, out in zip(rows, shared):
+            np.testing.assert_allclose(out, np.convolve(row, kerns[0]), rtol=0,
+                                       atol=1e-12)
+
 
 class TestExponentialPanels:
+    # the cumulative integral int_0^x e^{-bu} S(u) du is
+    # e^{-bx} convolve_exp(-b, S)(x), the growing-rate panel recurrence
+
     @pytest.mark.parametrize("b,step", [(0.5, 1e-4), (3.0, 0.1), (1.2446, 1e-3)])
     def test_cumexp_constant(self, b, step):
         n = 200
         xs = step * np.arange(n + 1)
-        got = cumexp(b, np.ones(n + 1), step)
+        got = np.exp(-b * xs) * convolve_exp(-b, np.ones(n + 1), step)
         want = -np.expm1(-b * xs) / b
         np.testing.assert_allclose(got, want, atol=1e-14, rtol=1e-12)
 
@@ -119,7 +160,7 @@ class TestExponentialPanels:
     def test_cumexp_linear(self, b, step):
         n = 200
         xs = step * np.arange(n + 1)
-        got = cumexp(b, xs, step)
+        got = np.exp(-b * xs) * convolve_exp(-b, xs, step)
         want = (1.0 - (1.0 + b * xs) * np.exp(-b * xs)) / (b * b)
         np.testing.assert_allclose(got, want, atol=1e-13, rtol=1e-11)
 

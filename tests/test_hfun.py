@@ -173,7 +173,7 @@ class TestForcingNodeTable:
         # one deficit at a time
         phi = hfun._phi_grid(model)[0]
         ys = np.arange(0.0, model.claims.reach + hfun._PHI_STEP / 2, hfun._PHI_STEP)
-        wts = hfun._simpson_weights(len(ys), hfun._PHI_STEP)
+        wts = gridmath.simpson_weights(len(ys), hfun._PHI_STEP)
         out = np.zeros_like(xs)
         for j in np.nonzero(phi)[0]:
             out += wts[j] * phi[j] * model.claims.density(xs + ys[j])

@@ -1,0 +1,75 @@
+"""Static guard: gridmath is the one home of FFTs, filters and direct
+convolutions.
+
+Every other module under src/divbarrier convolves, filters and
+Simpson-sums through gridmath's primitives, so the choice of how a
+convolution runs is made in one place. The check reads each module's
+syntax tree with the standard-library ast module and fails on any
+import of scipy.fft, scipy.signal or numpy.fft (in any spelling), any
+attribute path through them (np.fft.rfft), and any np.convolve.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "divbarrier"
+HOME = "gridmath.py"
+BANNED = ("scipy.fft", "scipy.signal", "numpy.fft")
+NUMPY_NAMES = ("np", "numpy")
+
+
+def _banned(name):
+    return any(name == b or name.startswith(b + ".") for b in BANNED)
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _violations(source):
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if _banned(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += ["%s.%s" % (node.module, a.name) for a in node.names
+                      if _banned(node.module)
+                      or _banned("%s.%s" % (node.module, a.name))]
+        elif isinstance(node, ast.Attribute):
+            name = _dotted(node)
+            if name is None:
+                continue
+            head, _, rest = name.partition(".")
+            full = ("numpy." + rest) if head in NUMPY_NAMES else name
+            if _banned(full) or full == "numpy.convolve":
+                found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != HOME))
+def test_no_fft_filter_or_direct_convolution_outside_gridmath(path):
+    assert _violations((SRC / path).read_text()) == []
+
+
+def test_guard_sees_every_spelling():
+    # the detector is not vacuous: gridmath itself trips it, and so does
+    # each way of reaching the banned modules
+    assert _violations((SRC / HOME).read_text())
+    for line in ("import scipy.signal", "from scipy import fft",
+                 "from scipy.fft import rfft", "from numpy import fft as f",
+                 "import numpy.fft", "x = np.fft.rfft(y)", "x = numpy.fft.irfft(y)",
+                 "x = np.convolve(a, b)", "import scipy.signal as s"):
+        assert _violations(line), line
+    for line in ("import scipy.special", "from scipy.special import i1e",
+                 "x = np.cumsum(a)", "x = convolve_values(a, b, 1.0)"):
+        assert not _violations(line), line
