@@ -150,12 +150,17 @@ def vy_density(model, y, k, t):
     return amp * (y / t) * quad
 
 
-def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19):
-    """Composite Simpson with panel doubling; fun maps arrays to arrays.
+def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
+    """Composite Simpson with panel doubling; fun maps an array of nodes
+    to an array of values, or to one row of values per node for a
+    vector integrand.
 
     Each doubling keeps the nodes it has (linspace's even nodes at 2n
     panels are its nodes at n, bitwise) and evaluates fun only at the
-    new midpoints, so every node is evaluated once.
+    new midpoints, so every node is evaluated once. It stops when every
+    component's error estimate |S_2n - S_n| / 15 is below tol, or, when
+    relative, below tol times the largest |S_2n|. Returns the integral
+    and the largest error estimate.
     """
     if hi <= lo:
         return 0.0, 0.0
@@ -165,13 +170,14 @@ def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19):
     while True:
         s = simpson_weights(n + 1, (hi - lo) / n) @ ys
         if prev is not None:
-            err = abs(s - prev) / 15.0
-            if err < tol or n >= n_cap:
-                return float(s), float(err)
+            err = float(np.max(abs(s - prev))) / 15.0
+            if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:
+                return s, err
         prev = s
         n *= 2
         # the new midpoints go between the n/2 + 1 nodes kept
-        ys = np.insert(ys, np.arange(1, n // 2 + 1), fun(np.linspace(lo, hi, n + 1)[1::2]))
+        ys = np.insert(ys, np.arange(1, n // 2 + 1),
+                       fun(np.linspace(lo, hi, n + 1)[1::2]), axis=0)
 
 
 def _phi_sigma0_exp(model, d, y):
@@ -192,7 +198,7 @@ def _phi_sigma0_exp(model, d, y):
         return (y / ts) * _bessel_series_scaled(r * lam * mu * ts, zs, extra)
 
     integral, err = _adaptive_simpson(fun, t0, d, tol=1e-12)
-    return atom + integral, err
+    return atom + float(integral), err
 
 
 def _phi_sigma0_tab(model, d, y_arr):

@@ -16,10 +16,12 @@ where the drift cannot climb back in time):
 
 At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
 exact tail transform at any points. At every finite d > 0, w_d is read
-from one memo entry per model (_phi_grid): for exponential claims at
-sigma = 0 the closed form u(d) f, with u(d) from expmodel taken once;
-otherwise a Simpson sum over the _PHI_STEP grid of Phi_d, built by the
-claim law's shift_sum (for a table, a node table read with one
+from one memo entry per model (_phi_grid). For exponential claims it is
+the closed form u(d) f, with u(d) taken once: from expmodel at
+sigma = 0, and at sigma > 0 from the scale route (scale.scale_ratio),
+whose Lambda also gives the continuation slope; no Phi grid is built.
+For a table it is a Simpson sum over the _PHI_STEP grid of Phi_d,
+built by the claim law's shift_sum (a node table read with one
 interpolation) and kept next to the grid.
 
 With sigma = 0 the equation is first order in xi, with xi(0) = 1; its
@@ -40,16 +42,18 @@ convolutions. With sigma > 0 the solution family is
                  - (2 lam r / sigma^2) (zeta*beta*w_d)] + p (zeta*beta),
 
 with one free slope p = xi'(0). Every p solves the equation on (0, a),
-so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+)
-(rho at d = inf). At d = 0 a diffusion started at 0 is ruined at once,
-so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
-function W. For Exp(mu) claims beta * T_rho f is a mixture of two
-exponentials (rates mu and rho + 2c/sigma^2), and on two-rate
-exponential panels the equation is a second-order recursion, solved
-exactly, while the rates are far enough apart, relative to the grid
-step, for its weights not to cancel; otherwise, like a table's, the
-kernel is sampled on the grid. Everything here works on uniform grids
-via the exponential panel and renewal solvers in gridmath.
+so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+):
+Lambda'(0)/Lambda(0) for exponential claims, the 3rd-order stencil on
+the Phi grid for a table, rho at d = inf. At d = 0 a diffusion started
+at 0 is ruined at once, so xi(0) = 0 with unit slope instead, and h is
+W(x)/W(a) for the scale function W. For Exp(mu) claims
+beta * T_rho f is a mixture of two exponentials (rates mu and
+rho + 2c/sigma^2), and on two-rate exponential panels the equation is
+a second-order recursion, solved exactly, while the rates are far
+enough apart, relative to the grid step, for its weights not to
+cancel; otherwise, like a table's, the kernel is sampled on the grid.
+Everything here works on uniform grids via the exponential panel and
+renewal solvers in gridmath.
 
 A mixture-of-exponentials kernel is solved exactly
 (gridmath.neumann_series_exp, one filter pass); every other kernel
@@ -63,11 +67,15 @@ The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
 function's check ide_residual and the HJB sweep of valuation both call
 it. The residual an exit function reports is ide_residual on the
-returned h, at sigma > 0 raised to the interface mismatch between the
-solved slope at 0+ and the continuation's slope read off the Phi grid
-a second way when that is larger, both in h units; so it is never
-below the check a caller can rerun. Both solvers refuse an h whose
-reported residual exceeds the gate with the same NonConvergenceError.
+returned h, at sigma > 0 raised to an interface term when that is
+larger, both in h units, so it is never below the check a caller can
+rerun. For exponential claims at finite d > 0 the term is the
+cross-route gap max |h - Lambda(x)/Lambda(a)| on the solver grid, which
+a wrong imposed slope cannot pass; otherwise it is the mismatch between
+the solved slope at 0+ and a lower-order reading of the continuation
+slope (off the Phi grid for a table, rho at d = inf, 1 at d = 0). Both
+solvers refuse an h whose reported residual exceeds the gate with the
+same NonConvergenceError.
 """
 
 import math
@@ -91,6 +99,7 @@ from .gridmath import (
 )
 from . import expmodel
 from .firstpassage import upcross_table
+from .scale import scale_ratio
 
 _CACHE = {}
 
@@ -117,17 +126,22 @@ def _phi_grid(model):
     """Phi_d on the _PHI_STEP deficit grid over the claims' reach, and
     the w_d reader built from it, memoized per model as one entry.
 
-    For Exp(mu) claims at sigma = 0 the reader is the closed form
-    u(d) e^{-mu x} and no grid is built (None in its place).
+    For Exp(mu) claims the reader is the closed form u(d) e^{-mu x} and
+    no grid is built: at sigma = 0 u(d) comes from expmodel and None
+    stands in for the grid; at sigma > 0 the grid's place holds the
+    scale route's ScaleRatio, which carries u(d) and the continuation
+    slope.
     """
     # the step is fixed and the grid end is the claims' reach, so the
     # model's key alone names the entry
     key = (model.key(), "phi")
     if key not in _CACHE:
-        if model.claims.kind == "exponential" and model.sigma == 0.0:
+        if model.claims.kind == "exponential":
             # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
-            u, mu = expmodel.u_of_d(model, model.d), model.claims.mu
-            _CACHE[key] = None, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
+            route = scale_ratio(model) if model.sigma > 0.0 else None
+            u = route.u if route is not None else expmodel.u_of_d(model, model.d)
+            mu = model.claims.mu
+            _CACHE[key] = route, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
         else:
             # Simpson quadrature of Phi against the shifted density
             ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
@@ -257,7 +271,10 @@ def _phi_slope(model, stencil):
 
 def _continuation_slope(model):
     """The slope xi'(0)/xi(0) that xi shares at 0 with its continuation
-    xi(0) Phi_d(-z) below zero, by the 3rd-order stencil."""
+    xi(0) Phi_d(-z) below zero: Lambda'(0)/Lambda(0) of the scale route
+    for Exp(mu) claims at finite d, else by the 3rd-order stencil."""
+    if model.claims.kind == "exponential" and not math.isinf(model.d):
+        return _phi_grid(model)[0].slope
     return _phi_slope(model, _SLOPE_3)
 
 
@@ -272,7 +289,8 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     xi starts from xi(0) = 1 with the continuation slope at d > 0, and
     from xi(0) = 0 with unit slope at d = 0 (proportional to W). xi,
     xi' and xi'' are one renewal solve each; the certificate is the
-    larger of the equation residual and the interface mismatch.
+    larger of the equation residual and the interface term: the gap to
+    the scale route where there is one, else the slope mismatch at 0.
     """
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
@@ -282,10 +300,7 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     b1 = rho + 2.0 * c / (sigma * sigma)
     gam = 2.0 * lam * r / (sigma * sigma)
     w = _w_values(model, xs)
-    if model.d == 0:
-        x0, p, p_cont = 0.0, 1.0, 1.0
-    else:
-        x0, p, p_cont = 1.0, _continuation_slope(model), _phi_slope(model, _SLOPE_2)
+    x0, p = (0.0, 1.0) if model.d == 0 else (1.0, _continuation_slope(model))
 
     beta = np.exp(-b1 * xs)
     erx = np.exp(rho * xs)
@@ -319,12 +334,18 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
         + p * (d2zb + gam * kern))
     xi, xip, xipp = (_solve_renewal(grid, kern, v, gam, mix) for v in forcings)
 
-    # in h units: the mismatch between the solved slope at 0+ and the
-    # lower-order continuation slope
-    mismatch = 0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont) / xi[-1]
     hf = _exit_function(grid, a, xi, xip, xipp, p if x0 else None)
-    return _certified(hf, max(ide_residual(model, hf), mismatch),
-                      " (slope at 0 imposed %.6f, checked against %.6f)" % (p, p_cont))
+    if model.claims.kind == "exponential" and 0.0 < model.d < math.inf:
+        # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
+        gap = float(np.max(np.abs(hf.grid.values - _phi_grid(model)[0].ratio(xs, a))))
+        detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
+    else:
+        # in h units: the mismatch between the solved slope at 0+ and the
+        # lower-order continuation slope
+        p_cont = 1.0 if model.d == 0 else _phi_slope(model, _SLOPE_2)
+        gap = 0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont) / xi[-1]
+        detail = " (slope at 0 imposed %.6f, checked against %.6f)" % (p, p_cont)
+    return _certified(hf, max(ide_residual(model, hf), gap), detail)
 
 
 def _generator_grid(model, step, v, v1, v2):

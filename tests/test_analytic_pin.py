@@ -298,10 +298,10 @@ PINS = {
         '0x1.928325d576c76p-1', 'False', 'True', 'ebc41cc16add3322',
     ],
     'barrier-s0.5-d1': [
-        '0x0.0p+0', 'True', 'True', 'c4e823751b67c1f2',
+        '0x0.0p+0', 'True', 'True', 'e2719112e2890d06',
     ],
     'cli-h-s0.5-d1': [
-        'a40749b21a6065eb',
+        '2e4d07cbf87f7274',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -324,8 +324,8 @@ PINS = {
         '0x1.480a09f4561c2p-16', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
-        'e6b0aec7a2c0f0a1', '4c6d54010ce1c286', 'd0d5f6023f9d250e',
-        '0x1.0001e56000000p-22', '0x1.f53d338b6f6d1p-3',
+        'ebfd200fbb16465e', 'e97ec99326d35d79', 'b38439200cd1ec0b',
+        '0x1.0001e44000000p-22', '0x1.f53d341b24dbep-3',
     ],
     'h-exp-s0.5-dinf': [
         '236b1b0391ea0031', '4dc3036f52ee4f52', '6c41744319b7e03a',
@@ -443,14 +443,14 @@ PINS = {
         'b4a73d72985262f7', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        '39e6539ecdbc9fb0', '0x1.04db5414f62c6p+2', '3c65c57e7d92d1b5',
-        '4a182ba3cdc2cc95', 'True', '0x0.0p+0',
+        '2b0454c107315ed1', '0x1.04db53ca2c139p+2', '3c65c57e7d92d1b5',
+        'c875be6ac96dfa2f', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
         '32b848bd3a9d3d0f',
     ],
     'w-exp-s0.5-d1': [
-        '09e4deae57df83e7',
+        'f68f6c8832891840',
     ],
     'w-tab-s0-d2': [
         'a60c8375be3c3513',

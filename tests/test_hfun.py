@@ -8,10 +8,12 @@ on the closed series ratios, which is the main correctness anchor:
 
 With sigma > 0 the scale-function oracle in scale_oracle.py pins the
 construction: h = e^{-rho (a - x)} at d = inf, W(x)/W(a) at d = 0,
-and at d = 1 the slope at 0 is Lambda'(0)/Lambda(0). The certificate
-(equation residual and interface mismatch) must sit far below the
-acceptance floor at the imposed slope and blow through it when that
-slope is perturbed.
+and at finite d the slope at 0 is Lambda'(0)/Lambda(0), down to
+d = 0.05 where a Phi grid's stencil was off. The certificate (equation
+residual, raised to the cross-route gap to Lambda(x)/Lambda(a) for
+exponential claims at finite d and to the slope mismatch at 0
+otherwise) must sit far below the acceptance floor at the imposed
+slope and blow through it when that slope is perturbed.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import expmodel, firstpassage, gridmath, hfun, model
+from divbarrier import expmodel, firstpassage, gridmath, hfun, model, scale
 from divbarrier.gridmath import GridFunction, NonConvergenceError
 from divbarrier.hfun import (
     HFunction,
@@ -346,25 +348,31 @@ class TestSigmaPositive:
             h_d_sigma_pos(m, 1.0, step=1e-5)
         assert info.value.last_norm > 1e-4
 
-    @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0),
-                                          ("exp", math.inf), ("tab", math.inf)])
+    @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0), ("exp", math.inf),
+                                          ("tab", 1.0), ("tab", math.inf)])
     def test_certificate_covers_the_rerun_check(self, claims, d):
         # the reported residual is ide_residual on the returned h, raised
-        # to the interface mismatch at 0 only where that is larger
+        # to the interface term only where that is larger: for Exp(mu)
+        # claims at finite d the cross-route gap to Lambda(x)/Lambda(a),
+        # otherwise the slope mismatch at 0
         dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
                 else db.ExponentialClaims(1.0))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
         h = h_d_sigma_pos(m, 0.5, step=1e-4)
         check = ide_residual(m, h)
         assert h.ide_residual >= check
-        # sigma^2/2 times the gap between h'(0+) and h(0) times the
-        # lower-order continuation slope
-        slope = hfun._phi_slope(m, hfun._SLOPE_2)
-        mismatch = 0.125 * abs(hfun._extrap_zero(h.hp.values) - h.grid.values[0] * slope)
-        if mismatch < check * (1.0 - 1e-6):
+        if claims == "exp" and not math.isinf(d):
+            lam_ratio = scale.scale_ratio(m).ratio(h.grid.x, 0.5)
+            term = np.max(np.abs(h.grid.values - lam_ratio))
+        else:
+            # sigma^2/2 times the gap between h'(0+) and h(0) times the
+            # lower-order continuation slope
+            slope = hfun._phi_slope(m, hfun._SLOPE_2)
+            term = 0.125 * abs(hfun._extrap_zero(h.hp.values) - h.grid.values[0] * slope)
+        if term < check * (1.0 - 1e-6):
             assert h.ide_residual == check
         else:
-            assert h.ide_residual == pytest.approx(mismatch, rel=1e-6)
+            assert h.ide_residual == pytest.approx(term, rel=1e-6)
 
     def test_guards(self, m_d0):
         with pytest.raises(ValueError):
@@ -429,9 +437,52 @@ class TestScaleFunctionOracle:
         assert sol.boundary and sol.a_star == 0.0
         assert sol.value(0.0) == pytest.approx(1.0 / slope, rel=1e-4)
 
+    @staticmethod
+    def _small_clock(d):
+        """Lambda's (t, weights) at grace period d, and its barrier: the
+        first zero of Lambda'' on (0, 2], or 0 where there is none."""
+        t, wts = scale_oracle.exit_weights(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d,
+                                           s_step=2.5e-4)
+        xs = np.linspace(0.0, 2.0, 2001)
+        curv = scale_oracle.scale_w(t, wts, xs, 2)
+        flips = np.nonzero(np.sign(curv[:-1]) * np.sign(curv[1:]) < 0)[0]
+        if not len(flips):
+            return t, wts, 0.0
+        i = flips[0]
+        return t, wts, scale_oracle.w_curvature_root(t, wts, xs[i], xs[i + 1])
+
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2])
+    def test_small_clock_slope(self, d):
+        # the Phi grid's stencil slope was 1.4e-4, 3.3e-5 and 3.3e-6 off
+        want = scale_oracle.continuation_slope(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d,
+                                               s_step=2.5e-4)
+        h = h_d_sigma_pos(make_model(d, sigma=0.5), 0.5, step=1e-4)
+        assert abs(h.xi_prime_zero - want) < 2e-6
+
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2])
+    def test_small_clock_barrier_value(self, d):
+        # v(0) = Lambda(0)/Lambda'(a*); the Phi grid route was 2.6e-2,
+        # 4.7e-3 and 1.1e-5 off, each with a passing HJB report
+        t, wts, a_star = self._small_clock(d)
+        sol = db.optimal_barrier(make_model(d, sigma=0.5), a_max=2.0)
+        want = float(scale_oracle.scale_w(t, wts, 0.0)
+                     / scale_oracle.scale_w(t, wts, a_star, 1))
+        assert sol.value(0.0) == pytest.approx(want, rel=1e-5)
+        assert sol.hjb_report.passed
+
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2])
+    def test_small_clock_barrier(self, d):
+        # the Lambda'' root is 0.0525 and 0.0089 at d = 0.05 and 0.1, where
+        # the Phi grid route gave 0.0500 and 0.0204; none at d = 0.2
+        _, _, want = self._small_clock(d)
+        sol = db.optimal_barrier(make_model(d, sigma=0.5), a_max=2.0)
+        assert abs(sol.a_star - want) < 5e-4
+        assert sol.boundary == (want == 0.0)
+
     def test_one_transform_per_optimal_barrier(self, monkeypatch):
-        # the continuation slope, the w_d forcing and the certificate all
-        # read the one memoized Phi grid
+        # with a table the continuation slope, the w_d forcing and the
+        # certificate all read the one memoized Phi grid; with Exp(mu)
+        # claims the scale route stands in for it and no grid is built
         monkeypatch.setattr(hfun, "_CACHE", {})
         calls = []
         real = firstpassage._phi_sigma_pos
@@ -443,6 +494,10 @@ class TestScaleFunctionOracle:
         monkeypatch.setattr(firstpassage, "_phi_sigma_pos", counted)
         # a module that imported the name itself is counted too
         monkeypatch.setattr(hfun, "_phi_sigma_pos", counted, raising=False)
+        tab = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0),
+                          db.tabulated_exponential(1.0, step=1e-2))
+        db.optimal_barrier(tab, a_max=2.0)
+        assert len(calls) == 1
         db.optimal_barrier(make_model(1.0, sigma=0.5), a_max=2.0)
         assert len(calls) == 1
 

@@ -1,5 +1,6 @@
-"""Static guard: gridmath is the one home of FFTs, filters and direct
-convolutions.
+"""Static guards: gridmath is the one home of FFTs, filters and direct
+convolutions, and the scale-function oracle stays independent of the
+library.
 
 Every other module under src/divbarrier convolves, filters and
 Simpson-sums through gridmath's primitives, so the choice of how a
@@ -7,6 +8,12 @@ convolution runs is made in one place. The check reads each module's
 syntax tree with the standard-library ast module and fails on any
 import of scipy.fft, scipy.signal or numpy.fft (in any spelling), any
 attribute path through them (np.fft.rfft), and any np.convolve.
+
+tests/scale_oracle.py holds the formulas that divbarrier.scale was
+promoted from; it is a reference only while it computes them itself, so
+it must not import divbarrier in any spelling: an import statement,
+a relative import, or a module name handed to importlib.import_module
+or __import__ as a string.
 """
 
 import ast
@@ -15,6 +22,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "divbarrier"
+ORACLE = Path(__file__).resolve().parent / "scale_oracle.py"
+LIBRARY = "divbarrier"
 HOME = "gridmath.py"
 BANNED = ("scipy.fft", "scipy.signal", "numpy.fft")
 NUMPY_NAMES = ("np", "numpy")
@@ -73,3 +82,40 @@ def test_guard_sees_every_spelling():
     for line in ("import scipy.special", "from scipy.special import i1e",
                  "x = np.cumsum(a)", "x = convolve_values(a, b, 1.0)"):
         assert not _violations(line), line
+
+
+def _names_library(name):
+    return name == LIBRARY or name.startswith(LIBRARY + ".")
+
+
+def _library_imports(source):
+    """Every way the source names the library as a module to import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if _names_library(a.name)]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module and _names_library(node.module):
+                found.append(node.module)
+            found += [a.name for a in node.names if _names_library(a.name)]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _names_library(node.value)):
+            found.append(node.value)
+    return found
+
+
+def test_scale_oracle_does_not_import_the_library():
+    assert _library_imports(ORACLE.read_text()) == []
+
+
+def test_oracle_guard_sees_every_spelling():
+    for line in ("import divbarrier", "import divbarrier.scale as s",
+                 "from divbarrier import scale",
+                 "from divbarrier.scale import scale_ratio",
+                 "from . import divbarrier", "from .divbarrier import scale",
+                 "importlib.import_module('divbarrier.scale')",
+                 "__import__('divbarrier')"):
+        assert _library_imports(line), line
+    for line in ("import scipy.special", "from scipy.optimize import brentq",
+                 "x = 'the divbarrier library'", "import divbarrier_tools"):
+        assert not _library_imports(line), line
