@@ -18,19 +18,29 @@ The deadline transform weighs recoveries inside a window d:
     Phi_d(y) = sum_k r^k int_0^d e^{-q t} v_y(k, t) dt   (+ atom term).
 
 At d = inf this collapses to e^{-rho y} with rho the adjusted
-Lundberg root; at d = 0 it vanishes. Exponential claims admit a
-resummation of the whole k-sum through the Bessel-type series
-sum_{k>=1} a^k z^{k-1} / (k! (k-1)!) with a = r lam mu t, z = c t - y,
-which is entire in z, so quadrature never sees a kink.
+Lundberg root; at d = 0 it vanishes. For 0 < d < inf there is one route
+per regime:
+
+- sigma = 0, exponential claims: the whole k-sum resums through the
+  Bessel-type series sum_{k>=1} a^k z^{k-1} / (k! (k-1)!) with
+  a = r lam mu t, z = c t - y, which is entire in z, so the time
+  quadrature of each deficit never sees a kink;
+- sigma = 0, tabulated claims: the claim-count sum on the table's own
+  nodes (_phi_sigma0_tab);
+- sigma > 0, exponential claims: no time integral at all; Phi_d(y) is
+  Lambda(-y)/Lambda(0), read off the scale function (scale.phi);
+- sigma > 0, tabulated claims: the time quadrature of the complement
+  with the Gaussian smear (_phi_sigma_pos).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i1e, roots_legendre
+from scipy.special import roots_legendre
 
-from .gridmath import fft_convolve, simpson_weights, trapezoid
+from . import scale
+from .gridmath import _adaptive_simpson, fft_convolve, simpson_weights, trapezoid
 
 K_TAIL_TOL = 1e-12
 
@@ -51,32 +61,6 @@ class UpcrossTransform:
     value: float
     truncation_k: int
     tail_bound: float
-
-
-def _bessel_series_scaled(a, z, extra_exponent):
-    """sum_{k>=1} a^k z^{k-1}/(k!(k-1)!) * e^{extra_exponent}.
-
-    Equals sqrt(a/z) I_1(2 sqrt(a z)) e^{extra}; evaluated through the
-    scaled Bessel function so the exponent never overflows. a >= 0 is a
-    scalar or an array shaped like z, z an array >= 0, extra_exponent
-    scalar or array.
-    """
-    z = np.asarray(z, dtype=float)
-    extra = np.broadcast_to(np.asarray(extra_exponent, dtype=float), z.shape)
-    per_node = np.ndim(a) > 0
-    s = a * z
-    out = np.empty_like(z)
-    small = s < 1e-8
-    if np.any(small):
-        ss = s[small]
-        out[small] = (a[small] if per_node else a) \
-            * (1.0 + ss / 2.0 + ss * ss / 12.0) * np.exp(extra[small])
-    big = ~small
-    if np.any(big):
-        w = 2.0 * np.sqrt(s[big])
-        out[big] = np.sqrt((a[big] if per_node else a) / z[big]) * i1e(w) \
-            * np.exp(w + extra[big])
-    return out
 
 
 def _claim_cutoff(s, scale):
@@ -150,36 +134,6 @@ def vy_density(model, y, k, t):
     return amp * (y / t) * quad
 
 
-def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
-    """Composite Simpson with panel doubling; fun maps an array of nodes
-    to an array of values, or to one row of values per node for a
-    vector integrand.
-
-    Each doubling keeps the nodes it has (linspace's even nodes at 2n
-    panels are its nodes at n, bitwise) and evaluates fun only at the
-    new midpoints, so every node is evaluated once. It stops when every
-    component's error estimate |S_2n - S_n| / 15 is below tol, or, when
-    relative, below tol times the largest |S_2n|. Returns the integral
-    and the largest error estimate.
-    """
-    if hi <= lo:
-        return 0.0, 0.0
-    n = n0
-    ys = fun(np.linspace(lo, hi, n + 1))
-    prev = None
-    while True:
-        s = simpson_weights(n + 1, (hi - lo) / n) @ ys
-        if prev is not None:
-            err = float(np.max(abs(s - prev))) / 15.0
-            if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:
-                return s, err
-        prev = s
-        n *= 2
-        # the new midpoints go between the n/2 + 1 nodes kept
-        ys = np.insert(ys, np.arange(1, n // 2 + 1),
-                       fun(np.linspace(lo, hi, n + 1)[1::2]), axis=0)
-
-
 def _phi_sigma0_exp(model, d, y):
     """Deadline transform, sigma = 0, exponential claims (resummed)."""
     lam, c, q, r = model.lam, model.c, model.q, model.r
@@ -195,7 +149,7 @@ def _phi_sigma0_exp(model, d, y):
         zs = np.maximum(c * ts - y, 0.0)
         # one shared exponent keeps every factor in range
         extra = -mu * zs - (lam + q) * ts
-        return (y / ts) * _bessel_series_scaled(r * lam * mu * ts, zs, extra)
+        return (y / ts) * scale._bessel_series_scaled(r * lam * mu * ts, zs, extra)
 
     integral, err = _adaptive_simpson(fun, t0, d, tol=1e-12)
     return atom + float(integral), err
@@ -359,13 +313,16 @@ def _phi_sigma_pos(model, d, y_arr):
     the previous chunk's last node, bitwise the same t, so that row is
     reused instead of recomputed.
 
-    With tabulated claims each time node sums its own K_t terms,
+    It serves tabulated claims only. Each time node sums its own K_t terms,
     K_t = _claim_cutoff(r lam t, e^{-lam t} max f y_max / t): a row is
     the Gaussian smear of the claim sum times at most y_max / t, and a
     convolution power never exceeds max f. The returned K is the largest
     K_t, and the tail bound adds the Simpson-weighted K_t bounds to the
     size of the remainder estimate of the time integral.
     """
+    if model.claims.kind != "tabulated":
+        raise ValueError("the time-quadrature transform serves tabulated claims; "
+                         "exponential claims take scale.phi")
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     rho = model.rho
     y_arr = np.asarray(y_arr, dtype=float)
@@ -374,7 +331,6 @@ def _phi_sigma_pos(model, d, y_arr):
     kill = q + lam * (1.0 - r)
     dz = min(2e-2, sigma * math.sqrt(d) / 10.0)
     dz = max(dz, 1e-3)
-    tab = model.claims.kind == "tabulated"
     y_min, y_max = float(y_arr.min()), float(y_arr.max())
     pos = y_arr > 0
     root_2pi = math.sqrt(2 * math.pi)
@@ -383,9 +339,6 @@ def _phi_sigma_pos(model, d, y_arr):
     def claim_sum(t, zs):
         """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the nodes zs,
         and the bound of its terms past K_t on a row (y/t factor included)."""
-        if not tab:
-            a = r * lam * model.claims.mu * t
-            return _bessel_series_scaled(a, zs, -model.claims.mu * zs - lam * t), 0.0
         # linear reads commute with the k-sum: sum on the table nodes
         # that span zs, then read once
         grid = model.claims.grid
@@ -484,6 +437,9 @@ def _phi_table(model, d, ys):
     if math.isinf(d):
         return np.exp(-model.rho * ys), 0, 0.0
     if model.sigma != 0.0:
+        if model.claims.kind == "exponential":
+            vals, bound = scale.phi(model, d, ys)
+            return vals, 0, bound
         return _phi_sigma_pos(model, d, ys)
     if model.claims.kind != "exponential":
         return _phi_sigma0_tab(model, d, ys)
@@ -514,13 +470,15 @@ def upcross_transform(model, y, d) -> UpcrossTransform:
 def upcross_table(model, d, y_grid):
     """upcross_transform values on a whole grid of deficits.
 
-    Shares the claim-count sum across deficits, which is what makes
-    grid-sized w_d integrals affordable: at sigma > 0 per chunk of time
-    nodes, smeared in one batched FFT, and at sigma = 0 with tabulated
-    claims through the factored sum of _phi_sigma0_tab, one matrix
-    product per block of deficits. A few deficits, where building the
-    factors costs more than it saves, take the per-deficit recursion
-    instead, as upcross_transform does.
+    Shares the claim-count sum across deficits, which is what makes a
+    table's grid-sized w_d integrals affordable: at sigma > 0 per chunk
+    of time nodes, smeared in one batched FFT, and at sigma = 0 through
+    the factored sum of _phi_sigma0_tab, one matrix product per block of
+    deficits. A few deficits, where building the factors costs more
+    than it saves, take the per-deficit recursion instead, as
+    upcross_transform does. Exponential claims at sigma > 0 take one
+    moment quadrature per block of deficits (scale.phi), with K = 0 and
+    the quadrature's error bound as the tail bound.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if not np.all(y_grid >= 0):

@@ -14,7 +14,9 @@ holds the one copy of each grid primitive the others use:
   term. With the rate negated, convolve_exp(-b, S) is the growing
   integral int_0^x e^{b(x-u)} S(u) du, and on reversed nodes it is
   dickson_at's backward tail;
-- simpson_weights, the only Simpson rule, for any node count.
+- simpson_weights, the only Simpson rule, for any node count, and
+  _adaptive_simpson, which doubles its panels until a relative or
+  absolute stop.
 
 Other quadrature is trapezoid. lfilter runs in two functions only,
 convolve_exp and neumann_series_exp; it computes the same sums a
@@ -132,6 +134,36 @@ def simpson_weights(n, step):
         w[m - 1] += 0.5 * step
         w[m] += 0.5 * step
     return w
+
+
+def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
+    """Composite Simpson with panel doubling; fun maps an array of nodes
+    to an array of values, or to one row of values per node for a
+    vector integrand.
+
+    Each doubling keeps the nodes it has (linspace's even nodes at 2n
+    panels are its nodes at n, bitwise) and evaluates fun only at the
+    new midpoints, so every node is evaluated once. It stops when every
+    component's error estimate |S_2n - S_n| / 15 is below tol, or, when
+    relative, below tol times the largest |S_2n|. Returns the integral
+    and the largest error estimate.
+    """
+    if hi <= lo:
+        return 0.0, 0.0
+    n = n0
+    ys = fun(np.linspace(lo, hi, n + 1))
+    prev = None
+    while True:
+        s = simpson_weights(n + 1, (hi - lo) / n) @ ys
+        if prev is not None:
+            err = float(np.max(abs(s - prev))) / 15.0
+            if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:
+                return s, err
+        prev = s
+        n *= 2
+        # the new midpoints go between the n/2 + 1 nodes kept
+        ys = np.insert(ys, np.arange(1, n // 2 + 1),
+                       fun(np.linspace(lo, hi, n + 1)[1::2]), axis=0)
 
 
 def convolve_values(f, g, step):

@@ -19,7 +19,10 @@ exact tail transform at any points. At every finite d > 0, w_d is read
 from one memo entry per model (_phi_grid). For exponential claims it is
 the closed form u(d) f, with u(d) taken once: from expmodel at
 sigma = 0, and at sigma > 0 from the scale route (scale.scale_ratio),
-whose Lambda also gives the continuation slope; no Phi grid is built.
+whose Lambda also gives the continuation slope; no Phi grid is built,
+and the continuation below zero (_whole_line) reads Phi_d at its own
+deficits from the same Lambda, Lambda(-y)/Lambda(0), through
+upcross_table.
 For a table it is a Simpson sum over the _PHI_STEP grid of Phi_d,
 built by the claim law's shift_sum (a node table read with one
 interpolation) and kept next to the grid.

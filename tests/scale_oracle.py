@@ -19,7 +19,16 @@ Exp(mu), W is a sum of three exponentials
 Lambda'(0)/Lambda(0) = sum c_i t_i M_i / sum c_i M_i with
 c_i = (mu + t_i) / Q'(t_i) and M_i = E[e^{t_i X_d} X_d; X_d > 0].
 M_i is one integral over the claim total S_d of a Gaussian moment that
-has a closed form.
+has a closed form. Below zero the surplus creeps back up to 0, so
+h(-y) = Phi_d(y) h(0) with
+
+    Phi_d(y) = Lambda(-y) / Lambda(0),
+    Lambda(-y) = sum c_i E[X_d e^{t_i (X_d - y)}; X_d > y],
+
+each term again one integral over S_d of a closed Gaussian moment, and
+u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
+     = sum c_i mu / (mu + t_i) E[X_d (e^{t_i X_d} - e^{-mu X_d}); X_d > 0]
+       / Lambda(0).
 """
 
 import math
@@ -67,14 +76,22 @@ def _gauss_moment(t, m, sigma):
     return out
 
 
-def exit_weights(lam, c, q, r, sigma, mu, d, s_step=1e-3):
-    """(t_i, weights) with h(x) proportional to sum weights_i e^{t_i x}:
-    c_i at d = 0, c_i M_i at d > 0 (Lambda(x) = sum c_i M_i e^{t_i x})."""
-    t, w = roots(lam, c, q, r, sigma, mu)
-    if d == 0:
-        return t, w
+def _gauss_mass(t, m, sigma):
+    """int_0^inf e^{t z} n(z; m, sigma^2) dz, without overflow."""
+    x = (m + t * sigma * sigma) / sigma
+    out = np.empty_like(m)
+    pos = x >= 0
+    out[pos] = np.exp(t * m[pos] + 0.5 * t * t * sigma * sigma) * ndtr(x[pos])
+    # x < 0: the exponents cancel to -m^2 / (2 sigma^2)
+    out[~pos] = (0.5 * np.exp(-0.5 * (m[~pos] / sigma) ** 2)
+                 * erfcx(-x[~pos] / math.sqrt(2.0)))
+    return out
+
+
+def _claim_total(lam, c, r, sigma, mu, d, s_step):
+    """(s, Simpson weights times the density of the claim total S_d on
+    s > 0, its atom e^{-lam r d} at 0) on a fixed grid."""
     rate = lam * r * d
-    # density of the claim total S_d on s > 0 (its atom at 0 is e^{-rate})
     s_hi = c * d + 12.0 * sigma * math.sqrt(d) + 60.0 / mu
     n = int(math.ceil(s_hi / s_step))
     n += n % 2
@@ -86,12 +103,46 @@ def exit_weights(lam, c, q, r, sigma, mu, d, s_step=1e-3):
     simpson = np.ones(n + 1)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
     simpson *= (s[1] - s[0]) / 3.0
+    return s, simpson * dens, math.exp(-rate)
+
+
+def _moment_above(t, y, c, sigma, d, total):
+    """E[X_d e^{t (X_d - y)}; X_d > y], S_d given by total."""
+    s, wdens, atom = total
     sd = sigma * math.sqrt(d)
-    M = np.array([
-        math.exp(-rate) * _gauss_moment(ti, np.array([c * d]), sd)[0]
-        + float(np.sum(simpson * dens * _gauss_moment(ti, c * d - s, sd)))
-        for ti in t])
-    return t, w * M
+    # given S_d = s, Y = X_d - y is Gaussian and X_d = Y + y
+    moment = lambda m: _gauss_moment(t, m, sd) + (y * _gauss_mass(t, m, sd) if y else 0.0)
+    return (atom * moment(np.array([c * d - y]))[0]
+            + float(np.sum(wdens * moment(c * d - s - y))))
+
+
+def exit_weights(lam, c, q, r, sigma, mu, d, s_step=1e-3):
+    """(t_i, weights) with h(x) proportional to sum weights_i e^{t_i x}:
+    c_i at d = 0, c_i M_i at d > 0 (Lambda(x) = sum c_i M_i e^{t_i x})."""
+    t, w = roots(lam, c, q, r, sigma, mu)
+    if d == 0:
+        return t, w
+    total = _claim_total(lam, c, r, sigma, mu, d, s_step)
+    return t, w * np.array([_moment_above(ti, 0.0, c, sigma, d, total) for ti in t])
+
+
+def recovery(lam, c, q, r, sigma, mu, d, ys, s_step=1e-3):
+    """Phi_d(y) = Lambda(-y) / Lambda(0) at each deficit y in ys, sigma > 0
+    and d > 0."""
+    t, w = roots(lam, c, q, r, sigma, mu)
+    total = _claim_total(lam, c, r, sigma, mu, d, s_step)
+    below = [sum(wi * _moment_above(ti, y, c, sigma, d, total) for ti, wi in zip(t, w))
+             for y in (0.0,) + tuple(ys)]
+    return np.array(below[1:]) / below[0]
+
+
+def recovery_weight(lam, c, q, r, sigma, mu, d, s_step=1e-3):
+    """u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy at sigma > 0 and d > 0."""
+    t, w = roots(lam, c, q, r, sigma, mu)
+    total = _claim_total(lam, c, r, sigma, mu, d, s_step)
+    M = [_moment_above(ti, 0.0, c, sigma, d, total) for ti in (*t, -mu)]
+    return (sum(wi * mu / (mu + ti) * (Mi - M[3]) for ti, wi, Mi in zip(t, w, M))
+            / sum(wi * Mi for wi, Mi in zip(w, M)))
 
 
 def continuation_slope(lam, c, q, r, sigma, mu, d, s_step=1e-3):

@@ -298,7 +298,7 @@ PINS = {
         '0x1.928325d576c76p-1', 'False', 'True', 'ebc41cc16add3322',
     ],
     'barrier-s0.5-d1': [
-        '0x0.0p+0', 'True', 'True', 'e2719112e2890d06',
+        '0x0.0p+0', 'True', 'True', '4f0d40c2e7d1cd74',
     ],
     'cli-h-s0.5-d1': [
         '2e4d07cbf87f7274',
@@ -382,14 +382,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0.5-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3b832d514p-1', '0',
-        '0x1.27402ae97942dp-47', '0x1.c1bc1221a8d88p-1', '0',
-        '0x1.03e0866b0e837p-46', 'be895c82fe8fed27',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3da741224p-1', '0',
+        '0x1.08995e4478e07p-42', '0x1.c1bc160559036p-1', '0',
+        '0x1.08995e4478e07p-42', '5ea4c4b16d2f4067',
     ],
     'phi-exp-s0.5-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1cdc74p-1', '0',
-        '0x1.9efda989e13ddp-46', '0x1.c52784d1a73c5p-1', '0',
-        '0x1.6d49ec5a9630fp-45', 'fe4f12ff2315c234',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e6182p-1', '0',
+        '0x1.0bd3b50ac0bfcp-45', '0x1.c52784d1d1a86p-1', '0',
+        '0x1.0bd3b50ac0bfcp-45', 'c503709a7bf9546b',
     ],
     'phi-exp-s0.5-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
@@ -443,7 +443,7 @@ PINS = {
         'b4a73d72985262f7', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        '2b0454c107315ed1', '0x1.04db53ca2c139p+2', '3c65c57e7d92d1b5',
+        'ab16c16b0e58adae', '0x1.04db53ca4c98bp+2', '3c65c57e7d92d1b5',
         'c875be6ac96dfa2f', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [

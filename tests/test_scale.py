@@ -4,11 +4,11 @@ scale.scale_ratio gives Lambda's exponents and weights, the
 continuation slope Lambda'(0)/Lambda(0) and
 u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy. They are checked against
 scale_oracle.py, an independent copy of the formulas on a fixed Simpson
-grid; against the Phi grid route the diffusion solver used before (Phi_d
-from upcross_table on the 2e-2 deficit grid, the 3rd-order stencil for
-the slope and a Simpson sum for u); and far out in d, where the
-unscaled moments would overflow, against the d = inf limits rho and
-mu / (mu + rho).
+grid, which also gives Phi_d(y) = Lambda(-y)/Lambda(0) below zero and
+u(d) from its own moments; and far out in d, where the unscaled moments
+would overflow, against the d = inf limits rho and mu / (mu + rho).
+scale.phi, which upcross_table reads for these models, is checked
+against the oracle's Phi_d and across the seams of its deficit blocks.
 """
 
 import math
@@ -19,7 +19,6 @@ import pytest
 import divbarrier as db
 from divbarrier import scale
 from divbarrier.firstpassage import upcross_table
-from divbarrier.gridmath import simpson_weights
 
 from conftest import make_model
 import scale_oracle
@@ -44,19 +43,31 @@ def test_matches_the_oracle(d):
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0, 50.0])
-def test_matches_the_phi_grid_route(d):
-    # the slope and u(d) the solver read off the Phi grid before the scale
-    # route; measured 6.4e-8 / 1.0e-7 at d = 0.5 and at most 7.1e-9 from
-    # d = 1 to 50, the grid's own error
+def test_phi_matches_the_oracle(d):
+    # Phi_d = Lambda(-y)/Lambda(0) at a deficit near 0, one inside the
+    # drift reach c d and one past it, and u(d), against the oracle's
+    # fixed Simpson grid; measured within 1.5e-14 at an s step of 2e-3
+    # (2e-2 at d = 50, where S_d spreads over hundreds)
     m = make_model(d, sigma=0.5)
-    step = 2e-2
-    ys = np.arange(0.0, m.claims.reach + step / 2, step)
-    phi = upcross_table(m, d, ys)
-    slope = float(np.array([11.0, -18.0, 9.0, -2.0]) / 6.0 @ phi[:4]) / step
-    u = float(simpson_weights(len(ys), step) @ (phi * np.exp(-ys)))
-    route = scale.scale_ratio(m)
-    assert abs(route.slope - slope) < 2e-7
-    assert abs(route.u - u) < 2e-7
+    ys = np.array([0.02, 1.0, m.c * d + 0.3])
+    s_step = 2e-3 * max(1.0, d / 5.0)
+    args = (10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d)
+    want = scale_oracle.recovery(*args, ys, s_step=s_step)
+    assert np.max(np.abs(upcross_table(m, d, ys) - want)) < 1e-12
+    u = scale_oracle.recovery_weight(*args, s_step=s_step)
+    assert abs(scale.scale_ratio(m).u - u) < 1e-12
+
+
+def test_blocks_do_not_change_the_answer():
+    # a grid is cut into blocks of scale._BLOCK deficits, each its own
+    # quadrature headed by y = 0; one deficit alone is a block of one
+    m = make_model(0.4, sigma=0.5)
+    ys = np.linspace(0.0, 8.0, 2 * scale._BLOCK + 9)
+    grid, bound = scale.phi(m, 0.4, ys)
+    assert 0.0 < bound < 1e-12
+    for i in (1, scale._BLOCK - 1, scale._BLOCK, 2 * scale._BLOCK, len(ys) - 1):
+        one, one_bound = scale.phi(m, 0.4, ys[i:i + 1])
+        assert abs(one[0] - grid[i]) <= bound + one_bound, ys[i]
 
 
 @pytest.mark.parametrize("d", [190.0, 1000.0])

@@ -14,6 +14,11 @@ promoted from; it is a reference only while it computes them itself, so
 it must not import divbarrier in any spelling: an import statement,
 a relative import, or a module name handed to importlib.import_module
 or __import__ as a string.
+
+divbarrier.scale sits below the modules that read it: firstpassage
+takes Phi_d and the Bessel claim sum from it, and hfun the exit
+function's slope and forcing. So scale imports neither, at module level
+or inside a function.
 """
 
 import ast
@@ -119,3 +124,25 @@ def test_oracle_guard_sees_every_spelling():
     for line in ("import scipy.special", "from scipy.optimize import brentq",
                  "x = 'the divbarrier library'", "import divbarrier_tools"):
         assert not _library_imports(line), line
+
+
+def _imported_modules(source):
+    """The last component of every module the source imports or imports
+    from, and every name it imports from one."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_scale_imports_neither_firstpassage_nor_hfun():
+    readers = {"firstpassage", "hfun"}
+    assert _imported_modules((SRC / "scale.py").read_text()) & readers == set()
+    for line in ("from .firstpassage import _claim_cutoff", "from . import hfun",
+                 "import divbarrier.hfun", "def f():\n    from .firstpassage import x"):
+        assert _imported_modules(line) & readers, line
