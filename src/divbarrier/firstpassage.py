@@ -27,10 +27,11 @@ per regime:
   quadrature of each deficit never sees a kink;
 - sigma = 0, tabulated claims: the claim-count sum on the table's own
   nodes (_phi_sigma0_tab);
-- sigma > 0, exponential claims: no time integral at all; Phi_d(y) is
-  Lambda(-y)/Lambda(0), read off the scale function (scale.phi);
-- sigma > 0, tabulated claims: the time quadrature of the complement
-  with the Gaussian smear (_phi_sigma_pos).
+- sigma > 0, either claim law: no time integral at all; Phi_d(y) is
+  Lambda(-y)/Lambda(0), read off the scale function (_phi_sigma_pos,
+  which hands the model to scale.phi): by a moment quadrature for
+  exponential claims, and for a table by one correlation of W with the
+  law of X_d on the table's lattice.
 """
 
 import math
@@ -40,9 +41,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import scale
-from .gridmath import _adaptive_simpson, fft_convolve, simpson_weights, trapezoid
-
-K_TAIL_TOL = 1e-12
+from .gridmath import _adaptive_simpson, trapezoid
+from .scale import K_TAIL_TOL, _claim_cutoff
 
 
 class AtomNotDensity(ValueError):
@@ -61,23 +61,6 @@ class UpcrossTransform:
     value: float
     truncation_k: int
     tail_bound: float
-
-
-def _claim_cutoff(s, scale):
-    """(K, bound): the smallest K at or past the mode of s^k / k! with
-    bound = scale * sum_{k>K} s^k / k! <= K_TAIL_TOL, for s, scale > 0.
-
-    Past the mode every term ratio s / (k + 1) is at most s / (K + 2) < 1,
-    so the tail is at most the geometric sum term_{K+1} / (1 - s/(K+2)).
-    The terms are kept as logarithms, so neither s^k nor k! overflows.
-    """
-    K = max(1, math.floor(s))
-    ln_s, ln_tol = math.log(s), math.log(K_TAIL_TOL / scale)
-    ln_term = (K + 1) * ln_s - math.lgamma(K + 2)
-    while ln_term - math.log1p(-s / (K + 2)) > ln_tol:
-        K += 1
-        ln_term += ln_s - math.log(K + 1)
-    return K, scale * math.exp(ln_term) / (1.0 - s / (K + 2))
 
 
 _LEG_NODES, _LEG_WEIGHTS = roots_legendre(160)
@@ -296,136 +279,11 @@ def _factored_sums(model, d, powers, ys, last):
     return out
 
 
-def _phi_sigma_pos(model, d, y_arr):
-    """Deadline transform for sigma > 0 and d > 0 via the complement
-
-        Phi_d(y) = e^{-rho y} - int_d^inf e^{-qt} sum_k r^k v_y(k,t) dt,
-
-    sharing the smeared claim-sum across every y at each time node.
-
-    At time t the deficits y in [y_min, y_max] read the smeared sum
-    only at w = c t - y, so each node builds the claim sum only on the
-    overshoot window of z lattice nodes within the Gaussian's reach
-    L dz of [c t - y_max, c t - y_min]. The z = 0 end fix and the
-    claim-free point mass are added only when that window reaches
-    z = 0; further out the Gaussian is below e^{-128}. The nodes of a
-    Simpson chunk are smeared in one batched FFT, and a chunk starts at
-    the previous chunk's last node, bitwise the same t, so that row is
-    reused instead of recomputed.
-
-    It serves tabulated claims only. Each time node sums its own K_t terms,
-    K_t = _claim_cutoff(r lam t, e^{-lam t} max f y_max / t): a row is
-    the Gaussian smear of the claim sum times at most y_max / t, and a
-    convolution power never exceeds max f. The returned K is the largest
-    K_t, and the tail bound adds the Simpson-weighted K_t bounds to the
-    size of the remainder estimate of the time integral.
-    """
-    if model.claims.kind != "tabulated":
-        raise ValueError("the time-quadrature transform serves tabulated claims; "
-                         "exponential claims take scale.phi")
-    lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
-    rho = model.rho
-    y_arr = np.asarray(y_arr, dtype=float)
-    closed = np.exp(-rho * y_arr)
-
-    kill = q + lam * (1.0 - r)
-    dz = min(2e-2, sigma * math.sqrt(d) / 10.0)
-    dz = max(dz, 1e-3)
-    y_min, y_max = float(y_arr.min()), float(y_arr.max())
-    pos = y_arr > 0
-    root_2pi = math.sqrt(2 * math.pi)
-    ks = [0]
-
-    def claim_sum(t, zs):
-        """e^{-lam t} sum_{k>=1} (r lam t)^k / k! f^{k*}(z) on the nodes zs,
-        and the bound of its terms past K_t on a row (y/t factor included)."""
-        # linear reads commute with the k-sum: sum on the table nodes
-        # that span zs, then read once
-        grid = model.claims.grid
-        i_lo = max(int(zs[0] / grid.step) - 1, 0)
-        i_hi = min(int(zs[-1] / grid.step) + 2, grid.n + 1)
-        if i_lo >= i_hi:
-            return np.zeros_like(zs), 0.0
-        K, bound = _claim_cutoff(r * lam * t, math.exp(-lam * t)
-                                 * float(np.max(grid.values)) * y_max / t)
-        ks.append(K)
-        wk = np.exp(-lam * t) * r * lam * t
-        acc = wk * model.claims._power_values(1)[i_lo:i_hi]
-        for k in range(2, K + 1):
-            wk = wk * (r * lam * t) / k
-            acc = acc + wk * model.claims._power_values(k)[i_lo:i_hi]
-        return np.interp(zs, grid.x[i_lo:i_hi], acc, left=0.0, right=0.0), bound
-
-    def rate_at(ts):
-        """Rows over y of e^{-qt} sum_k r^k v_y(k,t), one row per t in ts,
-        and each row's truncation bound."""
-        nodes, bounds = [], []
-        for t in ts:
-            sd = sigma * math.sqrt(t)
-            L = int(math.ceil(8.0 * sd / dz))
-            M = int(math.ceil((c * t + (L + 2) * dz) / dz))
-            j_lo = max(0, math.floor((c * t - y_max) / dz) - L - 2)
-            j_hi = max(j_lo, min(M, math.ceil((c * t - y_min) / dz) + L + 2))
-            gz, bound = claim_sum(t, dz * np.arange(j_lo, j_hi + 1))
-            bounds.append(bound)
-            nodes.append((t, sd, L, j_lo, gz))
-        # node i's kernel sits at offset L_max - L_i, so its own full
-        # convolution is columns L_max - L_i onward
-        L_max = max(L for _, _, L, _, _ in nodes)
-        gzs = np.zeros((len(ts), max(len(gz) for *_, gz in nodes)))
-        kerns = np.zeros((len(ts), 2 * L_max + 1))
-        for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
-            gzs[i, :len(gz)] = gz
-            xs = dz * (np.arange(2 * L + 1) - L)
-            kerns[i, L_max - L: L_max + L + 1] = \
-                np.exp(-0.5 * (xs / sd) ** 2) / (sd * root_2pi)
-        convs = fft_convolve(gzs, kerns)
-        rows = np.zeros((len(ts), len(y_arr)))
-        for i, (t, sd, L, j_lo, gz) in enumerate(nodes):
-            w_grid = dz * (np.arange(len(gz) + 2 * L) + (j_lo - L))
-            hv = dz * convs[i, L_max - L: L_max + L + len(gz)]
-            if j_lo == 0:
-                gauss = np.exp(-0.5 * (w_grid / sd) ** 2)
-                # trapezoid end fix at z = 0 where the claim sum is finite
-                hv -= 0.5 * dz * gz[0] * gauss / (sd * root_2pi)
-                # the claim-free Gaussian point mass at z = 0
-                hv += math.exp(-lam * t) * gauss / (sd * root_2pi)
-            vals = np.interp(c * t - y_arr, w_grid, hv, left=0.0, right=0.0)
-            rows[i, pos] = math.exp(-q * t) * (y_arr[pos] / t) * vals[pos]
-        return rows, np.array(bounds)
-
-    total = np.zeros_like(y_arr)
-    chunk = max(0.5, 2.0 / max(kill, 1e-6))
-    t_lo = d
-    tail_est = math.inf
-    truncation = 0.0
-    last = None
-    n = 32
-    wts = simpson_weights(n + 1, chunk / n)
-    for _ in range(200):
-        ts = np.linspace(t_lo, t_lo + chunk, n + 1)
-        # linspace ends exactly on t_lo + chunk, this chunk's ts[0]
-        if last is None:
-            rows, bounds = rate_at(ts)
-        else:
-            rows, bounds = rate_at(ts[1:])
-            rows, bounds = np.vstack((last[0], rows)), np.append(last[1], bounds)
-        last = rows[-1], bounds[-1]
-        piece = wts @ rows
-        total += piece
-        truncation += wts @ bounds
-        t_lo += chunk
-        decay = math.exp(-kill * chunk)
-        tail_est = float(np.max(piece)) * decay / max(1e-300, 1.0 - decay)
-        # before the drift reaches the farthest deficit its rows are 0,
-        # not decaying, and the estimate would stop the loop too early
-        if tail_est < 1e-13 and c * t_lo >= y_max:
-            break
-    vals = np.clip(closed - total, 0.0, 1.0)
-    vals = np.where(y_arr == 0.0, 1.0, vals)
-    # the remainder estimate is signed; the bound is its size, plus the
-    # claim-count terms each node left out
-    return vals, max(ks), abs(tail_est) + truncation
+def _phi_sigma_pos(model, d, ys):
+    """(Phi_d on the deficits ys >= 0, truncation K, tail bound) at
+    sigma > 0 and 0 < d < inf, for either claim law: Lambda(-y)/Lambda(0)
+    off the scale function (scale.phi)."""
+    return scale.phi(model, d, ys)
 
 
 def _phi_table(model, d, ys):
@@ -437,9 +295,6 @@ def _phi_table(model, d, ys):
     if math.isinf(d):
         return np.exp(-model.rho * ys), 0, 0.0
     if model.sigma != 0.0:
-        if model.claims.kind == "exponential":
-            vals, bound = scale.phi(model, d, ys)
-            return vals, 0, bound
         return _phi_sigma_pos(model, d, ys)
     if model.claims.kind != "exponential":
         return _phi_sigma0_tab(model, d, ys)
@@ -471,14 +326,15 @@ def upcross_table(model, d, y_grid):
     """upcross_transform values on a whole grid of deficits.
 
     Shares the claim-count sum across deficits, which is what makes a
-    table's grid-sized w_d integrals affordable: at sigma > 0 per chunk
-    of time nodes, smeared in one batched FFT, and at sigma = 0 through
+    table's grid-sized w_d integrals affordable. At sigma = 0 that is
     the factored sum of _phi_sigma0_tab, one matrix product per block of
-    deficits. A few deficits, where building the factors costs more
+    deficits; a few deficits, where building the factors costs more
     than it saves, take the per-deficit recursion instead, as
-    upcross_transform does. Exponential claims at sigma > 0 take one
-    moment quadrature per block of deficits (scale.phi), with K = 0 and
-    the quadrature's error bound as the tail bound.
+    upcross_transform does. At sigma > 0 (scale.phi) a table's Lambda
+    sums the claim powers once into the law of X_d and reads every
+    lattice deficit off one correlation, and exponential claims take
+    one moment quadrature per block of deficits, with K = 0 and the
+    quadrature's error bound as the tail bound.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if not np.all(y_grid >= 0):

@@ -6,8 +6,9 @@ holds the one copy of each grid primitive the others use:
 
 - fft_convolve, the only FFT convolution: the full linear convolution
   along the last axis, batched over the leading axes. convolve_values
-  (the trapezoid f * g) and the Gaussian smear of the sigma > 0 Phi
-  transform both run through it, at every size;
+  (the trapezoid f * g) and a table's scale route (the Gaussian smear
+  of the law of X_d and the correlation of W with it) both run through
+  it, at every size;
 - convolve_exp, the only exponential-panel recurrence: integrals
   weighted by e^{-b u} on panels that integrate the exponential exactly
   against piecewise-linear data, so stiff rates do not poison the error
@@ -23,10 +24,11 @@ convolve_exp and neumann_series_exp; it computes the same sums a
 Python loop would, in C.
 
 A renewal equation xi = forcing + coeff (kernel * xi) is solved two
-ways. A kernel that is a mixture of m exponentials makes the panel
-equation a linear recursion of order m, solved exactly by one filter
-pass (neumann_series_exp); any other kernel is summed by its Neumann
-series of FFT convolutions (neumann_series).
+ways, chosen in solve_renewal. A kernel that is a mixture of m
+exponentials makes the panel equation a linear recursion of order m,
+solved exactly by one filter pass (neumann_series_exp); any other
+kernel is summed by its Neumann series of FFT convolutions
+(neumann_series).
 """
 
 import itertools
@@ -377,6 +379,19 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
         raise NonConvergenceError("solution left the double range",
                                   last_norm=float(np.max(np.abs(xi))))
     return forcing.with_values(xi)
+
+
+def solve_renewal(grid, kernel, forcing, coeff, mix=None):
+    """xi = forcing + coeff (kernel * xi) on the grid, as values.
+
+    A kernel that is a mixture of exponentials, mix = (rates, weights),
+    is solved exactly on exponential panels, one O(n) filter pass; any
+    other kernel by its Neumann series of FFT convolutions.
+    """
+    forcing = grid.with_values(forcing)
+    if mix is not None:
+        return neumann_series_exp(*mix, forcing, coeff).values
+    return neumann_series(grid.with_values(kernel), forcing, coeff).values
 
 
 def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFunction:

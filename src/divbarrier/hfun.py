@@ -16,16 +16,16 @@ where the drift cannot climb back in time):
 
 At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
 exact tail transform at any points. At every finite d > 0, w_d is read
-from one memo entry per model (_phi_grid). For exponential claims it is
-the closed form u(d) f, with u(d) taken once: from expmodel at
-sigma = 0, and at sigma > 0 from the scale route (scale.scale_ratio),
-whose Lambda also gives the continuation slope; no Phi grid is built,
-and the continuation below zero (_whole_line) reads Phi_d at its own
-deficits from the same Lambda, Lambda(-y)/Lambda(0), through
-upcross_table.
-For a table it is a Simpson sum over the _PHI_STEP grid of Phi_d,
-built by the claim law's shift_sum (a node table read with one
-interpolation) and kept next to the grid.
+from one memo entry per model (_phi_grid). At sigma > 0 the entry holds
+the scale route's Lambda (scale.scale_ratio), which gives the
+continuation slope and the certificate for either claim law. For
+exponential claims w_d is the closed form u(d) f, with u(d) taken
+once: from expmodel at sigma = 0, and at sigma > 0 from that Lambda; no
+Phi grid is built. For a table it is a Simpson sum over the _PHI_STEP
+grid of Phi_d (upcross_table at sigma = 0, Lambda(-y)/Lambda(0) off the
+entry's Lambda at sigma > 0), built by the claim law's shift_sum (a
+node table read with one interpolation). The continuation below zero
+(_whole_line) reads Phi_d at its own deficits through upcross_table.
 
 With sigma = 0 the equation is first order in xi, with xi(0) = 1; its
 renewal form
@@ -46,10 +46,11 @@ convolutions. With sigma > 0 the solution family is
 
 with one free slope p = xi'(0). Every p solves the equation on (0, a),
 so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+):
-Lambda'(0)/Lambda(0) for exponential claims, the 3rd-order stencil on
-the Phi grid for a table, rho at d = inf. At d = 0 a diffusion started
-at 0 is ruined at once, so xi(0) = 0 with unit slope instead, and h is
-W(x)/W(a) for the scale function W. For Exp(mu) claims
+Lambda'(0)/Lambda(0) of the memo entry's Lambda at finite d, rho at
+d = inf. At d = 0 a diffusion started at 0 is ruined at once, so
+xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
+function W; a table's Lambda solves the same equation (scale.renewal)
+for its W. For Exp(mu) claims
 beta * T_rho f is a mixture of two exponentials (rates mu and
 rho + 2c/sigma^2), and on two-rate exponential panels the equation is
 a second-order recursion, solved exactly, while the rates are far
@@ -72,13 +73,12 @@ function's check ide_residual and the HJB sweep of valuation both call
 it. The residual an exit function reports is ide_residual on the
 returned h, at sigma > 0 raised to an interface term when that is
 larger, both in h units, so it is never below the check a caller can
-rerun. For exponential claims at finite d > 0 the term is the
-cross-route gap max |h - Lambda(x)/Lambda(a)| on the solver grid, which
-a wrong imposed slope cannot pass; otherwise it is the mismatch between
-the solved slope at 0+ and a lower-order reading of the continuation
-slope (off the Phi grid for a table, rho at d = inf, 1 at d = 0). Both
-solvers refuse an h whose reported residual exceeds the gate with the
-same NonConvergenceError.
+rerun. At finite d > 0 the term is the cross-route gap
+max |h - Lambda(x)/Lambda(a)| on the solver grid, for either claim law,
+which a wrong imposed slope cannot pass; at d = 0 and d = inf it is the
+mismatch between the solved slope at 0+ and the exact one (1 at d = 0,
+rho at d = inf). Both solvers refuse an h whose reported residual
+exceeds the gate with the same NonConvergenceError.
 """
 
 import math
@@ -96,23 +96,20 @@ from .gridmath import (
     convolve_values,
     convolve_exp,
     derivative,
-    neumann_series,
-    neumann_series_exp,
     simpson_weights,
+    solve_renewal,
 )
 from . import expmodel
 from .firstpassage import upcross_table
-from .scale import scale_ratio
+from .scale import renewal, scale_ratio
 
 _CACHE = {}
 
 # sup-norm equation residual above which a built exit function is refused
 _RESIDUAL_GATE = 1e-4
 
-# deficit step of the memoized Phi grid, and so of the slope stencils
+# deficit step of the memoized Phi grid of a table
 _PHI_STEP = 2e-2
-
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -126,31 +123,35 @@ class HFunction:
 
 
 def _phi_grid(model):
-    """Phi_d on the _PHI_STEP deficit grid over the claims' reach, and
-    the w_d reader built from it, memoized per model as one entry.
+    """The w_d reader at finite d > 0, with the scale route's Lambda at
+    sigma > 0, memoized per model as one entry (Lambda, reader).
 
-    For Exp(mu) claims the reader is the closed form u(d) e^{-mu x} and
-    no grid is built: at sigma = 0 u(d) comes from expmodel and None
-    stands in for the grid; at sigma > 0 the grid's place holds the
-    scale route's ScaleRatio, which carries u(d) and the continuation
-    slope.
+    At sigma > 0 Lambda is scale_ratio's, a ScaleRatio for Exp(mu)
+    claims and a TableRatio for a table; both carry the continuation
+    slope and ratio(xs, a). At sigma = 0 the entry's first place holds
+    a table's Phi grid, or None for Exp(mu) claims. For Exp(mu) claims
+    the reader is the closed form u(d) e^{-mu x}, u(d) from the
+    ScaleRatio or, at sigma = 0, from expmodel; for a table it is the
+    shift_sum of Phi_d on the _PHI_STEP deficit grid over the claims'
+    reach, read off Lambda at sigma > 0.
     """
     # the step is fixed and the grid end is the claims' reach, so the
     # model's key alone names the entry
     key = (model.key(), "phi")
     if key not in _CACHE:
+        route = scale_ratio(model) if model.sigma > 0.0 else None
         if model.claims.kind == "exponential":
             # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
-            route = scale_ratio(model) if model.sigma > 0.0 else None
             u = route.u if route is not None else expmodel.u_of_d(model, model.d)
             mu = model.claims.mu
             _CACHE[key] = route, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
         else:
             # Simpson quadrature of Phi against the shifted density
             ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
-            phi = upcross_table(model, model.d, ys)
+            phi = upcross_table(model, model.d, ys) if route is None else route.phi(ys)
             wts = simpson_weights(len(ys), _PHI_STEP)
-            _CACHE[key] = phi, model.claims.shift_sum(ys, wts * phi)
+            _CACHE[key] = (phi if route is None else route,
+                           model.claims.shift_sum(ys, wts * phi))
     return _CACHE[key]
 
 
@@ -171,19 +172,6 @@ def w_d(model, x):
         raise ValueError("w_d is defined for x >= 0")
     vals = _w_values(model, xs)
     return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def _solve_renewal(grid, kernel, forcing, coeff, mix=None):
-    """xi = forcing + coeff (kernel * xi) on the solver grid.
-
-    A kernel that is a mixture of exponentials, mix = (rates, weights),
-    is solved exactly on exponential panels, one O(n) filter pass; any
-    other kernel by its Neumann series of FFT convolutions.
-    """
-    forcing = grid.with_values(forcing)
-    if mix is not None:
-        return neumann_series_exp(*mix, forcing, coeff).values
-    return neumann_series(grid.with_values(kernel), forcing, coeff).values
 
 
 def _require_step(step):
@@ -248,7 +236,7 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
         # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
         zw = convolve_exp(-rho, w, step)
     forcing = zeta - coeff * zw
-    xi = _solve_renewal(grid, trf, forcing, coeff, mix)
+    xi = solve_renewal(grid, trf, forcing, coeff, mix)
 
     # derivatives read off the equation itself, not finite differences
     f_xi = model.claims.convolve_grid(xi, step)
@@ -260,25 +248,13 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     return _certified(hf, ide_residual(model, hf))
 
 
-# one-sided stencils for -f'(0) on the nodes 0, h, 2h, 3h: 3rd and 2nd order
-_SLOPE_3 = np.array([11.0, -18.0, 9.0, -2.0]) / 6.0
-_SLOPE_2 = np.array([3.0, -4.0, 1.0, 0.0]) / 2.0
-
-
-def _phi_slope(model, stencil):
-    """-Phi_d'(0+) off the memoized Phi grid (rho at d = inf)."""
-    if math.isinf(model.d):
-        return model.rho
-    return float(stencil @ _phi_grid(model)[0][:4]) / _PHI_STEP
-
-
 def _continuation_slope(model):
     """The slope xi'(0)/xi(0) that xi shares at 0 with its continuation
-    xi(0) Phi_d(-z) below zero: Lambda'(0)/Lambda(0) of the scale route
-    for Exp(mu) claims at finite d, else by the 3rd-order stencil."""
-    if model.claims.kind == "exponential" and not math.isinf(model.d):
-        return _phi_grid(model)[0].slope
-    return _phi_slope(model, _SLOPE_3)
+    xi(0) Phi_d(-z) below zero: -Phi_d'(0+), which is rho at d = inf and
+    Lambda'(0)/Lambda(0) of the memo entry's Lambda at finite d."""
+    if math.isinf(model.d):
+        return model.rho
+    return _phi_grid(model)[0].slope
 
 
 def _extrap_zero(vals):
@@ -297,32 +273,15 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     """
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
-    lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
+    sigma = model.sigma
     rho, grid, _, trf = _solver_grid(model, a, step)
     xs, step = grid.values, grid.step
-    b1 = rho + 2.0 * c / (sigma * sigma)
-    gam = 2.0 * lam * r / (sigma * sigma)
+    b1, gam, erx, beta, zb, kern, mix = renewal(model, xs, trf, step)
     w = _w_values(model, xs)
     x0, p = (0.0, 1.0) if model.d == 0 else (1.0, _continuation_slope(model))
 
-    beta = np.exp(-b1 * xs)
-    erx = np.exp(rho * xs)
-    zb = (erx - beta) / (rho + b1)
     dzb = (rho * erx + b1 * beta) / (rho + b1)
     d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
-
-    mu = model.claims.mu if model.claims.kind == "exponential" else None
-    # beta * T_rho f is then a two-rate mixture of exponentials whose
-    # weights +-1/(b1 - mu) cancel. Each panel recursion carries the
-    # rounding of the ~1/(mu step) nodes it remembers, so the mixture's
-    # relative error is about eps b1 / (mu step |b1 - mu|); it is
-    # taken only while that stays below sqrt(eps)
-    if mu is not None and _SQRT_EPS * b1 < abs(b1 - mu) * mu * step:
-        kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
-        wgt = mu / ((rho + mu) * (b1 - mu))
-        mix = ([mu, b1], [wgt, -wgt])
-    else:
-        kern, mix = convolve_exp(b1, trf, step), None
     bw = convolve_exp(b1, w, step)
     zbw = convolve_exp(-rho, bw, step)
     dzbw = bw + rho * zbw
@@ -335,17 +294,17 @@ def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
         x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb,
         x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
         + p * (d2zb + gam * kern))
-    xi, xip, xipp = (_solve_renewal(grid, kern, v, gam, mix) for v in forcings)
+    xi, xip, xipp = (solve_renewal(grid, kern, v, gam, mix) for v in forcings)
 
     hf = _exit_function(grid, a, xi, xip, xipp, p if x0 else None)
-    if model.claims.kind == "exponential" and 0.0 < model.d < math.inf:
+    if 0.0 < model.d < math.inf:
         # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
         gap = float(np.max(np.abs(hf.grid.values - _phi_grid(model)[0].ratio(xs, a))))
         detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
     else:
         # in h units: the mismatch between the solved slope at 0+ and the
-        # lower-order continuation slope
-        p_cont = 1.0 if model.d == 0 else _phi_slope(model, _SLOPE_2)
+        # exact one, 1 at d = 0 and rho at d = inf
+        p_cont = 1.0 if model.d == 0 else rho
         gap = 0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont) / xi[-1]
         detail = " (slope at 0 imposed %.6f, checked against %.6f)" % (p, p_cont)
     return _certified(hf, max(ide_residual(model, hf), gap), detail)

@@ -25,21 +25,17 @@ conv_power, both classes offer the same seven members:
 
 Code outside this module reads the `kind` attribute (and mu) where
 exponential claims allow a closed-form algorithm: the per-deficit
-series of Phi_d at sigma = 0 and the dispatch of Phi_d at sigma > 0 to
-the scale route, whose time quadrature _phi_sigma_pos refuses them
-(firstpassage); the u(d) forcing (from expmodel at sigma = 0, from the
-scale route at sigma > 0), the continuation slope Lambda'(0)/Lambda(0)
-and the cross-route certificate at sigma > 0, the slope
+series of Phi_d at sigma = 0 (firstpassage); the u(d) forcing (from
+expmodel at sigma = 0, from the scale route at sigma > 0), the slope
 w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
-one-rate sigma = 0 and two-rate sigma > 0 renewal kernels of the exit
-function (hfun); the scale route itself (scale: Lambda, u(d) and
-Phi_d below zero), which refuses any other claim law; and the closed
-series of expmodel. One module reads how a table is stored:
-firstpassage's tabulated Phi_d routes (_phi_sigma0_tab with its
-_one_deficit and _factored_sums at sigma = 0, and the claim_sum of
-_phi_sigma_pos, which serves tables only) read `claims.grid` and the cached powers
-`claims._power_values(k)` on their nodes, so that each claim-count sum
-runs on the table's own lattice.
+one-rate sigma = 0 renewal kernel of the exit function (hfun); the
+scale route (scale: Lambda by roots and a moment quadrature, and the
+two-rate sigma > 0 renewal kernel); and the closed series of expmodel.
+Two modules read how a table is stored, `claims.grid` and the cached
+powers `claims._power_values(k)` on its nodes, so that each claim-count
+sum runs on the table's own lattice: firstpassage's sigma = 0 route
+(_phi_sigma0_tab with its _one_deficit and _factored_sums) and scale's
+TableRatio, which sums the powers into the law of X_d at sigma > 0.
 """
 
 import math

@@ -1,5 +1,5 @@
-"""The scale-function route for exponential claims with a diffusion term:
-the exit function and the recovery transform Phi_d.
+"""The scale-function route at sigma > 0 and 0 < d < inf: the exit
+function and the recovery transform Phi_d, for either claim law.
 
 Weighting each claim by r is the same as thinning the claims to rate
 lam r and killing at rate kill = q + lam(1 - r), so with grace period
@@ -11,15 +11,16 @@ lam r and killing at rate kill = q + lam(1 - r), so with grace period
 
 where W is the kill-scale function of the thinned process (zero below
 0) and X_d = c d + sigma B_d - S_d, S_d the thinned claim total at
-time d. For Exp(mu) claims W is a sum of three exponentials,
+time d. From a deficit y the surplus creeps back up to 0, so
+h(-y) = Phi_d(y) h(0) with Phi_d(y) = Lambda(-y) / Lambda(0).
+
+For Exp(mu) claims (ScaleRatio, phi) W is a sum of three exponentials,
 
     W(x) = sum_i c_i e^{t_i x},   c_i = (mu + t_i) / Q'(t_i),
     Q(s) = (sigma^2 s^2 / 2 + c s - lam - q)(mu + s) + lam r mu,
 
-whose largest root t_1 is the Lundberg root rho. From a deficit y the
-surplus creeps back up to 0, so h(-y) = Phi_d(y) h(0), and
+whose largest root t_1 is the Lundberg root rho, and
 
-    Phi_d(y) = Lambda(-y) / Lambda(0),
     Lambda(-y) = sum_i c_i M(t_i, y),
     M(t, y) = E[X_d e^{t (X_d - y)}; X_d > y].
 
@@ -42,6 +43,28 @@ moment carries the common factor e^{-kill d}, which leaves each ratio
 unchanged: M(rho, 0) grows like e^{kill d} (E e^{rho X_d} = e^{kill d})
 and would overflow from d near 300 on. Each exponent is summed before
 it is taken, so no factor over- or underflows on its own.
+
+For a claim table (TableRatio) both pieces live on the table's own
+lattice z_j = j step. W is the d = 0 solution of the exit equation,
+xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
+of renewal(), which h_d_sigma_pos solves too. The density p of X_d is
+the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
+f^{k*}, k <= K (K from _claim_cutoff), each smoothed by the
+N(0, sigma^2 d) density of sigma B_d, and p' likewise by that
+density's derivative, through one fft_convolve. Then by the trapezoid
+rule on the lattice
+
+    Lambda(k step) = step sum_j W_{j+k} z_j p_j,
+
+one FFT correlation for every k at once: k = -m gives Phi_d at the
+deficit m step, and k >= 0 the exit function on [0, a], read between
+lattice points by the cubic through the nearest four (W is solved again,
+once, when a barrier first needs it past c d + 12 sigma sqrt(d)). A
+deficit between lattice points takes the law of X_d - e for its offset
+e, one more smoothing. W' has a boundary
+layer e^{-(rho + 2c/sigma^2) x} that the table step does not resolve,
+so the slope is taken by parts,
+Lambda'(0) = -int_0^inf W(z) (z p(z))' dz.
 """
 
 import math
@@ -50,10 +73,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, i1e, ndtr
 
-from .gridmath import _adaptive_simpson
+from .gridmath import (GridFunction, _adaptive_simpson, convolve_exp, fft_convolve,
+                       solve_renewal)
 
 # relative stop of the moments' quadrature
 _MOMENT_RTOL = 1e-13
+
+# bound on the claim-count terms each tabulated claim sum leaves out
+K_TAIL_TOL = 1e-12
+
+# standard deviations of sigma B_d past which a table's law of X_d is
+# cut: the Gaussian is below e^{-72} there
+_SD_REACH = 12.0
+
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 # deficits per quadrature, so that its (s, y, t) arrays stay a few MB
 _BLOCK = 16
@@ -117,6 +150,161 @@ def _bessel_series_scaled(a, z, extra_exponent):
     return amp.reshape(trail) * np.exp(w.reshape(trail) + extra_exponent)
 
 
+def _claim_cutoff(s, scale):
+    """(K, bound): the smallest K at or past the mode of s^k / k! with
+    bound = scale * sum_{k>K} s^k / k! <= K_TAIL_TOL, for s, scale > 0.
+
+    Past the mode every term ratio s / (k + 1) is at most s / (K + 2) < 1,
+    so the tail is at most the geometric sum term_{K+1} / (1 - s/(K+2)).
+    The terms are kept as logarithms, so neither s^k nor k! overflows.
+    """
+    K = max(1, math.floor(s))
+    ln_s, ln_tol = math.log(s), math.log(K_TAIL_TOL / scale)
+    ln_term = (K + 1) * ln_s - math.lgamma(K + 2)
+    while ln_term - math.log1p(-s / (K + 2)) > ln_tol:
+        K += 1
+        ln_term += ln_s - math.log(K + 1)
+    return K, scale * math.exp(ln_term) / (1.0 - s / (K + 2))
+
+
+def renewal(model, xs, trf, step):
+    """The sigma > 0 exit equation as the renewal equation
+    xi = phi + gam (kern * xi) on the grid xs = step * (0, 1, ..., n),
+    trf being T_rho f there: (b1, gam, e^{rho x}, beta, zb, kern, mix).
+
+    beta = e^{-b1 x} with b1 = rho + 2c/sigma^2, gam = 2 lam r / sigma^2,
+    kern = beta * T_rho f, and zb = zeta * beta = (e^{rho x} - beta)/(rho + b1)
+    is the forcing of the solution with xi(0) = 0 and xi'(0) = 1. For
+    Exp(mu) claims kern is a two-rate mixture of exponentials whose
+    weights +-1/(b1 - mu) cancel. Each panel recursion carries the
+    rounding of the ~1/(mu step) nodes it remembers, so the mixture's
+    relative error is about eps b1 / (mu step |b1 - mu|); mix holds its
+    (rates, weights) only while that stays below sqrt(eps), and is None
+    when kern is the sampled convolution.
+    """
+    rho, sigma = model.rho, model.sigma
+    b1 = rho + 2.0 * model.c / (sigma * sigma)
+    gam = 2.0 * model.lam * model.r / (sigma * sigma)
+    beta = np.exp(-b1 * xs)
+    erx = np.exp(rho * xs)
+    zb = (erx - beta) / (rho + b1)
+    mu = model.claims.mu if model.claims.kind == "exponential" else None
+    if mu is not None and _SQRT_EPS * b1 < abs(b1 - mu) * mu * step:
+        kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
+        wgt = mu / ((rho + mu) * (b1 - mu))
+        mix = ([mu, b1], [wgt, -wgt])
+    else:
+        kern, mix = convolve_exp(b1, trf, step), None
+    return b1, gam, erx, beta, zb, kern, mix
+
+
+def _scale_w(model, n, step):
+    """W on the lattice step * (0, ..., n): xi(0) = 0, xi'(0) = 1."""
+    xs = step * np.arange(n + 1)
+    trf = model.claims.tail_transform(model.rho, xs)
+    _, gam, _, _, zb, kern, mix = renewal(model, xs, trf, step)
+    return solve_renewal(GridFunction(0.0, n * step, step, xs), kern, zb, gam, mix)
+
+
+class TableRatio:
+    """Lambda for a claim table on its lattice (see the module notes),
+    with the continuation slope Lambda'(0)/Lambda(0), the exit function
+    ratio(xs, a) and Phi_d (phi), and the claim-count truncation K with
+    the bound on what it leaves out of Phi_d.
+
+    K is the smallest count whose Poisson tail bounds the dropped claim
+    density by max f e^{-lam r d} sum_{k>K} (lam r d)^k / k! everywhere.
+    That moves Lambda(-y) and Lambda(0) by at most the same times
+    int_0 W(z) z dz, and so Phi_d by at most twice that over Lambda(0);
+    Lambda(0) is at least its claim-free part, e^{-lam r d} times
+    int_0 W(z) z N(z; c d, sigma^2 d) dz, so e^{-lam r d} cancels.
+    """
+
+    def __init__(self, model, d):
+        grid = model.claims.grid
+        if model.c * d > grid.hi + 1e-9:
+            raise ValueError("claim table too short for the c*d horizon; "
+                             "extend the density grid")
+        step, sd = grid.step, model.sigma * math.sqrt(d)
+        self._model, self._step, self._sd, self._shift = model, step, sd, model.c * d
+        # X_d <= c d + 12 sd, so Phi_d needs W and p on n + 1 nodes
+        self._n = n = int(math.ceil((model.c * d + _SD_REACH * sd) / step))
+        self._w = w = _scale_w(model, n, step)
+        z = step * np.arange(n + 1)
+        wz = w * z
+        gauss = self._gauss(0.0)
+        rate = model.lam * model.r * d
+        self.truncation_k, self.tail_bound = _claim_cutoff(
+            rate, 2.0 * float(np.max(grid.values) * np.sum(wz) / (wz @ gauss[0])))
+        # the claim density on the table nodes the lattice reads, with
+        # the trapezoid's half weight at 0, reversed for the correlation
+        top = min(n, grid.n)
+        dens = np.zeros(top + 1)
+        for k in range(1, self.truncation_k + 1):
+            ln_w = k * math.log(rate) - math.lgamma(k + 1) - rate
+            dens += math.exp(ln_w) * model.claims._power_values(k)[:top + 1]
+        dens[0] *= 0.5
+        self._claims_rev = step * dens[::-1]
+        self._atom = math.exp(-rate)
+        p, dp = self._law(gauss)
+        self._zp = z * p
+        self._at_zero = step * float(w @ self._zp)
+        self.slope = -step * float(w @ (p + z * dp)) / self._at_zero
+
+    def _gauss(self, e):
+        """The N(c d - e, sigma^2 d) density and its derivative on the lattice."""
+        u = self._step * np.arange(self._n + 1) - (self._shift - e)
+        g = np.exp(-0.5 * (u / self._sd) ** 2) / (self._sd * _SQRT_2PI)
+        return np.stack((g, -u / self._sd ** 2 * g))
+
+    def _law(self, gauss):
+        """The density of X_d - e and its derivative on the lattice, from
+        _gauss(e)."""
+        n, top = self._n, len(self._claims_rev) - 1
+        return fft_convolve(self._claims_rev, gauss)[:, top:top + n + 1] + self._atom * gauss
+
+    def _lambda(self, zp, w):
+        """Lambda(k step) at entry n + k, for k from -n on, from z p and W
+        on the lattice."""
+        return self._step * fft_convolve(zp[::-1], w)
+
+    def phi(self, ys):
+        """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
+        ys = np.asarray(ys, dtype=float)
+        step, n = self._step, self._n
+        m = np.floor(ys / step + 1e-9)
+        offset = np.round(np.maximum(ys - m * step, 0.0) / step, 9)
+        out = np.zeros(len(ys))
+        for e in np.unique(offset[m <= n]):
+            zp = self._zp
+            if e:
+                zp = (step * (np.arange(n + 1) + e)) * self._law(self._gauss(e * step))[0]
+            at = np.nonzero((offset == e) & (m <= n))[0]
+            lam = self._lambda(zp, self._w[:n + 1])
+            out[at] = lam[n - m[at].astype(int)] / self._at_zero
+        return np.where(ys == 0.0, 1.0, np.clip(out, 0.0, 1.0))
+
+    def ratio(self, xs, a):
+        """Lambda(xs) / Lambda(a): the exit function at barrier a, read
+        between lattice points by the cubic through the nearest four."""
+        step, n = self._step, self._n
+        top = int(math.ceil(a / step)) + 2
+        # Lambda on [0, a] reads W up to a + c d + 12 sd: grow it once
+        if len(self._w) < n + top + 1:
+            self._w = _scale_w(self._model, n + top, step)
+        # Lambda(k step) at k = -1, ..., top
+        lam = self._lambda(self._zp, self._w[:n + top + 1])[n - 1:n + top + 1]
+
+        def read(x):
+            u = np.asarray(x, dtype=float) / step
+            k = np.minimum(np.floor(u), top - 2)
+            t, k = u - k, k.astype(int)
+            return (t * (t - 1.0) * ((t + 1.0) * lam[k + 3] - (t - 2.0) * lam[k]) / 6.0
+                    + (t + 1.0) * (t - 2.0) * ((t - 1.0) * lam[k + 1] - t * lam[k + 2]) / 2.0)
+
+        return read(xs) / read(a)
+
+
 def _gauss_moment(t, m, sd, y):
     """E[(Y + y) e^{tY}; Y > 0] for Y ~ N(m, sd^2) as (exponent, factor),
     the moment being factor * e^{exponent}; t, m and y broadcast
@@ -162,16 +350,17 @@ def _moments(model, d, ts, ys):
 
 
 def _require(model, d):
-    if model.claims.kind != "exponential" or not model.sigma > 0.0 \
-            or not 0.0 < d < math.inf:
-        raise ValueError("the scale route needs exponential claims, sigma > 0 "
-                         "and 0 < d < inf")
+    if not model.sigma > 0.0 or not 0.0 < d < math.inf:
+        raise ValueError("the scale route needs sigma > 0 and 0 < d < inf")
 
 
-def scale_ratio(model) -> ScaleRatio:
-    """Lambda's exponents and weights, the continuation slope and u(d),
-    for Exp(mu) claims, sigma > 0 and 0 < d < inf."""
+def scale_ratio(model):
+    """Lambda at the model's own d, for sigma > 0 and 0 < d < inf: for
+    Exp(mu) claims a ScaleRatio (its exponents and weights, the
+    continuation slope and u(d)), for a table a TableRatio."""
     _require(model, model.d)
+    if model.claims.kind != "exponential":
+        return TableRatio(model, model.d)
     mu = model.claims.mu
     t, cw = _roots(model)
     (m,), _ = _moments(model, model.d, np.append(t, -mu), [0.0])
@@ -182,17 +371,22 @@ def scale_ratio(model) -> ScaleRatio:
 
 
 def phi(model, d, ys):
-    """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, bound on
-    its quadrature error), for Exp(mu) claims, sigma > 0 and 0 < d < inf.
+    """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
+    claim-count truncation K, a bound on the error) for sigma > 0 and
+    0 < d < inf.
 
-    Each block of deficits is one quadrature headed by y = 0, so its
-    relative stop is taken against Lambda(0) and its Phi divides by its
-    own Lambda(0). An error e in each moment moves Lambda by at most
-    e sum |c_i| at every y, and so Phi by at most twice that over
-    Lambda(0).
+    A table's K and bound are its TableRatio's. For Exp(mu) claims K is
+    0 and the bound is the moments' quadrature error: each block of
+    deficits is one quadrature headed by y = 0, so its relative stop is
+    taken against Lambda(0) and its Phi divides by its own Lambda(0). An
+    error e in each moment moves Lambda by at most e sum |c_i| at every
+    y, and so Phi by at most twice that over Lambda(0).
     """
     _require(model, d)
     ys = np.asarray(ys, dtype=float)
+    if model.claims.kind != "exponential":
+        table = TableRatio(model, d)
+        return table.phi(ys), table.truncation_k, table.tail_bound
     t, cw = _roots(model)
     vals, bound = np.empty(len(ys)), 0.0
     for lo in range(0, len(ys), _BLOCK):
@@ -200,4 +394,4 @@ def phi(model, d, ys):
         lam = m @ cw
         vals[lo:lo + _BLOCK] = lam[1:] / lam[0]
         bound = max(bound, 2.0 * err * float(np.sum(np.abs(cw)) / lam[0]))
-    return vals, bound
+    return vals, 0, bound

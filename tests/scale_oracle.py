@@ -25,7 +25,10 @@ h(-y) = Phi_d(y) h(0) with
     Phi_d(y) = Lambda(-y) / Lambda(0),
     Lambda(-y) = sum c_i E[X_d e^{t_i (X_d - y)}; X_d > y],
 
-each term again one integral over S_d of a closed Gaussian moment, and
+each term again one integral over S_d of a closed Gaussian moment. At
+sigma = 0, given S_d = s, X_d is the point c d - s, so each moment is a
+point evaluation and the s-integral is cut at c d - y, where X_d > y
+ends; Phi_d(y) is 0 from y = c d on. And
 u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
      = sum c_i mu / (mu + t_i) E[X_d (e^{t_i X_d} - e^{-mu X_d}); X_d > 0]
        / Lambda(0).
@@ -88,11 +91,14 @@ def _gauss_mass(t, m, sigma):
     return out
 
 
-def _claim_total(lam, c, r, sigma, mu, d, s_step):
+def _claim_total(lam, c, r, sigma, mu, d, s_step, y=0.0):
     """(s, Simpson weights times the density of the claim total S_d on
-    s > 0, its atom e^{-lam r d} at 0) on a fixed grid."""
+    s > 0, its atom e^{-lam r d} at 0) on a fixed grid: at sigma = 0 up
+    to c d - y, the last s with X_d > y, else over all that counts."""
     rate = lam * r * d
-    s_hi = c * d + 12.0 * sigma * math.sqrt(d) + 60.0 / mu
+    s_hi = c * d - y if sigma == 0.0 else c * d + 12.0 * sigma * math.sqrt(d) + 60.0 / mu
+    if s_hi <= 0.0:
+        return np.zeros(0), np.zeros(0), math.exp(-rate)
     n = int(math.ceil(s_hi / s_step))
     n += n % 2
     s = np.linspace(0.0, s_hi, n + 1)
@@ -107,8 +113,13 @@ def _claim_total(lam, c, r, sigma, mu, d, s_step):
 
 
 def _moment_above(t, y, c, sigma, d, total):
-    """E[X_d e^{t (X_d - y)}; X_d > y], S_d given by total."""
+    """E[X_d e^{t (X_d - y)}; X_d > y], S_d given by total (at sigma = 0
+    cut at c d - y)."""
     s, wdens, atom = total
+    if sigma == 0.0:
+        x = c * d - s
+        at_cd = c * d * math.exp(t * (c * d - y)) if c * d > y else 0.0
+        return atom * at_cd + float(np.sum(wdens * x * np.exp(t * (x - y))))
     sd = sigma * math.sqrt(d)
     # given S_d = s, Y = X_d - y is Gaussian and X_d = Y + y
     moment = lambda m: _gauss_moment(t, m, sd) + (y * _gauss_mass(t, m, sd) if y else 0.0)
@@ -127,13 +138,15 @@ def exit_weights(lam, c, q, r, sigma, mu, d, s_step=1e-3):
 
 
 def recovery(lam, c, q, r, sigma, mu, d, ys, s_step=1e-3):
-    """Phi_d(y) = Lambda(-y) / Lambda(0) at each deficit y in ys, sigma > 0
-    and d > 0."""
+    """Phi_d(y) = Lambda(-y) / Lambda(0) at each deficit y in ys, d > 0."""
     t, w = roots(lam, c, q, r, sigma, mu)
-    total = _claim_total(lam, c, r, sigma, mu, d, s_step)
-    below = [sum(wi * _moment_above(ti, y, c, sigma, d, total) for ti, wi in zip(t, w))
-             for y in (0.0,) + tuple(ys)]
-    return np.array(below[1:]) / below[0]
+    shared = _claim_total(lam, c, r, sigma, mu, d, s_step)
+
+    def below(y):
+        total = _claim_total(lam, c, r, sigma, mu, d, s_step, y) if sigma == 0.0 else shared
+        return sum(wi * _moment_above(ti, y, c, sigma, d, total) for ti, wi in zip(t, w))
+
+    return np.array([below(y) for y in ys]) / below(0.0)
 
 
 def recovery_weight(lam, c, q, r, sigma, mu, d, s_step=1e-3):

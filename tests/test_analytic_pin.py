@@ -7,8 +7,8 @@ once. The rows cover the deadline transform Phi_d (value, truncation
 K, tail bound, and the grid route) at sigma = 0 with exponential and
 with tabulated claims and at sigma = 0.5, each at d in {0, 0.4, 2, inf}
 and deficits y in {0, 0.3, 0.5}, plus tabulated claims at sigma = 0.5
-(r = 0.5, d = 1), the one route that reads the claim powers between
-table nodes, with a nonnegative tail bound; the exit function with
+(r = 0.5, d = 1), the table's scale-function route, with a
+nonnegative tail bound; the exit function with
 its two derivatives in both solvers, tabulated claims included; the
 w_d forcing; the generator applied to a test function with both claim
 laws, with the text of its unreachable-mass error; the density-shape
@@ -91,10 +91,9 @@ def _transform_inf(sigma, ys):
 
 
 def _transform_tab_diffusion():
-    # the one solver route that reads the claim powers between table
-    # nodes. Its tail bound is the size of the signed remainder estimate
-    # (0 at r = 0.5: the last chunk reads only past the table end) plus
-    # the claim-count terms each time node left out
+    # the table's scale-function route: Lambda from W and the law of X_d
+    # on the table's lattice. Its tail bound is the bound on the
+    # claim-count terms the law leaves out
     m = _model("tab", 1.0, 0.5, r=0.5)
     tr = upcross_transform(m, 0.5, 1.0)
     assert tr.tail_bound >= 0.0
@@ -419,8 +418,8 @@ PINS = {
         'b3abec16f2763e1d',
     ],
     'phi-tab-s0.5-r0.5-d1': [
-        '0x1.9ad4d87c229e9p-1', '32', '0x1.cf80733178a1ap-41',
-        '3b4585ca32b54fd7',
+        '0x1.9ad4d8687704ep-1', '33', '0x1.908b34ea2e532p-43',
+        '7232eee1fb85870f',
     ],
     'series-d0': [
         '291747017cd060ca', 'fce076b3ae6cb09f', '425820394d78a148',

@@ -95,6 +95,15 @@ class TestFiniteClock:
         with pytest.raises(ValueError):
             upcross_table(m_d2, 2.0, np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    def test_matches_the_scale_oracle(self, d):
+        # Phi_d(y) = Lambda(-y)/Lambda(0) with X_d = c d - S_d a point
+        # given S_d, near 0, inside the drift reach c d, just below it and
+        # past it; measured within 8.3e-13
+        ys = np.array([0.02, 0.3, 1.0, 5.0, 15.0 * d - 0.1, 15.0 * d + 0.3])
+        want = scale_oracle.recovery(10.0, 15.0, 0.1, 0.8, 0.0, 1.0, d, ys)
+        assert np.max(np.abs(upcross_table(make_model(d), d, ys) - want)) < 1e-11
+
     def test_tabulated_claims_agree_with_closed_route(self, tab_dist):
         mt = db.validate(
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0), tab_dist)
@@ -256,25 +265,31 @@ class TestWithDiffusion:
         for y, mean, se in self.SLOW_KILL:
             assert abs(upcross_transform(m, y, 1.0).value - mean) < 3.0 * se + 5e-3
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at kill = q + lam(1-r) = 0.01 the table's time chunk is "
-               "2/kill = 200 long, so each of its 32 Simpson panels is 6.25 "
-               "wide and the passage-time peak near t = d is lost; the "
-               "transform gives 0.9537 and 0.7517 (ROADMAP item 2)")
     def test_slow_killing_matches_simulation_on_a_table(self):
+        # the table's Lambda has no time mesh either: 0.984212 and
+        # 0.917012 (the time quadrature gave 0.9537 and 0.7517)
         m = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=0.5, q=0.01,
                                        r=1.0, d=1.0), db.tabulated_exponential(1.0))
         for y, mean, se in self.SLOW_KILL:
             assert abs(upcross_transform(m, y, 1.0).value - mean) < 3.0 * se + 5e-3
 
-    @pytest.mark.parametrize("y,mean,se", [(1.55, 0.1608, 0.0026),
-                                           (1.7, 0.0455, 0.0015), (3.0, 0.0, 0.0)])
-    def test_past_the_drift_reach_matches_simulation(self, y, mean, se):
+    # simulate_upcross with Exp(1) claims, 2e4 paths, dt 1e-4, seed 7
+    PAST_REACH = ((1.55, 0.1608, 0.0026), (1.7, 0.0455, 0.0015), (3.0, 0.0, 0.0))
+
+    # the exponential cases keep their ids; the 1e-2 table gave
+    # 0.2098 and 0.1243 by the time quadrature, 0.1652 and 0.0445 now
+    @pytest.mark.parametrize(
+        "claims,y,mean,se",
+        [("exp",) + row for row in PAST_REACH] + [("tab",) + row for row in PAST_REACH],
+        ids=(["-".join(map(str, row)) for row in PAST_REACH]
+             + ["-".join(map(str, ("tab",) + row)) for row in PAST_REACH]))
+    def test_past_the_drift_reach_matches_simulation(self, claims, y, mean, se):
         # c d = 1.5: y = 1.55 and 1.7 are climbed only with the Brownian
-        # part's help. simulate_upcross, 2e4 paths, dt 1e-4, seed 7; the
-        # 5e-3 as in the slow-kill case. y = 3 is the control
-        m = make_model(0.1, sigma=0.5)
+        # part's help; the 5e-3 as in the slow-kill case. y = 3 is the
+        # control
+        dist = (db.ExponentialClaims(1.0) if claims == "exp"
+                else db.tabulated_exponential(1.0, step=1e-2))
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.1), dist)
         assert abs(upcross_transform(m, y, 0.1).value - mean) < 3.0 * se + 5e-3
 
     def test_nonincreasing_in_the_deficit(self):
@@ -306,36 +321,40 @@ class TestWithDiffusion:
             assert 0.0 < tr.tail_bound < 1e-10
             assert abs(tr.value - phi) < 1e-12
 
-    def test_exponential_claims_never_take_the_time_quadrature(self, monkeypatch):
-        m = make_model(0.5, sigma=0.5)
+    @pytest.mark.parametrize("claims", ["exp", "tab"])
+    def test_every_claim_law_takes_the_scale_route(self, monkeypatch, claims):
+        # one branch at sigma > 0 and 0 < d < inf, _phi_sigma_pos, and it
+        # hands every claim law to scale.phi, which answers with K too
+        dist = (db.ExponentialClaims(1.0) if claims == "exp"
+                else db.tabulated_exponential(1.0, step=1e-2))
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.5), dist)
+        calls = []
+        real = scale.phi
 
-        def refuse(*args):
-            raise AssertionError("_phi_sigma_pos reached with exponential claims")
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
 
-        monkeypatch.setattr(firstpassage, "_phi_sigma_pos", refuse)
-        upcross_table(m, 0.5, np.array([0.0, 0.3, 9.0]))
-        upcross_transform(m, 0.3, 2.0)
-        sol = db.barrier_solution_at(m, 0.3)
-        sol.value(np.array([-0.4, 0.1]))
-        hfun.h_callable(m, sol.h)(-0.4)
-        assert cli.main(["transform", "--sigma", "0.5", "--d", "0.5", "--y", "0.3"]) == 0
-
-    def test_time_quadrature_refuses_exponential_claims(self):
-        with pytest.raises(ValueError):
-            firstpassage._phi_sigma_pos(make_model(1.0, sigma=0.5), 1.0, np.array([0.5]))
+        monkeypatch.setattr(scale, "phi", counted)
+        vals = upcross_table(m, 0.5, np.array([0.0, 0.3, 9.0]))
+        tr = upcross_transform(m, 0.3, 2.0)
+        assert calls == [0.5, 2.0]
+        assert vals[0] == 1.0 and 0.0 < vals[2] < vals[1] < 1.0
+        assert (tr.truncation_k == 0) == (claims == "exp")
 
 
 class TestDiffusionSmear:
-    """At sigma > 0 a table's time nodes each smear their claim sum only
-    on the overshoot window their deficits read, and a chunk reuses the
-    previous chunk's last node. A whole deficit grid and a single deficit
-    get very different windows, so they must still agree."""
+    """At sigma > 0 a table's Lambda smears the claim powers with the
+    Gaussian on the table's lattice once, and reads Phi_d at every
+    deficit of a grid through one correlation; a deficit between lattice
+    points takes the law of X_d less its offset, smeared again. A whole
+    deficit grid and a single deficit must still agree."""
 
     @pytest.fixture(scope="class")
     def table(self):
         return db.tabulated_exponential(1.0, step=1e-2)
 
-    # exponential claims take the scale route, which has no window; the
+    # exponential claims take the moment quadrature, with no lattice; the
     # id keeps naming the claim law
     @pytest.mark.parametrize("claims", ["tab"])
     @pytest.mark.parametrize("d", [0.4, 1.0, 2.0])
@@ -351,24 +370,34 @@ class TestDiffusionSmear:
             shared.append(beyond)
         for i in shared:
             tr = upcross_transform(model, float(ys[i]), d)
-            # each call stops its chunk loop on its own largest piece,
-            # so they differ by up to the remainder the tail bound names
-            assert abs(tr.value - grid[i]) <= tr.tail_bound + 1e-14, ys[i]
+            # the same lattice sums, up to the FFT's rounding
+            assert abs(tr.value - grid[i]) <= 1e-14, ys[i]
+        # off the lattice: a third of a table step past a grid deficit,
+        # read from its own smear, lies between its lattice neighbours and
+        # within the O(step^2) of their linear reading (measured 5.9e-7)
+        step = table.grid.step
+        mid = upcross_transform(model, 0.5 + step / 3.0, d).value
+        nxt = upcross_transform(model, 0.5 + step, d).value
+        assert grid[25] > mid > nxt
+        assert abs(mid - (2.0 * grid[25] + nxt) / 3.0) < 1e-6
 
-    def test_each_time_node_is_evaluated_once(self, table, monkeypatch):
-        model = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0), table)
-        seen = []
-        cutoff = firstpassage._claim_cutoff
+    def test_far_deficits_match_exponential_claims(self, table):
+        # past c d + 12 sigma sqrt(d) the law of X_d, and so Phi_d, is 0;
+        # the time quadrature read the claim powers as 0 past the table
+        # end and gave 3.3e-5 to 7.9e-5 here
+        ys = np.array([10.0, 20.0, 25.0, 30.0])
+        got, want = (upcross_table(db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.4),
+                                               dist), 0.4, ys)
+                     for dist in (table, db.ExponentialClaims(1.0)))
+        assert np.max(np.abs(got - want)) < 1e-8
 
-        def spy(s, scale):
-            # s = r lam t names the time node
-            seen.append(s)
-            return cutoff(s, scale)
-
-        monkeypatch.setattr(firstpassage, "_claim_cutoff", spy)
-        upcross_table(model, 1.0, np.arange(0.0, table.reach + 1e-2, 2e-2))
-        assert len(seen) > 33
-        assert len(set(seen)) == len(seen)
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_table_shorter_than_the_drift_reach_is_refused(self, table, sigma):
+        # c d = 31.5 runs past the table end at 30, where the claim powers
+        # are unknown, at either sigma
+        m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, 2.1), table)
+        with pytest.raises(ValueError, match="too short for the c\\*d horizon"):
+            upcross_transform(m, 0.5, 2.1)
 
 
 class TestClaimCountCutoff:

@@ -9,11 +9,12 @@ on the closed series ratios, which is the main correctness anchor:
 With sigma > 0 the scale-function oracle in scale_oracle.py pins the
 construction: h = e^{-rho (a - x)} at d = inf, W(x)/W(a) at d = 0,
 and at finite d the slope at 0 is Lambda'(0)/Lambda(0), down to
-d = 0.05 where a Phi grid's stencil was off. The certificate (equation
-residual, raised to the cross-route gap to Lambda(x)/Lambda(a) for
-exponential claims at finite d and to the slope mismatch at 0
-otherwise) must sit far below the acceptance floor at the imposed
-slope and blow through it when that slope is perturbed.
+d = 0.05 where a Phi grid's stencil was off, for exponential claims and
+for a table alike. The certificate (equation residual, raised to the
+cross-route gap to Lambda(x)/Lambda(a) at finite d and to the slope
+mismatch at 0 at d = 0 and d = inf) must sit far below the acceptance
+floor at the imposed slope and blow through it when that slope is
+perturbed.
 """
 
 import math
@@ -352,23 +353,21 @@ class TestSigmaPositive:
                                           ("tab", 1.0), ("tab", math.inf)])
     def test_certificate_covers_the_rerun_check(self, claims, d):
         # the reported residual is ide_residual on the returned h, raised
-        # to the interface term only where that is larger: for Exp(mu)
-        # claims at finite d the cross-route gap to Lambda(x)/Lambda(a),
-        # otherwise the slope mismatch at 0
+        # to the interface term only where that is larger: at finite d
+        # the cross-route gap to Lambda(x)/Lambda(a) for either claim
+        # law, at d = inf the slope mismatch at 0
         dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
                 else db.ExponentialClaims(1.0))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
         h = h_d_sigma_pos(m, 0.5, step=1e-4)
         check = ide_residual(m, h)
         assert h.ide_residual >= check
-        if claims == "exp" and not math.isinf(d):
+        if not math.isinf(d):
             lam_ratio = scale.scale_ratio(m).ratio(h.grid.x, 0.5)
             term = np.max(np.abs(h.grid.values - lam_ratio))
         else:
-            # sigma^2/2 times the gap between h'(0+) and h(0) times the
-            # lower-order continuation slope
-            slope = hfun._phi_slope(m, hfun._SLOPE_2)
-            term = 0.125 * abs(hfun._extrap_zero(h.hp.values) - h.grid.values[0] * slope)
+            # sigma^2/2 times the gap between h'(0+) and h(0) rho
+            term = 0.125 * abs(hfun._extrap_zero(h.hp.values) - h.grid.values[0] * m.rho)
         if term < check * (1.0 - 1e-6):
             assert h.ide_residual == check
         else:
@@ -481,25 +480,73 @@ class TestScaleFunctionOracle:
 
     def test_one_transform_per_optimal_barrier(self, monkeypatch):
         # with a table the continuation slope, the w_d forcing and the
-        # certificate all read the one memoized Phi grid; with Exp(mu)
-        # claims the scale route stands in for it and no grid is built
+        # certificate all read the one memoized TableRatio, which reads
+        # its Phi grid off the same Lambda; no other Phi_d is taken
         monkeypatch.setattr(hfun, "_CACHE", {})
-        calls = []
-        real = firstpassage._phi_sigma_pos
+        builds, phis = [], []
+
+        class Counted(scale.TableRatio):
+            def __init__(self, *args):
+                builds.append(args[1])
+                super().__init__(*args)
 
         def counted(*args):
-            calls.append(args[1])
+            phis.append(args[1])
             return real(*args)
 
+        real = firstpassage._phi_sigma_pos
+        monkeypatch.setattr(scale, "TableRatio", Counted)
         monkeypatch.setattr(firstpassage, "_phi_sigma_pos", counted)
-        # a module that imported the name itself is counted too
-        monkeypatch.setattr(hfun, "_phi_sigma_pos", counted, raising=False)
         tab = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0),
                           db.tabulated_exponential(1.0, step=1e-2))
         db.optimal_barrier(tab, a_max=2.0)
-        assert len(calls) == 1
+        assert builds == [1.0] and phis == []
         db.optimal_barrier(make_model(1.0, sigma=0.5), a_max=2.0)
-        assert len(calls) == 1
+        assert builds == [1.0] and phis == []
+
+
+class TestScaleOracleWithoutDiffusion:
+    """sigma = 0 and Exp(1) claims against scale_oracle: h is
+    Lambda(x)/Lambda(a), Lambda from the two-exponential W and the point
+    law of X_d = c d - S_d. h_d_sigma0 borrows u(d) from expmodel's
+    closed form; the oracle computes neither."""
+
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    def test_exit_function_is_the_lambda_ratio(self, d):
+        # measured 9.8e-12 and 1.0e-11 at step 1e-4
+        t, wts = scale_oracle.exit_weights(10.0, 15.0, 0.1, 0.8, 0.0, 1.0, d)
+        h = h_d_sigma0(make_model(d), A, step=1e-4)
+        want = scale_oracle.scale_w(t, wts, h.grid.x) / scale_oracle.scale_w(t, wts, A)
+        assert np.max(np.abs(h.grid.values - want)) < 1e-10
+
+
+class TestDiffusionTable:
+    """sigma = 0.5 with the 1e-3 Exp(1) table against Exp(1) claims, the
+    twin of criterion 09 at sigma > 0. The table's Lambda comes from a W
+    solve and the law of X_d on the table's lattice, the Exp(1) one from
+    the roots of the Lundberg polynomial and a moment quadrature."""
+
+    @staticmethod
+    def _tab(dist, d):
+        return db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
+
+    @pytest.mark.parametrize("d", [0.05, 0.1, 1.0, 2.0])
+    def test_exit_function_matches_exponential_claims(self, tab_dist, d):
+        # measured 6.8e-7, 3.3e-7, 6.3e-8 and 1.0e-7; with the time
+        # quadrature's Phi grid and stencil slope 4.4e-3, 8.3e-4, 2.7e-6
+        # and 2.6e-6
+        ht = h_d_sigma_pos(self._tab(tab_dist, d), 0.8, step=1e-4)
+        he = h_d_sigma_pos(make_model(d, sigma=0.5), 0.8, step=1e-4)
+        assert np.max(np.abs(ht.grid.values - he.grid.values)) <= 1e-6
+
+    def test_small_clock_barrier_matches_exponential_claims(self, tab_dist):
+        # a* 0.008909 against 0.008904 and v(0) 2.860730 against 2.860737;
+        # the stencil slope gave 0.020401 and 2.874228, with HJB passing
+        st = db.optimal_barrier(self._tab(tab_dist, 0.1), a_max=2.0)
+        se = db.optimal_barrier(make_model(0.1, sigma=0.5), a_max=2.0)
+        assert abs(st.a_star - se.a_star) < 5e-4
+        assert st.value(0.0) == pytest.approx(se.value(0.0), rel=1e-5)
+        assert st.hjb_report.passed
 
 
 class TestWholeLineEvaluator:

@@ -1,4 +1,4 @@
-"""The scale route for exponential claims at sigma > 0 and 0 < d < inf.
+"""The scale route at sigma > 0 and 0 < d < inf.
 
 scale.scale_ratio gives Lambda's exponents and weights, the
 continuation slope Lambda'(0)/Lambda(0) and
@@ -9,6 +9,10 @@ u(d) from its own moments; and far out in d, where the unscaled moments
 would overflow, against the d = inf limits rho and mu / (mu + rho).
 scale.phi, which upcross_table reads for these models, is checked
 against the oracle's Phi_d and across the seams of its deficit blocks.
+
+For a claim table scale_ratio gives a TableRatio, built from W (the
+exit equation's d = 0 solution on the table's lattice) and the law of
+X_d there; it is checked against the same oracle on an Exp(1) table.
 """
 
 import math
@@ -63,10 +67,10 @@ def test_blocks_do_not_change_the_answer():
     # quadrature headed by y = 0; one deficit alone is a block of one
     m = make_model(0.4, sigma=0.5)
     ys = np.linspace(0.0, 8.0, 2 * scale._BLOCK + 9)
-    grid, bound = scale.phi(m, 0.4, ys)
-    assert 0.0 < bound < 1e-12
+    grid, k, bound = scale.phi(m, 0.4, ys)
+    assert k == 0 and 0.0 < bound < 1e-12
     for i in (1, scale._BLOCK - 1, scale._BLOCK, 2 * scale._BLOCK, len(ys) - 1):
-        one, one_bound = scale.phi(m, 0.4, ys[i:i + 1])
+        one, _, one_bound = scale.phi(m, 0.4, ys[i:i + 1])
         assert abs(one[0] - grid[i]) <= bound + one_bound, ys[i]
 
 
@@ -82,10 +86,42 @@ def test_long_clock_reaches_the_infinite_limit(d):
 
 
 @pytest.mark.parametrize("sigma,d,claims", [(0.0, 1.0, "exp"), (0.5, 0.0, "exp"),
-                                            (0.5, math.inf, "exp"), (0.5, 1.0, "tab")])
+                                            (0.5, math.inf, "exp"), (0.0, 1.0, "tab")])
 def test_other_models_are_refused(sigma, d, claims):
     dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
             else db.ExponentialClaims(1.0))
     m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d), dist)
     with pytest.raises(ValueError):
         scale.scale_ratio(m)
+
+
+@pytest.mark.parametrize("d", [0.05, 1.0])
+def test_table_matches_the_oracle(tab_dist, d):
+    # the 1e-3 Exp(1) table against the oracle's Exp(1) Lambda: measured
+    # slope 2.8e-6 and 2.9e-8 off, Phi_d 2.3e-5 and 7.3e-8, h on [0, 0.8]
+    # 3.5e-7 and 2.6e-8; all O(step^2)
+    m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), tab_dist)
+    table = scale.scale_ratio(m)
+    assert isinstance(table, scale.TableRatio)
+    args = (10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d)
+    t, wts = scale_oracle.exit_weights(*args, s_step=2.5e-4)
+    slope = float(scale_oracle.scale_w(t, wts, 0.0, 1) / scale_oracle.scale_w(t, wts, 0.0))
+    assert abs(table.slope - slope) < 5e-6
+    ys = np.array([0.02, 0.5, 1.0, m.c * d + 0.3])
+    want = scale_oracle.recovery(*args, ys, s_step=2e-3)
+    assert np.max(np.abs(table.phi(ys) - want)) < 5e-5
+    xs = np.linspace(0.0, 0.8, 801)
+    want = scale_oracle.scale_w(t, wts, xs) / scale_oracle.scale_w(t, wts, 0.8)
+    assert np.max(np.abs(table.ratio(xs, 0.8) - want)) < 1e-6
+
+
+def test_table_w_is_the_scale_function(tab_dist):
+    # W is the exit equation's d = 0 solution (xi(0) = 0, xi'(0) = 1) on
+    # the table's lattice, by the kernel and forcing h_d_sigma_pos
+    # solves; against the oracle's W on [0, 2], measured 8.3e-7 off
+    m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.0), tab_dist)
+    w = scale._scale_w(m, 2000, 1e-3)
+    t, wts = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, 0.5, 1.0)
+    want = scale_oracle.scale_w(t, wts, 1e-3 * np.arange(2001))
+    assert w[0] == 0.0
+    assert np.max(np.abs(w / w[-1] - want / want[-1])) < 2e-6

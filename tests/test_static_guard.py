@@ -16,9 +16,9 @@ a relative import, or a module name handed to importlib.import_module
 or __import__ as a string.
 
 divbarrier.scale sits below the modules that read it: firstpassage
-takes Phi_d and the Bessel claim sum from it, and hfun the exit
-function's slope and forcing. So scale imports neither, at module level
-or inside a function.
+takes Phi_d, the Bessel claim sum and the claim-count cutoff from it,
+and hfun the exit function's slope, forcing, certificate and renewal
+kernel. So scale imports neither, at module level or inside a function.
 """
 
 import ast
