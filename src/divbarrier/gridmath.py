@@ -8,7 +8,9 @@ holds the one copy of each grid primitive the others use:
   along the last axis, batched over the leading axes. convolve_values
   (the trapezoid f * g) and a table's scale route (the Gaussian smear
   of the law of X_d and the correlation of W with it) both run through
-  it, at every size;
+  it, at every size, and a kernel convolved again and again (a Neumann
+  series' kernel, a table's density for its claim powers) is
+  transformed once;
 - convolve_exp, the only exponential-panel recurrence: integrals
   weighted by e^{-b u} on panels that integrate the exponential exactly
   against piecewise-linear data, so stiff rates do not poison the error
@@ -19,9 +21,12 @@ holds the one copy of each grid primitive the others use:
   _adaptive_simpson, which doubles its panels until a relative or
   absolute stop.
 
-Other quadrature is trapezoid. lfilter runs in two functions only,
-convolve_exp and neumann_series_exp; it computes the same sums a
-Python loop would, in C.
+Other quadrature is trapezoid. Both first-order recurrences,
+convolve_exp's panel sum and each pole of neumann_series_exp, run
+through _recurrence, which takes y[i] = E y[i-1] + u[i] in closed form
+as E^i cumsum(u E^-i): one exp (memoized for the last few rates and
+lengths) and one cumsum per call, in blocks that keep the powers of E
+in range.
 
 A renewal equation xi = forcing + coeff (kernel * xi) is solved two
 ways, chosen in solve_renewal. A kernel that is a mixture of m
@@ -34,11 +39,10 @@ kernel is summed by its Neumann series of FFT convolutions
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import lfilter
 
 try:
     trapezoid = np.trapezoid
@@ -106,13 +110,20 @@ def _require_zero_lo(g):
         raise ValueError("operation requires a grid starting at 0")
 
 
+def _fft_convolver(f, n_g):
+    """g -> fft_convolve(f, g) for any g with n_g points along the last
+    axis, with f transformed once."""
+    n = f.shape[-1] + n_g - 1
+    m = sp_fft.next_fast_len(n, True)
+    f_hat = sp_fft.rfft(f, m)
+    return lambda g: sp_fft.irfft(f_hat * sp_fft.rfft(g, m), m)[..., :n]
+
+
 def fft_convolve(f, g):
     """Full linear convolution of f and g along the last axis, batched
     over the leading axes (which broadcast), by real FFTs at a fast
     length."""
-    n = f.shape[-1] + g.shape[-1] - 1
-    m = sp_fft.next_fast_len(n, True)
-    return sp_fft.irfft(sp_fft.rfft(f, m) * sp_fft.rfft(g, m), m)[..., :n]
+    return _fft_convolver(f, g.shape[-1])(g)
 
 
 def simpson_weights(n, step):
@@ -168,13 +179,24 @@ def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
                        fun(np.linspace(lo, hi, n + 1)[1::2]), axis=0)
 
 
+def _trapezoid_convolver(f, step):
+    """g -> convolve_values(f, g, step), with f's spectrum taken once: a
+    Neumann series then pays one rfft and one irfft per term."""
+    n = len(f)
+    conv = _fft_convolver(f, n)
+
+    def apply(g):
+        g = g[:n]
+        out = step * (conv(g)[:n] - 0.5 * f[0] * g - 0.5 * f * g[0])
+        out[0] = 0.0
+        return out
+    return apply
+
+
 def convolve_values(f, g, step):
     """Trapezoid (f*g) for arrays sampled on the same [0, hi] grid; g
     may run past f's end, and only its first len(f) nodes are read."""
-    full = fft_convolve(f, g[: len(f)])[: len(f)]
-    out = step * (full - 0.5 * f[0] * g[: len(f)] - 0.5 * f[: len(f)] * g[0])
-    out[0] = 0.0
-    return out
+    return _trapezoid_convolver(f, step)(g)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -200,6 +222,58 @@ def _exp_panel_coeffs(b, step):
     return A, B
 
 
+# largest |Re log E| times block length in _recurrence: the powers of E
+# it scales by stay within e^{+-150}
+_SPAN = 300.0
+
+
+@lru_cache(maxsize=16)
+def _powers(log_e, size):
+    """E^k for k = -(size // 2), ..., size - size // 2 - 1, by one exp of
+    log E times the centred ramp. Read-only, since the last few are
+    memoized (a solve runs the same rate on the same grid several
+    times)."""
+    p = np.arange(-(size // 2), size - size // 2, dtype=float) * log_e
+    np.exp(p, out=p)
+    p.flags.writeable = False
+    return p
+
+
+def _recurrence(E, u):
+    """y[i] = E y[i-1] + u[i] from y[-1] = 0, computed in place on u and
+    returned (as a complex copy when E is complex and u is not).
+
+    Closed form y = E^i cumsum(u E^-i), with the powers centred on the
+    block (any constant factor cancels), so the scaled sum stays within
+    e^150 of the data: only data past about 1e243 overflows, and only
+    data below about 1e-243 loses digits. Where |Re log E| n would pass
+    _SPAN the nodes run in blocks of at most _SPAN / |Re log E|, each
+    started by u[j] += E y[j-1], which keeps a growing E, a stiff rate
+    or a complex pole in range. E = 0 leaves u as it is.
+    """
+    if isinstance(E, complex) or E < 0:
+        log_e = np.log(complex(E))
+        if u.dtype.kind != "c":
+            u = u.astype(complex)
+    elif E == 0:
+        return u
+    else:
+        log_e = math.log(E)
+    n = len(u)
+    rate = abs(log_e.real)
+    size = max(1, int(_SPAN / rate)) if rate * n > _SPAN else n
+    p = _powers(log_e, size)
+    for j in range(0, n, size):
+        block = u[j:j + size]
+        if j:
+            block[0] += E * u[j - 1]
+        q = p[:len(block)]
+        block /= q
+        np.cumsum(block, out=block)
+        block *= q
+    return u
+
+
 def convolve_exp(b, values, step):
     """W[i] = int_0^{x_i} e^{-b u} S(x_i - u) du, exact for linear S.
 
@@ -208,11 +282,10 @@ def convolve_exp(b, values, step):
     """
     A, B = _exp_panel_coeffs(b, step)
     S = np.asarray(values, dtype=float)
-    E = np.exp(-b * step)
     u = np.empty(len(S))
     u[0] = 0.0
     u[1:] = A * S[1:] + B * S[:-1]
-    return lfilter([1.0], [1.0, -E], u)
+    return _recurrence(np.exp(-b * step), u)
 
 
 def dickson(rho, g: GridFunction) -> GridFunction:
@@ -311,7 +384,8 @@ def _series(apply_kernel, forcing: GridFunction):
 
 
 def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff):
-    """Sum_n coeff^n kernel^{*n} * forcing, truncated as in _series.
+    """Sum_n coeff^n kernel^{*n} * forcing, truncated as in _series; each
+    term is convolve_values(kernel, term) on the kernel's one spectrum.
 
     Solves xi = coeff * kernel * xi + forcing; raises
     NonConvergenceError only if a term overflows (see _series).
@@ -320,9 +394,8 @@ def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff):
         raise ValueError("coeff must be nonnegative")
     if not kernel.same_grid(forcing):
         raise ValueError("grid mismatch in neumann_series")
-    return _series(
-        lambda term: coeff * convolve_values(kernel.values, term, kernel.step),
-        forcing)
+    apply = _trapezoid_convolver(kernel.values, kernel.step)
+    return _series(lambda term: coeff * apply(term), forcing)
 
 
 def _roots(coeffs):
@@ -349,7 +422,8 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
     G(z) = (1/lead) prod_j (1 - E_j/z) / (1 - p_j/z),
     lead = 1 - coeff sum_j weights[j] A_j, applied to the forcing less
     convolve_exp's zero start, coeff forcing[0] sum_j weights[j] A_j E_j^i.
-    It runs as one first-order lfilter section per pole. The poles
+    Each pole runs as one section: the zero's tap x[i] - E_j x[i-1] as
+    one shifted subtraction, then _recurrence with the pole. The poles
     p_j = 1 - step lam_j come from the roots lam_j of the characteristic
     polynomial in lam = (1 - p)/step, whose coefficients are O(rate)
     and built from expm1, never from the z-polynomial, whose roots
@@ -371,9 +445,10 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
     with np.errstate(under="ignore"):
         start = (cw * A) @ np.exp(np.outer(-rates * step, np.arange(len(f))))
     x = f - f[0] * start
-    for b, lam in zip(np.sort(rates), np.sort(_roots(poly))):
-        x = lfilter([1.0, -math.exp(-b * step)], [1.0, -(1.0 - step * lam)], x)
     with np.errstate(over="ignore", invalid="ignore"):
+        for b, lam in zip(np.sort(rates), np.sort(_roots(poly))):
+            x[1:] -= math.exp(-b * step) * x[:-1]
+            x = _recurrence(1.0 - step * lam, x)
         xi = np.real(x) / (1.0 - cw @ A)
     if not np.all(np.isfinite(xi)):
         raise NonConvergenceError("solution left the double range",

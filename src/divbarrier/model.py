@@ -44,7 +44,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gridmath import GridFunction, convolve_exp, convolve_values, dickson_at, trapezoid
+from .gridmath import (GridFunction, _trapezoid_convolver, convolve_exp, convolve_values,
+                       dickson_at, trapezoid)
 from .lundberg import lundberg_root
 
 
@@ -207,12 +208,17 @@ class TabulatedClaims:
         w = np.exp(-s * self.grid.x) * self.grid.values
         return float(trapezoid(w, dx=self.grid.step))
 
+    @cached_property
+    def _convolve_density(self):
+        """convolve_values(density, ., step) on one transform of the
+        density, kept for every power."""
+        return _trapezoid_convolver(self.grid.values, self.grid.step)
+
     def _power_values(self, n):
         # powers 1..max are cached; build the missing ones in order. Each
         # is a density, so the FFT's rounding noise below 0 is clipped
         for k in range(len(self._powers) + 1, n + 1):
-            self._powers[k] = np.maximum(convolve_values(
-                self.grid.values, self._powers[k - 1], self.grid.step), 0.0)
+            self._powers[k] = np.maximum(self._convolve_density(self._powers[k - 1]), 0.0)
         return self._powers[n]
 
     def conv_power(self, n, x):

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from divbarrier import ExponentialClaims
+from divbarrier import ExponentialClaims, gridmath
 from divbarrier.gridmath import (
     GridFunction,
     NonConvergenceError,
@@ -34,6 +34,8 @@ from divbarrier.gridmath import (
     neumann_series_exp,
     trapezoid,
     volterra_march,
+    _SERIES_TOL,
+    _recurrence,
 )
 
 
@@ -180,6 +182,73 @@ class TestExponentialPanels:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _loop(E, u):
+    """y[i] = E y[i-1] + u[i] from y[-1] = 0, one node at a time."""
+    y = np.empty(len(u), dtype=np.result_type(E, u))
+    prev = 0.0
+    for i, ui in enumerate(u):
+        prev = E * prev + ui
+        y[i] = prev
+    return y
+
+
+class TestRecurrence:
+    """_recurrence's closed form E^i cumsum(u E^-i), in blocks, against
+    the plain loop at relative 1e-13."""
+
+    @pytest.mark.parametrize("E,n", [
+        (math.exp(-1e-3), 4001),         # decaying, b step = 1e-3
+        (math.exp(1e-3), 4001),          # growing, as convolve_exp(-rho, .)
+        (math.exp(0.1), 4001),           # growing to e^400: 2 blocks
+        (math.exp(-1.5), 4001),          # stiff, b = 1500 at step 1e-3: 21 blocks
+        (math.exp(-1e-3), 1), (math.exp(-1e-3), 2), (math.exp(-1e-3), 3),
+        (math.exp(1.5), 3),
+    ])
+    def test_matches_the_loop(self, E, n):
+        u = np.random.default_rng(n).uniform(0.5, 1.5, n)
+        want = _loop(E, u)
+        got = _recurrence(E, u.copy())
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("modulus,n", [(math.exp(-1e-3), 4001), (math.exp(-0.3), 4001),
+                                           (math.exp(-1e-3), 2)])
+    def test_complex_conjugate_poles(self, modulus, n):
+        # a real input through a complex pole and then its conjugate, as
+        # neumann_series_exp runs them; the second pass comes back real
+        E = modulus * np.exp(0.01j)
+        u = np.random.default_rng(7).uniform(0.5, 1.5, n)
+        once = _recurrence(E, u.copy())
+        assert once.dtype.kind == "c"
+        np.testing.assert_allclose(once, _loop(E, u), rtol=1e-13, atol=0.0)
+        twice = _recurrence(np.conj(E), once.copy())
+        want = _loop(np.conj(E), _loop(E, u))
+        np.testing.assert_allclose(twice, want, rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(twice.imag)) < 1e-13 * np.max(np.abs(twice))
+
+    def test_restarting_mid_input_gives_the_same_values(self):
+        # restarted from y[1233] at a node that is no block boundary
+        E, n = math.exp(-1.5), 4001
+        u = np.random.default_rng(3).uniform(0.5, 1.5, n)
+        whole = _recurrence(E, u.copy())
+        tail = u[1234:].copy()
+        tail[0] += E * whole[1233]
+        np.testing.assert_allclose(_recurrence(E, tail), whole[1234:], rtol=1e-13, atol=0.0)
+
+    def test_zero_multiplier_keeps_the_input(self):
+        u = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(_recurrence(0.0, u.copy()), u)
+
+    @pytest.mark.parametrize("b", [1500.0, -100.0])
+    def test_convolve_exp_is_the_panel_loop(self, b):
+        # W[i] = e^{-b step} W[i-1] + A S[i] + B S[i-1], stiff and growing
+        step, n = 1e-3, 4001
+        S = np.random.default_rng(11).uniform(0.5, 1.5, n)
+        A, B = gridmath._exp_panel_coeffs(b, step)
+        u = np.concatenate([[0.0], A * S[1:] + B * S[:-1]])
+        want = _loop(np.exp(-b * step), u)
+        np.testing.assert_allclose(convolve_exp(b, S, step), want, rtol=1e-13, atol=0.0)
+
+
 class TestDickson:
     def test_matches_exponential_closed_form(self):
         step = 1e-3
@@ -275,18 +344,14 @@ class TestSecondKindSolvers:
         b = volterra_march(self.kernel, self.forcing, 1.6)
         assert np.max(np.abs(a.values - b.values) / b.values) < 1e-10
 
-    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
-    def test_exact_solve_agrees_with_march(self, coeff):
-        # kernel 1.5 e^{-x} - 0.5 e^{-3x}, a two-rate mixture. The exact
-        # panel solve and the trapezoid march of the sampled kernel are
-        # two second-order rules, 2e-8 (3e-7 at 1.6) apart at step 1e-3,
-        # so each is Richardson-extrapolated from steps 2e-3 and 1e-3.
-        # The kernel's mass on [0, 4] is 1.31, so at 1.6 the equation
-        # does not contract
-        rates, wts = [1.0, 3.0], [1.5, -0.5]
-
+    @staticmethod
+    def _exact_and_march(rates, wts, coeff):
+        """The exact panel solve and the trapezoid march of the sampled
+        kernel on [0, 4] with forcing 1. They are two second-order
+        rules, so each is Richardson-extrapolated from steps 2e-3 and
+        1e-3."""
         def both(step):
-            kernel = grid_of(lambda x: 1.5 * np.exp(-x) - 0.5 * np.exp(-3.0 * x),
+            kernel = grid_of(lambda x: sum(w * np.exp(-b * x) for b, w in zip(rates, wts)),
                              4.0, step)
             forcing = kernel.with_values(np.ones(kernel.n + 1))
             xi = neumann_series_exp(rates, wts, forcing, coeff).values
@@ -296,9 +361,35 @@ class TestSecondKindSolvers:
             return xi, volterra_march(kernel, forcing, coeff).values
 
         (exact1, march1), (exact2, march2) = both(2e-3), both(1e-3)
-        exact = (4.0 * exact2[::2] - exact1) / 3.0
-        march = (4.0 * march2[::2] - march1) / 3.0
+        return (4.0 * exact2[::2] - exact1) / 3.0, (4.0 * march2[::2] - march1) / 3.0
+
+    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
+    def test_exact_solve_agrees_with_march(self, coeff):
+        # kernel 1.5 e^{-x} - 0.5 e^{-3x}, a two-rate mixture, 2e-8
+        # (3e-7 at 1.6) apart from the march at step 1e-3 before the
+        # extrapolation. The kernel's mass on [0, 4] is 1.31, so at 1.6
+        # the equation does not contract
+        exact, march = self._exact_and_march([1.0, 3.0], [1.5, -0.5], coeff)
         assert np.max(np.abs(exact - march) / march) < 1e-10
+
+    def test_complex_poles_agree_with_march(self, monkeypatch):
+        # kernel -4 e^{-x} + 4 e^{-3x}: the continuous equation's poles
+        # solve s^2 + 4s + 11 = 0, a complex pair, and so do the panel
+        # recursion's; xi falls below its limit 3/11 and rises back
+        poles = []
+
+        def spy(E, u):
+            poles.append(E)
+            return _recurrence(E, u)
+
+        monkeypatch.setattr(gridmath, "_recurrence", spy)
+        exact, march = self._exact_and_march([1.0, 3.0], [-4.0, 4.0], 1.0)
+        # one conjugate pair per solve, at each of the two steps; the
+        # residual check's convolve_exp calls pass real multipliers
+        pairs = [E for E in poles if isinstance(E, complex)]
+        assert len(pairs) == 4 and all(E.imag for E in pairs)
+        assert np.min(march) < march[-1] - 0.05
+        assert np.max(np.abs(exact - march)) < 1e-10 * np.max(np.abs(march))
 
     def test_exact_solve_overflow_raises(self):
         # xi = 1 + 10 (e^{-.} * xi) grows like e^{9x}, past the double
@@ -315,6 +406,20 @@ class TestSecondKindSolvers:
         conv = convolve(self.kernel, xi)
         resid = xi.values - 1.0 - coeff * conv.values
         assert np.max(np.abs(resid)) < 1e-4
+
+    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
+    def test_series_is_the_per_term_convolution_loop(self, coeff):
+        # the kernel's spectrum is taken once for all terms; the terms
+        # are still convolve_values's, bit for bit
+        term = self.forcing.values.copy()
+        acc = term.copy()
+        while True:
+            term = coeff * convolve_values(self.kernel.values, term, self.step)
+            acc += term
+            if np.max(np.abs(term)) < _SERIES_TOL:
+                break
+        got = neumann_series(self.kernel, self.forcing, coeff).values
+        np.testing.assert_array_equal(got, acc)
 
     def test_series_divergence_raises(self):
         flat = GridFunction(0.0, 50.0, 0.1, np.ones(501))

@@ -180,6 +180,11 @@ class TestTabulatedClaims:
         v, step = dist.grid.values, dist.grid.step
         want = convolve_values(v, convolve_values(v, v, step), step)
         assert dist._power_values(3).tobytes() == want.tobytes()
+        # one power per call, as the Phi_d routes ask for them, reuses the
+        # density's one transform: the same bits
+        one_by_one = db.tabulated_exponential(1.0, step=1e-2)
+        for k in range(1, 6):
+            assert one_by_one._power_values(k).tobytes() == dist._power_values(k).tobytes()
 
     @pytest.mark.parametrize("step", [1e-2, 1e-3])
     def test_powers_are_nonnegative(self, step):

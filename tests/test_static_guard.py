@@ -1,13 +1,18 @@
-"""Static guards: gridmath is the one home of FFTs, filters and direct
-convolutions, and the scale-function oracle stays independent of the
-library.
+"""Static guards: gridmath is the one home of FFTs, recurrences and
+direct convolutions, scipy.signal is imported nowhere, and the
+scale-function oracle stays independent of the library.
 
-Every other module under src/divbarrier convolves, filters and
+Every other module under src/divbarrier convolves, runs recurrences and
 Simpson-sums through gridmath's primitives, so the choice of how a
 convolution runs is made in one place. The check reads each module's
 syntax tree with the standard-library ast module and fails on any
 import of scipy.fft, scipy.signal or numpy.fft (in any spelling), any
 attribute path through them (np.fft.rfft), and any np.convolve.
+gridmath itself imports scipy.fft but not scipy.signal: its
+recurrences run in numpy, and scipy.signal would load scipy.stats,
+scipy.interpolate and scipy.optimize into every import of the library.
+A subprocess checks that importing the library or its CLI leaves those
+three modules unloaded.
 
 tests/scale_oracle.py holds the formulas that divbarrier.scale was
 promoted from; it is a reference only while it computes them itself, so
@@ -22,6 +27,9 @@ kernel. So scale imports neither, at module level or inside a function.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,11 +39,13 @@ ORACLE = Path(__file__).resolve().parent / "scale_oracle.py"
 LIBRARY = "divbarrier"
 HOME = "gridmath.py"
 BANNED = ("scipy.fft", "scipy.signal", "numpy.fft")
+# banned in gridmath too
+HOME_BANNED = ("scipy.signal",)
 NUMPY_NAMES = ("np", "numpy")
 
 
-def _banned(name):
-    return any(name == b or name.startswith(b + ".") for b in BANNED)
+def _banned(name, banned=BANNED):
+    return any(name == b or name.startswith(b + ".") for b in banned)
 
 
 def _dotted(node):
@@ -50,22 +60,24 @@ def _dotted(node):
     return ".".join(reversed(parts))
 
 
-def _violations(source):
+def _violations(source, banned=BANNED, direct_convolution=True):
+    """Imports of and attribute paths through the banned modules, and
+    with direct_convolution any np.convolve."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if _banned(a.name)]
+            found += [a.name for a in node.names if _banned(a.name, banned)]
         elif isinstance(node, ast.ImportFrom) and node.module:
             found += ["%s.%s" % (node.module, a.name) for a in node.names
-                      if _banned(node.module)
-                      or _banned("%s.%s" % (node.module, a.name))]
+                      if _banned(node.module, banned)
+                      or _banned("%s.%s" % (node.module, a.name), banned)]
         elif isinstance(node, ast.Attribute):
             name = _dotted(node)
             if name is None:
                 continue
             head, _, rest = name.partition(".")
             full = ("numpy." + rest) if head in NUMPY_NAMES else name
-            if _banned(full) or full == "numpy.convolve":
+            if _banned(full, banned) or (direct_convolution and full == "numpy.convolve"):
                 found.append(name)
     return found
 
@@ -87,6 +99,33 @@ def test_guard_sees_every_spelling():
     for line in ("import scipy.special", "from scipy.special import i1e",
                  "x = np.cumsum(a)", "x = convolve_values(a, b, 1.0)"):
         assert not _violations(line), line
+
+
+def test_gridmath_does_not_import_scipy_signal():
+    source = (SRC / HOME).read_text()
+    assert _violations(source, HOME_BANNED, direct_convolution=False) == []
+    for line in ("from scipy.signal import lfilter", "import scipy.signal as s",
+                 "y = scipy.signal.lfilter(b, a, x)"):
+        assert _violations(line, HOME_BANNED, direct_convolution=False), line
+    for line in ("from scipy import fft as sp_fft", "p = np.convolve(a, b)"):
+        assert not _violations(line, HOME_BANNED, direct_convolution=False), line
+
+
+@pytest.mark.parametrize("module", ["divbarrier", "divbarrier.cli"])
+def test_import_leaves_signal_stats_and_interpolate_unloaded(module):
+    heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    code = ("import sys, %s\nprint(' '.join(m for m in %r if m in sys.modules))"
+            % (module, heavy))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == []
+    # the check is not vacuous: the same probe sees a module that is loaded
+    assert "scipy.fft" in subprocess.run(
+        [sys.executable, "-c", code.replace(repr(heavy), repr(("scipy.fft",)))], env=env,
+        capture_output=True, text=True, check=True, timeout=120).stdout
 
 
 def _names_library(name):
