@@ -16,16 +16,18 @@ where the drift cannot climb back in time):
 
 At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
 exact tail transform at any points. At every finite d > 0, w_d is read
-from one memo entry per model (_phi_grid). At sigma > 0 the entry holds
-the scale route's Lambda (scale.scale_ratio), which gives the
+from one memo entry per model (_phi_grid), which holds the scale
+route's Lambda (scale.scale_ratio) for a table at every sigma and for
+exponential claims at sigma > 0. At sigma > 0 that Lambda gives the
 continuation slope and the certificate for either claim law. For
 exponential claims w_d is the closed form u(d) f, with u(d) taken
 once: from expmodel at sigma = 0, and at sigma > 0 from that Lambda; no
 Phi grid is built. For a table it is a Simpson sum over the _PHI_STEP
-grid of Phi_d (upcross_table at sigma = 0, Lambda(-y)/Lambda(0) off the
-entry's Lambda at sigma > 0), built by the claim law's shift_sum (a
-node table read with one interpolation). The continuation below zero
-(_whole_line) reads Phi_d at its own deficits through upcross_table.
+grid of Phi_d = Lambda(-y)/Lambda(0) off the entry's Lambda, built by
+the claim law's shift_sum (a node table read with one interpolation).
+The continuation below zero (_whole_line) reads Phi_d at its own
+deficits off the same Lambda for a table, and through upcross_table
+for exponential claims.
 
 With sigma = 0 the equation is first order in xi, with xi(0) = 1; its
 renewal form
@@ -123,35 +125,33 @@ class HFunction:
 
 
 def _phi_grid(model):
-    """The w_d reader at finite d > 0, with the scale route's Lambda at
-    sigma > 0, memoized per model as one entry (Lambda, reader).
+    """The w_d reader at finite d > 0 with the scale route's Lambda,
+    memoized per model as one entry (Lambda, reader).
 
-    At sigma > 0 Lambda is scale_ratio's, a ScaleRatio for Exp(mu)
-    claims and a TableRatio for a table; both carry the continuation
-    slope and ratio(xs, a). At sigma = 0 the entry's first place holds
-    a table's Phi grid, or None for Exp(mu) claims. For Exp(mu) claims
-    the reader is the closed form u(d) e^{-mu x}, u(d) from the
-    ScaleRatio or, at sigma = 0, from expmodel; for a table it is the
-    shift_sum of Phi_d on the _PHI_STEP deficit grid over the claims'
-    reach, read off Lambda at sigma > 0.
+    Lambda is scale_ratio's: for a table a TableRatio at every sigma,
+    which gives Phi_d, and at sigma > 0 the continuation slope and
+    ratio(xs, a) too; for Exp(mu) claims a ScaleRatio at sigma > 0, or
+    None at sigma = 0. For Exp(mu) claims the reader is the closed form
+    u(d) e^{-mu x}, u(d) from the ScaleRatio or, at sigma = 0, from
+    expmodel; for a table it is the shift_sum of Phi_d on the _PHI_STEP
+    deficit grid over the claims' reach.
     """
     # the step is fixed and the grid end is the claims' reach, so the
     # model's key alone names the entry
     key = (model.key(), "phi")
     if key not in _CACHE:
-        route = scale_ratio(model) if model.sigma > 0.0 else None
         if model.claims.kind == "exponential":
+            route = scale_ratio(model) if model.sigma > 0.0 else None
             # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
             u = route.u if route is not None else expmodel.u_of_d(model, model.d)
             mu = model.claims.mu
             _CACHE[key] = route, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
         else:
             # Simpson quadrature of Phi against the shifted density
+            route = scale_ratio(model)
             ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
-            phi = upcross_table(model, model.d, ys) if route is None else route.phi(ys)
             wts = simpson_weights(len(ys), _PHI_STEP)
-            _CACHE[key] = (phi if route is None else route,
-                           model.claims.shift_sum(ys, wts * phi))
+            _CACHE[key] = route, model.claims.shift_sum(ys, wts * route.phi(ys))
     return _CACHE[key]
 
 
@@ -356,7 +356,12 @@ def _whole_line(model, x, at_zero, inside):
     reach = model.c * model.d if model.sigma == 0.0 else math.inf
     neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
-        out[neg] = at_zero * upcross_table(model, model.d, -x_arr[neg])
+        ys = -x_arr[neg]
+        if model.claims.kind == "exponential" or not 0.0 < model.d < math.inf:
+            out[neg] = at_zero * upcross_table(model, model.d, ys)
+        else:
+            # a table's Phi_d from the Lambda its forcing memo holds
+            out[neg] = at_zero * _phi_grid(model)[0].phi(ys)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

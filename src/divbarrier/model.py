@@ -31,11 +31,10 @@ w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
 one-rate sigma = 0 renewal kernel of the exit function (hfun); the
 scale route (scale: Lambda by roots and a moment quadrature, and the
 two-rate sigma > 0 renewal kernel); and the closed series of expmodel.
-Two modules read how a table is stored, `claims.grid` and the cached
-powers `claims._power_values(k)` on its nodes, so that each claim-count
-sum runs on the table's own lattice: firstpassage's sigma = 0 route
-(_phi_sigma0_tab with its _one_deficit and _factored_sums) and scale's
-TableRatio, which sums the powers into the law of X_d at sigma > 0.
+One module reads how a table is stored, `claims.grid` and the cached
+powers `claims._power_values(k)` on its nodes, so that the claim-count
+sum runs on the table's own lattice: scale's TableRatio, which sums the
+powers into the law of X_d at every sigma.
 """
 
 import math

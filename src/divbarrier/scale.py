@@ -1,5 +1,6 @@
-"""The scale-function route at sigma > 0 and 0 < d < inf: the exit
-function and the recovery transform Phi_d, for either claim law.
+"""The scale-function route at 0 < d < inf: the exit function and the
+recovery transform Phi_d, for a claim table at every sigma and for
+Exp(mu) claims at sigma > 0.
 
 Weighting each claim by r is the same as thinning the claims to rate
 lam r and killing at rate kill = q + lam(1 - r), so with grace period
@@ -45,7 +46,7 @@ and would overflow from d near 300 on. Each exponent is summed before
 it is taken, so no factor over- or underflows on its own.
 
 For a claim table (TableRatio) both pieces live on the table's own
-lattice z_j = j step. W is the d = 0 solution of the exit equation,
+lattice z_j = j step. At sigma > 0 W is the d = 0 solution of the exit equation,
 xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
 of renewal(), which h_d_sigma_pos solves too. The density p of X_d is
 the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
@@ -65,6 +66,19 @@ e, one more smoothing. W' has a boundary
 layer e^{-(rho + 2c/sigma^2) x} that the table step does not resolve,
 so the slope is taken by parts,
 Lambda'(0) = -int_0^inf W(z) (z p(z))' dz.
+
+At sigma = 0 (bounded variation) X_d = c d - S_d is the atom
+e^{-lam r d} at c d and, below it, the Poisson-weighted claim powers
+reflected about c d; nothing lies above c d, so Phi_d is 0 past it. W is
+the d = 0 renewal solution of h_d_sigma0's equation over c, with
+W(0+) = 1/c (_scale_w). Two jumps need care for the trapezoid rule to
+stay O(step^2) (_drift_law): W jumps from 0 to 1/c where X_d meets the
+deficit, so that node takes half weight, and the density drops to 0 at
+c d, where its trapezoid ends, closing an off-lattice c d with a cell
+of its own. The atom and that cell's far end sit at c d, read by a
+linear split of W between the nodes either side; at y = c d only the
+atom is left. The sigma = 0 exit function reads neither the slope nor
+ratio.
 """
 
 import math
@@ -199,25 +213,45 @@ def renewal(model, xs, trf, step):
 
 
 def _scale_w(model, n, step):
-    """W on the lattice step * (0, ..., n): xi(0) = 0, xi'(0) = 1."""
+    """W on the lattice step * (0, ..., n): at sigma > 0 xi(0) = 0 and
+    xi'(0) = 1; at sigma = 0 xi / c for the renewal solution
+    xi = e^{rho x} + (lam r / c) (T_rho f + (delta / (lam r)) e^{rho x}) * xi,
+    so W(0+) = 1/c.
+
+    model.rho is the root for the table's trapezoid Laplace transform,
+    while T_rho f is exact for its linear reading. The e^{rho x} kernel
+    term, delta = lam + q - c rho - lam r (T_rho f)(0) being that
+    reading's Lundberg residual at rho, makes xi the linear reading's
+    own c W; without it W grows at rate rho instead, 3.0e-6 below the
+    Exp(1) root on the 1e-2 Exp(1) table, and Phi_d(0.5) at d = 2 sits
+    1.3e-6 from the Exp(1) route instead of 4.9e-10."""
     xs = step * np.arange(n + 1)
+    grid = GridFunction(0.0, n * step, step, xs)
     trf = model.claims.tail_transform(model.rho, xs)
+    if model.sigma == 0.0:
+        lr = model.lam * model.r
+        delta = model.lam + model.q - model.c * model.rho - lr * trf[0]
+        erx = np.exp(model.rho * xs)
+        return solve_renewal(grid, trf + delta / lr * erx, erx, lr / model.c) / model.c
     _, gam, _, _, zb, kern, mix = renewal(model, xs, trf, step)
-    return solve_renewal(GridFunction(0.0, n * step, step, xs), kern, zb, gam, mix)
+    return solve_renewal(grid, kern, zb, gam, mix)
 
 
 class TableRatio:
     """Lambda for a claim table on its lattice (see the module notes),
-    with the continuation slope Lambda'(0)/Lambda(0), the exit function
-    ratio(xs, a) and Phi_d (phi), and the claim-count truncation K with
-    the bound on what it leaves out of Phi_d.
+    with Phi_d (phi) and the claim-count truncation K with the bound on
+    what it leaves out of Phi_d; at sigma > 0 also the continuation slope
+    Lambda'(0)/Lambda(0) and the exit function ratio(xs, a), which the
+    sigma = 0 exit function does not read.
 
     K is the smallest count whose Poisson tail bounds the dropped claim
     density by max f e^{-lam r d} sum_{k>K} (lam r d)^k / k! everywhere.
     That moves Lambda(-y) and Lambda(0) by at most the same times
     int_0 W(z) z dz, and so Phi_d by at most twice that over Lambda(0);
     Lambda(0) is at least its claim-free part, e^{-lam r d} times
-    int_0 W(z) z N(z; c d, sigma^2 d) dz, so e^{-lam r d} cancels.
+    int_0 W(z) z N(z; c d, sigma^2 d) dz, or c d W(c d) at sigma = 0, so
+    e^{-lam r d} cancels. W increases, so at sigma = 0 the bound's scale
+    is at most c d max f.
     """
 
     def __init__(self, model, d):
@@ -232,24 +266,35 @@ class TableRatio:
         self._w = w = _scale_w(model, n, step)
         z = step * np.arange(n + 1)
         wz = w * z
-        gauss = self._gauss(0.0)
+        if sd:
+            gauss = self._gauss(0.0)
+            floor = wz @ gauss[0]
+        else:
+            floor = self._shift * np.interp(self._shift, z, w) / step
         rate = model.lam * model.r * d
         self.truncation_k, self.tail_bound = _claim_cutoff(
-            rate, 2.0 * float(np.max(grid.values) * np.sum(wz) / (wz @ gauss[0])))
-        # the claim density on the table nodes the lattice reads, with
-        # the trapezoid's half weight at 0, reversed for the correlation
+            rate, 2.0 * float(np.max(grid.values) * np.sum(wz) / floor))
+        # the claim density on the table nodes the lattice reads
         top = min(n, grid.n)
         dens = np.zeros(top + 1)
         for k in range(1, self.truncation_k + 1):
             ln_w = k * math.log(rate) - math.lgamma(k + 1) - rate
             dens += math.exp(ln_w) * model.claims._power_values(k)[:top + 1]
-        dens[0] *= 0.5
-        self._claims_rev = step * dens[::-1]
         self._atom = math.exp(-rate)
-        p, dp = self._law(gauss)
-        self._zp = z * p
-        self._at_zero = step * float(w @ self._zp)
-        self.slope = -step * float(w @ (p + z * dp)) / self._at_zero
+        if sd:
+            # with the trapezoid's half weight at 0, reversed for the
+            # correlation
+            dens[0] *= 0.5
+            self._claims_rev = step * dens[::-1]
+            p, dp = self._law(gauss)
+            self._zp, self._jump = z * p, np.zeros(n + 1)
+            self._at_zero = step * float(w @ self._zp)
+            self.slope = -step * float(w @ (p + z * dp)) / self._at_zero
+        else:
+            # _drift_law reads dens[i + 1] at i = N, which may be the last node
+            self._dens = np.append(dens, 0.0)
+            self._zp, self._jump = self._drift_law(0.0)
+            self._at_zero = step * float(w @ self._zp)
 
     def _gauss(self, e):
         """The N(c d - e, sigma^2 d) density and its derivative on the lattice."""
@@ -263,6 +308,35 @@ class TableRatio:
         n, top = self._n, len(self._claims_rev) - 1
         return fft_convolve(self._claims_rev, gauss)[:, top:top + n + 1] + self._atom * gauss
 
+    def _drift_law(self, e):
+        """sigma = 0: (z p, jump) for Y = X_d - e step = c d - e step - S_d,
+        z the value of X_d at each lattice node.
+
+        p reads the claim density of S_d at c d - e step - z, between table
+        nodes when c d - e step is off the lattice. Its trapezoid runs to
+        the last node z_N below c d - e step, and the cell from z_N to it
+        closes with its own trapezoid; that cell's far end and the atom
+        e^{-lam r d} both sit at X_d = c d and are read by the linear split
+        of W between z_N and z_{N+1}. W jumps from 0 to W(0+) where Y
+        meets the deficit, so there the density's node takes half weight:
+        Lambda(-(m + e) step) is _lambda's entry less jump[m]. At m = N
+        the density's trapezoid is empty, and jump removes all of it.
+        """
+        step, dens = self._step, self._dens
+        s = self._shift / step - e
+        N = int(math.floor(s + 1e-9))
+        th = max(s - N, 0.0)
+        i = N - np.arange(N + 1)
+        zp = np.zeros(self._n + 1)
+        zp[:N + 1] = step * (np.arange(N + 1) + e) * ((1.0 - th) * dens[i] + th * dens[i + 1])
+        jump = 0.5 * step * self._w[0] * zp
+        zp[N] *= 0.5 * (1.0 + th)
+        end = self._shift * (0.5 * th * dens[0] + self._atom / step)
+        zp[N] += (1.0 - th) * end
+        if th:
+            zp[N + 1] += th * end
+        return zp, jump
+
     def _lambda(self, zp, w):
         """Lambda(k step) at entry n + k, for k from -n on, from z p and W
         on the lattice."""
@@ -274,14 +348,19 @@ class TableRatio:
         step, n = self._step, self._n
         m = np.floor(ys / step + 1e-9)
         offset = np.round(np.maximum(ys - m * step, 0.0) / step, 9)
+        # at sigma = 0 X_d <= c d, so Phi_d is 0 past it
+        live = m <= n if self._sd else ys <= self._shift
         out = np.zeros(len(ys))
-        for e in np.unique(offset[m <= n]):
-            zp = self._zp
-            if e:
+        for e in np.unique(offset[live]):
+            zp, jump = self._zp, self._jump
+            if e and self._sd:
                 zp = (step * (np.arange(n + 1) + e)) * self._law(self._gauss(e * step))[0]
-            at = np.nonzero((offset == e) & (m <= n))[0]
+            elif e:
+                zp, jump = self._drift_law(e)
+            at = np.nonzero((offset == e) & live)[0]
+            k = m[at].astype(int)
             lam = self._lambda(zp, self._w[:n + 1])
-            out[at] = lam[n - m[at].astype(int)] / self._at_zero
+            out[at] = (lam[n - k] - jump[k]) / self._at_zero
         return np.where(ys == 0.0, 1.0, np.clip(out, 0.0, 1.0))
 
     def ratio(self, xs, a):
@@ -350,14 +429,16 @@ def _moments(model, d, ts, ys):
 
 
 def _require(model, d):
-    if not model.sigma > 0.0 or not 0.0 < d < math.inf:
-        raise ValueError("the scale route needs sigma > 0 and 0 < d < inf")
+    if not 0.0 < d < math.inf or not (model.sigma > 0.0
+                                      or model.claims.kind != "exponential"):
+        raise ValueError("the scale route needs 0 < d < inf, and sigma > 0 "
+                         "for exponential claims")
 
 
 def scale_ratio(model):
-    """Lambda at the model's own d, for sigma > 0 and 0 < d < inf: for
-    Exp(mu) claims a ScaleRatio (its exponents and weights, the
-    continuation slope and u(d)), for a table a TableRatio."""
+    """Lambda at the model's own d, for 0 < d < inf: for Exp(mu) claims
+    at sigma > 0 a ScaleRatio (its exponents and weights, the
+    continuation slope and u(d)), for a table at any sigma a TableRatio."""
     _require(model, model.d)
     if model.claims.kind != "exponential":
         return TableRatio(model, model.d)
@@ -372,8 +453,8 @@ def scale_ratio(model):
 
 def phi(model, d, ys):
     """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
-    claim-count truncation K, a bound on the error) for sigma > 0 and
-    0 < d < inf.
+    claim-count truncation K, a bound on the error) for 0 < d < inf: a
+    table at any sigma, Exp(mu) claims at sigma > 0.
 
     A table's K and bound are its TableRatio's. For Exp(mu) claims K is
     0 and the bound is the moments' quadrature error: each block of

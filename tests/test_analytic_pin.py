@@ -265,22 +265,21 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
-        '0x0.0p+0', 'True', 'bbd1acdf153a4418', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', '7eea3fa6c6a9e042', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '-0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
-        "'generator_interior'", 'True', 'None', 'None',
-        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
-        '0x1.4f8b588e368f1p-17',
+        '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
+        'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
+        'None', 'None', '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '3bc0c769c43e5605',
-        '3bc0c769c43e5605', '2cead66b417bdbf1', '0x1.da90297abb72fp-1',
+        '0x1.3333333333333p-2', 'False', 'cee810c985dfa18e',
+        'cee810c985dfa18e', '73c0ac3f8156f42d', '0x1.da902c57e7616p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.8232880000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.81f6f00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc198b8c56ffp-1',
+        '0x1.81f6e80000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1905b8d323p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -331,8 +330,8 @@ PINS = {
         '0x1.0068e60000000p-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        'b5f3c94b46a8c034', 'e60e55938b48614a', 'dabf307e96f32198',
-        '0x1.2dd3f04b00000p-15', '0x0.0p+0',
+        '000be20254e5f77c', '0b33443c4cca3b43', '1545d7884cf7dee5',
+        '0x1.2dd3fd8780000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
         '25334e1e6309a543', '0fb0cde5a746dde4', '95ceba5bd39fdb5f',
@@ -403,14 +402,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-tab-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d2a96612528p-1', '25',
-        '0x1.02a6ba4092adfp-42', '0x1.c19545840c303p-1', '25',
-        '0x1.02a6ba4092adfp-42', '72cd2a1d351ad189',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29828b6230p-1', '25',
+        '0x1.4ae57e6797744p-43', '0x1.c195330e4d3f6p-1', '25',
+        '0x1.4ae57e6797744p-43', 'deb3d5b2200ab61d',
     ],
     'phi-tab-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9f9e86fc69p-1', '66',
-        '0x1.1f32edf5f2cf8p-41', '0x1.c4fb9f1521902p-1', '66',
-        '0x1.1f32edf5f2cf8p-41', 'cf7a9c60a101cfcc',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb862296p-1', '65',
+        '0x1.1c87dd2659f54p-41', '0x1.c4fb970255aeap-1', '65',
+        '0x1.1c87dd2659f54p-41', '996a180996326908',
     ],
     'phi-tab-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba73c063421p-1', '0',
@@ -452,7 +451,7 @@ PINS = {
         'f68f6c8832891840',
     ],
     'w-tab-s0-d2': [
-        'a60c8375be3c3513',
+        '1593a455439da1aa',
     ],
 }
 

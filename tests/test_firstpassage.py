@@ -12,6 +12,7 @@ because the claim instant drops out of the integral; that is used as a
 sharp oracle below.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from divbarrier.firstpassage import (
     vy_density,
 )
 from divbarrier.lundberg import lundberg_root
+from divbarrier.scale import K_TAIL_TOL, _claim_cutoff
 
 from conftest import make_model
 import scale_oracle
@@ -164,52 +166,61 @@ class TestPassageDensities:
 
 
 class TestTabulatedRoutes:
-    """The factored claim-count sum against the per-deficit recursion.
-
-    A whole deficit grid takes the factored route and a call with a few
-    deficits the per-deficit one; both must give the same K, the same
-    tail bound and values within 1e-13 (about K eps on values <= 1).
-    """
+    """A table at sigma = 0 takes one route, its Lambda (scale.TableRatio)
+    on the table's lattice, for a whole deficit grid and for one deficit
+    alike; both must give the same K, the same tail bound and values
+    within 1e-13 (about K eps on values <= 1)."""
 
     @pytest.fixture(scope="class", params=[1e-2, 1e-3])
     def table(self, request):
         return db.tabulated_exponential(1.0, step=request.param)
 
     @pytest.mark.parametrize("d", [0.4, 2.0])
-    def test_grid_route_matches_per_deficit_route(self, table, d, monkeypatch):
+    def test_grid_route_matches_per_deficit_route(self, table, d):
         model = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d), table)
-        cd = 15.0 * d
-        # off-node deficits leave a partial last panel, one of them
-        # shorter than a table step; c d and beyond are the atom and zero
-        off_node = [0.0137, 0.5555, 2.71828, cd - 0.37 * table.grid.step,
-                    cd - 1.3 * table.grid.step, cd, cd + 0.01]
+        step, cd = table.grid.step, 15.0 * d
+        # off-node deficits read the law of X_d at their offset, one of
+        # them within a table step of c d; c d is the atom alone and
+        # beyond it Phi_d is 0
+        off_node = [0.0137, 0.5555, 2.71828, cd - 0.37 * step,
+                    cd - 1.3 * step, cd, cd + 0.01]
         ys = np.concatenate([np.arange(0.0, table.reach + 1e-2, 2e-2), off_node])
-        routes = []
-
-        def spy(name):
-            fn = getattr(firstpassage, name)
-
-            def counted(*args):
-                routes.append(name)
-                return fn(*args)
-
-            monkeypatch.setattr(firstpassage, name, counted)
-
-        spy("_factored_sums")
-        spy("_one_deficit")
         grid_vals, grid_k, grid_tail = firstpassage._phi_table(model, d, ys)
-        assert set(routes) == {"_factored_sums"}
-        # every 37th grid deficit up to c d, and the off-node ones
-        shared = list(range(1, int(cd / 2e-2) + 1, 37)) + \
-            list(range(len(ys) - len(off_node), len(ys)))
+        # each single deficit builds its own Lambda: the first grid
+        # deficit, one inside, the last below c d, and the off-node ones
+        last = int(cd / 2e-2 - 1e-9)
+        shared = [1, last // 2, last] + list(range(len(ys) - len(off_node), len(ys)))
         for i in shared:
-            del routes[:]
             tr = upcross_transform(model, float(ys[i]), d)
-            assert "_factored_sums" not in routes
             assert tr.truncation_k == grid_k and tr.tail_bound == grid_tail
             assert abs(tr.value - grid_vals[i]) <= 1e-13, ys[i]
-        assert grid_vals[-1] == 0.0
-        assert grid_vals[-2] == math.exp(-10.1 * d)
+        assert grid_vals[-1] == 0.0 and np.all(grid_vals[ys > cd] == 0.0)
+        # at y = c d only the claim-free atom climbs back, just in time:
+        # e^{-(lam + q) d}, read off the lattice to O(step^2); measured
+        # 6.4e-8 / 2.4e-7 relative on the 1e-3 table at d = 0.4 / 2 and
+        # 6.4e-6 / 3.5e-5 on the 1e-2 table
+        assert abs(grid_vals[-2] / math.exp(-10.1 * d) - 1.0) < 0.7 * step ** 2
+
+    @pytest.mark.parametrize("d", [0.0533, 0.4, 0.40002, 2.0])
+    def test_grid_matches_exponential_claims(self, table, d):
+        # the table's Lambda against the Exp(1) route's resummed series on
+        # the 2e-2 Phi grid, c d on the lattice and off it (d = 0.40002,
+        # and d = 0.0533 on the 1e-2 table); bounded by twice the measured
+        # distances, O(step^2)
+        measured = {(1e-3, 0.0533): 6.3e-8, (1e-3, 0.4): 2.3e-9, (1e-3, 0.40002): 3.6e-9,
+                    (1e-3, 2.0): 1.5e-9, (1e-2, 0.0533): 5.4e-6, (1e-2, 0.4): 2.3e-7,
+                    (1e-2, 0.40002): 2.5e-7, (1e-2, 2.0): 1.5e-7}
+        ys = np.arange(0.0, table.reach + 1e-2, 2e-2)
+        got = upcross_table(db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d),
+                                        table), d, ys)
+        dist = np.max(np.abs(got - _exponential_phi_grid(d)))
+        assert dist < 2.0 * measured[table.grid.step, d]
+
+
+@functools.lru_cache(maxsize=None)
+def _exponential_phi_grid(d):
+    m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d), db.ExponentialClaims(1.0))
+    return upcross_table(m, d, np.arange(0.0, 30.0 + 1e-2, 2e-2))
 
 
 class TestWithDiffusion:
@@ -407,14 +418,14 @@ class TestClaimCountCutoff:
     @pytest.mark.parametrize("s,scale", [(0.3, 1.0), (16.0, 30.0), (8.5, 1e-6),
                                          (1000.0, 1e3)])
     def test_smallest_count_past_the_mode(self, s, scale):
-        K, bound = firstpassage._claim_cutoff(s, scale)
+        K, bound = _claim_cutoff(s, scale)
         ln_term = lambda k: k * math.log(s) - math.lgamma(k + 1)
         # the exact tail, in logs so that s = 1000 does not overflow
         tail = lambda k: math.fsum(math.exp(ln_term(j)) for j in range(k + 1, k + 2000))
         assert K >= max(1, math.floor(s))
-        assert scale * tail(K) <= bound <= firstpassage.K_TAIL_TOL
+        assert scale * tail(K) <= bound <= K_TAIL_TOL
         if K > max(1, math.floor(s)):
-            assert scale * tail(K - 1) > firstpassage.K_TAIL_TOL * 1e-3
+            assert scale * tail(K - 1) > K_TAIL_TOL * 1e-3
 
     def test_diffusion_table_builds_only_the_powers_it_reads(self):
         # a fresh table: the parent capped K at 400 and built 350 powers

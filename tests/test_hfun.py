@@ -171,16 +171,27 @@ class TestForcingNodeTable:
     is read directly, so d = inf (where w_d is T_rho f) checks it too."""
 
     @staticmethod
-    def _per_deficit(model, xs):
-        # Simpson weights times Phi times the density read at x + y,
-        # one deficit at a time
-        phi = hfun._phi_grid(model)[0]
+    def _node_table(model):
+        """(the node-table reader, the per-deficit quadrature it replaced):
+        Simpson weights times Phi times the density read at x + y, one
+        deficit at a time. At d = inf, where the solvers take T_rho f
+        instead, the reader is built here on Phi = e^{-rho y}."""
         ys = np.arange(0.0, model.claims.reach + hfun._PHI_STEP / 2, hfun._PHI_STEP)
         wts = gridmath.simpson_weights(len(ys), hfun._PHI_STEP)
-        out = np.zeros_like(xs)
-        for j in np.nonzero(phi)[0]:
-            out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
-        return out
+        if math.isinf(model.d):
+            phi = np.exp(-model.rho * ys)
+            table = model.claims.shift_sum(ys, wts * phi)
+        else:
+            route, table = hfun._phi_grid(model)
+            phi = route.phi(ys)
+
+        def per_deficit(xs):
+            out = np.zeros_like(xs)
+            for j in np.nonzero(phi)[0]:
+                out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
+            return out
+
+        return table, per_deficit
 
     @pytest.mark.parametrize("step", [1e-2, 1e-3])
     @pytest.mark.parametrize("d", [0.5, 2.0, math.inf])
@@ -188,8 +199,8 @@ class TestForcingNodeTable:
         # off the table nodes and past the table end at 30
         m = _tab_model(step, d)
         xs = np.linspace(0.0, 31.0, 3001)
-        table = hfun._phi_grid(m)[1]
-        assert np.max(np.abs(table(xs) - self._per_deficit(m, xs))) < 1e-13
+        table, per_deficit = self._node_table(m)
+        assert np.max(np.abs(table(xs) - per_deficit(xs))) < 1e-13
         if not math.isinf(d):
             assert np.array_equal(w_d(m, xs), table(xs))
 
@@ -481,7 +492,9 @@ class TestScaleFunctionOracle:
     def test_one_transform_per_optimal_barrier(self, monkeypatch):
         # with a table the continuation slope, the w_d forcing and the
         # certificate all read the one memoized TableRatio, which reads
-        # its Phi grid off the same Lambda; no other Phi_d is taken
+        # its Phi grid off the same Lambda, and so does the value below
+        # zero, on the lattice or off it; no other Phi_d is taken. At
+        # sigma = 0 the forcing and the value below zero read it too
         monkeypatch.setattr(hfun, "_CACHE", {})
         builds, phis = [], []
 
@@ -499,10 +512,16 @@ class TestScaleFunctionOracle:
         monkeypatch.setattr(firstpassage, "_phi_sigma_pos", counted)
         tab = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0),
                           db.tabulated_exponential(1.0, step=1e-2))
-        db.optimal_barrier(tab, a_max=2.0)
+        sol = db.optimal_barrier(tab, a_max=2.0)
+        assert builds == [1.0] and phis == []
+        sol.value(np.array([-0.4, -0.41]))
         assert builds == [1.0] and phis == []
         db.optimal_barrier(make_model(1.0, sigma=0.5), a_max=2.0)
         assert builds == [1.0] and phis == []
+        twin = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0),
+                           db.tabulated_exponential(1.0, step=1e-2))
+        db.optimal_barrier(twin, a_max=2.0).value(np.array([-0.4, -0.41]))
+        assert builds == [1.0, 2.0] and phis == []
 
 
 class TestScaleOracleWithoutDiffusion:

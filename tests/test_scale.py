@@ -13,6 +13,8 @@ against the oracle's Phi_d and across the seams of its deficit blocks.
 For a claim table scale_ratio gives a TableRatio, built from W (the
 exit equation's d = 0 solution on the table's lattice) and the law of
 X_d there; it is checked against the same oracle on an Exp(1) table.
+At sigma = 0 a table takes the same TableRatio; tests/test_firstpassage.py
+checks it against the Exp(1) route.
 """
 
 import math
@@ -86,7 +88,7 @@ def test_long_clock_reaches_the_infinite_limit(d):
 
 
 @pytest.mark.parametrize("sigma,d,claims", [(0.0, 1.0, "exp"), (0.5, 0.0, "exp"),
-                                            (0.5, math.inf, "exp"), (0.0, 1.0, "tab")])
+                                            (0.5, math.inf, "exp"), (0.0, 0.0, "tab")])
 def test_other_models_are_refused(sigma, d, claims):
     dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
             else db.ExponentialClaims(1.0))

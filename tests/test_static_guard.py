@@ -21,9 +21,14 @@ a relative import, or a module name handed to importlib.import_module
 or __import__ as a string.
 
 divbarrier.scale sits below the modules that read it: firstpassage
-takes Phi_d, the Bessel claim sum and the claim-count cutoff from it,
-and hfun the exit function's slope, forcing, certificate and renewal
-kernel. So scale imports neither, at module level or inside a function.
+takes Phi_d and the Bessel claim sum from it, and hfun the exit
+function's slope, forcing, certificate and renewal kernel. So scale
+imports neither, at module level or inside a function.
+
+A claim table's cached convolution powers are summed into a law in one
+place: model.py stores them and scale.py's TableRatio sums them into
+the law of X_d. No other module under src/divbarrier names
+_power_values, as an attribute, a name, an imported name or a string.
 """
 
 import ast
@@ -185,3 +190,36 @@ def test_scale_imports_neither_firstpassage_nor_hfun():
     for line in ("from .firstpassage import _claim_cutoff", "from . import hfun",
                  "import divbarrier.hfun", "def f():\n    from .firstpassage import x"):
         assert _imported_modules(line) & readers, line
+
+
+POWER_READERS = ("model.py", "scale.py")
+
+
+def _power_reads(source):
+    """Every spelling of _power_values in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_power_values":
+            found.append(_dotted(node) or node.attr)
+        elif ((isinstance(node, ast.Name) and node.id == "_power_values")
+              or (isinstance(node, ast.alias) and node.name == "_power_values")
+              or (isinstance(node, ast.Constant) and node.value == "_power_values")):
+            found.append("_power_values")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name not in POWER_READERS))
+def test_only_model_and_scale_read_claim_powers(path):
+    assert _power_reads((SRC / path).read_text()) == []
+
+
+def test_power_guard_sees_every_spelling():
+    assert _power_reads((SRC / "scale.py").read_text())
+    for line in ("p = model.claims._power_values(k)", "read = claims._power_values",
+                 "getattr(claims, '_power_values')(3)", "_power_values(3)",
+                 "from .model import _power_values"):
+        assert _power_reads(line), line
+    for line in ("p = claims.conv_power(2, x)", "x = power_values(3)",
+                 "x = claims._powers[3]"):
+        assert not _power_reads(line), line
