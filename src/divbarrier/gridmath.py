@@ -167,7 +167,9 @@ def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
     ys = fun(np.linspace(lo, hi, n + 1))
     prev = None
     while True:
-        s = simpson_weights(n + 1, (hi - lo) / n) @ ys
+        # einsum, not a BLAS product, whose summation order follows the
+        # BLAS thread count
+        s = np.einsum("i,i...->...", simpson_weights(n + 1, (hi - lo) / n), ys)
         if prev is not None:
             err = float(np.max(abs(s - prev))) / 15.0
             if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:

@@ -20,6 +20,11 @@ a in {0, 0.3}, the value function, value_barrier and h_callable on
 both sides of zero (down to past the Parisian reach -c d), the HJB
 curve and the slope-monotonicity screen.
 
+The benchmark's workers run with one BLAS thread, so every row is also
+checked in a subprocess with OPENBLAS/OMP/MKL_NUM_THREADS=1: a
+reduction whose summation order follows the thread count (a BLAS
+matrix product) would give other last bits there.
+
 The tabulated rows use a 1e-2 claim grid, which keeps the whole file
 to a few seconds. The pins were captured with numpy 2.4.6 and scipy
 1.17.1; a library upgrade that moves a last bit means recapturing them
@@ -28,9 +33,13 @@ from a tree whose numbers are trusted, not loosening them.
 
 import functools
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,15 +256,15 @@ PINS = {
         "'barrier optimality guaranteed (monotone density slope)'",
     ],
     'at-exp-s0-d2-a0': [
-        '0x0.0p+0', 'True', 'bcc5f207a128c3ca', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', 'bd78349d2691fbb4', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
         '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
         'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
         'None', 'None', '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '95c70d03aae44d44',
-        '95c70d03aae44d44', 'ab95f882692c738f', '0x1.da9018ee90664p-1',
+        '0x1.3333333333333p-2', 'False', '6eb827d1b5d9d4fc',
+        '6eb827d1b5d9d4fc', 'bf46f06bb3d853de', '0x1.da9018ee90664p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.5118800000000p-30', '0x1.4f8b588e368f1p-17',
@@ -296,7 +305,7 @@ PINS = {
         '0x1.928325d57f933p-1', 'False', 'True', '98158801b58f1fe6',
     ],
     'barrier-s0.5-d1': [
-        '0x0.0p+0', 'True', 'True', '4f0d40c2e7d1cd74',
+        '0x0.0p+0', 'True', 'True', '612fc2d0174a9748',
     ],
     'cli-h-s0.5-d1': [
         '2786a1326f69f352',
@@ -358,14 +367,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5918p-1', '0',
-        '0x1.450eaaaaaaaabp-42', '0x1.c195353dc1e2ep-1', '0',
-        '0x1.7d78000000000p-42', '65c2b4a3904a2e3d',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5919p-1', '0',
+        '0x1.450c444444444p-42', '0x1.c195353dc1e2cp-1', '0',
+        '0x1.7d7dddddddddep-42', '347c2d00740c9354',
     ],
     'phi-exp-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb60aed2p-1', '0',
-        '0x1.d418000000000p-41', '0x1.c4fb96fe20e0ep-1', '0',
-        '0x1.346eeeeeeeeefp-44', '0f69620e713c4b4f',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb60aed1p-1', '0',
+        '0x1.d41799999999ap-41', '0x1.c4fb96fe20e0bp-1', '0',
+        '0x1.347dddddddddep-44', '5f6ac6b52db31352',
     ],
     'phi-exp-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c2524bcp-1', '0',
@@ -380,14 +389,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0.5-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3da741224p-1', '0',
-        '0x1.08995e4478e07p-42', '0x1.c1bc160559036p-1', '0',
-        '0x1.08995e4478e07p-42', '5ea4c4b16d2f4067',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3da74123dp-1', '0',
+        '0x1.08cd1f4b02feep-42', '0x1.c1bc16055904bp-1', '0',
+        '0x1.08cd1f4b02feep-42', 'aa26bb5843020e7a',
     ],
     'phi-exp-s0.5-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e6182p-1', '0',
-        '0x1.0bd3b50ac0bfcp-45', '0x1.c52784d1d1a86p-1', '0',
-        '0x1.0bd3b50ac0bfcp-45', 'c503709a7bf9546b',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e6135p-1', '0',
+        '0x1.0f46f9bea0998p-45', '0x1.c52784d1d1a2ep-1', '0',
+        '0x1.0f46f9bea0998p-45', 'cb4e23ddceaed895',
     ],
     'phi-exp-s0.5-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
@@ -437,11 +446,11 @@ PINS = {
         '658af42fefa1e7c9', '17f0981727438f29', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
-        '1c4e5e392adc4270', '0x1.04a6b8bfe74d2p+2', '3c65c57e7d92d1b5',
+        '0e3945534a623320', '0x1.04a6b8bfe74d2p+2', '3c65c57e7d92d1b5',
         '1d8121e3d8ecbde6', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        'ab16c16b0e58adae', '0x1.04db53ca4c98bp+2', '3c65c57e7d92d1b5',
+        'b4980717bb96c972', '0x1.04db53ca4c999p+2', '3c65c57e7d92d1b5',
         '7c1606d3c2015191', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
@@ -460,3 +469,26 @@ PINS = {
 def test_analytic_output_pinned(case):
     fn, args = CASES[case]
     assert [_fingerprint(v) for v in fn(*args)] == PINS[case]
+
+
+# runs in the subprocess: every row's fingerprints, as JSON on the last line
+_ONE_THREAD_RUN = r"""
+import json
+import test_analytic_pin as pins
+print(json.dumps({case: [pins._fingerprint(v) for v in fn(*args)]
+                  for case, (fn, args) in pins.CASES.items()}))
+"""
+
+
+def test_analytic_output_pinned_on_one_blas_thread():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", _ONE_THREAD_RUN], env=env, cwd=here,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    moved = sorted(case for case in PINS if got[case] != PINS[case])
+    assert moved == []
