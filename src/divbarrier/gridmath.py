@@ -11,6 +11,9 @@ holds the one copy of each grid primitive the others use:
   it, at every size, and a kernel convolved again and again (a Neumann
   series' kernel, a table's density for its claim powers) is
   transformed once;
+- power_sum, a weighted sum of a density's trapezoid convolution
+  powers (a table's Poisson-weighted claim powers) as one polynomial in
+  one exponentially tilted transform, with a bound on its wrap-around;
 - convolve_exp, the only exponential-panel recurrence: integrals
   weighted by e^{-b u} on panels that integrate the exponential exactly
   against piecewise-linear data, so stiff rates do not poison the error
@@ -199,6 +202,61 @@ def convolve_values(f, g, step):
     """Trapezoid (f*g) for arrays sampled on the same [0, hi] grid; g
     may run past f's end, and only its first len(f) nodes are read."""
     return _trapezoid_convolver(f, step)(g)
+
+
+# exponent of power_sum's tilt at the last node: untilting scales the
+# transform's rounding by up to e^{_TILT}, about 3e3, which keeps the
+# sum within ~2e-13 of its largest value
+_TILT = 8.0
+
+
+def power_sum(f, step, weights, log_tol):
+    """(sum_k weights[k-1] f^{*k} on f's nodes, clipped at 0, and the log
+    of a bound on its aliasing error, at most log_tol), f^{*k} being the
+    trapezoid powers of repeated convolve_values(f, ., step): f^{*1} = f.
+
+    With a = step f, a[0] halved, and b = step f, b[0] = 0, the trapezoid
+    rule gives f^{*2} = b (*) f and, as f^{*k}(0) = 0 for k >= 2,
+    f^{*k} = a (*) f^{*(k-1)} for k >= 3, (*) the discrete convolution.
+    The transforms of b and f are A - a[0] and (A + a[0]) / step, so
+    sum_{k>=2} weights[k-1] f^{*k} is the inverse transform of
+    (A^2 - a[0]^2) / step P(A), P(A) = sum_{k>=2} weights[k-1] A^{k-2}
+    by Horner, from one real FFT of a. The FFT's length M wraps every
+    node i + l M back onto node i; tilting a by e^{-theta j}, theta =
+    _TILT / n on n nodes, and untilting the result weights the wrapped
+    node by e^{-theta l M}. Each f^{*k} is at most sum|b| sum|a|^{k-2}
+    max|f| at every node, so the wrap-around adds at most that, summed
+    against |weights|, times q / (1 - q), q = e^{-theta M}; M is the
+    shortest fast length that keeps this at most e^{log_tol}. Both are
+    logarithms so that a tolerance below the double range (Poisson
+    weights that all carry e^{-rate} at a large rate) still sets M.
+    """
+    f = np.asarray(f, dtype=float)
+    out = weights[0] * f
+    log_alias = -math.inf
+    if len(weights) > 1:
+        n = len(f)
+        a = step * f
+        a[0] *= 0.5
+        a0, sum_a = a[0], float(np.sum(np.abs(a)))
+        # the weighted powers k >= 2 are at most sum|b| max|f| times
+        # sum_k |weights[k-1]| sum|a|^{k-2} at any node
+        poly = 0.0
+        for w in weights[:0:-1]:
+            poly = poly * sum_a + abs(w)
+        log_peak = math.log((sum_a - abs(a0)) * float(np.max(np.abs(f))) * poly)
+        theta = _TILT / n
+        m = sp_fft.next_fast_len(max(n, math.ceil((log_peak - log_tol) / theta)), True)
+        tilt = np.exp(-theta * np.arange(n))
+        spec = sp_fft.rfft(a * tilt, m)
+        acc = np.full(len(spec), weights[-1], dtype=complex)
+        for w in weights[-2:0:-1]:
+            acc *= spec
+            acc += w
+        acc *= (spec * spec - a0 * a0) / step
+        out += sp_fft.irfft(acc, m)[:n] / tilt
+        log_alias = log_peak - theta * m - math.log1p(-math.exp(-theta * m))
+    return np.maximum(out, 0.0), log_alias
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

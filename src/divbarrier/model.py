@@ -31,10 +31,11 @@ w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
 one-rate sigma = 0 renewal kernel of the exit function (hfun); the
 scale route (scale: Lambda by roots and a moment quadrature, and the
 two-rate sigma > 0 renewal kernel); and the closed series of expmodel.
-One module reads how a table is stored, `claims.grid` and the cached
-powers `claims._power_values(k)` on its nodes, so that the claim-count
-sum runs on the table's own lattice: scale's TableRatio, which sums the
-powers into the law of X_d at every sigma.
+One module reads how a table is stored, `claims.grid` on its nodes, so
+that the claim-count sum runs on the table's own lattice: scale's
+TableRatio, which sums the claim powers into the law of X_d at every
+sigma in one transform (gridmath.power_sum) of the density alone. The
+cached powers `_power_values(k)` serve conv_power only.
 """
 
 import math

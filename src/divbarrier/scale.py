@@ -50,7 +50,8 @@ lattice z_j = j step. At sigma > 0 W is the d = 0 solution of the exit equation,
 xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
 of renewal(), which h_d_sigma_pos solves too. The density p of X_d is
 the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
-f^{k*}, k <= K (K from _claim_cutoff), each smoothed by the
+f^{k*}, k <= K (K from _claim_cutoff), summed as one polynomial in one
+tilted transform (gridmath.power_sum), each smoothed by the
 N(0, sigma^2 d) density of sigma B_d, and p' likewise by that
 density's derivative, through one fft_convolve. Then by the trapezoid
 rule on the lattice
@@ -88,7 +89,7 @@ import numpy as np
 from scipy.special import erfcx, i1e, ndtr
 
 from .gridmath import (GridFunction, _adaptive_simpson, convolve_exp, fft_convolve,
-                       solve_renewal)
+                       power_sum, solve_renewal)
 
 # relative stop of the moments' quadrature
 _MOMENT_RTOL = 1e-13
@@ -251,7 +252,10 @@ class TableRatio:
     Lambda(0) is at least its claim-free part, e^{-lam r d} times
     int_0 W(z) z N(z; c d, sigma^2 d) dz, or c d W(c d) at sigma = 0, so
     e^{-lam r d} cancels. W increases, so at sigma = 0 the bound's scale
-    is at most c d max f.
+    is at most c d max f. The K powers are summed in one tilted transform
+    (gridmath.power_sum), whose wrap-around moves the density by at most
+    its reported aliasing bound; over max f e^{-lam r d}, in the same
+    scale, that is at most K_TAIL_TOL and is added to tail_bound.
     """
 
     def __init__(self, model, d):
@@ -271,16 +275,17 @@ class TableRatio:
             floor = wz @ gauss[0]
         else:
             floor = self._shift * np.interp(self._shift, z, w) / step
-        rate = model.lam * model.r * d
-        self.truncation_k, self.tail_bound = _claim_cutoff(
-            rate, 2.0 * float(np.max(grid.values) * np.sum(wz) / floor))
+        rate, fmax = model.lam * model.r * d, float(np.max(grid.values))
+        scale = 2.0 * fmax * float(np.sum(wz)) / floor
+        self.truncation_k, poisson = _claim_cutoff(rate, scale)
+        self._atom = math.exp(-rate)
         # the claim density on the table nodes the lattice reads
         top = min(n, grid.n)
-        dens = np.zeros(top + 1)
-        for k in range(1, self.truncation_k + 1):
-            ln_w = k * math.log(rate) - math.lgamma(k + 1) - rate
-            dens += math.exp(ln_w) * model.claims._power_values(k)[:top + 1]
-        self._atom = math.exp(-rate)
+        weights = [math.exp(k * math.log(rate) - math.lgamma(k + 1) - rate)
+                   for k in range(1, self.truncation_k + 1)]
+        dens, log_alias = power_sum(grid.values[:top + 1], step, weights,
+                                    math.log(K_TAIL_TOL * fmax / scale) - rate)
+        self.tail_bound = poisson + scale / fmax * math.exp(log_alias + rate)
         if sd:
             # with the trapezoid's half weight at 0, reversed for the
             # correlation

@@ -274,21 +274,22 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
-        '0x0.0p+0', 'True', '7eea3fa6c6a9e042', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', '5b4107014bf2e86d', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17',
+        '-0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', 'cee810c985dfa18e',
-        'cee810c985dfa18e', '73c0ac3f8156f42d', '0x1.da902c57e7616p-1',
+        '0x1.3333333333333p-2', 'False', 'b6aed64be9bffc7e',
+        'b6aed64be9bffc7e', 'e4c1c56c64060e91', '0x1.da902c57e7610p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.8232900000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.8232800000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
         '0x1.81f6e80000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1905b8d323p-1',
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1905b8d325p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -339,8 +340,8 @@ PINS = {
         '0x1.0068e60000000p-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '000be20254e5f77c', '0b33443c4cca3b43', '1545d7884cf7dee5',
-        '0x1.2dd3fd8780000p-15', '0x0.0p+0',
+        '4584c7fdd18521c6', 'f8d2520df34431c4', '844ce2dd86866c83',
+        '0x1.2dd3fd87e0000p-15', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
         '25334e1e6309a543', '0fb0cde5a746dde4', '95ceba5bd39fdb5f',
@@ -411,14 +412,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-tab-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29828b6230p-1', '25',
-        '0x1.4ae57e6797744p-43', '0x1.c195330e4d3f6p-1', '25',
-        '0x1.4ae57e6797744p-43', 'deb3d5b2200ab61d',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29828b6232p-1', '25',
+        '0x1.d7b94e360d566p-41', '0x1.c195330e4d3f8p-1', '25',
+        '0x1.d7b94e360d566p-41', 'ceb52f13984b9f3a',
     ],
     'phi-tab-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb862296p-1', '65',
-        '0x1.1c87dd2659f54p-41', '0x1.c4fb970255aeap-1', '65',
-        '0x1.1c87dd2659f54p-41', '996a180996326908',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb862294p-1', '65',
+        '0x1.3bd49fd51f048p-40', '0x1.c4fb970255ae8p-1', '65',
+        '0x1.3bd49fd51f048p-40', 'e969b24d0d9be625',
     ],
     'phi-tab-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba73c063421p-1', '0',
@@ -426,8 +427,8 @@ PINS = {
         'b3abec16f2763e1d',
     ],
     'phi-tab-s0.5-r0.5-d1': [
-        '0x1.9ad4d86877058p-1', '33', '0x1.908b34ea2e532p-43',
-        '364c7cfc7fc08db1',
+        '0x1.9ad4d8687704dp-1', '33', '0x1.366559a8f875fp-40',
+        '2d76282a3dee1f9d',
     ],
     'series-d0': [
         '291747017cd060ca', 'fce076b3ae6cb09f', '425820394d78a148',
@@ -460,7 +461,7 @@ PINS = {
         'f68f6c8832891840',
     ],
     'w-tab-s0-d2': [
-        '1593a455439da1aa',
+        '899425661e7c04d5',
     ],
 }
 

@@ -54,16 +54,16 @@ def test_traced_simulators_and_methods_resolve(tracer):
 
 def test_power_builds_are_counted_per_layer(tracer):
     # the tracer counts a build when _power_values is called, through the
-    # class, for a power not yet cached; a fresh table at d = 2 needs
-    # K = 65 powers, of which the first is the density itself
+    # class, for a power not yet cached; reading a fresh table's powers 1
+    # to 65 in turn, as vy_density does, builds 64, as the first is the
+    # density itself
     dist = db.tabulated_exponential(1.0, step=1e-2)
-    model = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=0.0, q=0.1,
-                                       r=0.8, d=2.0), dist)
     t = tracer.Tracer()
     t.install()
     try:
         with t.op(0, "query"):
-            db.firstpassage.upcross_table(model, 2.0, [0.0, 0.3, 0.5])
+            for k in range(1, 66):
+                dist.conv_power(k, [0.0, 0.3, 0.5])
     finally:
         t.uninstall()
     assert t.powers_built == 64

@@ -428,10 +428,11 @@ class TestClaimCountCutoff:
             assert scale * tail(K - 1) > K_TAIL_TOL * 1e-3
 
     def test_diffusion_table_builds_only_the_powers_it_reads(self):
-        # a fresh table: the parent capped K at 400 and built 350 powers
+        # a fresh table: K stays below the old cap of 400, and the claim
+        # powers are summed in one transform, so none is built or cached
         dist = db.tabulated_exponential(1.0, step=1e-2)
         model = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0), dist)
         tr = upcross_transform(model, 0.5, 1.0)
         assert tr.truncation_k < 400
-        assert tr.truncation_k == max(dist._powers)
+        assert max(dist._powers) == 1
         assert 0.0 < tr.tail_bound < 1e-10

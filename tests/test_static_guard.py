@@ -25,10 +25,12 @@ takes Phi_d and the Bessel claim sum from it, and hfun the exit
 function's slope, forcing, certificate and renewal kernel. So scale
 imports neither, at module level or inside a function.
 
-A claim table's cached convolution powers are summed into a law in one
-place: model.py stores them and scale.py's TableRatio sums them into
-the law of X_d. No other module under src/divbarrier names
-_power_values, as an attribute, a name, an imported name or a string.
+A claim table's cached convolution powers are read in one place:
+model.py stores them for conv_power. scale.py's TableRatio sums the
+claim powers into the law of X_d with gridmath.power_sum, from the
+density alone, and builds none. No module under src/divbarrier but
+model.py names _power_values, as an attribute, a name, an imported
+name or a string.
 """
 
 import ast
@@ -192,7 +194,7 @@ def test_scale_imports_neither_firstpassage_nor_hfun():
         assert _imported_modules(line) & readers, line
 
 
-POWER_READERS = ("model.py", "scale.py")
+POWER_READERS = ("model.py",)
 
 
 def _power_reads(source):
@@ -215,8 +217,8 @@ def test_only_model_and_scale_read_claim_powers(path):
 
 
 def test_power_guard_sees_every_spelling():
-    assert _power_reads((SRC / "scale.py").read_text())
-    for line in ("p = model.claims._power_values(k)", "read = claims._power_values",
+    for line in ("dens += math.exp(ln_w) * model.claims._power_values(k)[:top + 1]",
+                 "p = model.claims._power_values(k)", "read = claims._power_values",
                  "getattr(claims, '_power_values')(3)", "_power_values(3)",
                  "from .model import _power_values"):
         assert _power_reads(line), line
