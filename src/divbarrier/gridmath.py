@@ -8,12 +8,13 @@ holds the one copy of each grid primitive the others use:
   along the last axis, batched over the leading axes. convolve_values
   (the trapezoid f * g) and a table's scale route (the Gaussian smear
   of the law of X_d and the correlation of W with it) both run through
-  it, at every size, and a kernel convolved again and again (a Neumann
-  series' kernel, a table's density for its claim powers) is
-  transformed once;
+  it, at every size, and a kernel convolved again and again (a table's
+  density for its claim powers) is transformed once;
 - power_sum, a weighted sum of a density's trapezoid convolution
   powers (a table's Poisson-weighted claim powers) as one polynomial in
-  one exponentially tilted transform, with a bound on its wrap-around;
+  one exponentially tilted transform, and neumann_series, the
+  trapezoid renewal solve, as one quotient in one; both bound their
+  wrap-around the same way (_tilt);
 - convolve_exp, the only exponential-panel recurrence: integrals
   weighted by e^{-b u} on panels that integrate the exponential exactly
   against piecewise-linear data, so stiff rates do not poison the error
@@ -32,14 +33,17 @@ lengths) and one cumsum per call, in blocks that keep the powers of E
 in range.
 
 A renewal equation xi = forcing + coeff (kernel * xi) is solved two
-ways, chosen in solve_renewal. A kernel that is a mixture of m
-exponentials makes the panel equation a linear recursion of order m,
-solved exactly by one filter pass (neumann_series_exp); any other
-kernel is summed by its Neumann series of FFT convolutions
-(neumann_series).
+ways, chosen in solve_renewal, each the exact sum of the whole Neumann
+series of its discrete equation in one pass (both names are bound by
+the benchmark's tracer, perfbench/tracer.py). A kernel that is a
+mixture of m exponentials makes the panel equation a linear recursion
+of order m, solved by one filter pass (neumann_series_exp); any other
+kernel's trapezoid equation is a discrete convolution equation,
+solved by one division in one exponentially tilted transform
+(neumann_series). The growth of the solution sets the tilt, and a
+bound on the solution sets the transform length.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -54,12 +58,12 @@ except AttributeError:          # numpy < 2.0
 
 
 class NonConvergenceError(RuntimeError):
-    """A truncated series failed to meet its tolerance."""
+    """A solve left its range or failed its gate; last_norm is the size
+    that failed, when there is one."""
 
-    def __init__(self, message, last_norm=None, terms=None):
+    def __init__(self, message, last_norm=None):
         super().__init__(message)
         self.last_norm = last_norm
-        self.terms = terms
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,8 @@ def _adaptive_simpson(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
 
 
 def _trapezoid_convolver(f, step):
-    """g -> convolve_values(f, g, step), with f's spectrum taken once: a
-    Neumann series then pays one rfft and one irfft per term."""
+    """g -> convolve_values(f, g, step), with f's spectrum taken once for
+    every g (a table's claim powers, built one on another)."""
     n = len(f)
     conv = _fft_convolver(f, n)
 
@@ -210,6 +214,24 @@ def convolve_values(f, g, step):
 _TILT = 8.0
 
 
+def _tilt(n, theta, decay, log_peak, log_tol):
+    """(e^{-theta j} on n nodes, the transform length M, the log of a
+    bound on the wrap-around) for data tilted by e^{-theta j} whose
+    untilted result is at most e^{log_peak} on the n nodes and grows
+    past them at most at rate theta - decay >= 0.
+
+    A length-M transform wraps node i + l M back onto node i, and
+    untilting weights it by e^{-theta l M}, so the wrap-around is at
+    most e^{log_peak} q / (1 - q), q = e^{-decay M}. M is the shortest
+    fast length, at least n, that keeps this at most e^{log_tol}; both
+    are logarithms so that a tolerance below the double range still
+    sets M.
+    """
+    m = sp_fft.next_fast_len(max(n, math.ceil((log_peak - log_tol) / decay)), True)
+    return (np.exp(-theta * np.arange(n)), m,
+            log_peak - decay * m - math.log1p(-math.exp(-decay * m)))
+
+
 def power_sum(f, step, weights, log_tol):
     """(sum_k weights[k-1] f^{*k} on f's nodes, clipped at 0, and the log
     of a bound on its aliasing error, at most log_tol), f^{*k} being the
@@ -221,15 +243,13 @@ def power_sum(f, step, weights, log_tol):
     The transforms of b and f are A - a[0] and (A + a[0]) / step, so
     sum_{k>=2} weights[k-1] f^{*k} is the inverse transform of
     (A^2 - a[0]^2) / step P(A), P(A) = sum_{k>=2} weights[k-1] A^{k-2}
-    by Horner, from one real FFT of a. The FFT's length M wraps every
-    node i + l M back onto node i; tilting a by e^{-theta j}, theta =
-    _TILT / n on n nodes, and untilting the result weights the wrapped
-    node by e^{-theta l M}. Each f^{*k} is at most sum|b| sum|a|^{k-2}
-    max|f| at every node, so the wrap-around adds at most that, summed
-    against |weights|, times q / (1 - q), q = e^{-theta M}; M is the
-    shortest fast length that keeps this at most e^{log_tol}. Both are
-    logarithms so that a tolerance below the double range (Poisson
-    weights that all carry e^{-rate} at a large rate) still sets M.
+    by Horner, from one real FFT of a, tilted by e^{-theta j} with
+    theta = _TILT / n on n nodes. Each f^{*k} is at most
+    sum|b| sum|a|^{k-2} max|f| at every node, past the grid too, so the
+    wrap-around (_tilt) is at most that, summed against |weights|,
+    times q / (1 - q), q = e^{-theta M}; log_tol may lie below the
+    double range (Poisson weights that all carry e^{-rate} at a large
+    rate).
     """
     f = np.asarray(f, dtype=float)
     out = weights[0] * f
@@ -246,8 +266,7 @@ def power_sum(f, step, weights, log_tol):
             poly = poly * sum_a + abs(w)
         log_peak = math.log((sum_a - abs(a0)) * float(np.max(np.abs(f))) * poly)
         theta = _TILT / n
-        m = sp_fft.next_fast_len(max(n, math.ceil((log_peak - log_tol) / theta)), True)
-        tilt = np.exp(-theta * np.arange(n))
+        tilt, m, log_alias = _tilt(n, theta, theta, log_peak, log_tol)
         spec = sp_fft.rfft(a * tilt, m)
         acc = np.full(len(spec), weights[-1], dtype=complex)
         for w in weights[-2:0:-1]:
@@ -255,7 +274,6 @@ def power_sum(f, step, weights, log_tol):
             acc += w
         acc *= (spec * spec - a0 * a0) / step
         out += sp_fft.irfft(acc, m)[:n] / tilt
-        log_alias = log_peak - theta * m - math.log1p(-math.exp(-theta * m))
     return np.maximum(out, 0.0), log_alias
 
 
@@ -416,46 +434,99 @@ def derivative(g: GridFunction, order: int) -> GridFunction:
     return g.with_values(out)
 
 
-# sup-norm below which a series term ends the sum
-_SERIES_TOL = 1e-12
+# exponent of a renewal solve's tilt at the last node, past the
+# solution's own growth: untilting scales the transforms' rounding by up
+# to e^{_SOLVE_TILT}, about 4e2, which keeps the solution within ~6e-14
+# of its largest value (power_sum's e^{_TILT} would leave ~3e-13), at a
+# length of about 5.5 n
+_SOLVE_TILT = 6.0
 
+# wrap-around a renewal solve allows, relative to its solution's largest
+# value: below the rounding above
+_SOLVE_RTOL = 1e-14
 
-def _series(apply_kernel, forcing: GridFunction):
-    """forcing + K forcing + K^2 forcing + ... for K = apply_kernel,
-    truncated once a term's sup-norm falls below _SERIES_TOL.
-
-    By Young's inequality term n is at most m^n ||forcing|| for the
-    kernel's L1 mass m, so a kernel with m < 1 contracts geometrically.
-    On a grid [0, x] a kernel bounded by k gives terms below
-    (k x)^n / n! ||forcing||, so with m >= 1 the terms still fall
-    factorially once n passes k x, unless one overflows first. A
-    non-finite term or one above 1e80 raises NonConvergenceError.
-    """
-    term = forcing.values.copy()
-    acc = term.copy()
-    for n in itertools.count(1):
-        term = apply_kernel(term)
-        last = float(np.max(np.abs(term)))
-        if not np.isfinite(last) or last > 1e80:
-            raise NonConvergenceError("series diverged", last_norm=last, terms=n)
-        acc += term
-        if last < _SERIES_TOL:
-            return forcing.with_values(acc)
+# sup-norm past which a renewal solution is refused: every equation the
+# library solves contracts, so a solution this large means it does not
+_SOLVE_CAP = 1e80
 
 
 def neumann_series(kernel: GridFunction, forcing: GridFunction, coeff):
-    """Sum_n coeff^n kernel^{*n} * forcing, truncated as in _series; each
-    term is convolve_values(kernel, term) on the kernel's one spectrum.
+    """(xi, log of a bound on its wrap-around) for the trapezoid renewal
+    equation xi = forcing + coeff (kernel * xi), xi(0) = forcing(0): the
+    sum of its whole Neumann series, in one tilted transform.
 
-    Solves xi = coeff * kernel * xi + forcing; raises
-    NonConvergenceError only if a term overflows (see _series).
+    With a = coeff step kernel, a[0] halved, and
+    g = forcing - coeff step forcing[0] kernel / 2, the equation is
+    xi = g + a (*) xi on every node, (*) the discrete convolution, so xi
+    is the inverse transform of G / (1 - A), G and A the transforms of g
+    and a tilted by e^{-theta j}. theta is _SOLVE_TILT / n past theta_0,
+    the largest of the forcing's growth rate (its sup-norm's, from the
+    first half of the grid to the second), the kernel's (the root of
+    s(t) = sum_j |a_j| e^{-t j} = 1) and 0, so the tilted solution
+    decays. At any t with s(t) < 1 the tilted sup-norm contracts, so
+    |xi_j| <= B e^{t j} on every node, past the grid too (g and a zero
+    there), B = max_j |g_j| e^{-t j} / (1 - s(t)); t is theta_0, or
+    halfway to theta where the kernel sets theta_0 (s = 1 there). That
+    bound at the last node sets the length (_tilt) against
+    _SOLVE_RTOL max|g| / (1 + sum|a|), which is at most
+    _SOLVE_RTOL max|xi|. Raises NonConvergenceError when the data are
+    not finite, when |a[0]| >= 1, where no such t exists, or when the
+    solution passes _SOLVE_CAP or the double range.
     """
     if coeff < 0:
         raise ValueError("coeff must be nonnegative")
     if not kernel.same_grid(forcing):
         raise ValueError("grid mismatch in neumann_series")
-    apply = _trapezoid_convolver(kernel.values, kernel.step)
-    return _series(lambda term: coeff * apply(term), forcing)
+    f, n = forcing.values, len(forcing.values)
+    a = coeff * kernel.step * kernel.values
+    a[0] *= 0.5
+    g = f - 0.5 * coeff * kernel.step * f[0] * kernel.values
+    g_max, abs_a = float(np.max(np.abs(g))), np.abs(a)
+    if not g_max:
+        return forcing.with_values(np.zeros(n)), -math.inf
+    if abs_a[0] >= 1.0:
+        raise NonConvergenceError("the kernel's trapezoid weight at 0 is %g, not below 1"
+                                  % abs_a[0])
+    j = np.arange(n)
+
+    def contraction(t):
+        # (e^{-t j}, s(t)), summed pairwise: a BLAS dot's order, and so
+        # its last bits, follow the thread count
+        tilt_t = np.exp(-t * j)
+        return tilt_t, float(np.sum(abs_a * tilt_t))
+
+    half = max(n // 2, 1)
+    lo, hi = np.max(np.abs(g[:half])), np.max(np.abs(g[half:]), initial=0.0)
+    theta0 = max(math.log(hi / lo) / half if lo and hi else 0.0, 0.0)
+    tilt_b, s = contraction(theta0)
+    if not math.isfinite(g_max + s):
+        raise NonConvergenceError("renewal kernel or forcing is not finite")
+    theta_b = theta0
+    if s >= 1.0:
+        # Newton on the convex, decreasing log s, from the left of its root
+        while True:
+            move = math.log(s) * s / float(np.sum(j * abs_a * tilt_b))
+            theta0 += move
+            tilt_b, s = contraction(theta0)
+            if move < 1e-3 / n:
+                break
+        theta_b = theta0 + 0.5 * _SOLVE_TILT / n
+        tilt_b, s = contraction(theta_b)
+    theta = theta0 + _SOLVE_TILT / n
+    log_peak = math.log(float(np.max(np.abs(g) * tilt_b)) / (1.0 - s)) + theta_b * (n - 1)
+    log_tol = math.log(_SOLVE_RTOL * g_max / (1.0 + float(np.sum(abs_a))))
+    tilt, m, log_alias = _tilt(n, theta, theta - theta_b, log_peak, log_tol)
+    spec = sp_fft.rfft(a * tilt, m)
+    np.subtract(1.0, spec, out=spec)
+    xi = sp_fft.rfft(g * tilt, m)
+    xi /= spec
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = sp_fft.irfft(xi, m, overwrite_x=True)[:n] / tilt
+    xi[0] = f[0]
+    xi_max = float(np.max(np.abs(xi)))
+    if not xi_max <= _SOLVE_CAP:
+        raise NonConvergenceError("renewal solution passed %g" % _SOLVE_CAP, last_norm=xi_max)
+    return forcing.with_values(xi), log_alias
 
 
 def _roots(coeffs):
@@ -521,12 +592,14 @@ def solve_renewal(grid, kernel, forcing, coeff, mix=None):
 
     A kernel that is a mixture of exponentials, mix = (rates, weights),
     is solved exactly on exponential panels, one O(n) filter pass; any
-    other kernel by its Neumann series of FFT convolutions.
+    other kernel on trapezoid panels in one tilted transform
+    (neumann_series), whose wrap-around bound is dropped here: the
+    callers certify their solution by its equation residual.
     """
     forcing = grid.with_values(forcing)
     if mix is not None:
         return neumann_series_exp(*mix, forcing, coeff).values
-    return neumann_series(grid.with_values(kernel), forcing, coeff).values
+    return neumann_series(grid.with_values(kernel), forcing, coeff)[0].values
 
 
 def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFunction:

@@ -38,8 +38,8 @@ renewal form
 T_rho f = (mu/(rho+mu)) e^{-mu x} is one exponential, so on
 exponential panels the equation is a first-order recursion, solved
 exactly in O(n), and the claim convolutions f * xi are O(n) panel
-recursions too; a table's equation sums by its Neumann series of FFT
-convolutions. With sigma > 0 the solution family is
+recursions too; a table's equation is solved whole in one tilted
+transform (gridmath.neumann_series). With sigma > 0 the solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
@@ -63,11 +63,14 @@ renewal solvers in gridmath.
 
 A mixture-of-exponentials kernel is solved exactly
 (gridmath.neumann_series_exp, one filter pass); every other kernel
-by its Neumann series. By the Lundberg equation the kernel's L1 mass
+on trapezoid panels in one transform tilted past the solution's growth
+(gridmath.neumann_series), which sums the whole Neumann series of
+the discrete equation. By the Lundberg equation the kernel's L1 mass
 is 1 - kill/(c rho) at sigma = 0 and
 1 - 2 kill/(rho (sigma^2 rho + 2c)) at sigma > 0, kill = q + lam(1-r)
-> 0, so it is below 1 for every valid model and the series
-contracts.
+> 0, so it is below 1 for every valid model and the equation
+contracts: the solution grows only as fast as its forcing, like
+e^{rho x}.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit

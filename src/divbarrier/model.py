@@ -21,7 +21,8 @@ conv_power, both classes offer the same seven members:
   sampled on [0, x] at that step;
 - density_slope(xs, step): f' on a uniform grid;
 - shift_sum(ys, weights): a reader x -> sum_j weights_j f(x + y_j)
-  for x >= 0, built once so that each later read costs one pass.
+  for x >= 0 and nonnegative weights, built once so that each later
+  read costs one pass.
 
 Code outside this module reads the `kind` attribute (and mu) where
 exponential claims allow a closed-form algorithm: the per-deficit
@@ -45,7 +46,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gridmath import (GridFunction, _trapezoid_convolver, convolve_exp, convolve_values,
-                       dickson_at, trapezoid)
+                       dickson_at, fft_convolve, trapezoid)
 from .lundberg import lundberg_root
 
 
@@ -255,9 +256,9 @@ class TabulatedClaims:
         t = np.where(whole, 0.0, u - k)
         kern = (np.bincount(k, weights * (1.0 - t), minlength=n + 1)[:n]
                 + np.bincount(k + 1, weights * t, minlength=n + 1)[:n])
-        table = np.zeros(n)
-        for j in np.nonzero(kern)[0]:
-            table[:n - j] += kern[j] * self.grid.values[j:]
+        # table[i] = sum_j kern[j] f[i + j], one FFT correlation; the
+        # weights are nonnegative, so its rounding below 0 is clipped
+        table = np.maximum(fft_convolve(kern[::-1], self.grid.values)[n - 1:2 * n - 1], 0.0)
         return lambda x: np.interp(x, self.grid.x, table, right=0.0)
 
     def key(self):

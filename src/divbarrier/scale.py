@@ -48,7 +48,10 @@ it is taken, so no factor over- or underflows on its own.
 For a claim table (TableRatio) both pieces live on the table's own
 lattice z_j = j step. At sigma > 0 W is the d = 0 solution of the exit equation,
 xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
-of renewal(), which h_d_sigma_pos solves too. The density p of X_d is
+of renewal(), which h_d_sigma_pos solves too, its T_rho f carrying the
+table's Lundberg residual at rho (_scale_w). Every W is one tilted
+transform (gridmath.neumann_series), whose wrap-around bound joins
+tail_bound. The density p of X_d is
 the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
 f^{k*}, k <= K (K from _claim_cutoff), summed as one polynomial in one
 tilted transform (gridmath.power_sum), each smoothed by the
@@ -89,7 +92,7 @@ import numpy as np
 from scipy.special import erfcx, i1e, ndtr
 
 from .gridmath import (GridFunction, _adaptive_simpson, convolve_exp, fft_convolve,
-                       power_sum, solve_renewal)
+                       neumann_series, power_sum)
 
 # relative stop of the moments' quadrature
 _MOMENT_RTOL = 1e-13
@@ -214,28 +217,42 @@ def renewal(model, xs, trf, step):
 
 
 def _scale_w(model, n, step):
-    """W on the lattice step * (0, ..., n): at sigma > 0 xi(0) = 0 and
-    xi'(0) = 1; at sigma = 0 xi / c for the renewal solution
-    xi = e^{rho x} + (lam r / c) (T_rho f + (delta / (lam r)) e^{rho x}) * xi,
-    so W(0+) = 1/c.
+    """(W on the lattice step * (0, ..., n), the log of a bound on its
+    solve's wrap-around): at sigma > 0 the renewal() solution with
+    xi(0) = 0 and xi'(0) = 1, at sigma = 0 xi / c for the renewal
+    solution xi = e^{rho x} + (lam r / c) T * xi, so W(0+) = 1/c.
 
     model.rho is the root for the table's trapezoid Laplace transform,
-    while T_rho f is exact for its linear reading. The e^{rho x} kernel
-    term, delta = lam + q - c rho - lam r (T_rho f)(0) being that
-    reading's Lundberg residual at rho, makes xi the linear reading's
-    own c W; without it W grows at rate rho instead, 3.0e-6 below the
-    Exp(1) root on the 1e-2 Exp(1) table, and Phi_d(0.5) at d = 2 sits
-    1.3e-6 from the Exp(1) route instead of 4.9e-10."""
+    while T_rho f is exact for its linear reading, so both take the
+    kernel T = T_rho f + (delta / (lam r)) e^{rho x}, delta =
+    lam + q - c rho - sigma^2 rho^2 / 2 - lam r (T_rho f)(0) being that
+    reading's Lundberg residual at rho. W's transform is a multiple of
+    1 / Psi(s), Psi(s) = sigma^2 s^2 / 2 + c s - lam - q + lam r f^(s),
+    and since f^(s) - f^(rho) = -(s - rho) T_rho f^(s),
+    Psi(s) = (s - rho)(sigma^2 (s + rho) / 2 + c - lam r T^(s)): the
+    residual -delta is -(s - rho) delta / (s - rho), and
+    delta / (s - rho) is the transform of delta e^{rho x}. Renewal
+    equations built on T, as for an exact root, then give the linear
+    reading's own W (c W at sigma = 0). Without the term W grows at rate
+    rho instead, 3.0e-6 below the Exp(1) root on the 1e-2 Exp(1) table:
+    at d = 2 Phi_d(0.5) sits 1.3e-6 from the Exp(1) route instead of
+    4.9e-10 at sigma = 0, and Phi_d(2) 3.9e-6 instead of 2.5e-7 at
+    sigma = 0.5."""
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
-    trf = model.claims.tail_transform(model.rho, xs)
+    lr, rho = model.lam * model.r, model.rho
+    erx = np.exp(rho * xs)
+    trf = model.claims.tail_transform(rho, xs)
+    delta = (model.lam + model.q - model.c * rho - 0.5 * (model.sigma * rho) ** 2
+             - lr * trf[0])
+    trf = trf + delta / lr * erx
     if model.sigma == 0.0:
-        lr = model.lam * model.r
-        delta = model.lam + model.q - model.c * model.rho - lr * trf[0]
-        erx = np.exp(model.rho * xs)
-        return solve_renewal(grid, trf + delta / lr * erx, erx, lr / model.c) / model.c
-    _, gam, _, _, zb, kern, mix = renewal(model, xs, trf, step)
-    return solve_renewal(grid, kern, zb, gam, mix)
+        xi, log_alias = neumann_series(grid.with_values(trf), grid.with_values(erx),
+                                       lr / model.c)
+        return xi.values / model.c, log_alias - math.log(model.c)
+    _, gam, _, _, zb, kern, _ = renewal(model, xs, trf, step)
+    xi, log_alias = neumann_series(grid.with_values(kern), grid.with_values(zb), gam)
+    return xi.values, log_alias
 
 
 class TableRatio:
@@ -255,7 +272,12 @@ class TableRatio:
     is at most c d max f. The K powers are summed in one tilted transform
     (gridmath.power_sum), whose wrap-around moves the density by at most
     its reported aliasing bound; over max f e^{-lam r d}, in the same
-    scale, that is at most K_TAIL_TOL and is added to tail_bound.
+    scale, that is at most K_TAIL_TOL and is added to tail_bound. W's
+    solve (gridmath.neumann_series) moves W by at most its own
+    wrap-around bound at every node, so Lambda(-y) and Lambda(0) by at
+    most that times step sum |z p| (a deficit only shrinks the mass of
+    z p above 0), and Phi_d by at most twice that over Lambda(0), which
+    is added too.
     """
 
     def __init__(self, model, d):
@@ -267,7 +289,8 @@ class TableRatio:
         self._model, self._step, self._sd, self._shift = model, step, sd, model.c * d
         # X_d <= c d + 12 sd, so Phi_d needs W and p on n + 1 nodes
         self._n = n = int(math.ceil((model.c * d + _SD_REACH * sd) / step))
-        self._w = w = _scale_w(model, n, step)
+        w, log_w = _scale_w(model, n, step)
+        self._w = w
         z = step * np.arange(n + 1)
         wz = w * z
         if sd:
@@ -300,6 +323,8 @@ class TableRatio:
             self._dens = np.append(dens, 0.0)
             self._zp, self._jump = self._drift_law(0.0)
             self._at_zero = step * float(w @ self._zp)
+        self.tail_bound += (2.0 * math.exp(log_w) * step * float(np.sum(np.abs(self._zp)))
+                            / self._at_zero)
 
     def _gauss(self, e):
         """The N(c d - e, sigma^2 d) density and its derivative on the lattice."""
@@ -375,7 +400,7 @@ class TableRatio:
         top = int(math.ceil(a / step)) + 2
         # Lambda on [0, a] reads W up to a + c d + 12 sd: grow it once
         if len(self._w) < n + top + 1:
-            self._w = _scale_w(self._model, n + top, step)
+            self._w = _scale_w(self._model, n + top, step)[0]
         # Lambda(k step) at k = -1, ..., top
         lam = self._lambda(self._zp, self._w[:n + top + 1])[n - 1:n + top + 1]
 

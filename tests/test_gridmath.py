@@ -15,6 +15,7 @@ step-squared allowance.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from divbarrier.gridmath import (
     power_sum,
     trapezoid,
     volterra_march,
-    _SERIES_TOL,
     _recurrence,
 )
 
@@ -339,7 +339,7 @@ class TestSecondKindSolvers:
         self.forcing = self.kernel.with_values(np.ones(self.kernel.n + 1))
 
     def test_neumann_matches_closed_form(self):
-        xi = neumann_series(self.kernel, self.forcing, RENEWAL_G)
+        xi, _ = neumann_series(self.kernel, self.forcing, RENEWAL_G)
         assert np.max(np.abs(xi.values - renewal_closed(xi.x))) < 2e-6
 
     def test_exponential_kernel_variant(self):
@@ -353,13 +353,13 @@ class TestSecondKindSolvers:
         np.testing.assert_allclose(xi1.values, xi2.values, atol=1e-12)
 
     def test_march_agrees_with_series(self):
-        a = neumann_series(self.kernel, self.forcing, RENEWAL_G)
+        a, _ = neumann_series(self.kernel, self.forcing, RENEWAL_G)
         b = volterra_march(self.kernel, self.forcing, RENEWAL_G)
         assert np.max(np.abs(a.values - b.values)) < 1e-8
-        # the kernel's mass 1.6 on [0, 8] is above 1, yet its terms fall
-        # factorially there, so the series also covers the march's own
-        # non-contracting case (xi grows to about 320)
-        a = neumann_series(self.kernel, self.forcing, 1.6)
+        # the kernel's mass 1.6 on [0, 8] is above 1, so the tilt rides
+        # on the kernel's growth root: the solve also covers the march's
+        # own non-contracting case (xi grows to about 320)
+        a, _ = neumann_series(self.kernel, self.forcing, 1.6)
         b = volterra_march(self.kernel, self.forcing, 1.6)
         assert np.max(np.abs(a.values - b.values) / b.values) < 1e-10
 
@@ -428,24 +428,61 @@ class TestSecondKindSolvers:
 
     @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
     def test_series_is_the_per_term_convolution_loop(self, coeff):
-        # the kernel's spectrum is taken once for all terms; the terms
-        # are still convolve_values's, bit for bit
+        # the same discrete equation summed term by term, each term
+        # convolve_values's, until one falls below 1e-12; the tilted
+        # solve's untilting scales its rounding by up to e^6 (measured
+        # 5.6e-14 and 2.5e-14 of max |xi| apart)
         term = self.forcing.values.copy()
         acc = term.copy()
         while True:
             term = coeff * convolve_values(self.kernel.values, term, self.step)
             acc += term
-            if np.max(np.abs(term)) < _SERIES_TOL:
+            if np.max(np.abs(term)) < 1e-12:
                 break
-        got = neumann_series(self.kernel, self.forcing, coeff).values
-        np.testing.assert_array_equal(got, acc)
+        got = neumann_series(self.kernel, self.forcing, coeff)[0].values
+        assert got[0] == acc[0]
+        assert np.max(np.abs(got - acc)) < 1e-13 * np.max(np.abs(acc))
+
+    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
+    def test_wrap_around_stays_within_its_bound(self, monkeypatch, coeff):
+        # the solve with its length cut to next_fast_len(n): what the
+        # shorter transform wraps back must stay within the bound it
+        # reports, and that bound must not be vacuous
+        full, log_full = neumann_series(self.kernel, self.forcing, coeff)
+        tilt = gridmath._tilt
+        monkeypatch.setattr(gridmath, "_tilt",
+                            lambda n, theta, decay, log_peak, log_tol:
+                            tilt(n, theta, decay, log_peak, log_peak - decay * n))
+        short, log_short = neumann_series(self.kernel, self.forcing, coeff)
+        wrap = np.max(np.abs(short.values - full.values))
+        assert math.exp(log_full) < 1e-14 * np.max(np.abs(full.values))
+        assert 1e-6 * math.exp(log_short) < wrap <= math.exp(log_short)
+
+    @pytest.mark.parametrize("coeff", [RENEWAL_G, 1.6])
+    def test_solve_is_two_rfft_and_one_irfft(self, monkeypatch, coeff):
+        # the whole series in one transform of the kernel and one of the
+        # forcing, whatever the coefficient: no term loop
+        calls, real = [], gridmath.sp_fft
+
+        def counted(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return getattr(real, name)(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(gridmath, "sp_fft", SimpleNamespace(
+            next_fast_len=real.next_fast_len, rfft=counted("rfft"), irfft=counted("irfft")))
+        neumann_series(self.kernel, self.forcing, coeff)
+        assert sorted(calls) == ["irfft", "rfft", "rfft"]
 
     def test_series_divergence_raises(self):
         flat = GridFunction(0.0, 50.0, 0.1, np.ones(501))
         with pytest.raises(NonConvergenceError) as info:
             neumann_series(flat, flat, 10.0)
-        assert info.value.terms is not None
         assert info.value.last_norm is not None
+        broken = flat.with_values(np.where(flat.x > 20.0, np.nan, 1.0))
+        with pytest.raises(NonConvergenceError):
+            neumann_series(flat, broken, 0.5)
 
     def test_grid_mismatch(self):
         other = grid_of(np.exp, 8.0, 2e-3)

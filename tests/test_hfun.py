@@ -228,15 +228,17 @@ class TestForcingNodeTable:
 
 def _one_percent_loaded(dist):
     # 1% safety loading, q = 1e-4, r = 1: the renewal kernel's mass
-    # 1 - kill/(c rho) is 0.989, and at a = 150 the series needs 240 terms
+    # 1 - kill/(c rho) is 0.989: at a = 150 its Neumann series, summed
+    # term by term, would take 240 terms
     return db.validate(db.ModelParams(10.0, 10.1, 0.0, 1e-4, 1.0, 0.0), dist)
 
 
 class TestRenewalRoute:
     """At sigma = 0 the kernel T_rho f of Exp(mu) claims is one
-    exponential, summed with exponential panels; a table keeps the FFT
-    Neumann series. Either series runs to tolerance, however many terms
-    that takes, and nothing marches."""
+    exponential, solved on exponential panels; a table's is solved in
+    one tilted FFT (neumann_series). Either solve is exact for its
+    discrete equation, however slowly the equation contracts, and
+    nothing marches."""
 
     NAMES = ("neumann_series", "neumann_series_exp", "convolve_values",
              "volterra_march")

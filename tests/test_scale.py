@@ -14,7 +14,9 @@ For a claim table scale_ratio gives a TableRatio, built from W (the
 exit equation's d = 0 solution on the table's lattice) and the law of
 X_d there; it is checked against the same oracle on an Exp(1) table.
 At sigma = 0 a table takes the same TableRatio; tests/test_firstpassage.py
-checks it against the Exp(1) route. A table's Poisson-weighted claim
+checks it against the Exp(1) route. W carries the table's Lundberg
+residual at rho, so at sigma > 0 too Phi_d sits at the lattice's own
+distance from the Exp(1) route. A table's Poisson-weighted claim
 powers, summed in one tilted transform (gridmath.power_sum), are checked
 against the per-power loop of cached convolutions they replace.
 """
@@ -124,9 +126,9 @@ def test_table_matches_the_oracle(tab_dist, d):
 def test_table_w_is_the_scale_function(tab_dist):
     # W is the exit equation's d = 0 solution (xi(0) = 0, xi'(0) = 1) on
     # the table's lattice, by the kernel and forcing h_d_sigma_pos
-    # solves; against the oracle's W on [0, 2], measured 8.3e-7 off
+    # solves; against the oracle's W on [0, 2], measured 8.5e-7 off
     m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.0), tab_dist)
-    w = scale._scale_w(m, 2000, 1e-3)
+    w, _ = scale._scale_w(m, 2000, 1e-3)
     t, wts = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, 0.5, 1.0)
     want = scale_oracle.scale_w(t, wts, 1e-3 * np.arange(2001))
     assert w[0] == 0.0
@@ -137,6 +139,21 @@ def test_table_w_is_the_scale_function(tab_dist):
 def _table(mu, step):
     # one table per (mu, step), so its cached powers serve every d
     return db.tabulated_exponential(mu, step=step)
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3])
+def test_table_w_grows_at_the_linear_readings_rate(step):
+    # model.rho is the root for the table's trapezoid Laplace transform,
+    # T_rho f exact for its linear reading; W's kernel carries that
+    # reading's Lundberg residual. Without it Phi_d was 1.43e-6 / 2.56e-6
+    # / 3.89e-6 from the Exp(1) route on the 1e-2 table, growing with y;
+    # with it both tables sit at the lattice's own 1.2e-7 / 2.3e-7 /
+    # 2.5e-7
+    ys = np.array([0.5, 1.0, 2.0])
+    params = db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 2.0)
+    table = db.validate(params, _table(1.0, step))
+    want = scale.phi(db.validate(params, db.ExponentialClaims(1.0)), 2.0, ys)[0]
+    assert np.max(np.abs(scale.phi(table, 2.0, ys)[0] - want)) < 3e-7
 
 
 @pytest.mark.parametrize("mu,step", [(1.0, 1e-3), (1.15, 1e-3), (1.0, 1e-2), (1.15, 1e-2)])
