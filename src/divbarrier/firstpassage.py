@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import scale
-from .gridmath import _adaptive_simpson
+from .gridmath import adaptive_cc
 
 
 class AtomNotDensity(ValueError):
@@ -131,7 +131,7 @@ def _phi_sigma0_exp(model, d, y):
         extra = -mu * zs - (lam + q) * ts
         return (y / ts) * scale._bessel_series_scaled(r * lam * mu * ts, zs, extra)
 
-    integral, err = _adaptive_simpson(fun, t0, d, tol=1e-12)
+    integral, err = adaptive_cc(fun, t0, d, tol=1e-12)
     return atom + float(integral), err
 
 

@@ -256,15 +256,15 @@ PINS = {
         "'barrier optimality guaranteed (monotone density slope)'",
     ],
     'at-exp-s0-d2-a0': [
-        '0x0.0p+0', 'True', 'bd78349d2691fbb4', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', 'faac13f63a47b8cb', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
         '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
         'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
         'None', 'None', '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '6eb827d1b5d9d4fc',
-        '6eb827d1b5d9d4fc', 'bf46f06bb3d853de', '0x1.da9018ee90664p-1',
+        '0x1.3333333333333p-2', 'False', '70f7716cfc7c5929',
+        '70f7716cfc7c5929', '521035e213311e58', '0x1.da9018ee8f21bp-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.5118800000000p-30', '0x1.4f8b588e368f1p-17',
@@ -295,7 +295,7 @@ PINS = {
         '0x1.89e3aaa597e43p-1', 'False', 'True', '3918ac83a649bfa2',
     ],
     'barrier-s0-d2': [
-        '0x0.0p+0', 'True', 'True', '99f38ff1544f1a66',
+        '0x0.0p+0', 'True', 'True', '5038d9de62822855',
     ],
     'barrier-s0.5-d0': [
         "'equation residual 9.518e-03 exceeds 1e-04 at step 0.001 (slope at 0 imposed 1.000000, checked against 1.000000)'",
@@ -305,10 +305,10 @@ PINS = {
         '0x1.928325d57f933p-1', 'False', 'True', '98158801b58f1fe6',
     ],
     'barrier-s0.5-d1': [
-        '0x0.0p+0', 'True', 'True', '612fc2d0174a9748',
+        '0x0.0p+0', 'True', 'True', '3c8ca671f588816f',
     ],
     'cli-h-s0.5-d1': [
-        '2786a1326f69f352',
+        'f59bd9b8d3a0f309',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -327,12 +327,12 @@ PINS = {
         '0x1.27d6468000000p-24', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
-        '09e3001b0251a0f2', '04c8df87bd79d448', 'a473c0bf51fd0c0c',
+        '09e3001b0251a0f2', '079d93db8d545569', '88969868fa2b604b',
         '0x1.480a0a0b7aabep-16', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
-        'f8eba6714b74874d', '35c52071ba0eecca', 'ab418879dd0753fa',
-        '0x1.0001e4c000000p-22', '0x1.f53d341b24dbep-3',
+        '4b904b7e6e0f866d', 'd463ea3f70d3858c', 'd4cf99c16ee74537',
+        '0x1.0001e51000000p-22', '0x1.f53d341b24dbep-3',
     ],
     'h-exp-s0.5-dinf': [
         '292359a714cbbe84', 'ef0bdbac77f09624', '28d716202c6ba728',
@@ -367,14 +367,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f5919p-1', '0',
-        '0x1.450c444444444p-42', '0x1.c195353dc1e2cp-1', '0',
-        '0x1.7d7dddddddddep-42', '347c2d00740c9354',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f4eeep-1', '0',
+        '0x1.39c937445f990p-52', '0x1.c195353dc1242p-1', '0',
+        '0x1.dad59b8ae2151p-52', '63e1f49cd1912c70',
     ],
     'phi-exp-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb60aed1p-1', '0',
-        '0x1.d41799999999ap-41', '0x1.c4fb96fe20e0bp-1', '0',
-        '0x1.347dddddddddep-44', '5f6ac6b52db31352',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb609190p-1', '0',
+        '0x1.448dfc7915f44p-52', '0x1.c4fb96fe20ba6p-1', '0',
+        '0x1.ee113b1632cfdp-52', 'c8e586e50ab13375',
     ],
     'phi-exp-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c2524bcp-1', '0',
@@ -389,14 +389,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0.5-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3da74123dp-1', '0',
-        '0x1.08cd1f4b02feep-42', '0x1.c1bc16055904bp-1', '0',
-        '0x1.08cd1f4b02feep-42', 'aa26bb5843020e7a',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9eb3da741232p-1', '0',
+        '0x1.ad994348798f2p-43', '0x1.c1bc160559049p-1', '0',
+        '0x1.cb7fdd3f8100ap-47', 'a8241a865927f0ee',
     ],
     'phi-exp-s0.5-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e6135p-1', '0',
-        '0x1.0f46f9bea0998p-45', '0x1.c52784d1d1a2ep-1', '0',
-        '0x1.0f46f9bea0998p-45', 'cb4e23ddceaed895',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e616ap-1', '0',
+        '0x1.e75dc4941dcf1p-43', '0x1.c52784d1d1a56p-1', '0',
+        '0x1.0000866bfb377p-46', '24f7b26b0a4ebc7f',
     ],
     'phi-exp-s0.5-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd607dbf872fp-1', '0',
@@ -446,18 +446,18 @@ PINS = {
         '658af42fefa1e7c9', '17f0981727438f29', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
-        '0e3945534a623320', '0x1.04a6b8bfe74d2p+2', '3c65c57e7d92d1b5',
+        'b39bc065d3db4484', '0x1.04a6b8bfe69aep+2', '3c65c57e7d92d1b5',
         '1d8121e3d8ecbde6', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        'b4980717bb96c972', '0x1.04db53ca4c999p+2', '3c65c57e7d92d1b5',
-        '7c1606d3c2015191', 'True', '0x0.0p+0',
+        '94077e0fc1cc6d87', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',
+        '95b1e4a5aedcfe3e', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
         '32b848bd3a9d3d0f',
     ],
     'w-exp-s0.5-d1': [
-        'f68f6c8832891840',
+        '1f406f66f6585c70',
     ],
     'w-tab-s0-d2': [
         '3f7eeb483079284f',

@@ -8,6 +8,7 @@ Closed forms used as oracles here:
   int_0^x e^{-bu} (x - u) du = x/b - (1 - e^{-bx}) / b^2
   T_s(mu e^{-mu .})(x) = mu/(s + mu) e^{-mu x}
   xi = 1 + g int_0^x e^{-(x-y)} xi(y) dy  has  xi = 2 - e^{-x/2} at g = 1/2
+  int_lo^hi e^{-3x} sin(5x) dx = [-e^{-3x} (3 sin 5x + 5 cos 5x) / 34]_lo^hi
 
 The exponential-panel rules are exact on piecewise-linear inputs, so
 those checks run at machine tolerance; plain trapezoid routes get a
@@ -24,6 +25,7 @@ from divbarrier import ExponentialClaims, gridmath
 from divbarrier.gridmath import (
     GridFunction,
     NonConvergenceError,
+    adaptive_cc,
     convolve,
     convolve_exp,
     convolve_values,
@@ -163,6 +165,79 @@ class TestPowerSum:
             assert np.max(np.abs(got - want)) < 1e-13
             assert log_alias <= log_tol
         assert power_sum(f, step, [0.3], log_tol)[1] == -math.inf
+
+
+def _damped_sine_integral(lo, hi):
+    def anti(x):
+        return -math.exp(-3.0 * x) * (3.0 * math.sin(5.0 * x) + 5.0 * math.cos(5.0 * x)) / 34.0
+    return anti(hi) - anti(lo)
+
+
+class TestClenshawCurtis:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 63, 64, 128, 256])
+    def test_weights_match_the_direct_cosine_sum(self, n):
+        # w_k = (c_k / n) (1 - sum_{j <= n/2} b_j cos(2 j k pi / n) / (4 j^2 - 1)),
+        # c_k and b_j halved at the ends; the FFT weights measured within
+        # 3.5e-17 for n >= 8
+        k = np.arange(n + 1)
+        want = np.ones(n + 1)
+        for j in range(1, n // 2 + 1):
+            b = 1.0 if 2 * j == n else 2.0
+            want -= b / (4.0 * j * j - 1.0) * np.cos(2.0 * j * k * math.pi / n)
+        want *= np.where((k == 0) | (k == n), 1.0, 2.0) / n
+        got = gridmath._cc_weights(n)
+        assert np.max(np.abs(got - want)) < 2.5e-16
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_weights_integrate_polynomials_up_to_degree_n(self, n):
+        x, w = np.cos(np.arange(n + 1) * math.pi / n), gridmath._cc_weights(n)
+        for k in range(n + 1):
+            want = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert abs(float(np.sum(w * x ** k)) - want) < 1e-15, k
+
+    def test_each_node_evaluated_once(self):
+        # a doubling keeps the nodes it has and evaluates only the new odd
+        # nodes, so the points evaluated are exactly the final CC nodes;
+        # from 9 nodes it doubles three times
+        seen = []
+
+        def fun(xs):
+            seen.append(np.array(xs))
+            return np.exp(-3.0 * xs) * np.sin(5.0 * xs)
+
+        lo, hi = 0.2, 2.7
+        val, err = adaptive_cc(fun, lo, hi, tol=1e-12, n0=8)
+        pts = np.sort(np.concatenate(seen))
+        n = len(pts) - 1
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.sin(
+            np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+        assert len(seen) > 2
+        assert pts.tobytes() == np.sort(nodes).tobytes()
+        assert err < 1e-12
+        assert val == pytest.approx(_damped_sine_integral(lo, hi), abs=1e-12)
+
+    @pytest.mark.parametrize("tol,relative", [(1e-8, False), (1e-12, False),
+                                              (1e-13, True)])
+    def test_bound_is_positive_and_covers_the_error(self, tol, relative):
+        # a polynomial the rule integrates exactly (S_2n = S_n but for
+        # rounding), an analytic pair and a Runge function, against
+        # closed forms; the bound floors at the rounding of the sum
+        cases = [(lambda x: x * x, 0.0, 3.0, 9.0),
+                 (lambda x: np.exp(-3.0 * x) * np.sin(5.0 * x), 0.2, 2.7,
+                  _damped_sine_integral(0.2, 2.7)),
+                 (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 0.4 * math.atan(5.0))]
+        for fun, lo, hi, want in cases:
+            val, err = adaptive_cc(fun, lo, hi, tol, relative=relative)
+            assert 0.0 < err < (tol * abs(val) if relative else tol)
+            assert abs(val - want) <= err
+
+    def test_vector_integrand_and_empty_range(self):
+        val, err = adaptive_cc(lambda x: np.stack([np.exp(x), np.cos(x)], axis=-1),
+                               0.0, 1.0, 1e-13, relative=True)
+        np.testing.assert_allclose(val, [math.e - 1.0, math.sin(1.0)], rtol=0, atol=1e-15)
+        assert 0.0 < err < 1e-13 * (math.e - 1.0)
+        assert adaptive_cc(np.exp, 1.0, 1.0, 1e-12) == (0.0, 0.0)
 
 
 class TestExponentialPanels:

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import scale
+from divbarrier import gridmath, scale
 from divbarrier.firstpassage import upcross_table
 from divbarrier.gridmath import power_sum
 
@@ -52,6 +52,29 @@ def test_matches_the_oracle(d):
     xs = np.linspace(0.0, 1.5, 31)
     want = scale_oracle.scale_w(t, wts, xs) / scale_oracle.scale_w(t, wts, 1.5)
     assert np.max(np.abs(route.ratio(xs, 1.5) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("d,most", [(0.05, 257), (1.0, 257), (2.0, 257), (1000.0, 2049)])
+def test_moments_take_a_few_hundred_nodes(monkeypatch, d, most):
+    # the moments' integrand is analytic in the claim total, so
+    # Clenshaw-Curtis meets the 1e-13 relative stop at 129-257 nodes,
+    # where composite Simpson took 4,097-8,193 (2,049 at d = 1000,
+    # against Simpson's 1,025); slope and u(d) against the oracle's
+    # fixed Simpson grid, at the grid step that resolves S_d at d = 0.05
+    nodes = []
+
+    def counted(fun, *args, **kwargs):
+        return gridmath.adaptive_cc(lambda s: nodes.append(len(s)) or fun(s), *args, **kwargs)
+
+    monkeypatch.setattr(scale, "adaptive_cc", counted)
+    route = scale.scale_ratio(make_model(d, sigma=0.5))
+    assert 0 < sum(nodes) <= most
+    if d < 1000.0:
+        t, wts = _oracle(d)
+        lam_0, lam_1 = (float(scale_oracle.scale_w(t, wts, 0.0, k)) for k in (0, 1))
+        assert abs(route.slope - lam_1 / lam_0) < 1e-12
+        u = scale_oracle.recovery_weight(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d, s_step=2.5e-4)
+        assert abs(route.u - u) < 1e-12
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0, 50.0])
