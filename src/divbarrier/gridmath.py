@@ -597,8 +597,6 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
     for j in range(len(e)):
         poly = poly + cw[j] * np.convolve([-A[j], (A[j] + B[j]) / step],
                                           np.poly(np.delete(e, j)))
-    # one exponential row per rate, not an m x n exponential and a BLAS
-    # product
     ramp = np.arange(len(f))
     with np.errstate(under="ignore"):
         start = sum(w * np.exp(-b * step * ramp) for b, w in zip(rates, cw * A))

@@ -36,6 +36,9 @@ def test_claim_rule_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     # eight wins in ten are too few
     eight = [p + 5.0 for p in parent[:8]] + [p - 1.0 for p in parent[8:]]
     assert not tool.claim_met(tool.summarize(parent, eight, "higher"))
+    # three pairs are too few, however far apart
+    assert not tool.claim_met(tool.summarize(parent[:3], [p + 5.0 for p in parent[:3]],
+                                             "higher"))
     # lower is better: the same runs swapped win
     assert tool.claim_met(tool.summarize([p + 5.0 for p in parent], parent, "lower"))
     assert not tool.claim_met(tool.summarize(parent, [p + 5.0 for p in parent], "lower"))

@@ -15,7 +15,6 @@ sharp oracle below.
 import functools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -104,6 +103,8 @@ class TestFiniteClock:
         # e^{-mu z - (lam + q) t} dt, t0 = y/c, a = r lam mu t, z = c t - y,
         # by mpmath's tanh-sinh quadrature at 30 digits; measured 3.4e-17
         # and 8.8e-17 off (8.3e-13 and 6.8e-14 by composite Simpson)
+        import mpmath
+
         got = upcross_transform(m_d2, y, 2.0)
         with mpmath.workdps(30):
             y, t0, kill = mpmath.mpf(y), mpmath.mpf(y) / 15, mpmath.mpf("10.1")

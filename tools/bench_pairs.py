@@ -2,7 +2,7 @@
 write BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --pr N --parent REV --title TEXT \\
-        --pairs diffusion=10 --pairs flat=3 [--seed0 S] [--seconds 20] \\
+        --pairs diffusion=10 --pairs flat=3 [--seed0 S] \\
         [--claim WORKLOAD:METRIC] [--trace-seed S] [--note TEXT ...] [--out FILE]
 
 Exports REV with `git archive` (local git only) into a temporary
@@ -12,21 +12,22 @@ WORKLOAD=N it runs N pairs, one per seed S = seed0, seed0 + 1, ...:
 
     cd <tree> && python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each tree, the parent first when S is even and the change first
-when S is odd, one run at a time. Each workload's pairs take the next
-seeds after the last workload's. For every end-to-end metric that
-BENCHMARK.json lists it records both sides' runs, medians and
-interquartile ranges (numpy's linear percentiles), the change's wins (a
-run better than the same pair's parent run; ties count for neither),
-the gap between the medians against the width of the parent's IQR, and
-the relative change of the median; and per pair the failed and
-attempted op counts, the round-0 fingerprints and the op and round
-line. --claim names the metric a gain is claimed on; the claim is met
-when the change wins at least 9 in 10 pairs and the medians are apart,
-in the better direction, by more than the parent's IQR. --trace-seed
-runs the claimed workload once more per tree with --trace 1 and keeps
-the per-layer metrics. The file is rewritten after every pair, so an
-interrupted run keeps what it measured.
+with T the run_seconds of BENCHMARK.json, once in each tree, the parent
+first when S is even and the change first when S is odd, one run at a
+time. Each workload's pairs take the next seeds after the last
+workload's. For every end-to-end metric that BENCHMARK.json lists it
+records both sides' runs, medians and interquartile ranges (numpy's
+linear percentiles), the change's wins (a run better than the same
+pair's parent run; ties count for neither), the gap between the medians
+against the width of the parent's IQR, and the relative change of the
+median; and per pair the failed and attempted op counts, the round-0
+fingerprints and the op and round line. --claim names the metric a gain
+is claimed on; the claim is met when there are at least 10 pairs, the
+change wins at least 9 in 10 and the medians are apart, in the better
+direction, by more than the parent's IQR. --trace-seed runs the claimed
+workload once more per tree with --trace 1 and keeps the per-layer
+metrics. The file is rewritten after every pair, so an interrupted run
+keeps what it measured.
 """
 
 import argparse
@@ -105,12 +106,12 @@ def workload_entry(seeds, runs, metrics):
 
 
 def claim_met(entry):
-    """At least 9 wins in 10 pairs and the medians apart, in the better
-    direction, by more than the parent's IQR."""
+    """At least 10 pairs, at least 9 wins in 10 and the medians apart, in
+    the better direction, by more than the parent's IQR."""
     wins, pairs = map(int, entry["change_wins"].split("/"))
     sign = 1.0 if entry["better"] == "higher" else -1.0
     gap = sign * (entry["change"]["median"] - entry["parent"]["median"])
-    return wins >= 0.9 * pairs and gap > entry["parent_iqr_width"]
+    return pairs >= 10 and wins >= 0.9 * pairs and gap > entry["parent_iqr_width"]
 
 
 def _copy_change(dest):
@@ -129,7 +130,6 @@ def main(argv=None):
     ap.add_argument("--title", required=True)
     ap.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
     ap.add_argument("--seed0", type=int, default=601)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--note", action="append", default=[])
@@ -138,8 +138,8 @@ def main(argv=None):
     out_path = Path(args.out or ROOT / ("BENCH_%d.json" % args.pr))
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                             capture_output=True, text=True, check=True).stdout.strip()
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    seconds = "%g" % args.seconds
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = bench["end_to_end"], "%g" % bench["run_seconds"]
     doc = {
         "pr": args.pr, "title": args.title,
         "parent": {"commit": commit,
@@ -186,8 +186,8 @@ def main(argv=None):
             entry = doc["workloads"][claim_workload]["metrics"][claim_metric]
             doc["claim"] = {"workload": claim_workload, "metric": claim_metric,
                             "better": entry["better"], "met": claim_met(entry),
-                            "rule": "better in at least 9 of 10 pairs, medians apart by "
-                                    "more than the parent's IQR"}
+                            "rule": "at least 10 pairs, better in at least 9 of 10, "
+                                    "medians apart by more than the parent's IQR"}
         if args.claim and args.trace_seed is not None:
             doc["commands"]["trace"] = (
                 "cd <tree> && python3 perfbench/run.py --workload %s --seed %d --seconds %s "
