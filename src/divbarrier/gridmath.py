@@ -21,8 +21,6 @@ holds the one copy of each grid primitive the others use:
   term. With the rate negated, convolve_exp(-b, S) is the growing
   integral int_0^x e^{b(x-u)} S(u) du, and on reversed nodes it is
   dickson_at's backward tail;
-- simpson_weights, the only Simpson rule, for any node count, on a
-  fixed grid;
 - adaptive_cc, nested Clenshaw-Curtis quadrature of an analytic
   integrand (the scale-function moments, the sigma = 0 Bessel series),
   which doubles its nodes until a relative or absolute stop, with its
@@ -134,29 +132,6 @@ def fft_convolve(f, g):
     over the leading axes (which broadcast), by real FFTs at a fast
     length."""
     return _fft_convolver(f, g.shape[-1])(g)
-
-
-def simpson_weights(n, step):
-    """Composite Simpson weights for n uniformly spaced nodes.
-
-    When n is even the last interval gets a trapezoid patch, which keeps
-    the rule valid for any node count at step**4 accuracy elsewhere.
-    """
-    if n < 3:
-        w = np.full(n, step)
-        if n == 2:
-            w *= 0.5
-        return w
-    m = n if n % 2 == 1 else n - 1
-    w = np.zeros(n)
-    w[:m] = 1.0
-    w[1:m - 1:2] = 4.0
-    w[2:m - 1:2] = 2.0
-    w[:m] *= step / 3.0
-    if m < n:
-        w[m - 1] += 0.5 * step
-        w[m] += 0.5 * step
-    return w
 
 
 @lru_cache(maxsize=None)

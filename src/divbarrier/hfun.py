@@ -22,9 +22,9 @@ exponential claims at sigma > 0. At sigma > 0 that Lambda gives the
 continuation slope and the certificate for either claim law. For
 exponential claims w_d is the closed form u(d) f, with u(d) taken
 once: from expmodel at sigma = 0, and at sigma > 0 from that Lambda; no
-Phi grid is built. For a table it is a Simpson sum over the _PHI_STEP
-grid of Phi_d = Lambda(-y)/Lambda(0) off the entry's Lambda, built by
-the claim law's shift_sum (a node table read with one interpolation).
+Phi grid is built. For a table the entry's TableRatio integrates
+Phi_d = Lambda(-y)/Lambda(0) against the density on the table's own
+lattice, into a node table read with one interpolation (w_reader).
 The continuation below zero (_whole_line) reads Phi_d at its own
 deficits off the same Lambda for a table, and through upcross_table
 for exponential claims.
@@ -101,7 +101,6 @@ from .gridmath import (
     convolve_values,
     convolve_exp,
     derivative,
-    simpson_weights,
     solve_renewal,
 )
 from . import expmodel
@@ -112,9 +111,6 @@ _CACHE = {}
 
 # sup-norm equation residual above which a built exit function is refused
 _RESIDUAL_GATE = 1e-4
-
-# deficit step of the memoized Phi grid of a table
-_PHI_STEP = 2e-2
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,9 @@ def _phi_grid(model):
     ratio(xs, a) too; for Exp(mu) claims a ScaleRatio at sigma > 0, or
     None at sigma = 0. For Exp(mu) claims the reader is the closed form
     u(d) e^{-mu x}, u(d) from the ScaleRatio or, at sigma = 0, from
-    expmodel; for a table it is the shift_sum of Phi_d on the _PHI_STEP
-    deficit grid over the claims' reach.
+    expmodel; for a table it is the TableRatio's own, on the table's
+    lattice (w_reader).
     """
-    # the step is fixed and the grid end is the claims' reach, so the
-    # model's key alone names the entry
     key = (model.key(), "phi")
     if key not in _CACHE:
         if model.claims.kind == "exponential":
@@ -150,11 +144,8 @@ def _phi_grid(model):
             mu = model.claims.mu
             _CACHE[key] = route, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
         else:
-            # Simpson quadrature of Phi against the shifted density
             route = scale_ratio(model)
-            ys = np.arange(0.0, model.claims.reach + _PHI_STEP / 2, _PHI_STEP)
-            wts = simpson_weights(len(ys), _PHI_STEP)
-            _CACHE[key] = route, model.claims.shift_sum(ys, wts * route.phi(ys))
+            _CACHE[key] = route, route.w_reader()
     return _CACHE[key]
 
 

@@ -9,7 +9,7 @@ solved on first read.
 
 The claim law enters only through its density f, and each claim class
 answers for how it stores f. Besides density, cdf, mean, laplace and
-conv_power, both classes offer the same seven members:
+conv_power, both classes offer the same six members:
 
 - reach: a claim size beyond which the mass is negligible;
 - survival(y): the mass P(C > y) above y;
@@ -19,24 +19,27 @@ conv_power, both classes offer the same seven members:
   reading between the nodes);
 - convolve_grid(values, step): the trapezoid convolution f * g of g
   sampled on [0, x] at that step;
-- density_slope(xs, step): f' on a uniform grid;
-- shift_sum(ys, weights): a reader x -> sum_j weights_j f(x + y_j)
-  for x >= 0 and nonnegative weights, built once so that each later
-  read costs one pass.
+- density_slope(xs, step): f' on a uniform grid.
+
+A table is read one way everywhere: linearly between its nodes and zero
+past its end. Its laplace (so the model's Lundberg root) and its
+tail_transform are both exact for that reading.
 
 Code outside this module reads the `kind` attribute (and mu) where
 exponential claims allow a closed-form algorithm: the per-deficit
-series of Phi_d at sigma = 0 (firstpassage); the u(d) forcing (from
-expmodel at sigma = 0, from the scale route at sigma > 0), the slope
-w_d' = -mu w_d, its integral in the sigma = 0 forcing, and the
-one-rate sigma = 0 renewal kernel of the exit function (hfun); the
-scale route (scale: Lambda by roots and a moment quadrature, and the
-two-rate sigma > 0 renewal kernel); and the closed series of expmodel.
-One module reads how a table is stored, `claims.grid` on its nodes, so
-that the claim-count sum runs on the table's own lattice: scale's
-TableRatio, which sums the claim powers into the law of X_d at every
-sigma in one transform (gridmath.power_sum) of the density alone. The
-cached powers `_power_values(k)` serve conv_power only.
+series of Phi_d at sigma = 0 (firstpassage); the choice of the w_d
+forcing's route, the u(d) forcing (from expmodel at sigma = 0, from
+the scale route at sigma > 0), the slope w_d' = -mu w_d, its integral
+in the sigma = 0 forcing, and the one-rate sigma = 0 renewal kernel of
+the exit function (hfun); the scale route (scale: Lambda by roots and a
+moment quadrature, and the two-rate sigma > 0 renewal kernel); and the
+closed series of expmodel. One module besides this one reads how a
+table is stored, `claims.grid` on its nodes, so that everything read
+off Phi_d runs on the table's own lattice: scale's TableRatio, which
+sums the claim powers into the law of X_d at every sigma in one
+transform (gridmath.power_sum) of the density alone, and integrates
+Phi_d against the density into the w_d forcing. The cached powers
+`_power_values(k)` serve conv_power only.
 """
 
 import math
@@ -45,8 +48,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gridmath import (GridFunction, _trapezoid_convolver, convolve_exp, convolve_values,
-                       dickson_at, fft_convolve, trapezoid)
+from .gridmath import (GridFunction, _exp_panel_coeffs, _trapezoid_convolver, convolve_exp,
+                       convolve_values, dickson_at, trapezoid)
 from .lundberg import lundberg_root
 
 
@@ -148,11 +151,6 @@ class ExponentialClaims:
     def density_slope(self, xs, step):
         return -self.mu ** 2 * np.exp(-self.mu * xs)
 
-    def shift_sum(self, ys, weights):
-        # f(x + y) = e^{-mu y} f(x): the sum is a multiple of e^{-mu x}
-        u = float(np.sum(weights * self.mu * np.exp(-self.mu * np.asarray(ys))))
-        return lambda x: u * np.exp(-self.mu * np.asarray(x, dtype=float))
-
     def key(self):
         return ("exp", self.mu)
 
@@ -206,8 +204,15 @@ class TabulatedClaims:
         return self._read(self._cum, x, right=self._cum[-1])
 
     def laplace(self, s):
-        w = np.exp(-s * self.grid.x) * self.grid.values
-        return float(trapezoid(w, dx=self.grid.step))
+        # the linear reading's transform, panel by panel: the node at each
+        # panel's left end takes A, the one at its right end B, both
+        # scaled by e^{-s x} at the left end; the trapezoid mass at s = 0.
+        # einsum, not a BLAS dot, whose summation order follows the BLAS
+        # thread count
+        v = self.grid.values
+        A, B = _exp_panel_coeffs(s, self.grid.step)
+        e = np.exp(-s * self.grid.x[:-1])
+        return float(A * np.einsum("i,i", e, v[:-1]) + B * np.einsum("i,i", e, v[1:]))
 
     @cached_property
     def _convolve_density(self):
@@ -241,25 +246,6 @@ class TabulatedClaims:
 
     def density_slope(self, xs, step):
         return np.gradient(self.density(xs), step)
-
-    def shift_sum(self, ys, weights):
-        # x_i + y_j lies at fraction t_j between nodes i + k_j and
-        # i + k_j + 1, so on the nodes the sum is the table correlated
-        # with a kernel of two taps per shift. Read linearly it is exact
-        # at the nodes, and between them too when every shift is a whole
-        # number of steps (t_j = 0); otherwise it is off by O(step^2).
-        n = len(self.grid.values)
-        u = np.asarray(ys, dtype=float) / self.grid.step
-        k = np.rint(u)
-        whole = np.abs(u - k) < 1e-9
-        k = np.where(whole, k, np.floor(u)).astype(int)
-        t = np.where(whole, 0.0, u - k)
-        kern = (np.bincount(k, weights * (1.0 - t), minlength=n + 1)[:n]
-                + np.bincount(k + 1, weights * t, minlength=n + 1)[:n])
-        # table[i] = sum_j kern[j] f[i + j], one FFT correlation; the
-        # weights are nonnegative, so its rounding below 0 is clipped
-        table = np.maximum(fft_convolve(kern[::-1], self.grid.values)[n - 1:2 * n - 1], 0.0)
-        return lambda x: np.interp(x, self.grid.x, table, right=0.0)
 
     def key(self):
         return ("tab", self.grid.lo, self.grid.hi, self.grid.step,

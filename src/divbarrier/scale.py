@@ -48,15 +48,19 @@ and would overflow from d near 300 on. Each exponent is summed before
 it is taken, so no factor over- or underflows on its own.
 
 For a claim table (TableRatio) both pieces live on the table's own
-lattice z_j = j step. At sigma > 0 W is the d = 0 solution of the exit equation,
+lattice z_j = j step. The table is read linearly between its nodes,
+and model.rho is the root for that reading, for which T_rho f is
+exact, so W is that reading's own scale function (_scale_w). At
+sigma > 0 W is the d = 0 solution of the exit equation,
 xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
-of renewal(), which h_d_sigma_pos solves too, its T_rho f carrying the
-table's Lundberg residual at rho (_scale_w). Every W is one tilted
+of renewal(), which h_d_sigma_pos solves too. Every W is one tilted
 transform (gridmath.neumann_series), whose wrap-around bound joins
 tail_bound. The density p of X_d is
 the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
 f^{k*}, k <= K (K from _claim_cutoff), summed as one polynomial in one
-tilted transform (gridmath.power_sum), each smoothed by the
+tilted transform (gridmath.power_sum) of the density zero-padded to the
+lattice's last node, so that no power is cut at the table end, each
+smoothed by the
 N(0, sigma^2 d) density of sigma B_d, and p' likewise by that
 density's derivative, through one fft_convolve. Then by the trapezoid
 rule on the lattice
@@ -85,6 +89,12 @@ of its own. The atom and that cell's far end sit at c d, read by a
 linear split of W between the nodes either side; at y = c d only the
 atom is left. The sigma = 0 exit function reads neither the slope nor
 ratio.
+
+The exit functions' forcing w_d(x) = int_0^inf Phi_d(y) f(x + y) dy is
+read on the same lattice (TableRatio.w_reader): Phi_d at every lattice
+deficit, weighted by the trapezoid rule with Gregory's end weights at
+y = 0 (and at sigma = 0 cut at c d like Lambda), is correlated with the
+table density in one FFT.
 """
 
 import math
@@ -223,35 +233,16 @@ def _scale_w(model, n, step):
     """(W on the lattice step * (0, ..., n), the log of a bound on its
     solve's wrap-around): at sigma > 0 the renewal() solution with
     xi(0) = 0 and xi'(0) = 1, at sigma = 0 xi / c for the renewal
-    solution xi = e^{rho x} + (lam r / c) T * xi, so W(0+) = 1/c.
-
-    model.rho is the root for the table's trapezoid Laplace transform,
-    while T_rho f is exact for its linear reading, so both take the
-    kernel T = T_rho f + (delta / (lam r)) e^{rho x}, delta =
-    lam + q - c rho - sigma^2 rho^2 / 2 - lam r (T_rho f)(0) being that
-    reading's Lundberg residual at rho. W's transform is a multiple of
-    1 / Psi(s), Psi(s) = sigma^2 s^2 / 2 + c s - lam - q + lam r f^(s),
-    and since f^(s) - f^(rho) = -(s - rho) T_rho f^(s),
-    Psi(s) = (s - rho)(sigma^2 (s + rho) / 2 + c - lam r T^(s)): the
-    residual -delta is -(s - rho) delta / (s - rho), and
-    delta / (s - rho) is the transform of delta e^{rho x}. Renewal
-    equations built on T, as for an exact root, then give the linear
-    reading's own W (c W at sigma = 0). Without the term W grows at rate
-    rho instead, 3.0e-6 below the Exp(1) root on the 1e-2 Exp(1) table:
-    at d = 2 Phi_d(0.5) sits 1.3e-6 from the Exp(1) route instead of
-    4.9e-10 at sigma = 0, and Phi_d(2) 3.9e-6 instead of 2.5e-7 at
-    sigma = 0.5."""
+    solution xi = e^{rho x} + (lam r / c) (T_rho f) * xi, so W(0+) = 1/c.
+    model.rho is the root for the table's linear reading, for which
+    T_rho f is exact, so W is that reading's own scale function."""
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
-    lr, rho = model.lam * model.r, model.rho
-    erx = np.exp(rho * xs)
-    trf = model.claims.tail_transform(rho, xs)
-    delta = (model.lam + model.q - model.c * rho - 0.5 * (model.sigma * rho) ** 2
-             - lr * trf[0])
-    trf = trf + delta / lr * erx
+    trf = model.claims.tail_transform(model.rho, xs)
     if model.sigma == 0.0:
-        xi, log_alias = neumann_series(grid.with_values(trf), grid.with_values(erx),
-                                       lr / model.c)
+        xi, log_alias = neumann_series(grid.with_values(trf),
+                                       grid.with_values(np.exp(model.rho * xs)),
+                                       model.lam * model.r / model.c)
         return xi.values / model.c, log_alias - math.log(model.c)
     _, gam, _, _, zb, kern, _ = renewal(model, xs, trf, step)
     xi, log_alias = neumann_series(grid.with_values(kern), grid.with_values(zb), gam)
@@ -260,10 +251,11 @@ def _scale_w(model, n, step):
 
 class TableRatio:
     """Lambda for a claim table on its lattice (see the module notes),
-    with Phi_d (phi) and the claim-count truncation K with the bound on
-    what it leaves out of Phi_d; at sigma > 0 also the continuation slope
-    Lambda'(0)/Lambda(0) and the exit function ratio(xs, a), which the
-    sigma = 0 exit function does not read.
+    with Phi_d (phi), the w_d forcing (w_reader) and the claim-count
+    truncation K with the bound on what it leaves out of Phi_d; at
+    sigma > 0 also the continuation slope Lambda'(0)/Lambda(0) and the
+    exit function ratio(xs, a), which the sigma = 0 exit function does
+    not read.
 
     K is the smallest count whose Poisson tail bounds the dropped claim
     density by max f e^{-lam r d} sum_{k>K} (lam r d)^k / k! everywhere.
@@ -305,11 +297,13 @@ class TableRatio:
         scale = 2.0 * fmax * float(np.sum(wz)) / floor
         self.truncation_k, poisson = _claim_cutoff(rate, scale)
         self._atom = math.exp(-rate)
-        # the claim density on the table nodes the lattice reads
-        top = min(n, grid.n)
+        # the claim density on the lattice's n + 1 nodes, zero past the
+        # table end, so that no claim power is cut there
+        self._table, top = grid, min(n, grid.n)
+        f = np.pad(grid.values[:top + 1], (0, n - top))
         weights = [math.exp(k * math.log(rate) - math.lgamma(k + 1) - rate)
                    for k in range(1, self.truncation_k + 1)]
-        dens, log_alias = power_sum(grid.values[:top + 1], step, weights,
+        dens, log_alias = power_sum(f, step, weights,
                                     math.log(K_TAIL_TOL * fmax / scale) - rate)
         self.tail_bound = poisson + scale / fmax * math.exp(log_alias + rate)
         if sd:
@@ -356,9 +350,7 @@ class TableRatio:
         the density's trapezoid is empty, and jump removes all of it.
         """
         step, dens = self._step, self._dens
-        s = self._shift / step - e
-        N = int(math.floor(s + 1e-9))
-        th = max(s - N, 0.0)
+        N, th = self._last_node(e)
         i = N - np.arange(N + 1)
         zp = np.zeros(self._n + 1)
         zp[:N + 1] = step * (np.arange(N + 1) + e) * ((1.0 - th) * dens[i] + th * dens[i + 1])
@@ -370,31 +362,81 @@ class TableRatio:
             zp[N + 1] += th * end
         return zp, jump
 
+    def _last_node(self, e):
+        """sigma = 0: (N, th) with c d - e step = (N + th) step, z_N the last
+        lattice node at or below it; within 1e-9 steps of a node it is
+        on that node."""
+        s = self._shift / self._step - e
+        N = int(math.floor(s + 1e-9))
+        return N, max(s - N, 0.0)
+
     def _lambda(self, zp, w):
         """Lambda(k step) at entry n + k, for k from -n on, from z p and W
         on the lattice."""
         return self._step * fft_convolve(zp[::-1], w)
 
+    def _phi_nodes(self, e):
+        """Phi_d at the deficits (m + e) step, m = 0, ..., n, in one
+        correlation."""
+        step, n = self._step, self._n
+        zp, jump = self._zp, self._jump
+        if e and self._sd:
+            zp = (step * (np.arange(n + 1) + e)) * self._law(self._gauss(e * step))[0]
+        elif e:
+            zp, jump = self._drift_law(e)
+        return (self._lambda(zp, self._w[:n + 1])[n::-1] - jump) / self._at_zero
+
     def phi(self, ys):
         """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
         ys = np.asarray(ys, dtype=float)
-        step, n = self._step, self._n
-        m = np.floor(ys / step + 1e-9)
-        offset = np.round(np.maximum(ys - m * step, 0.0) / step, 9)
+        m = np.floor(ys / self._step + 1e-9)
+        offset = np.round(np.maximum(ys - m * self._step, 0.0) / self._step, 9)
         # at sigma = 0 X_d <= c d, so Phi_d is 0 past it
-        live = m <= n if self._sd else ys <= self._shift
+        live = m <= self._n if self._sd else ys <= self._shift
         out = np.zeros(len(ys))
         for e in np.unique(offset[live]):
-            zp, jump = self._zp, self._jump
-            if e and self._sd:
-                zp = (step * (np.arange(n + 1) + e)) * self._law(self._gauss(e * step))[0]
-            elif e:
-                zp, jump = self._drift_law(e)
             at = np.nonzero((offset == e) & live)[0]
-            k = m[at].astype(int)
-            lam = self._lambda(zp, self._w[:n + 1])
-            out[at] = (lam[n - k] - jump[k]) / self._at_zero
+            out[at] = self._phi_nodes(e)[m[at].astype(int)]
         return np.where(ys == 0.0, 1.0, np.clip(out, 0.0, 1.0))
+
+    def w_reader(self):
+        """The forcing w_d(x) = int_0^inf Phi_d(y) f(x + y) dy as a reader
+        of x >= 0: on the table's nodes one correlation of the density
+        with Phi_d at the lattice deficits times quadrature weights, read
+        linearly between the nodes and zero past the table end.
+
+        The weights are the trapezoid's, with the end weights
+        (3/8, 7/6, 23/24) step at y = 0, where Phi_d is steepest. At
+        sigma > 0 they run over the n + 1 lattice deficits, past which
+        Phi_d is 0. At sigma = 0 Phi_d drops to 0 past c d: they stop
+        at the last node z_N at or below it, and the cell from z_N to c d
+        closes with its own trapezoid, as _drift_law does for Lambda. Its
+        far end reads the density linearly between two nodes, and Phi_d
+        there, where only the atom is left, is
+        c d e^{-lam r d} W(0+) / Lambda(0). When c d spans fewer than three
+        steps the plain trapezoid stays.
+        """
+        step = self._step
+        N, th = (self._n, 0.0) if self._sd else self._last_node(0.0)
+        phi = np.clip(self._phi_nodes(0.0)[:N + 1], 0.0, 1.0)
+        phi[0] = 1.0
+        wts = np.full(N + 1, step)
+        wts[-1] = 0.5 * step
+        if N >= 3:
+            wts[:3] = step * np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+        else:
+            wts[0] -= 0.5 * step
+        kern = np.append(wts * phi, 0.0)
+        if th:
+            cell = 0.5 * th * step
+            end = self._shift * self._atom * self._w[0] / self._at_zero
+            kern[N] += cell * (phi[N] + (1.0 - th) * end)
+            kern[N + 1] += cell * th * end
+        # table[i] = sum_j kern[j] f[i + j]; the kernel is nonnegative, so
+        # the correlation's rounding below 0 is clipped
+        grid = self._table
+        table = np.maximum(fft_convolve(kern[::-1], grid.values)[N + 1:N + 2 + grid.n], 0.0)
+        return lambda x: np.interp(x, grid.x, table, right=0.0)
 
     def ratio(self, xs, a):
         """Lambda(xs) / Lambda(a): the exit function at barrier a, read

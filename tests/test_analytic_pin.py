@@ -274,21 +274,22 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
-        '0x0.0p+0', 'True', '5d85ea0399d20951', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', '05d53c9621bea44a', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x0.0p+0', '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True',
-        'None', 'None', '0x1.4f8b588e368f1p-17',
+        '0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
+        '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', 'ca3fa7c1e4934620',
-        'ca3fa7c1e4934620', '8cec3f6451948118', '0x1.da902c57e7607p-1',
+        '0x1.3333333333333p-2', 'False', '593732c389018ed5',
+        '593732c389018ed5', '7266dd8fa2455da7', '0x1.da9018efdae7cp-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.8232b00000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.8233800000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.81f7000000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1905b8d2c9p-1',
+        '0x1.81f7e00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc16078c4c51p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -339,12 +340,12 @@ PINS = {
         '0x1.0068e60000000p-22', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '3e0ba900b8053aa6', 'e48a715675e02e28', '2c674a206beb0adf',
-        '0x1.2dd3fd1780000p-15', '0x0.0p+0',
+        '550c129076247258', '6eb9c80150b0d625', 'a15febde4e62a3a6',
+        '0x1.83002d4e80000p-17', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
-        'f1f62d5d8460aa3b', '8ed8e1b6e3eecbaa', '092d5d5ae9f0b383',
-        '0x1.ec8a897d00000p-16', '0x1.f40e46f3e045bp-3',
+        'a2491de76e8428fd', 'c97b0bef8693b702', 'ee637007ba6da10b',
+        '0x1.dcc4900000000p-30', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3aaa597e43p-1', '0x1.589e3aaa597e4p+3',
@@ -411,23 +412,23 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-tab-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29828b6211p-1', '25',
-        '0x1.db92ff9757f8bp-41', '0x1.c195330e4d3d0p-1', '25',
-        '0x1.db92ff9757f8bp-41', '13fa96edfe330dbc',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29828c19cfp-1', '25',
+        '0x1.db92fefbca380p-41', '0x1.c195330e5f45cp-1', '25',
+        '0x1.db92fefbca380p-41', 'e167854a5352f9a8',
     ],
     'phi-tab-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb8622a4p-1', '65',
-        '0x1.50be5e496fbf6p-40', '0x1.c4fb970255af0p-1', '65',
-        '0x1.50be5e496fbf6p-40', '710838624f3cd0b1',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb86e96ap-1', '65',
+        '0x1.50be5b3463187p-40', '0x1.c4fb970269673p-1', '65',
+        '0x1.50be5b3463187p-40', 'fc6218d57ad004a8',
     ],
     'phi-tab-s0-dinf': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba73c063421p-1', '0',
-        '0x0.0p+0', '0x1.c4fc7cdec3df9p-1', '0', '0x0.0p+0',
-        'b3abec16f2763e1d',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c24c8cep-1', '0',
+        '0x0.0p+0', '0x1.c4fc50723dea4p-1', '0', '0x0.0p+0',
+        '2c67fa9b71bd1b25',
     ],
     'phi-tab-s0.5-r0.5-d1': [
-        '0x1.9ad4b778950f1p-1', '33', '0x1.c843a9339845ep-40',
-        '1f597f086f453d80',
+        '0x1.9ad4b776578cep-1', '33', '0x1.c843a55eebd53p-40',
+        '60a85b5ac24aa338',
     ],
     'series-d0': [
         '291747017cd060ca', 'fce076b3ae6cb09f', '425820394d78a148',
@@ -460,7 +461,7 @@ PINS = {
         '1f406f66f6585c70',
     ],
     'w-tab-s0-d2': [
-        '3f7eeb483079284f',
+        'b81b4d9fadf9c801',
     ],
 }
 

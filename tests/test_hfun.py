@@ -95,6 +95,17 @@ class TestSigma0ClosedFormAgreement:
         assert np.max(np.abs(h.grid.values - np.exp(-rho * (0.5 - h.grid.x)))) < 1e-10
         assert ide_residual(m, h) == h.ide_residual < 1e-4
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_infinite_clock_residual_on_a_table(self, sigma):
+        # rho is the root of the table's linear reading, for which T_rho f
+        # is exact, so e^{rho x} solves the equation the residual checks:
+        # measured 5.9e-9 and 1.7e-9 on the 1e-2 table. A trapezoid root
+        # left 2.9e-5, which scaled with the table step squared
+        m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, math.inf),
+                        db.tabulated_exponential(1.0, step=1e-2))
+        h = (h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos)(m, 0.5, step=1e-4)
+        assert ide_residual(m, h) <= 1e-8
+
     def test_no_delay_is_scale_function_ratio(self, m_d0):
         # at sigma = 0 the oracle's W has two exponentials
         t, wt = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, 0.0, 1.0)
@@ -166,50 +177,46 @@ def _tab_model(step, d):
 
 
 class TestForcingNodeTable:
-    """Tabulated w_d at finite d is one read of a node table built once
-    per model, against the per-deficit quadrature it replaced. The table
-    is read directly, so d = inf (where w_d is T_rho f) checks it too."""
+    """Tabulated w_d at finite d is one read of a node table that the
+    model's TableRatio builds once, on the table's own lattice, against
+    the Exp(1) forcing u(d) e^{-x} the table was sampled from. The floor
+    is the table's own renormalization, f / (1 + step^2 / 12): 6.6e-8 to
+    1.2e-7 on the 1e-3 table, growing as d falls."""
+
+    XS = np.linspace(0.0, 31.0, 3001)   # off the nodes and past the end at 30
 
     @staticmethod
-    def _node_table(model):
-        """(the node-table reader, the per-deficit quadrature it replaced):
-        Simpson weights times Phi times the density read at x + y, one
-        deficit at a time. At d = inf, where the solvers take T_rho f
-        instead, the reader is built here on Phi = e^{-rho y}."""
-        ys = np.arange(0.0, model.claims.reach + hfun._PHI_STEP / 2, hfun._PHI_STEP)
-        wts = gridmath.simpson_weights(len(ys), hfun._PHI_STEP)
-        if math.isinf(model.d):
-            phi = np.exp(-model.rho * ys)
-            table = model.claims.shift_sum(ys, wts * phi)
-        else:
-            route, table = hfun._phi_grid(model)
-            phi = route.phi(ys)
+    def _gap(step, sigma, d):
+        params = db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d)
+        table = db.validate(params, db.tabulated_exponential(1.0, step=step))
+        exact = db.validate(params, db.ExponentialClaims(1.0))
+        xs = TestForcingNodeTable.XS
+        return float(np.max(np.abs(w_d(table, xs) - w_d(exact, xs))))
 
-        def per_deficit(xs):
-            out = np.zeros_like(xs)
-            for j in np.nonzero(phi)[0]:
-                out += wts[j] * phi[j] * model.claims.density(xs + ys[j])
-            return out
+    # 15 x 0.03 lands 4e-17 below the node at 0.45; read as off it, the
+    # cell up to c d would be a whole step long and w_d 2.3e-4 off
+    @pytest.mark.parametrize("d", [0.02, 0.03, 0.1, 0.5, 2.0])
+    def test_flat_matches_exponential(self, d):
+        # Phi_d drops to 0 past c d; a Simpson rule on a deficit grid of
+        # its own straddled that drop and put w_d 1.1e-3 off at d = 0.1
+        assert self._gap(1e-3, 0.0, d) < 2e-7
 
-        return table, per_deficit
-
-    @pytest.mark.parametrize("step", [1e-2, 1e-3])
-    @pytest.mark.parametrize("d", [0.5, 2.0, math.inf])
-    def test_matches_per_deficit_quadrature(self, step, d):
-        # off the table nodes and past the table end at 30
-        m = _tab_model(step, d)
-        xs = np.linspace(0.0, 31.0, 3001)
-        table, per_deficit = self._node_table(m)
-        assert np.max(np.abs(table(xs) - per_deficit(xs))) < 1e-13
-        if not math.isinf(d):
-            assert np.array_equal(w_d(m, xs), table(xs))
+    @pytest.mark.parametrize("d", [1.0, 2.0])
+    def test_diffusion_matches_exponential(self, d):
+        # measured 6.9e-8 and 6.7e-8
+        assert self._gap(1e-3, 0.5, d) < 2e-7
 
     def test_step_off_the_deficit_grid(self):
-        # 3e-3 does not divide the 2e-2 deficit step: two taps per
-        # deficit, exact at the nodes, O(step^2) between them
-        xs = np.linspace(0.0, 10.3, 5001)
-        got = w_d(_tab_model(3e-3, 2.0), xs)
-        assert np.max(np.abs(got - U_2 * np.exp(-xs))) < 1e-6
+        # 3e-3 does not divide the 2e-2 deficit step w_d was once summed
+        # on; the lattice is now the table's own. Measured 6.0e-7
+        assert self._gap(3e-3, 0.0, 2.0) < 1e-6
+
+    @pytest.mark.parametrize("d", [5e-4, 1e-3, 1.5e-3])
+    def test_drift_reach_shorter_than_three_steps(self, d):
+        # c d is 0.75, 1.5 and 2.25 steps of the 1e-2 table: the end
+        # weights at 0 need three nodes, so the plain trapezoid stays;
+        # measured 1.1e-7 to 3.3e-7
+        assert self._gap(1e-2, 0.0, d) < 5e-7
 
     def test_reads_no_density_after_a_solve(self, monkeypatch):
         m = _tab_model(1e-2, 2.0)

@@ -71,6 +71,19 @@ class TestRoot:
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 0.0), tab_dist)
         assert lundberg_root(m).rho == pytest.approx(BASE_RHO, abs=1e-7)
 
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_table_root_is_its_linear_readings(self, step, sigma):
+        # the table's transform is that of its linear reading, the one
+        # T_rho f is exact for, so a table sampled from Exp(1) has the
+        # Exp(1) root up to the renormalization f / (1 + step^2 / 12):
+        # 9.4e-12 off on the 1e-2 table, 6e-14 on the 1e-3 table. A
+        # trapezoid transform put it 3.0e-6 and 3.0e-8 off
+        params = db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, 2.0)
+        table = db.validate(params, db.tabulated_exponential(1.0, step=step))
+        exact = db.validate(params, db.ExponentialClaims(1.0))
+        assert abs(table.rho - exact.rho) <= 1e-10
+
     def test_delay_does_not_enter(self, m_d0, m_d2, m_dinf):
         r0 = lundberg_root(m_d0).rho
         assert lundberg_root(m_d2).rho == r0

@@ -154,6 +154,17 @@ class TestTabulatedClaims:
         assert tab_dist.mean == pytest.approx(1.0, abs=1e-6)
         assert tab_dist.laplace(0.3) == pytest.approx(1.0 / 1.3, abs=1e-7)
 
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    def test_laplace_is_the_linear_readings(self, step):
+        # one reading of the table: its transform is that of the density
+        # read linearly between the nodes, T_s f(0), and at s = 0 the
+        # trapezoid mass
+        table = tabulated_exponential(1.0, step=step)
+        for s in (0.05, 0.245, 1.0, 7.5):
+            want = float(table.tail_transform(s, [0.0])[0])
+            assert table.laplace(s) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert table.laplace(0.0) == pytest.approx(table.grid.trapz(), rel=1e-14, abs=0.0)
+
     def test_density_outside_support(self, tab_dist):
         assert tab_dist.density(-0.5) == 0.0
         assert tab_dist.density(31.0) == 0.0
@@ -272,7 +283,7 @@ class TestTabulatedClaims:
 
 
 CLAIM_LAW = ("reach", "survival", "sample", "tail_transform", "convolve_grid",
-             "density_slope", "shift_sum")
+             "density_slope")
 
 
 class TestClaimLawContract:
@@ -312,24 +323,6 @@ class TestClaimLawContract:
             want = ExponentialClaims(1.0).convolve_grid(g, step)
             got = tab_dist.convolve_grid(g, step)
             assert np.max(np.abs(got - want)) < 1e-6
-
-    def test_shift_sum(self, tab_dist):
-        # shifts on and off the 1e-3 table nodes, read past the table end
-        exp = ExponentialClaims(1.0)
-        ys = np.array([0.0, 0.02, 0.5, 1.2345])
-        weights = np.array([0.3, 0.2, 0.4, 0.1])
-        xs = np.linspace(0.0, 31.0, 1001)
-
-        def direct(claims, x):
-            return sum(w * claims.density(x + y) for y, w in zip(ys, weights))
-
-        want = direct(exp, xs)
-        assert np.max(np.abs(exp.shift_sum(ys, weights)(xs) - want)) < 1e-15
-        assert np.max(np.abs(tab_dist.shift_sum(ys, weights)(xs) - want)) < 1e-6
-        # on the table's own nodes the two-tap kernel is exact
-        nodes = tab_dist.grid.x[::7]
-        got = tab_dist.shift_sum(ys, weights)(nodes)
-        assert np.max(np.abs(got - direct(tab_dist, nodes))) < 1e-15
 
     def test_survival_and_reach(self, tab_dist):
         exp = ExponentialClaims(1.0)

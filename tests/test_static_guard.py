@@ -2,9 +2,9 @@
 direct convolutions, scipy.signal is imported nowhere, and the
 scale-function oracle stays independent of the library.
 
-Every other module under src/divbarrier convolves, runs recurrences and
-Simpson-sums through gridmath's primitives, so the choice of how a
-convolution runs is made in one place. The check reads each module's
+Every other module under src/divbarrier convolves and runs recurrences
+through gridmath's primitives, so the choice of how a convolution runs
+is made in one place. The check reads each module's
 syntax tree with the standard-library ast module and fails on any
 import of scipy.fft, scipy.signal or numpy.fft (in any spelling), any
 attribute path through them (np.fft.rfft), and any np.convolve.
@@ -31,6 +31,11 @@ claim powers into the law of X_d with gridmath.power_sum, from the
 density alone, and builds none. No module under src/divbarrier but
 model.py names _power_values, as an attribute, a name, an imported
 name or a string.
+
+A claim table is read one way, on its own lattice: no module under
+src/divbarrier but model.py, which stores it, and scale.py, whose
+TableRatio reads Phi_d and the w_d forcing off it, spells claims.grid,
+as an attribute path, a getattr on the claims or an attrgetter path.
 """
 
 import ast
@@ -225,3 +230,49 @@ def test_power_guard_sees_every_spelling():
     for line in ("p = claims.conv_power(2, x)", "x = power_values(3)",
                  "x = claims._powers[3]"):
         assert not _power_reads(line), line
+
+
+GRID_READERS = ("model.py", "scale.py")
+
+
+def _is_claims(node):
+    return ((isinstance(node, ast.Name) and node.id == "claims")
+            or (isinstance(node, ast.Attribute) and node.attr == "claims"))
+
+
+def _grid_reads(source):
+    """Every spelling of claims.grid in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "grid" and _is_claims(node.value):
+            found.append(_dotted(node) or "claims.grid")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and _is_claims(node.args[0]) and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "grid"):
+            found.append("getattr(claims, 'grid')")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and (node.value == "claims.grid" or node.value.endswith(".claims.grid"))):
+            found.append(node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name not in GRID_READERS))
+def test_only_model_and_scale_read_the_claim_table(path):
+    assert _grid_reads((SRC / path).read_text()) == []
+
+
+def test_grid_guard_sees_every_spelling():
+    # the detector is not vacuous: scale.py trips it, and so does each
+    # way of reaching a claim law's table
+    assert _grid_reads((SRC / "scale.py").read_text())
+    for line in ("g = model.claims.grid", "x = claims.grid.x",
+                 "v = self._model.claims.grid.values",
+                 "g = getattr(model.claims, 'grid')", "g = getattr(claims, 'grid', None)",
+                 "read = operator.attrgetter('claims.grid')",
+                 "read = attrgetter('model.claims.grid')"):
+        assert _grid_reads(line), line
+    for line in ("x = h.grid.values", "g = scan.grid", "g = model.claims.density(x)",
+                 "g = getattr(h, 'grid')", "s = 'the grid of the claims'"):
+        assert not _grid_reads(line), line

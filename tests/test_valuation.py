@@ -338,3 +338,35 @@ class TestInputGuards:
         for call in calls:
             with pytest.raises(ValueError, match="grid step"):
                 call()
+
+
+class TestTableMatchesExponential:
+    """The 1e-3 table sampled from Exp(1) lands on the Exp(1) model's
+    barrier: the table's w_d forcing and Phi_d are read on its own
+    lattice, so its only error is the lattice's O(step^2)."""
+
+    @staticmethod
+    def _pair(sigma, d):
+        params = db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d)
+        return [optimal_barrier(db.validate(params, claims), 2.0)
+                for claims in (db.tabulated_exponential(1.0, step=1e-3),
+                               db.ExponentialClaims(1.0))]
+
+    @pytest.mark.parametrize("d", [0.02, 0.05])
+    def test_flat_small_clock(self, d):
+        # a Simpson rule on a 2e-2 deficit grid straddled Phi_d's drop to
+        # 0 at c d and put a* at 0.458659 against 0.471415 (d = 0.02) and
+        # 0.043056 against 0.045701 (d = 0.05), with HJB passing; the
+        # lattice reading is within 1.1e-6
+        table, exact = self._pair(0.0, d)
+        assert abs(table.a_star - exact.a_star) < 1e-5
+        assert abs(table.value(0.0) - exact.value(0.0)) < 1e-6
+        assert table.hjb_report.passed
+
+    def test_diffusion_claim_total_past_the_table_end(self):
+        # sigma 0.5, d = 2: the law of X_d reads the claim powers past the
+        # table end at 30; cut there, v(0) was 1.47e-6 off, and it is
+        # 2.8e-10 off with the powers run on
+        table, exact = self._pair(0.5, 2.0)
+        assert table.a_star == exact.a_star == 0.0
+        assert abs(table.value(0.0) - exact.value(0.0)) < 1e-8
