@@ -33,16 +33,20 @@ as E^i cumsum(u E^-i): one exp (memoized for the last few rates and
 lengths) and one cumsum per call, in blocks that keep the powers of E
 in range.
 
-A renewal equation xi = forcing + coeff (kernel * xi) is solved two
-ways, chosen in solve_renewal, each the exact sum of the whole Neumann
-series of its discrete equation in one pass (both names are bound by
-the benchmark's tracer, perfbench/tracer.py). A kernel that is a
-mixture of m exponentials makes the panel equation a linear recursion
-of order m, solved by one filter pass (neumann_series_exp); any other
-kernel's trapezoid equation is a discrete convolution equation,
-solved by one division in one exponentially tilted transform
-(neumann_series). The growth of the solution sets the tilt, and a
-bound on the solution sets the transform length.
+A renewal equation xi = forcing + coeff (kernel * xi) has two exact
+solvers, each the sum of the whole Neumann series of its discrete
+equation in one pass. A sampled kernel's trapezoid equation is a
+discrete convolution equation, solved by one division in one
+exponentially tilted transform (neumann_series): the growth of the
+solution sets the tilt, and a bound on the solution sets the transform
+length. It is the library's renewal solve, run for claim tables. A
+kernel that is a mixture of m exponentials makes the panel equation a
+linear recursion of order m, solved by one filter pass
+(neumann_series_exp). No module of the library calls it, nor the
+marching solve volterra_march: exponential claims need no renewal
+solve, since their exit function is a sum of exponentials. Both stay
+as the tests' independent references, and the benchmark's tracer
+(perfbench/tracer.py) binds their names.
 """
 
 import math
@@ -304,12 +308,13 @@ def _exp_panel_coeffs(b, step):
 _SPAN = 300.0
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _powers(log_e, size):
     """E^k for k = -(size // 2), ..., size - size // 2 - 1, by one exp of
     log E times the centred ramp. Read-only, since the last few are
-    memoized (a solve runs the same rate on the same grid several
-    times)."""
+    memoized: a solve runs the same rate on the same grid several times,
+    and fresh arrays fault their pages in. Four entries keep those
+    repeats while bounding what the memo holds on long grids."""
     p = np.arange(-(size // 2), size - size // 2, dtype=float) * log_e
     np.exp(p, out=p)
     p.flags.writeable = False
@@ -585,21 +590,6 @@ def neumann_series_exp(rates, weights, forcing: GridFunction, coeff):
         raise NonConvergenceError("solution left the double range",
                                   last_norm=float(np.max(np.abs(xi))))
     return forcing.with_values(xi)
-
-
-def solve_renewal(grid, kernel, forcing, coeff, mix=None):
-    """xi = forcing + coeff (kernel * xi) on the grid, as values.
-
-    A kernel that is a mixture of exponentials, mix = (rates, weights),
-    is solved exactly on exponential panels, one O(n) filter pass; any
-    other kernel on trapezoid panels in one tilted transform
-    (neumann_series), whose wrap-around bound is dropped here: the
-    callers certify their solution by its equation residual.
-    """
-    forcing = grid.with_values(forcing)
-    if mix is not None:
-        return neumann_series_exp(*mix, forcing, coeff).values
-    return neumann_series(grid.with_values(kernel), forcing, coeff)[0].values
 
 
 def volterra_march(kernel: GridFunction, forcing: GridFunction, coeff) -> GridFunction:

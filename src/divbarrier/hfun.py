@@ -29,48 +29,48 @@ The continuation below zero (_whole_line) reads Phi_d at its own
 deficits off the same Lambda for a table, and through upcross_table
 for exponential claims.
 
-With sigma = 0 the equation is first order in xi, with xi(0) = 1; its
-renewal form
+For Exp(mu) claims no renewal equation is solved (_exp_basis). Since
+f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), e^{t x} solves the
+equation up to a multiple of e^{-mu x} exactly when t is a root of
+
+    Q(t) = (sigma^2 t^2 / 2 + c t - lam - q)(mu + t) + lam r mu,
+
+two roots at sigma = 0 and three at sigma > 0 (scale._roots), and with
+w_d = u e^{-mu x}, u = w_d(0), xi = sum_i w_i e^{t_i x} solves it where
+sum_i w_i (mu/(mu + t_i) - u) = 0 (Loeffen, Czarna & Palmowski 2013,
+Bernoulli 19(2)). That row, xi(0) and, at sigma > 0, xi'(0) give the
+weights in one 2x2 or 3x3 solve, and xi, xi', xi'' are sums of
+exponentials at the solver nodes, exact at any step.
+
+For a table, with sigma = 0 the equation is first order in xi, with
+xi(0) = 1; its renewal form
 
     xi = [zeta - (lam r / c) (zeta * w_d)] + (lam r / c) (T_rho f) * xi
 
-(zeta(x) = e^{rho x}). For Exp(mu) claims the kernel
-T_rho f = (mu/(rho+mu)) e^{-mu x} is one exponential, so on
-exponential panels the equation is a first-order recursion, solved
-exactly in O(n), and the claim convolutions f * xi are O(n) panel
-recursions too; a table's equation is solved whole in one tilted
-transform (gridmath.neumann_series). With sigma > 0 the solution family is
+(zeta(x) = e^{rho x}) is solved whole in one tilted transform
+(gridmath.neumann_series), and xi' and xi'' are read back through the
+equation. With sigma > 0 the solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
     phi = xi(0) [(rho + 2c/sigma^2) (zeta*beta) + beta
                  - (2 lam r / sigma^2) (zeta*beta*w_d)] + p (zeta*beta),
 
-with one free slope p = xi'(0). Every p solves the equation on (0, a),
-so p is imposed: h is C^1 at 0 with its continuation, p = -Phi_d'(0+):
-Lambda'(0)/Lambda(0) of the memo entry's Lambda at finite d, rho at
-d = inf. At d = 0 a diffusion started at 0 is ruined at once, so
-xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the scale
-function W; a table's Lambda solves the same equation (scale.renewal)
-for its W. For Exp(mu) claims
-beta * T_rho f is a mixture of two exponentials (rates mu and
-rho + 2c/sigma^2), and on two-rate exponential panels the equation is
-a second-order recursion, solved exactly, while the rates are far
-enough apart, relative to the grid step, for its weights not to
-cancel; otherwise, like a table's, the kernel is sampled on the grid.
-Everything here works on uniform grids via the exponential panel and
-renewal solvers in gridmath.
+and xi, xi' and xi'' are one such solve each (scale.renewal's kernel
+and forcing, which a table's W solves too).
 
-A mixture-of-exponentials kernel is solved exactly
-(gridmath.neumann_series_exp, one filter pass); every other kernel
-on trapezoid panels in one transform tilted past the solution's growth
-(gridmath.neumann_series), which sums the whole Neumann series of
-the discrete equation. By the Lundberg equation the kernel's L1 mass
-is 1 - kill/(c rho) at sigma = 0 and
-1 - 2 kill/(rho (sigma^2 rho + 2c)) at sigma > 0, kill = q + lam(1-r)
-> 0, so it is below 1 for every valid model and the equation
-contracts: the solution grows only as fast as its forcing, like
-e^{rho x}.
+In either form there is one free slope p = xi'(0) at sigma > 0. Every p
+solves the equation on (0, a), so p is imposed: h is C^1 at 0 with its
+continuation, p = -Phi_d'(0+): Lambda'(0)/Lambda(0) of the memo entry's
+Lambda at finite d, rho at d = inf. At d = 0 a diffusion started at 0
+is ruined at once, so xi(0) = 0 with unit slope instead, and h is
+W(x)/W(a) for the scale function W.
+
+By the Lundberg equation a table's renewal kernel has L1 mass
+1 - kill/(c rho) at sigma = 0 and 1 - 2 kill/(rho (sigma^2 rho + 2c))
+at sigma > 0, kill = q + lam(1-r) > 0, so it is below 1 for every valid
+model and the equation contracts: the solution grows only as fast as
+its forcing, like e^{rho x}.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
@@ -80,10 +80,12 @@ returned h, at sigma > 0 raised to an interface term when that is
 larger, both in h units, so it is never below the check a caller can
 rerun. At finite d > 0 the term is the cross-route gap
 max |h - Lambda(x)/Lambda(a)| on the solver grid, for either claim law,
-which a wrong imposed slope cannot pass; at d = 0 and d = inf it is the
-mismatch between the solved slope at 0+ and the exact one (1 at d = 0,
-rho at d = inf). Both solvers refuse an h whose reported residual
-exceeds the gate with the same NonConvergenceError.
+which a wrong imposed slope cannot pass. At d = 0 and d = inf a
+table's term is the mismatch between the solved slope at 0+ and the
+imposed one (1 at d = 0, rho at d = inf); exponential claims have none
+there, since their basis takes xi(0) and xi'(0) exactly. Both solvers
+refuse an h whose reported residual exceeds the gate with the same
+NonConvergenceError.
 """
 
 import math
@@ -101,11 +103,11 @@ from .gridmath import (
     convolve_values,
     convolve_exp,
     derivative,
-    solve_renewal,
+    neumann_series,
 )
 from . import expmodel
 from .firstpassage import upcross_table
-from .scale import renewal, scale_ratio
+from .scale import _roots, renewal, scale_ratio
 
 _CACHE = {}
 
@@ -173,30 +175,53 @@ def _require_step(step):
         raise ValueError("grid step must be positive and finite, got %g" % (step,))
 
 
-def _solver_grid(model, a, step):
-    """Grid [0, a] with a step near `step` that lands on the barrier.
-
-    Returns rho, the grid (its values are its abscissae), and the claim
-    density and T_rho f sampled on it.
-    """
+def _solver_grid(a, step):
+    """Grid [0, a] with a step near `step` that lands on the barrier; its
+    values are its abscissae."""
     if not 0.0 < a < math.inf:
         raise ValueError("barrier a must be positive and finite, got %g" % (a,))
     _require_step(step)
-    rho = model.rho
     n = max(int(round(a / step)), 8)
     step = a / n
-    xs = step * np.arange(n + 1)
-    grid = GridFunction(0.0, n * step, step, xs)
-    return rho, grid, model.claims.density(xs), model.claims.tail_transform(rho, xs)
+    return GridFunction(0.0, n * step, step, step * np.arange(n + 1))
 
 
 def _exit_function(grid, a, xi, xip, xipp, xi_prime_zero=None):
     """h = xi / xi(a) with its derivatives, on the solver grid, not yet
-    certified."""
-    Z = xi[-1]
-    gf = grid.with_values(xi / Z)
-    return HFunction(gf, gf.with_values(xip / Z), gf.with_values(xipp / Z),
+    certified; xi and its derivatives are normalized in place."""
+    # xi last, so that each divides by the same xi(a)
+    for v in (xip, xipp, xi):
+        v /= xi[-1]
+    gf = grid.with_values(xi)
+    return HFunction(gf, gf.with_values(xip), gf.with_values(xipp),
                      a, xi_prime_zero, math.nan)
+
+
+def _exp_basis(model, xs, x0, p=None):
+    """xi, xi' and xi'' at xs for Exp(mu) claims: xi = sum_i w_i e^{t_i x}
+    over the roots t_i of Q (scale._roots), with xi(0) = x0 and, at
+    sigma > 0, xi'(0) = p.
+
+    f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), so each e^{t_i x}
+    solves the equation but for a term in e^{-mu x}, which
+    xi(0) w_d = xi(0) u e^{-mu x}, u = w_d(0), cancels where
+    sum_i w_i (mu/(mu + t_i) - u) = 0.
+    """
+    mu, t = model.claims.mu, _roots(model)[0]
+    u = _w_values(model, np.zeros(1))[0]
+    # two roots at sigma = 0, three at sigma > 0: as many rows
+    rows = np.array([mu / (mu + t) - u, np.ones(len(t)), t])[:len(t)]
+    w = np.linalg.solve(rows, [0.0, x0, p][:len(t)])
+    # summed one root at a time, elementwise, in one scratch array
+    xi, xip, xipp, term = (np.zeros(len(xs)) for _ in range(4))
+    for ti, wi in zip(t, w):
+        np.exp(np.multiply(xs, ti, out=term), out=term)
+        term *= wi
+        for v in (xi, xip, xipp):
+            v += term
+            term *= ti
+    xi[0] = x0
+    return xi, xip, xipp
 
 
 def _certified(h, res, detail=""):
@@ -212,30 +237,25 @@ def h_d_sigma0(model, a, step=1e-4) -> HFunction:
     """Exit function for the drift-only model (sigma = 0)."""
     if model.sigma != 0.0:
         raise ValueError("h_d_sigma0 requires sigma = 0")
-    lam, c, q, r = model.lam, model.c, model.q, model.r
-    rho, grid, f_res, trf = _solver_grid(model, a, step)
+    grid = _solver_grid(a, step)
+    if model.claims.kind == "exponential":
+        hf = _exit_function(grid, a, *_exp_basis(model, grid.values, 1.0))
+        return _certified(hf, ide_residual(model, hf))
+    lam, c, q, r, rho = model.lam, model.c, model.q, model.r, model.rho
     xs, step = grid.values, grid.step
     zeta = np.exp(rho * xs)
     w = _w_values(model, xs)
-
     coeff = lam * r / c
-    if model.claims.kind == "exponential":
-        # T_rho f = (mu / (rho + mu)) e^{-mu x} is one exponential panel
-        # rate, and w_d = w_d(0) e^{-mu x} integrates in closed form
-        mu = model.claims.mu
-        mix, wp = ([mu], [mu / (rho + mu)]), -mu * w
-        zw = zeta * w[0] * -np.expm1(-(rho + mu) * xs) / (rho + mu)
-    else:
-        mix, wp = None, derivative(grid.with_values(w), 1).values
-        # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
-        zw = convolve_exp(-rho, w, step)
-    forcing = zeta - coeff * zw
-    xi = solve_renewal(grid, trf, forcing, coeff, mix)
+    # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
+    forcing = grid.with_values(zeta - coeff * convolve_exp(-rho, w, step))
+    trf = grid.with_values(model.claims.tail_transform(rho, xs))
+    xi = neumann_series(trf, forcing, coeff)[0].values
 
     # derivatives read off the equation itself, not finite differences
     f_xi = model.claims.convolve_grid(xi, step)
     xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
     f_xip = model.claims.convolve_grid(xip, step)
+    f_res, wp = model.claims.density(xs), derivative(grid.with_values(w), 1).values
     xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
 
     hf = _exit_function(grid, a, xi, xip, xipp)
@@ -251,56 +271,58 @@ def _continuation_slope(model):
     return _phi_grid(model)[0].slope
 
 
-def _extrap_zero(vals):
-    """Quadratic extrapolation of grid samples at 1,2,3 steps to 0+."""
-    return 3.0 * vals[1] - 3.0 * vals[2] + vals[3]
-
-
 def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
     """Exit function for the diffusion-perturbed model (sigma > 0).
 
     xi starts from xi(0) = 1 with the continuation slope at d > 0, and
-    from xi(0) = 0 with unit slope at d = 0 (proportional to W). xi,
-    xi' and xi'' are one renewal solve each; the certificate is the
+    from xi(0) = 0 with unit slope at d = 0 (proportional to W). For
+    Exp(mu) claims xi is a sum of exponentials (_exp_basis); for a table
+    xi, xi' and xi'' are one renewal solve each. The certificate is the
     larger of the equation residual and the interface term: the gap to
-    the scale route where there is one, else the slope mismatch at 0.
+    the scale route at 0 < d < inf, else for a table the slope mismatch
+    at 0, which the exponential basis imposes exactly.
     """
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
-    sigma = model.sigma
-    rho, grid, _, trf = _solver_grid(model, a, step)
-    xs, step = grid.values, grid.step
-    b1, gam, erx, beta, zb, kern, mix = renewal(model, xs, trf, step)
-    w = _w_values(model, xs)
+    grid = _solver_grid(a, step)
+    rho, xs, step = model.rho, grid.values, grid.step
     x0, p = (0.0, 1.0) if model.d == 0 else (1.0, _continuation_slope(model))
-
-    dzb = (rho * erx + b1 * beta) / (rho + b1)
-    d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
-    bw = convolve_exp(b1, w, step)
-    zbw = convolve_exp(-rho, bw, step)
-    dzbw = bw + rho * zbw
-    d2zbw = (w - b1 * bw) + rho * dzbw
-
-    # xi = phi + gam kern * xi with phi(0) = x0, phi'(0) = p; xi' and
-    # xi'' carry the boundary terms kern xi(0) and kern' xi(0) + kern p
-    forcings = (
-        x0 * (b1 * zb + beta - gam * zbw) + p * zb,
-        x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb,
-        x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
-        + p * (d2zb + gam * kern))
-    xi, xip, xipp = (solve_renewal(grid, kern, v, gam, mix) for v in forcings)
+    gap, detail = 0.0, ""
+    if model.claims.kind == "exponential":
+        xi, xip, xipp = _exp_basis(model, xs, x0, p)
+    else:
+        trf = model.claims.tail_transform(rho, xs)
+        b1, gam, erx, beta, zb, kern = renewal(model, xs, trf, step)
+        w = _w_values(model, xs)
+        dzb = (rho * erx + b1 * beta) / (rho + b1)
+        d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
+        bw = convolve_exp(b1, w, step)
+        zbw = convolve_exp(-rho, bw, step)
+        dzbw = bw + rho * zbw
+        d2zbw = (w - b1 * bw) + rho * dzbw
+        # xi = phi + gam kern * xi with phi(0) = x0, phi'(0) = p; xi' and
+        # xi'' carry the boundary terms kern xi(0) and kern' xi(0) + kern p
+        forcings = (
+            x0 * (b1 * zb + beta - gam * zbw) + p * zb,
+            x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb,
+            x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
+            + p * (d2zb + gam * kern))
+        kern = grid.with_values(kern)
+        xi, xip, xipp = (neumann_series(kern, grid.with_values(v), gam)[0].values
+                         for v in forcings)
+        if not 0.0 < model.d < math.inf:
+            # in h units: the mismatch between the slope imposed at 0 (1 at
+            # d = 0, rho at d = inf) and the solved one at 0+, extrapolated
+            # quadratically from 1, 2 and 3 steps
+            solved = 3.0 * xip[1] - 3.0 * xip[2] + xip[3]
+            gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
+            detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
 
     hf = _exit_function(grid, a, xi, xip, xipp, p if x0 else None)
     if 0.0 < model.d < math.inf:
         # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
         gap = float(np.max(np.abs(hf.grid.values - _phi_grid(model)[0].ratio(xs, a))))
         detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
-    else:
-        # in h units: the mismatch between the solved slope at 0+ and the
-        # exact one, 1 at d = 0 and rho at d = inf
-        p_cont = 1.0 if model.d == 0 else rho
-        gap = 0.5 * sigma * sigma * abs(_extrap_zero(xip) - p_cont) / xi[-1]
-        detail = " (slope at 0 imposed %.6f, checked against %.6f)" % (p, p_cont)
     return _certified(hf, max(ide_residual(model, hf), gap), detail)
 
 

@@ -29,11 +29,11 @@ Code outside this module reads the `kind` attribute (and mu) where
 exponential claims allow a closed-form algorithm: the per-deficit
 series of Phi_d at sigma = 0 (firstpassage); the choice of the w_d
 forcing's route, the u(d) forcing (from expmodel at sigma = 0, from
-the scale route at sigma > 0), the slope w_d' = -mu w_d, its integral
-in the sigma = 0 forcing, and the one-rate sigma = 0 renewal kernel of
-the exit function (hfun); the scale route (scale: Lambda by roots and a
-moment quadrature, and the two-rate sigma > 0 renewal kernel); and the
-closed series of expmodel. One module besides this one reads how a
+the scale route at sigma > 0), the exit function as a sum of
+exponentials over the roots of Q in place of a renewal solve, and the
+continuation below zero through upcross_table (hfun); the scale route
+(scale: Lambda by roots and a moment quadrature); and the closed series
+of expmodel. One module besides this one reads how a
 table is stored, `claims.grid` on its nodes, so that everything read
 off Phi_d runs on the table's own lattice: scale's TableRatio, which
 sums the claim powers into the law of X_d at every sigma in one

@@ -116,8 +116,6 @@ K_TAIL_TOL = 1e-12
 # cut: the Gaussian is below e^{-72} there
 _SD_REACH = 12.0
 
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
 # deficits per quadrature, so that its (s, y, t) arrays stay below 1 MB
 # at the 129-2,049 nodes it takes
 _BLOCK = 16
@@ -143,10 +141,13 @@ class ScaleRatio:
 
 
 def _roots(model):
-    """The roots t_1 = rho > 0 > t_2 > t_3 of Q and the weights c_i of W.
+    """The roots of Q and the weights c_i of W: t_1 = rho > 0 > t_2 > t_3
+    at sigma > 0, where Q is cubic, and t_1 = rho > 0 > t_2 at sigma = 0,
+    where it is quadratic.
 
-    Q is deflated by its root rho; the other two are the roots of the
-    quotient, each taken in the form that does not cancel.
+    Q is deflated by its root rho; the others are the roots of the
+    quotient, each taken in the form that does not cancel (at sigma = 0
+    the quotient is linear, and the one left is -b2/b1).
     """
     c, mu, rho = model.c, model.claims.mu, model.rho
     s2 = 0.5 * model.sigma ** 2
@@ -154,12 +155,12 @@ def _roots(model):
     b1 = s2 * (mu + rho) + c
     b2 = c * mu - model.lam - model.q + rho * b1
     big = b1 + math.sqrt(b1 * b1 - 4.0 * s2 * b2)
-    t2, t3 = -2.0 * b2 / big, -big / (2.0 * s2)
-    t = np.array([rho, t2, t3])
-    # Q'(t_i) = s2 prod_{j != i} (t_i - t_j)
-    dq = s2 * np.array([(rho - t2) * (rho - t3), (t2 - rho) * (t2 - t3),
-                        (t3 - rho) * (t3 - t2)])
-    return t, (mu + t) / dq
+    t = np.array([rho, -2.0 * b2 / big] + ([-big / (2.0 * s2)] if s2 else []))
+    # Q'(t_i) = lead prod_{j != i} (t_i - t_j), the lead coefficient of Q
+    # being s2, or c where Q is quadratic
+    diff = np.subtract.outer(t, t)
+    np.fill_diagonal(diff, 1.0)
+    return t, (mu + t) / ((s2 or c) * np.prod(diff, axis=1))
 
 
 def _bessel_series_scaled(a, z, extra_exponent):
@@ -199,19 +200,16 @@ def _claim_cutoff(s, scale):
 
 
 def renewal(model, xs, trf, step):
-    """The sigma > 0 exit equation as the renewal equation
-    xi = phi + gam (kern * xi) on the grid xs = step * (0, 1, ..., n),
-    trf being T_rho f there: (b1, gam, e^{rho x}, beta, zb, kern, mix).
+    """The sigma > 0 exit equation for a claim table as the renewal
+    equation xi = phi + gam (kern * xi) on the grid
+    xs = step * (0, 1, ..., n), trf being T_rho f there:
+    (b1, gam, e^{rho x}, beta, zb, kern).
 
     beta = e^{-b1 x} with b1 = rho + 2c/sigma^2, gam = 2 lam r / sigma^2,
-    kern = beta * T_rho f, and zb = zeta * beta = (e^{rho x} - beta)/(rho + b1)
-    is the forcing of the solution with xi(0) = 0 and xi'(0) = 1. For
-    Exp(mu) claims kern is a two-rate mixture of exponentials whose
-    weights +-1/(b1 - mu) cancel. Each panel recursion carries the
-    rounding of the ~1/(mu step) nodes it remembers, so the mixture's
-    relative error is about eps b1 / (mu step |b1 - mu|); mix holds its
-    (rates, weights) only while that stays below sqrt(eps), and is None
-    when kern is the sampled convolution.
+    kern = beta * T_rho f, the sampled convolution, and
+    zb = zeta * beta = (e^{rho x} - beta)/(rho + b1) is the forcing of
+    the solution with xi(0) = 0 and xi'(0) = 1. Exp(mu) claims never
+    come here: their exit function is a sum of exponentials.
     """
     rho, sigma = model.rho, model.sigma
     b1 = rho + 2.0 * model.c / (sigma * sigma)
@@ -219,14 +217,7 @@ def renewal(model, xs, trf, step):
     beta = np.exp(-b1 * xs)
     erx = np.exp(rho * xs)
     zb = (erx - beta) / (rho + b1)
-    mu = model.claims.mu if model.claims.kind == "exponential" else None
-    if mu is not None and _SQRT_EPS * b1 < abs(b1 - mu) * mu * step:
-        kern = (mu / (rho + mu)) * (np.exp(-mu * xs) - beta) / (b1 - mu)
-        wgt = mu / ((rho + mu) * (b1 - mu))
-        mix = ([mu, b1], [wgt, -wgt])
-    else:
-        kern, mix = convolve_exp(b1, trf, step), None
-    return b1, gam, erx, beta, zb, kern, mix
+    return b1, gam, erx, beta, zb, convolve_exp(b1, trf, step)
 
 
 def _scale_w(model, n, step):
@@ -244,7 +235,7 @@ def _scale_w(model, n, step):
                                        grid.with_values(np.exp(model.rho * xs)),
                                        model.lam * model.r / model.c)
         return xi.values / model.c, log_alias - math.log(model.c)
-    _, gam, _, _, zb, kern, _ = renewal(model, xs, trf, step)
+    _, gam, _, _, zb, kern = renewal(model, xs, trf, step)
     xi, log_alias = neumann_series(grid.with_values(kern), grid.with_values(zb), gam)
     return xi.values, log_alias
 

@@ -330,12 +330,13 @@ class TestHCommand:
 
 
 class TestBarrierCommand:
-    def test_diffusion_no_delay_needs_fine_grid(self, capsys):
-        # W's boundary layer at 0 fails the certificate at step 1e-3
-        rc, out, err = run(capsys, ["barrier", "--sigma", "0.5", "--d", "0"])
-        assert rc == 3
-        assert out == ""
-        assert "NonConvergenceError" in err
+    def test_diffusion_no_delay_at_the_default_grid(self, capsys):
+        # h is W(x)/W(a), a sum of three exponentials: W's boundary layer
+        # at 0 needs no finer grid, and a* is the zero of W''
+        rc, out, _ = run(capsys, ["barrier", "--sigma", "0.5", "--d", "0"])
+        assert rc == 0
+        assert abs(float(first_value(out, "a_star")) - 0.78597831) < 1e-6
+        assert first_value(out, "hjb_passed") == "True"
 
     def test_no_delay(self, capsys):
         rc, out, _ = run(capsys, ["barrier"])

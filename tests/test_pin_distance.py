@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import test_analytic_pin
 
@@ -60,3 +61,24 @@ def test_pins_entry_is_laid_out_as_the_pin_file():
         assert pins_entry(case, fingerprints) in text
     assert pins_entry("row", ["0x1.8p+0", "'a'"]) == (
         "    'row': [\n        '0x1.8p+0', \"'a'\",\n    ],")
+
+
+def test_a_failed_raises_is_a_moved_row_at_distance_inf():
+    # a row pinning a refusal whose error no longer comes: pytest's Failed
+    # is not an Exception, and once ended the whole run
+    tool = _tool()
+
+    def refused():
+        with pytest.raises(ValueError):
+            pass
+        return ["never reached"]
+
+    vals = tool.row_values(refused, ())
+    assert len(vals) == 1 and vals[0].startswith("raised DID NOT RAISE")
+    old = (["'refused'", "0x1.0p+0"], ["refused", 1.0])
+    new = ([repr(vals[0])], vals)
+    assert tool.row_report("row", old, new) == [
+        "row  abs inf  rel inf  (2 values -> 1 values)"]
+    # a row that raises an Exception is caught the same way
+    assert tool.row_values(lambda: 1 / 0, ()) == [
+        "raised ZeroDivisionError('division by zero')"]

@@ -36,6 +36,13 @@ A claim table is read one way, on its own lattice: no module under
 src/divbarrier but model.py, which stores it, and scale.py, whose
 TableRatio reads Phi_d and the w_d forcing off it, spells claims.grid,
 as an attribute path, a getattr on the claims or an attrgetter path.
+
+Exponential claims solve no renewal equation: their exit function is a
+sum of exponentials. The exact mixture solve neumann_series_exp and the
+marching solve volterra_march stay in gridmath as the tests' references
+(and as names the benchmark's tracer binds), so no other module under
+src/divbarrier names either, as an attribute, a name, an imported name
+or a string.
 """
 
 import ast
@@ -276,3 +283,41 @@ def test_grid_guard_sees_every_spelling():
     for line in ("x = h.grid.values", "g = scan.grid", "g = model.claims.density(x)",
                  "g = getattr(h, 'grid')", "s = 'the grid of the claims'"):
         assert not _grid_reads(line), line
+
+
+REFERENCE_SOLVES = ("neumann_series_exp", "volterra_march")
+
+
+def _reference_solve_names(source):
+    """Every spelling of the reference solves' names in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in REFERENCE_SOLVES:
+            found.append(_dotted(node) or node.attr)
+        elif ((isinstance(node, ast.Name) and node.id in REFERENCE_SOLVES)
+              or (isinstance(node, (ast.alias, ast.FunctionDef))
+                  and node.name in REFERENCE_SOLVES)
+              or (isinstance(node, ast.Constant) and node.value in REFERENCE_SOLVES)):
+            found.append(getattr(node, "id", None) or getattr(node, "name", None)
+                         or node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != HOME))
+def test_only_gridmath_names_the_reference_solves(path):
+    assert _reference_solve_names((SRC / path).read_text()) == []
+
+
+def test_reference_solve_guard_sees_every_spelling():
+    # the detector is not vacuous: gridmath, which defines both, trips it,
+    # and so does each way of reaching or defining them
+    assert set(_reference_solve_names((SRC / HOME).read_text())) >= set(REFERENCE_SOLVES)
+    for line in ("from .gridmath import neumann_series_exp",
+                 "xi = gridmath.neumann_series_exp(r, w, f, 1.0)",
+                 "from .gridmath import volterra_march as march",
+                 "xi = volterra_march(k, f, 1.0)", "solve = getattr(gm, 'volterra_march')",
+                 "def neumann_series_exp(rates, weights, forcing, coeff):\n    pass"):
+        assert _reference_solve_names(line), line
+    for line in ("from .gridmath import neumann_series", "xi = neumann_series(k, f, 1.0)",
+                 "s = 'the exact mixture solve'"):
+        assert not _reference_solve_names(line), line

@@ -24,8 +24,9 @@ out as in the pin file, to be copied over the old entry:
 
 Numbers are compared where both trees give the same shape (arrays) or
 the same text around the numbers (strings, and bytes such as the CLI's
-CSV); any other change, a flipped flag or a row that raises in one tree,
-is at distance inf. Relative distance is to the larger magnitude.
+CSV); any other change, a flipped flag or a row that raises in one tree
+(a pytest.raises that sees no error included), is at distance inf.
+Relative distance is to the larger magnitude.
 """
 
 import os
@@ -37,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,17 +46,26 @@ ROOT = Path(__file__).resolve().parents[1]
 _RUN = r"""
 import pickle, sys
 import test_analytic_pin as pins
+from pin_distance import row_values
 out = {}
 for case in sys.argv[2:] or sorted(pins.CASES):
-    fn, args = pins.CASES[case]
-    try:
-        vals = list(fn(*args))
-    except Exception as err:
-        vals = ["raised " + repr(err)]
+    vals = row_values(*pins.CASES[case])
     out[case] = ([pins._fingerprint(v) for v in vals], vals)
 with open(sys.argv[1], "wb") as fh:
     pickle.dump(out, fh)
 """
+
+
+def row_values(fn, args):
+    """The row's values, or ["raised <error>"] when it raises. A
+    pytest.raises that sees no error fails with pytest's Failed, which is
+    not an Exception, and is caught too, so one such row cannot end the
+    whole run."""
+    try:
+        return list(fn(*args))
+    except (Exception, pytest.fail.Exception) as err:
+        return ["raised " + repr(err)]
+
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -108,8 +119,25 @@ def pins_entry(case, fingerprints):
     return "\n".join(lines + [line + ",", "    ],"])
 
 
+def row_report(case, old, new):
+    """The lines printed for a moved row, old and new each its
+    (fingerprints, values): the largest distances, then each changed
+    value's by its index. A row whose number of values changed, as when
+    it raises in one tree, is at distance inf."""
+    (fp_old, v_old), (fp_new, v_new) = old, new
+    if len(v_old) != len(v_new):
+        return ["%s  abs inf  rel inf  (%d values -> %d values)"
+                % (case, len(v_old), len(v_new))]
+    fields = [(i, distance(a, b)) for i, (a, b, fa, fb)
+              in enumerate(zip(v_old, v_new, fp_old, fp_new)) if fa != fb]
+    return (["%s  abs %.3g  rel %.3g" % (case, max(d[0] for _, d in fields),
+                                        max(d[1] for _, d in fields))]
+            + ["    [%d] abs %.3g  rel %.3g" % (i, gap, rel) for i, (gap, rel) in fields])
+
+
 def _run(src, cases, out_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(ROOT / "tests"), str(ROOT / "tools")]))
     subprocess.run([sys.executable, "-c", _RUN, out_path] + cases, env=env,
                    cwd=os.path.dirname(out_path), stdout=subprocess.DEVNULL, check=True)
     with open(out_path, "rb") as fh:
@@ -127,21 +155,9 @@ def main(argv):
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         old = _run(Path(tmp) / "src", cases, os.path.join(tmp, "old.pkl"))
         new = _run(ROOT / "src", cases, os.path.join(tmp, "new.pkl"))
-    moved = []
-    for case in sorted(new):
-        (fp_old, v_old), (fp_new, v_new) = old[case], new[case]
-        if fp_old == fp_new:
-            continue
-        moved.append(case)
-        if len(v_old) != len(v_new):
-            print("%s  %d values -> %d values" % (case, len(v_old), len(v_new)))
-            continue
-        fields = [(i, distance(a, b)) for i, (a, b, fa, fb)
-                  in enumerate(zip(v_old, v_new, fp_old, fp_new)) if fa != fb]
-        print("%s  abs %.3g  rel %.3g" % (case, max(d[0] for _, d in fields),
-                                          max(d[1] for _, d in fields)))
-        for i, (gap, rel) in fields:
-            print("    [%d] abs %.3g  rel %.3g" % (i, gap, rel))
+    moved = [case for case in sorted(new) if old[case][0] != new[case][0]]
+    for case in moved:
+        print("\n".join(row_report(case, old[case], new[case])))
     print("%d of %d rows moved" % (len(moved), len(new)))
     for case in moved:
         print(pins_entry(case, new[case][0]))
