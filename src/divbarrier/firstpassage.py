@@ -19,17 +19,12 @@ The deadline transform weighs recoveries inside a window d:
 
 At d = inf this collapses to e^{-rho y} with rho the adjusted
 Lundberg root; at d = 0 it vanishes. For 0 < d < inf there is one route
-per regime:
-
-- sigma = 0, exponential claims: the whole k-sum resums through the
-  Bessel-type series sum_{k>=1} a^k z^{k-1} / (k! (k-1)!) with
-  a = r lam mu t, z = c t - y, which is entire in z, so the time
-  quadrature of each deficit never sees a kink;
-- a table at any sigma, and exponential claims at sigma > 0: no time
-  integral at all; Phi_d(y) is Lambda(-y)/Lambda(0), read off the scale
-  function (_phi_sigma_pos, which hands the model to scale.phi): for a
-  table by one correlation of W with the law of X_d on the table's
-  lattice, and for exponential claims by a moment quadrature.
+for every model, either claim law at every sigma, and no time integral:
+Phi_d(y) is Lambda(-y)/Lambda(0), read off the scale function
+(_phi_sigma_pos, which hands the model to scale.phi): for a table by
+one correlation of W with the law of X_d on the table's lattice, and
+for exponential claims by a moment quadrature over the claim total.
+This module reads no claim kind; scale chooses.
 """
 
 import math
@@ -39,7 +34,6 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import scale
-from .gridmath import adaptive_cc
 
 
 class AtomNotDensity(ValueError):
@@ -114,33 +108,12 @@ def vy_density(model, y, k, t):
     return amp * (y / t) * quad
 
 
-def _phi_sigma0_exp(model, d, y):
-    """Deadline transform, sigma = 0, exponential claims (resummed)."""
-    lam, c, q, r = model.lam, model.c, model.q, model.r
-    mu = model.claims.mu
-    t0 = y / c
-    if t0 > d:
-        return 0.0, 0.0
-    atom = math.exp(-(lam + q) * t0)
-    if d == t0:
-        return atom, 0.0
-
-    def fun(ts):
-        zs = np.maximum(c * ts - y, 0.0)
-        # one shared exponent keeps every factor in range
-        extra = -mu * zs - (lam + q) * ts
-        return (y / ts) * scale._bessel_series_scaled(r * lam * mu * ts, zs, extra)
-
-    integral, err = adaptive_cc(fun, t0, d, tol=1e-12)
-    return atom + float(integral), err
-
-
 def _phi_sigma_pos(model, d, ys):
     """(Phi_d on the deficits ys >= 0, truncation K, tail bound) at
-    0 < d < inf for a table at any sigma and for Exp(mu) claims at
-    sigma > 0: Lambda(-y)/Lambda(0) off the scale function (scale.phi).
-    The name keeps "sigma_pos" although tables at sigma = 0 come here
-    too, because perfbench's tracer times this function by name."""
+    0 < d < inf for either claim law at any sigma: Lambda(-y)/Lambda(0)
+    off the scale function (scale.phi). The name keeps "sigma_pos"
+    although every model at sigma = 0 comes here too, because
+    perfbench's tracer times this function by name."""
     return scale.phi(model, d, ys)
 
 
@@ -152,13 +125,7 @@ def _phi_table(model, d, ys):
         return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
     if math.isinf(d):
         return np.exp(-model.rho * ys), 0, 0.0
-    if model.sigma != 0.0 or model.claims.kind != "exponential":
-        return _phi_sigma_pos(model, d, ys)
-    vals, errs = np.ones_like(ys), [0.0]
-    for i in np.nonzero(ys > 0.0)[0]:
-        vals[i], err = _phi_sigma0_exp(model, d, ys[i])
-        errs.append(err)
-    return vals, 0, max(errs)
+    return _phi_sigma_pos(model, d, ys)
 
 
 def upcross_transform(model, y, d) -> UpcrossTransform:
@@ -186,9 +153,8 @@ def upcross_table(model, d, y_grid):
     table's Lambda (scale.phi) sums the claim powers once into the law
     of X_d and reads every lattice deficit off one correlation, as
     upcross_transform does for its one deficit. Exponential claims take
-    the resummed series per deficit at sigma = 0 and, at sigma > 0, one
-    moment quadrature per block of deficits, with K = 0 and the
-    quadrature's error bound as the tail bound.
+    one moment quadrature per block of deficits at every sigma, with
+    K = 0 and the quadrature's error bound as the tail bound.
     """
     y_grid = np.asarray(y_grid, dtype=float)
     if not np.all(y_grid >= 0):

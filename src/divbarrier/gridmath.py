@@ -22,8 +22,8 @@ holds the one copy of each grid primitive the others use:
   integral int_0^x e^{b(x-u)} S(u) du, and on reversed nodes it is
   dickson_at's backward tail;
 - adaptive_cc, nested Clenshaw-Curtis quadrature of an analytic
-  integrand (the scale-function moments, the sigma = 0 Bessel series),
-  which doubles its nodes until a relative or absolute stop, with its
+  integrand (the scale-function moments, at every sigma), which
+  doubles its nodes until a relative or absolute stop, with its
   weights from one FFT each (_cc_weights, memoized per node count).
 
 Other quadrature is trapezoid. Both first-order recurrences,

@@ -17,17 +17,16 @@ where the drift cannot climb back in time):
 At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
 exact tail transform at any points. At every finite d > 0, w_d is read
 from one memo entry per model (_phi_grid), which holds the scale
-route's Lambda (scale.scale_ratio) for a table at every sigma and for
-exponential claims at sigma > 0. At sigma > 0 that Lambda gives the
-continuation slope and the certificate for either claim law. For
-exponential claims w_d is the closed form u(d) f, with u(d) taken
-once: from expmodel at sigma = 0, and at sigma > 0 from that Lambda; no
-Phi grid is built. For a table the entry's TableRatio integrates
-Phi_d = Lambda(-y)/Lambda(0) against the density on the table's own
-lattice, into a node table read with one interpolation (w_reader).
-The continuation below zero (_whole_line) reads Phi_d at its own
-deficits off the same Lambda for a table, and through upcross_table
-for exponential claims.
+route's Lambda (scale.scale_ratio) and its w_reader, for either claim
+law at every sigma; this module does not choose the route. At
+sigma > 0 that Lambda gives the continuation slope and the
+certificate. For exponential claims w_d is the closed form u(d) f, u(d)
+taken once from that Lambda; no Phi grid is built. For a table the
+entry's TableRatio integrates Phi_d = Lambda(-y)/Lambda(0) against the
+density on the table's own lattice, into a node table read with one
+interpolation. The continuation below zero (_whole_line) reads Phi_d
+at its own deficits off the same Lambda at finite d > 0, and through
+upcross_table's closed forms at d = 0 and d = inf.
 
 For Exp(mu) claims no renewal equation is solved (_exp_basis). Since
 f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), e^{t x} solves the
@@ -105,7 +104,6 @@ from .gridmath import (
     derivative,
     neumann_series,
 )
-from . import expmodel
 from .firstpassage import upcross_table
 from .scale import _roots, renewal, scale_ratio
 
@@ -129,25 +127,16 @@ def _phi_grid(model):
     """The w_d reader at finite d > 0 with the scale route's Lambda,
     memoized per model as one entry (Lambda, reader).
 
-    Lambda is scale_ratio's: for a table a TableRatio at every sigma,
-    which gives Phi_d, and at sigma > 0 the continuation slope and
-    ratio(xs, a) too; for Exp(mu) claims a ScaleRatio at sigma > 0, or
-    None at sigma = 0. For Exp(mu) claims the reader is the closed form
-    u(d) e^{-mu x}, u(d) from the ScaleRatio or, at sigma = 0, from
-    expmodel; for a table it is the TableRatio's own, on the table's
-    lattice (w_reader).
+    Lambda is scale_ratio's at every sigma, a ScaleRatio for Exp(mu)
+    claims and a TableRatio for a table; it gives Phi_d, and at
+    sigma > 0 the continuation slope and ratio(xs, a) too. The reader is
+    its w_reader: the closed form u(d) e^{-mu x} for Exp(mu) claims, a
+    node table on the table's lattice for a table.
     """
     key = (model.key(), "phi")
     if key not in _CACHE:
-        if model.claims.kind == "exponential":
-            route = scale_ratio(model) if model.sigma > 0.0 else None
-            # w_d = u(d) f with u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
-            u = route.u if route is not None else expmodel.u_of_d(model, model.d)
-            mu = model.claims.mu
-            _CACHE[key] = route, lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
-        else:
-            route = scale_ratio(model)
-            _CACHE[key] = route, route.w_reader()
+        route = scale_ratio(model)
+        _CACHE[key] = route, route.w_reader()
     return _CACHE[key]
 
 
@@ -373,11 +362,11 @@ def _whole_line(model, x, at_zero, inside):
     neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
         ys = -x_arr[neg]
-        if model.claims.kind == "exponential" or not 0.0 < model.d < math.inf:
-            out[neg] = at_zero * upcross_table(model, model.d, ys)
-        else:
-            # a table's Phi_d from the Lambda its forcing memo holds
+        if 0.0 < model.d < math.inf:
+            # Phi_d from the Lambda the forcing memo holds
             out[neg] = at_zero * _phi_grid(model)[0].phi(ys)
+        else:
+            out[neg] = at_zero * upcross_table(model, model.d, ys)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -26,13 +26,11 @@ past its end. Its laplace (so the model's Lundberg root) and its
 tail_transform are both exact for that reading.
 
 Code outside this module reads the `kind` attribute (and mu) where
-exponential claims allow a closed-form algorithm: the per-deficit
-series of Phi_d at sigma = 0 (firstpassage); the choice of the w_d
-forcing's route, the u(d) forcing (from expmodel at sigma = 0, from
-the scale route at sigma > 0), the exit function as a sum of
-exponentials over the roots of Q in place of a renewal solve, and the
-continuation below zero through upcross_table (hfun); the scale route
-(scale: Lambda by roots and a moment quadrature); and the closed series
+exponential claims allow a closed-form algorithm: the scale route
+(scale: Lambda by roots and a moment quadrature, at every sigma, which
+also gives the u(d) e^{-mu x} forcing), the one place a model's Phi_d
+route is chosen; the exit function as a sum of exponentials over the
+roots of Q in place of a renewal solve (hfun); and the closed series
 of expmodel. One module besides this one reads how a
 table is stored, `claims.grid` on its nodes, so that everything read
 off Phi_d runs on the table's own lattice: scale's TableRatio, which

@@ -1,6 +1,6 @@
 """The scale-function route at 0 < d < inf: the exit function and the
-recovery transform Phi_d, for a claim table at every sigma and for
-Exp(mu) claims at sigma > 0.
+recovery transform Phi_d, for either claim law at every sigma. This is
+the one module that chooses a model's Phi_d route.
 
 Weighting each claim by r is the same as thinning the claims to rate
 lam r and killing at rate kill = q + lam(1 - r), so with grace period
@@ -15,7 +15,8 @@ where W is the kill-scale function of the thinned process (zero below
 time d. From a deficit y the surplus creeps back up to 0, so
 h(-y) = Phi_d(y) h(0) with Phi_d(y) = Lambda(-y) / Lambda(0).
 
-For Exp(mu) claims (ScaleRatio, phi) W is a sum of three exponentials,
+For Exp(mu) claims (ScaleRatio, phi) W is a sum of three exponentials
+at sigma > 0 and of two at sigma = 0, where Q is quadratic,
 
     W(x) = sum_i c_i e^{t_i x},   c_i = (mu + t_i) / Q'(t_i),
     Q(s) = (sigma^2 s^2 / 2 + c s - lam - q)(mu + s) + lam r mu,
@@ -31,18 +32,29 @@ reads Phi_d through two numbers, both closed in those weights:
 - the continuation slope -Phi_d'(0+) = Lambda'(0) / Lambda(0);
 - u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
        = sum_i c_i mu / (mu + t_i) (M(t_i, 0) - M(-mu, 0)) / Lambda(0),
-  so that w_d(x) = u(d) e^{-mu x}.
+  so that w_d(x) = u(d) e^{-mu x} (ScaleRatio.w_reader).
 
-Given the claim total S_d = s, Y' = X_d - y is Gaussian, and
+At sigma > 0, given the claim total S_d = s, Y' = X_d - y is Gaussian, and
 M = E[Y' e^{tY'}; Y' > 0] + y E[e^{tY'}; Y' > 0] is closed; S_d is an
 atom e^{-lam r d} at 0 plus a Bessel-type density (_bessel_series_scaled).
 So every (deficit, exponent) pair is one component of one vector
 quadrature over s, stopped relative to its largest component; the
 integrand is analytic in s, so nested Clenshaw-Curtis
 (gridmath.adaptive_cc) meets the stop at a few hundred nodes:
-the slope and u(d) take the four exponents t_1, t_2, t_3, -mu at y = 0,
-and Phi_d the three t_i at a block of deficits headed by y = 0. Every
-moment carries the common factor e^{-kill d}, which leaves each ratio
+the slope and u(d) take the exponents t_i and -mu at y = 0, and Phi_d
+the t_i at a block of deficits headed by y = 0.
+
+At sigma = 0 X_d = c d - s is a point given S_d = s, so the moment is
+X_d e^{t (X_d - y)} itself, on X_d >= y: W(0) = 1/c, and at y = c d
+only the claim-free atom climbs back, just in time, so there
+Phi_d = e^{-(lam + q) d}. Each deficit's claim totals run over
+[0, (c d - y)+], mapped onto [0, 1] with a span per deficit in the same
+vector quadrature; X_d - y is clipped at 0 there rather than cut by an
+indicator, which would put a jump at every row's end and keep the
+quadrature doubling to its node cap. Deficits past c d are 0 and join
+no block.
+
+Every moment carries the common factor e^{-kill d}, which leaves each ratio
 unchanged: M(rho, 0) grows like e^{kill d} (E e^{rho X_d} = e^{kill d})
 and would overflow from d near 300 on. Each exponent is summed before
 it is taken, so no factor over- or underflows on its own.
@@ -126,18 +138,29 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 @dataclass(frozen=True)
 class ScaleRatio:
     """Lambda(x) = sum_j weights_j e^{t_j x} up to a positive factor, with
-    the continuation slope Lambda'(0)/Lambda(0) and u(d)."""
+    the continuation slope Lambda'(0)/Lambda(0) and u(d), for the Exp(mu)
+    claims of model at its own d."""
 
     t: np.ndarray
     weights: np.ndarray
     slope: float
     u: float
+    model: object
 
     def ratio(self, xs, a):
         """Lambda(xs) / Lambda(a): the exit function at barrier a."""
         xs = np.asarray(xs, dtype=float)
         at_a = float(np.exp(a * self.t) @ self.weights)
         return np.exp(np.multiply.outer(xs, self.t)) @ self.weights / at_a
+
+    def phi(self, ys):
+        """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
+        return phi(self.model, self.model.d, ys)[0]
+
+    def w_reader(self):
+        """The forcing w_d(x) = u(d) e^{-mu x} as a reader of x >= 0."""
+        u, mu = self.u, self.model.claims.mu
+        return lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
 
 
 def _roots(model):
@@ -468,77 +491,94 @@ def _gauss_moment(t, m, sd, y):
 
 
 def _moments(model, d, ts, ys):
-    """e^{-kill d} E[X_d e^{t (X_d - y)}; X_d > y] for each deficit y in
-    ys (rows) and t in ts (columns), and the largest error estimate of
-    their quadrature."""
+    """e^{-kill d} E[X_d e^{t (X_d - y)}; X_d > y] (X_d >= y at sigma = 0)
+    for each deficit y in ys (rows) and t in ts (columns), and the
+    largest error estimate of their quadrature."""
     lam, c, r, sigma, mu = model.lam, model.c, model.r, model.sigma, model.claims.mu
     kill = model.q + lam * (1.0 - r)
     rate, sd = lam * r * d, sigma * math.sqrt(d)
     shift = rate + kill * d
     ys = np.asarray(ys, dtype=float)[:, None]
+    if sd:
+        def integrand(s):
+            # the claim total's density at s > 0 times the Gaussian moment of
+            # X_d - y = c d - s - y + sigma B_d, in one exponent per
+            # (node, deficit, t)
+            expo, factor = _gauss_moment(ts, (c * d - s)[:, None, None] - ys, sd, ys)
+            dens = _bessel_series_scaled(rate * mu, s, expo - mu * s[:, None, None] - shift)
+            return (factor * dens).reshape(len(s), -1)
 
-    def integrand(s):
-        # the claim total's density at s > 0 times the Gaussian moment of
-        # X_d - y = c d - s - y + sigma B_d, in one exponent per
-        # (node, deficit, t)
-        expo, factor = _gauss_moment(ts, (c * d - s)[:, None, None] - ys, sd, ys)
-        dens = _bessel_series_scaled(rate * mu, s, expo - mu * s[:, None, None] - shift)
-        return (factor * dens).reshape(len(s), -1)
+        expo, factor = _gauss_moment(ts, c * d - ys, sd, ys)
+        # X_d > y needs sigma B_d > s + y - c d; past 12 standard deviations
+        # of the rho-tilted Gaussian that weight is below e^{-72}
+        hi = c * d + model.rho * sd * sd + 12.0 * sd
+    else:
+        # X_d = c d - s is a point: deficit y reads the claim totals on
+        # [0, span], span = (c d - y)+, mapped onto [0, 1], and the atom
+        # while X_d = c d >= y. m = X_d - y is clipped at 0, not cut by an
+        # indicator, so the integrand stays smooth up to v = 1
+        span = np.maximum(c * d - ys, 0.0)
 
-    expo, factor = _gauss_moment(ts, c * d - ys, sd, ys)
+        def integrand(v):
+            s = v[:, None, None] * span
+            m = np.maximum(span - s, 0.0)
+            dens = _bessel_series_scaled(rate * mu, s, ts * m - mu * s - shift)
+            return (span * (m + ys) * dens).reshape(len(v), -1)
+
+        # span, not c d - y: past c d the exponent would overflow
+        expo, factor = ts * span, np.where(ys <= c * d, c * d, 0.0)
+        hi = 1.0
     atom = factor * np.exp(expo - shift)
-    # X_d > y needs sigma B_d > s + y - c d; past 12 standard deviations
-    # of the rho-tilted Gaussian that weight is below e^{-72}
-    s_hi = c * d + model.rho * sd * sd + 12.0 * sd
-    integral, err = adaptive_cc(integrand, 0.0, s_hi, _MOMENT_RTOL, relative=True)
+    integral, err = adaptive_cc(integrand, 0.0, hi, _MOMENT_RTOL, relative=True)
     return atom + np.reshape(integral, atom.shape), err
 
 
-def _require(model, d):
-    if not 0.0 < d < math.inf or not (model.sigma > 0.0
-                                      or model.claims.kind != "exponential"):
-        raise ValueError("the scale route needs 0 < d < inf, and sigma > 0 "
-                         "for exponential claims")
+def _require(d):
+    if not 0.0 < d < math.inf:
+        raise ValueError("the scale route needs 0 < d < inf")
 
 
 def scale_ratio(model):
-    """Lambda at the model's own d, for 0 < d < inf: for Exp(mu) claims
-    at sigma > 0 a ScaleRatio (its exponents and weights, the
-    continuation slope and u(d)), for a table at any sigma a TableRatio."""
-    _require(model, model.d)
+    """Lambda at the model's own d, for 0 < d < inf, at any sigma: for
+    Exp(mu) claims a ScaleRatio (its exponents and weights, the
+    continuation slope and u(d)), for a table a TableRatio."""
+    _require(model.d)
     if model.claims.kind != "exponential":
         return TableRatio(model, model.d)
     mu = model.claims.mu
     t, cw = _roots(model)
     (m,), _ = _moments(model, model.d, np.append(t, -mu), [0.0])
-    weights = cw * m[:3]
+    weights = cw * m[:-1]
     at_zero = float(np.sum(weights))
-    u = float(np.sum(cw * mu / (mu + t) * (m[:3] - m[3]))) / at_zero
-    return ScaleRatio(t, weights, float(t @ weights) / at_zero, u)
+    u = float(np.sum(cw * mu / (mu + t) * (m[:-1] - m[-1]))) / at_zero
+    return ScaleRatio(t, weights, float(t @ weights) / at_zero, u, model)
 
 
 def phi(model, d, ys):
     """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
-    claim-count truncation K, a bound on the error) for 0 < d < inf: a
-    table at any sigma, Exp(mu) claims at sigma > 0.
+    claim-count truncation K, a bound on the error) for 0 < d < inf, at
+    any sigma and for either claim law.
 
     A table's K and bound are its TableRatio's. For Exp(mu) claims K is
     0 and the bound is the moments' quadrature error: each block of
     deficits is one quadrature headed by y = 0, so its relative stop is
     taken against Lambda(0) and its Phi divides by its own Lambda(0). An
     error e in each moment moves Lambda by at most e sum |c_i| at every
-    y, and so Phi by at most twice that over Lambda(0).
+    y, and so Phi by at most twice that over Lambda(0). At sigma = 0
+    X_d <= c d, so deficits past c d are 0 and join no block.
     """
-    _require(model, d)
+    _require(d)
     ys = np.asarray(ys, dtype=float)
     if model.claims.kind != "exponential":
         table = TableRatio(model, d)
         return table.phi(ys), table.truncation_k, table.tail_bound
     t, cw = _roots(model)
-    vals, bound = np.empty(len(ys)), 0.0
-    for lo in range(0, len(ys), _BLOCK):
-        m, err = _moments(model, d, t, np.append(0.0, ys[lo:lo + _BLOCK]))
+    live = np.nonzero(ys <= (model.c * d if model.sigma == 0.0 else math.inf))[0]
+    vals, bound = np.zeros(len(ys)), 0.0
+    for lo in range(0, len(live), _BLOCK):
+        at = live[lo:lo + _BLOCK]
+        m, err = _moments(model, d, t, np.append(0.0, ys[at]))
         lam = m @ cw
-        vals[lo:lo + _BLOCK] = lam[1:] / lam[0]
+        vals[at] = lam[1:] / lam[0]
         bound = max(bound, 2.0 * err * float(np.sum(np.abs(cw)) / lam[0]))
     return vals, 0, bound

@@ -249,22 +249,22 @@ PINS = {
         "'barrier optimality guaranteed (monotone density slope)'",
     ],
     'at-exp-s0-d2-a0': [
-        '0x0.0p+0', 'True', '3c4b6030ba9466c3', 'True', '0x0.0p+0',
+        '0x0.0p+0', 'True', 'c528694dcdab3141', 'True', '0x0.0p+0',
         '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x1.8000000000000p-47', '0x1.4f8b588e368f1p-17',
+        '0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '91c5bd496a488538',
-        '91c5bd496a488538', 'b47b8197eeb5d548', '0x1.da9018ee9abfep-1',
+        '0x1.3333333333333p-2', 'False', '8b5fa564b331f394',
+        '8b5fa564b331f394', 'e9de9516ce25d3c3', '0x1.da9018ee9abf5p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.c171000000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.c12b800000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a8ap-1',
+        '0x1.c12bc00000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a86p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -290,7 +290,7 @@ PINS = {
         '0x1.89e3a9d04e24ep-1', 'False', 'True', 'af66404dc83bad98',
     ],
     'barrier-s0-d2': [
-        '0x0.0p+0', 'True', 'True', 'cfcd0549aaa70ba1',
+        '0x0.0p+0', 'True', 'True', '1fedea689330bfaf',
     ],
     'barrier-s0.5-d0': [
         '0x1.926bbfa735437p-1', 'False', 'True', '92f6f3059daeb0fd',
@@ -317,8 +317,8 @@ PINS = {
         '0x1.ac9cf38a00000p-23', '0x0.0p+0',
     ],
     'h-exp-s0-d2': [
-        'f6c721513ff0f898', 'db214c0655f0eea1', 'd21eba000e9329c0',
-        '0x1.e578be0000000p-25', '0x0.0p+0',
+        'a6890abbc478958b', '4fb22c56172ce96a', '93a0595d73974be0',
+        '0x1.e57e3e0000000p-25', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
         'c1b8b1066bc14864', '35621887096c1f48', '2f489f9383def116',
@@ -351,7 +351,7 @@ PINS = {
     ],
     'hjb-s0-d2': [
         'True', '0x0.0p+0', '0x1.4000000000000p+3', "'generator_above'",
-        'True', '0x0.0p+0', '0x1.8000000000000p-47', '0x1.4f8b588e368f1p-17',
+        'True', '0x0.0p+0', '0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
@@ -361,14 +361,14 @@ PINS = {
         '0x0.0p+0', '0', '0x0.0p+0', '725c4777db328932',
     ],
     'phi-exp-s0-d0.4': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f4eeep-1', '0',
-        '0x1.39c937445f990p-52', '0x1.c195353dc1242p-1', '0',
-        '0x1.dad59b8ae2151p-52', '63e1f49cd1912c70',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.d9d29986f4ef0p-1', '0',
+        '0x1.b48281d7fe9e7p-48', '0x1.c195353dc1242p-1', '0',
+        '0x1.b48281d7fe9e7p-48', '77ef55d43c946e9a',
     ],
     'phi-exp-s0-d2': [
-        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb609190p-1', '0',
-        '0x1.448dfc7915f44p-52', '0x1.c4fb96fe20ba6p-1', '0',
-        '0x1.ee113b1632cfdp-52', 'c8e586e50ab13375',
+        '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbb9eeb609189p-1', '0',
+        '0x1.e6a08da749378p-48', '0x1.c4fb96fe20ba5p-1', '0',
+        '0x1.e6a08da749378p-48', '0e9ada7fb59a02a9',
     ],
     'phi-exp-s0-dinf': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbba57c2524bcp-1', '0',
@@ -440,15 +440,15 @@ PINS = {
         '31e11b6ca7c747d9', 'd418b7ae9918f2d7', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
-        '3c4b6030ba9466c3', '0x1.04a6b8bfe69aap+2', '3c65c57e7d92d1b5',
-        '6e591fc4f9fa8baa', 'True', '0x0.0p+0',
+        'c528694dcdab3141', '0x1.04a6b8bfe69afp+2', '3c65c57e7d92d1b5',
+        'a716d42a7c30430e', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
         '94077e0fc1cc6d87', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',
         '95b1e4a5aedcfe3e', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [
-        '32b848bd3a9d3d0f',
+        '42f3f465c59c87ee',
     ],
     'w-exp-s0.5-d1': [
         '1f406f66f6585c70',

@@ -1,4 +1,4 @@
-"""The scale route at sigma > 0 and 0 < d < inf.
+"""The scale route at 0 < d < inf.
 
 scale.scale_ratio gives Lambda's exponents and weights, the
 continuation slope Lambda'(0)/Lambda(0) and
@@ -9,6 +9,12 @@ u(d) from its own moments; and far out in d, where the unscaled moments
 would overflow, against the d = inf limits rho and mu / (mu + rho).
 scale.phi, which upcross_table reads for these models, is checked
 against the oracle's Phi_d and across the seams of its deficit blocks.
+
+Exp(mu) claims at sigma = 0 take the same route: given S_d, X_d is a
+point, so each deficit's moments run over the claim totals below
+c d - y. There u(d) is checked against expmodel's closed series and its
+d = inf limit, the quadrature's node count on a long deficit grid, and
+Phi_d at the drift reach c d, where only the claim-free atom is left.
 
 For a claim table scale_ratio gives a TableRatio, built from W (the
 exit equation's d = 0 solution on the table's lattice) and the law of
@@ -28,8 +34,8 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import gridmath, scale
-from divbarrier.firstpassage import upcross_table
+from divbarrier import expmodel, gridmath, scale
+from divbarrier.firstpassage import upcross_table, upcross_transform
 from divbarrier.gridmath import power_sum
 
 from conftest import make_model
@@ -116,8 +122,58 @@ def test_long_clock_reaches_the_infinite_limit(d):
     assert route.u == pytest.approx(1.0 / (1.0 + m.rho), rel=1e-12)
 
 
-@pytest.mark.parametrize("sigma,d,claims", [(0.0, 1.0, "exp"), (0.5, 0.0, "exp"),
-                                            (0.5, math.inf, "exp"), (0.0, 0.0, "tab")])
+@pytest.mark.parametrize("d", [0.05, 2.0])
+def test_drift_only_u_matches_the_closed_series(d):
+    # at sigma = 0 X_d = c d - S_d is a point given S_d, and u(d) comes
+    # from the same moments; expmodel's closed series is the oracle
+    m = make_model(d)
+    assert abs(scale.scale_ratio(m).u - expmodel.u_of_d(m, d)) < 1e-14
+
+
+def test_drift_only_long_clock_reaches_the_infinite_limit():
+    # measured 1.1e-16 off mu / (mu + rho) at d = 1000, where the closed
+    # series is 9.7e-15 off
+    m = make_model(1000.0)
+    assert abs(scale.scale_ratio(m).u - 1.0 / (1.0 + m.rho)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [0.0533, 0.40002, 2.0, 50.0])
+def test_drift_only_blocks_take_a_few_hundred_nodes(monkeypatch, d):
+    # each deficit's claim totals run over [0, c d - y], mapped onto
+    # [0, 1]; X_d - y is clipped at 0 there, not cut by an indicator,
+    # which would put a jump at the end of every row and run each block
+    # to the 2^19-node cap. Measured 129 nodes at d <= 2, 257 at d = 50
+    blocks = []
+
+    def counted(fun, *args, **kwargs):
+        nodes = []
+        out = gridmath.adaptive_cc(lambda s: nodes.append(len(s)) or fun(s), *args, **kwargs)
+        blocks.append(sum(nodes))
+        return out
+
+    monkeypatch.setattr(scale, "adaptive_cc", counted)
+    ys = np.arange(0.0, 30.0 + 1e-2, 2e-2)
+    vals, k, bound = scale.phi(make_model(d), d, ys)
+    live = int(np.sum(ys <= 15.0 * d))
+    assert len(blocks) == -(-live // scale._BLOCK)
+    assert 0 < max(blocks) <= 257
+    assert k == 0 and 0.0 < bound < 1e-12 and np.all(vals[live:] == 0.0)
+
+
+@pytest.mark.parametrize("d", [0.4, 2.0])
+def test_drift_only_kink_at_the_drift_reach(d):
+    # at y = c d only the claim-free atom climbs back, just in time:
+    # e^{-(lam + q) d}; one ulp past c d nothing does. scale_oracle cuts
+    # at X_d > y and reads 0 at y = c d, so it is not compared here
+    m = make_model(d)
+    cd = m.c * d
+    at = upcross_transform(m, cd, d).value
+    assert abs(at / math.exp(-(m.lam + m.q) * d) - 1.0) < 1e-14
+    assert upcross_transform(m, float(np.nextafter(cd, math.inf)), d).value == 0.0
+
+
+@pytest.mark.parametrize("sigma,d,claims", [(0.5, 0.0, "exp"), (0.5, math.inf, "exp"),
+                                            (0.0, 0.0, "tab")])
 def test_other_models_are_refused(sigma, d, claims):
     dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
             else db.ExponentialClaims(1.0))

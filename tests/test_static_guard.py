@@ -20,10 +20,15 @@ it must not import divbarrier in any spelling: an import statement,
 a relative import, or a module name handed to importlib.import_module
 or __import__ as a string.
 
+expmodel's closed series for Exp(mu) claims at sigma = 0 is the oracle
+that the solver's numbers are checked against, so the solver must not
+read it: no module under src/divbarrier imports expmodel, but the
+package's __init__.py, which exports it.
+
 divbarrier.scale sits below the modules that read it: firstpassage
-takes Phi_d and the Bessel claim sum from it, and hfun the exit
-function's slope, forcing, certificate and renewal kernel. So scale
-imports neither, at module level or inside a function.
+takes Phi_d from it, and hfun the exit function's slope, forcing,
+certificate and renewal kernel. So scale imports neither, at module
+level or inside a function.
 
 A claim table's cached convolution powers are read in one place:
 model.py stores them for conv_power. scale.py's TableRatio sums the
@@ -204,6 +209,12 @@ def test_scale_imports_neither_firstpassage_nor_hfun():
     for line in ("from .firstpassage import _claim_cutoff", "from . import hfun",
                  "import divbarrier.hfun", "def f():\n    from .firstpassage import x"):
         assert _imported_modules(line) & readers, line
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_no_module_but_the_package_imports_expmodel(path):
+    assert "expmodel" not in _imported_modules((SRC / path).read_text())
 
 
 POWER_READERS = ("model.py",)
