@@ -30,7 +30,8 @@ exponential claims allow a closed-form algorithm: the scale route
 (scale: Lambda by roots and a moment quadrature, at every sigma, which
 also gives the u(d) e^{-mu x} forcing), the one place a model's Phi_d
 route is chosen; the exit function as a sum of exponentials over the
-roots of Q in place of a renewal solve (hfun); and the closed series
+roots of Q, with the scale route's weights, in place of a renewal solve
+(hfun); and the closed series
 of expmodel. One module besides this one reads how a
 table is stored, `claims.grid` on its nodes, so that everything read
 off Phi_d runs on the table's own lattice: scale's TableRatio, which

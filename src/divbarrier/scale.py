@@ -26,8 +26,10 @@ whose largest root t_1 is the Lundberg root rho, and
     Lambda(-y) = sum_i c_i M(t_i, y),
     M(t, y) = E[X_d e^{t (X_d - y)}; X_d > y].
 
-On [0, a] Lambda(x) = sum_i c_i M(t_i, 0) e^{t_i x}. The exit function
-reads Phi_d through two numbers, both closed in those weights:
+On [0, a] Lambda(x) = sum_i c_i M(t_i, 0) e^{t_i x}, and the exit
+function is that sum over Lambda(a), with ScaleRatio.weights (and W's
+c_i at d = 0) taken as they are. Phi_d also enters through two numbers,
+both closed in those weights:
 
 - the continuation slope -Phi_d'(0+) = Lambda'(0) / Lambda(0);
 - u(d) = int_0^inf Phi_d(y) mu e^{-mu y} dy
@@ -62,12 +64,12 @@ it is taken, so no factor over- or underflows on its own.
 For a claim table (TableRatio) both pieces live on the table's own
 lattice z_j = j step. The table is read linearly between its nodes,
 and model.rho is the root for that reading, for which T_rho f is
-exact, so W is that reading's own scale function (_scale_w). At
-sigma > 0 W is the d = 0 solution of the exit equation,
-xi(0) = 0 and xi'(0) = 1, one renewal solve with the kernel and forcing
-of renewal(), which h_d_sigma_pos solves too. Every W is one tilted
-transform (gridmath.neumann_series), whose wrap-around bound joins
-tail_bound. The density p of X_d is
+exact, so W is that reading's own scale function (_scale_w): the
+d = 0 solution of the table's exit equation, which this module spells
+for the exit function too (exit_equation), with w_d = 0. At sigma > 0
+that is xi(0) = 0 and xi'(0) = 1, one renewal solve. Every W is one
+tilted transform (gridmath.neumann_series), whose wrap-around bound
+joins tail_bound. The density p of X_d is
 the atom e^{-lam r d} plus the Poisson(lam r d)-weighted claim powers
 f^{k*}, k <= K (K from _claim_cutoff), summed as one polynomial in one
 tilted transform (gridmath.power_sum) of the density zero-padded to the
@@ -92,7 +94,7 @@ Lambda'(0) = -int_0^inf W(z) (z p(z))' dz.
 At sigma = 0 (bounded variation) X_d = c d - S_d is the atom
 e^{-lam r d} at c d and, below it, the Poisson-weighted claim powers
 reflected about c d; nothing lies above c d, so Phi_d is 0 past it. W is
-the d = 0 renewal solution of h_d_sigma0's equation over c, with
+the exit equation's d = 0 solution, xi(0) = 1, over c, with
 W(0+) = 1/c (_scale_w). Two jumps need care for the trapezoid rule to
 stay O(step^2) (_drift_law): W jumps from 0 to 1/c where X_d meets the
 deficit, so that node takes half weight, and the density drops to 0 at
@@ -222,44 +224,64 @@ def _claim_cutoff(s, scale):
     return K, scale * math.exp(ln_term) / (1.0 - s / (K + 2))
 
 
-def renewal(model, xs, trf, step):
-    """The sigma > 0 exit equation for a claim table as the renewal
-    equation xi = phi + gam (kern * xi) on the grid
-    xs = step * (0, 1, ..., n), trf being T_rho f there:
-    (b1, gam, e^{rho x}, beta, zb, kern).
+def exit_equation(model, xs, step, w, x0, p):
+    """The exit equation of a claim table, given w_d at the grid
+    xs = step * (0, 1, ..., n), as renewal equations
+    xi = g + coeff (kernel * xi) with one kernel: (kernel, coeff, forcings).
 
-    beta = e^{-b1 x} with b1 = rho + 2c/sigma^2, gam = 2 lam r / sigma^2,
-    kern = beta * T_rho f, the sampled convolution, and
-    zb = zeta * beta = (e^{rho x} - beta)/(rho + b1) is the forcing of
-    the solution with xi(0) = 0 and xi'(0) = 1. Exp(mu) claims never
-    come here: their exit function is a sum of exponentials.
+    At sigma = 0 the equation is first order in xi, with xi(0) = x0, and
+    one forcing g = x0 [zeta - (lam r / c) (zeta * w_d)], zeta = e^{rho x},
+    with kernel T_rho f. At sigma > 0 the kernel is beta * T_rho f with
+    beta = e^{-b1 x}, b1 = rho + 2c/sigma^2, coeff = 2 lam r / sigma^2,
+    and the forcings are those of xi, xi' and xi'' for xi(0) = x0 and
+    xi'(0) = p, the last two carrying the boundary terms kernel xi(0)
+    and kernel' xi(0) + kernel p. With w = 0 the equation is W's
+    (_scale_w). Exp(mu) claims never come here: their exit function is
+    a sum of exponentials.
     """
-    rho, sigma = model.rho, model.sigma
+    rho = model.rho
+    trf = model.claims.tail_transform(rho, xs)
+    erx = np.exp(rho * xs)
+    if model.sigma == 0.0:
+        coeff = model.lam * model.r / model.c
+        # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
+        return trf, coeff, (x0 * (erx - coeff * convolve_exp(-rho, w, step)),)
+    sigma = model.sigma
     b1 = rho + 2.0 * model.c / (sigma * sigma)
     gam = 2.0 * model.lam * model.r / (sigma * sigma)
     beta = np.exp(-b1 * xs)
-    erx = np.exp(rho * xs)
+    kern = convolve_exp(b1, trf, step)
+    # zb = zeta * beta and the same with w_d, with their derivatives
     zb = (erx - beta) / (rho + b1)
-    return b1, gam, erx, beta, zb, convolve_exp(b1, trf, step)
+    dzb = (rho * erx + b1 * beta) / (rho + b1)
+    d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
+    bw = convolve_exp(b1, w, step)
+    zbw = convolve_exp(-rho, bw, step)
+    dzbw = bw + rho * zbw
+    d2zbw = (w - b1 * bw) + rho * dzbw
+    return kern, gam, (
+        x0 * (b1 * zb + beta - gam * zbw) + p * zb,
+        x0 * (b1 * dzb - b1 * beta - gam * dzbw + gam * kern) + p * dzb,
+        x0 * (b1 * d2zb + b1 * b1 * beta - gam * d2zbw + gam * (trf - b1 * kern))
+        + p * (d2zb + gam * kern))
 
 
 def _scale_w(model, n, step):
     """(W on the lattice step * (0, ..., n), the log of a bound on its
-    solve's wrap-around): at sigma > 0 the renewal() solution with
-    xi(0) = 0 and xi'(0) = 1, at sigma = 0 xi / c for the renewal
-    solution xi = e^{rho x} + (lam r / c) (T_rho f) * xi, so W(0+) = 1/c.
-    model.rho is the root for the table's linear reading, for which
-    T_rho f is exact, so W is that reading's own scale function."""
+    solve's wrap-around): the exit equation's solution with w = 0, at
+    sigma > 0 from xi(0) = 0 and xi'(0) = 1, at sigma = 0 from xi(0) = 1
+    and divided by c, so W(0+) = 1/c. model.rho is the root for the
+    table's linear reading, for which T_rho f is exact, so W is that
+    reading's own scale function."""
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
-    trf = model.claims.tail_transform(model.rho, xs)
-    if model.sigma == 0.0:
-        xi, log_alias = neumann_series(grid.with_values(trf),
-                                       grid.with_values(np.exp(model.rho * xs)),
-                                       model.lam * model.r / model.c)
+    drift = model.sigma == 0.0
+    kernel, coeff, forcings = exit_equation(model, xs, step, np.zeros(n + 1),
+                                            float(drift), 1.0)
+    xi, log_alias = neumann_series(grid.with_values(kernel),
+                                   grid.with_values(forcings[0]), coeff)
+    if drift:
         return xi.values / model.c, log_alias - math.log(model.c)
-    _, gam, _, _, zb, kern = renewal(model, xs, trf, step)
-    xi, log_alias = neumann_series(grid.with_values(kern), grid.with_values(zb), gam)
     return xi.values, log_alias
 
 

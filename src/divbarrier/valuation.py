@@ -129,41 +129,25 @@ def _boundary_solution(model, scan: HFunction) -> BarrierSolution:
 
 
 def _refine_root(xs, ys, i):
-    """Root of the parabola through nodes i-1, i, i+1, bisected down.
+    """Root in [xs[i], xs[i+1]] of the parabola through nodes j-1, j, j+1
+    of the uniform grid xs (j = i away from its ends).
 
     ys changes sign between xs[i] and xs[i+1]; the quadratic through
-    the three surrounding nodes locates the zero to O(step^3).
+    the three surrounding nodes locates the zero to O(step^3). Its roots
+    are taken by the stable quadratic formula; where rounding leaves
+    none in the bracket, the chord's zero is returned instead.
     """
     j = max(1, min(i, len(xs) - 2))
-    x0, x1, x2 = xs[j - 1], xs[j], xs[j + 1]
     y0, y1, y2 = ys[j - 1], ys[j], ys[j + 1]
-
-    def quad(t):
-        return (y0 * (t - x1) * (t - x2) / ((x0 - x1) * (x0 - x2))
-                + y1 * (t - x0) * (t - x2) / ((x1 - x0) * (x1 - x2))
-                + y2 * (t - x0) * (t - x1) / ((x2 - x0) * (x2 - x1)))
-
-    lo, hi = xs[i], xs[i + 1]
-    flo = quad(lo)
-    if flo == 0.0:
-        return lo
-    if quad(hi) == 0.0:
-        return hi
-    if flo * quad(hi) > 0:
-        # parabola disagrees with the linear bracket; fall back to secant
-        return lo + (hi - lo) * ys[i] / (ys[i] - ys[i + 1])
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = quad(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    # the parabola is y1 + b s + a s^2 in s = (x - xs[j]) / step
+    a, b = 0.5 * (y0 - 2.0 * y1 + y2), 0.5 * (y2 - y0)
+    disc = b * b - 4.0 * a * y1
+    if disc >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        for s in ([y1 / q] if q else []) + ([q / a] if a else []):
+            if i - j <= s <= i - j + 1:
+                return xs[j] + s * (xs[j + 1] - xs[j])
+    return xs[i] + (xs[i + 1] - xs[i]) * ys[i] / (ys[i] - ys[i + 1])
 
 
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:

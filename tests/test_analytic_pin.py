@@ -257,14 +257,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '8b5fa564b331f394',
-        '8b5fa564b331f394', 'e9de9516ce25d3c3', '0x1.da9018ee9abf5p-1',
+        '0x1.3333333333333p-2', 'False', 'aec2309b93e9109a',
+        'aec2309b93e9109a', 'd7faa04c42c3a409', '0x1.da9018ee9abf4p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.c171000000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.c12bc00000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a86p-1',
+        '0x1.c12c000000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a84p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -287,22 +287,22 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
-        '0x1.89e3a9d04e24ep-1', 'False', 'True', 'af66404dc83bad98',
+        '0x1.89e3a9d05057dp-1', 'False', 'True', '29d525e4fc6e7e14',
     ],
     'barrier-s0-d2': [
-        '0x0.0p+0', 'True', 'True', '1fedea689330bfaf',
+        '0x0.0p+0', 'True', 'True', 'cf429a98e5032b82',
     ],
     'barrier-s0.5-d0': [
-        '0x1.926bbfa735437p-1', 'False', 'True', '92f6f3059daeb0fd',
+        '0x1.926bbfa733108p-1', 'False', 'True', '4cb9ff97f6a8dbd7',
     ],
     'barrier-s0.5-d0-step2e-5': [
-        '0x1.926bbfa737767p-1', 'False', 'True', 'ed4b3b2387cf2836',
+        '0x1.926bbfa737767p-1', 'False', 'True', '0713ebd83aadbc02',
     ],
     'barrier-s0.5-d1': [
         '0x0.0p+0', 'True', 'True', '3c8ca671f588816f',
     ],
     'cli-h-s0.5-d1': [
-        '291982435cd30abf',
+        '4a099ce42b378bba',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -313,20 +313,20 @@ PINS = {
         '"g\'s support [0, inf) leaves claim mass 4.49e-01 unreachable below x = 0.8"',
     ],
     'h-exp-s0-d0': [
-        'dad3439e852f6410', '65f6cf255f75e11e', 'ce73f443d7f2e9bd',
-        '0x1.ac9cf38a00000p-23', '0x0.0p+0',
+        'af844d888bda1c5a', '76f8480a974beb5a', 'af6af6d8605fca8e',
+        '0x1.ac9d6889c0000p-23', '0x0.0p+0',
     ],
     'h-exp-s0-d2': [
-        'a6890abbc478958b', '4fb22c56172ce96a', '93a0595d73974be0',
-        '0x1.e57e3e0000000p-25', '0x0.0p+0',
+        'e1e9844a4f7f37dd', '9175dcef36a91aa1', 'db065fd364f03f0f',
+        '0x1.e578bf0000000p-25', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
-        'c1b8b1066bc14864', '35621887096c1f48', '2f489f9383def116',
-        '0x1.37ad045700000p-21', '0x0.0p+0',
+        '629ecd2303c478e4', '40f8003d90f51133', '36e84b287e177e64',
+        '0x1.37ad042700000p-21', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
-        'd542b92c439a4301', 'c2d2aafb9573238a', 'd25585447815d89c',
-        '0x1.4466800000000p-33', '0x1.f53d341b24dbep-3',
+        'e6c2fbd278106c35', '05c51f6b40fe3cb1', '5805a1c7bde5fb33',
+        '0x1.4467000000000p-33', '0x1.f53d341b24dbep-3',
     ],
     'h-exp-s0.5-dinf': [
         '147af5dfab13aec3', '9841e46a183b2450', 'f54f65b809d197d7',
@@ -341,17 +341,17 @@ PINS = {
         '0x1.dcc4900000000p-30', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
-        'True', '0x1.89e3a9d04e24ep-1', '0x1.589e3a9d04e25p+3',
-        "'generator_above'", 'True', '0x1.89ee005b18c42p-1',
-        '-0x1.f88b380000000p-28', '0x1.4f8b588e368f1p-17',
-        "'generator_interior'", 'True', '0x1.89d3c985ba880p-1',
-        '0x1.0234600000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'True', '0x1.89d3c985ba880p-1', '0x1.00000004e973ap+0',
+        'True', '0x1.89e3a9d05057dp-1', '0x1.589e3a9d05058p+3',
+        "'generator_above'", 'True', '0x1.89ee005b18ec6p-1',
+        '-0x1.f886680000000p-28', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.89d3c985bab05p-1',
+        '0x1.0247800000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'True', '0x1.89d3c985bab05p-1', '0x1.00000004e973bp+0',
         '0x1.4f8b588e368f1p-17',
     ],
     'hjb-s0-d2': [
         'True', '0x0.0p+0', '0x1.4000000000000p+3', "'generator_above'",
-        'True', '0x0.0p+0', '0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
+        'True', '0x0.0p+0', '-0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
@@ -436,12 +436,12 @@ PINS = {
         '558dec7941f50116', 'a754ff3b02f99ee1', '2c3b8187867a8edf',
     ],
     'value-s0-d0': [
-        'eed8a2867afaa06a', '0x0.0p+0', 'eed8a2867afaa06a', '1334ceb4b990dd52',
-        '31e11b6ca7c747d9', 'd418b7ae9918f2d7', 'True', '0x0.0p+0',
+        '7625fa1717e76ead', '0x0.0p+0', '7625fa1717e76ead', 'e963d90594f67af8',
+        '9f9912088f9de536', 'd2c6ea9aa70fc717', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
-        'c528694dcdab3141', '0x1.04a6b8bfe69afp+2', '3c65c57e7d92d1b5',
-        'a716d42a7c30430e', 'True', '0x0.0p+0',
+        '19c57f31e750401f', '0x1.04a6b8bfe69b0p+2', '3c65c57e7d92d1b5',
+        'd89f9d3781d8f3a7', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
         '94077e0fc1cc6d87', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',

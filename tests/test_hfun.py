@@ -10,12 +10,12 @@ With sigma > 0 the scale-function oracle in scale_oracle.py pins the
 construction: h = e^{-rho (a - x)} at d = inf, W(x)/W(a) at d = 0,
 and at finite d the slope at 0 is Lambda'(0)/Lambda(0), down to
 d = 0.05 where a Phi grid's stencil was off, for exponential claims and
-for a table alike. The certificate (equation residual, raised to the
-cross-route gap to Lambda(x)/Lambda(a) at finite d and, for a table,
-to the slope mismatch at 0 at d = 0 and d = inf) must sit far below the
-acceptance floor at the imposed slope and blow through it when that
-slope is perturbed. For Exp(1) claims h is a sum of exponentials at
-every sigma, and no renewal equation is solved.
+for a table alike. A table's certificate (equation residual, raised to
+the cross-route gap to Lambda(x)/Lambda(a) at finite d and to the slope
+mismatch at 0 at d = 0 and d = inf) must sit far below the acceptance
+floor at the imposed slope and blow through it when that slope is
+perturbed. For Exp(1) claims h is a sum of exponentials at every sigma,
+with the scale route's weights, and no equation is solved.
 """
 
 import math
@@ -350,25 +350,37 @@ class TestSigmaPositive:
 
     @pytest.mark.parametrize("factor", [0.9, 1.1])
     def test_imposed_slope_is_certified(self, monkeypatch, factor):
-        # every slope solves the equation on (0, a); only the interface
-        # check against the continuation can reject a wrong one
-        m = make_model(1.0, sigma=0.5)
-        h = h_d_sigma_pos(m, 1.0, step=1e-5)
+        # a table's exit equation is solved with the slope at 0 imposed:
+        # every slope solves it on (0, a), and only the interface check
+        # against the continuation can reject a wrong one (measured
+        # 2.05e-4 at 0.9 and 1.1 times the slope)
+        dist = db.tabulated_exponential(1.0, step=1e-2)
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0), dist)
+        h = h_d_sigma_pos(m, 1.0, step=1e-4)
         assert h.ide_residual < 1e-6
         p = h.xi_prime_zero
         monkeypatch.setattr(hfun, "_continuation_slope", lambda model: factor * p)
         with pytest.raises(NonConvergenceError) as info:
-            h_d_sigma_pos(m, 1.0, step=1e-5)
+            h_d_sigma_pos(m, 1.0, step=1e-4)
         assert info.value.last_norm > 1e-4
+
+    @pytest.mark.parametrize("d", [0.05, 1.0])
+    def test_exponential_claims_take_the_scale_weights(self, d):
+        # for Exp(mu) claims h is Lambda(x)/Lambda(a) with the weights of
+        # the scale route, not a solve for them (measured 2.2e-16 off)
+        m = make_model(d, sigma=0.5)
+        h = h_d_sigma_pos(m, 1.0, step=1e-5)
+        want = scale.scale_ratio(m).ratio(h.grid.x, 1.0)
+        assert np.max(np.abs(h.grid.values - want)) <= 1e-15
 
     @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0), ("exp", math.inf),
                                           ("tab", 1.0), ("tab", math.inf)])
     def test_certificate_covers_the_rerun_check(self, claims, d):
         # the reported residual is ide_residual on the returned h, raised
-        # to the interface term only where that is larger: at finite d
-        # the cross-route gap to Lambda(x)/Lambda(a) for either claim
-        # law, at d = inf the slope mismatch at 0 for a table; the
-        # exponential basis imposes the slope exactly, so there is none
+        # to a table's interface term only where that is larger: at
+        # finite d the cross-route gap to Lambda(x)/Lambda(a), at d = inf
+        # the slope mismatch at 0; an exponential h is the scale route's
+        # own ratio, so its gap is rounding and it has no interface term
         dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
                 else db.ExponentialClaims(1.0))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)

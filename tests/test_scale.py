@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import expmodel, gridmath, scale
+from divbarrier import expmodel, gridmath, hfun, scale
 from divbarrier.firstpassage import upcross_table, upcross_transform
 from divbarrier.gridmath import power_sum
 
@@ -212,6 +212,17 @@ def test_table_w_is_the_scale_function(tab_dist):
     want = scale_oracle.scale_w(t, wts, 1e-3 * np.arange(2001))
     assert w[0] == 0.0
     assert np.max(np.abs(w / w[-1] - want / want[-1])) < 2e-6
+
+
+@pytest.mark.parametrize("sigma,step", [(0.0, 1e-3), (0.5, 1e-4)])
+def test_table_w_is_the_exit_solve_at_no_delay(tab_dist, sigma, step):
+    # the exit function at d = 0 and W solve one exit equation, so h is
+    # W/W(a) on the same grid (measured 1.1e-16 at sigma = 0, 0 at 0.5)
+    m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, 0.0), tab_dist)
+    h = (hfun.h_d_sigma0 if sigma == 0.0 else hfun.h_d_sigma_pos)(m, 1.0, step)
+    assert h.grid.step == step
+    w, _ = scale._scale_w(m, len(h.grid.values) - 1, step)
+    assert np.max(np.abs(h.grid.values - w / w[-1])) <= 1e-15
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,9 +26,13 @@ read it: no module under src/divbarrier imports expmodel, but the
 package's __init__.py, which exports it.
 
 divbarrier.scale sits below the modules that read it: firstpassage
-takes Phi_d from it, and hfun the exit function's slope, forcing,
-certificate and renewal kernel. So scale imports neither, at module
+takes Phi_d from it, and hfun the exit function's weights, slope,
+forcing, certificate and a table's exit equation. So scale imports neither, at module
 level or inside a function.
+
+hfun has one exit-function builder, so it reads the claim kind once,
+and it takes an exponential h's weights from scale, with no linear
+solve (no numpy.linalg attribute path).
 
 A claim table's cached convolution powers are read in one place:
 model.py stores them for conv_power. scale.py's TableRatio sums the
@@ -209,6 +213,15 @@ def test_scale_imports_neither_firstpassage_nor_hfun():
     for line in ("from .firstpassage import _claim_cutoff", "from . import hfun",
                  "import divbarrier.hfun", "def f():\n    from .firstpassage import x"):
         assert _imported_modules(line) & readers, line
+
+
+def test_hfun_reads_the_claim_kind_once_and_solves_no_linear_system():
+    # one exit-function builder, which takes an exponential h's weights
+    # from scale rather than solving for them
+    tree = ast.parse((SRC / "hfun.py").read_text())
+    attrs = [_dotted(n) or n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    assert sum(a.endswith(".kind") for a in attrs) == 1
+    assert not any("linalg" in a.split(".") for a in attrs)
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")

@@ -27,6 +27,7 @@ from divbarrier.valuation import (
     hjb_verify,
     optimal_barrier,
     value_barrier,
+    _refine_root,
 )
 from divbarrier.lundberg import lundberg_root
 
@@ -107,6 +108,34 @@ class TestSmallestSlopeRule:
     def test_certificate_fails(self, sol):
         assert not sol.hjb_report.passed
         assert not sol.hjb_report.generator_above.passed
+
+
+class TestRefineRoot:
+    """The zero of h'' between two nodes is the root of the parabola
+    through the three nodes around them, taken in closed form."""
+
+    XS = 0.1 * np.arange(11)
+
+    @pytest.mark.parametrize("root,i", [(0.037, 0), (0.537, 5), (0.963, 9)])
+    def test_exact_parabola(self, root, i):
+        ys = (self.XS - root) * (self.XS + 2.0)
+        assert abs(_refine_root(self.XS, ys, i) - root) <= 1e-15
+
+    def test_chord_without_a_root_in_the_bracket(self):
+        # roots at 0.2 and 1, none in [0.5, 0.6]
+        ys = (self.XS - 0.2) * (self.XS - 1.0)
+        xs = self.XS
+        chord = xs[5] + (xs[6] - xs[5]) * ys[5] / (ys[5] - ys[6])
+        assert _refine_root(self.XS, ys, 5) == chord
+
+    @pytest.mark.parametrize("i", [4, 5])
+    def test_zero_on_a_node(self, i):
+        ys = (self.XS - self.XS[5]) * (self.XS + 2.0)
+        assert ys[5] == 0.0
+        got = _refine_root(self.XS, ys, i)
+        assert abs(got - self.XS[5]) <= 1e-15
+        if i == 5:
+            assert got == self.XS[5]
 
 
 class TestBoundaryOptimumWithDelay:
