@@ -17,14 +17,15 @@ The deadline transform weighs recoveries inside a window d:
 
     Phi_d(y) = sum_k r^k int_0^d e^{-q t} v_y(k, t) dt   (+ atom term).
 
-At d = inf this collapses to e^{-rho y} with rho the adjusted
-Lundberg root; at d = 0 it vanishes. For 0 < d < inf there is one route
-for every model, either claim law at every sigma, and no time integral:
-Phi_d(y) is Lambda(-y)/Lambda(0), read off the scale function
-(_phi_sigma_pos, which hands the model to scale.phi): for a table by
-one correlation of W with the law of X_d on the table's lattice, and
-for exponential claims by a moment quadrature over the claim total.
-This module reads no claim kind; scale chooses.
+There is one route for every model and every d, either claim law at
+every sigma, and no time integral: Phi_d(y) is Lambda(-y)/Lambda(0),
+read off the scale function (_phi_sigma_pos, which hands the model to
+scale.phi). At d = inf that collapses to e^{-rho y} with rho the
+adjusted Lundberg root, and at d = 0 it vanishes for y > 0; in between
+it is for a table one correlation of W with the law of X_d on the
+table's lattice, and for exponential claims a moment quadrature over
+the claim total. This module reads no claim kind and tells no d apart;
+scale does both.
 """
 
 import math
@@ -109,22 +110,21 @@ def vy_density(model, y, k, t):
 
 
 def _phi_sigma_pos(model, d, ys):
-    """(Phi_d on the deficits ys >= 0, truncation K, tail bound) at
-    0 < d < inf for either claim law at any sigma: Lambda(-y)/Lambda(0)
-    off the scale function (scale.phi). The name keeps "sigma_pos"
-    although every model at sigma = 0 comes here too, because
-    perfbench's tracer times this function by name."""
+    """(Phi_d on the deficits ys >= 0, truncation K, tail bound) at every
+    d >= 0 for either claim law at any sigma: Lambda(-y)/Lambda(0) off
+    the scale function (scale.phi). The name keeps "sigma_pos" although
+    every model at sigma = 0 comes here too, because perfbench's tracer
+    times this function by name."""
     return scale.phi(model, d, ys)
 
 
 def _phi_table(model, d, ys):
-    """(Phi_d on the deficits ys >= 0, truncation K, tail bound)."""
+    """(Phi_d on the deficits ys >= 0, truncation K, tail bound); Phi_d(0)
+    is 1 without a transform."""
     if not d >= 0.0:
         raise ValueError("deadline d must be nonnegative, got %r" % (d,))
-    if d == 0.0 or not np.any(ys > 0.0):
+    if not np.any(ys > 0.0):
         return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
-    if math.isinf(d):
-        return np.exp(-model.rho * ys), 0, 0.0
     return _phi_sigma_pos(model, d, ys)
 
 

@@ -14,23 +14,26 @@ where the drift cannot climb back in time):
 
     w_d(x) = int_0^inf Phi_d(y) f(y + x) dy.
 
-At d = inf, w_d is T_rho f itself at rho = model.rho, the claim law's
-exact tail transform at any points. At every finite d > 0, w_d is read
-from one memo entry per model (_phi_grid), which holds the scale
+Every model reads w_d, Phi_d below zero and, at sigma > 0, the
+continuation slope off one memo entry (_route), which holds the scale
 route's Lambda (scale.scale_ratio) and its w_reader, for either claim
-law at every sigma; this module does not choose the route. For
-exponential claims w_d is the closed form u(d) f, u(d) taken once from
-that Lambda; no Phi grid is built. For a table the entry's TableRatio
-integrates Phi_d = Lambda(-y)/Lambda(0) against the density on the
-table's own lattice, into a node table read with one interpolation.
+law at every sigma and every d; this module does not choose the route
+and never asks which grace-period regime it is in. The end cases are
+closed: at d = 0 w_d = 0 and Phi_d(y) = 1{y = 0}, at d = inf w_d is
+T_rho f at rho = model.rho, the claim law's exact tail transform at any
+points, and Phi_d(y) = e^{-rho y}. At 0 < d < inf for exponential claims
+w_d is the closed form u(d) f, u(d) taken once from that Lambda; no Phi
+grid is built. For a table the entry's TableRatio integrates
+Phi_d = Lambda(-y)/Lambda(0) against the density on the table's own
+lattice, into node tables of w_d and w_d' read with one interpolation.
 The continuation below zero (_whole_line) reads Phi_d at its own
-deficits off the same Lambda at finite d > 0, and through
-upcross_table's closed forms at d = 0 and d = inf.
+deficits off the same Lambda.
 
 One builder (_exit) serves both sigmas; h_d_sigma0 and h_d_sigma_pos
 check sigma and call it.
 
-For Exp(mu) claims nothing is solved. Since
+Where the route has exponents nothing is solved: for Exp(mu) claims at
+every d, and for a table at d = inf. Since
 f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), e^{t x} solves the
 equation up to a multiple of e^{-mu x} exactly when t is a root of
 
@@ -41,9 +44,10 @@ xi = sum_i w_i e^{t_i x} solves it when the weights make those
 multiples cancel against xi(0) w_d = xi(0) u e^{-mu x} (Loeffen, Czarna
 & Palmowski 2013, Bernoulli 19(2)). scale holds such weights: W's c_i
 at d = 0 (h = W(x)/W(a)), the unit weight on t_1 = rho at d = inf
-(h = e^{-rho (a - x)}) and the memo entry's Lambda weights at
-0 < d < inf (h = Lambda(x)/Lambda(a)). xi, xi' and xi'' are sums of
-exponentials at the solver nodes, exact at any step.
+(h = e^{-rho (a - x)}, for any claim law, since T_rho f is exact) and
+the memo entry's Lambda weights at 0 < d < inf (h = Lambda(x)/Lambda(a)).
+xi, xi' and xi'' are sums of exponentials at the solver nodes, exact at
+any step.
 
 A table's exit equation is spelled once, as renewal equations in
 scale.exit_equation, whose solve with w_d = 0 is also the table's W
@@ -54,7 +58,8 @@ with xi(0) = 1; its renewal form
 
 (zeta(x) = e^{rho x}) is solved whole in one tilted transform
 (gridmath.neumann_series), and xi' and xi'' are read back through the
-equation. With sigma > 0 the solution family is
+equation, with w_d' read off the route, not differenced. With sigma > 0
+the solution family is
 
     xi = sum_n (2 lam r / sigma^2)^n (beta * T_rho f)^{*n} * phi,
     beta(x) = e^{-(rho + 2c/sigma^2) x},
@@ -65,11 +70,11 @@ and xi, xi' and xi'' are one such solve each.
 
 There is one free slope p = xi'(0) at sigma > 0. Every p solves a
 table's equation on (0, a), so p is imposed: h is C^1 at 0 with its
-continuation, p = -Phi_d'(0+): Lambda'(0)/Lambda(0) of the memo entry's
-Lambda at finite d, rho at d = inf. At d = 0 a diffusion started at 0
-is ruined at once, so xi(0) = 0 with unit slope instead, and h is
-W(x)/W(a) for the scale function W. The exponential weights carry the
-same slope; the exit function reports p as xi_prime_zero at d > 0.
+continuation, p = -Phi_d'(0+), the route's slope Lambda'(0)/Lambda(0).
+At d = 0 the route has no slope: a diffusion started at 0 is ruined at
+once, so xi(0) = 0 with unit slope instead, and h is W(x)/W(a) for the
+scale function W. The exponential weights carry the same slope; the
+exit function reports p as xi_prime_zero where xi(0) = 1.
 
 By the Lundberg equation a table's renewal kernel has L1 mass
 1 - kill/(c rho) at sigma = 0 and 1 - 2 kill/(rho (sigma^2 rho + 2c))
@@ -83,13 +88,16 @@ function's check ide_residual and the HJB sweep of valuation both call
 it. The residual an exit function reports is ide_residual on the
 returned h, for a table at sigma > 0 raised to an interface term when
 that is larger, both in h units, so it is never below the check a
-caller can rerun. At finite d > 0 the term is the cross-route gap
+caller can rerun. At 0 < d < inf the term is the cross-route gap
 max |h - Lambda(x)/Lambda(a)| on the solver grid, which a wrong imposed
-slope cannot pass; at d = 0 and d = inf it is the mismatch between the
-solved slope at 0+ and the imposed one (1 at d = 0, rho at d = inf).
-Exponential claims have none: their h is the scale route's own ratio,
-with its slope built in. An h whose reported residual exceeds the gate
-is refused with NonConvergenceError.
+slope cannot pass; at d = 0 it is the mismatch between the solved slope
+at 0+ and the imposed unit one. An h read off the route's exponents has
+none: it is the scale route's own ratio, with its slope built in. An h
+whose reported residual exceeds the gate is refused with
+NonConvergenceError.
+
+The memo holds at most _CACHE_SIZE models; past that the oldest entry
+goes.
 """
 
 import math
@@ -108,10 +116,13 @@ from .gridmath import (
     derivative,
     neumann_series,
 )
-from .firstpassage import upcross_table
-from .scale import _roots, exit_equation, scale_ratio
+from .scale import exit_equation, scale_ratio
 
+# (model.key(), "route") -> (Lambda, w_d reader), oldest first
 _CACHE = {}
+
+# models the memo holds; a table's entry near d = 2 holds over 1 MB
+_CACHE_SIZE = 8
 
 # sup-norm equation residual above which a built exit function is refused
 _RESIDUAL_GATE = 1e-4
@@ -127,31 +138,27 @@ class HFunction:
     ide_residual: float
 
 
-def _phi_grid(model):
-    """The w_d reader at finite d > 0 with the scale route's Lambda,
+def _route(model):
+    """The scale route's Lambda (scale.scale_ratio) and its w_reader,
     memoized per model as one entry (Lambda, reader).
 
-    Lambda is scale_ratio's at every sigma, a ScaleRatio for Exp(mu)
-    claims and a TableRatio for a table; it gives Phi_d, and at
-    sigma > 0 the continuation slope and ratio(xs, a) too. The reader is
-    its w_reader: the closed form u(d) e^{-mu x} for Exp(mu) claims, a
-    node table on the table's lattice for a table.
+    Lambda gives Phi_d and, at sigma > 0, the continuation slope and
+    ratio(xs, a) too; its exponents t, where it has them, are the exit
+    function. The reader gives w_d at x >= 0 and, for a route without
+    exponents, w_d' with order = 1.
     """
-    key = (model.key(), "phi")
+    key = (model.key(), "route")
     if key not in _CACHE:
+        if len(_CACHE) >= _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
         route = scale_ratio(model)
         _CACHE[key] = route, route.w_reader()
     return _CACHE[key]
 
 
 def _w_values(model, xs):
-    """w_d sampled at the points xs >= 0. w_inf is T_rho f itself, not a
-    quadrature of Phi."""
-    if model.d == 0:
-        return np.zeros_like(xs)
-    if math.isinf(model.d):
-        return model.claims.tail_transform(model.rho, xs)
-    return _phi_grid(model)[1](xs)
+    """w_d sampled at the points xs >= 0."""
+    return _route(model)[1](xs)
 
 
 def w_d(model, x):
@@ -179,38 +186,22 @@ def _solver_grid(a, step):
     return GridFunction(0.0, n * step, step, step * np.arange(n + 1))
 
 
-def _continuation_slope(model):
-    """The slope xi'(0)/xi(0) that xi shares at 0 with its continuation
-    xi(0) Phi_d(-z) below zero: -Phi_d'(0+), which is rho at d = inf and
-    Lambda'(0)/Lambda(0) of the memo entry's Lambda at finite d."""
-    if math.isinf(model.d):
-        return model.rho
-    return _phi_grid(model)[0].slope
-
-
 def _exit(model, a, step):
     """The certified exit function at barrier a on the solver grid of
     that step, for either sigma and claim law (see the module notes)."""
     grid = _solver_grid(a, step)
     xs, step = grid.values, grid.step
-    # xi(0) = x0 and, at sigma > 0, xi'(0) = p
+    route, read = _route(model)
+    # xi(0) = x0 and, at sigma > 0, xi'(0) = p: the continuation slope, or
+    # where the route has none (d = 0) xi(0) = 0 with unit slope
     x0, p = 1.0, None
     if model.sigma > 0.0:
-        x0, p = (0.0, 1.0) if model.d == 0 else (1.0, _continuation_slope(model))
+        x0, p = (1.0, route.slope) if route.slope else (0.0, 1.0)
     gap, detail = 0.0, ""
-    if model.claims.kind == "exponential":
-        # Lambda's exponents and weights from scale: W's at d = 0, e^{rho x}
-        # alone at d = inf, the memo entry's at finite d
-        if model.d == 0:
-            t, wts = _roots(model)
-        elif math.isinf(model.d):
-            t, wts = np.array([model.rho]), np.ones(1)
-        else:
-            route = _phi_grid(model)[0]
-            t, wts = route.t, route.weights
+    if route.t is not None:
         # summed one root at a time, elementwise, in one scratch array
         xi, xip, xipp, term = (np.zeros(len(xs)) for _ in range(4))
-        for ti, wi in zip(t, wts):
+        for ti, wi in zip(route.t, route.weights):
             np.exp(np.multiply(xs, ti, out=term), out=term)
             term *= wi
             for v in (xi, xip, xipp):
@@ -231,18 +222,18 @@ def _exit(model, a, step):
             f_xi = model.claims.convolve_grid(xi, step)
             xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
             f_xip = model.claims.convolve_grid(xip, step)
-            f_res, wp = model.claims.density(xs), derivative(grid.with_values(w), 1).values
+            f_res, wp = model.claims.density(xs), read(xs, 1)
             xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
         else:
             xip, xipp = rest
-            if 0.0 < model.d < math.inf:
+            if x0:
                 # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
-                gap = float(np.max(np.abs(xi / xi[-1] - _phi_grid(model)[0].ratio(xs, a))))
+                gap = float(np.max(np.abs(xi / xi[-1] - route.ratio(xs, a))))
                 detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
             else:
-                # in h units: the mismatch between the slope imposed at 0 (1
-                # at d = 0, rho at d = inf) and the solved one at 0+,
-                # extrapolated quadratically from 1, 2 and 3 steps
+                # in h units: the mismatch between the unit slope imposed at
+                # 0 and the solved one at 0+, extrapolated quadratically
+                # from 1, 2 and 3 steps
                 solved = 3.0 * xip[1] - 3.0 * xip[2] + xip[3]
                 gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
                 detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
@@ -321,12 +312,8 @@ def _whole_line(model, x, at_zero, inside):
     reach = model.c * model.d if model.sigma == 0.0 else math.inf
     neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
-        ys = -x_arr[neg]
-        if 0.0 < model.d < math.inf:
-            # Phi_d from the Lambda the forcing memo holds
-            out[neg] = at_zero * _phi_grid(model)[0].phi(ys)
-        else:
-            out[neg] = at_zero * upcross_table(model, model.d, ys)
+        # Phi_d from the Lambda the forcing memo holds
+        out[neg] = at_zero * _route(model)[0].phi(-x_arr[neg])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

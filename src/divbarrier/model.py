@@ -28,11 +28,10 @@ tail_transform are both exact for that reading.
 Code outside this module reads the `kind` attribute (and mu) where
 exponential claims allow a closed-form algorithm: the scale route
 (scale: Lambda by roots and a moment quadrature, at every sigma, which
-also gives the u(d) e^{-mu x} forcing), the one place a model's Phi_d
-route is chosen; the exit function as a sum of exponentials over the
-roots of Q, with the scale route's weights, in place of a renewal solve
-(hfun); and the closed series
-of expmodel. One module besides this one reads how a
+also gives the u(d) e^{-mu x} forcing, and hands the exit function the
+roots of Q with their weights, so that hfun sums exponentials in place
+of a renewal solve), the one place a model's route is chosen; and the
+closed series of expmodel. One module besides this one reads how a
 table is stored, `claims.grid` on its nodes, so that everything read
 off Phi_d runs on the table's own lattice: scale's TableRatio, which
 sums the claim powers into the law of X_d at every sigma in one

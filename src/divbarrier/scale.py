@@ -1,6 +1,12 @@
-"""The scale-function route at 0 < d < inf: the exit function and the
-recovery transform Phi_d, for either claim law at every sigma. This is
-the one module that chooses a model's Phi_d route.
+"""The scale-function route at every grace period d: the exit function,
+the recovery transform Phi_d and the w_d forcing, for either claim law
+at every sigma. This is the one module that chooses a model's Phi_d
+route, and the one that tells d = 0, 0 < d < inf and d = inf apart.
+
+The two end cases are closed for either claim law (EndRatio): at d = 0
+Lambda is W itself, Phi_d(y) = 1{y = 0} and w_d = 0; at d = inf Lambda
+is e^{rho x}, Phi_d(y) = e^{-rho y} and w_d = T_rho f, the claim law's
+exact tail transform. What follows is the route at 0 < d < inf.
 
 Weighting each claim by r is the same as thinning the claims to rate
 lam r and killing at rate kill = q + lam(1 - r), so with grace period
@@ -165,6 +171,23 @@ class ScaleRatio:
         return lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
 
 
+class EndRatio(ScaleRatio):
+    """Lambda at d = 0 or d = inf, for either claim law. At d = inf the
+    exponent is rho with unit weight and the continuation slope rho; at
+    d = 0 Lambda is W, with W's exponents and weights for Exp(mu) claims
+    and none (t = None) for a table, and no slope: h(0) = 0 at sigma > 0.
+    u is None."""
+
+    def w_reader(self):
+        """w_d as a reader of x >= 0: T_rho f at d = inf; at d = 0 zero,
+        and so is its slope, read with order = 1 by a table's exit
+        function, which has no exponents."""
+        model = self.model
+        if model.d == 0.0:
+            return lambda x, order=0: np.zeros(np.shape(x))
+        return lambda x: model.claims.tail_transform(model.rho, x)
+
+
 def _roots(model):
     """The roots of Q and the weights c_i of W: t_1 = rho > 0 > t_2 > t_3
     at sigma > 0, where Q is cubic, and t_1 = rho > 0 > t_2 at sigma = 0,
@@ -286,12 +309,12 @@ def _scale_w(model, n, step):
 
 
 class TableRatio:
-    """Lambda for a claim table on its lattice (see the module notes),
-    with Phi_d (phi), the w_d forcing (w_reader) and the claim-count
-    truncation K with the bound on what it leaves out of Phi_d; at
-    sigma > 0 also the continuation slope Lambda'(0)/Lambda(0) and the
-    exit function ratio(xs, a), which the sigma = 0 exit function does
-    not read.
+    """Lambda at 0 < d < inf for a claim table on its lattice (see the
+    module notes), with Phi_d (phi), the w_d forcing (w_reader) and the
+    claim-count truncation K with the bound on what it leaves out of
+    Phi_d; at sigma > 0 also the continuation slope Lambda'(0)/Lambda(0)
+    and the exit function ratio(xs, a), which the sigma = 0 exit
+    function does not read.
 
     K is the smallest count whose Poisson tail bounds the dropped claim
     density by max f e^{-lam r d} sum_{k>K} (lam r d)^k / k! everywhere.
@@ -310,6 +333,9 @@ class TableRatio:
     z p above 0), and Phi_d by at most twice that over Lambda(0), which
     is added too.
     """
+
+    # no exponents: the exit function is a renewal solve
+    t = None
 
     def __init__(self, model, d):
         grid = model.claims.grid
@@ -439,7 +465,9 @@ class TableRatio:
         """The forcing w_d(x) = int_0^inf Phi_d(y) f(x + y) dy as a reader
         of x >= 0: on the table's nodes one correlation of the density
         with Phi_d at the lattice deficits times quadrature weights, read
-        linearly between the nodes and zero past the table end.
+        linearly between the nodes and zero past the table end. With
+        order = 1 it reads the slope w_d', taken on the nodes by second
+        order differences, in the same way.
 
         The weights are the trapezoid's, with the end weights
         (3/8, 7/6, 23/24) step at y = 0, where Phi_d is steepest. At
@@ -472,7 +500,8 @@ class TableRatio:
         # the correlation's rounding below 0 is clipped
         grid = self._table
         table = np.maximum(fft_convolve(kern[::-1], grid.values)[N + 1:N + 2 + grid.n], 0.0)
-        return lambda x: np.interp(x, grid.x, table, right=0.0)
+        tables = table, np.gradient(table, step, edge_order=2)
+        return lambda x, order=0: np.interp(x, grid.x, tables[order], right=0.0)
 
     def ratio(self, xs, a):
         """Lambda(xs) / Lambda(a): the exit function at barrier a, read
@@ -555,17 +584,17 @@ def _moments(model, d, ts, ys):
     return atom + np.reshape(integral, atom.shape), err
 
 
-def _require(d):
-    if not 0.0 < d < math.inf:
-        raise ValueError("the scale route needs 0 < d < inf")
-
-
 def scale_ratio(model):
-    """Lambda at the model's own d, for 0 < d < inf, at any sigma: for
-    Exp(mu) claims a ScaleRatio (its exponents and weights, the
-    continuation slope and u(d)), for a table a TableRatio."""
-    _require(model.d)
-    if model.claims.kind != "exponential":
+    """Lambda at the model's own d, at any sigma: at d = 0 and d = inf an
+    EndRatio; at 0 < d < inf for Exp(mu) claims a ScaleRatio (its
+    exponents and weights, the continuation slope and u(d)), for a table
+    a TableRatio."""
+    exp_claims = model.claims.kind == "exponential"
+    if math.isinf(model.d):
+        return EndRatio(np.array([model.rho]), np.ones(1), model.rho, None, model)
+    if model.d == 0.0:
+        return EndRatio(*(_roots(model) if exp_claims else (None, None)), None, None, model)
+    if not exp_claims:
         return TableRatio(model, model.d)
     mu = model.claims.mu
     t, cw = _roots(model)
@@ -578,19 +607,24 @@ def scale_ratio(model):
 
 def phi(model, d, ys):
     """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
-    claim-count truncation K, a bound on the error) for 0 < d < inf, at
+    claim-count truncation K, a bound on the error) for every d >= 0, at
     any sigma and for either claim law.
 
-    A table's K and bound are its TableRatio's. For Exp(mu) claims K is
-    0 and the bound is the moments' quadrature error: each block of
+    At d = 0 Phi_d is 1{y = 0} and at d = inf e^{-rho y}, with K = 0 and
+    no error. Otherwise a table's K and bound are its TableRatio's. For
+    Exp(mu) claims K is 0 and the bound is the moments' quadrature
+    error: each block of
     deficits is one quadrature headed by y = 0, so its relative stop is
     taken against Lambda(0) and its Phi divides by its own Lambda(0). An
     error e in each moment moves Lambda by at most e sum |c_i| at every
     y, and so Phi by at most twice that over Lambda(0). At sigma = 0
     X_d <= c d, so deficits past c d are 0 and join no block.
     """
-    _require(d)
     ys = np.asarray(ys, dtype=float)
+    if d == 0.0:
+        return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
+    if math.isinf(d):
+        return np.exp(-model.rho * ys), 0, 0.0
     if model.claims.kind != "exponential":
         table = TableRatio(model, d)
         return table.phi(ys), table.truncation_k, table.tail_bound

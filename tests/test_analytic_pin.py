@@ -333,12 +333,12 @@ PINS = {
         '0x1.4541800000000p-33', '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '550c129076247258', '6eb9c80150b0d625', 'a15febde4e62a3a6',
+        '550c129076247258', '6eb9c80150b0d625', '3791edfdc98b4b90',
         '0x1.83002d4e80000p-17', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
-        'a2491de76e8428fd', 'c97b0bef8693b702', 'ee637007ba6da10b',
-        '0x1.dcc4900000000p-30', '0x1.f40fd54aec575p-3',
+        'e049f626c47b9498', '64d3e8430a3a0852', 'b8e2bddb47bec3bf',
+        '0x1.75b1400000000p-30', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3a9d05057dp-1', '0x1.589e3a9d05058p+3',

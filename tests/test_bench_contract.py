@@ -79,7 +79,9 @@ def test_names_the_harness_reads():
     assert isinstance(hfun._CACHE, dict)
 
 
-@pytest.mark.parametrize("claims,sigma,d", [("exp", 0.5, 1.0), ("tab", 0.0, 2.0)])
+@pytest.mark.parametrize("claims,sigma,d", [("exp", 0.5, 1.0), ("tab", 0.0, 2.0),
+                                            ("exp", 0.5, 0.0), ("tab", 0.0, 0.0),
+                                            ("exp", 0.0, math.inf), ("tab", 0.5, math.inf)])
 def test_solve_adds_one_memo_entry_keyed_by_model(claims, sigma, d):
     # parameters no other test uses, so the model is not in the memo yet
     dist = (db.ExponentialClaims(1.25) if claims == "exp"

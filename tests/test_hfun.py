@@ -97,6 +97,19 @@ class TestSigma0ClosedFormAgreement:
         assert ide_residual(m, h) == h.ide_residual < 1e-4
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_infinite_clock_on_a_table_is_closed(self, monkeypatch, sigma):
+        # at d = inf the route's one exponent is rho for any claim law,
+        # since T_rho f is exact: h is e^{rho (x - a)} to rounding, and no
+        # renewal equation is solved
+        monkeypatch.setattr(hfun, "neumann_series", None)
+        m = _tab_model(1e-2, math.inf, sigma)
+        h = (h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos)(m, 0.5, step=1e-4)
+        want = np.exp(m.rho * (h.grid.x - 0.5))
+        for k, got in enumerate((h.grid, h.hp, h.hpp)):
+            assert np.max(np.abs(got.values - m.rho ** k * want)) < 1e-14
+        assert h.ide_residual == ide_residual(m, h)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_infinite_clock_residual_on_a_table(self, sigma):
         # rho is the root of the table's linear reading, for which T_rho f
         # is exact, so e^{rho x} solves the equation the residual checks:
@@ -164,6 +177,17 @@ class TestReachBackForcing:
         rho = lundberg_root(me).rho
         assert np.array_equal(w_d(me, xs), 1.0 / (rho + 1.0) * np.exp(-xs))
 
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        # past hfun._CACHE_SIZE models the oldest entry goes, and the
+        # entries stay (model.key(), ...) tuples in a dict
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        models = [make_model(d) for d in np.linspace(0.1, 0.2, hfun._CACHE_SIZE + 3)]
+        for i, m in enumerate(models):
+            w_d(m, 0.0)
+            assert len(hfun._CACHE) == min(i + 1, hfun._CACHE_SIZE)
+        keep = [m.key() for m in models[-hfun._CACHE_SIZE:]]
+        assert [k[0] for k in hfun._CACHE] == keep
+
     def test_tabulated_route_matches_closed_form(self, tab_dist):
         mt = db.validate(
             db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0), tab_dist)
@@ -172,8 +196,8 @@ class TestReachBackForcing:
         assert np.max(np.abs(got - U_2 * np.exp(-xs))) < 2e-7
 
 
-def _tab_model(step, d):
-    return db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d),
+def _tab_model(step, d, sigma=0.0):
+    return db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d),
                        db.tabulated_exponential(1.0, step=step))
 
 
@@ -218,6 +242,19 @@ class TestForcingNodeTable:
         # weights at 0 need three nodes, so the plain trapezoid stays;
         # measured 1.1e-7 to 3.3e-7
         assert self._gap(1e-2, 0.0, d) < 5e-7
+
+    @pytest.mark.parametrize("grid_step", [2e-4, 1e-4])
+    @pytest.mark.parametrize("d", [0.01, 0.03])
+    def test_flat_barrier_matches_exponential(self, tab_dist, d, grid_step):
+        # h'' reads w_d' off the node table's second-order slope; finite
+        # differences of w_d's linear reading put a* 3.0e-5 (d = 0.01) and
+        # 2.7e-4 (d = 0.03) off the Exp(1) a* at these steps. Measured
+        # 1.9e-7 and 3.5e-7
+        params = db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, d)
+        got, want = (db.optimal_barrier(db.validate(params, dist), a_max=2.0,
+                                        grid_step=grid_step).a_star
+                     for dist in (tab_dist, db.ExponentialClaims(1.0)))
+        assert abs(got - want) < 1e-6
 
     def test_reads_no_density_after_a_solve(self, monkeypatch):
         m = _tab_model(1e-2, 2.0)
@@ -353,13 +390,15 @@ class TestSigmaPositive:
         # a table's exit equation is solved with the slope at 0 imposed:
         # every slope solves it on (0, a), and only the interface check
         # against the continuation can reject a wrong one (measured
-        # 2.05e-4 at 0.9 and 1.1 times the slope)
+        # 2.05e-4 at 0.9 and 1.1 times the slope). The slope is the memo
+        # route's, scaled here in place
         dist = db.tabulated_exponential(1.0, step=1e-2)
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0), dist)
         h = h_d_sigma_pos(m, 1.0, step=1e-4)
         assert h.ide_residual < 1e-6
-        p = h.xi_prime_zero
-        monkeypatch.setattr(hfun, "_continuation_slope", lambda model: factor * p)
+        route = hfun._route(m)[0]
+        assert h.xi_prime_zero == route.slope
+        monkeypatch.setattr(route, "slope", factor * route.slope)
         with pytest.raises(NonConvergenceError) as info:
             h_d_sigma_pos(m, 1.0, step=1e-4)
         assert info.value.last_norm > 1e-4
@@ -378,25 +417,20 @@ class TestSigmaPositive:
     def test_certificate_covers_the_rerun_check(self, claims, d):
         # the reported residual is ide_residual on the returned h, raised
         # to a table's interface term only where that is larger: at
-        # finite d the cross-route gap to Lambda(x)/Lambda(a), at d = inf
-        # the slope mismatch at 0; an exponential h is the scale route's
-        # own ratio, so its gap is rounding and it has no interface term
+        # finite d the cross-route gap to Lambda(x)/Lambda(a). An h read
+        # off the route's exponents (exponential claims, and a table at
+        # d = inf) is the scale route's own ratio, so its gap is rounding
+        # and it has no interface term
         dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
                 else db.ExponentialClaims(1.0))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
         h = h_d_sigma_pos(m, 0.5, step=1e-4)
         check = ide_residual(m, h)
         assert h.ide_residual >= check
+        term = 0.0
         if not math.isinf(d):
             lam_ratio = scale.scale_ratio(m).ratio(h.grid.x, 0.5)
             term = np.max(np.abs(h.grid.values - lam_ratio))
-        elif claims == "tab":
-            # sigma^2/2 times the gap between h'(0+), extrapolated from 1, 2
-            # and 3 steps, and h(0) rho
-            hp = h.hp.values
-            term = 0.125 * abs(3.0 * hp[1] - 3.0 * hp[2] + hp[3] - h.grid.values[0] * m.rho)
-        else:
-            term = 0.0
         if term < check * (1.0 - 1e-6):
             assert h.ide_residual == check
         else:

@@ -1,4 +1,10 @@
-"""The scale route at 0 < d < inf.
+"""The scale route at every d.
+
+At d = 0 and d = inf scale_ratio gives the closed EndRatio for either
+claim law: its exponents and weights (W's roots for Exp(mu) claims at
+d = 0, none for a table; rho with unit weight at d = inf), slope, Phi_d
+and w_d (with its slope at d = 0) are checked against their closed
+forms. The rest of this file is the route at 0 < d < inf.
 
 scale.scale_ratio gives Lambda's exponents and weights, the
 continuation slope Lambda'(0)/Lambda(0) and
@@ -172,14 +178,51 @@ def test_drift_only_kink_at_the_drift_reach(d):
     assert upcross_transform(m, float(np.nextafter(cd, math.inf)), d).value == 0.0
 
 
-@pytest.mark.parametrize("sigma,d,claims", [(0.5, 0.0, "exp"), (0.5, math.inf, "exp"),
-                                            (0.0, 0.0, "tab")])
-def test_other_models_are_refused(sigma, d, claims):
+def _end_model(sigma, d, claims):
     dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
             else db.ExponentialClaims(1.0))
-    m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d), dist)
-    with pytest.raises(ValueError):
-        scale.scale_ratio(m)
+    return db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d), dist)
+
+
+@pytest.mark.parametrize("claims", ["exp", "tab"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_infinite_clock_route_is_closed(sigma, claims):
+    # Lambda = e^{rho x}: one exponent rho with unit weight, slope rho,
+    # Phi_d = e^{-rho y}, and w_d = T_rho f
+    m = _end_model(sigma, math.inf, claims)
+    route = scale.scale_ratio(m)
+    assert isinstance(route, scale.EndRatio)
+    assert list(route.t) == [m.rho] and list(route.weights) == [1.0]
+    assert route.slope == m.rho
+    ys = np.array([0.0, 0.3, 2.5])
+    assert np.array_equal(route.phi(ys), np.exp(-m.rho * ys))
+    assert scale.phi(m, math.inf, ys)[1:] == (0, 0.0)
+    xs = np.array([0.0, 0.0137, 0.5, 4.0])
+    assert np.array_equal(route.w_reader()(xs), m.claims.tail_transform(m.rho, xs))
+
+
+@pytest.mark.parametrize("claims", ["exp", "tab"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_no_delay_route_is_closed(sigma, claims):
+    # Lambda = W: W's roots and weights for Exp(mu) claims, none for a
+    # table, whose W is a renewal solve; no continuation slope,
+    # Phi_d = 1{y = 0} and w_d = 0 with slope 0
+    m = _end_model(sigma, 0.0, claims)
+    route = scale.scale_ratio(m)
+    assert isinstance(route, scale.EndRatio) and route.slope is None
+    if claims == "exp":
+        t, wts = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, sigma, 1.0)
+        order = np.argsort(route.t)
+        np.testing.assert_allclose(route.t[order], t, rtol=1e-12)
+        np.testing.assert_allclose(route.weights[order], wts, rtol=1e-10)
+    else:
+        assert route.t is None and route.weights is None
+    ys = np.array([0.0, 1e-9, 0.3])
+    assert list(route.phi(ys)) == [1.0, 0.0, 0.0]
+    assert scale.phi(m, 0.0, ys)[1:] == (0, 0.0)
+    xs = np.array([0.0, 0.5, 4.0])
+    read = route.w_reader()
+    assert np.array_equal(read(xs), np.zeros(3)) and np.array_equal(read(xs, 1), np.zeros(3))
 
 
 @pytest.mark.parametrize("d", [0.05, 1.0])

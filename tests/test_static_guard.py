@@ -30,9 +30,13 @@ takes Phi_d from it, and hfun the exit function's weights, slope,
 forcing, certificate and a table's exit equation. So scale imports neither, at module
 level or inside a function.
 
-hfun has one exit-function builder, so it reads the claim kind once,
-and it takes an exponential h's weights from scale, with no linear
-solve (no numpy.linalg attribute path).
+scale is also the one module that tells the grace-period regimes
+d = 0, 0 < d < inf and d = inf apart, and the one that reads the claim
+kind for the exit function: hfun reads every route off scale's memoized
+Lambda, so it reads no claim kind, calls no isinf and imports nothing
+from firstpassage, and it takes an h's exponents and weights from
+scale, with no linear solve (no numpy.linalg attribute path).
+firstpassage._phi_table compares d only to refuse d < 0.
 
 A claim table's cached convolution powers are read in one place:
 model.py stores them for conv_power. scale.py's TableRatio sums the
@@ -215,13 +219,48 @@ def test_scale_imports_neither_firstpassage_nor_hfun():
         assert _imported_modules(line) & readers, line
 
 
-def test_hfun_reads_the_claim_kind_once_and_solves_no_linear_system():
-    # one exit-function builder, which takes an exponential h's weights
-    # from scale rather than solving for them
+def _regime_reads(tree):
+    """Every .kind attribute, isinf call or name, and import from
+    firstpassage in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("kind", "isinf"):
+            found.append(node.attr)
+        elif isinstance(node, (ast.Name, ast.alias)) and "isinf" in (
+                getattr(node, "id", None), getattr(node, "name", None)):
+            found.append("isinf")
+    found += ["firstpassage"] if "firstpassage" in _imported_modules(ast.unparse(tree)) else []
+    return found
+
+
+def test_hfun_reads_no_regime_and_solves_no_linear_system():
+    # every route comes off scale's memoized Lambda, whose exponents and
+    # weights an h takes rather than solving for them
     tree = ast.parse((SRC / "hfun.py").read_text())
+    assert _regime_reads(tree) == []
     attrs = [_dotted(n) or n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
-    assert sum(a.endswith(".kind") for a in attrs) == 1
     assert not any("linalg" in a.split(".") for a in attrs)
+
+
+def test_regime_guard_sees_every_spelling():
+    for line in ("model.claims.kind == 'exponential'", "math.isinf(model.d)",
+                 "from math import isinf", "isinf(d)", "np.isinf(d)",
+                 "from .firstpassage import upcross_table", "from . import firstpassage"):
+        assert _regime_reads(ast.parse(line)), line
+    assert _regime_reads(ast.parse("route.t is not None and route.slope")) == []
+
+
+def test_phi_table_compares_d_only_to_refuse_negative_d():
+    tree = ast.parse((SRC / "firstpassage.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_phi_table"]
+    compares = [n for n in ast.walk(fn) if isinstance(n, ast.Compare)
+                and any(isinstance(x, ast.Name) and x.id == "d"
+                        for x in [n.left, *n.comparators])]
+    assert [ast.unparse(n) for n in compares] == ["d >= 0.0"]
+    (guard,) = [n for n in ast.walk(fn) if isinstance(n, ast.If)
+                and compares[0] in ast.walk(n.test)]
+    assert isinstance(guard.body[0], ast.Raise)
+    assert _regime_reads(fn) == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
