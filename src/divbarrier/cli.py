@@ -222,7 +222,8 @@ def cmd_h(cfg):
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
     # sigma = 0 solves at the caller's step, unclamped; sigma > 0 at
-    # valuation's floor
+    # valuation's floor (1e-4 for an h with exponents, 1e-5 for a table
+    # below d = inf)
     step = cfg["grid-step"]
     if model.sigma != 0.0:
         step = _solver_step(model, step)

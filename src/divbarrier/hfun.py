@@ -46,8 +46,11 @@ multiples cancel against xi(0) w_d = xi(0) u e^{-mu x} (Loeffen, Czarna
 at d = 0 (h = W(x)/W(a)), the unit weight on t_1 = rho at d = inf
 (h = e^{-rho (a - x)}, for any claim law, since T_rho f is exact) and
 the memo entry's Lambda weights at 0 < d < inf (h = Lambda(x)/Lambda(a)).
-xi, xi' and xi'' are sums of exponentials at the solver nodes, exact at
-any step.
+The exit function keeps the exponents t_i and the weights over xi(a),
+and HFunction.read sums h and its derivatives at any points, with no
+grid in between (scale.exp_sum, elementwise, so a point's value does
+not depend on the points read with it). The solver grid holds the same
+sums at its nodes, for the certificate and the barrier scan.
 
 A table's exit equation is spelled once, as renewal equations in
 scale.exit_equation, whose solve with w_d = 0 is also the table's W
@@ -116,7 +119,7 @@ from .gridmath import (
     derivative,
     neumann_series,
 )
-from .scale import exit_equation, scale_ratio
+from .scale import exit_equation, exp_sum, scale_ratio
 
 # (model.key(), "route") -> (Lambda, w_d reader), oldest first
 _CACHE = {}
@@ -136,6 +139,23 @@ class HFunction:
     a: float
     xi_prime_zero: Optional[float]
     ide_residual: float
+    # h = sum_i w_i e^{t_i x} where the route has exponents, else None
+    t: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+
+    def read(self, x, order=0):
+        """The order-th derivative of h at the points x of [0, a], as an
+        array: closed where h has exponents (any order), else the solver
+        grid's h, h' or h'' read linearly."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.t is None:
+            g = (self.grid, self.hp, self.hpp)[order]
+            return np.interp(xs, g.x, g.values)
+        vals = exp_sum(self.t, self.w, xs, order)[order]
+        if not (order or self.grid.values[0]):
+            # h(0) = 0 (sigma > 0, d = 0), where the sum is 0 only to rounding
+            vals[xs == 0.0] = 0.0
+        return vals
 
 
 def _route(model):
@@ -199,14 +219,7 @@ def _exit(model, a, step):
         x0, p = (1.0, route.slope) if route.slope else (0.0, 1.0)
     gap, detail = 0.0, ""
     if route.t is not None:
-        # summed one root at a time, elementwise, in one scratch array
-        xi, xip, xipp, term = (np.zeros(len(xs)) for _ in range(4))
-        for ti, wi in zip(route.t, route.weights):
-            np.exp(np.multiply(xs, ti, out=term), out=term)
-            term *= wi
-            for v in (xi, xip, xipp):
-                v += term
-                term *= ti
+        xi, xip, xipp = exp_sum(route.t, route.weights, xs, 2)
         if not x0:
             # W(0) = sum_i c_i is 0 only up to rounding
             xi[0] = 0.0
@@ -238,12 +251,13 @@ def _exit(model, a, step):
                 gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
                 detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
 
-    # xi last, so that each divides by the same xi(a)
-    for v in (xip, xipp, xi):
-        v /= xi[-1]
+    at_a = float(xi[-1])
+    for v in (xi, xip, xipp):
+        v /= at_a
     gf = grid.with_values(xi)
     hf = HFunction(gf, gf.with_values(xip), gf.with_values(xipp), a,
-                   p if x0 else None, math.nan)
+                   p if x0 else None, math.nan, route.t,
+                   None if route.t is None else route.weights / at_a)
     res = max(ide_residual(model, hf), gap)
     if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
@@ -320,17 +334,17 @@ def _whole_line(model, x, at_zero, inside):
 def h_callable(model, h: HFunction):
     """Whole-line evaluator for an exit function.
 
-    Inside [0, a] the grid is interpolated; below zero the value is
-    h(0) times the recovery transform of the deficit, zero from -c d
-    down at sigma = 0. Evaluation above the barrier is a contract
-    violation.
+    Inside [0, a] h is read by HFunction.read: the closed sum of
+    exponentials where the route has exponents, else the solver grid
+    read linearly. Below zero the value is h(0) times the recovery
+    transform of the deficit, zero from -c d down at sigma = 0.
+    Evaluation above the barrier is a contract violation.
     """
     grid = h.grid
 
     def fun(x):
         if np.any(np.asarray(x, dtype=float) > grid.hi + 1e-9):
             raise ValueError("h is defined only up to its barrier")
-        return _whole_line(model, x, grid.values[0],
-                           lambda t: np.interp(t, grid.x, grid.values))
+        return _whole_line(model, x, grid.values[0], h.read)
 
     return fun

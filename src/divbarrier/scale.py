@@ -157,9 +157,7 @@ class ScaleRatio:
 
     def ratio(self, xs, a):
         """Lambda(xs) / Lambda(a): the exit function at barrier a."""
-        xs = np.asarray(xs, dtype=float)
-        at_a = float(np.exp(a * self.t) @ self.weights)
-        return np.exp(np.multiply.outer(xs, self.t)) @ self.weights / at_a
+        return exp_sum(self.t, self.weights, xs)[0] / exp_sum(self.t, self.weights, a)[0]
 
     def phi(self, ys):
         """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
@@ -186,6 +184,26 @@ class EndRatio(ScaleRatio):
         if model.d == 0.0:
             return lambda x, order=0: np.zeros(np.shape(x))
         return lambda x: model.claims.tail_transform(model.rho, x)
+
+
+def exp_sum(t, weights, xs, top=0):
+    """sum_i weights_i t_i^k e^{t_i x} at the points xs (any shape), for
+    k = 0, ..., top, stacked along a new first axis.
+
+    Summed one exponent at a time, elementwise, so a point's value does
+    not depend on the other points it is evaluated with, as it would
+    through a BLAS product's blocking.
+    """
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros((top + 1, xs.size))
+    rows, term = tuple(out), np.empty(xs.size)
+    for ti, wi in zip(t, weights):
+        np.exp(np.multiply(xs.ravel(), ti, out=term), out=term)
+        term *= wi
+        for v in rows:
+            v += term
+            term *= ti
+    return out.reshape((top + 1,) + xs.shape)
 
 
 def _roots(model):

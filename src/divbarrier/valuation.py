@@ -11,7 +11,10 @@ slope at 0 is compared with the slope at each zero where h'' rises
 through 0, a local minimum of h'. Zeros where h'' falls are maxima of
 h' and are never chosen; every zero other than the chosen one is
 reported as an alternative. 0 is always a candidate, so this one
-rule also covers an h'' with no zero on [0, a_max]. When the smallest
+rule also covers an h'' with no zero on [0, a_max]. A grid scan of h''
+brackets each zero; where h is a sum of exponentials the zero is then
+polished on the closed h'', and the value and its certificate read h
+in closed form too (HFunction.read), not off a grid. When the smallest
 slope is at 0 the optimum sits on the pay-everything boundary and is
 flagged rather than polished; a slope at a_max below every candidate's
 is an error naming a_max.
@@ -39,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gridmath import GridFunction, trapezoid
+from .scale import exp_sum
 from .hfun import (
     HFunction,
     h_d_sigma0,
@@ -46,8 +50,13 @@ from .hfun import (
     h_callable,
     _generator_grid,
     _require_step,
+    _route,
     _whole_line,
 )
+
+# Newton steps that polish a zero of a closed h''; a step that would
+# leave the bracket halves it instead
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,17 @@ def _build_h(model, a, step):
 
 
 def _solver_step(model, grid_step):
+    """The solver grid's step for a caller's grid_step: at most 1e-4, and
+    at most 1e-5 for a table at sigma > 0 and d < inf.
+
+    An exit function with exponents is read in closed form, not off its
+    grid; its floor of 1e-4 is only where ide_residual, whose claim
+    convolution reads h linearly between nodes, certifies the exact h.
+    A table's h is read off its grid, and at sigma > 0 the boundary
+    layer e^{-(rho + 2c/sigma^2) x} needs the finer floor.
+    """
     _require_step(grid_step)
-    if model.sigma == 0.0:
+    if model.sigma == 0.0 or _route(model)[0].t is not None:
         return min(grid_step, 1e-4)
     return min(grid_step, 1e-5)
 
@@ -150,11 +168,37 @@ def _refine_root(xs, ys, i):
     return xs[i] + (xs[i + 1] - xs[i]) * ys[i] / (ys[i] - ys[i + 1])
 
 
+def _curvature_root(h: HFunction, xs, hpp, i):
+    """The zero of h'' in [xs[i], xs[i+1]], between whose nodes hpp
+    changes sign: the local parabola's root (_refine_root), polished
+    where h has exponents by Newton steps on the closed h'' with the
+    closed third derivative; a step that would leave the bracket halves
+    it instead."""
+    x = _refine_root(xs, hpp, i)
+    if h.t is None:
+        return x
+    lo, hi = xs[i], xs[i + 1]
+    for _ in range(_NEWTON_STEPS):
+        f, slope = (float(v) for v in exp_sum(h.t, h.w, x, 3)[2:])
+        if f == 0.0:
+            break
+        lo, hi = (x, hi) if (f < 0.0) == (hpp[i] < 0.0) else (lo, x)
+        # x is now an end of the bracket, so a flat h'' bisects too
+        nxt = x - f / slope if slope else x
+        nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     """Locate the barrier where the exit function's slope is smallest.
 
     The candidates are 0 and every zero where h'' rises through 0; the
-    one with the smallest h' wins (Loeffen 2008).
+    one with the smallest h' wins (Loeffen 2008). The scan's grid
+    brackets each zero; where h has exponents the zero is then polished
+    on the closed h'' (_curvature_root).
     """
     if not 0.0 < a_max < math.inf:
         raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
@@ -166,7 +210,7 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
 
     # (zero of h'', whether h'' rises through it: a local minimum of h')
     zeros = [(float(xs[i]), hpp[i - 1] < 0 < hpp[i + 1]) for i in exact]
-    zeros += [(_refine_root(xs, hpp, i), hpp[i] < 0) for i in flips]
+    zeros += [(_curvature_root(scan, xs, hpp, i), hpp[i] < 0) for i in flips]
     roots = sorted(set(round(t, 12) for t, _ in zeros))
     cands = [0.0] + sorted(set(round(t, 12) for t, up in zeros if up))
 
@@ -261,15 +305,13 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
     xs = st * np.arange(n + 1)
     v = np.asarray(sol.value(xs), dtype=float)
 
+    v1, v2 = np.ones_like(xs), np.zeros_like(xs)
     if a > 0:
+        # off h itself: closed where it has exponents
         slope = float(sol.h.hp.values[-1])
-        hx = sol.h.grid.x
         below = xs <= a + 1e-12
-        v1 = np.where(below, np.interp(xs, hx, sol.h.hp.values) / slope, 1.0)
-        v2 = np.where(below, np.interp(xs, hx, sol.h.hpp.values) / slope, 0.0)
-    else:
-        v1 = np.ones_like(xs)
-        v2 = np.zeros_like(xs)
+        v1[below] = sol.h.read(xs[below], 1) / slope
+        v2[below] = sol.h.read(xs[below], 2) / slope
 
     return xs, _generator_grid(model, st, v, v1, v2), v1
 

@@ -196,7 +196,8 @@ def _series(d):
 
 
 def _cli_h(sigma, d):
-    # at sigma > 0 the command clamps the 1e-3 step to 1e-5
+    # at sigma > 0 the command takes valuation's floor: for Exp claims the
+    # 1e-3 step becomes 1e-4
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "h.csv")
         assert cli.main(["h", "--a", "0.5", "--sigma", repr(sigma), "--d", repr(d),
@@ -257,14 +258,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', 'aec2309b93e9109a',
-        'aec2309b93e9109a', 'd7faa04c42c3a409', '0x1.da9018ee9abf4p-1',
+        '0x1.3333333333333p-2', 'False', '30a61564d4d19bee',
+        '30a61564d4d19bee', 'cc3a747b540ae754', '0x1.da9018ee9abf4p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.c171000000000p-30', '0x1.4f8b588e368f1p-17',
+        '0x1.c171800000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.c12c000000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a84p-1',
+        '0x1.c12bc00000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a85p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -287,22 +288,22 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
-        '0x1.89e3a9d05057dp-1', 'False', 'True', '29d525e4fc6e7e14',
+        '0x1.89e3a9d068884p-1', 'False', 'True', 'bb2a60f21d120b4c',
     ],
     'barrier-s0-d2': [
         '0x0.0p+0', 'True', 'True', 'cf429a98e5032b82',
     ],
     'barrier-s0.5-d0': [
-        '0x1.926bbfa733108p-1', 'False', 'True', '4cb9ff97f6a8dbd7',
+        '0x1.926bbfa737767p-1', 'False', 'True', 'e0733d5be1b6fdce',
     ],
     'barrier-s0.5-d0-step2e-5': [
-        '0x1.926bbfa737767p-1', 'False', 'True', '0713ebd83aadbc02',
+        '0x1.926bbfa737767p-1', 'False', 'True', 'e0733d5be1b6fdce',
     ],
     'barrier-s0.5-d1': [
         '0x0.0p+0', 'True', 'True', '3c8ca671f588816f',
     ],
     'cli-h-s0.5-d1': [
-        '4a099ce42b378bba',
+        '8bbe66d328fa8a07',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -341,12 +342,12 @@ PINS = {
         '0x1.75b1400000000p-30', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
-        'True', '0x1.89e3a9d05057dp-1', '0x1.589e3a9d05058p+3',
-        "'generator_above'", 'True', '0x1.89ee005b18ec6p-1',
-        '-0x1.f886680000000p-28', '0x1.4f8b588e368f1p-17',
-        "'generator_interior'", 'True', '0x1.89d3c985bab05p-1',
-        '0x1.0247800000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'True', '0x1.89d3c985bab05p-1', '0x1.00000004e973bp+0',
+        'True', '0x1.89e3a9d068884p-1', '0x1.589e3a9d06888p+3',
+        "'generator_above'", 'True', '0x1.89ee005b1aa6cp-1',
+        '-0x1.f34d800000000p-28', '0x1.4f8b588e368f1p-17',
+        "'generator_interior'", 'True', '0x1.1de6070bc08f6p-1',
+        '-0x1.bfdcc00000000p-31', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'True', '0x1.89d3c985bc6a9p-1', '0x1.0000000469350p+0',
         '0x1.4f8b588e368f1p-17',
     ],
     'hjb-s0-d2': [
@@ -436,8 +437,8 @@ PINS = {
         '558dec7941f50116', 'a754ff3b02f99ee1', '2c3b8187867a8edf',
     ],
     'value-s0-d0': [
-        '7625fa1717e76ead', '0x0.0p+0', '7625fa1717e76ead', 'e963d90594f67af8',
-        '9f9912088f9de536', 'd2c6ea9aa70fc717', 'True', '0x0.0p+0',
+        '6b9bb90c6518101c', '0x0.0p+0', '6b9bb90c6518101c', '662ba3706aead0c0',
+        '7e9b1fdf3a04b92d', 'f731866f6c5cc6f9', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
         '19c57f31e750401f', '0x1.04a6b8bfe69b0p+2', '3c65c57e7d92d1b5',

@@ -320,13 +320,14 @@ class TestHCommand:
         assert "NonConvergenceError" in err
 
     def test_diffusion_solves_at_the_step_floor(self, capsys, tmp_path):
-        # sigma > 0 takes valuation's floor of 1e-5; sigma = 0 (above)
+        # sigma > 0 takes valuation's floor, 1e-4 where h is a sum of
+        # exponentials (1e-5 for a table below d = inf); sigma = 0 (above)
         # keeps the caller's step
         p = tmp_path / "h.csv"
         rc, _, _ = run(capsys, ["h", "--a", "0.05", "--sigma", "0.5", "--d", "inf",
                                 "--grid-step", "1e-3", "--out", str(p)])
         assert rc == 0
-        assert len(p.read_text().splitlines()) == 1 + 5001
+        assert len(p.read_text().splitlines()) == 1 + 501
 
 
 class TestBarrierCommand:

@@ -541,6 +541,18 @@ class TestScaleFunctionOracle:
         assert abs(sol.a_star - want) < 5e-4
         assert sol.boundary == (want == 0.0)
 
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.1])
+    def test_barrier_is_the_closed_curvature_root(self, d):
+        # at the default grid_step; the parabola through three scan nodes
+        # was 3.6e-7 and 4.3e-7 off at d = 0.05 and 0.1
+        if d:
+            _, _, want = self._small_clock(d)
+        else:
+            want = scale_oracle.w_curvature_root(self.T, self.WT, 0.1, 2.0)
+        sol = db.optimal_barrier(make_model(d, sigma=0.5), a_max=2.0)
+        assert abs(sol.a_star - want) < 1e-9
+        assert sol.hjb_report.passed
+
     def test_one_transform_per_optimal_barrier(self, monkeypatch):
         # with a table the continuation slope, the w_d forcing and the
         # certificate all read the one memoized TableRatio, which reads
@@ -620,6 +632,57 @@ class TestExponentialBasis:
             assert np.max(np.abs(got.values - want)) < 1e-10
 
 
+class TestClosedExitFunction:
+    """Where the route has exponents the exit function carries them, with
+    the weights over xi(a), and reads h and its derivatives in closed
+    form at any point, not off its grid."""
+
+    A = 0.5
+    # off the 1e-3 solver grid, but 0 and a
+    XS = np.array([0.0, 1e-5, 0.0123456, 0.1337, 0.31415, 0.49999, 0.5])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [0.0, 0.1, 1.0, math.inf])
+    def test_matches_the_scale_oracle_off_the_grid(self, sigma, d):
+        # measured at most 9.3e-15 (h'' at sigma = 0.5, d = 0.1), relative
+        # to the largest value at these points
+        h = (h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos)(make_model(d, sigma=sigma),
+                                                            self.A, step=1e-3)
+        if math.isinf(d):
+            t = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, sigma, 1.0)[0][-1:]
+            wts = np.ones(1)
+        else:
+            t, wts = scale_oracle.exit_weights(10.0, 15.0, 0.1, 0.8, sigma, 1.0, d)
+        lam_a = scale_oracle.scale_w(t, wts, self.A)
+        for order in range(3):
+            want = scale_oracle.scale_w(t, wts, self.XS, order) / lam_a
+            got = h.read(self.XS, order)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_infinite_clock_on_a_table_off_the_grid(self, tab_dist, sigma):
+        # measured 1.1e-16
+        m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, math.inf), tab_dist)
+        h = (h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos)(m, self.A, step=1e-3)
+        for order in range(4):
+            want = m.rho ** order * np.exp(m.rho * (self.XS - self.A))
+            assert np.max(np.abs(h.read(self.XS, order) - want)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [0.0, 0.1, 1.0])
+    def test_vector_and_one_point_reads_agree_bit_for_bit(self, d):
+        h = h_d_sigma_pos(make_model(d, sigma=0.5), 1.0, step=1e-3)
+        xs = np.linspace(0.0, 1.0, 1001)
+        for order in range(4):
+            vec = h.read(xs, order)
+            assert [i for i, x in enumerate(xs) if h.read(x, order)[0] != vec[i]] == []
+
+    def test_no_delay_diffusion_is_zero_at_zero(self):
+        # W(0) = sum_i c_i is 0 only to rounding; h(0) = 0 exactly
+        h = h_d_sigma_pos(make_model(0.0, sigma=0.5), self.A, step=1e-3)
+        assert h.read(0.0)[0] == 0.0 and h.read(np.array([0.0, 0.1]))[0] == 0.0
+        assert h.read(0.0, 1)[0] > 0.0
+
+
 class TestDiffusionTable:
     """sigma = 0.5 with the 1e-3 Exp(1) table against Exp(1) claims, the
     twin of criterion 09 at sigma > 0. The table's Lambda comes from a W
@@ -650,9 +713,12 @@ class TestDiffusionTable:
 
 
 class TestWholeLineEvaluator:
-    def test_inside_matches_grid(self, m_d2):
-        h = h_d_sigma0(m_d2, A, step=1e-3)
-        fun = h_callable(m_d2, h)
+    def test_inside_matches_grid(self, tab_dist):
+        # a table below d = inf has no exponents: h is read off its grid
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 2.0), tab_dist)
+        h = h_d_sigma0(m, A, step=1e-3)
+        assert h.t is None
+        fun = h_callable(m, h)
         xs = np.array([0.0, 0.2, 0.6, A])
         np.testing.assert_allclose(fun(xs), h.grid.interp(xs), rtol=1e-12)
 

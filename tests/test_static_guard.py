@@ -20,6 +20,9 @@ it must not import divbarrier in any spelling: an import statement,
 a relative import, or a module name handed to importlib.import_module
 or __import__ as a string.
 
+No module under src/divbarrier imports scipy.optimize: its roots are
+taken by Newton steps on closed forms.
+
 expmodel's closed series for Exp(mu) claims at sigma = 0 is the oracle
 that the solver's numbers are checked against, so the solver must not
 read it: no module under src/divbarrier imports expmodel, but the
@@ -73,6 +76,8 @@ HOME = "gridmath.py"
 BANNED = ("scipy.fft", "scipy.signal", "numpy.fft")
 # banned in gridmath too
 HOME_BANNED = ("scipy.signal",)
+# banned everywhere under src/divbarrier
+OPTIMIZE = ("scipy.optimize",)
 NUMPY_NAMES = ("np", "numpy")
 
 
@@ -131,6 +136,21 @@ def test_guard_sees_every_spelling():
     for line in ("import scipy.special", "from scipy.special import i1e",
                  "x = np.cumsum(a)", "x = convolve_values(a, b, 1.0)"):
         assert not _violations(line), line
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_scipy_optimize(path):
+    # root finding is Newton on closed forms (lundberg, the curvature
+    # root of valuation); scipy.optimize would add to every import
+    assert _violations((SRC / path).read_text(), OPTIMIZE, direct_convolution=False) == []
+
+
+def test_optimize_guard_sees_every_spelling():
+    for line in ("from scipy.optimize import brentq", "from scipy import optimize",
+                 "import scipy.optimize as so", "x = scipy.optimize.brentq(f, 0, 1)"):
+        assert _violations(line, OPTIMIZE, direct_convolution=False), line
+    assert not _violations("from scipy.special import ndtr", OPTIMIZE,
+                           direct_convolution=False)
 
 
 def test_gridmath_does_not_import_scipy_signal():

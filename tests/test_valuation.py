@@ -27,6 +27,7 @@ from divbarrier.valuation import (
     hjb_verify,
     optimal_barrier,
     value_barrier,
+    _curvature_root,
     _refine_root,
 )
 from divbarrier.lundberg import lundberg_root
@@ -136,6 +137,34 @@ class TestRefineRoot:
         assert abs(got - self.XS[5]) <= 1e-15
         if i == 5:
             assert got == self.XS[5]
+
+
+class TestClosedCurvatureRoot:
+    """Where h is a sum of exponentials the scan brackets each zero of h''
+    and safeguarded Newton steps on the closed h'' polish it; a table
+    keeps the parabola's root."""
+
+    def test_no_delay_is_the_closed_root(self, sol_d0):
+        # a* is rounded to 12 decimals; the parabola through three scan
+        # nodes was 1.1e-11 off
+        assert abs(sol_d0.a_star - A_STAR_CLOSED) < 1e-12
+
+    def test_table_keeps_the_parabola_root(self, tab_dist):
+        m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 0.0), tab_dist)
+        scan = db.h_d_sigma0(m, 2.0, 1e-3)
+        xs, hpp = scan.grid.x, scan.hpp.values
+        (i,) = np.nonzero(np.sign(hpp[:-1]) * np.sign(hpp[1:]) < 0)[0]
+        assert _curvature_root(scan, xs, hpp, i) == _refine_root(xs, hpp, i)
+
+    def test_forced_diffusion_barrier_solves_at_the_closed_floor(self):
+        # the 1e-5 floor built 78,599 nodes here; v and the HJB sweep read
+        # h in closed form, not off this grid
+        m = make_model(0.0, sigma=0.5)
+        a = 0.7859783069
+        sol = barrier_solution_at(m, a)
+        assert len(sol.h.grid.values) <= 1 + round(a / 1e-4)
+        assert sol.value(0.0) == 0.0
+        assert hjb_verify(m, sol, a + 3.0).passed
 
 
 class TestBoundaryOptimumWithDelay:
