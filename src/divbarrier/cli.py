@@ -31,11 +31,11 @@ from .model import (
     validate,
 )
 from .gridmath import GridFunction, NonConvergenceError
-from .lundberg import lundberg_root, psi_r
+from .lundberg import lundberg_root
 from .firstpassage import upcross_transform
+from .hfun import _solver_step
 from .valuation import (
     _build_h,
-    _solver_step,
     optimal_barrier,
     barrier_solution_at,
     hjb_verify,
@@ -194,12 +194,11 @@ def _solution(model, cfg):
 def cmd_root(cfg):
     model = _model_from(cfg)
     root = lundberg_root(model)
-    resid = psi_r(model, root.rho) - model.q
     print("rho=%.17g" % root.rho)
-    print("residual=%.3e" % resid)
+    print("residual=%.3e" % root.residual)
     if cfg["out"]:
         _write_json(cfg["out"], {"command": "root", "rho": root.rho,
-                                 "residual": resid})
+                                 "residual": root.residual})
     return 0
 
 
@@ -222,8 +221,8 @@ def cmd_h(cfg):
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
     # sigma = 0 solves at the caller's step, unclamped; sigma > 0 at
-    # valuation's floor (1e-4 for an h with exponents, 1e-5 for a table
-    # below d = inf)
+    # hfun's solver-step floor (1e-4 for an h with exponents, 1e-5 for a
+    # table below d = inf)
     step = cfg["grid-step"]
     if model.sigma != 0.0:
         step = _solver_step(model, step)

@@ -19,13 +19,14 @@ The deadline transform weighs recoveries inside a window d:
 
 There is one route for every model and every d, either claim law at
 every sigma, and no time integral: Phi_d(y) is Lambda(-y)/Lambda(0),
-read off the scale function (_phi_sigma_pos, which hands the model to
-scale.phi). At d = inf that collapses to e^{-rho y} with rho the
-adjusted Lundberg root, and at d = 0 it vanishes for y > 0; in between
-it is for a table one correlation of W with the law of X_d on the
-table's lattice, and for exponential claims a moment quadrature over
-the claim total. This module reads no claim kind and tells no d apart;
-scale does both.
+read off the scale function (_phi_sigma_pos, which takes the route
+scale.scale_ratio(model, d) gives and reads its phi). At d = inf that
+collapses to e^{-rho y} with rho the adjusted Lundberg root, and at
+d = 0 it vanishes for y > 0; in between it is for a table one
+correlation of W with the law of X_d on the table's lattice, and for
+exponential claims a moment quadrature over the claim total. This
+module reads no claim kind and tells no d apart (it only refuses
+d < 0); scale does both.
 """
 
 import math
@@ -112,10 +113,10 @@ def vy_density(model, y, k, t):
 def _phi_sigma_pos(model, d, ys):
     """(Phi_d on the deficits ys >= 0, truncation K, tail bound) at every
     d >= 0 for either claim law at any sigma: Lambda(-y)/Lambda(0) off
-    the scale function (scale.phi). The name keeps "sigma_pos" although
+    the route scale.scale_ratio gives. The name keeps "sigma_pos" although
     every model at sigma = 0 comes here too, because perfbench's tracer
     times this function by name."""
-    return scale.phi(model, d, ys)
+    return scale.scale_ratio(model, d).phi(ys)
 
 
 def _phi_table(model, d, ys):
@@ -136,13 +137,8 @@ def upcross_transform(model, y, d) -> UpcrossTransform:
     """
     if not y >= 0:
         raise ValueError("deficit y must be nonnegative")
-    if d == math.inf and y > 0:
-        # math.exp: np.exp can differ from it in the last bit
-        value, K, tail = math.exp(-model.rho * y), 0, 0.0
-    else:
-        vals, K, tail = _phi_table(model, d, np.array([y], dtype=float))
-        value = float(vals[0])
-    return UpcrossTransform(y=y, d=d, value=value, truncation_k=K, tail_bound=tail)
+    vals, K, tail = _phi_table(model, d, np.array([y], dtype=float))
+    return UpcrossTransform(y=y, d=d, value=float(vals[0]), truncation_k=K, tail_bound=tail)
 
 
 def upcross_table(model, d, y_grid):
@@ -150,9 +146,9 @@ def upcross_table(model, d, y_grid):
 
     Shares the claim-count sum across deficits, which is what makes a
     table's grid-sized w_d integrals affordable: at every sigma a
-    table's Lambda (scale.phi) sums the claim powers once into the law
-    of X_d and reads every lattice deficit off one correlation, as
-    upcross_transform does for its one deficit. Exponential claims take
+    table's Lambda (scale.TableRatio) sums the claim powers once into
+    the law of X_d and reads every lattice deficit off one correlation,
+    as upcross_transform does for its one deficit. Exponential claims take
     one moment quadrature per block of deficits at every sigma, with
     K = 0 and the quadrature's error bound as the tail bound.
     """

@@ -16,10 +16,10 @@ where the drift cannot climb back in time):
 
 Every model reads w_d, Phi_d below zero and, at sigma > 0, the
 continuation slope off one memo entry (_route), which holds the scale
-route's Lambda (scale.scale_ratio) and its w_reader, for either claim
-law at every sigma and every d; this module does not choose the route
-and never asks which grace-period regime it is in. The end cases are
-closed: at d = 0 w_d = 0 and Phi_d(y) = 1{y = 0}, at d = inf w_d is
+route's Lambda (scale.scale_ratio at the model's d) and its w_reader,
+for either claim law at every sigma and every d; this module does not
+choose the route and never asks which grace-period regime it is in.
+The end cases are closed: at d = 0 w_d = 0 and Phi_d(y) = 1{y = 0}, at d = inf w_d is
 T_rho f at rho = model.rho, the claim law's exact tail transform at any
 points, and Phi_d(y) = e^{-rho y}. At 0 < d < inf for exponential claims
 w_d is the closed form u(d) f, u(d) taken once from that Lambda; no Phi
@@ -27,10 +27,13 @@ grid is built. For a table the entry's TableRatio integrates
 Phi_d = Lambda(-y)/Lambda(0) against the density on the table's own
 lattice, into node tables of w_d and w_d' read with one interpolation.
 The continuation below zero (_whole_line) reads Phi_d at its own
-deficits off the same Lambda.
+deficits off the same Lambda's phi, which gives Phi_d with its K and
+bound; a NaN point is refused there, not read as a point.
 
 One builder (_exit) serves both sigmas; h_d_sigma0 and h_d_sigma_pos
-check sigma and call it.
+check sigma and call it. The solver step's floor (_solver_step) lives
+next to it: valuation and the CLI take theirs from it, and an exit
+function built without a step takes the floor of a grid_step of 1e-3.
 
 Where the route has exponents nothing is solved: for Exp(mu) claims at
 every d, and for a table at d = inf. Since
@@ -171,7 +174,7 @@ def _route(model):
     if key not in _CACHE:
         if len(_CACHE) >= _CACHE_SIZE:
             del _CACHE[next(iter(_CACHE))]
-        route = scale_ratio(model)
+        route = scale_ratio(model, model.d)
         _CACHE[key] = route, route.w_reader()
     return _CACHE[key]
 
@@ -184,7 +187,8 @@ def _w_values(model, xs):
 def w_d(model, x):
     """Below-zero continuation forcing w_d at x (scalar or array)."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
+    # a NaN is not >= 0 either
+    if not np.all(xs >= 0):
         raise ValueError("w_d is defined for x >= 0")
     vals = _w_values(model, xs)
     return float(vals[0]) if np.ndim(x) == 0 else vals
@@ -206,10 +210,27 @@ def _solver_grid(a, step):
     return GridFunction(0.0, n * step, step, step * np.arange(n + 1))
 
 
+def _solver_step(model, grid_step):
+    """The solver grid's step for a caller's grid_step: at most 1e-4, and
+    at most 1e-5 for a table at sigma > 0 and d < inf.
+
+    An exit function with exponents is read in closed form, not off its
+    grid; its floor of 1e-4 is only where ide_residual, whose claim
+    convolution reads h linearly between nodes, certifies the exact h.
+    A table's h is read off its grid, and at sigma > 0 the boundary
+    layer e^{-(rho + 2c/sigma^2) x} needs the finer floor.
+    """
+    _require_step(grid_step)
+    if model.sigma == 0.0 or _route(model)[0].t is not None:
+        return min(grid_step, 1e-4)
+    return min(grid_step, 1e-5)
+
+
 def _exit(model, a, step):
     """The certified exit function at barrier a on the solver grid of
-    that step, for either sigma and claim law (see the module notes)."""
-    grid = _solver_grid(a, step)
+    that step, for either sigma and claim law (see the module notes); by
+    default at the solver step of a grid_step of 1e-3."""
+    grid = _solver_grid(a, _solver_step(model, 1e-3) if step is None else step)
     xs, step = grid.values, grid.step
     route, read = _route(model)
     # xi(0) = x0 and, at sigma > 0, xi'(0) = p: the continuation slope, or
@@ -266,15 +287,17 @@ def _exit(model, a, step):
     return replace(hf, ide_residual=res)
 
 
-def h_d_sigma0(model, a, step=1e-4) -> HFunction:
-    """Exit function for the drift-only model (sigma = 0)."""
+def h_d_sigma0(model, a, step=None) -> HFunction:
+    """Exit function for the drift-only model (sigma = 0); step defaults
+    to the solver step of a grid_step of 1e-3 (_solver_step)."""
     if model.sigma != 0.0:
         raise ValueError("h_d_sigma0 requires sigma = 0")
     return _exit(model, a, step)
 
 
-def h_d_sigma_pos(model, a, step=1e-5) -> HFunction:
-    """Exit function for the diffusion-perturbed model (sigma > 0)."""
+def h_d_sigma_pos(model, a, step=None) -> HFunction:
+    """Exit function for the diffusion-perturbed model (sigma > 0); step
+    defaults to the solver step of a grid_step of 1e-3 (_solver_step)."""
     if model.sigma <= 0.0:
         raise ValueError("h_d_sigma_pos requires sigma > 0")
     return _exit(model, a, step)
@@ -320,6 +343,8 @@ def _whole_line(model, x, at_zero, inside):
     recover from any deficit.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.isnan(x_arr)):
+        raise ValueError("x must be a number, got NaN")
     out = np.zeros_like(x_arr)
     pos = x_arr >= 0
     out[pos] = inside(x_arr[pos])
@@ -327,7 +352,7 @@ def _whole_line(model, x, at_zero, inside):
     neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
         # Phi_d from the Lambda the forcing memo holds
-        out[neg] = at_zero * _route(model)[0].phi(-x_arr[neg])
+        out[neg] = at_zero * _route(model)[0].phi(-x_arr[neg])[0]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

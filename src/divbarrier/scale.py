@@ -1,7 +1,9 @@
 """The scale-function route at every grace period d: the exit function,
 the recovery transform Phi_d and the w_d forcing, for either claim law
-at every sigma. This is the one module that chooses a model's Phi_d
-route, and the one that tells d = 0, 0 < d < inf and d = inf apart.
+at every sigma. This is the one module that chooses a Phi_d route, and
+the one that tells d = 0, 0 < d < inf and d = inf apart:
+scale_ratio(model, d) picks the route once, and each route gives its
+own Phi_d with its claim-count truncation K and error bound (phi).
 
 The two end cases are closed for either claim law (EndRatio): at d = 0
 Lambda is W itself, Phi_d(y) = 1{y = 0} and w_d = 0; at d = inf Lambda
@@ -21,7 +23,7 @@ where W is the kill-scale function of the thinned process (zero below
 time d. From a deficit y the surplus creeps back up to 0, so
 h(-y) = Phi_d(y) h(0) with Phi_d(y) = Lambda(-y) / Lambda(0).
 
-For Exp(mu) claims (ScaleRatio, phi) W is a sum of three exponentials
+For Exp(mu) claims (ScaleRatio) W is a sum of three exponentials
 at sigma > 0 and of two at sigma = 0, where Q is quadratic,
 
     W(x) = sum_i c_i e^{t_i x},   c_i = (mu + t_i) / Q'(t_i),
@@ -147,21 +149,42 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class ScaleRatio:
     """Lambda(x) = sum_j weights_j e^{t_j x} up to a positive factor, with
     the continuation slope Lambda'(0)/Lambda(0) and u(d), for the Exp(mu)
-    claims of model at its own d."""
+    claims of model at the grace period d."""
 
     t: np.ndarray
     weights: np.ndarray
     slope: float
     u: float
     model: object
+    d: float
 
     def ratio(self, xs, a):
         """Lambda(xs) / Lambda(a): the exit function at barrier a."""
         return exp_sum(self.t, self.weights, xs)[0] / exp_sum(self.t, self.weights, a)[0]
 
     def phi(self, ys):
-        """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
-        return phi(self.model, self.model.d, ys)[0]
+        """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
+        claim-count truncation K = 0, a bound on the error).
+
+        The bound is the moments' quadrature error: each block of deficits
+        is one quadrature headed by y = 0, so its relative stop is taken
+        against Lambda(0) and its Phi divides by its own Lambda(0). An
+        error e in each moment moves Lambda by at most e sum |c_i| at every
+        y, and so Phi by at most twice that over Lambda(0). At sigma = 0
+        X_d <= c d, so deficits past c d are 0 and join no block.
+        """
+        model, d = self.model, self.d
+        ys = np.asarray(ys, dtype=float)
+        t, cw = _roots(model)
+        live = np.nonzero(ys <= (model.c * d if model.sigma == 0.0 else math.inf))[0]
+        vals, bound = np.zeros(len(ys)), 0.0
+        for lo in range(0, len(live), _BLOCK):
+            at = live[lo:lo + _BLOCK]
+            m, err = _moments(model, d, t, np.append(0.0, ys[at]))
+            lam = m @ cw
+            vals[at] = lam[1:] / lam[0]
+            bound = max(bound, 2.0 * err * float(np.sum(np.abs(cw)) / lam[0]))
+        return vals, 0, bound
 
     def w_reader(self):
         """The forcing w_d(x) = u(d) e^{-mu x} as a reader of x >= 0."""
@@ -176,12 +199,20 @@ class EndRatio(ScaleRatio):
     and none (t = None) for a table, and no slope: h(0) = 0 at sigma > 0.
     u is None."""
 
+    def phi(self, ys):
+        """(Phi_d, K, bound) in closed form: 1{y = 0} at d = 0 and
+        e^{-rho y} at d = inf, with K = 0 and no error."""
+        ys = np.asarray(ys, dtype=float)
+        if self.d == 0.0:
+            return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
+        return np.exp(-self.model.rho * ys), 0, 0.0
+
     def w_reader(self):
         """w_d as a reader of x >= 0: T_rho f at d = inf; at d = 0 zero,
         and so is its slope, read with order = 1 by a table's exit
         function, which has no exponents."""
         model = self.model
-        if model.d == 0.0:
+        if self.d == 0.0:
             return lambda x, order=0: np.zeros(np.shape(x))
         return lambda x: model.claims.tail_transform(model.rho, x)
 
@@ -467,7 +498,8 @@ class TableRatio:
         return (self._lambda(zp, self._w[:n + 1])[n::-1] - jump) / self._at_zero
 
     def phi(self, ys):
-        """Phi_d(y) = Lambda(-y) / Lambda(0) at the deficits ys >= 0."""
+        """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0,
+        truncation_k, tail_bound)."""
         ys = np.asarray(ys, dtype=float)
         m = np.floor(ys / self._step + 1e-9)
         offset = np.round(np.maximum(ys - m * self._step, 0.0) / self._step, 9)
@@ -477,7 +509,8 @@ class TableRatio:
         for e in np.unique(offset[live]):
             at = np.nonzero((offset == e) & live)[0]
             out[at] = self._phi_nodes(e)[m[at].astype(int)]
-        return np.where(ys == 0.0, 1.0, np.clip(out, 0.0, 1.0))
+        return (np.where(ys == 0.0, 1.0, np.clip(out, 0.0, 1.0)), self.truncation_k,
+                self.tail_bound)
 
     def w_reader(self):
         """The forcing w_d(x) = int_0^inf Phi_d(y) f(x + y) dy as a reader
@@ -602,57 +635,24 @@ def _moments(model, d, ts, ys):
     return atom + np.reshape(integral, atom.shape), err
 
 
-def scale_ratio(model):
-    """Lambda at the model's own d, at any sigma: at d = 0 and d = inf an
-    EndRatio; at 0 < d < inf for Exp(mu) claims a ScaleRatio (its
+def scale_ratio(model, d):
+    """Lambda at the grace period d, at any sigma: at d = 0 and d = inf
+    an EndRatio; at 0 < d < inf for Exp(mu) claims a ScaleRatio (its
     exponents and weights, the continuation slope and u(d)), for a table
-    a TableRatio."""
+    a TableRatio. Each route reads its own Phi_d, with K and a bound
+    (phi), so this is the module's one dispatch on the claim kind and on
+    d = inf."""
     exp_claims = model.claims.kind == "exponential"
-    if math.isinf(model.d):
-        return EndRatio(np.array([model.rho]), np.ones(1), model.rho, None, model)
-    if model.d == 0.0:
-        return EndRatio(*(_roots(model) if exp_claims else (None, None)), None, None, model)
+    if math.isinf(d):
+        return EndRatio(np.array([model.rho]), np.ones(1), model.rho, None, model, d)
+    if d == 0.0:
+        return EndRatio(*(_roots(model) if exp_claims else (None, None)), None, None, model, d)
     if not exp_claims:
-        return TableRatio(model, model.d)
+        return TableRatio(model, d)
     mu = model.claims.mu
     t, cw = _roots(model)
-    (m,), _ = _moments(model, model.d, np.append(t, -mu), [0.0])
+    (m,), _ = _moments(model, d, np.append(t, -mu), [0.0])
     weights = cw * m[:-1]
     at_zero = float(np.sum(weights))
     u = float(np.sum(cw * mu / (mu + t) * (m[:-1] - m[-1]))) / at_zero
-    return ScaleRatio(t, weights, float(t @ weights) / at_zero, u, model)
-
-
-def phi(model, d, ys):
-    """(Phi_d(y) = Lambda(-y)/Lambda(0) on the deficits ys >= 0, the
-    claim-count truncation K, a bound on the error) for every d >= 0, at
-    any sigma and for either claim law.
-
-    At d = 0 Phi_d is 1{y = 0} and at d = inf e^{-rho y}, with K = 0 and
-    no error. Otherwise a table's K and bound are its TableRatio's. For
-    Exp(mu) claims K is 0 and the bound is the moments' quadrature
-    error: each block of
-    deficits is one quadrature headed by y = 0, so its relative stop is
-    taken against Lambda(0) and its Phi divides by its own Lambda(0). An
-    error e in each moment moves Lambda by at most e sum |c_i| at every
-    y, and so Phi by at most twice that over Lambda(0). At sigma = 0
-    X_d <= c d, so deficits past c d are 0 and join no block.
-    """
-    ys = np.asarray(ys, dtype=float)
-    if d == 0.0:
-        return np.where(ys == 0.0, 1.0, 0.0), 0, 0.0
-    if math.isinf(d):
-        return np.exp(-model.rho * ys), 0, 0.0
-    if model.claims.kind != "exponential":
-        table = TableRatio(model, d)
-        return table.phi(ys), table.truncation_k, table.tail_bound
-    t, cw = _roots(model)
-    live = np.nonzero(ys <= (model.c * d if model.sigma == 0.0 else math.inf))[0]
-    vals, bound = np.zeros(len(ys)), 0.0
-    for lo in range(0, len(live), _BLOCK):
-        at = live[lo:lo + _BLOCK]
-        m, err = _moments(model, d, t, np.append(0.0, ys[at]))
-        lam = m @ cw
-        vals[at] = lam[1:] / lam[0]
-        bound = max(bound, 2.0 * err * float(np.sum(np.abs(cw)) / lam[0]))
-    return vals, 0, bound
+    return ScaleRatio(t, weights, float(t @ weights) / at_zero, u, model, d)

@@ -50,7 +50,7 @@ from .hfun import (
     h_callable,
     _generator_grid,
     _require_step,
-    _route,
+    _solver_step,
     _whole_line,
 )
 
@@ -94,22 +94,6 @@ def _build_h(model, a, step):
     return h_d_sigma_pos(model, a, step)
 
 
-def _solver_step(model, grid_step):
-    """The solver grid's step for a caller's grid_step: at most 1e-4, and
-    at most 1e-5 for a table at sigma > 0 and d < inf.
-
-    An exit function with exponents is read in closed form, not off its
-    grid; its floor of 1e-4 is only where ide_residual, whose claim
-    convolution reads h linearly between nodes, certifies the exact h.
-    A table's h is read off its grid, and at sigma > 0 the boundary
-    layer e^{-(rho + 2c/sigma^2) x} needs the finer floor.
-    """
-    _require_step(grid_step)
-    if model.sigma == 0.0 or _route(model)[0].t is not None:
-        return min(grid_step, 1e-4)
-    return min(grid_step, 1e-5)
-
-
 def _barrier_slope(h: HFunction):
     """h'(a), the normalizing slope of a barrier value; must be positive."""
     slope = float(h.hp.values[-1])
@@ -126,10 +110,11 @@ def value_barrier(model, h: HFunction, a, x):
     hc = h_callable(model, h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(xs)
-    below = xs <= a
-    if np.any(below):
-        out[below] = hc(xs[below]) / slope
-    out[~below] = xs[~below] - a + 1.0 / slope
+    # a NaN is not above the barrier, and h_callable refuses it
+    above = xs > a
+    if not np.all(above):
+        out[~above] = hc(xs[~above]) / slope
+    out[above] = xs[above] - a + 1.0 / slope
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -320,7 +320,7 @@ class TestHCommand:
         assert "NonConvergenceError" in err
 
     def test_diffusion_solves_at_the_step_floor(self, capsys, tmp_path):
-        # sigma > 0 takes valuation's floor, 1e-4 where h is a sum of
+        # sigma > 0 takes hfun's floor, 1e-4 where h is a sum of
         # exponentials (1e-5 for a table below d = inf); sigma = 0 (above)
         # keeps the caller's step
         p = tmp_path / "h.csv"

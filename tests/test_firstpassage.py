@@ -320,7 +320,7 @@ class TestWithDiffusion:
         h = 1e-4
         phi = upcross_table(m, 0.05, np.array([0.0, h, 2.0 * h]))
         diff = (3.0 * phi[0] - 4.0 * phi[1] + phi[2]) / (2.0 * h)
-        assert abs(diff - scale.scale_ratio(m).slope) < 1e-6
+        assert abs(diff - scale.scale_ratio(m, m.d).slope) < 1e-6
 
     def test_exponential_report_is_the_quadrature_bound(self):
         # no claim-count sum to truncate; the tail bound is the moments'
@@ -336,19 +336,19 @@ class TestWithDiffusion:
 
     @pytest.mark.parametrize("claims", ["exp", "tab"])
     def test_every_claim_law_takes_the_scale_route(self, monkeypatch, claims):
-        # one branch at sigma > 0 and 0 < d < inf, _phi_sigma_pos, and it
-        # hands every claim law to scale.phi, which answers with K too
+        # one branch, _phi_sigma_pos, hands every claim law and d to
+        # scale.scale_ratio, whose route answers with K too
         dist = (db.ExponentialClaims(1.0) if claims == "exp"
                 else db.tabulated_exponential(1.0, step=1e-2))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 0.5), dist)
         calls = []
-        real = scale.phi
+        real = scale.scale_ratio
 
         def counted(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(scale, "phi", counted)
+        monkeypatch.setattr(scale, "scale_ratio", counted)
         vals = upcross_table(m, 0.5, np.array([0.0, 0.3, 9.0]))
         tr = upcross_transform(m, 0.3, 2.0)
         assert calls == [0.5, 2.0]

@@ -409,7 +409,7 @@ class TestSigmaPositive:
         # the scale route, not a solve for them (measured 2.2e-16 off)
         m = make_model(d, sigma=0.5)
         h = h_d_sigma_pos(m, 1.0, step=1e-5)
-        want = scale.scale_ratio(m).ratio(h.grid.x, 1.0)
+        want = scale.scale_ratio(m, m.d).ratio(h.grid.x, 1.0)
         assert np.max(np.abs(h.grid.values - want)) <= 1e-15
 
     @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0), ("exp", math.inf),
@@ -429,7 +429,7 @@ class TestSigmaPositive:
         assert h.ide_residual >= check
         term = 0.0
         if not math.isinf(d):
-            lam_ratio = scale.scale_ratio(m).ratio(h.grid.x, 0.5)
+            lam_ratio = scale.scale_ratio(m, m.d).ratio(h.grid.x, 0.5)
             term = np.max(np.abs(h.grid.values - lam_ratio))
         if term < check * (1.0 - 1e-6):
             assert h.ide_residual == check
@@ -755,3 +755,17 @@ class TestWholeLineEvaluator:
         np.testing.assert_allclose(sol.value(xs), sol.value(0.0) * phi, rtol=1e-12)
         np.testing.assert_allclose(h_callable(m, sol.h)(xs), sol.h.grid.values[0] * phi,
                                    rtol=1e-12)
+
+
+def test_default_step_is_the_solver_floor():
+    # an exit function built without a step takes hfun's floor for a
+    # grid_step of 1e-3: 1e-4 where it has exponents, at either sigma
+    # (a fixed 1e-5 at sigma > 0 built 78,601 nodes for three
+    # exponentials), and 1e-5 for a table at sigma > 0 below d = inf
+    m = make_model(0.0, sigma=0.5)
+    assert len(h_d_sigma_pos(m, 0.786).grid.x) == 7861
+    assert hfun._solver_step(m, 1e-3) == 1e-4
+    assert len(h_d_sigma0(make_model(2.0), 0.786).grid.x) == 7861
+    tab = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0),
+                      db.tabulated_exponential(1.0, step=1e-2))
+    assert hfun._solver_step(tab, 1e-3) == 1e-5

@@ -13,7 +13,7 @@ scale_oracle.py, an independent copy of the formulas on a fixed Simpson
 grid, which also gives Phi_d(y) = Lambda(-y)/Lambda(0) below zero and
 u(d) from its own moments; and far out in d, where the unscaled moments
 would overflow, against the d = inf limits rho and mu / (mu + rho).
-scale.phi, which upcross_table reads for these models, is checked
+The route's phi, which upcross_table reads for these models, is checked
 against the oracle's Phi_d and across the seams of its deficit blocks.
 
 Exp(mu) claims at sigma = 0 take the same route: given S_d, X_d is a
@@ -55,7 +55,7 @@ def _oracle(d):
 @pytest.mark.parametrize("d", [0.05, 0.1, 0.2, 1.0, 2.0])
 def test_matches_the_oracle(d):
     # measured within 1e-15 on the slope
-    route = scale.scale_ratio(make_model(d, sigma=0.5))
+    route = scale.scale_ratio(make_model(d, sigma=0.5), d)
     t, wts = _oracle(d)
     lam_0, lam_1 = (float(scale_oracle.scale_w(t, wts, 0.0, k)) for k in (0, 1))
     slope = lam_1 / lam_0
@@ -70,7 +70,7 @@ def test_matches_the_oracle(d):
 def test_ratio_reads_the_same_bits_one_point_at_a_time(d):
     # a BLAS product over (points x exponents) gave other last bits at
     # 303 of these 1,001 points at d = 0.1 and 241 at d = 1
-    route = scale.scale_ratio(make_model(d, sigma=0.5))
+    route = scale.scale_ratio(make_model(d, sigma=0.5), d)
     xs = np.linspace(0.0, 1.0, 1001)
     vec = route.ratio(xs, 1.0)
     assert [i for i, x in enumerate(xs) if route.ratio(x, 1.0) != vec[i]] == []
@@ -100,7 +100,7 @@ def test_moments_take_a_few_hundred_nodes(monkeypatch, d, most):
         return gridmath.adaptive_cc(lambda s: nodes.append(len(s)) or fun(s), *args, **kwargs)
 
     monkeypatch.setattr(scale, "adaptive_cc", counted)
-    route = scale.scale_ratio(make_model(d, sigma=0.5))
+    route = scale.scale_ratio(make_model(d, sigma=0.5), d)
     assert 0 < sum(nodes) <= most
     if d < 1000.0:
         t, wts = _oracle(d)
@@ -123,7 +123,7 @@ def test_phi_matches_the_oracle(d):
     want = scale_oracle.recovery(*args, ys, s_step=s_step)
     assert np.max(np.abs(upcross_table(m, d, ys) - want)) < 1e-12
     u = scale_oracle.recovery_weight(*args, s_step=s_step)
-    assert abs(scale.scale_ratio(m).u - u) < 1e-12
+    assert abs(scale.scale_ratio(m, m.d).u - u) < 1e-12
 
 
 def test_blocks_do_not_change_the_answer():
@@ -131,10 +131,11 @@ def test_blocks_do_not_change_the_answer():
     # quadrature headed by y = 0; one deficit alone is a block of one
     m = make_model(0.4, sigma=0.5)
     ys = np.linspace(0.0, 8.0, 2 * scale._BLOCK + 9)
-    grid, k, bound = scale.phi(m, 0.4, ys)
+    route = scale.scale_ratio(m, 0.4)
+    grid, k, bound = route.phi(ys)
     assert k == 0 and 0.0 < bound < 1e-12
     for i in (1, scale._BLOCK - 1, scale._BLOCK, 2 * scale._BLOCK, len(ys) - 1):
-        one, _, one_bound = scale.phi(m, 0.4, ys[i:i + 1])
+        one, _, one_bound = route.phi(ys[i:i + 1])
         assert abs(one[0] - grid[i]) <= bound + one_bound, ys[i]
 
 
@@ -144,7 +145,7 @@ def test_long_clock_reaches_the_infinite_limit(d):
     # overflows from d near 190 and the atom e^{-lam r d} underflows from
     # d near 93; M(rho) itself grows like e^{(q + lam(1 - r)) d}
     m = make_model(d, sigma=0.5)
-    route = scale.scale_ratio(m)
+    route = scale.scale_ratio(m, m.d)
     assert route.slope == pytest.approx(m.rho, rel=1e-12)
     assert route.u == pytest.approx(1.0 / (1.0 + m.rho), rel=1e-12)
 
@@ -154,14 +155,14 @@ def test_drift_only_u_matches_the_closed_series(d):
     # at sigma = 0 X_d = c d - S_d is a point given S_d, and u(d) comes
     # from the same moments; expmodel's closed series is the oracle
     m = make_model(d)
-    assert abs(scale.scale_ratio(m).u - expmodel.u_of_d(m, d)) < 1e-14
+    assert abs(scale.scale_ratio(m, m.d).u - expmodel.u_of_d(m, d)) < 1e-14
 
 
 def test_drift_only_long_clock_reaches_the_infinite_limit():
     # measured 1.1e-16 off mu / (mu + rho) at d = 1000, where the closed
     # series is 9.7e-15 off
     m = make_model(1000.0)
-    assert abs(scale.scale_ratio(m).u - 1.0 / (1.0 + m.rho)) < 1e-15
+    assert abs(scale.scale_ratio(m, m.d).u - 1.0 / (1.0 + m.rho)) < 1e-15
 
 
 @pytest.mark.parametrize("d", [0.0533, 0.40002, 2.0, 50.0])
@@ -178,9 +179,11 @@ def test_drift_only_blocks_take_a_few_hundred_nodes(monkeypatch, d):
         blocks.append(sum(nodes))
         return out
 
+    # the route's own y = 0 quadrature (slope and u(d)) is not counted
+    route = scale.scale_ratio(make_model(d), d)
     monkeypatch.setattr(scale, "adaptive_cc", counted)
     ys = np.arange(0.0, 30.0 + 1e-2, 2e-2)
-    vals, k, bound = scale.phi(make_model(d), d, ys)
+    vals, k, bound = route.phi(ys)
     live = int(np.sum(ys <= 15.0 * d))
     assert len(blocks) == -(-live // scale._BLOCK)
     assert 0 < max(blocks) <= 257
@@ -211,13 +214,13 @@ def test_infinite_clock_route_is_closed(sigma, claims):
     # Lambda = e^{rho x}: one exponent rho with unit weight, slope rho,
     # Phi_d = e^{-rho y}, and w_d = T_rho f
     m = _end_model(sigma, math.inf, claims)
-    route = scale.scale_ratio(m)
+    route = scale.scale_ratio(m, m.d)
     assert isinstance(route, scale.EndRatio)
     assert list(route.t) == [m.rho] and list(route.weights) == [1.0]
     assert route.slope == m.rho
     ys = np.array([0.0, 0.3, 2.5])
-    assert np.array_equal(route.phi(ys), np.exp(-m.rho * ys))
-    assert scale.phi(m, math.inf, ys)[1:] == (0, 0.0)
+    vals, k, bound = route.phi(ys)
+    assert np.array_equal(vals, np.exp(-m.rho * ys)) and (k, bound) == (0, 0.0)
     xs = np.array([0.0, 0.0137, 0.5, 4.0])
     assert np.array_equal(route.w_reader()(xs), m.claims.tail_transform(m.rho, xs))
 
@@ -229,7 +232,7 @@ def test_no_delay_route_is_closed(sigma, claims):
     # table, whose W is a renewal solve; no continuation slope,
     # Phi_d = 1{y = 0} and w_d = 0 with slope 0
     m = _end_model(sigma, 0.0, claims)
-    route = scale.scale_ratio(m)
+    route = scale.scale_ratio(m, m.d)
     assert isinstance(route, scale.EndRatio) and route.slope is None
     if claims == "exp":
         t, wts = scale_oracle.roots(10.0, 15.0, 0.1, 0.8, sigma, 1.0)
@@ -239,8 +242,8 @@ def test_no_delay_route_is_closed(sigma, claims):
     else:
         assert route.t is None and route.weights is None
     ys = np.array([0.0, 1e-9, 0.3])
-    assert list(route.phi(ys)) == [1.0, 0.0, 0.0]
-    assert scale.phi(m, 0.0, ys)[1:] == (0, 0.0)
+    vals, k, bound = route.phi(ys)
+    assert list(vals) == [1.0, 0.0, 0.0] and (k, bound) == (0, 0.0)
     xs = np.array([0.0, 0.5, 4.0])
     read = route.w_reader()
     assert np.array_equal(read(xs), np.zeros(3)) and np.array_equal(read(xs, 1), np.zeros(3))
@@ -252,7 +255,7 @@ def test_table_matches_the_oracle(tab_dist, d):
     # slope 2.8e-6 and 2.9e-8 off, Phi_d 2.3e-5 and 7.3e-8, h on [0, 0.8]
     # 3.5e-7 and 2.6e-8; all O(step^2)
     m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), tab_dist)
-    table = scale.scale_ratio(m)
+    table = scale.scale_ratio(m, m.d)
     assert isinstance(table, scale.TableRatio)
     args = (10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d)
     t, wts = scale_oracle.exit_weights(*args, s_step=2.5e-4)
@@ -260,7 +263,7 @@ def test_table_matches_the_oracle(tab_dist, d):
     assert abs(table.slope - slope) < 5e-6
     ys = np.array([0.02, 0.5, 1.0, m.c * d + 0.3])
     want = scale_oracle.recovery(*args, ys, s_step=2e-3)
-    assert np.max(np.abs(table.phi(ys) - want)) < 5e-5
+    assert np.max(np.abs(table.phi(ys)[0] - want)) < 5e-5
     xs = np.linspace(0.0, 0.8, 801)
     want = scale_oracle.scale_w(t, wts, xs) / scale_oracle.scale_w(t, wts, 0.8)
     assert np.max(np.abs(table.ratio(xs, 0.8) - want)) < 1e-6

@@ -39,7 +39,10 @@ kind for the exit function: hfun reads every route off scale's memoized
 Lambda, so it reads no claim kind, calls no isinf and imports nothing
 from firstpassage, and it takes an h's exponents and weights from
 scale, with no linear solve (no numpy.linalg attribute path).
-firstpassage._phi_table compares d only to refuse d < 0.
+Within scale, scale_ratio(model, d) is the one function that reads the
+claim kind or calls isinf, and nothing outside a function does: each
+route it returns reads its own Phi_d, K and bound. In the whole of
+firstpassage d is compared only where _phi_table refuses d < 0.
 
 A claim table's cached convolution powers are read in one place:
 model.py stores them for conv_power. scale.py's TableRatio sums the
@@ -270,17 +273,34 @@ def test_regime_guard_sees_every_spelling():
     assert _regime_reads(ast.parse("route.t is not None and route.slope")) == []
 
 
+def _is_d(node):
+    return ((isinstance(node, ast.Name) and node.id == "d")
+            or (isinstance(node, ast.Attribute) and node.attr == "d"))
+
+
+def test_scale_ratio_is_the_only_regime_reader_in_scale():
+    # each route reads its own Phi_d, K and bound, so the claim kind and
+    # d = inf are asked once, where scale_ratio picks the route
+    tree = ast.parse((SRC / "scale.py").read_text())
+    readers = [n.name for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and _regime_reads(n)]
+    assert readers == ["scale_ratio"]
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "scale_ratio"]
+    assert len(_regime_reads(fn)) == len(_regime_reads(tree))
+
+
 def test_phi_table_compares_d_only_to_refuse_negative_d():
+    # in the whole module, not only in _phi_table: no route of its own
+    # at d = inf or d = 0
     tree = ast.parse((SRC / "firstpassage.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_phi_table"]
-    compares = [n for n in ast.walk(fn) if isinstance(n, ast.Compare)
-                and any(isinstance(x, ast.Name) and x.id == "d"
-                        for x in [n.left, *n.comparators])]
+    compares = [n for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                and any(_is_d(x) for x in [n.left, *n.comparators])]
     assert [ast.unparse(n) for n in compares] == ["d >= 0.0"]
     (guard,) = [n for n in ast.walk(fn) if isinstance(n, ast.If)
                 and compares[0] in ast.walk(n.test)]
     assert isinstance(guard.body[0], ast.Raise)
-    assert _regime_reads(fn) == []
+    assert _regime_reads(tree) == []
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import divbarrier as db
 from divbarrier import expmodel
 from divbarrier.gridmath import GridFunction
+from divbarrier.hfun import h_callable, w_d
 from divbarrier.valuation import (
     barrier_solution_at,
     density_shape_advisory,
@@ -366,6 +367,26 @@ class TestValueAssemblyProperties:
         np.testing.assert_allclose(v(above) - v(a), above - a, rtol=1e-12)
 
 
+def _tab_dinf():
+    return db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, math.inf),
+                       db.tabulated_exponential(1.0, step=1e-2))
+
+
+# the whole-line readers, each built lazily; a NaN point gave 0.0 (the
+# continuation below zero and w_d at d = 0), NaN (the barrier value
+# above 0 and w_d at 0 < d < inf) or an IndexError (a table's w_d at
+# d = inf)
+NAN_READERS = {
+    "h_callable": lambda: h_callable(make_model(2.0),
+                                     barrier_solution_at(make_model(2.0), 0.5).h),
+    "value-a0": lambda: barrier_solution_at(make_model(2.0), 0.0).value,
+    "value-a0.5": lambda: barrier_solution_at(make_model(2.0), 0.5).value,
+    "w_d-d2": lambda: lambda x: w_d(make_model(2.0), x),
+    "w_d-d0": lambda: lambda x: w_d(make_model(0.0), x),
+    "w_d-tab-dinf": lambda: lambda x: w_d(_tab_dinf(), x),
+}
+
+
 class TestInputGuards:
     # a barrier, a_max or x_max that is not finite, or a grid step that
     # is not positive and finite, is refused before any grid is built
@@ -396,6 +417,14 @@ class TestInputGuards:
         for call in calls:
             with pytest.raises(ValueError, match="grid step"):
                 call()
+
+    # a NaN point is refused too, not read as a point
+    @pytest.mark.parametrize("reader", sorted(NAN_READERS))
+    def test_whole_line_readers_refuse_nan(self, reader):
+        fun = NAN_READERS[reader]()
+        for x in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError):
+                fun(x)
 
 
 class TestTableMatchesExponential:
