@@ -17,6 +17,7 @@ from divbarrier import expmodel
 from divbarrier.simulator import (
     SimConfig,
     SimEstimate,
+    _Powers,
     simulate_h,
     simulate_upcross,
     simulate_value,
@@ -54,6 +55,14 @@ class TestConfig:
         dict(n_paths=10, t_max=math.nan),
         dict(n_paths=10, t_max=0.0),
         dict(n_paths=10, t_max=-1.0),
+        dict(n_paths=True),
+        # no seed would draw fresh OS entropy for each chunk, so the
+        # run could not be repeated
+        dict(n_paths=10, seed=None),
+        dict(n_paths=10, seed=-1),
+        dict(n_paths=10, seed=1.5),
+        dict(n_paths=10, seed=True),
+        dict(n_paths=10, seed="7"),
     ])
     def test_rejects_fractional_and_non_finite(self, kwargs):
         with pytest.raises(ValueError):
@@ -61,6 +70,24 @@ class TestConfig:
 
     def test_unbounded_horizon_allowed(self):
         assert SimConfig(10, t_max=inf).t_max == inf
+
+    def test_numpy_integer_seed_allowed(self):
+        assert SimConfig(10, seed=np.int64(0)).seed == 0
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("r", [0.3, 0.8, 0.99, 1.0])
+    def test_reads_match_np_power_bit_for_bit(self, r):
+        rk = _Powers(r)
+        first = len(rk.table)
+        rng = np.random.default_rng(3)
+        # unordered counts, with repeats, inside the first table, then
+        # running past its end, then read again from the grown table
+        for K in (rng.integers(0, first, 500), rng.permutation(5 * first + 3),
+                  rng.integers(0, 7 * first, 900), np.zeros(0, dtype=np.int64)):
+            got = rk(K)
+            assert got.tobytes() == np.power(r, K.astype(float)).tobytes()
+        assert len(rk.table) > 5 * first
 
 
 class TestNonFiniteInputs:
@@ -336,6 +363,20 @@ PINNED = [
     ("upcross-euler-level-zero",
      "upcross", 0.5, 1.0, "exp", 0.0, 1.0, 50, 30, 1e-2, None, False, 0.1, 0.8,
      "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+    # r = 0.99 keeps paths worth something for hundreds of claims, so
+    # their counts run past the first length of the r^K table
+    ("value-exact-r099-terminal-table-growth",
+     "value", 0.0, 2.0, "exp", 0.5, 0.3, 200, 32, 1e-4, None, True, 0.1, 0.99,
+     "0x1.497d1e7e9f3dap+2", "0x1.475de3f620b12p-2", "0x0.0p+0"),
+    ("h-exact-r099-table-growth",
+     "h", 0.0, 2.0, "exp", 60.0, 0.3, 200, 33, 1e-4, None, False, 0.1, 0.99,
+     "0x1.f8013c10256a5p-4", "0x1.4f5aee63d319fp-8", "0x0.0p+0"),
+    ("value-euler-r099-table-growth",
+     "value", 0.5, 1.0, "exp", 0.5, 0.2, 100, 34, 1e-2, 10.0, False, 0.1, 0.99,
+     "0x1.1f6c2ec94fe6ap+4", "0x1.049cfcee140aep+0", "0x1.d920ff6e1687dp+2"),
+    ("h-euler-r099-table-growth",
+     "h", 0.5, 1.0, "exp", 40.0, 0.2, 100, 35, 1e-2, None, False, 0.1, 0.99,
+     "0x1.ac215ea5aa49cp-3", "0x1.769d3303d67e7p-7", "0x0.0p+0"),
 ]
 
 

@@ -62,6 +62,10 @@ marching solve volterra_march stay in gridmath as the tests' references
 (and as names the benchmark's tracer binds), so no other module under
 src/divbarrier names either, as an attribute, a name, an imported name
 or a string.
+
+The Monte Carlo engine gathers r^K for its claim counts K from one table
+of np.power values, so simulator.py names np.power or numpy.power in
+one place, _Powers._build, which runs per chunk and never at import.
 """
 
 import ast
@@ -424,3 +428,47 @@ def test_reference_solve_guard_sees_every_spelling():
     for line in ("from .gridmath import neumann_series", "xi = neumann_series(k, f, 1.0)",
                  "s = 'the exact mixture solve'"):
         assert not _reference_solve_names(line), line
+
+
+def _power_sites(source):
+    """The function around each numpy power reference in the source, ''
+    at module level, and 'import' for each power imported from numpy."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and _dotted(child) in ("np.power", "numpy.power"):
+                found.append(where)
+            elif (isinstance(child, ast.ImportFrom) and child.module == "numpy"
+                  and any(a.name == "power" for a in child.names)):
+                found.append("import")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_simulator_takes_r_to_the_k_from_one_power_table():
+    # each round gathers r^K from a table of np.power values, built per
+    # chunk, never at import
+    tree = ast.parse((SRC / "simulator.py").read_text())
+    assert _power_sites(ast.unparse(tree)) == ["_build"]
+    (powers,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Powers"]
+    assert "_build" in [n.name for n in powers.body if isinstance(n, ast.FunctionDef)]
+    module_level = [n for stmt in tree.body
+                    if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    for n in ast.walk(stmt)]
+    assert not any(isinstance(n, ast.Name) and n.id == "_Powers" for n in module_level)
+
+
+def test_power_table_guard_sees_both_spellings():
+    for line in ("y = np.power(r, k)", "y = numpy.power(r, k)", "f = np.power",
+                 "from numpy import power", "from numpy import power as pw",
+                 "def f(k):\n    return np.power(0.8, k)"):
+        assert _power_sites(line), line
+    assert _power_sites("def _build(n):\n    return numpy.power(r, n)") == ["_build"]
+    assert _power_sites("class P:\n    def g(self):\n        return np.power(1, 2)") == ["g"]
+    for line in ("y = r ** k", "y = math.pow(r, k)", "from numpy import exp",
+                 "y = table[k]", "y = np.float_power(r, k)"):
+        assert not _power_sites(line), line
