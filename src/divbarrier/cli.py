@@ -254,6 +254,7 @@ def cmd_barrier(cfg):
         print("alternatives=%s" % ",".join("%.17g" % t for t in sol.alternatives))
     if sol.hjb_report is not None:
         print("hjb_passed=%s" % sol.hjb_report.passed)
+        print("hjb_method=%s" % sol.hjb_report.method)
     if cfg["out"]:
         _write_h_csv(cfg["out"], sol.h)
     return 0
@@ -271,10 +272,12 @@ def cmd_verify(cfg):
             " worst=%.6g at x=%.6g" % (chk.worst_value, chk.worst_x))
         print("%s: %s%s" % (chk.name, "PASS" if chk.passed else "FAIL", where))
     print("overall: %s" % ("PASS" if report.passed else "FAIL"))
+    print("method: %s" % report.method)
     if cfg["out"]:
         _write_json(cfg["out"], {
             "command": "verify", "a_star": report.a_star,
             "x_max": report.x_max, "passed": report.passed,
+            "method": report.method,
             "checks": [dataclasses.asdict(c) for c in checks],
         })
     return 0 if report.passed else 1

@@ -53,7 +53,8 @@ The exit function keeps the exponents t_i and the weights over xi(a),
 and HFunction.read sums h and its derivatives at any points, with no
 grid in between (scale.exp_sum, elementwise, so a point's value does
 not depend on the points read with it). The solver grid holds the same
-sums at its nodes, for the certificate and the barrier scan.
+sums at its nodes, for the certificate (and for the barrier scan, where
+the weights' signs leave the optimal barrier undecided; valuation).
 
 A table's exit equation is spelled once, as renewal equations in
 scale.exit_equation, whose solve with w_d = 0 is also the table's W

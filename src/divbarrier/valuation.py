@@ -9,15 +9,25 @@ runs out before the drift climbs back. The optimal barrier is
 where the normalizing slope h'(a) is smallest (Loeffen 2008): the
 slope at 0 is compared with the slope at each zero where h'' rises
 through 0, a local minimum of h'. Zeros where h'' falls are maxima of
-h' and are never chosen; every zero other than the chosen one is
-reported as an alternative. 0 is always a candidate, so this one
-rule also covers an h'' with no zero on [0, a_max]. A grid scan of h''
-brackets each zero; where h is a sum of exponentials the zero is then
-polished on the closed h'', and the value and its certificate read h
-in closed form too (HFunction.read), not off a grid. When the smallest
-slope is at 0 the optimum sits on the pay-everything boundary and is
-flagged rather than polished; a slope at a_max below every candidate's
-is an error naming a_max.
+h' and are never chosen. When the smallest slope is at 0 the optimum
+sits on the pay-everything boundary and is flagged.
+
+Where h is a sum of exponentials (Exp(mu) claims at every d, a table
+at d = inf) the signs of its weights decide this on all of [0, inf)
+with no scan (_closed_barrier): by Descartes' rule for exponential
+sums h' > 0 and h'' has at most one zero, so a* is 0 when h''(0) >= 0
+and that zero otherwise, polished on the closed h''. a_max is then
+only a bound. For Exp(mu) claims the HJB inequalities below are
+checked in closed form too (_closed_report): on (0, a*) from the roots'
+residuals and on [a*, inf), where (Gamma - q) v is
+alpha - kill s + beta e^{-mu s} in s = x - a* (_above_barrier).
+
+Anywhere else (a table below d = inf, or weights with more sign
+changes) a grid scan of h'' on [0, a_max] brackets each zero, every
+zero other than the chosen one is reported as an alternative, and a
+slope at a_max below every candidate's is an error naming a_max. The
+value and its certificates read h in closed form wherever it has
+exponents (HFunction.read), not off a grid.
 
 Verification never trusts the construction: hjb_verify re-applies the
 integro-differential generator to the assembled value function on a
@@ -27,7 +37,10 @@ fresh grid and checks the variational inequalities
     (ii) (Gamma - q) v  = 0     on (0, a*)   within tol
     (iii) v' >= 1 - tol         on (0, a*],  v' = 1 above,
 
-reporting the worst point of each. gprime_monotone_check and
+reporting the worst point of each. optimal_barrier attaches it
+wherever the closed report does not apply (tables), and it stays the
+public cross-check of a closed one; each report records which it is
+(HJBReport.method). gprime_monotone_check and
 density_shape_advisory are the cheaper screens: the first checks that
 the unnormalized slope never decreases to the right of a*, the second
 inspects the shape of the claim density and only ever promises
@@ -42,14 +55,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gridmath import GridFunction, trapezoid
-from .scale import exp_sum
+from .scale import exp_sum_at
 from .hfun import (
     HFunction,
     h_d_sigma0,
     h_d_sigma_pos,
     h_callable,
+    w_d,
     _generator_grid,
     _require_step,
+    _route,
     _solver_step,
     _whole_line,
 )
@@ -57,6 +72,9 @@ from .hfun import (
 # Newton steps that polish a zero of a closed h''; a step that would
 # leave the bracket halves it instead
 _NEWTON_STEPS = 60
+
+# tolerance of the HJB report optimal_barrier attaches
+_HJB_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -76,6 +94,9 @@ class HJBReport:
     slope_floor: CheckResult
     a_star: float
     x_max: float
+    # "closed" (_closed_report, on all of [0, inf)) or "sampled"
+    # (hjb_verify's sweep over [0, x_max])
+    method: str
 
 
 @dataclass(frozen=True)
@@ -153,21 +174,16 @@ def _refine_root(xs, ys, i):
     return xs[i] + (xs[i + 1] - xs[i]) * ys[i] / (ys[i] - ys[i + 1])
 
 
-def _curvature_root(h: HFunction, xs, hpp, i):
-    """The zero of h'' in [xs[i], xs[i+1]], between whose nodes hpp
-    changes sign: the local parabola's root (_refine_root), polished
-    where h has exponents by Newton steps on the closed h'' with the
-    closed third derivative; a step that would leave the bracket halves
-    it instead."""
-    x = _refine_root(xs, hpp, i)
-    if h.t is None:
-        return x
-    lo, hi = xs[i], xs[i + 1]
+def _polish(t, w, lo, hi, x, falls_at_lo):
+    """Safeguarded Newton steps from x on the closed h'' = sum w t^2 e^{t x},
+    with the closed third derivative, toward its zero in [lo, hi];
+    falls_at_lo says h'' < 0 at lo. A step that would leave the bracket
+    halves it instead."""
     for _ in range(_NEWTON_STEPS):
-        f, slope = (float(v) for v in exp_sum(h.t, h.w, x, 3)[2:])
+        f, slope = exp_sum_at(t, w, x, 3)[2:]
         if f == 0.0:
             break
-        lo, hi = (x, hi) if (f < 0.0) == (hpp[i] < 0.0) else (lo, x)
+        lo, hi = (x, hi) if (f < 0.0) == falls_at_lo else (lo, x)
         # x is now an end of the bracket, so a flat h'' bisects too
         nxt = x - f / slope if slope else x
         nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
@@ -177,16 +193,83 @@ def _curvature_root(h: HFunction, xs, hpp, i):
     return x
 
 
+def _curvature_root(h: HFunction, xs, hpp, i):
+    """The zero of h'' in [xs[i], xs[i+1]], between whose nodes hpp
+    changes sign: the local parabola's root (_refine_root), polished
+    where h has exponents on the closed h'' (_polish)."""
+    x = _refine_root(xs, hpp, i)
+    if h.t is None:
+        return x
+    return _polish(h.t, h.w, xs[i], xs[i + 1], x, hpp[i] < 0.0)
+
+
+def _sign_changes(coeffs):
+    """Sign changes along coeffs, zeros skipped."""
+    signs = np.sign(coeffs[coeffs != 0.0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def _closed_barrier(t, w):
+    """a* from the signs of the weights of h = sum w e^{t x} (up to a
+    positive factor), or None where they do not decide it.
+
+    Ordered by t, a sum of exponentials has at most as many real zeros,
+    counted with multiplicity, as its weights have sign changes
+    (Descartes' rule for exponential sums; Polya & Szego, Problems and
+    Theorems in Analysis II, Part V). With none in the weights w t of h'
+    and the weight on the largest exponent positive, h' > 0 on all of R;
+    with at most one in the weights w t^2 of h'', h'' has at most one
+    zero, a rise through 0. So h' has no local minimum but that zero,
+    and the smallest slope on [0, inf) is at 0 when h''(0) >= 0 and at
+    the zero of h'' otherwise: no a_max enters. That zero is bracketed
+    by doubling from 1/min|t| and polished by _polish; it is rounded to
+    12 decimals, as the scan's were, so that a* does not move with the
+    last bit of the step that reached it.
+    """
+    order = np.argsort(t)
+    t, w = t[order], w[order]
+    if _sign_changes(w * t) or _sign_changes(w * t * t) > 1 or not w[-1] > 0.0:
+        return None
+    if exp_sum_at(t, w, 0.0, 2)[2] >= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0 / float(np.min(np.abs(t)))
+    while exp_sum_at(t, w, hi, 2)[2] < 0.0:
+        lo, hi = hi, 2.0 * hi
+    return round(_polish(t, w, lo, hi, 0.5 * (lo + hi), True), 12)
+
+
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     """Locate the barrier where the exit function's slope is smallest.
 
-    The candidates are 0 and every zero where h'' rises through 0; the
-    one with the smallest h' wins (Loeffen 2008). The scan's grid
-    brackets each zero; where h has exponents the zero is then polished
-    on the closed h'' (_curvature_root).
+    Where h is a sum of exponentials whose weights decide it
+    (_closed_barrier), a* is read off their signs and the zero of the
+    closed h'', with no scan; a_max is then only a bound, and an a*
+    above it is an error. For Exp(mu) claims the HJB report is closed
+    (_closed_report) and holds on all of [0, inf). Anywhere else the
+    candidates are 0 and every zero where h'' rises through 0 on a scan
+    of [0, a_max]; the one with the smallest h' wins (Loeffen 2008), and
+    the report is hjb_verify's sampled sweep over [a*, a* + 10].
     """
     if not 0.0 < a_max < math.inf:
         raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
+    _require_step(grid_step)
+    route = _route(model)[0]
+    a = None if route.t is None else _closed_barrier(route.t, route.weights)
+    if a is None:
+        return _scanned_barrier(model, a_max, grid_step)
+    if a > a_max:
+        raise ValueError("the smallest slope is at a* = %.6g, above a_max = %g; "
+                         "enlarge a_max" % (a, a_max))
+    sol = barrier_solution_at(model, a, grid_step)
+    report = (_closed_report(model, sol) if model.claims.kind == "exponential"
+              else hjb_verify(model, sol, a + 10.0, tol=_HJB_TOL))
+    return replace(sol, hjb_report=report)
+
+
+def _scanned_barrier(model, a_max, grid_step):
+    """optimal_barrier off a scan of h'' on [0, a_max] at grid_step: the
+    scan's grid brackets each zero, polished where h has exponents
+    (_curvature_root); the report is hjb_verify's."""
     scan = _build_h(model, a_max, grid_step)
     xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values
     sign = np.sign(hpp)
@@ -207,7 +290,7 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
             "minimum of h'; enlarge a_max" % a_max)
     sol = (barrier_solution_at(model, cands[k], grid_step) if k
            else _boundary_solution(model, scan))
-    report = hjb_verify(model, sol, sol.a_star + 10.0, tol=1e-5)
+    report = hjb_verify(model, sol, sol.a_star + 10.0, tol=_HJB_TOL)
     return replace(sol, hjb_report=report, alternatives=tuple(
         t for t in roots if t != sol.a_star))
 
@@ -335,7 +418,77 @@ def hjb_verify(model, sol: BarrierSolution, x_max, tol=1e-5,
         _worst("slope_floor", xs, v1, (xs > 0) & (xs <= a + 1e-12) & interior.any(),
                np.negative, lambda s: s >= 1.0 - tol, tol),
     )
-    return HJBReport(all(c.passed for c in checks), *checks, a, x_max)
+    return HJBReport(all(c.passed for c in checks), *checks, a, x_max, "sampled")
+
+
+def _above_barrier(model, sol: BarrierSolution, v0, u):
+    """(alpha, kill, beta) with (Gamma - q) v(a + s) = alpha - kill s
+    + beta e^{-mu s} at every s >= 0, for Exp(mu) claims, given
+    v0 = v(0) and u = w_d(0) (w_d = u e^{-mu x}).
+
+    Above the barrier v(a + s) = s + V, V = v(a) (v(0) at a = 0). A claim
+    y <= s lands above the barrier, one in (s, s + a] lands on
+    v = V sum_i w_i e^{t_i x} (h's weights), which the claim density
+    integrates in closed form, and one past s + a lands below zero,
+    where v(0) Phi_d gives v(0) u e^{-mu x}. So
+
+        alpha = c - lam r / mu - kill V,
+        beta  = lam r [(1/mu - V) + e^{-mu a} (K1 + v(0) u)],
+        K1    = mu V sum_i w_i (e^{(t_i + mu) a} - 1)/(t_i + mu),
+
+    kill = q + lam (1 - r).
+    """
+    a, h = sol.a_star, sol.h
+    lam, c, r, mu = model.lam, model.c, model.r, model.claims.mu
+    kill = model.q + lam * (1.0 - r)
+    big_v, k1 = v0, 0.0
+    if a:
+        big_v = 1.0 / _barrier_slope(h)
+        k1 = mu * big_v * float(np.sum(h.w * np.expm1((h.t + mu) * a) / (h.t + mu)))
+    beta = lam * r * ((1.0 / mu - big_v) + math.exp(-mu * a) * (k1 + v0 * u))
+    return c - lam * r / mu - kill * big_v, kill, beta
+
+
+def _closed_report(model, sol: BarrierSolution) -> HJBReport:
+    """The HJB report of a barrier value for Exp(mu) claims where a* comes
+    from _closed_barrier, in closed form on all of [0, inf).
+
+    - generator_above: the sup over s >= 0 of _above_barrier's
+      alpha - kill s + beta e^{-mu s}, at s = 0 unless beta < -kill/mu,
+      where it is at s* = log(-mu beta / kill) / mu.
+    - generator_interior: on (0, a*) v = sum_i W_i e^{t_i x} and
+      f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), so
+      (Gamma - q) v = sum_i W_i K(t_i) e^{t_i x} + C e^{-mu x}, with
+      K(t) = sigma^2 t^2/2 + c t - lam - q + lam r mu/(mu + t), zero at
+      the roots t_i, and C = lam r (v(0) u - sum_i W_i mu/(mu + t_i)),
+      which cancels. The bound is sum_i |W_i K(t_i)| e^{t_i x}
+      + |C| e^{-mu x}, convex in x, so at its larger end value.
+    - slope_floor: h'' < 0 on [0, a*) by the sign count, so v' = h'/h'(a*)
+      falls to exactly 1 at a*.
+
+    At a* = 0 the last two are vacuous.
+    """
+    a, h, tol = sol.a_star, sol.h, _HJB_TOL
+    v0, u = float(sol.value(0.0)), float(w_d(model, 0.0))
+    alpha, kill, beta = _above_barrier(model, sol, v0, u)
+    mu = model.claims.mu
+    s = math.log(-mu * beta / kill) / mu if beta < -kill / mu else 0.0
+    top = alpha - kill * s + beta * math.exp(-mu * s)
+    checks = [CheckResult("generator_above", top <= tol, a + s, top, tol)]
+    if a:
+        lam, c, q, r = model.lam, model.c, model.q, model.r
+        t, big_w = h.t, h.w / _barrier_slope(h)
+        k = 0.5 * model.sigma ** 2 * t * t + c * t - lam - q + lam * r * mu / (mu + t)
+        row = lam * r * (v0 * u - float(np.sum(big_w * mu / (mu + t))))
+        ends = [float(np.sum(np.abs(big_w * k) * np.exp(t * x))) + abs(row) * math.exp(-mu * x)
+                for x in (0.0, a)]
+        j = int(ends[1] > ends[0])
+        checks += [CheckResult("generator_interior", ends[j] <= tol, (0.0, a)[j], ends[j], tol),
+                   CheckResult("slope_floor", True, a, 1.0, tol)]
+    else:
+        checks += [CheckResult(name, True, None, None, tol)
+                   for name in ("generator_interior", "slope_floor")]
+    return HJBReport(all(chk.passed for chk in checks), *checks, a, math.inf, "closed")
 
 
 def _nondecreasing_violation(values):

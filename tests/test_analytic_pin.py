@@ -152,7 +152,7 @@ def _barrier(sigma, d, grid_step=1e-3):
 
 
 def _report(rep):
-    out = [rep.passed, rep.a_star, rep.x_max]
+    out = [rep.passed, rep.a_star, rep.x_max, rep.method]
     for chk in (rep.generator_above, rep.generator_interior, rep.slope_floor):
         out += [chk.name, chk.passed, chk.worst_x, chk.worst_value, chk.tol]
     return out
@@ -251,8 +251,8 @@ PINS = {
     ],
     'at-exp-s0-d2-a0': [
         '0x0.0p+0', 'True', 'c528694dcdab3141', 'True', '0x0.0p+0',
-        '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
+        '0x1.8000000000000p+1', "'sampled'", "'generator_above'", 'True',
+        '0x0.0p+0', '0x1.0000000000000p-47', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
@@ -260,7 +260,7 @@ PINS = {
     'at-exp-s0-d2-a0.3': [
         '0x1.3333333333333p-2', 'False', '30a61564d4d19bee',
         '30a61564d4d19bee', 'cc3a747b540ae754', '0x1.da9018ee9abf4p-1',
-        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
+        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1', "'sampled'",
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.c171800000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
@@ -270,8 +270,8 @@ PINS = {
     ],
     'at-tab-s0-d2-a0': [
         '0x0.0p+0', 'True', '05d53c9621bea44a', 'True', '0x0.0p+0',
-        '0x1.8000000000000p+1', "'generator_above'", 'True', '0x0.0p+0',
-        '0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        '0x1.8000000000000p+1', "'sampled'", "'generator_above'", 'True',
+        '0x0.0p+0', '0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
@@ -279,7 +279,7 @@ PINS = {
     'at-tab-s0-d2-a0.3': [
         '0x1.3333333333333p-2', 'False', '593732c389018ed5',
         '593732c389018ed5', '7266dd8fa2455da7', '0x1.da9018efdae7cp-1',
-        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1',
+        'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1', "'sampled'",
         "'generator_above'", 'True', '0x1.3333333333333p-2',
         '0x1.8233800000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
@@ -291,7 +291,7 @@ PINS = {
         '0x1.89e3a9d068884p-1', 'False', 'True', 'bb2a60f21d120b4c',
     ],
     'barrier-s0-d2': [
-        '0x0.0p+0', 'True', 'True', 'cf429a98e5032b82',
+        '0x0.0p+0', 'True', 'True', '1fedea689330bfaf',
     ],
     'barrier-s0.5-d0': [
         '0x1.926bbfa737767p-1', 'False', 'True', 'e0733d5be1b6fdce',
@@ -342,17 +342,16 @@ PINS = {
         '0x1.75b1400000000p-30', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
-        'True', '0x1.89e3a9d068884p-1', '0x1.589e3a9d06888p+3',
-        "'generator_above'", 'True', '0x1.89ee005b1aa6cp-1',
-        '-0x1.f34d800000000p-28', '0x1.4f8b588e368f1p-17',
-        "'generator_interior'", 'True', '0x1.1de6070bc08f6p-1',
-        '-0x1.bfdcc00000000p-31', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'True', '0x1.89d3c985bc6a9p-1', '0x1.0000000469350p+0',
+        'True', '0x1.89e3a9d068884p-1', 'inf', "'closed'", "'generator_above'",
+        'True', '0x1.89e3a9d0691d4p-1', '0x1.0000000000000p-49',
+        '0x1.4f8b588e368f1p-17', "'generator_interior'", 'True', '0x0.0p+0',
+        '0x1.3fc6eb9770d56p-47', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'True', '0x1.89e3a9d068884p-1', '0x1.0000000000000p+0',
         '0x1.4f8b588e368f1p-17',
     ],
     'hjb-s0-d2': [
-        'True', '0x0.0p+0', '0x1.4000000000000p+3', "'generator_above'",
-        'True', '0x0.0p+0', '-0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
+        'True', '0x0.0p+0', 'inf', "'closed'", "'generator_above'", 'True',
+        '0x0.0p+0', '0x1.0000000000000p-48', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17', "'slope_floor'", 'True', 'None', 'None',
         '0x1.4f8b588e368f1p-17',
@@ -441,8 +440,8 @@ PINS = {
         '7e9b1fdf3a04b92d', 'f731866f6c5cc6f9', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
-        '19c57f31e750401f', '0x1.04a6b8bfe69b0p+2', '3c65c57e7d92d1b5',
-        'd89f9d3781d8f3a7', 'True', '0x0.0p+0',
+        'c528694dcdab3141', '0x1.04a6b8bfe69afp+2', '3c65c57e7d92d1b5',
+        'a716d42a7c30430e', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
         '94077e0fc1cc6d87', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',

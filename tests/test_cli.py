@@ -237,17 +237,18 @@ class TestInputErrors:
         assert os.listdir(tmp_path) == []
 
 
-class TestClaimsTable:
-    def _write_triangle(self, path):
-        step = 1e-3
-        xs = np.arange(0.0, 2.0 + step / 2, step)
-        lines = ["x,f"]
-        lines += ["%.17g,%.17g" % (x, 1.0 - x / 2) for x in xs]
-        path.write_text("\n".join(lines) + "\n")
+def write_triangle(path):
+    step = 1e-3
+    xs = np.arange(0.0, 2.0 + step / 2, step)
+    lines = ["x,f"]
+    lines += ["%.17g,%.17g" % (x, 1.0 - x / 2) for x in xs]
+    path.write_text("\n".join(lines) + "\n")
 
+
+class TestClaimsTable:
     def test_table_claims_accepted(self, capsys, tmp_path):
         p = tmp_path / "tri.csv"
-        self._write_triangle(p)
+        write_triangle(p)
         rc, out, _ = run(capsys, ["root", "--claims", "table:%s" % p])
         assert rc == 0
         assert float(first_value(out, "rho")) > 0
@@ -346,12 +347,21 @@ class TestBarrierCommand:
             0.7693, abs=2e-3)
         assert first_value(out, "boundary") == "False"
         assert first_value(out, "hjb_passed") == "True"
+        assert first_value(out, "hjb_method") == "closed"
 
     def test_delay_two_hits_boundary(self, capsys):
         rc, out, _ = run(capsys, ["barrier", "--d", "2"])
         assert rc == 0
         assert float(first_value(out, "a_star")) == 0.0
         assert first_value(out, "boundary") == "True"
+
+    def test_table_report_is_sampled(self, capsys, tmp_path):
+        # a table below d = inf is scanned and swept; Exp(mu) claims are
+        # certified in closed form (test_no_delay)
+        write_triangle(tmp_path / "tri.csv")
+        rc, out, _ = run(capsys, ["barrier", "--claims", "table:%s" % (tmp_path / "tri.csv")])
+        assert rc == 0
+        assert first_value(out, "hjb_method") == "sampled"
 
 
 class TestValueCommand:
@@ -414,13 +424,20 @@ class TestCompareCommand:
 
 
 class TestVerifyCommand:
-    def test_optimal_barrier_passes(self, capsys):
-        rc, out, _ = run(capsys, ["verify", "--a-max", "2"])
+    def test_optimal_barrier_passes(self, capsys, tmp_path):
+        # the optimal barrier carries a closed report; verify re-checks it
+        # with the sampled sweep on its own grid over [0, x_max]
+        p = tmp_path / "verify.json"
+        rc, out, _ = run(capsys, ["verify", "--a-max", "2", "--out", str(p)])
         assert rc == 0
         assert "generator_above: PASS" in out
         assert "generator_interior: PASS" in out
         assert "slope_floor: PASS" in out
         assert "overall: PASS" in out
+        assert "method: sampled" in out
+        payload = json.loads(p.read_text())
+        assert payload["method"] == "sampled"
+        assert payload["x_max"] == pytest.approx(payload["a_star"] + 10.0)
 
 
 class TestFiguresCommand:

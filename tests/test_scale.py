@@ -87,6 +87,22 @@ def test_exp_sum_is_the_sum_of_its_terms():
         np.testing.assert_allclose(got[k], want, rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("d", [0.0, 0.1, math.inf])
+def test_exp_sum_at_one_point_is_exp_sum(d):
+    # the scalar read sums the same terms in the same order; only math.exp
+    # and numpy's exp may differ, by an ulp of a term, so the gap is
+    # measured in ulps of the terms' absolute sum
+    route = scale.scale_ratio(make_model(d, sigma=0.5), d)
+    xs = np.random.default_rng(46).uniform(-1.0, 20.0, 200)
+    t, w = route.t, route.weights
+    for x in xs:
+        got = scale.exp_sum_at(t, w, x, 3)
+        want = scale.exp_sum(t, w, x, 3)
+        for k in range(4):
+            terms = float(np.sum(np.abs(w * t ** k) * np.exp(t * x)))
+            assert abs(got[k] - float(want[k])) <= 4.0 * np.spacing(terms), (x, k)
+
+
 @pytest.mark.parametrize("d,most", [(0.05, 257), (1.0, 257), (2.0, 257), (1000.0, 2049)])
 def test_moments_take_a_few_hundred_nodes(monkeypatch, d, most):
     # the moments' integrand is analytic in the claim total, so

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import divbarrier as db
-from divbarrier import expmodel
+from divbarrier import expmodel, hfun, valuation
 from divbarrier.gridmath import GridFunction
 from divbarrier.hfun import h_callable, w_d
 from divbarrier.valuation import (
@@ -28,8 +28,11 @@ from divbarrier.valuation import (
     hjb_verify,
     optimal_barrier,
     value_barrier,
+    _above_barrier,
+    _closed_barrier,
     _curvature_root,
     _refine_root,
+    _sign_changes,
 )
 from divbarrier.lundberg import lundberg_root
 
@@ -110,6 +113,7 @@ class TestSmallestSlopeRule:
     def test_certificate_fails(self, sol):
         assert not sol.hjb_report.passed
         assert not sol.hjb_report.generator_above.passed
+        assert sol.hjb_report.method == "sampled"
 
 
 class TestRefineRoot:
@@ -141,9 +145,9 @@ class TestRefineRoot:
 
 
 class TestClosedCurvatureRoot:
-    """Where h is a sum of exponentials the scan brackets each zero of h''
-    and safeguarded Newton steps on the closed h'' polish it; a table
-    keeps the parabola's root."""
+    """Where h is a sum of exponentials safeguarded Newton steps on the
+    closed h'' polish its zero; a table's scan keeps the parabola's
+    root."""
 
     def test_no_delay_is_the_closed_root(self, sol_d0):
         # a* is rounded to 12 decimals; the parabola through three scan
@@ -166,6 +170,91 @@ class TestClosedCurvatureRoot:
         assert len(sol.h.grid.values) <= 1 + round(a / 1e-4)
         assert sol.value(0.0) == 0.0
         assert hjb_verify(m, sol, a + 3.0).passed
+
+
+# Exp(1) models (sigma, d, r) across the grace periods, the critical
+# clock near d = 0.15 and de Finetti's r = 1
+SIGN_COUNT_GRID = [(sigma, d, r) for sigma in (0.0, 0.5)
+                   for d in (0.0, 0.01, 0.03, 0.05, 0.1, 0.15, 0.5, 2.0, math.inf)
+                   for r in (0.5, 0.8, 1.0)]
+
+
+class TestClosedOptimality:
+    """For Exp(mu) claims a* comes from the signs of h's weights and the
+    zero of the closed h'', with no scan, and the HJB report is closed on
+    all of [0, inf); hjb_verify's sampled sweep stays the cross-check."""
+
+    @pytest.mark.parametrize("sigma,d,r", SIGN_COUNT_GRID)
+    def test_sign_count_and_closed_report(self, sigma, d, r):
+        m = make_model(d, sigma=sigma, r=r)
+        route = hfun._route(m)[0]
+        order = np.argsort(route.t)
+        t, w = route.t[order], route.weights[order]
+        assert _sign_changes(w * t) == 0
+        assert _sign_changes(w * t * t) == (0 if math.isinf(d) else 1)
+        sol = optimal_barrier(m, 40.0)
+        rep = sol.hjb_report
+        assert rep.passed and rep.method == "closed" and rep.x_max == math.inf
+        # the sweep above a* against the closed generator; measured below
+        # 1e-9, except at sigma 0.5, d = 0, where the sweep's own
+        # quadrature of the boundary layer at 0 is 2.7e-6 off
+        alpha, kill, beta = _above_barrier(m, sol, float(sol.value(0.0)), float(w_d(m, 0.0)))
+        xs, gen = hjb_curve(m, sol, sol.a_star + 1.0)
+        s = xs - sol.a_star
+        above = s > 0.0
+        closed = alpha - kill * s[above] + beta * np.exp(-m.claims.mu * s[above])
+        tol = 1e-5 if (sigma, d) == (0.5, 0.0) else 1e-8
+        assert np.max(np.abs(closed - gen[above])) < tol
+
+    def test_just_below_the_critical_clock(self):
+        # d = 0.15 sits under d_c = 0.1500040, where h''(0) = -3.96e-7: the
+        # 1e-3 scan read the candidates' slopes off np.interp of its h' and
+        # gave a* = 0, flagged boundary, with 5.62667e-7 as an alternative
+        sol = optimal_barrier(make_model(0.15, sigma=0.5), 2.0)
+        assert sol.a_star == pytest.approx(5.62667e-7, abs=1e-12)
+        assert not sol.boundary
+        assert sol.alternatives == ()
+        assert sol.hjb_report.passed
+
+    def test_de_finetti_with_a_diffusion(self):
+        # r = 1: the sampled sweep read -5.08e-5 in the boundary layer at
+        # x = 0.04, its own quadrature, and refused this barrier at tol 1e-5
+        sol = optimal_barrier(make_model(0.0, sigma=0.5, r=1.0), 40.0)
+        assert sol.a_star == pytest.approx(14.660641, abs=1e-6)
+        assert sol.hjb_report.passed
+        assert sol.hjb_report.generator_interior.tol == 1e-5
+        flat = make_model(0.0, r=1.0)
+        assert optimal_barrier(flat, 40.0).a_star == pytest.approx(14.598881, abs=1e-6)
+        with pytest.raises(ValueError, match="enlarge a_max"):
+            optimal_barrier(flat, 10.0)
+
+    @pytest.mark.parametrize("sigma,d", [(0.0, 0.0), (0.0, 2.0), (0.5, 0.1), (0.5, math.inf)])
+    def test_no_scan_and_no_sweep(self, monkeypatch, sigma, d):
+        calls = []
+        for name in ("_build_h", "_generator_sweep"):
+            def spy(*args, _name=name, _real=getattr(valuation, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(valuation, name, spy)
+        optimal_barrier(make_model(d, sigma=sigma), 2.0)
+        assert calls == ["_build_h"]
+
+    def test_undecided_signs_fall_back_to_the_scan(self):
+        t = np.array([-2.0, -1.0, 1.0])
+        # two sign changes in the weights of h''
+        assert _closed_barrier(t, np.array([1.0, -1.0, 1.0])) is None
+        # one in the weights of h'
+        assert _closed_barrier(t, np.array([-1.0, 1.0, 1.0])) is None
+        # h' < 0 far out
+        assert _closed_barrier(t, np.array([1.0, 1.0, -1.0])) is None
+        assert _closed_barrier(np.array([0.3]), np.ones(1)) == 0.0
+
+    def test_table_at_the_infinite_clock_samples_its_report(self):
+        # its h = e^{rho (x - a)} has an exponent, so a* = 0 with no scan,
+        # but the closed generator above a* is for Exp(mu) claims only
+        sol = optimal_barrier(_tab_dinf(), 2.0)
+        assert sol.a_star == 0.0 and sol.boundary
+        assert sol.hjb_report.method == "sampled" and sol.hjb_report.passed
 
 
 class TestBoundaryOptimumWithDelay:
