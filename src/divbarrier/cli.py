@@ -220,14 +220,14 @@ def cmd_h(cfg):
     model = _model_from(cfg)
     if cfg["a"] is None:
         raise InputError("command h needs --a (the barrier)")
-    # sigma = 0 solves at the caller's step, unclamped; sigma > 0 at
-    # hfun's solver-step floor (1e-4 for an h with exponents, 1e-5 for a
-    # table below d = inf)
-    step = cfg["grid-step"]
-    if model.sigma != 0.0:
-        step = _solver_step(model, step)
+    # an h with exponents is read and certified in closed form at the
+    # caller's step (certificate=closed); a table solves on its grid and is
+    # certified there by ide_residual (certificate=grid), at sigma = 0 at
+    # the caller's step, unclamped, and at sigma > 0 at hfun's 1e-5 floor
+    step = _solver_step(model, cfg["grid-step"]) if model.sigma else cfg["grid-step"]
     h = _build_h(model, cfg["a"], step)
-    print("a=%.17g ide_residual=%.3e" % (h.a, h.ide_residual), file=sys.stderr)
+    print("a=%.17g ide_residual=%.3e certificate=%s" % (
+        h.a, h.ide_residual, "grid" if h.t is None else "closed"), file=sys.stderr)
     _write_h_csv(cfg["out"], h)
     return 0
 

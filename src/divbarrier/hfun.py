@@ -31,9 +31,11 @@ deficits off the same Lambda's phi, which gives Phi_d with its K and
 bound; a NaN point is refused there, not read as a point.
 
 One builder (_exit) serves both sigmas; h_d_sigma0 and h_d_sigma_pos
-check sigma and call it. The solver step's floor (_solver_step) lives
-next to it: valuation and the CLI take theirs from it, and an exit
-function built without a step takes the floor of a grid_step of 1e-3.
+check sigma and call it. The solver step (_solver_step) lives next to
+it: the caller's grid_step where the route has exponents, else a floor
+of 1e-4, or 1e-5 at sigma > 0. valuation and the CLI take theirs from
+it, and an exit function built without a step takes the step for a
+grid_step of 1e-3.
 
 Where the route has exponents nothing is solved: for Exp(mu) claims at
 every d, and for a table at d = inf. Since
@@ -52,9 +54,12 @@ the memo entry's Lambda weights at 0 < d < inf (h = Lambda(x)/Lambda(a)).
 The exit function keeps the exponents t_i and the weights over xi(a),
 and HFunction.read sums h and its derivatives at any points, with no
 grid in between (scale.exp_sum, elementwise, so a point's value does
-not depend on the points read with it). The solver grid holds the same
-sums at its nodes, for the certificate (and for the barrier scan, where
-the weights' signs leave the optimal barrier undecided; valuation).
+not depend on the points read with it). Its grid is only a sampled view
+of the same sums at the caller's step, the last node read at a itself;
+the barrier scan reads it where the weights' signs leave the optimal
+barrier undecided (valuation). Such an h is certified in closed form
+(_closed_residual): K(t_i) = 0 at each root and the tail row, with no
+equation solved or rerun on a grid.
 
 A table's exit equation is spelled once, as renewal equations in
 scale.exit_equation, whose solve with w_d = 0 is also the table's W
@@ -90,16 +95,19 @@ model and the equation contracts: the solution grows only as fast as
 its forcing, like e^{rho x}.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
-+ lam r (f*v + v(0) w_d), is applied on a grid in one place: the exit
-function's check ide_residual and the HJB sweep of valuation both call
-it. The residual an exit function reports is ide_residual on the
-returned h, for a table at sigma > 0 raised to an interface term when
-that is larger, both in h units, so it is never below the check a
-caller can rerun. At 0 < d < inf the term is the cross-route gap
-max |h - Lambda(x)/Lambda(a)| on the solver grid, which a wrong imposed
-slope cannot pass; at d = 0 it is the mismatch between the solved slope
-at 0+ and the imposed unit one. An h read off the route's exponents has
-none: it is the scale route's own ratio, with its slope built in. An h
++ lam r (f*v + v(0) w_d), is applied on a grid in one place: the grid
+rerun check ide_residual and the HJB sweep of valuation both call it.
+The residual an exit function reports is, in h units, one of two
+certificates. Where the route has exponents it is the closed bound
+_closed_residual on all of [0, a], raised at sigma > 0, d = 0 to the
+rounding |W(0)|/W(a) that h(0) = 0 sets aside; valuation's closed HJB
+report takes its interior bound from the same function. A table below
+d = inf is solved on its grid and reports ide_residual on the returned
+h, at sigma > 0 raised to an interface term when that is larger, so it
+is never below the check a caller can rerun. At 0 < d < inf the term
+is the cross-route gap max |h - Lambda(x)/Lambda(a)| on the solver
+grid, which a wrong imposed slope cannot pass; at d = 0 it is the
+mismatch between the solved slope at 0+ and the imposed unit one. An h
 whose reported residual exceeds the gate is refused with
 NonConvergenceError.
 
@@ -142,6 +150,8 @@ class HFunction:
     hpp: GridFunction
     a: float
     xi_prime_zero: Optional[float]
+    # the certificate, in h units: closed (_closed_residual) where t is
+    # set, else the grid's ide_residual with a table's interface term
     ide_residual: float
     # h = sum_i w_i e^{t_i x} where the route has exponents, else None
     t: Optional[np.ndarray] = None
@@ -149,8 +159,12 @@ class HFunction:
 
     def read(self, x, order=0):
         """The order-th derivative of h at the points x of [0, a], as an
-        array: closed where h has exponents (any order), else the solver
-        grid's h, h' or h'' read linearly."""
+        array: closed where h has exponents (any int order >= 0), else the
+        solver grid's h, h' or h'' (order 0, 1 or 2) read linearly. Any
+        other order, a bool included, is a ValueError."""
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not (
+                0 <= order <= (2 if self.t is None else order)):
+            raise ValueError("order must be an int >= 0, at most 2 on a grid, got %r" % (order,))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if self.t is None:
             g = (self.grid, self.hp, self.hpp)[order]
@@ -212,19 +226,43 @@ def _solver_grid(a, step):
 
 
 def _solver_step(model, grid_step):
-    """The solver grid's step for a caller's grid_step: at most 1e-4, and
-    at most 1e-5 for a table at sigma > 0 and d < inf.
+    """The solver grid's step for a caller's grid_step: the caller's own
+    where the route has exponents, else at most 1e-4, and at most 1e-5
+    at sigma > 0.
 
-    An exit function with exponents is read in closed form, not off its
-    grid; its floor of 1e-4 is only where ide_residual, whose claim
-    convolution reads h linearly between nodes, certifies the exact h.
-    A table's h is read off its grid, and at sigma > 0 the boundary
-    layer e^{-(rho + 2c/sigma^2) x} needs the finer floor.
+    An exit function with exponents is read and certified in closed form
+    (_closed_residual); its grid is only a sampled view. A table's h is
+    solved and read on its grid, and at sigma > 0 the boundary layer
+    e^{-(rho + 2c/sigma^2) x} needs the finer floor.
     """
     _require_step(grid_step)
-    if model.sigma == 0.0 or _route(model)[0].t is not None:
-        return min(grid_step, 1e-4)
-    return min(grid_step, 1e-5)
+    return min(grid_step, math.inf if _route(model)[0].t is not None
+               else 1e-4 if model.sigma == 0.0 else 1e-5)
+
+
+def _closed_residual(model, t, w, a):
+    """(bound, x): a bound on the sup over [0, a] of |(Gamma - q) v| for
+    v = sum_i w_i e^{t_i x}, continued below zero as v(0) Phi_d, and the
+    end x of [0, a] where it is taken.
+
+    With L the claims' Laplace transform, f * e^{t x} is
+    L(t) e^{t x} - T_t f(x), so (Gamma - q) v is
+    sum_i w_i K(t_i) e^{t_i x}, K(t) = sigma^2 t^2/2 + c t - lam - q
+    + lam r L(t), zero at a root of the exit equation, plus the tail row
+    lam r (v(0) w_d(x) - sum_i w_i T_{t_i} f(x)). The first is convex in
+    x, so it peaks at an end. The row is a multiple of e^{-mu x} for
+    Exp(mu) claims, whose w_d is w_d(0) e^{-mu x}, and 0 for a table at
+    d = inf, whose w_d is T_rho f; so it peaks at an end too.
+    """
+    # a few exponents: Python floats, not numpy's per-call cost
+    claims, lr, s2 = model.claims, model.lam * model.r, 0.5 * model.sigma ** 2
+    ends, t, w = (0.0, a), t.tolist(), w.tolist()
+    k = [s2 * ti * ti + model.c * ti - model.lam - model.q + lr * claims.laplace(ti) for ti in t]
+    row = sum(w) * _w_values(model, ends) - sum(
+        wi * claims.tail_transform(ti, ends) for ti, wi in zip(t, w))
+    bound = [sum(abs(wi * ki) * math.exp(ti * x) for ti, wi, ki in zip(t, w, k))
+             + lr * abs(float(rx)) for x, rx in zip(ends, row)]
+    return max(zip(bound, ends), key=lambda bx: bx[0])
 
 
 def _exit(model, a, step):
@@ -241,10 +279,15 @@ def _exit(model, a, step):
         x0, p = (1.0, route.slope) if route.slope else (0.0, 1.0)
     gap, detail = 0.0, ""
     if route.t is not None:
-        xi, xip, xipp = exp_sum(route.t, route.weights, xs, 2)
+        # the last node read at a itself, where h is normalized to 1
+        xi, xip, xipp = exp_sum(route.t, route.weights, np.append(xs[:-1], a), 2)
+        # certified in closed form, in h units, with no rerun on the grid
+        gap, x = _closed_residual(model, route.t, route.weights / xi[-1], a)
+        detail = " (closed, worst at x = %g)" % x
         if not x0:
-            # W(0) = sum_i c_i is 0 only up to rounding
-            xi[0] = 0.0
+            # W(0) = sum_i c_i is 0 only up to rounding, which the
+            # certificate carries
+            gap, xi[0] = max(gap, abs(xi[0] / xi[-1])), 0.0
     else:
         w = _w_values(model, xs)
         kernel, coeff, forcings = exit_equation(model, xs, step, w, x0, p)
@@ -280,7 +323,7 @@ def _exit(model, a, step):
     hf = HFunction(gf, gf.with_values(xip), gf.with_values(xipp), a,
                    p if x0 else None, math.nan, route.t,
                    None if route.t is None else route.weights / at_a)
-    res = max(ide_residual(model, hf), gap)
+    res = gap if route.t is not None else max(ide_residual(model, hf), gap)
     if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
             "equation residual %.3e exceeds %.0e at step %g%s"
@@ -318,7 +361,11 @@ def _generator_grid(model, step, v, v1, v2):
 
 
 def ide_residual(model, h: HFunction) -> float:
-    """Sup-norm equation residual of a constructed exit function.
+    """Sup-norm equation residual of a constructed exit function, on its
+    grid: the rerun check anyone can apply to any h, and a table's own
+    certificate below d = inf. Its claim convolution reads h linearly
+    between nodes, so on a coarse grid it measures that quadrature, not
+    h; an h with exponents is certified in closed form instead.
 
     For sigma = 0 the derivative is re-taken by finite differences,
     making the check independent of how h was built; for sigma > 0 the

@@ -62,6 +62,7 @@ from .hfun import (
     h_d_sigma_pos,
     h_callable,
     w_d,
+    _closed_residual,
     _generator_grid,
     _require_step,
     _route,
@@ -456,38 +457,23 @@ def _closed_report(model, sol: BarrierSolution) -> HJBReport:
     - generator_above: the sup over s >= 0 of _above_barrier's
       alpha - kill s + beta e^{-mu s}, at s = 0 unless beta < -kill/mu,
       where it is at s* = log(-mu beta / kill) / mu.
-    - generator_interior: on (0, a*) v = sum_i W_i e^{t_i x} and
-      f * e^{t x} = mu/(mu + t) (e^{t x} - e^{-mu x}), so
-      (Gamma - q) v = sum_i W_i K(t_i) e^{t_i x} + C e^{-mu x}, with
-      K(t) = sigma^2 t^2/2 + c t - lam - q + lam r mu/(mu + t), zero at
-      the roots t_i, and C = lam r (v(0) u - sum_i W_i mu/(mu + t_i)),
-      which cancels. The bound is sum_i |W_i K(t_i)| e^{t_i x}
-      + |C| e^{-mu x}, convex in x, so at its larger end value.
+    - generator_interior: on (0, a*) v = sum_i W_i e^{t_i x} with
+      W = h's weights / h'(a*), so the bound is the exit function's own
+      closed certificate (hfun._closed_residual) applied to W.
     - slope_floor: h'' < 0 on [0, a*) by the sign count, so v' = h'/h'(a*)
       falls to exactly 1 at a*.
 
     At a* = 0 the last two are vacuous.
     """
     a, h, tol = sol.a_star, sol.h, _HJB_TOL
-    v0, u = float(sol.value(0.0)), float(w_d(model, 0.0))
-    alpha, kill, beta = _above_barrier(model, sol, v0, u)
+    alpha, kill, beta = _above_barrier(model, sol, float(sol.value(0.0)), float(w_d(model, 0.0)))
     mu = model.claims.mu
     s = math.log(-mu * beta / kill) / mu if beta < -kill / mu else 0.0
     top = alpha - kill * s + beta * math.exp(-mu * s)
-    checks = [CheckResult("generator_above", top <= tol, a + s, top, tol)]
-    if a:
-        lam, c, q, r = model.lam, model.c, model.q, model.r
-        t, big_w = h.t, h.w / _barrier_slope(h)
-        k = 0.5 * model.sigma ** 2 * t * t + c * t - lam - q + lam * r * mu / (mu + t)
-        row = lam * r * (v0 * u - float(np.sum(big_w * mu / (mu + t))))
-        ends = [float(np.sum(np.abs(big_w * k) * np.exp(t * x))) + abs(row) * math.exp(-mu * x)
-                for x in (0.0, a)]
-        j = int(ends[1] > ends[0])
-        checks += [CheckResult("generator_interior", ends[j] <= tol, (0.0, a)[j], ends[j], tol),
-                   CheckResult("slope_floor", True, a, 1.0, tol)]
-    else:
-        checks += [CheckResult(name, True, None, None, tol)
-                   for name in ("generator_interior", "slope_floor")]
+    bound, x = _closed_residual(model, h.t, h.w / _barrier_slope(h), a) if a else (None, None)
+    checks = [CheckResult("generator_above", top <= tol, a + s, top, tol),
+              CheckResult("generator_interior", not a or bound <= tol, x, bound, tol),
+              CheckResult("slope_floor", True, a or None, 1.0 if a else None, tol)]
     return HJBReport(all(chk.passed for chk in checks), *checks, a, math.inf, "closed")
 
 

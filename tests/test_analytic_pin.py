@@ -196,8 +196,8 @@ def _series(d):
 
 
 def _cli_h(sigma, d):
-    # at sigma > 0 the command takes hfun's solver-step floor: for Exp
-    # claims the 1e-3 step becomes 1e-4
+    # at sigma > 0 the command takes hfun's solver step: for Exp claims,
+    # read in closed form, the caller's 1e-3 itself
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "h.csv")
         assert cli.main(["h", "--a", "0.5", "--sigma", repr(sigma), "--d", repr(d),
@@ -303,7 +303,7 @@ PINS = {
         '0x0.0p+0', 'True', 'True', '3c8ca671f588816f',
     ],
     'cli-h-s0.5-d1': [
-        '8bbe66d328fa8a07',
+        '00ecbb8332e7f6fa',
     ],
     'gen-exp-s0-d2': [
         '-0x1.016724a2bf7e8p+0', '-0x1.0168e5c219a28p+0',
@@ -315,23 +315,23 @@ PINS = {
     ],
     'h-exp-s0-d0': [
         'af844d888bda1c5a', '76f8480a974beb5a', 'af6af6d8605fca8e',
-        '0x1.ac9d6889c0000p-23', '0x0.0p+0',
+        '0x1.ecbb68bf246fap-49', '0x0.0p+0',
     ],
     'h-exp-s0-d2': [
         'e1e9844a4f7f37dd', '9175dcef36a91aa1', 'db065fd364f03f0f',
-        '0x1.e578bf0000000p-25', '0x0.0p+0',
+        '0x1.540ab58609df6p-49', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
         '629ecd2303c478e4', '40f8003d90f51133', '36e84b287e177e64',
-        '0x1.37ad042700000p-21', '0x0.0p+0',
+        '0x1.054cba5ea4464p-48', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
         'e6c2fbd278106c35', '05c51f6b40fe3cb1', '5805a1c7bde5fb33',
-        '0x1.4467000000000p-33', '0x1.f53d341b24dbep-3',
+        '0x1.000000bc222a4p-50', '0x1.f53d341b24dbep-3',
     ],
     'h-exp-s0.5-dinf': [
-        '147af5dfab13aec3', '9841e46a183b2450', 'f54f65b809d197d7',
-        '0x1.4541800000000p-33', '0x1.f40fd54a9a94ep-3',
+        '147af5dfab13aec3', '9841e46a183b2450', 'f54f65b809d197d7', '0x0.0p+0',
+        '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
         '550c129076247258', '6eb9c80150b0d625', '3791edfdc98b4b90',
@@ -339,7 +339,7 @@ PINS = {
     ],
     'h-tab-s0.5-dinf': [
         'e049f626c47b9498', '64d3e8430a3a0852', 'b8e2bddb47bec3bf',
-        '0x1.75b1400000000p-30', '0x1.f40fd54aec575p-3',
+        '0x1.0000000000000p-50', '0x1.f40fd54aec575p-3',
     ],
     'hjb-s0-d0': [
         'True', '0x1.89e3a9d068884p-1', 'inf', "'closed'", "'generator_above'",

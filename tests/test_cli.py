@@ -237,6 +237,15 @@ class TestInputErrors:
         assert os.listdir(tmp_path) == []
 
 
+def write_exp_table(path, step=1e-2):
+    """Exp(1) on a grid up to 30, normalized to unit trapezoid mass."""
+    xs = step * np.arange(int(round(30.0 / step)) + 1)
+    fs = np.exp(-xs)
+    fs /= np.trapezoid(fs, dx=step)
+    path.write_text("x,f\n" + "".join("%r,%r\n" % (float(x), float(f))
+                                      for x, f in zip(xs, fs)))
+
+
 def write_triangle(path):
     step = 1e-3
     xs = np.arange(0.0, 2.0 + step / 2, step)
@@ -261,14 +270,8 @@ class TestClaimsTable:
         assert "uniform" in err
 
     def test_transform_matches_exponential(self, capsys, tmp_path):
-        # exp(1) on a 1e-2 grid up to 30, normalized to unit trapezoid mass
-        step = 1e-2
-        xs = step * np.arange(3001)
-        fs = np.exp(-xs)
-        fs /= np.trapezoid(fs, dx=step)
         p = tmp_path / "exp.csv"
-        p.write_text("x,f\n" + "".join("%r,%r\n" % (float(x), float(f))
-                                       for x, f in zip(xs, fs)))
+        write_exp_table(p)
         out_json = tmp_path / "tr.json"
         rc, out, _ = run(capsys, ["transform", "--claims", "table:%s" % p, "--d", "2",
                                   "--y", "0.5", "--out", str(out_json)])
@@ -314,21 +317,44 @@ class TestHCommand:
         assert data[-1, 0] == pytest.approx(0.7693, abs=1e-12)
         assert data[-1, 1] == 1.0
 
-    def test_coarse_grid_fails_residual_gate(self, capsys):
-        rc, out, err = run(capsys, ["h", "--a", "0.7693", "--grid-step", "0.1"])
+    def test_coarse_grid_fails_residual_gate(self, capsys, tmp_path):
+        # a table at sigma = 0 solves at the caller's step, unclamped, and
+        # at 0.1 its equation residual is ~1e-2
+        write_exp_table(tmp_path / "exp.csv")
+        rc, out, err = run(capsys, ["h", "--a", "0.7693", "--grid-step", "0.1",
+                                    "--claims", "table:%s" % (tmp_path / "exp.csv")])
         assert rc == 3
         assert out == ""
         assert "NonConvergenceError" in err
 
     def test_diffusion_solves_at_the_step_floor(self, capsys, tmp_path):
-        # sigma > 0 takes hfun's floor, 1e-4 where h is a sum of
-        # exponentials (1e-5 for a table below d = inf); sigma = 0 (above)
-        # keeps the caller's step
+        # an h with exponents is closed, so its grid is the caller's step;
+        # a table below d = inf is solved on its grid, at sigma > 0 at
+        # hfun's 1e-5 floor
         p = tmp_path / "h.csv"
         rc, _, _ = run(capsys, ["h", "--a", "0.05", "--sigma", "0.5", "--d", "inf",
                                 "--grid-step", "1e-3", "--out", str(p)])
         assert rc == 0
-        assert len(p.read_text().splitlines()) == 1 + 501
+        assert len(p.read_text().splitlines()) == 1 + 51
+        write_exp_table(tmp_path / "exp.csv")
+        rc, _, _ = run(capsys, ["h", "--a", "0.05", "--sigma", "0.5", "--d", "1",
+                                "--claims", "table:%s" % (tmp_path / "exp.csv"),
+                                "--grid-step", "1e-3", "--out", str(p)])
+        assert rc == 0
+        assert len(p.read_text().splitlines()) == 1 + 5001
+
+    @pytest.mark.parametrize("claims,certificate", [("exp", "closed"), ("table", "grid")])
+    def test_names_its_certificate(self, capsys, tmp_path, claims, certificate):
+        # an h with exponents is certified in closed form, a table below
+        # d = inf by ide_residual on its grid
+        argv = ["h", "--a", "0.5", "--d", "2"]
+        if claims == "table":
+            write_exp_table(tmp_path / "exp.csv")
+            argv += ["--claims", "table:%s" % (tmp_path / "exp.csv")]
+        rc, _, err = run(capsys, argv)
+        assert rc == 0
+        assert "ide_residual=" in err
+        assert first_value(err.split()[-1], "certificate") == certificate
 
 
 class TestBarrierCommand:

@@ -18,6 +18,7 @@ perturbed. For Exp(1) claims h is a sum of exponentials at every sigma,
 with the scale route's weights, and no equation is solved.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,8 +68,9 @@ class TestSigma0ClosedFormAgreement:
         assert h.grid.values[-1] == 1.0
         assert h.a == A
         assert h.xi_prime_zero is None
-        assert h.ide_residual < 1e-7
-        assert ide_residual(m_d0, h) == pytest.approx(h.ide_residual, rel=1e-9)
+        # the closed certificate, and the grid rerun anyone can apply
+        assert h.ide_residual <= 1e-12
+        assert ide_residual(m_d0, h) < 1e-7
 
     def test_grid_snaps_to_barrier(self, m_d0):
         h = h_d_sigma0(m_d0, 0.77777, step=1e-4)
@@ -80,10 +82,11 @@ class TestSigma0ClosedFormAgreement:
         with pytest.raises(ValueError):
             h_d_sigma0(m_d0, 0.0)
 
-    def test_coarse_step_residual_is_gated(self, m_d0):
-        # at step 0.1 the equation residual is ~1e-2, far above the gate
+    def test_coarse_step_residual_is_gated(self):
+        # a table is solved on its grid: at step 0.1 its equation residual
+        # is ~1e-2 (measured 1.02e-2), far above the gate
         with pytest.raises(NonConvergenceError) as info:
-            h_d_sigma0(m_d0, A, step=0.1)
+            h_d_sigma0(_tab_model(1e-2, 0.0), A, step=0.1)
         assert info.value.last_norm > 1e-4
 
     def test_infinite_clock_on_a_table(self):
@@ -94,7 +97,8 @@ class TestSigma0ClosedFormAgreement:
         rho = lundberg_root(m).rho
         h = h_d_sigma0(m, 0.5, step=1e-4)
         assert np.max(np.abs(h.grid.values - np.exp(-rho * (0.5 - h.grid.x)))) < 1e-10
-        assert ide_residual(m, h) == h.ide_residual < 1e-4
+        assert h.ide_residual <= 1e-12
+        assert ide_residual(m, h) < 1e-4
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_infinite_clock_on_a_table_is_closed(self, monkeypatch, sigma):
@@ -107,7 +111,8 @@ class TestSigma0ClosedFormAgreement:
         want = np.exp(m.rho * (h.grid.x - 0.5))
         for k, got in enumerate((h.grid, h.hp, h.hpp)):
             assert np.max(np.abs(got.values - m.rho ** k * want)) < 1e-14
-        assert h.ide_residual == ide_residual(m, h)
+        # certified in closed form: K(rho) = 0 and no tail row
+        assert h.ide_residual <= 1e-12
 
     @pytest.mark.parametrize("sigma", [0.0, 0.5])
     def test_infinite_clock_residual_on_a_table(self, sigma):
@@ -415,22 +420,21 @@ class TestSigmaPositive:
     @pytest.mark.parametrize("claims,d", [("exp", 1.0), ("exp", 2.0), ("exp", math.inf),
                                           ("tab", 1.0), ("tab", math.inf)])
     def test_certificate_covers_the_rerun_check(self, claims, d):
-        # the reported residual is ide_residual on the returned h, raised
-        # to a table's interface term only where that is larger: at
+        # a table's reported residual is ide_residual on the returned h,
+        # raised to its interface term only where that is larger: at
         # finite d the cross-route gap to Lambda(x)/Lambda(a). An h read
         # off the route's exponents (exponential claims, and a table at
-        # d = inf) is the scale route's own ratio, so its gap is rounding
-        # and it has no interface term
+        # d = inf) is certified in closed form instead, to rounding
         dist = (db.tabulated_exponential(1.0, step=1e-2) if claims == "tab"
                 else db.ExponentialClaims(1.0))
         m = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, d), dist)
         h = h_d_sigma_pos(m, 0.5, step=1e-4)
+        if claims == "exp" or math.isinf(d):
+            assert h.t is not None and h.ide_residual <= 1e-12
+            return
         check = ide_residual(m, h)
         assert h.ide_residual >= check
-        term = 0.0
-        if not math.isinf(d):
-            lam_ratio = scale.scale_ratio(m, m.d).ratio(h.grid.x, 0.5)
-            term = np.max(np.abs(h.grid.values - lam_ratio))
+        term = np.max(np.abs(h.grid.values - scale.scale_ratio(m, m.d).ratio(h.grid.x, 0.5)))
         if term < check * (1.0 - 1e-6):
             assert h.ide_residual == check
         else:
@@ -758,14 +762,100 @@ class TestWholeLineEvaluator:
 
 
 def test_default_step_is_the_solver_floor():
-    # an exit function built without a step takes hfun's floor for a
-    # grid_step of 1e-3: 1e-4 where it has exponents, at either sigma
-    # (a fixed 1e-5 at sigma > 0 built 78,601 nodes for three
-    # exponentials), and 1e-5 for a table at sigma > 0 below d = inf
+    # an exit function built without a step takes hfun's step for a
+    # grid_step of 1e-3: that step itself where it has exponents, at
+    # either sigma, since it is read and certified in closed form (a 1e-4
+    # floor built 7,861 nodes here, a fixed 1e-5 one 78,601), and a floor
+    # for a table, which is solved on its grid: 1e-4 at sigma = 0 and
+    # 1e-5 at sigma > 0 below d = inf
     m = make_model(0.0, sigma=0.5)
-    assert len(h_d_sigma_pos(m, 0.786).grid.x) == 7861
-    assert hfun._solver_step(m, 1e-3) == 1e-4
-    assert len(h_d_sigma0(make_model(2.0), 0.786).grid.x) == 7861
-    tab = db.validate(db.ModelParams(10.0, 15.0, 0.5, 0.1, 0.8, 1.0),
-                      db.tabulated_exponential(1.0, step=1e-2))
-    assert hfun._solver_step(tab, 1e-3) == 1e-5
+    assert len(h_d_sigma_pos(m, 0.786).grid.x) == 787
+    assert hfun._solver_step(m, 1e-3) == 1e-3
+    assert len(h_d_sigma0(make_model(2.0), 0.786).grid.x) == 787
+    assert hfun._solver_step(_tab_model(1e-2, 2.0), 1e-3) == 1e-4
+    assert hfun._solver_step(_tab_model(1e-2, 1.0, 0.5), 1e-3) == 1e-5
+
+
+class TestClosedCertificate:
+    """Where the route has exponents, h's certificate is the closed bound
+    on |(Gamma - q) h| over [0, a] (hfun._closed_residual), not a rerun
+    of the equation on the grid."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_sees_a_wrong_weight(self, monkeypatch, sigma, d, which):
+        # the weight on rho (which = 0) or on t_2 (which = 1) of the memo
+        # route, scaled by 1 + 1e-4. The tail row lam r (h(0) w_d(0) -
+        # sum_i w_i L(t_i)) no longer cancels: measured 1.5e-4 to 7.5e-4
+        # at d <= 0.1, refused as the grid rerun refused them, and 7.6e-7
+        # at d = 1 and 1.3e-8 at d = 2, where w_d(0) is small, against at
+        # most 3.7e-15 unperturbed
+        m = make_model(d, sigma=sigma)
+        build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
+        base = build(m, 0.5).ide_residual
+        assert base <= 1e-14
+        route, reader = hfun._route(m)
+        w = route.weights.copy()
+        w[which] *= 1.0 + 1e-4
+        wrong = (dataclasses.replace(route, weights=w), reader)
+        monkeypatch.setattr(hfun, "_route", lambda model: wrong)
+        if d <= 0.1:
+            with pytest.raises(NonConvergenceError, match="closed") as info:
+                build(m, 0.5)
+            assert info.value.last_norm > 1e-4
+        else:
+            assert build(m, 0.5).ide_residual >= 1e4 * max(base, 1e-15)
+
+    def test_no_grid_rerun_on_an_exponent_route(self, monkeypatch):
+        calls = []
+
+        def spy(*args, _real=hfun.ide_residual):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(hfun, "ide_residual", spy)
+        for sigma, d in ((0.0, 0.0), (0.0, 2.0), (0.5, 0.0), (0.5, 1.0), (0.5, math.inf)):
+            m = make_model(d, sigma=sigma)
+            db.optimal_barrier(m, 2.0)
+            db.barrier_solution_at(m, 0.3)
+            db.barrier_solution_at(m, 0.0)
+        assert calls == []
+        # a table below d = inf is solved on its grid and checked there
+        tab = _tab_model(1e-2, 2.0)
+        h_d_sigma0(tab, 0.5)
+        assert calls == [1]
+        h_d_sigma0(tab, 0.3)
+        assert calls == [1, 1]
+
+    def test_grid_is_a_view_at_the_callers_step(self):
+        # 51 nodes at a = 0.05 and step 1e-3, the last read at a itself;
+        # the nodes hold the closed h to rounding
+        h = h_d_sigma_pos(make_model(1.0, sigma=0.5), 0.05, step=1e-3)
+        assert len(h.grid.x) == 51 and h.grid.values[-1] == 1.0
+        np.testing.assert_allclose(h.grid.values, h.read(h.grid.x), rtol=1e-15)
+
+
+class TestReadOrder:
+    @pytest.mark.parametrize("order", [-1, 3, True, False, 1.0, "1", None, np.float64(2.0)])
+    def test_table_refuses(self, order):
+        h = h_d_sigma0(_tab_model(1e-2, 2.0), 0.5)
+        assert h.t is None
+        with pytest.raises(ValueError, match="order"):
+            h.read(0.2, order)
+
+    @pytest.mark.parametrize("order", [-1, True, False, 1.0, "1", None, np.float64(2.0)])
+    def test_exponent_route_refuses(self, order):
+        h = h_d_sigma0(make_model(0.0), 0.5)
+        assert h.t is not None
+        with pytest.raises(ValueError, match="order"):
+            h.read(0.2, order)
+
+    def test_valid_orders(self):
+        tab = h_d_sigma0(_tab_model(1e-2, 2.0), 0.5)
+        for k, g in enumerate((tab.grid, tab.hp, tab.hpp)):
+            for order in (k, np.int64(k)):
+                assert tab.read(0.2, order)[0] == g.interp(0.2)
+        h = h_d_sigma0(make_model(0.0), 0.5)
+        assert h.read(0.2, 3)[0] == scale.exp_sum(h.t, h.w, 0.2, 3)[3]
+        assert h.read(0.2, np.int32(2))[0] == h.read(0.2, 2)[0]

@@ -195,6 +195,8 @@ class TestClosedOptimality:
         sol = optimal_barrier(m, 40.0)
         rep = sol.hjb_report
         assert rep.passed and rep.method == "closed" and rep.x_max == math.inf
+        # h's own closed certificate; measured at most 2.2e-13
+        assert sol.h.ide_residual <= 1e-12
         # the sweep above a* against the closed generator; measured below
         # 1e-9, except at sigma 0.5, d = 0, where the sweep's own
         # quadrature of the boundary layer at 0 is 2.7e-6 off
