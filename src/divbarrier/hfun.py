@@ -55,9 +55,10 @@ The exit function keeps the exponents t_i and the weights over xi(a),
 and HFunction.read sums h and its derivatives at any points, with no
 grid in between (scale.exp_sum, elementwise, so a point's value does
 not depend on the points read with it). Its grid is only a sampled view
-of the same sums at the caller's step, the last node read at a itself;
-the barrier scan reads it where the weights' signs leave the optimal
-barrier undecided (valuation). Such an h is certified in closed form
+of the same sums at the caller's step, the last node read at a itself,
+kept for the readers of grid arrays (the slope h'(a), the CLI's CSV,
+the benchmark); no scan reads it, since the weights' signs decide the
+optimal barrier on every exponent route (valuation). Such an h is certified in closed form
 (_closed_residual): K(t_i) = 0 at each root and the tail row, with no
 equation solved or rerun on a grid.
 
@@ -161,11 +162,16 @@ class HFunction:
         """The order-th derivative of h at the points x of [0, a], as an
         array: closed where h has exponents (any int order >= 0), else the
         solver grid's h, h' or h'' (order 0, 1 or 2) read linearly. Any
-        other order, a bool included, is a ValueError."""
+        other order, a bool included, is a ValueError, and so is a point
+        below 0, above a by more than 1e-9, or NaN: outside [0, a] h is
+        the continuation of h_callable, which neither reading gives."""
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not (
                 0 <= order <= (2 if self.t is None else order)):
             raise ValueError("order must be an int >= 0, at most 2 on a grid, got %r" % (order,))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        # a NaN fails both comparisons
+        if not np.all((xs >= 0.0) & (xs <= self.a + 1e-9)):
+            raise ValueError("h is read on [0, a] = [0, %g] only" % self.a)
         if self.t is None:
             g = (self.grid, self.hp, self.hpp)[order]
             return np.interp(xs, g.x, g.values)

@@ -10,6 +10,13 @@ Lambda is W itself, Phi_d(y) = 1{y = 0} and w_d = 0; at d = inf Lambda
 is e^{rho x}, Phi_d(y) = e^{-rho y} and w_d = T_rho f, the claim law's
 exact tail transform. What follows is the route at 0 < d < inf.
 
+A route with exponents also gives the sup of the generator (Gamma - q) v
+above the barrier (generator_above), so that valuation's closed HJB
+report reads no claim law: ScaleRatio by the one-phase Exp(mu) algebra,
+which EndRatio inherits at d = 0, where only Exp(mu) claims have
+exponents, and EndRatio at d = inf as -sigma^2 rho / 2 for any claim
+law.
+
 Weighting each claim by r is the same as thinning the claims to rate
 lam r and killing at rate kill = q + lam(1 - r), so with grace period
 0 < d < inf the exit function is a ratio (Loeffen, Czarna & Palmowski
@@ -191,13 +198,41 @@ class ScaleRatio:
         u, mu = self.u, self.model.claims.mu
         return lambda x: u * np.exp(-mu * np.asarray(x, dtype=float))
 
+    def generator_above(self, a, w, big_v, v0):
+        """(s, top): the sup top over s >= 0 of (Gamma - q) v(a + s) and
+        the s where it is taken, for the barrier value at a that is
+        V h = V sum_i w_i e^{t_i x} on [0, a], given V = v(a) (v(0) at
+        a = 0) and v0 = v(0).
+
+        Above the barrier v(a + s) = s + V. A claim y <= s lands above the
+        barrier, one in (s, s + a] lands on V h, which the Exp(mu) density
+        integrates in closed form, and one past s + a lands below zero,
+        where v(0) Phi_d gives v(0) u e^{-mu x}. So
+
+            (Gamma - q) v(a + s) = alpha - kill s + beta e^{-mu s},
+            alpha = c - lam r / mu - kill V,
+            beta  = lam r [(1/mu - V) + e^{-mu a} (K1 + v(0) u)],
+            K1    = mu V sum_i w_i (e^{(t_i + mu) a} - 1)/(t_i + mu),
+
+        kill = q + lam (1 - r), and its sup is at s = 0 unless
+        beta < -kill/mu, where it is at s* = log(-mu beta / kill) / mu.
+        """
+        model, t = self.model, self.t
+        lam, c, r, mu = model.lam, model.c, model.r, model.claims.mu
+        kill = model.q + lam * (1.0 - r)
+        k1 = mu * big_v * float(np.sum(w * np.expm1((t + mu) * a) / (t + mu))) if a else 0.0
+        beta = lam * r * ((1.0 / mu - big_v) + math.exp(-mu * a) * (k1 + v0 * self.u))
+        s = math.log(-mu * beta / kill) / mu if beta < -kill / mu else 0.0
+        return s, c - lam * r / mu - kill * big_v - kill * s + beta * math.exp(-mu * s)
+
 
 class EndRatio(ScaleRatio):
     """Lambda at d = 0 or d = inf, for either claim law. At d = inf the
     exponent is rho with unit weight and the continuation slope rho; at
     d = 0 Lambda is W, with W's exponents and weights for Exp(mu) claims
     and none (t = None) for a table, and no slope: h(0) = 0 at sigma > 0.
-    u is None."""
+    u is 0 at d = 0, where w_d = 0, and None at d = inf, where nothing
+    reads it."""
 
     def phi(self, ys):
         """(Phi_d, K, bound) in closed form: 1{y = 0} at d = 0 and
@@ -215,6 +250,20 @@ class EndRatio(ScaleRatio):
         if self.d == 0.0:
             return lambda x, order=0: np.zeros(np.shape(x))
         return lambda x: model.claims.tail_transform(model.rho, x)
+
+    def generator_above(self, a, w, big_v, v0):
+        """(s, top) as for ScaleRatio: at d = 0 by its algebra, since only
+        Exp(mu) claims have exponents there. At d = inf it is (0,
+        -sigma^2 rho / 2) for any claim law. There a* = 0 (h = e^{rho x}
+        up to a factor, so h'' > 0) and v(s) = s + 1/rho on s >= 0, with
+        v(0) e^{-rho y} at the deficit y. Since psi_r(rho) = q, that gives
+        (Gamma - q) v(0) = -sigma^2 rho / 2, and its slope in s,
+        -(lam + q) + lam r (F(s) + T_rho f(s)), is at most -kill < 0,
+        because T_rho f <= 1 - F.
+        """
+        if self.d == 0.0:
+            return super().generator_above(a, w, big_v, v0)
+        return 0.0, -0.5 * self.model.sigma ** 2 * self.model.rho
 
 
 def exp_sum(t, weights, xs, top=0):
@@ -662,7 +711,7 @@ def scale_ratio(model, d):
     if math.isinf(d):
         return EndRatio(np.array([model.rho]), np.ones(1), model.rho, None, model, d)
     if d == 0.0:
-        return EndRatio(*(_roots(model) if exp_claims else (None, None)), None, None, model, d)
+        return EndRatio(*(_roots(model) if exp_claims else (None, None)), None, 0.0, model, d)
     if not exp_claims:
         return TableRatio(model, d)
     mu = model.claims.mu

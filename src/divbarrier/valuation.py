@@ -16,18 +16,19 @@ Where h is a sum of exponentials (Exp(mu) claims at every d, a table
 at d = inf) the signs of its weights decide this on all of [0, inf)
 with no scan (_closed_barrier): by Descartes' rule for exponential
 sums h' > 0 and h'' has at most one zero, so a* is 0 when h''(0) >= 0
-and that zero otherwise, polished on the closed h''. a_max is then
-only a bound. For Exp(mu) claims the HJB inequalities below are
-checked in closed form too (_closed_report): on (0, a*) from the roots'
-residuals and on [a*, inf), where (Gamma - q) v is
-alpha - kill s + beta e^{-mu s} in s = x - a* (_above_barrier).
+and that zero otherwise, polished on the closed h''. The signs always
+decide it (_closed_barrier says why), and a_max is only a bound. The
+HJB inequalities below are then checked in closed form too
+(_closed_report): on (0, a*) from the roots' residuals, and on
+[a*, inf) from the sup of (Gamma - q) v, which the route takes from
+its claim law (scale's generator_above), so this module reads none.
 
-Anywhere else (a table below d = inf, or weights with more sign
-changes) a grid scan of h'' on [0, a_max] brackets each zero, every
-zero other than the chosen one is reported as an alternative, and a
-slope at a_max below every candidate's is an error naming a_max. The
-value and its certificates read h in closed form wherever it has
-exponents (HFunction.read), not off a grid.
+A route without exponents (a table below d = inf) is scanned: a grid
+scan of h'' on [0, a_max] brackets each zero, every zero other than
+the chosen one is reported as an alternative, and a slope at a_max
+below every candidate's is an error naming a_max. The value and its
+certificates read h in closed form wherever it has exponents
+(HFunction.read), not off a grid.
 
 Verification never trusts the construction: hjb_verify re-applies the
 integro-differential generator to the assembled value function on a
@@ -37,9 +38,9 @@ fresh grid and checks the variational inequalities
     (ii) (Gamma - q) v  = 0     on (0, a*)   within tol
     (iii) v' >= 1 - tol         on (0, a*],  v' = 1 above,
 
-reporting the worst point of each. optimal_barrier attaches it
-wherever the closed report does not apply (tables), and it stays the
-public cross-check of a closed one; each report records which it is
+reporting the worst point of each. optimal_barrier attaches it to
+every scanned barrier, and it stays the public cross-check of a
+closed one; each report records which it is
 (HJBReport.method). gprime_monotone_check and
 density_shape_advisory are the cheaper screens: the first checks that
 the unnormalized slope never decreases to the right of a*, the second
@@ -54,14 +55,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gridmath import GridFunction, trapezoid
+from .gridmath import GridFunction, NonConvergenceError, trapezoid
 from .scale import exp_sum_at
 from .hfun import (
     HFunction,
     h_d_sigma0,
     h_d_sigma_pos,
     h_callable,
-    w_d,
     _closed_residual,
     _generator_grid,
     _require_step,
@@ -194,16 +194,6 @@ def _polish(t, w, lo, hi, x, falls_at_lo):
     return x
 
 
-def _curvature_root(h: HFunction, xs, hpp, i):
-    """The zero of h'' in [xs[i], xs[i+1]], between whose nodes hpp
-    changes sign: the local parabola's root (_refine_root), polished
-    where h has exponents on the closed h'' (_polish)."""
-    x = _refine_root(xs, hpp, i)
-    if h.t is None:
-        return x
-    return _polish(h.t, h.w, xs[i], xs[i + 1], x, hpp[i] < 0.0)
-
-
 def _sign_changes(coeffs):
     """Sign changes along coeffs, zeros skipped."""
     signs = np.sign(coeffs[coeffs != 0.0])
@@ -212,7 +202,7 @@ def _sign_changes(coeffs):
 
 def _closed_barrier(t, w):
     """a* from the signs of the weights of h = sum w e^{t x} (up to a
-    positive factor), or None where they do not decide it.
+    positive factor); NonConvergenceError where they do not decide it.
 
     Ordered by t, a sum of exponentials has at most as many real zeros,
     counted with multiplicity, as its weights have sign changes
@@ -226,11 +216,18 @@ def _closed_barrier(t, w):
     by doubling from 1/min|t| and polished by _polish; it is rounded to
     12 decimals, as the scan's were, so that a* does not move with the
     last bit of the step that reached it.
+
+    Every route with exponents passes. W's weights c_i = (mu + t_i)/Q'(t_i)
+    have the signs (+, -, -) on (rho, t_2, t_3), since Q(-mu) = lam r mu > 0
+    and Q(0) = -mu kill < 0 put t_2 in (-mu, 0) and t_3 below -mu. At
+    0 < d < inf the weights are c_i M(t_i, 0), M > 0, with the same signs,
+    and at d = inf the one weight is 1, on rho (scale). So the weights of
+    h' never change sign and those of h'' at most once.
     """
     order = np.argsort(t)
     t, w = t[order], w[order]
     if _sign_changes(w * t) or _sign_changes(w * t * t) > 1 or not w[-1] > 0.0:
-        return None
+        raise NonConvergenceError("the signs of h's weights leave a* undecided")
     if exp_sum_at(t, w, 0.0, 2)[2] >= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0 / float(np.min(np.abs(t)))
@@ -242,35 +239,33 @@ def _closed_barrier(t, w):
 def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     """Locate the barrier where the exit function's slope is smallest.
 
-    Where h is a sum of exponentials whose weights decide it
-    (_closed_barrier), a* is read off their signs and the zero of the
-    closed h'', with no scan; a_max is then only a bound, and an a*
-    above it is an error. For Exp(mu) claims the HJB report is closed
-    (_closed_report) and holds on all of [0, inf). Anywhere else the
-    candidates are 0 and every zero where h'' rises through 0 on a scan
-    of [0, a_max]; the one with the smallest h' wins (Loeffen 2008), and
-    the report is hjb_verify's sampled sweep over [a*, a* + 10].
+    Where the route has exponents, a* is read off the signs of h's
+    weights and the zero of the closed h'' (_closed_barrier), with no
+    scan; a_max is then only a bound, and an a* above it is an error.
+    The HJB report is closed (_closed_report) and holds on all of
+    [0, inf). Anywhere else the candidates are 0 and every zero where h''
+    rises through 0 on a scan of [0, a_max]; the one with the smallest
+    h' wins (Loeffen 2008), and the report is hjb_verify's sampled
+    sweep over [a*, a* + 10].
     """
     if not 0.0 < a_max < math.inf:
         raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
     _require_step(grid_step)
     route = _route(model)[0]
-    a = None if route.t is None else _closed_barrier(route.t, route.weights)
-    if a is None:
+    if route.t is None:
         return _scanned_barrier(model, a_max, grid_step)
+    a = _closed_barrier(route.t, route.weights)
     if a > a_max:
         raise ValueError("the smallest slope is at a* = %.6g, above a_max = %g; "
                          "enlarge a_max" % (a, a_max))
     sol = barrier_solution_at(model, a, grid_step)
-    report = (_closed_report(model, sol) if model.claims.kind == "exponential"
-              else hjb_verify(model, sol, a + 10.0, tol=_HJB_TOL))
-    return replace(sol, hjb_report=report)
+    return replace(sol, hjb_report=_closed_report(model, route, sol))
 
 
 def _scanned_barrier(model, a_max, grid_step):
-    """optimal_barrier off a scan of h'' on [0, a_max] at grid_step: the
-    scan's grid brackets each zero, polished where h has exponents
-    (_curvature_root); the report is hjb_verify's."""
+    """optimal_barrier off a scan of h'' on [0, a_max] at grid_step, for a
+    route without exponents: the scan's grid brackets each zero, located
+    by the local parabola (_refine_root); the report is hjb_verify's."""
     scan = _build_h(model, a_max, grid_step)
     xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values
     sign = np.sign(hpp)
@@ -279,7 +274,7 @@ def _scanned_barrier(model, a_max, grid_step):
 
     # (zero of h'', whether h'' rises through it: a local minimum of h')
     zeros = [(float(xs[i]), hpp[i - 1] < 0 < hpp[i + 1]) for i in exact]
-    zeros += [(_curvature_root(scan, xs, hpp, i), hpp[i] < 0) for i in flips]
+    zeros += [(_refine_root(xs, hpp, i), hpp[i] < 0) for i in flips]
     roots = sorted(set(round(t, 12) for t, _ in zeros))
     cands = [0.0] + sorted(set(round(t, 12) for t, up in zeros if up))
 
@@ -422,41 +417,12 @@ def hjb_verify(model, sol: BarrierSolution, x_max, tol=1e-5,
     return HJBReport(all(c.passed for c in checks), *checks, a, x_max, "sampled")
 
 
-def _above_barrier(model, sol: BarrierSolution, v0, u):
-    """(alpha, kill, beta) with (Gamma - q) v(a + s) = alpha - kill s
-    + beta e^{-mu s} at every s >= 0, for Exp(mu) claims, given
-    v0 = v(0) and u = w_d(0) (w_d = u e^{-mu x}).
+def _closed_report(model, route, sol: BarrierSolution) -> HJBReport:
+    """The HJB report of a barrier value on a route with exponents, where
+    a* comes from _closed_barrier, in closed form on all of [0, inf).
 
-    Above the barrier v(a + s) = s + V, V = v(a) (v(0) at a = 0). A claim
-    y <= s lands above the barrier, one in (s, s + a] lands on
-    v = V sum_i w_i e^{t_i x} (h's weights), which the claim density
-    integrates in closed form, and one past s + a lands below zero,
-    where v(0) Phi_d gives v(0) u e^{-mu x}. So
-
-        alpha = c - lam r / mu - kill V,
-        beta  = lam r [(1/mu - V) + e^{-mu a} (K1 + v(0) u)],
-        K1    = mu V sum_i w_i (e^{(t_i + mu) a} - 1)/(t_i + mu),
-
-    kill = q + lam (1 - r).
-    """
-    a, h = sol.a_star, sol.h
-    lam, c, r, mu = model.lam, model.c, model.r, model.claims.mu
-    kill = model.q + lam * (1.0 - r)
-    big_v, k1 = v0, 0.0
-    if a:
-        big_v = 1.0 / _barrier_slope(h)
-        k1 = mu * big_v * float(np.sum(h.w * np.expm1((h.t + mu) * a) / (h.t + mu)))
-    beta = lam * r * ((1.0 / mu - big_v) + math.exp(-mu * a) * (k1 + v0 * u))
-    return c - lam * r / mu - kill * big_v, kill, beta
-
-
-def _closed_report(model, sol: BarrierSolution) -> HJBReport:
-    """The HJB report of a barrier value for Exp(mu) claims where a* comes
-    from _closed_barrier, in closed form on all of [0, inf).
-
-    - generator_above: the sup over s >= 0 of _above_barrier's
-      alpha - kill s + beta e^{-mu s}, at s = 0 unless beta < -kill/mu,
-      where it is at s* = log(-mu beta / kill) / mu.
+    - generator_above: the sup over s >= 0 of (Gamma - q) v(a* + s), which
+      the route takes from its claim law (route.generator_above).
     - generator_interior: on (0, a*) v = sum_i W_i e^{t_i x} with
       W = h's weights / h'(a*), so the bound is the exit function's own
       closed certificate (hfun._closed_residual) applied to W.
@@ -466,10 +432,8 @@ def _closed_report(model, sol: BarrierSolution) -> HJBReport:
     At a* = 0 the last two are vacuous.
     """
     a, h, tol = sol.a_star, sol.h, _HJB_TOL
-    alpha, kill, beta = _above_barrier(model, sol, float(sol.value(0.0)), float(w_d(model, 0.0)))
-    mu = model.claims.mu
-    s = math.log(-mu * beta / kill) / mu if beta < -kill / mu else 0.0
-    top = alpha - kill * s + beta * math.exp(-mu * s)
+    v0 = float(sol.value(0.0))
+    s, top = route.generator_above(a, h.w, 1.0 / _barrier_slope(h) if a else v0, v0)
     bound, x = _closed_residual(model, h.t, h.w / _barrier_slope(h), a) if a else (None, None)
     checks = [CheckResult("generator_above", top <= tol, a + s, top, tol),
               CheckResult("generator_interior", not a or bound <= tol, x, bound, tol),

@@ -859,3 +859,20 @@ class TestReadOrder:
         h = h_d_sigma0(make_model(0.0), 0.5)
         assert h.read(0.2, 3)[0] == scale.exp_sum(h.t, h.w, 0.2, 3)[3]
         assert h.read(0.2, np.int32(2))[0] == h.read(0.2, 2)[0]
+
+
+class TestReadDomain:
+    # outside [0, a] the two kinds read different functions: at -1 the
+    # sum of exponentials ran on past 0 (0.69252457, 1e-6 off h_callable's
+    # continuation 0.69252354) while a table clamped to h(0) (0.88473403),
+    # and at 0.6 they gave 1.0248 and 1.0
+    @pytest.mark.parametrize("kind", ["exp", "table"])
+    def test_refuses_points_outside_0_a(self, kind):
+        m = make_model(2.0) if kind == "exp" else _tab_model(1e-2, 2.0)
+        h = h_d_sigma0(m, 0.5)
+        for x in (-1.0, -1e-12, 0.6, 0.5 + 2e-9, math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match=r"\[0, a\]"):
+                h.read(x)
+        # the ends, with the slack h_callable allows at a
+        ends = h.read(np.array([0.0, 0.5 + 1e-10]))
+        assert ends[0] == h_callable(m, h)(0.0) and abs(ends[1] - 1.0) < 1e-9

@@ -44,6 +44,11 @@ claim kind or calls isinf, and nothing outside a function does: each
 route it returns reads its own Phi_d, K and bound. In the whole of
 firstpassage d is compared only where _phi_table refuses d < 0.
 
+valuation reads no claim law either: a route with exponents reports the
+sup of its own generator above the barrier (scale's generator_above),
+so optimal_barrier asks only whether the route has exponents. valuation
+names no kind or mu attribute and calls no isinf.
+
 A claim table's cached convolution powers are read in one place:
 model.py stores them for conv_power. scale.py's TableRatio sums the
 claim powers into the law of X_d with gridmath.power_sum, from the
@@ -275,6 +280,31 @@ def test_regime_guard_sees_every_spelling():
                  "from .firstpassage import upcross_table", "from . import firstpassage"):
         assert _regime_reads(ast.parse(line)), line
     assert _regime_reads(ast.parse("route.t is not None and route.slope")) == []
+
+
+def _claim_law_reads(tree):
+    """_regime_reads, and every .mu attribute: an Exp(mu) claim law's
+    parameter."""
+    return _regime_reads(tree) + [n.attr for n in ast.walk(tree)
+                                  if isinstance(n, ast.Attribute) and n.attr == "mu"]
+
+
+def test_valuation_reads_no_claim_law():
+    assert _claim_law_reads(ast.parse((SRC / "valuation.py").read_text())) == []
+
+
+def test_claim_law_guard_trips_on_the_old_dispatch():
+    # lines of optimal_barrier and of the one-phase algebra above the
+    # barrier that valuation held before each route reported its own
+    for line in ("report = (_closed_report(model, sol) if model.claims.kind == 'exponential'\n"
+                 "          else hjb_verify(model, sol, a + 10.0, tol=_HJB_TOL))",
+                 "lam, c, r, mu = model.lam, model.c, model.r, model.claims.mu",
+                 "mu = model.claims.mu", "if math.isinf(model.d):\n    pass"):
+        assert _claim_law_reads(ast.parse(line)), line
+    for line in ("s, top = route.generator_above(a, h.w, big_v, v0)",
+                 "a = _closed_barrier(route.t, route.weights)",
+                 "if route.t is None:\n    pass", "mu = 1.0"):
+        assert not _claim_law_reads(ast.parse(line)), line
 
 
 def _is_d(node):
