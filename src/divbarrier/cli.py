@@ -171,8 +171,10 @@ def _write_csv(path, header, rows):
 
 
 def _write_h_csv(path, h):
+    # h read at grid's nodes, the last one at a itself, as grid.values is
+    xs = h.grid.x
     _write_csv(path, ("x", "h", "hprime", "hprimeprime"),
-               zip(h.grid.x, h.grid.values, h.hp.values, h.hpp.values))
+               zip(xs, *(h.read(np.append(xs[:-1], h.a), k) for k in range(3))))
 
 
 def _write_json(path, payload):

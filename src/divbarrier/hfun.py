@@ -51,16 +51,21 @@ multiples cancel against xi(0) w_d = xi(0) u e^{-mu x} (Loeffen, Czarna
 at d = 0 (h = W(x)/W(a)), the unit weight on t_1 = rho at d = inf
 (h = e^{-rho (a - x)}, for any claim law, since T_rho f is exact) and
 the memo entry's Lambda weights at 0 < d < inf (h = Lambda(x)/Lambda(a)).
-The exit function keeps the exponents t_i and the weights over xi(a),
-and HFunction.read sums h and its derivatives at any points, with no
-grid in between (scale.exp_sum, elementwise, so a point's value does
-not depend on the points read with it). Its grid is only a sampled view
-of the same sums at the caller's step, the last node read at a itself,
-kept for the readers of grid arrays (the slope h'(a), the CLI's CSV,
-the benchmark); no scan reads it, since the weights' signs decide the
-optimal barrier on every exponent route (valuation). Such an h is certified in closed form
+The exit function keeps the exponents t_i, the route's weights W and
+W(a), and HFunction.read sums h = W(x)/W(a) and its derivatives at any
+points, with no grid in between (scale.exp_sum, elementwise, so a
+point's value does not depend on the points read with it). At
+sigma > 0, d = 0 the weights sum to 0 exactly (scale._roots), so h(0)
+reads 0 exactly. Such an h is certified in closed form
 (_closed_residual): K(t_i) = 0 at each root and the tail row, with no
 equation solved or rerun on a grid.
+
+Every module but this one reads an exit function through
+HFunction.read, for either kind: the sum of exponentials, or a table's
+solved node arrays of h, h' and h'' read linearly. Its grid is only a
+sampled view that read builds on first access, at the solver grid's
+nodes with the last one at a itself, kept for the CLI's CSV and the
+benchmark; no reader in the library takes it.
 
 A table's exit equation is spelled once, as renewal equations in
 scale.exit_equation, whose solve with w_d = 0 is also the table's W
@@ -100,9 +105,8 @@ The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 rerun check ide_residual and the HJB sweep of valuation both call it.
 The residual an exit function reports is, in h units, one of two
 certificates. Where the route has exponents it is the closed bound
-_closed_residual on all of [0, a], raised at sigma > 0, d = 0 to the
-rounding |W(0)|/W(a) that h(0) = 0 sets aside; valuation's closed HJB
-report takes its interior bound from the same function. A table below
+_closed_residual on all of [0, a]; valuation's closed HJB report takes
+its interior bound from the same function. A table below
 d = inf is solved on its grid and reports ide_residual on the returned
 h, at sigma > 0 raised to an interface term when that is larger, so it
 is never below the check a caller can rerun. At 0 < d < inf the term
@@ -118,6 +122,7 @@ goes.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -146,25 +151,47 @@ _RESIDUAL_GATE = 1e-4
 
 @dataclass(frozen=True)
 class HFunction:
-    grid: GridFunction
-    hp: GridFunction
-    hpp: GridFunction
     a: float
+    # the solver step: grid samples h at the nodes of _solver_grid(a, step)
+    step: float
     xi_prime_zero: Optional[float]
     # the certificate, in h units: closed (_closed_residual) where t is
     # set, else the grid's ide_residual with a table's interface term
     ide_residual: float
-    # h = sum_i w_i e^{t_i x} where the route has exponents, else None
+    # where the route has exponents h = sum_i big_w_i e^{t_i x} / w_at_a,
+    # with W = big_w the route's weights and w_at_a = W(a)
     t: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
+    big_w: Optional[np.ndarray] = None
+    w_at_a: Optional[float] = None
+    # else h, h' and h'' at the nodes of _solver_nodes(a, step), one row each
+    nodes: Optional[np.ndarray] = None
+
+    @property
+    def w(self):
+        """h's weights W / W(a), where the route has exponents."""
+        return self.big_w / self.w_at_a
+
+    @cached_property
+    def slope(self):
+        """h'(a), read once: the normalizing slope of a barrier value."""
+        return float(self.read(self.a, 1)[0])
+
+    @cached_property
+    def grid(self):
+        """h at the solver grid's nodes, the last one a itself: a sampled
+        view that read builds on first access, for the CLI's CSV and the
+        benchmark. No reader of h in the library takes it."""
+        return _solver_grid(self.a, self.step).with_values(
+            self.read(_solver_nodes(self.a, self.step)))
 
     def read(self, x, order=0):
         """The order-th derivative of h at the points x of [0, a], as an
         array: closed where h has exponents (any int order >= 0), else the
-        solver grid's h, h' or h'' (order 0, 1 or 2) read linearly. Any
-        other order, a bool included, is a ValueError, and so is a point
-        below 0, above a by more than 1e-9, or NaN: outside [0, a] h is
-        the continuation of h_callable, which neither reading gives."""
+        table's node arrays of h, h' or h'' (order 0, 1 or 2) read
+        linearly. Any other order, a bool included, is a ValueError, and
+        so is a point below 0, above a by more than 1e-9, or NaN: outside
+        [0, a] h is the continuation of h_callable, which neither reading
+        gives."""
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not (
                 0 <= order <= (2 if self.t is None else order)):
             raise ValueError("order must be an int >= 0, at most 2 on a grid, got %r" % (order,))
@@ -173,13 +200,8 @@ class HFunction:
         if not np.all((xs >= 0.0) & (xs <= self.a + 1e-9)):
             raise ValueError("h is read on [0, a] = [0, %g] only" % self.a)
         if self.t is None:
-            g = (self.grid, self.hp, self.hpp)[order]
-            return np.interp(xs, g.x, g.values)
-        vals = exp_sum(self.t, self.w, xs, order)[order]
-        if not (order or self.grid.values[0]):
-            # h(0) = 0 (sigma > 0, d = 0), where the sum is 0 only to rounding
-            vals[xs == 0.0] = 0.0
-        return vals
+            return np.interp(xs, _solver_nodes(self.a, self.step), self.nodes[order])
+        return exp_sum(self.t, self.big_w, xs, order)[order] / self.w_at_a
 
 
 def _route(model):
@@ -223,12 +245,15 @@ def _require_step(step):
 def _solver_grid(a, step):
     """Grid [0, a] with a step near `step` that lands on the barrier; its
     values are its abscissae."""
-    if not 0.0 < a < math.inf:
-        raise ValueError("barrier a must be positive and finite, got %g" % (a,))
-    _require_step(step)
     n = max(int(round(a / step)), 8)
     step = a / n
     return GridFunction(0.0, n * step, step, step * np.arange(n + 1))
+
+
+def _solver_nodes(a, step):
+    """The solver grid's abscissae, the last one a itself: where grid
+    samples h and where a table's node arrays sit."""
+    return np.append(_solver_grid(a, step).values[:-1], a)
 
 
 def _solver_step(model, grid_step):
@@ -237,9 +262,9 @@ def _solver_step(model, grid_step):
     at sigma > 0.
 
     An exit function with exponents is read and certified in closed form
-    (_closed_residual); its grid is only a sampled view. A table's h is
-    solved and read on its grid, and at sigma > 0 the boundary layer
-    e^{-(rho + 2c/sigma^2) x} needs the finer floor.
+    (_closed_residual); the step only sets its sampled grid view. A
+    table's h is solved and read on its grid, and at sigma > 0 the
+    boundary layer e^{-(rho + 2c/sigma^2) x} needs the finer floor.
     """
     _require_step(grid_step)
     return min(grid_step, math.inf if _route(model)[0].t is not None
@@ -272,40 +297,40 @@ def _closed_residual(model, t, w, a):
 
 
 def _exit(model, a, step):
-    """The certified exit function at barrier a on the solver grid of
-    that step, for either sigma and claim law (see the module notes); by
-    default at the solver step of a grid_step of 1e-3."""
-    grid = _solver_grid(a, _solver_step(model, 1e-3) if step is None else step)
-    xs, step = grid.values, grid.step
+    """The certified exit function at barrier a, for either sigma and
+    claim law (see the module notes): closed where the route has
+    exponents, else solved on the solver grid of that step; by default
+    at the solver step of a grid_step of 1e-3."""
+    step = _solver_step(model, 1e-3) if step is None else step
+    if not 0.0 < a < math.inf:
+        raise ValueError("barrier a must be positive and finite, got %g" % (a,))
+    _require_step(step)
     route, read = _route(model)
     # xi(0) = x0 and, at sigma > 0, xi'(0) = p: the continuation slope, or
     # where the route has none (d = 0) xi(0) = 0 with unit slope
     x0, p = 1.0, None
     if model.sigma > 0.0:
         x0, p = (1.0, route.slope) if route.slope else (0.0, 1.0)
-    gap, detail = 0.0, ""
     if route.t is not None:
-        # the last node read at a itself, where h is normalized to 1
-        xi, xip, xipp = exp_sum(route.t, route.weights, np.append(xs[:-1], a), 2)
-        # certified in closed form, in h units, with no rerun on the grid
-        gap, x = _closed_residual(model, route.t, route.weights / xi[-1], a)
+        hf = HFunction(a, step, p if x0 else None, math.nan, route.t, route.weights,
+                       float(exp_sum(route.t, route.weights, a)[0]))
+        # certified in closed form, in h units, with no rerun on a grid
+        res, x = _closed_residual(model, route.t, hf.w, a)
         detail = " (closed, worst at x = %g)" % x
-        if not x0:
-            # W(0) = sum_i c_i is 0 only up to rounding, which the
-            # certificate carries
-            gap, xi[0] = max(gap, abs(xi[0] / xi[-1])), 0.0
     else:
+        grid = _solver_grid(a, step)
+        xs, gap, detail = grid.values, 0.0, ""
         w = _w_values(model, xs)
-        kernel, coeff, forcings = exit_equation(model, xs, step, w, x0, p)
+        kernel, coeff, forcings = exit_equation(model, xs, grid.step, w, x0, p)
         kernel = grid.with_values(kernel)
         xi, *rest = (neumann_series(kernel, grid.with_values(g), coeff)[0].values
                      for g in forcings)
         if model.sigma == 0.0:
             # derivatives read off the equation itself, not finite differences
             lam, c, q, r = model.lam, model.c, model.q, model.r
-            f_xi = model.claims.convolve_grid(xi, step)
+            f_xi = model.claims.convolve_grid(xi, grid.step)
             xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
-            f_xip = model.claims.convolve_grid(xip, step)
+            f_xip = model.claims.convolve_grid(xip, grid.step)
             f_res, wp = model.claims.density(xs), read(xs, 1)
             xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
         else:
@@ -321,15 +346,10 @@ def _exit(model, a, step):
                 solved = 3.0 * xip[1] - 3.0 * xip[2] + xip[3]
                 gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
                 detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
-
-    at_a = float(xi[-1])
-    for v in (xi, xip, xipp):
-        v /= at_a
-    gf = grid.with_values(xi)
-    hf = HFunction(gf, gf.with_values(xip), gf.with_values(xipp), a,
-                   p if x0 else None, math.nan, route.t,
-                   None if route.t is None else route.weights / at_a)
-    res = gap if route.t is not None else max(ide_residual(model, hf), gap)
+        nodes = np.stack((xi, xip, xipp))
+        nodes /= float(xi[-1])
+        hf = HFunction(a, step, p if x0 else None, math.nan, nodes=nodes)
+        res = max(ide_residual(model, hf), gap)
     if not res <= _RESIDUAL_GATE:
         raise NonConvergenceError(
             "equation residual %.3e exceeds %.0e at step %g%s"
@@ -379,19 +399,20 @@ def ide_residual(model, h: HFunction) -> float:
     at the stiff rate rho + 2c/sigma^2 would only measure interpolation
     noise.
     """
-    grid = h.grid
-    hp = derivative(grid, 1).values if model.sigma == 0.0 else h.hp.values
-    res = _generator_grid(model, grid.step, grid.values, hp, h.hpp.values)
+    grid, xs = h.grid, _solver_nodes(h.a, h.step)
+    hp = derivative(grid, 1).values if model.sigma == 0.0 else h.read(xs, 1)
+    res = _generator_grid(model, grid.step, grid.values, hp, h.read(xs, 2))
     lo = max(2, len(res) // 100)
     return float(np.max(np.abs(res[lo:-2])))
 
 
-def _whole_line(model, x, at_zero, inside):
-    """inside(x) on x >= 0 and at_zero * Phi_d(-x) below zero.
+def _whole_line(model, x, inside):
+    """inside(x) on x >= 0 and inside(0) Phi_d(-x) below zero.
 
     From a deficit the surplus must climb back to 0 within the grace
-    period, so a quantity worth at_zero at 0 is worth at_zero Phi_d(-x)
-    at x < 0. Both h and the barrier value continue below zero this way.
+    period, so a quantity worth inside(0) at 0 is worth
+    inside(0) Phi_d(-x) at x < 0; inside(0) is read only where x has such
+    points. Both h and the barrier value continue below zero this way.
     At sigma = 0 the drift cannot climb back from -c d or below in time,
     so the value there is zero without a transform; a diffusion can
     recover from any deficit.
@@ -406,24 +427,17 @@ def _whole_line(model, x, at_zero, inside):
     neg = (~pos) & (x_arr > -reach)
     if np.any(neg):
         # Phi_d from the Lambda the forcing memo holds
-        out[neg] = at_zero * _route(model)[0].phi(-x_arr[neg])[0]
+        out[neg] = inside(np.zeros(1))[0] * _route(model)[0].phi(-x_arr[neg])[0]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def h_callable(model, h: HFunction):
     """Whole-line evaluator for an exit function.
 
-    Inside [0, a] h is read by HFunction.read: the closed sum of
-    exponentials where the route has exponents, else the solver grid
-    read linearly. Below zero the value is h(0) times the recovery
-    transform of the deficit, zero from -c d down at sigma = 0.
-    Evaluation above the barrier is a contract violation.
+    Inside [0, a] h is read by HFunction.read, which refuses a point above
+    the barrier: the closed sum of exponentials where the route has
+    exponents, else a table's node arrays read linearly. Below zero the
+    value is h(0) times the recovery transform of the deficit, zero from
+    -c d down at sigma = 0.
     """
-    grid = h.grid
-
-    def fun(x):
-        if np.any(np.asarray(x, dtype=float) > grid.hi + 1e-9):
-            raise ValueError("h is defined only up to its barrier")
-        return _whole_line(model, x, grid.values[0], h.read)
-
-    return fun
+    return lambda x: _whole_line(model, x, h.read)

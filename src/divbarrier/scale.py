@@ -270,19 +270,20 @@ def exp_sum(t, weights, xs, top=0):
     """sum_i weights_i t_i^k e^{t_i x} at the points xs (any shape), for
     k = 0, ..., top, stacked along a new first axis.
 
-    Summed one exponent at a time, elementwise, so a point's value does
-    not depend on the other points it is evaluated with, as it would
-    through a BLAS product's blocking.
+    Each row adds the exponents' terms one at a time, elementwise, so a
+    point's value does not depend on the other points it is evaluated
+    with, as it would through a BLAS product's blocking; the terms of all
+    exponents are taken in one array, so a read at a few points costs a
+    few numpy calls per row.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs, t = np.asarray(xs, dtype=float), np.asarray(t, dtype=float)[:, None]
+    terms = np.exp(t * xs.ravel())
+    terms *= np.asarray(weights, dtype=float)[:, None]
     out = np.zeros((top + 1, xs.size))
-    rows, term = tuple(out), np.empty(xs.size)
-    for ti, wi in zip(t, weights):
-        np.exp(np.multiply(xs.ravel(), ti, out=term), out=term)
-        term *= wi
-        for v in rows:
-            v += term
-            term *= ti
+    for row in out:
+        for term in terms:
+            row += term
+        terms *= t
     return out.reshape((top + 1,) + xs.shape)
 
 
@@ -310,6 +311,11 @@ def _roots(model):
     Q is deflated by its root rho; the others are the roots of the
     quotient, each taken in the form that does not cancel (at sigma = 0
     the quotient is linear, and the one left is -b2/b1).
+
+    At sigma > 0, W(0) = sum_i c_i is 0, since sum_i p(t_i)/Q'(t_i) = 0
+    for any p of degree below deg Q - 1. The last weight is taken as minus
+    the sum of the others, so that a sum in this order, as exp_sum takes
+    it, reads W(0) = 0 exactly and not to rounding.
     """
     c, mu, rho = model.c, model.claims.mu, model.rho
     s2 = 0.5 * model.sigma ** 2
@@ -322,7 +328,8 @@ def _roots(model):
     # being s2, or c where Q is quadratic
     diff = np.subtract.outer(t, t)
     np.fill_diagonal(diff, 1.0)
-    return t, (mu + t) / ((s2 or c) * np.prod(diff, axis=1))
+    w = (mu + t) / ((s2 or c) * np.prod(diff, axis=1))
+    return t, np.append(w[:2], -(w[0] + w[1])) if s2 else w
 
 
 def _bessel_series_scaled(a, z, extra_exponent):

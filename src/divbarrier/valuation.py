@@ -23,12 +23,15 @@ HJB inequalities below are then checked in closed form too
 [a*, inf) from the sup of (Gamma - q) v, which the route takes from
 its claim law (scale's generator_above), so this module reads none.
 
-A route without exponents (a table below d = inf) is scanned: a grid
-scan of h'' on [0, a_max] brackets each zero, every zero other than
-the chosen one is reported as an alternative, and a slope at a_max
-below every candidate's is an error naming a_max. The value and its
-certificates read h in closed form wherever it has exponents
-(HFunction.read), not off a grid.
+A route without exponents (a table below d = inf) is scanned: h'' read
+at the solver grid's nodes on [0, a_max] brackets each zero, every
+zero other than the chosen one is reported as an alternative, and a
+slope at a_max below every candidate's is an error naming a_max.
+
+Either way optimal_barrier only finds a*; the solution at a*, 0
+included, is built by barrier_solution_at, as for a forced barrier.
+This module reads every exit function through HFunction.read, in
+closed form wherever it has exponents, and never its sampled grid.
 
 Verification never trusts the construction: hjb_verify re-applies the
 integro-differential generator to the assembled value function on a
@@ -66,6 +69,7 @@ from .hfun import (
     _generator_grid,
     _require_step,
     _route,
+    _solver_nodes,
     _solver_step,
     _whole_line,
 )
@@ -118,7 +122,7 @@ def _build_h(model, a, step):
 
 def _barrier_slope(h: HFunction):
     """h'(a), the normalizing slope of a barrier value; must be positive."""
-    slope = float(h.hp.values[-1])
+    slope = h.slope
     if slope <= 0.0:
         raise ValueError("degenerate barrier slope h'(a) <= 0")
     return slope
@@ -138,19 +142,6 @@ def value_barrier(model, h: HFunction, a, x):
         out[~above] = hc(xs[~above]) / slope
     out[above] = xs[above] - a + 1.0 / slope
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def _boundary_solution(model, scan: HFunction) -> BarrierSolution:
-    """The pay-everything barrier at 0: x plus a lump 1/slope0, with the
-    unnormalized slope at zero read off the exit function scan. With
-    h(0) = 0 (sigma > 0, d = 0) ruin at 0 is immediate and the lump is 0."""
-    h0 = scan.grid.values[0]
-    v0 = 1.0 / float(scan.hp.values[0] / h0) if h0 else 0.0
-
-    def value(x):
-        return _whole_line(model, x, v0, lambda t: t + v0)
-
-    return BarrierSolution(0.0, scan, value, None, True, ())
 
 
 def _refine_root(xs, ys, i):
@@ -246,28 +237,33 @@ def optimal_barrier(model, a_max, grid_step=1e-3) -> BarrierSolution:
     [0, inf). Anywhere else the candidates are 0 and every zero where h''
     rises through 0 on a scan of [0, a_max]; the one with the smallest
     h' wins (Loeffen 2008), and the report is hjb_verify's sampled
-    sweep over [a*, a* + 10].
+    sweep over [a*, a* + 10]. The solution at a* is barrier_solution_at's.
     """
     if not 0.0 < a_max < math.inf:
         raise ValueError("a_max must be positive and finite, got %g" % (a_max,))
     _require_step(grid_step)
     route = _route(model)[0]
     if route.t is None:
-        return _scanned_barrier(model, a_max, grid_step)
-    a = _closed_barrier(route.t, route.weights)
-    if a > a_max:
-        raise ValueError("the smallest slope is at a* = %.6g, above a_max = %g; "
-                         "enlarge a_max" % (a, a_max))
+        a, roots = _scanned_barrier(model, a_max, grid_step)
+    else:
+        a, roots = _closed_barrier(route.t, route.weights), ()
+        if a > a_max:
+            raise ValueError("the smallest slope is at a* = %.6g, above a_max = %g; "
+                             "enlarge a_max" % (a, a_max))
     sol = barrier_solution_at(model, a, grid_step)
-    return replace(sol, hjb_report=_closed_report(model, route, sol))
+    report = (_closed_report(model, route, sol) if route.t is not None
+              else hjb_verify(model, sol, a + 10.0, tol=_HJB_TOL))
+    return replace(sol, hjb_report=report, alternatives=tuple(t for t in roots if t != a))
 
 
 def _scanned_barrier(model, a_max, grid_step):
-    """optimal_barrier off a scan of h'' on [0, a_max] at grid_step, for a
-    route without exponents: the scan's grid brackets each zero, located
-    by the local parabola (_refine_root); the report is hjb_verify's."""
+    """(a*, the zeros of h'') as Python floats, off a scan of h'' on
+    [0, a_max] at grid_step, for a route without exponents: the scan's
+    nodes bracket each zero, located by the local parabola (_refine_root).
+    A zero, and so a*, is rounded to 12 decimals."""
     scan = _build_h(model, a_max, grid_step)
-    xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values
+    xs = _solver_nodes(a_max, scan.step)
+    hp, hpp = scan.read(xs, 1), scan.read(xs, 2)
     sign = np.sign(hpp)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     exact = [i for i in np.nonzero(hpp == 0.0)[0] if 0 < i < len(xs) - 1]
@@ -275,32 +271,35 @@ def _scanned_barrier(model, a_max, grid_step):
     # (zero of h'', whether h'' rises through it: a local minimum of h')
     zeros = [(float(xs[i]), hpp[i - 1] < 0 < hpp[i + 1]) for i in exact]
     zeros += [(_refine_root(xs, hpp, i), hpp[i] < 0) for i in flips]
-    roots = sorted(set(round(t, 12) for t, _ in zeros))
-    cands = [0.0] + sorted(set(round(t, 12) for t, up in zeros if up))
+    roots = sorted(set(float(round(t, 12)) for t, _ in zeros))
+    cands = [0.0] + sorted(set(float(round(t, 12)) for t, up in zeros if up))
 
-    slopes = np.interp(cands, xs, hp)
+    slopes = scan.read(cands, 1)
     k = int(np.argmin(slopes))
     if hp[-1] < slopes[k]:
         raise ValueError(
             "the slope at a_max = %g is below its value at 0 and at every "
             "minimum of h'; enlarge a_max" % a_max)
-    sol = (barrier_solution_at(model, cands[k], grid_step) if k
-           else _boundary_solution(model, scan))
-    report = hjb_verify(model, sol, sol.a_star + 10.0, tol=_HJB_TOL)
-    return replace(sol, hjb_report=report, alternatives=tuple(
-        t for t in roots if t != sol.a_star))
+    return cands[k], roots
 
 
 def barrier_solution_at(model, a, grid_step=1e-3) -> BarrierSolution:
-    """Solution object for a forced (possibly suboptimal) barrier a."""
+    """Solution object for a forced (possibly suboptimal) barrier a.
+
+    At a = 0 it is the pay-everything barrier: x plus a lump h(0)/h'(0),
+    read off the exit function at a small barrier. With h(0) = 0
+    (sigma > 0, d = 0) ruin at 0 is immediate and the lump is 0.
+    """
     if not 0.0 <= a < math.inf:
         raise ValueError("barrier must be >= 0 and finite, got %g" % (a,))
-    if a == 0.0:
-        return _boundary_solution(model, _build_h(
-            model, max(10 * grid_step, 1e-2), _solver_step(model, grid_step)))
-    h = _build_h(model, a, _solver_step(model, grid_step))
-    _barrier_slope(h)  # a degenerate slope fails here, not at first use
-    return BarrierSolution(a, h, partial(value_barrier, model, h, a), None, False, ())
+    h = _build_h(model, a or max(10 * grid_step, 1e-2), _solver_step(model, grid_step))
+    if a:
+        _barrier_slope(h)  # a degenerate slope fails here, not at first use
+        return BarrierSolution(a, h, partial(value_barrier, model, h, a), None, False, ())
+    h0, slope0 = h.read(0.0, 0)[0], h.read(0.0, 1)[0]
+    v0 = 1.0 / float(slope0 / h0) if h0 else 0.0
+    return BarrierSolution(0.0, h, lambda x: _whole_line(model, x, lambda t: t + v0),
+                           None, True, ())
 
 
 def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
@@ -372,7 +371,7 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
     v1, v2 = np.ones_like(xs), np.zeros_like(xs)
     if a > 0:
         # off h itself: closed where it has exponents
-        slope = float(sol.h.hp.values[-1])
+        slope = _barrier_slope(sol.h)
         below = xs <= a + 1e-12
         v1[below] = sol.h.read(xs[below], 1) / slope
         v2[below] = sol.h.read(xs[below], 2) / slope
@@ -465,9 +464,10 @@ def gprime_monotone_check(model, a_star, b_max, grid_step=1e-3,
         raise ValueError("b_max must exceed a_star")
     if gprime is None:
         h = _build_h(model, b_max, _solver_step(model, grid_step))
+        xs = _solver_nodes(b_max, h.step)
+        hp = h.read(xs, 1)
         # the slope of xi with xi(0) = 1, or with xi'(0) = 1 when h(0) = 0
-        vals = h.hp.values / (h.grid.values[0] or h.hp.values[0])
-        xs = h.grid.x
+        vals = hp / (h.read(0.0)[0] or hp[0])
     else:
         vals = gprime.values
         xs = gprime.x

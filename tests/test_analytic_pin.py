@@ -113,7 +113,8 @@ def _h(claims, sigma, d, a, step):
     m = _model(claims, d, sigma)
     build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
     h = build(m, a, step)
-    return [h.grid.values, h.hp.values, h.hpp.values, h.ide_residual,
+    xs = np.append(h.grid.x[:-1], a)
+    return [h.grid.values, h.read(xs, 1), h.read(xs, 2), h.ide_residual,
             h.xi_prime_zero or 0.0]
 
 
@@ -258,14 +259,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-exp-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '30a61564d4d19bee',
-        '30a61564d4d19bee', 'cc3a747b540ae754', '0x1.da9018ee9abf4p-1',
+        '0x1.3333333333333p-2', 'False', 'aec2309b93e9109a',
+        'aec2309b93e9109a', 'd7faa04c42c3a409', '0x1.da9018ee9abf4p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1', "'sampled'",
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.c171800000000p-30', '0x1.4f8b588e368f1p-17',
+        '0x1.c171000000000p-30', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.c12bc00000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a85p-1',
+        '0x1.c12c000000000p-30', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc1081412a84p-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0': [
@@ -288,16 +289,16 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
-        '0x1.89e3a9d068884p-1', 'False', 'True', 'bb2a60f21d120b4c',
+        '0x1.89e3a9d068884p-1', 'False', 'True', '867e98e4a70fe7ca',
     ],
     'barrier-s0-d2': [
         '0x0.0p+0', 'True', 'True', '1fedea689330bfaf',
     ],
     'barrier-s0.5-d0': [
-        '0x1.926bbfa737767p-1', 'False', 'True', 'e0733d5be1b6fdce',
+        '0x1.926bbfa737767p-1', 'False', 'True', '6e042d153056bbd9',
     ],
     'barrier-s0.5-d0-step2e-5': [
-        '0x1.926bbfa737767p-1', 'False', 'True', 'e0733d5be1b6fdce',
+        '0x1.926bbfa737767p-1', 'False', 'True', '6e042d153056bbd9',
     ],
     'barrier-s0.5-d1': [
         '0x0.0p+0', 'True', 'True', '3c8ca671f588816f',
@@ -322,8 +323,8 @@ PINS = {
         '0x1.540ab58609df6p-49', '0x0.0p+0',
     ],
     'h-exp-s0.5-d0': [
-        '629ecd2303c478e4', '40f8003d90f51133', '36e84b287e177e64',
-        '0x1.054cba5ea4464p-48', '0x0.0p+0',
+        '96ba389e057689d2', 'aff1458517ade5b0', 'cd1de0d4d591cc05',
+        '0x1.04ccba5ea4464p-48', '0x0.0p+0',
     ],
     'h-exp-s0.5-d1': [
         'e6c2fbd278106c35', '05c51f6b40fe3cb1', '5805a1c7bde5fb33',
@@ -389,7 +390,7 @@ PINS = {
     ],
     'phi-exp-s0.5-d2': [
         '0x1.0000000000000p+0', '0', '0x0.0p+0', '0x1.dbd59ca1e616ap-1', '0',
-        '0x1.e75dc4941dcf1p-43', '0x1.c52784d1d1a56p-1', '0',
+        '0x1.e75dc4941dcf2p-43', '0x1.c52784d1d1a56p-1', '0',
         '0x1.0000866bfb377p-46', '24f7b26b0a4ebc7f',
     ],
     'phi-exp-s0.5-dinf': [
@@ -436,7 +437,7 @@ PINS = {
         '558dec7941f50116', 'a754ff3b02f99ee1', '2c3b8187867a8edf',
     ],
     'value-s0-d0': [
-        '6b9bb90c6518101c', '0x0.0p+0', '6b9bb90c6518101c', '662ba3706aead0c0',
+        '6d7cacab12292f9a', '0x0.0p+0', '6d7cacab12292f9a', '83efae547e9fd3c9',
         '7e9b1fdf3a04b92d', 'f731866f6c5cc6f9', 'True', '0x0.0p+0',
     ],
     'value-s0-d2': [
@@ -444,7 +445,7 @@ PINS = {
         'a716d42a7c30430e', 'True', '0x0.0p+0',
     ],
     'value-s0.5-d1': [
-        '94077e0fc1cc6d87', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',
+        '175b2c6c469e7006', '0x1.04db53ca4c990p+2', '3c65c57e7d92d1b5',
         '95b1e4a5aedcfe3e', 'True', '0x0.0p+0',
     ],
     'w-exp-s0-d2': [

@@ -12,6 +12,11 @@ the tracer, the per-layer counts that a solve plus a query derive the
 Lundberg root once per model, now that the root solve sits in model.py
 (ValidatedModel.rho), and take u(d) from the forcing memo's scale route,
 not from expmodel's closed series.
+
+The harness's solve check (perfbench/workloads.py) reads a solution's
+h through its sampled grid view, sol.h.grid, which the library itself
+no longer reads; so this file also runs that check, loaded from the
+harness, on an Exp solve and a table solve.
 """
 
 import importlib
@@ -27,6 +32,7 @@ from divbarrier import hfun, valuation
 from divbarrier.lundberg import lundberg_root
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +147,33 @@ def test_rho_is_the_root_solved_on_first_read(tracer):
         t.uninstall()
     assert t.calls_by_op("lundberg.lundberg_root") == {0: 1}
     assert first == second == lundberg_root(model).rho
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("claims,sigma,d", [("exp", 0.5, 0.0), ("exp", 0.5, math.inf),
+                                            ("tab", 0.0, 2.0)])
+def test_the_harness_reads_of_a_solve(workloads, claims, sigma, d):
+    params = (workloads.LAM, workloads.C, sigma, 0.1, 0.8, d)
+    spec = ("exp", 1.0) if claims == "exp" else ("tab", 1.0, workloads._tab_x_max(1.0, d))
+    model = workloads.build_model(params, spec)
+    sol = db.optimal_barrier(model, workloads.A_MAX)
+    # an exponent route builds no sampled view until one reads it
+    assert claims != "exp" or "grid" not in vars(sol.h)
+    xs = np.linspace(0.0, sol.h.a, 9)
+    assert np.all(np.isfinite(sol.h.grid.interp(xs))) and np.isfinite(sol.h.grid.values[0])
+    assert np.all(np.isfinite(sol.value(xs)))
+    assert isinstance(sol.a_star, float) and isinstance(sol.boundary, bool)
+    assert sol.hjb_report.passed
+    # the view is read at the solver grid's nodes, the last one a itself
+    grid = sol.h.grid
+    assert np.array_equal(sol.h.read(np.append(grid.x[:-1], sol.h.a)), grid.values)
+    assert grid.values[-1] == 1.0
+    check = workloads.check(workloads.Op(0, 0, "solve", params, spec, True), model, sol)
+    assert check.ok, check.reason

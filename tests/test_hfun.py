@@ -26,7 +26,7 @@ import pytest
 
 import divbarrier as db
 from divbarrier import expmodel, firstpassage, gridmath, hfun, model, scale
-from divbarrier.gridmath import GridFunction, NonConvergenceError
+from divbarrier.gridmath import NonConvergenceError
 from divbarrier.hfun import (
     HFunction,
     h_callable,
@@ -51,8 +51,8 @@ class TestSigma0ClosedFormAgreement:
         za = expmodel.vartheta(m_d0, A)
         assert np.max(np.abs(h.grid.values - expmodel.vartheta(m_d0, xs) / za)) < 1e-8
         _, th1, th2 = expmodel.exp_series(m_d0, xs, 0.0)
-        assert np.max(np.abs(h.hp.values - th1 / za)) < 1e-8
-        assert np.max(np.abs(h.hpp.values - th2 / za)) < 1e-7
+        assert np.max(np.abs(h.read(xs, 1) - th1 / za)) < 1e-8
+        assert np.max(np.abs(h.read(xs, 2) - th2 / za)) < 1e-7
 
     def test_delay_two_ratios(self, m_d2):
         h = h_d_sigma0(m_d2, A, step=1e-4)
@@ -60,7 +60,7 @@ class TestSigma0ClosedFormAgreement:
         za = expmodel.varrho(m_d2, A, 2.0)
         assert np.max(np.abs(h.grid.values
                              - expmodel.varrho(m_d2, xs, 2.0) / za)) < 1e-6
-        assert np.max(np.abs(h.hp.values
+        assert np.max(np.abs(h.read(xs, 1)
                              - expmodel.exp_series(m_d2, xs, 2.0)[1] / za)) < 1e-6
 
     def test_normalization_and_residual(self, m_d0):
@@ -109,8 +109,8 @@ class TestSigma0ClosedFormAgreement:
         m = _tab_model(1e-2, math.inf, sigma)
         h = (h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos)(m, 0.5, step=1e-4)
         want = np.exp(m.rho * (h.grid.x - 0.5))
-        for k, got in enumerate((h.grid, h.hp, h.hpp)):
-            assert np.max(np.abs(got.values - m.rho ** k * want)) < 1e-14
+        for k in range(3):
+            assert np.max(np.abs(h.read(h.grid.x, k) - m.rho ** k * want)) < 1e-14
         # certified in closed form: K(rho) = 0 and no tail row
         assert h.ide_residual <= 1e-12
 
@@ -131,17 +131,17 @@ class TestSigma0ClosedFormAgreement:
         assert len(t) == 2
         h = h_d_sigma0(m_d0, A, step=1e-4)
         wa = scale_oracle.scale_w(t, wt, A)
-        for k, got in enumerate((h.grid, h.hp, h.hpp)):
+        for k in range(3):
             want = scale_oracle.scale_w(t, wt, h.grid.x, k) / wa
-            assert np.max(np.abs(got.values - want)) < 2e-11
+            assert np.max(np.abs(h.read(h.grid.x, k) - want)) < 2e-11
 
     @pytest.mark.parametrize("d", [0.5, 2.0, math.inf])
     def test_delayed_series_ratios(self, d):
         m = make_model(d)
         h = h_d_sigma0(m, A, step=1e-4)
         series = expmodel.exp_series(m, h.grid.x, d)
-        for got, want in zip((h.grid, h.hp, h.hpp), series):
-            assert np.max(np.abs(got.values - want / series[0][-1])) < 5e-11
+        for k, want in enumerate(series):
+            assert np.max(np.abs(h.read(h.grid.x, k) - want / series[0][-1])) < 5e-11
 
     def test_tabulated_matches_exponential(self, tab_dist):
         for d in (0.0, 2.0):
@@ -151,7 +151,7 @@ class TestSigma0ClosedFormAgreement:
             ht = h_d_sigma0(mt, A, step=2e-4)
             he = h_d_sigma0(me, A, step=2e-4)
             assert np.max(np.abs(ht.grid.values - he.grid.values)) < 1e-6
-            assert np.max(np.abs(ht.hp.values - he.hp.values)) < 1e-6
+            assert np.max(np.abs(ht.read(ht.grid.x, 1) - he.read(he.grid.x, 1))) < 1e-6
 
 
 class TestReachBackForcing:
@@ -363,11 +363,10 @@ class TestResidualDetector:
         # a flat "exit function" violates the equation by at least
         # (lam + q - lam r) once the claim convolution saturates
         n = 2000
-        step = A / n
-        ones = GridFunction(0.0, A, step, np.ones(n + 1))
-        zeros = ones.with_values(np.zeros(n + 1))
-        fake = HFunction(grid=ones, hp=zeros, hpp=zeros, a=A,
-                         xi_prime_zero=None, ide_residual=0.0)
+        nodes = np.zeros((3, n + 1))
+        nodes[0] = 1.0
+        fake = HFunction(a=A, step=A / n, xi_prime_zero=None, ide_residual=0.0,
+                         nodes=nodes)
         res = ide_residual(m_d0, fake)
         assert (10.1 - 8.0) * 0.99 <= res <= 10.1 * 1.01
 
@@ -462,8 +461,8 @@ class TestScaleFunctionOracle:
         h = h_d_sigma_pos(m, 0.5, step=1e-4)
         want = np.exp(-rho * (0.5 - h.grid.x))
         assert np.max(np.abs(h.grid.values - want)) < 1e-7
-        assert np.max(np.abs(h.hp.values - rho * want)) < 1e-6
-        assert np.max(np.abs(h.hpp.values - rho * rho * want)) < 1e-6
+        assert np.max(np.abs(h.read(h.grid.x, 1) - rho * want)) < 1e-6
+        assert np.max(np.abs(h.read(h.grid.x, 2) - rho * rho * want)) < 1e-6
 
     def test_no_delay_is_scale_function_ratio(self):
         m = make_model(0.0, sigma=0.5)
@@ -492,9 +491,9 @@ class TestScaleFunctionOracle:
                                            s_step=2.5e-4)
         h = h_d_sigma_pos(make_model(d, sigma=0.5), 1.0, step=1e-5)
         lam_a = scale_oracle.scale_w(t, wts, 1.0)
-        for order, got, tol in ((0, h.grid, 5e-9), (1, h.hp, 2e-8), (2, h.hpp, 2e-6)):
+        for order, tol in ((0, 5e-9), (1, 2e-8), (2, 2e-6)):
             want = scale_oracle.scale_w(t, wts, h.grid.x, order) / lam_a
-            assert np.max(np.abs(got.values - want)) < tol
+            assert np.max(np.abs(h.read(h.grid.x, order) - want)) < tol
 
     def test_unit_clock_boundary_value(self):
         slope = scale_oracle.continuation_slope(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, 1.0)
@@ -631,9 +630,9 @@ class TestExponentialBasis:
         else:
             t, wts = scale_oracle.exit_weights(10.0, 15.0, 0.1, 0.8, sigma, 1.0, d)
         lam_a = scale_oracle.scale_w(t, wts, a)
-        for order, got in enumerate((h.grid, h.hp, h.hpp)):
+        for order in range(3):
             want = scale_oracle.scale_w(t, wts, h.grid.x, order) / lam_a
-            assert np.max(np.abs(got.values - want)) < 1e-10
+            assert np.max(np.abs(h.read(h.grid.x, order) - want)) < 1e-10
 
 
 class TestClosedExitFunction:
@@ -853,11 +852,12 @@ class TestReadOrder:
 
     def test_valid_orders(self):
         tab = h_d_sigma0(_tab_model(1e-2, 2.0), 0.5)
-        for k, g in enumerate((tab.grid, tab.hp, tab.hpp)):
+        xs = tab.grid.x
+        for k in range(3):
             for order in (k, np.int64(k)):
-                assert tab.read(0.2, order)[0] == g.interp(0.2)
+                assert tab.read(0.2, order)[0] == np.interp(0.2, xs, tab.read(xs, k))
         h = h_d_sigma0(make_model(0.0), 0.5)
-        assert h.read(0.2, 3)[0] == scale.exp_sum(h.t, h.w, 0.2, 3)[3]
+        assert h.read(0.2, 3)[0] == scale.exp_sum(h.t, h.big_w, 0.2, 3)[3] / h.w_at_a
         assert h.read(0.2, np.int32(2))[0] == h.read(0.2, 2)[0]
 
 

@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "route_grid.py"
@@ -49,3 +51,25 @@ def test_moved_names_each_field_that_is_not_bit_identical(tool):
     # -0.0 is not 0.0 bit for bit
     assert tool.moved({"c": {"x": 0.0}}, {"c": {"x": -0.0}})
     assert tool.moved(old, old) == []
+
+
+def test_summary_names_each_move_that_is_not_a_number(tool):
+    old = {"c1": {"a_star": np.float64(0.5), "v": [1.0, 2.0], "boundary": True,
+                  "hjb.method": "sampled"},
+           "c2": {"a_star": np.float64(0.25), "v": [1.0, 4.0], "hjb.method": "closed"},
+           "c3": {"error": "NonConvergenceError('a')"}}
+    new = {"c1": {"a_star": 0.5, "v": [1.0, 2.0 + 2e-15], "boundary": False,
+                  "hjb.method": "closed"},
+           "c2": {"a_star": 0.25, "v": [1.0, 4.0 + 1e-15], "hjb.method": "closed"},
+           "c3": {"error": "NonConvergenceError('b')"},
+           "c4": {"a_star": 1.0}}
+    line = tool.summary(old, new)
+    head, largest, others = line.split("; ")
+    assert head == "8 fields moved in 4 of 4 cases"
+    # c1's v moved 2.2e-15 of 2, c2's 8.9e-16 of 4
+    assert largest == "largest relative move among the numbers %.3g (c1 v, abs %.3g)" % (
+        (2.0 + 2e-15 - 2.0) / (2.0 + 2e-15), 2.0 + 2e-15 - 2.0)
+    assert others == ("not numbers: a_star (type only) in 2 cases, boundary in 1 cases, "
+                      "hjb.method in 1 cases, error in 1 cases, a_star in 1 cases")
+    assert tool.summary(old, old) == ("0 fields moved in 0 of 3 cases; largest relative "
+                                      "move among the numbers none; not numbers: none")

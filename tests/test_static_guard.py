@@ -68,6 +68,13 @@ marching solve volterra_march stay in gridmath as the tests' references
 src/divbarrier names either, as an attribute, a name, an imported name
 or a string.
 
+An exit function is read one way: no module under src/divbarrier reads
+hp or hpp, which HFunction no longer has, and no module but hfun reads
+what defines an h (a table's node arrays, or the route's weights W and
+W(a)); every other module calls HFunction.read. valuation does not read
+the sampled grid view either. Each is spelled as an attribute or a
+getattr with a constant name.
+
 The Monte Carlo engine gathers r^K for its claim counts K from one table
 of np.power values, so simulator.py names np.power or numpy.power in
 one place, _Powers._build, which runs per chunk and never at import.
@@ -502,3 +509,52 @@ def test_power_table_guard_sees_both_spellings():
     for line in ("y = r ** k", "y = math.pow(r, k)", "from numpy import exp",
                  "y = table[k]", "y = np.float_power(r, k)"):
         assert not _power_sites(line), line
+
+
+SAMPLED_READS = ("hp", "hpp")
+DEFINING_READS = ("nodes", "big_w", "w_at_a")
+
+
+def _attribute_reads(source, names):
+    """Every read of an attribute in names: x.name or getattr(x, 'name')."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(_dotted(node) or node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in names):
+            found.append("getattr(%s)" % node.args[1].value)
+    return found
+
+
+def _exit_function_reads(path, source):
+    """The reads of an exit function that path may not make."""
+    names = SAMPLED_READS + (() if path == "hfun.py" else DEFINING_READS)
+    return _attribute_reads(source, names + (("grid",) if path == "valuation.py" else ()))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_exit_functions_are_read_through_read(path):
+    assert _exit_function_reads(path, (SRC / path).read_text()) == []
+
+
+def test_exit_function_guard_trips_on_the_old_readers():
+    # lines of valuation and the CLI from before every reader took
+    # HFunction.read, and reads of what defines an h
+    for line in ("slope = float(h.hp.values[-1])",
+                 "xs, hp, hpp = scan.grid.x, scan.hp.values, scan.hpp.values",
+                 "vals = h.hp.values / (h.grid.values[0] or h.hp.values[0])",
+                 "h0 = scan.grid.values[0]",
+                 "slope = float(sol.h.hp.values[-1])",
+                 "g = getattr(h, 'hpp')",
+                 "v = np.interp(xs, x, h.nodes[1])",
+                 "w = h.big_w / h.w_at_a"):
+        assert _exit_function_reads("valuation.py", line), line
+    assert _exit_function_reads("cli.py", "zip(h.grid.x, h.grid.values, h.hp.values)")
+    for line in ("slope = float(h.read(h.a, 1)[0])", "hp = h.read(xs, 1)",
+                 "w = h.w", "a = _closed_barrier(route.t, route.weights)", "x = hp[-1]"):
+        assert not _exit_function_reads("valuation.py", line), line
+    # hfun defines h, and the CLI writes the sampled view
+    assert not _exit_function_reads("hfun.py", "v = self.big_w / self.w_at_a")
+    assert not _exit_function_reads("cli.py", "xs = h.grid.x")

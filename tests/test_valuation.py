@@ -9,6 +9,7 @@ collapses to the pay-everything boundary with
 v(0) = c / (lam + q - lam r u(d)).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import divbarrier as db
-from divbarrier import expmodel, hfun, valuation
+from divbarrier import expmodel, hfun, scale, valuation
 from divbarrier.gridmath import GridFunction, NonConvergenceError
 from divbarrier.hfun import h_callable, w_d
 from divbarrier.valuation import (
@@ -156,7 +157,8 @@ class TestClosedCurvatureRoot:
         # the scan optimal_barrier runs on [0, a_max] at its grid_step
         m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 0.0), tab_dist)
         scan = db.h_d_sigma0(m, 2.0, 1e-3)
-        xs, hpp = scan.grid.x, scan.hpp.values
+        xs = hfun._solver_nodes(2.0, scan.step)
+        hpp = scan.read(xs, 2)
         (i,) = np.nonzero(np.sign(hpp[:-1]) * np.sign(hpp[1:]) < 0)[0]
         assert optimal_barrier(m, 2.0).a_star == round(_refine_root(xs, hpp, i), 12)
 
@@ -195,7 +197,7 @@ def _exp_generator_above(m, sol):
     v0 = float(sol.value(0.0))
     big_v, k1 = v0, 0.0
     if a:
-        big_v = 1.0 / float(h.hp.values[-1])
+        big_v = 1.0 / float(h.read(a, 1)[0])
         k1 = mu * big_v * float(np.sum(h.w * np.expm1((h.t + mu) * a) / (h.t + mu)))
     u = float(w_d(m, 0.0))
     beta = lam * r * ((1.0 / mu - big_v) + math.exp(-mu * a) * (k1 + v0 * u))
@@ -297,6 +299,24 @@ class TestClosedOptimality:
         sol = optimal_barrier(m, 1e3, grid_step=1e-1)
         assert sol.hjb_report.method == "closed" and sol.hjb_report.passed
 
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(exp_models(), st.floats(0.05, 5.0))
+    def test_h_at_zero_is_exact_over_the_valid_box(self, m, a):
+        # at sigma > 0 W's weights sum to 0 exactly, so h = W(x)/W(a) reads
+        # h(0) = 0 with no patch, and the certificate is the closed bound
+        # alone, with no |W(0)|/W(a) term. That bound is not below 1e-12 on
+        # the whole box: K at the roots carries the Lundberg root's residual
+        # (1e-12) and rounding at t_3 near -2c/sigma^2; 107 of 1,500 random
+        # draws read more, up to 2.8e-9 at sigma = 0.006
+        if m.sigma == 0.0:
+            return
+        assert sum(scale._roots(m)[1]) == 0.0
+        m0 = db.validate(dataclasses.replace(m.params, d=0.0), m.claims)
+        h = hfun.h_d_sigma_pos(m0, a)
+        assert h.read(0.0)[0] == 0.0 and h.grid.values[0] == 0.0
+        assert h.ide_residual == hfun._closed_residual(m0, h.t, h.w, a)[0]
+        assert h.ide_residual <= hfun._RESIDUAL_GATE
+
     @pytest.mark.parametrize("case", sorted(NO_SCAN_MODELS))
     def test_no_scan_and_no_sweep(self, monkeypatch, case):
         calls = []
@@ -340,6 +360,56 @@ class TestClosedOptimality:
         swept = hjb_verify(m, sol, 10.0).generator_above
         assert swept.worst_x == 0.0
         assert abs(swept.worst_value - top.worst_value) <= 1e-10
+
+
+def _tab_model(sigma, d):
+    return db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, d),
+                       db.tabulated_exponential(1.0, step=1e-2))
+
+
+class TestOneSolutionPath:
+    """optimal_barrier only finds a*: the solution at a*, 0 included, is
+    barrier_solution_at's on every route, and neither builds h's sampled
+    grid on an exponent route."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_model(0.0), lambda: make_model(2.0),
+        lambda: _tab_model(0.0, 0.0), lambda: _tab_model(0.0, 2.0),
+        lambda: _tab_model(0.5, 0.05), lambda: _tab_dinf(),
+    ], ids=["exp-d0", "exp-d2", "tab-d0", "tab-d2", "tab-s0.5-d0.05", "tab-dinf"])
+    def test_every_a_star_goes_through_barrier_solution_at(self, monkeypatch, make):
+        m, calls = make(), []
+
+        def spy(model, a, grid_step=1e-3, _real=valuation.barrier_solution_at):
+            calls.append(a)
+            return _real(model, a, grid_step)
+
+        monkeypatch.setattr(valuation, "barrier_solution_at", spy)
+        sol = optimal_barrier(m, 2.0)
+        assert calls == [sol.a_star]
+        assert sol.boundary == (sol.a_star == 0.0)
+
+    @pytest.mark.parametrize("d", [0.0, 0.05])
+    def test_a_scanned_a_star_is_a_python_float(self, d):
+        # the parabola's root was a numpy scalar, and so were a*, the
+        # report's a_star and its x_max
+        sol = optimal_barrier(_tab_model(0.0, d), 2.0)
+        rep = sol.hjb_report
+        assert rep.method == "sampled" and sol.a_star > 0.0
+        for value in (sol.a_star, rep.a_star, rep.x_max) + sol.alternatives:
+            assert type(value) is float
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [0.0, 0.1, math.inf])
+    def test_no_sampled_grid_on_an_exponent_route(self, monkeypatch, sigma, d):
+        calls = []
+        real = hfun._solver_grid
+        monkeypatch.setattr(hfun, "_solver_grid", lambda *args: calls.append(args) or real(*args))
+        m = make_model(d, sigma=sigma)
+        for sol in (optimal_barrier(m, 40.0), barrier_solution_at(m, 0.3)):
+            sol.value(np.array([-0.2, 0.0, 0.1, sol.a_star + 1.0]))
+            assert "grid" not in vars(sol.h)
+        assert calls == []
 
 
 class TestBoundaryOptimumWithDelay:
@@ -542,8 +612,7 @@ class TestValueAssemblyProperties:
 
 
 def _tab_dinf():
-    return db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, math.inf),
-                       db.tabulated_exponential(1.0, step=1e-2))
+    return _tab_model(0.0, math.inf)
 
 
 # the whole-line readers, each built lazily; a NaN point gave 0.0 (the

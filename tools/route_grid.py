@@ -19,6 +19,17 @@ in its own subprocess. Every field whose value is not bit-identical is
 printed with its distance (pin_distance.distance):
 
     tab-s0-dinf  hjb.method  'sampled' -> 'closed'  abs inf  rel inf
+
+The last line sums them up: how many fields moved in how many cases,
+the largest relative move among the numbers (with its case, field and
+absolute move), and every moved field that is not a number, with the
+number of cases it moved in. That is a flag, a method, an error, or a
+type-only move such as np.float64(x) -> x, whose value is equal but
+whose type is not:
+
+    70 fields moved in 40 of 64 cases; largest relative move among the
+    numbers 1.5 (tab-s0-d0.1 hjb.generator_above.worst_value, abs 5.33e-15);
+    not numbers: a_star (type only) in 4 cases, ...
 """
 
 import dataclasses
@@ -94,10 +105,10 @@ def grid():
     return {name: case_fields(*spec) for name, spec in CASES.items()}
 
 
-def moved(old, new):
-    """One line per field not bit-identical between the grids old and new,
-    with its distance; a field present in one only is at distance inf."""
-    lines = []
+def _moves(old, new):
+    """(case, field, old value, new value, abs, rel) for each field not
+    bit-identical between the grids old and new; a field present in one
+    only is at distance inf."""
     for case in new:
         a, b = old.get(case, {}), new[case]
         for field in list(b) + [f for f in a if f not in b]:
@@ -105,9 +116,33 @@ def moved(old, new):
                 continue
             gap, rel = (distance(a[field], b[field]) if field in a and field in b
                         else (math.inf, math.inf))
-            lines.append("%s  %s  %r -> %r  abs %.3g  rel %.3g"
-                         % (case, field, a.get(field), b.get(field), gap, rel))
-    return lines
+            yield case, field, a.get(field), b.get(field), gap, rel
+
+
+def moved(old, new):
+    """One line per field not bit-identical between the grids old and new,
+    with its distance."""
+    return ["%s  %s  %r -> %r  abs %.3g  rel %.3g" % move for move in _moves(old, new)]
+
+
+def summary(old, new):
+    """The last line: how many fields moved in how many cases, the largest
+    relative move among the numbers, and each moved field that is not a
+    number (at distance inf, or at distance 0: a type-only move), with
+    the number of cases it moved in."""
+    moves = list(_moves(old, new))
+    numbers = [move for move in moves if 0.0 < move[5] < math.inf]
+    top = max(numbers, key=lambda move: move[5], default=None)
+    others = {}
+    for _, field, _, _, _, rel in moves:
+        if not 0.0 < rel < math.inf:
+            name = field + (" (type only)" if rel == 0.0 else "")
+            others[name] = others.get(name, 0) + 1
+    return ("%d fields moved in %d of %d cases; largest relative move among the numbers %s; "
+            "not numbers: %s" % (
+                len(moves), len({move[0] for move in moves}), len(new),
+                "%.3g (%s %s, abs %.3g)" % (top[5], top[0], top[1], top[4]) if top else "none",
+                ", ".join("%s in %d cases" % kv for kv in others.items()) or "none"))
 
 
 def _run(src, out_path):
@@ -133,10 +168,8 @@ def main(argv):
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         old = _run(Path(tmp) / "src", os.path.join(tmp, "old.pkl"))
         new = _run(ROOT / "src", os.path.join(tmp, "new.pkl"))
-    lines = moved(old, new)
-    print("\n".join(lines))
-    print("%d fields moved in %d of %d cases"
-          % (len(lines), len({line.split()[0] for line in lines}), len(new)))
+    print("\n".join(moved(old, new)))
+    print(summary(old, new))
     return 0
 
 
