@@ -86,6 +86,18 @@ the solution family is
 
 and xi, xi' and xi'' are one such solve each.
 
+xi does not depend on the barrier (h = xi/xi(a)), so a table's equation
+is solved once per model, step and start (x0 and p below) on the
+lattice k step from 0, k running to the first node at or past the
+largest barrier asked so far, and the solve is kept in the model's memo
+entry (_lattice). Every barrier reads its node arrays at the solver
+grid's nodes off that solve, xi and xi' by cubic Hermite interpolation
+on the row below each and xi'' linearly (_hermite), and divides them by
+xi(a). Only a barrier past the lattice end solves again, on a longer
+lattice. The equation is causal, so a longer lattice carries the same
+discrete solution, up to rounding (a few 1e-12 of h). The certificate
+is unchanged: a warm barrier costs its certificate and no solve.
+
 There is one free slope p = xi'(0) at sigma > 0. Every p solves a
 table's equation on (0, a), so p is imposed: h is C^1 at 0 with its
 continuation, p = -Phi_d'(0+), the route's slope Lambda'(0)/Lambda(0).
@@ -102,22 +114,24 @@ its forcing, like e^{rho x}.
 
 The operator of the equation, sigma^2/2 v'' + c v' - (lam+q) v
 + lam r (f*v + v(0) w_d), is applied on a grid in one place: the grid
-rerun check ide_residual and the HJB sweep of valuation both call it.
+rerun check ide_residual and the HJB sweep of valuation both call it,
+the sweep with the node from which v is affine (above the barrier),
+whose part a table convolves in closed form.
 The residual an exit function reports is, in h units, one of two
 certificates. Where the route has exponents it is the closed bound
 _closed_residual on all of [0, a]; valuation's closed HJB report takes
-its interior bound from the same function. A table below
-d = inf is solved on its grid and reports ide_residual on the returned
-h, at sigma > 0 raised to an interface term when that is larger, so it
-is never below the check a caller can rerun. At 0 < d < inf the term
+its interior bound from the same function. A table below d = inf
+reports ide_residual on the returned h, on the barrier's own solver
+grid, at sigma > 0 raised to an interface term when that is larger, so
+it is never below the check a caller can rerun. At 0 < d < inf the term
 is the cross-route gap max |h - Lambda(x)/Lambda(a)| on the solver
-grid, which a wrong imposed slope cannot pass; at d = 0 it is the
-mismatch between the solved slope at 0+ and the imposed unit one. An h
-whose reported residual exceeds the gate is refused with
-NonConvergenceError.
+grid, which a wrong imposed slope (solved on a lattice of its own,
+since p keys the lattice) cannot pass; at d = 0 it is the mismatch
+between the solved slope at 0+ and the imposed unit one. An h whose
+reported residual exceeds the gate is refused with NonConvergenceError.
 
-The memo holds at most _CACHE_SIZE models; past that the oldest entry
-goes.
+The memo holds at most _CACHE_SIZE models, and each entry at most
+_LATTICES lattice solves; past that the oldest goes.
 """
 
 import math
@@ -139,11 +153,16 @@ from .gridmath import (
 )
 from .scale import exit_equation, exp_sum, scale_ratio
 
-# (model.key(), "route") -> (Lambda, w_d reader), oldest first
+# (model.key(), "route") -> (Lambda, w_d reader, lattices), oldest first;
+# lattices maps (step, x0, p) to a table's lattice solve (_lattice)
 _CACHE = {}
 
 # models the memo holds; a table's entry near d = 2 holds over 1 MB
 _CACHE_SIZE = 8
+
+# lattice solves a model's entry keeps, oldest out: a scan's step and
+# the solver step
+_LATTICES = 2
 
 # sup-norm equation residual above which a built exit function is refused
 _RESIDUAL_GATE = 1e-4
@@ -204,22 +223,28 @@ class HFunction:
         return exp_sum(self.t, self.big_w, xs, order)[order] / self.w_at_a
 
 
+def _entry(model):
+    """The model's memo entry (Lambda, reader, lattices): see _route,
+    and _lattice for the lattices."""
+    key = (model.key(), "route")
+    if key not in _CACHE:
+        if len(_CACHE) >= _CACHE_SIZE:
+            del _CACHE[next(iter(_CACHE))]
+        route = scale_ratio(model, model.d)
+        _CACHE[key] = route, route.w_reader(), {}
+    return _CACHE[key]
+
+
 def _route(model):
     """The scale route's Lambda (scale.scale_ratio) and its w_reader,
-    memoized per model as one entry (Lambda, reader).
+    memoized per model in one entry (_entry).
 
     Lambda gives Phi_d and, at sigma > 0, the continuation slope and
     ratio(xs, a) too; its exponents t, where it has them, are the exit
     function. The reader gives w_d at x >= 0 and, for a route without
     exponents, w_d' with order = 1.
     """
-    key = (model.key(), "route")
-    if key not in _CACHE:
-        if len(_CACHE) >= _CACHE_SIZE:
-            del _CACHE[next(iter(_CACHE))]
-        route = scale_ratio(model, model.d)
-        _CACHE[key] = route, route.w_reader()
-    return _CACHE[key]
+    return _entry(model)[:2]
 
 
 def _w_values(model, xs):
@@ -296,16 +321,76 @@ def _closed_residual(model, t, w, a):
     return max(zip(bound, ends), key=lambda bx: bx[0])
 
 
+def _lattice(model, step, x0, p, a):
+    """Rows xi, xi', xi'' of a table's exit equation, xi(0) = x0 and at
+    sigma > 0 xi'(0) = p, at the lattice nodes k step, k = 0, ..., n, n
+    the first node at or past a (at least 8): one solve per model, step,
+    x0 and p, kept in the model's memo entry and re-solved only when a
+    barrier past its end asks for a longer one.
+
+    The equation is causal, so a longer lattice carries the same
+    discrete solution on the nodes of a shorter one, up to rounding.
+    """
+    _, read, lattices = _entry(model)
+    key = (step, x0, p)
+    rows = lattices.get(key)
+    if rows is not None and step * (rows.shape[1] - 1) >= a:
+        return rows
+    n = max(math.ceil(a / step), 8)
+    if step * n < a:
+        n += 1
+    xs = step * np.arange(n + 1)
+    grid = GridFunction(0.0, step * n, step, xs)
+    w = read(xs)
+    kernel, coeff, forcings = exit_equation(model, xs, step, w, x0, p)
+    kernel = grid.with_values(kernel)
+    xi, *rest = (neumann_series(kernel, grid.with_values(g), coeff)[0].values
+                 for g in forcings)
+    if model.sigma == 0.0:
+        # derivatives read off the equation itself, not finite differences
+        lam, c, q, r = model.lam, model.c, model.q, model.r
+        f_xi = model.claims.convolve_grid(xi, step)
+        xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
+        f_xip = model.claims.convolve_grid(xip, step)
+        f_res, wp = model.claims.density(xs), read(xs, 1)
+        rest = xip, ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
+    lattices.pop(key, None)
+    if len(lattices) >= _LATTICES:
+        del lattices[next(iter(lattices))]
+    rows = lattices[key] = np.stack((xi, *rest))
+    return rows
+
+
+def _hermite(rows, step, xs):
+    """Rows xi, xi', xi'' read at the points xs of the lattice of that
+    step: xi and xi' by cubic Hermite interpolation on the row below
+    each, xi'' linearly."""
+    u = xs / step
+    i = np.minimum(u.astype(int), rows.shape[1] - 2)
+    t = u - i
+    s, tt = 1.0 - t, t * t
+    # np.take, not rows[:, i]: several times faster on a 2-d gather
+    y0, y1 = np.take(rows, i, axis=1), np.take(rows, i + 1, axis=1)
+    # the Hermite basis on a panel of width step
+    h00, h01 = s * s * (1.0 + 2.0 * t), tt * (3.0 - 2.0 * t)
+    h10, h11 = step * t * s * s, -step * tt * s
+    out = np.empty((3, len(xs)))
+    out[:2] = h00 * y0[:2] + h01 * y1[:2] + h10 * y0[1:] + h11 * y1[1:]
+    out[2] = s * y0[2] + t * y1[2]
+    return out
+
+
 def _exit(model, a, step):
     """The certified exit function at barrier a, for either sigma and
     claim law (see the module notes): closed where the route has
-    exponents, else solved on the solver grid of that step; by default
-    at the solver step of a grid_step of 1e-3."""
+    exponents, else read off the table's lattice solve of that step
+    (_lattice) at the solver grid's nodes; by default at the solver step
+    of a grid_step of 1e-3."""
     step = _solver_step(model, 1e-3) if step is None else step
     if not 0.0 < a < math.inf:
         raise ValueError("barrier a must be positive and finite, got %g" % (a,))
     _require_step(step)
-    route, read = _route(model)
+    route = _route(model)[0]
     # xi(0) = x0 and, at sigma > 0, xi'(0) = p: the continuation slope, or
     # where the route has none (d = 0) xi(0) = 0 with unit slope
     x0, p = 1.0, None
@@ -318,35 +403,20 @@ def _exit(model, a, step):
         res, x = _closed_residual(model, route.t, hf.w, a)
         detail = " (closed, worst at x = %g)" % x
     else:
-        grid = _solver_grid(a, step)
-        xs, gap, detail = grid.values, 0.0, ""
-        w = _w_values(model, xs)
-        kernel, coeff, forcings = exit_equation(model, xs, grid.step, w, x0, p)
-        kernel = grid.with_values(kernel)
-        xi, *rest = (neumann_series(kernel, grid.with_values(g), coeff)[0].values
-                     for g in forcings)
-        if model.sigma == 0.0:
-            # derivatives read off the equation itself, not finite differences
-            lam, c, q, r = model.lam, model.c, model.q, model.r
-            f_xi = model.claims.convolve_grid(xi, grid.step)
-            xip = ((lam + q) * xi - lam * r * f_xi - lam * r * w) / c
-            f_xip = model.claims.convolve_grid(xip, grid.step)
-            f_res, wp = model.claims.density(xs), read(xs, 1)
-            xipp = ((lam + q) * xip - lam * r * (f_res * xi[0] + f_xip) - lam * r * wp) / c
-        else:
-            xip, xipp = rest
-            if x0:
-                # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
-                gap = float(np.max(np.abs(xi / xi[-1] - route.ratio(xs, a))))
-                detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
-            else:
-                # in h units: the mismatch between the unit slope imposed at
-                # 0 and the solved one at 0+, extrapolated quadratically
-                # from 1, 2 and 3 steps
-                solved = 3.0 * xip[1] - 3.0 * xip[2] + xip[3]
-                gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
-                detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
-        nodes = np.stack((xi, xip, xipp))
+        xs = _solver_nodes(a, step)
+        nodes = _hermite(_lattice(model, step, x0, p, a), step, xs)
+        (xi, xip, _), gap, detail = nodes, 0.0, ""
+        if model.sigma > 0.0 and x0:
+            # in h units: the gap to the scale route's Lambda(x)/Lambda(a)
+            gap = float(np.max(np.abs(xi / xi[-1] - route.ratio(xs, a))))
+            detail = " (slope at 0 imposed %.6f, h %.3e off the scale route)" % (p, gap)
+        elif model.sigma > 0.0:
+            # in h units: the mismatch between the unit slope imposed at
+            # 0 and the solved one at 0+, extrapolated quadratically
+            # from 1, 2 and 3 steps
+            solved = 3.0 * xip[1] - 3.0 * xip[2] + xip[3]
+            gap = 0.5 * model.sigma ** 2 * abs(solved - p) / xi[-1]
+            detail = " (slope at 0 imposed %.6f, solved %.6f)" % (p, solved)
         nodes /= float(xi[-1])
         hf = HFunction(a, step, p if x0 else None, math.nan, nodes=nodes)
         res = max(ide_residual(model, hf), gap)
@@ -373,16 +443,17 @@ def h_d_sigma_pos(model, a, step=None) -> HFunction:
     return _exit(model, a, step)
 
 
-def _generator_grid(model, step, v, v1, v2):
+def _generator_grid(model, step, v, v1, v2, affine_from=None):
     """sigma^2/2 v'' + c v' - (lam+q) v + lam r (f*v + v(0) w_d), given v,
-    v' and v'' on the uniform grid of that step from 0.
+    v' and v'' on the uniform grid of that step from 0; affine_from = i
+    says v is affine from node i on (claims.convolve_grid).
 
     This is (Gamma - q) v for a v that continues below zero as
     v(0) Phi_d(-z), the continuation entering through w_d.
     """
     lam, c, q, r, sigma = model.lam, model.c, model.q, model.r, model.sigma
     w = _w_values(model, step * np.arange(len(v)))
-    conv = model.claims.convolve_grid(v, step) + v[0] * w
+    conv = model.claims.convolve_grid(v, step, affine_from) + v[0] * w
     return 0.5 * sigma * sigma * v2 + c * v1 - (lam + q) * v + lam * r * conv
 
 

@@ -17,8 +17,10 @@ conv_power, both classes offer the same six members:
 - tail_transform(rho, xs): T_rho f(x) = int_x^inf e^{-rho(u-x)} f(u) du
   at any points xs >= 0, exact (for a table, exact for its linear
   reading between the nodes);
-- convolve_grid(values, step): the trapezoid convolution f * g of g
-  sampled on [0, x] at that step;
+- convolve_grid(values, step, affine_from=None): the trapezoid
+  convolution f * g of g sampled on [0, x] at that step; affine_from = i
+  says g is affine from node i on, which a table convolves in closed
+  form (gridmath.convolve_values) and Exp(mu) claims ignore;
 - density_slope(xs, step): f' on a uniform grid.
 
 A table is read one way everywhere: linearly between its nodes and zero
@@ -47,8 +49,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gridmath import (GridFunction, _exp_panel_coeffs, _trapezoid_convolver, convolve_exp,
-                       convolve_values, dickson_at, trapezoid)
+                       convolve_values, dickson_at, dickson_nodes, trapezoid)
 from .lundberg import lundberg_root
+
+# rates whose tail-transform node recursion a table keeps; a model reads
+# one, its rho
+_TAILS_KEPT = 4
 
 
 class ModelError(ValueError):
@@ -143,7 +149,8 @@ class ExponentialClaims:
     def tail_transform(self, rho, xs):
         return self.mu / (rho + self.mu) * np.exp(-self.mu * np.asarray(xs, dtype=float))
 
-    def convolve_grid(self, values, step):
+    def convolve_grid(self, values, step, affine_from=None):
+        # the recurrence is O(n) already: the hint buys nothing
         return self.mu * convolve_exp(self.mu, values, step)
 
     def density_slope(self, xs, step):
@@ -160,7 +167,9 @@ class TabulatedClaims:
     between the nodes. The density and its powers are zero below 0 and
     above x_max; the CDF (trapezoid sums of the density) is zero below
     0 and saturates at the table mass above x_max. Powers come from
-    repeated grid convolution, are clipped at 0 and are cached.
+    repeated grid convolution, are clipped at 0 and are cached. The
+    node recursion of tail_transform is kept for the last few rates, and
+    the key is hashed once, when the table is built.
     """
 
     kind = "tabulated"
@@ -178,7 +187,10 @@ class TabulatedClaims:
             raise InvalidParameter("mass beyond the grid end is not negligible")
         self.grid = grid
         self.reach = grid.hi
+        self._key = ("tab", grid.lo, grid.hi, grid.step, hash(grid.values.tobytes()))
         self._powers = {1: grid.values}
+        # rho -> dickson_nodes(rho, grid), oldest first
+        self._tails = {}
         v = grid.values
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * grid.step)))
         # inverse-CDF nodes for sampling, with flat stretches collapsed
@@ -237,17 +249,22 @@ class TabulatedClaims:
         return np.interp(rng.random(n), *self._inverse_cdf)
 
     def tail_transform(self, rho, xs):
-        return dickson_at(rho, self.grid, xs)
+        nodes = self._tails.get(rho)
+        if nodes is None:
+            if len(self._tails) >= _TAILS_KEPT:
+                del self._tails[next(iter(self._tails))]
+            nodes = self._tails[rho] = dickson_nodes(rho, self.grid)
+        return dickson_at(rho, self.grid, xs, nodes)
 
-    def convolve_grid(self, values, step):
-        return convolve_values(self.density(step * np.arange(len(values))), values, step)
+    def convolve_grid(self, values, step, affine_from=None):
+        return convolve_values(self.density(step * np.arange(len(values))), values, step,
+                               affine_from)
 
     def density_slope(self, xs, step):
         return np.gradient(self.density(xs), step)
 
     def key(self):
-        return ("tab", self.grid.lo, self.grid.hi, self.grid.step,
-                hash(self.grid.values.tobytes()))
+        return self._key
 
 
 @dataclass(frozen=True)

@@ -379,9 +379,10 @@ def exit_equation(model, xs, step, w, x0, p):
     beta = e^{-b1 x}, b1 = rho + 2c/sigma^2, coeff = 2 lam r / sigma^2,
     and the forcings are those of xi, xi' and xi'' for xi(0) = x0 and
     xi'(0) = p, the last two carrying the boundary terms kernel xi(0)
-    and kernel' xi(0) + kernel p. With w = 0 the equation is W's
-    (_scale_w). Exp(mu) claims never come here: their exit function is
-    a sum of exponentials.
+    and kernel' xi(0) + kernel p. With w = None, w_d = 0, the equation
+    is W's (_scale_w), and the terms in w_d are scalar zeros, not
+    convolutions of zeros. Exp(mu) claims never come here: their exit
+    function is a sum of exponentials.
     """
     rho = model.rho
     trf = model.claims.tail_transform(rho, xs)
@@ -389,7 +390,8 @@ def exit_equation(model, xs, step, w, x0, p):
     if model.sigma == 0.0:
         coeff = model.lam * model.r / model.c
         # (zeta * w_d)(x) = int_0^x e^{rho(x - u)} w_d(u) du
-        return trf, coeff, (x0 * (erx - coeff * convolve_exp(-rho, w, step)),)
+        zw = 0.0 if w is None else convolve_exp(-rho, w, step)
+        return trf, coeff, (x0 * (erx - coeff * zw),)
     sigma = model.sigma
     b1 = rho + 2.0 * model.c / (sigma * sigma)
     gam = 2.0 * model.lam * model.r / (sigma * sigma)
@@ -399,8 +401,11 @@ def exit_equation(model, xs, step, w, x0, p):
     zb = (erx - beta) / (rho + b1)
     dzb = (rho * erx + b1 * beta) / (rho + b1)
     d2zb = (rho * rho * erx - b1 * b1 * beta) / (rho + b1)
-    bw = convolve_exp(b1, w, step)
-    zbw = convolve_exp(-rho, bw, step)
+    if w is None:
+        w = bw = zbw = 0.0
+    else:
+        bw = convolve_exp(b1, w, step)
+        zbw = convolve_exp(-rho, bw, step)
     dzbw = bw + rho * zbw
     d2zbw = (w - b1 * bw) + rho * dzbw
     return kern, gam, (
@@ -420,8 +425,7 @@ def _scale_w(model, n, step):
     xs = step * np.arange(n + 1)
     grid = GridFunction(0.0, n * step, step, xs)
     drift = model.sigma == 0.0
-    kernel, coeff, forcings = exit_equation(model, xs, step, np.zeros(n + 1),
-                                            float(drift), 1.0)
+    kernel, coeff, forcings = exit_equation(model, xs, step, None, float(drift), 1.0)
     xi, log_alias = neumann_series(grid.with_values(kernel),
                                    grid.with_values(forcings[0]), coeff)
     if drift:

@@ -358,7 +358,11 @@ def generator_apply(model, g, x, g1=None, g2=None, support_lo=None,
 
 
 def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
-    """(Gamma - q)v and v' on a fresh uniform grid over [0, x_max]."""
+    """(Gamma - q)v and v' on a fresh uniform grid over [0, x_max].
+
+    From the first node at or past a* on, v is x - a* + v(a*), affine,
+    which the operator is told (_generator_grid), so a table convolves
+    only v on [0, a*) by transform."""
     if not 0.0 < x_max < math.inf:
         raise ValueError("x_max must be positive and finite, got %g" % (x_max,))
     _require_step(grid_step)
@@ -376,7 +380,8 @@ def _generator_sweep(model, sol: BarrierSolution, x_max, grid_step):
         v1[below] = sol.h.read(xs[below], 1) / slope
         v2[below] = sol.h.read(xs[below], 2) / slope
 
-    return xs, _generator_grid(model, st, v, v1, v2), v1
+    affine_from = int(np.searchsorted(xs, a))
+    return xs, _generator_grid(model, st, v, v1, v2, affine_from), v1
 
 
 def hjb_curve(model, sol: BarrierSolution, x_max, grid_step=2e-4):

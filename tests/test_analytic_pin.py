@@ -45,7 +45,7 @@ import numpy as np
 import pytest
 
 import divbarrier as db
-from divbarrier import cli, expmodel
+from divbarrier import cli, expmodel, hfun
 from divbarrier.firstpassage import upcross_table, upcross_transform
 from divbarrier.hfun import h_callable, h_d_sigma0, h_d_sigma_pos, w_d
 from divbarrier.valuation import (
@@ -65,8 +65,13 @@ TAB = db.tabulated_exponential(1.0, step=1e-2)
 
 def _model(claims, d, sigma=0.0, r=0.8):
     dist = TAB if claims == "tab" else db.ExponentialClaims(1.0)
-    return db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=sigma, q=0.1,
-                                      r=r, d=d), dist)
+    m = db.validate(db.ModelParams(lam=10.0, c=15.0, sigma=sigma, q=0.1, r=r, d=d), dist)
+    if claims == "tab":
+        # a table's exit function is read off its memo entry's lattice
+        # solve, and a longer lattice left by an earlier test would move
+        # its last bits: every table row starts from a fresh entry
+        hfun._CACHE.pop((m.key(), "route"), None)
+    return m
 
 
 def _fingerprint(x):
@@ -278,14 +283,14 @@ PINS = {
         '0x1.4f8b588e368f1p-17',
     ],
     'at-tab-s0-d2-a0.3': [
-        '0x1.3333333333333p-2', 'False', '593732c389018ed5',
-        '593732c389018ed5', '7266dd8fa2455da7', '0x1.da9018efdae7cp-1',
+        '0x1.3333333333333p-2', 'False', 'f21841825fee9e8a',
+        'f21841825fee9e8a', '0ce8c55a6f3a0736', '0x1.da9018efdaeb3p-1',
         'False', '0x1.3333333333333p-2', '0x1.a666666666666p+1', "'sampled'",
         "'generator_above'", 'True', '0x1.3333333333333p-2',
-        '0x1.8233800000000p-27', '0x1.4f8b588e368f1p-17',
+        '0x1.8233780000000p-27', '0x1.4f8b588e368f1p-17',
         "'generator_interior'", 'True', '0x1.32fec56d5cfaap-2',
-        '0x1.81f7e00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
-        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc16078c4c51p-1',
+        '0x1.81f7c00000000p-27', '0x1.4f8b588e368f1p-17', "'slope_floor'",
+        'False', '0x1.a36e2eb1c432cp-13', '0x1.dbc16078c4ceep-1',
         '0x1.4f8b588e368f1p-17',
     ],
     'barrier-s0-d0': [
@@ -335,8 +340,8 @@ PINS = {
         '0x1.f40fd54a9a94ep-3',
     ],
     'h-tab-s0-d2': [
-        '550c129076247258', '6eb9c80150b0d625', '3791edfdc98b4b90',
-        '0x1.83002d4e80000p-17', '0x0.0p+0',
+        '9519c3077b8c0a53', '75aa982495547e8c', 'a948f7a4d3eafbce',
+        '0x1.814f6c7f00000p-17', '0x0.0p+0',
     ],
     'h-tab-s0.5-dinf': [
         'e049f626c47b9498', '64d3e8430a3a0852', 'b8e2bddb47bec3bf',

@@ -134,6 +134,30 @@ class TestConvolve:
         assert got.shape == (n_f,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("i", [0, 1, 700, 2998, 2999, 3000])
+    def test_affine_tail_matches_trapezoid_reference(self, i):
+        # g affine from node i on: the line's part comes from two
+        # cumulative sums of f and only the rest is transformed; from the
+        # last node on there is no line, and the plain route runs
+        rng = np.random.default_rng(i)
+        f = np.abs(rng.standard_normal(3000))
+        g = 0.7 + 2e-3 * np.arange(3000) - 0.4
+        g[:i] = rng.standard_normal(i)
+        got = convolve_values(f, g, 1e-3, affine_from=i)
+        want = self._trapezoid_reference(f, g, 1e-3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_cumulative_sums_round_once(self):
+        # 5e4 terms: np.cumsum drifts to ~1e-14 relative, the TwoSum
+        # correction keeps every sum within a few roundings of the exact one
+        x = np.exp(-2e-4 * np.arange(50001))
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended precision for the reference")
+        x = np.stack((x, np.arange(50001) * x))
+        exact = np.cumsum(x.astype(np.longdouble), axis=-1)
+        got = gridmath._cumsum(x)
+        assert np.max(np.abs(got - exact) / exact[:, -1:]) <= 4e-16
+
     def test_batched_rows_are_one_dimensional_convolutions(self):
         # unequal row and kernel lengths, and the kernel broadcast from
         # one row across all of them

@@ -876,3 +876,78 @@ class TestReadDomain:
         # the ends, with the slack h_callable allows at a
         ends = h.read(np.array([0.0, 0.5 + 1e-10]))
         assert ends[0] == h_callable(m, h)(0.0) and abs(ends[1] - 1.0) < 1e-9
+
+
+class TestLattice:
+    """A table's exit equation is solved once per model, step and start
+    on the lattice k step from 0, and every barrier reads its node arrays
+    off that solve; only a barrier past the lattice end solves again."""
+
+    @pytest.mark.parametrize("table_step", [1e-3, 1e-2])
+    @pytest.mark.parametrize("sigma,d", [(0.0, 0.0), (0.0, 0.05), (0.0, 2.0),
+                                         (0.5, 0.0), (0.5, 0.05), (0.5, 2.0)])
+    def test_warm_barrier_equals_a_cold_one(self, monkeypatch, table_step, sigma, d):
+        # a = 0.6 read off the lattice a = 1.0 left, against a cold solve
+        # from an empty memo: a model of equal parameters shares the memo
+        # entry, so only emptying it gives a cold build. The two solves
+        # differ in length, so in their FFT rounding: node rows measured
+        # within 4.2e-12 of their sup norm. The sigma = 0 certificate
+        # re-takes h' by differences at step 1e-4, which turns that into
+        # up to 1.7e-9 on a residual of 1.1e-8 (d = 0)
+        build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        m = _tab_model(table_step, d, sigma)
+        build(m, 1.0)
+        warm = build(m, 0.6)
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        cold = build(_tab_model(table_step, d, sigma), 0.6)
+        assert warm.step == cold.step
+        sup = np.max(np.abs(cold.nodes), axis=1, keepdims=True)
+        assert np.max(np.abs(warm.nodes - cold.nodes) / sup) <= 1e-11
+        assert abs(warm.ide_residual - cold.ide_residual) <= 1e-8
+        assert max(warm.ide_residual, cold.ide_residual) <= hfun._RESIDUAL_GATE
+
+    @pytest.mark.parametrize("sigma,forcings", [(0.0, 1), (0.5, 3)])
+    def test_no_solve_on_a_warm_barrier(self, monkeypatch, sigma, forcings):
+        calls = []
+
+        def counted(*args, _real=gridmath.neumann_series):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        monkeypatch.setattr(hfun, "neumann_series", counted)
+        build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
+        m = _tab_model(1e-2, 2.0, sigma)
+        build(m, 0.8)
+        assert len(calls) == forcings
+        for a in (0.3, 0.8, 0.05):
+            build(m, a)
+        assert len(calls) == forcings
+        # past the lattice end: one solve per forcing, on a longer lattice
+        build(m, 0.9)
+        assert len(calls) == 2 * forcings
+        build(m, 0.85)
+        assert len(calls) == 2 * forcings
+
+    def test_lattice_reaches_the_barrier_on_the_solver_step(self, monkeypatch):
+        monkeypatch.setattr(hfun, "_CACHE", {})
+        m = _tab_model(1e-2, 2.0)
+        h = h_d_sigma0(m, 0.6)
+        (key, rows), = hfun._entry(m)[2].items()
+        assert key == (h.step, 1.0, None)
+        n = rows.shape[1] - 1
+        assert h.step * n >= 0.6 > h.step * (n - 1)
+
+    def test_hermite_reads_cubics_exactly(self):
+        # xi and xi' are cubic Hermite reads of (xi, xi') and (xi', xi''),
+        # exact for a cubic xi and a cubic xi'; xi'' is read linearly
+        step = 0.1
+        xs = step * np.arange(11)
+        cubic = lambda x: 1.0 - 2.0 * x + 0.5 * x ** 2 + 0.3 * x ** 3
+        rows = np.stack((cubic(xs), -2.0 + xs + 0.9 * xs ** 2, 1.0 + 1.8 * xs))
+        at = np.array([0.0, 0.031, 0.55, 0.999, 1.0])
+        got = hfun._hermite(rows, step, at)
+        assert np.max(np.abs(got[0] - cubic(at))) <= 1e-15
+        assert np.max(np.abs(got[1] - (-2.0 + at + 0.9 * at ** 2))) <= 1e-15
+        assert np.max(np.abs(got[2] - (1.0 + 1.8 * at))) <= 1e-15

@@ -20,7 +20,8 @@ from divbarrier import (
     tabulated_exponential,
     validate,
 )
-from divbarrier.gridmath import GridFunction, convolve_values
+from divbarrier import model as model_module
+from divbarrier.gridmath import GridFunction, convolve_values, dickson_at
 
 
 def params(**kw):
@@ -168,6 +169,28 @@ class TestTabulatedClaims:
     def test_density_outside_support(self, tab_dist):
         assert tab_dist.density(-0.5) == 0.0
         assert tab_dist.density(31.0) == 0.0
+
+    def test_key_is_hashed_once(self):
+        # the key is taken when the table is built: repeated calls return
+        # the same tuple, and a table of equal values has an equal key
+        table = tabulated_exponential(1.0, step=1e-2)
+        assert table.key() is table.key()
+        assert tabulated_exponential(1.0, step=1e-2).key() == table.key()
+        grid = table.grid
+        want = ("tab", grid.lo, grid.hi, grid.step, hash(grid.values.tobytes()))
+        assert table.key() == want
+        assert tabulated_exponential(1.1, step=1e-2).key() != table.key()
+
+    def test_tail_transform_keeps_its_node_recursion(self):
+        # the node recursion is kept per rate, a few rates at most; every
+        # read is a fresh dickson_at's bits
+        table = tabulated_exponential(1.0, step=1e-2)
+        xs = np.array([0.0, 0.004, 0.5, 3.333, 29.999, 30.0, 31.0])
+        for rho in (0.25, 0.5, 0.25, 1.0, 2.0, 4.0, 0.25):
+            want = dickson_at(rho, table.grid, xs)
+            for _ in range(2):
+                assert np.array_equal(table.tail_transform(rho, xs), want)
+        assert len(table._tails) <= model_module._TAILS_KEPT
 
     def test_cdf_monotone_and_normalized(self, tab_dist):
         xs = np.linspace(0.0, 30.0, 500)

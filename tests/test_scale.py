@@ -308,6 +308,24 @@ def test_table_w_is_the_exit_solve_at_no_delay(tab_dist, sigma, step):
     assert np.max(np.abs(h.grid.values - w / w[-1])) <= 1e-15
 
 
+@pytest.mark.parametrize("sigma,step", [(0.0, 1e-3), (0.5, 1e-4)])
+def test_table_w_convolves_no_zero_forcing(tab_dist, sigma, step):
+    # W's exit equation has w_d = 0: its w_d terms are scalar zeros, not
+    # recurrences run over zeros, and W keeps its bits
+    m = db.validate(db.ModelParams(10.0, 15.0, sigma, 0.1, 0.8, 0.0), tab_dist)
+    n, drift = 3000, float(sigma == 0.0)
+    xs = step * np.arange(n + 1)
+    kernel, coeff, forcings = scale.exit_equation(m, xs, step, None, drift, 1.0)
+    zeros = scale.exit_equation(m, xs, step, np.zeros(n + 1), drift, 1.0)
+    assert coeff == zeros[1] and np.array_equal(kernel, zeros[0])
+    assert all(np.array_equal(g, z) for g, z in zip(forcings, zeros[2]))
+    grid = gridmath.GridFunction(0.0, n * step, step, xs)
+    want = gridmath.neumann_series(grid.with_values(zeros[0]),
+                                   grid.with_values(zeros[2][0]), coeff)[0].values
+    w = scale._scale_w(m, n, step)[0]
+    assert np.array_equal(w, want / m.c if drift else want)
+
+
 @functools.lru_cache(maxsize=None)
 def _table(mu, step):
     # one table per (mu, step), so its cached powers serve every d
