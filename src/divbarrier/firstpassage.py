@@ -31,6 +31,7 @@ d < 0); scale does both.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -56,13 +57,19 @@ class UpcrossTransform:
     tail_bound: float
 
 
-_LEG_NODES, _LEG_WEIGHTS = roots_legendre(160)
+@lru_cache(maxsize=1)
+def _legendre():
+    """The 160 Gauss-Legendre nodes and weights, taken on first use:
+    roots_legendre loads scipy.linalg, which no import of the library
+    needs."""
+    return roots_legendre(160)
 
 
 def _gauss_quad(fun, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(np.dot(_LEG_WEIGHTS, fun(mid + half * _LEG_NODES)))
+    nodes, weights = _legendre()
+    return half * float(np.dot(weights, fun(mid + half * nodes)))
 
 
 def vy_density(model, y, k, t):

@@ -25,8 +25,9 @@ holds the one copy of each grid primitive the others use:
   the tail transform's backward recursion (dickson_nodes);
 - adaptive_cc, nested Clenshaw-Curtis quadrature of an analytic
   integrand (the scale-function moments, at every sigma), which
-  doubles its nodes until a relative or absolute stop, with its
-  weights from one FFT each (_cc_weights, memoized per node count).
+  doubles its nodes until a relative or absolute stop, its first two
+  levels in one call of the integrand, with its nodes and its weights
+  (one FFT each) memoized per node count (_cc_nodes, _cc_weights).
 
 Other quadrature is trapezoid. Both first-order recurrences,
 convolve_exp's panel sum and each pole of neumann_series_exp, run
@@ -153,44 +154,57 @@ def _cc_weights(n):
     return w
 
 
+@lru_cache(maxsize=None)
+def _cc_nodes(n):
+    """The n + 1 Clenshaw-Curtis nodes on [-1, 1], from 1 down to -1, as
+    sin(pi (n - 2k) / 2n): those at n are every other node at 2n,
+    bitwise. Read-only, since they are memoized per n."""
+    x = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+    x.flags.writeable = False
+    return x
+
+
 def adaptive_cc(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
     """Clenshaw-Curtis quadrature with node doubling; fun maps an array
     of nodes to an array of values, or to one row of values per node for
     a vector integrand.
 
-    The n + 1 nodes cos(k pi / n), mapped to [lo, hi], nest: taken as
-    sin(pi (n - 2k) / 2n), the nodes at 2n with k even are those at n,
-    bitwise, so a doubling keeps them and evaluates fun only at the n
-    new odd nodes, and every node is evaluated once. On an analytic
-    integrand the rule converges geometrically (Trefethen, SIAM Review
-    50, 2008), so S_n's error |S_2n - S_n| bounds S_2n's. Each
-    component's estimate is that, floored at the rounding of the
-    weighted sum, sqrt(n) eps sum |w f| (n roundings of random sign), so
-    it is never 0. It stops when every estimate is below tol, or, when
-    relative, below tol times the largest |S_2n|. Returns the integral
-    and the largest estimate.
+    The nodes nest (_cc_nodes), so a doubling keeps the nodes it has and
+    evaluates fun only at the n new odd ones, and every node is
+    evaluated once. The first stop test compares S_n0 with S_2n0, so the
+    2 n0 + 1 nodes of those two levels, the fewest the rule ever uses,
+    are one call of fun, S_n0 reading every other row; each later level
+    splices its odd rows in between. On an analytic integrand the rule
+    converges geometrically (Trefethen, SIAM Review 50, 2008), so S_n's
+    error |S_2n - S_n| bounds S_2n's. Each component's estimate is that,
+    floored at the rounding of the weighted sum, sqrt(n) eps sum |w f|
+    (n roundings of random sign), so it is never 0. It stops when every
+    estimate is below tol, or, when relative, below tol times the
+    largest |S_2n|. Returns the integral and the largest estimate.
     """
     if hi <= lo:
         return 0.0, 0.0
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n = n0
-    ys = fun(mid + half * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n)))
-    prev = None
+    n = 2 * n0
+    ys = fun(mid + half * _cc_nodes(n))
+    # einsum, not a BLAS product, whose summation order follows the BLAS
+    # thread count; on contiguous rows, as every level's are, since its
+    # order also follows the operand's strides
+    prev = np.einsum("i,i...->...", half * _cc_weights(n0), np.ascontiguousarray(ys[::2]))
     while True:
-        # einsum, not a BLAS product, whose summation order follows the
-        # BLAS thread count
         w = half * _cc_weights(n)
         s = np.einsum("i,i...->...", w, ys)
-        if prev is not None:
-            floor = np.einsum("i,i...->...", w, abs(ys)) * math.sqrt(n) * np.finfo(float).eps
-            err = float(np.max(np.maximum(abs(s - prev), floor)))
-            if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:
-                return s, err
+        floor = np.einsum("i,i...->...", w, abs(ys)) * math.sqrt(n) * np.finfo(float).eps
+        err = float(np.maximum(abs(s - prev), floor).max())
+        if err < (tol * float(abs(s).max()) if relative else tol) or n >= n_cap:
+            return s, err
         prev = s
         n *= 2
         # the new odd nodes go between the n/2 + 1 nodes kept
-        new = fun(mid + half * np.sin(np.pi * np.arange(n - 2, -n, -4) / (2 * n)))
-        ys = np.insert(new, np.arange(n // 2 + 1), ys, axis=0)
+        new = fun(mid + half * _cc_nodes(n)[1::2])
+        rows = np.empty((n + 1,) + new.shape[1:], dtype=new.dtype)
+        rows[::2], rows[1::2] = ys, new
+        ys = rows
 
 
 def _trapezoid_convolver(f, step):

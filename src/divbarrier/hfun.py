@@ -135,7 +135,7 @@ _LATTICES lattice solves; past that the oldest goes.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -182,7 +182,10 @@ class HFunction:
     t: Optional[np.ndarray] = None
     big_w: Optional[np.ndarray] = None
     w_at_a: Optional[float] = None
-    # else h, h' and h'' at the nodes of _solver_nodes(a, step), one row each
+    # and the weight-free terms of its closed certificate (_closed_terms),
+    # which valuation's closed HJB report reuses
+    closed: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # else h, h' and h'' at the solver grid's nodes xs, one row each
     nodes: Optional[np.ndarray] = None
 
     @property
@@ -196,12 +199,23 @@ class HFunction:
         return float(self.read(self.a, 1)[0])
 
     @cached_property
+    def _solver(self):
+        """The solver grid of a and step (_solver_grid), built once per
+        exit function for read, grid and every caller of xs."""
+        return _solver_grid(self.a, self.step)
+
+    @property
+    def xs(self):
+        """The solver grid's nodes, the last one a itself: where grid
+        samples h and where a table's node arrays sit."""
+        return self._solver.values
+
+    @cached_property
     def grid(self):
-        """h at the solver grid's nodes, the last one a itself: a sampled
-        view that read builds on first access, for the CLI's CSV and the
-        benchmark. No reader of h in the library takes it."""
-        return _solver_grid(self.a, self.step).with_values(
-            self.read(_solver_nodes(self.a, self.step)))
+        """h at the solver grid's nodes xs: a sampled view that read
+        builds on first access, for the CLI's CSV and the benchmark. No
+        reader of h in the library takes it."""
+        return self._solver.with_values(self.read(self.xs))
 
     def read(self, x, order=0):
         """The order-th derivative of h at the points x of [0, a], as an
@@ -219,7 +233,7 @@ class HFunction:
         if not np.all((xs >= 0.0) & (xs <= self.a + 1e-9)):
             raise ValueError("h is read on [0, a] = [0, %g] only" % self.a)
         if self.t is None:
-            return np.interp(xs, _solver_nodes(self.a, self.step), self.nodes[order])
+            return np.interp(xs, self.xs, self.nodes[order])
         return exp_sum(self.t, self.big_w, xs, order)[order] / self.w_at_a
 
 
@@ -269,16 +283,14 @@ def _require_step(step):
 
 def _solver_grid(a, step):
     """Grid [0, a] with a step near `step` that lands on the barrier; its
-    values are its abscissae."""
+    values are its nodes, the last one a itself, where an exit function
+    samples h (HFunction.xs)."""
     n = max(int(round(a / step)), 8)
     step = a / n
-    return GridFunction(0.0, n * step, step, step * np.arange(n + 1))
-
-
-def _solver_nodes(a, step):
-    """The solver grid's abscissae, the last one a itself: where grid
-    samples h and where a table's node arrays sit."""
-    return np.append(_solver_grid(a, step).values[:-1], a)
+    xs = step * np.arange(n + 1)
+    xs[-1] = a
+    xs.flags.writeable = False
+    return GridFunction(0.0, n * step, step, xs)
 
 
 def _solver_step(model, grid_step):
@@ -296,10 +308,23 @@ def _solver_step(model, grid_step):
                else 1e-4 if model.sigma == 0.0 else 1e-5)
 
 
-def _closed_residual(model, t, w, a):
+def _closed_terms(model, t, a):
+    """The terms of _closed_residual's bound that no weight enters, for
+    the exponents t on [0, a]: the ends 0 and a, t as floats, K(t_i), and
+    w_d and each T_{t_i} f at both ends."""
+    # a few exponents: Python floats, not numpy's per-call cost
+    claims, lr, s2 = model.claims, model.lam * model.r, 0.5 * model.sigma ** 2
+    ends, t = (0.0, a), t.tolist()
+    k = [s2 * ti * ti + model.c * ti - model.lam - model.q + lr * claims.laplace(ti) for ti in t]
+    return ends, t, k, _w_values(model, ends), [claims.tail_transform(ti, ends) for ti in t]
+
+
+def _closed_residual(model, t, w, a, terms=None):
     """(bound, x): a bound on the sup over [0, a] of |(Gamma - q) v| for
     v = sum_i w_i e^{t_i x}, continued below zero as v(0) Phi_d, and the
-    end x of [0, a] where it is taken.
+    end x of [0, a] where it is taken; terms are _closed_terms(model, t,
+    a), taken here when not given, so that a solve takes them once for
+    h's certificate and its HJB report.
 
     With L the claims' Laplace transform, f * e^{t x} is
     L(t) e^{t x} - T_t f(x), so (Gamma - q) v is
@@ -310,12 +335,9 @@ def _closed_residual(model, t, w, a):
     Exp(mu) claims, whose w_d is w_d(0) e^{-mu x}, and 0 for a table at
     d = inf, whose w_d is T_rho f; so it peaks at an end too.
     """
-    # a few exponents: Python floats, not numpy's per-call cost
-    claims, lr, s2 = model.claims, model.lam * model.r, 0.5 * model.sigma ** 2
-    ends, t, w = (0.0, a), t.tolist(), w.tolist()
-    k = [s2 * ti * ti + model.c * ti - model.lam - model.q + lr * claims.laplace(ti) for ti in t]
-    row = sum(w) * _w_values(model, ends) - sum(
-        wi * claims.tail_transform(ti, ends) for ti, wi in zip(t, w))
+    ends, t, k, w_ends, tails = _closed_terms(model, t, a) if terms is None else terms
+    w, lr = w.tolist(), model.lam * model.r
+    row = sum(w) * w_ends - sum(wi * tail for wi, tail in zip(w, tails))
     bound = [sum(abs(wi * ki) * math.exp(ti * x) for ti, wi, ki in zip(t, w, k))
              + lr * abs(float(rx)) for x, rx in zip(ends, row)]
     return max(zip(bound, ends), key=lambda bx: bx[0])
@@ -398,12 +420,13 @@ def _exit(model, a, step):
         x0, p = (1.0, route.slope) if route.slope else (0.0, 1.0)
     if route.t is not None:
         hf = HFunction(a, step, p if x0 else None, math.nan, route.t, route.weights,
-                       float(exp_sum(route.t, route.weights, a)[0]))
+                       float(exp_sum(route.t, route.weights, a)[0]),
+                       closed=_closed_terms(model, route.t, a))
         # certified in closed form, in h units, with no rerun on a grid
-        res, x = _closed_residual(model, route.t, hf.w, a)
+        res, x = _closed_residual(model, route.t, hf.w, a, hf.closed)
         detail = " (closed, worst at x = %g)" % x
     else:
-        xs = _solver_nodes(a, step)
+        xs = _solver_grid(a, step).values
         nodes = _hermite(_lattice(model, step, x0, p, a), step, xs)
         (xi, xip, _), gap, detail = nodes, 0.0, ""
         if model.sigma > 0.0 and x0:
@@ -470,7 +493,7 @@ def ide_residual(model, h: HFunction) -> float:
     at the stiff rate rho + 2c/sigma^2 would only measure interpolation
     noise.
     """
-    grid, xs = h.grid, _solver_nodes(h.a, h.step)
+    grid, xs = h.grid, h.xs
     hp = derivative(grid, 1).values if model.sigma == 0.0 else h.read(xs, 1)
     res = _generator_grid(model, grid.step, grid.values, hp, h.read(xs, 2))
     lo = max(2, len(res) // 100)

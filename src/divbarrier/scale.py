@@ -59,7 +59,12 @@ quadrature over s, stopped relative to its largest component; the
 integrand is analytic in s, so nested Clenshaw-Curtis
 (gridmath.adaptive_cc) meets the stop at a few hundred nodes:
 the slope and u(d) take the exponents t_i and -mu at y = 0, and Phi_d
-the t_i at a block of deficits headed by y = 0.
+the t_i at a block of deficits headed by y = 0. The quadrature's first
+call holds its first two levels, 129 nodes with s = 0 exactly among
+them, which is where the atom's moment is read: off the Gaussian
+moment that call takes there, not from a call of its own. The
+integrand is elementwise in s and the nodes nest bitwise, so how the
+nodes are batched into calls moves no bit of a moment.
 
 At sigma = 0 X_d = c d - s is a point given S_d = s, so the moment is
 X_d e^{t (X_d - y)} itself, on X_d >= y: W(0) = 1/c, and at y = c d
@@ -337,18 +342,15 @@ def _bessel_series_scaled(a, z, extra_exponent):
 
     Equals sqrt(a/z) I_1(2 sqrt(a z)) e^{extra}; evaluated through the
     scaled Bessel function so the exponent never overflows. a >= 0 is a
-    scalar or an array shaped like z, z an array >= 0. extra_exponent is
-    a scalar, an array shaped like z, or one with further trailing axes,
-    along which the amplitude, taken once per node of z, is broadcast.
+    scalar, z an array >= 0 and extra_exponent an array that z
+    broadcasts against: the amplitude is taken once per element of z.
     """
-    z = np.asarray(z, dtype=float)
     s = a * z
     small = s < 1e-8
     w = np.where(small, 0.0, 2.0 * np.sqrt(s))
     amp = np.where(small, a * (1.0 + s / 2.0 + s * s / 12.0),
                    np.sqrt(a / np.where(small, 1.0, z)) * i1e(w))
-    trail = z.shape + (1,) * (np.ndim(extra_exponent) - z.ndim)
-    return amp.reshape(trail) * np.exp(w.reshape(trail) + extra_exponent)
+    return amp * np.exp(w + extra_exponent)
 
 
 def _claim_cutoff(s, scale):
@@ -657,11 +659,13 @@ def _gauss_moment(t, m, sd, y):
     together."""
     x = (m + t * sd * sd) / sd
     pos = x >= 0.0
-    xp, xn = np.where(pos, x, 0.0), np.where(pos, 0.0, x)
+    # x clipped at 0 on each side, so that neither branch overflows; the
+    # sign of a zero does not reach the factor
+    xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
     expo = np.where(pos, t * m + 0.5 * (t * sd) ** 2, -0.5 * (m / sd) ** 2)
     # x < 0: the Gaussian's exponent cancels against e^{tm}, and Mills'
     # ratio is read through erfcx; the y term is y P(Y > 0) under the tilt
-    nd, ex = ndtr(xp), erfcx(-xn / math.sqrt(2.0))
+    nd, ex = ndtr(xp), erfcx(xn / -math.sqrt(2.0))
     factor = np.where(pos, sd * (xp * nd + np.exp(-0.5 * xp * xp) / _SQRT_2PI) + y * nd,
                       sd / _SQRT_2PI * (1.0 + xn * math.sqrt(0.5 * math.pi) * ex)
                       + y * (0.5 * ex))
@@ -671,25 +675,41 @@ def _gauss_moment(t, m, sd, y):
 def _moments(model, d, ts, ys):
     """e^{-kill d} E[X_d e^{t (X_d - y)}; X_d > y] (X_d >= y at sigma = 0)
     for each deficit y in ys (rows) and t in ts (columns), and the
-    largest error estimate of their quadrature."""
+    largest error estimate of their quadrature.
+
+    The integrand's arrays are (deficit, t, node), the quadrature nodes
+    last, so that every broadcast runs along them; each call returns
+    one row per node, as adaptive_cc reads it."""
     lam, c, r, sigma, mu = model.lam, model.c, model.r, model.sigma, model.claims.mu
     kill = model.q + lam * (1.0 - r)
     rate, sd = lam * r * d, sigma * math.sqrt(d)
     shift = rate + kill * d
-    ys = np.asarray(ys, dtype=float)[:, None]
+    ts = np.asarray(ts, dtype=float)[:, None]
+    ys = np.asarray(ys, dtype=float)[:, None, None]
+
+    def rows(values):
+        return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+
     if sd:
+        atoms = []
+
         def integrand(s):
             # the claim total's density at s > 0 times the Gaussian moment of
             # X_d - y = c d - s - y + sigma B_d, in one exponent per
-            # (node, deficit, t)
-            expo, factor = _gauss_moment(ts, (c * d - s)[:, None, None] - ys, sd, ys)
-            dens = _bessel_series_scaled(rate * mu, s, expo - mu * s[:, None, None] - shift)
-            return (factor * dens).reshape(len(s), -1)
+            # (deficit, t, node)
+            expo, factor = _gauss_moment(ts, (c * d - s) - ys, sd, ys)
+            dens = _bessel_series_scaled(rate * mu, s, expo - mu * s - shift)
+            if s[-1] == 0.0:
+                # s = 0 is exactly the first call's last node, where X_d
+                # is the claim-free c d + sigma B_d: the atom's moment
+                atoms.append(factor[..., -1] * np.exp(expo[..., -1] - shift))
+            return rows(factor * dens)
 
-        expo, factor = _gauss_moment(ts, c * d - ys, sd, ys)
         # X_d > y needs sigma B_d > s + y - c d; past 12 standard deviations
         # of the rho-tilted Gaussian that weight is below e^{-72}
         hi = c * d + model.rho * sd * sd + 12.0 * sd
+        integral, err = adaptive_cc(integrand, 0.0, hi, _MOMENT_RTOL, relative=True)
+        atom = atoms[0]
     else:
         # X_d = c d - s is a point: deficit y reads the claim totals on
         # [0, span], span = (c d - y)+, mapped onto [0, 1], and the atom
@@ -698,16 +718,14 @@ def _moments(model, d, ts, ys):
         span = np.maximum(c * d - ys, 0.0)
 
         def integrand(v):
-            s = v[:, None, None] * span
+            s = v * span
             m = np.maximum(span - s, 0.0)
             dens = _bessel_series_scaled(rate * mu, s, ts * m - mu * s - shift)
-            return (span * (m + ys) * dens).reshape(len(v), -1)
+            return rows(span * (m + ys) * dens)
 
+        integral, err = adaptive_cc(integrand, 0.0, 1.0, _MOMENT_RTOL, relative=True)
         # span, not c d - y: past c d the exponent would overflow
-        expo, factor = ts * span, np.where(ys <= c * d, c * d, 0.0)
-        hi = 1.0
-    atom = factor * np.exp(expo - shift)
-    integral, err = adaptive_cc(integrand, 0.0, hi, _MOMENT_RTOL, relative=True)
+        atom = (np.where(ys <= c * d, c * d, 0.0) * np.exp(ts * span - shift))[..., 0]
     return atom + np.reshape(integral, atom.shape), err
 
 

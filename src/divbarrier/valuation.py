@@ -69,7 +69,6 @@ from .hfun import (
     _generator_grid,
     _require_step,
     _route,
-    _solver_nodes,
     _solver_step,
     _whole_line,
 )
@@ -262,7 +261,7 @@ def _scanned_barrier(model, a_max, grid_step):
     nodes bracket each zero, located by the local parabola (_refine_root).
     A zero, and so a*, is rounded to 12 decimals."""
     scan = _build_h(model, a_max, grid_step)
-    xs = _solver_nodes(a_max, scan.step)
+    xs = scan.xs
     hp, hpp = scan.read(xs, 1), scan.read(xs, 2)
     sign = np.sign(hpp)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -429,7 +428,8 @@ def _closed_report(model, route, sol: BarrierSolution) -> HJBReport:
       the route takes from its claim law (route.generator_above).
     - generator_interior: on (0, a*) v = sum_i W_i e^{t_i x} with
       W = h's weights / h'(a*), so the bound is the exit function's own
-      closed certificate (hfun._closed_residual) applied to W.
+      closed certificate (hfun._closed_residual) applied to W, on the
+      weight-free terms h's certificate took (HFunction.closed).
     - slope_floor: h'' < 0 on [0, a*) by the sign count, so v' = h'/h'(a*)
       falls to exactly 1 at a*.
 
@@ -438,7 +438,8 @@ def _closed_report(model, route, sol: BarrierSolution) -> HJBReport:
     a, h, tol = sol.a_star, sol.h, _HJB_TOL
     v0 = float(sol.value(0.0))
     s, top = route.generator_above(a, h.w, 1.0 / _barrier_slope(h) if a else v0, v0)
-    bound, x = _closed_residual(model, h.t, h.w / _barrier_slope(h), a) if a else (None, None)
+    bound, x = (_closed_residual(model, h.t, h.w / _barrier_slope(h), a, h.closed)
+                if a else (None, None))
     checks = [CheckResult("generator_above", top <= tol, a + s, top, tol),
               CheckResult("generator_interior", not a or bound <= tol, x, bound, tol),
               CheckResult("slope_floor", True, a or None, 1.0 if a else None, tol)]
@@ -469,7 +470,7 @@ def gprime_monotone_check(model, a_star, b_max, grid_step=1e-3,
         raise ValueError("b_max must exceed a_star")
     if gprime is None:
         h = _build_h(model, b_max, _solver_step(model, grid_step))
-        xs = _solver_nodes(b_max, h.step)
+        xs = h.xs
         hp = h.read(xs, 1)
         # the slope of xi with xi(0) = 1, or with xi'(0) = 1 when h(0) = 0
         vals = hp / (h.read(0.0)[0] or hp[0])

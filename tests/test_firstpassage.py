@@ -14,6 +14,10 @@ sharp oracle below.
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,37 @@ class TestPassageDensities:
             ts = np.linspace(0.04, 1.0, 25)
             vals = np.array([vy_density(m_d2, 0.5, k, float(t)) for t in ts])
             assert np.all(vals >= 0.0)
+
+
+# vy_density at sigma = 0.5, d = 2 (make_model) before the Gauss-Legendre
+# nodes were taken on first use, as float.hex, by (y, k, t)
+_VY_BITS = {
+    (0.5, 1, 0.1): '0x1.5ed0f4b9c03ccp-1',
+    (0.5, 2, 0.3): '0x1.c89c30e1ef703p-6',
+    (1.0, 3, 0.7): '0x1.15ecc37d2fbbbp-12',
+}
+
+
+class TestLegendreNodes:
+    """Only vy_density's sigma > 0, k >= 1 branch reads the Gauss-Legendre
+    nodes; roots_legendre, which loads scipy.linalg, runs on first use."""
+
+    def test_import_loads_no_linalg(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, divbarrier; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_vy_density_keeps_its_bits(self):
+        m = make_model(2.0, sigma=0.5)
+        for (y, k, t), want in _VY_BITS.items():
+            assert float.hex(vy_density(m, y, k, t)) == want
+        assert firstpassage._legendre() is firstpassage._legendre()
 
 
 class TestTabulatedRoutes:

@@ -223,7 +223,7 @@ class TestClenshawCurtis:
     def test_each_node_evaluated_once(self):
         # a doubling keeps the nodes it has and evaluates only the new odd
         # nodes, so the points evaluated are exactly the final CC nodes;
-        # from 9 nodes it doubles three times
+        # from 17 nodes (two levels in one call) it doubles twice
         seen = []
 
         def fun(xs):
@@ -262,6 +262,81 @@ class TestClenshawCurtis:
         np.testing.assert_allclose(val, [math.e - 1.0, math.sin(1.0)], rtol=0, atol=1e-15)
         assert 0.0 < err < 1e-13 * (math.e - 1.0)
         assert adaptive_cc(np.exp, 1.0, 1.0, 1e-12) == (0.0, 0.0)
+
+
+def _doubling_reference(fun, lo, hi, tol, n0=64, n_cap=1 << 19, relative=False):
+    """adaptive_cc as one call of fun per level: the n0 + 1 nodes first,
+    then each doubling's odd nodes inserted by np.insert."""
+    if hi <= lo:
+        return 0.0, 0.0
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n = n0
+    ys = fun(mid + half * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n)))
+    prev = None
+    while True:
+        w = half * gridmath._cc_weights(n)
+        s = np.einsum("i,i...->...", w, ys)
+        if prev is not None:
+            floor = np.einsum("i,i...->...", w, abs(ys)) * math.sqrt(n) * np.finfo(float).eps
+            err = float(np.max(np.maximum(abs(s - prev), floor)))
+            if err < (tol * float(np.max(abs(s))) if relative else tol) or n >= n_cap:
+                return s, err
+        prev = s
+        n *= 2
+        new = fun(mid + half * np.sin(np.pi * np.arange(n - 2, -n, -4) / (2 * n)))
+        ys = np.insert(new, np.arange(n // 2 + 1), ys, axis=0)
+
+
+_CC_CASES = {
+    "square": (lambda x: x * x, 0.0, 3.0),
+    "damped sine": (lambda x: np.exp(-3.0 * x) * np.sin(5.0 * x), 0.2, 2.7),
+    "runge": (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+    "vector": (lambda x: np.stack([np.exp(x), np.cos(x), 1.0 / (1.0 + 25.0 * x * x)],
+                                  axis=-1), -1.0, 1.0),
+}
+
+
+class TestClenshawCurtisLevels:
+    """adaptive_cc takes its first two levels in one call of fun and
+    splices later levels in; the integrand is elementwise and the nodes
+    nest bitwise, so it returns what one call per level did, bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", sorted(_CC_CASES))
+    @pytest.mark.parametrize("tol,relative", [(1e-8, False), (1e-12, False),
+                                              (1e-13, True), (1e-6, True)])
+    @pytest.mark.parametrize("n0", [8, 64])
+    def test_bit_identical_to_one_call_per_level(self, case, tol, relative, n0):
+        fun, lo, hi = _CC_CASES[case]
+        got = adaptive_cc(fun, lo, hi, tol, n0=n0, relative=relative)
+        want = _doubling_reference(fun, lo, hi, tol, n0=n0, relative=relative)
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("case", sorted(_CC_CASES))
+    @pytest.mark.parametrize("n0,n_cap", [(8, 16), (8, 32), (64, 128)])
+    def test_bit_identical_at_the_node_cap(self, case, n0, n_cap):
+        # a stop no level meets ends at n_cap, the first level at n_cap
+        # when n_cap = 2 n0
+        fun, lo, hi = _CC_CASES[case]
+        got = adaptive_cc(fun, lo, hi, 1e-300, n0=n0, n_cap=n_cap)
+        want = _doubling_reference(fun, lo, hi, 1e-300, n0=n0, n_cap=n_cap)
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("n0", [8, 64])
+    def test_first_call_takes_two_levels_and_no_node_twice(self, n0):
+        seen = []
+
+        def fun(xs):
+            seen.append(np.array(xs))
+            return 1.0 / (1.0 + 25.0 * xs * xs)
+
+        adaptive_cc(fun, -1.0, 1.0, 1e-13, n0=n0, relative=True)
+        assert len(seen[0]) == 2 * n0 + 1
+        assert [len(x) for x in seen[1:]] == [2 * n0 * 2 ** k for k in range(len(seen) - 1)]
+        pts = np.concatenate(seen)
+        assert len(np.unique(pts)) == len(pts)
 
 
 class TestExponentialPanels:

@@ -835,6 +835,66 @@ class TestClosedCertificate:
         np.testing.assert_allclose(h.grid.values, h.read(h.grid.x), rtol=1e-15)
 
 
+class TestSolverNodes:
+    """An exit function builds its solver grid once (HFunction.xs), for
+    read, grid and ide_residual alike."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_one_solver_grid_per_exit_function(self, monkeypatch, sigma):
+        m = _tab_model(1e-2, 2.0, sigma)
+        build = h_d_sigma0 if sigma == 0.0 else h_d_sigma_pos
+        h = build(m, 0.6)
+        calls = []
+        real = hfun._solver_grid
+        monkeypatch.setattr(hfun, "_solver_grid", lambda *args: calls.append(args) or real(*args))
+        for order in (0, 1, 2):
+            h.read([0.0, 0.3, 0.6], order)
+        assert h.grid.values[-1] == 1.0
+        hfun.ide_residual(m, h)
+        h.read(0.45)
+        assert calls == [(h.a, h.step)]
+        # the nodes of the grid, the last one a itself, and read-only
+        n = len(h.xs) - 1
+        assert h.xs[-1] == h.a and not h.xs.flags.writeable
+        assert h.xs[:-1].tobytes() == ((h.a / n) * np.arange(n)).tobytes()
+        # a second exit function builds its own, once
+        other = build(m, 0.5)
+        built = len(calls)
+        other.read(0.2, 1)
+        other.grid
+        hfun.ide_residual(m, other)
+        assert len(calls) == built + 1
+
+
+class TestClosedTerms:
+    """The closed certificate's weight-free terms (K(t_i), w_d and each
+    T_{t_i} f at both ends) are taken once per solve: the exit function's
+    certificate takes them and the closed HJB report reuses them."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [0.0, 0.05])
+    def test_one_tail_transform_per_root(self, monkeypatch, sigma, d):
+        # a* > 0 at these d (0.77-0.79 at d = 0, 0.046-0.052 at d = 0.05)
+        m = make_model(d, sigma=sigma)
+        hfun._route(m)
+        calls = []
+        real = type(m.claims).tail_transform
+        monkeypatch.setattr(type(m.claims), "tail_transform",
+                            lambda self, *args: calls.append(args) or real(self, *args))
+        sol = db.optimal_barrier(m, 4.0)
+        assert sol.a_star > 0.0 and sol.hjb_report.method == "closed"
+        assert len(calls) == len(sol.h.t)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_given_terms_give_the_same_bound(self, sigma):
+        m = make_model(1.0, sigma=sigma)
+        h = h_d_sigma0(m, 0.7) if sigma == 0.0 else h_d_sigma_pos(m, 0.7)
+        w = h.w / h.slope
+        assert hfun._closed_residual(m, h.t, w, h.a, h.closed) == \
+            hfun._closed_residual(m, h.t, w, h.a)
+        assert h.ide_residual == hfun._closed_residual(m, h.t, h.w, h.a)[0]
+
+
 class TestReadOrder:
     @pytest.mark.parametrize("order", [-1, 3, True, False, 1.0, "1", None, np.float64(2.0)])
     def test_table_refuses(self, order):

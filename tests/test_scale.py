@@ -34,6 +34,7 @@ against the per-power loop of cached convolutions they replace.
 """
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,62 @@ def test_moments_take_a_few_hundred_nodes(monkeypatch, d, most):
         assert abs(route.slope - lam_1 / lam_0) < 1e-12
         u = scale_oracle.recovery_weight(10.0, 15.0, 0.1, 0.8, 0.5, 1.0, d, s_step=2.5e-4)
         assert abs(route.u - u) < 1e-12
+
+
+# _moments(make_model(d, sigma), d, ...) before the first two quadrature
+# levels became one integrand call, as float.hex: at y = 0 with the
+# exponents t and -mu (the route's slope and u(d)), its moments and
+# error; on the 17-deficit block _BLOCK_YS with t (as phi takes them),
+# the sha256 (16 hex digits) of its moments' float.hex, row by row, and
+# its error
+_MOMENT_BITS = {
+    (0.0, 0.05): (('0x1.3729e5d5e0628p-1', '0x1.58ae3849be125p-2', '0x1.faece6dfa15c2p-3'), '0x1.71cbdc9482beap-53', 'c859e60ffb2bd3b7', '0x1.71cbdc9482beap-53'),
+    (0.0, 1.0): (('0x1.3b0a98fb8e4ffp+3', '0x1.45ce7fa707cf4p-6', '0x1.3518a7ab9f55dp-8'), '0x1.bc6fdb486649dp-46', '28c46391fa628b51', '0x1.bc6fdb486649dp-46'),
+    (0.0, 2.0): (('0x1.3ad37bc07f153p+4', '0x1.5f2bbc227afcdp-11', '0x1.2234288f660c6p-13'), '0x1.bd3ac53319eebp-45', '2997fbbcf7470070', '0x1.bd3ac53319eebp-45'),
+    (0.5, 0.05): (('0x1.38e65438e3242p-1', '0x1.56eb2cb8447ffp-2', '0x1.358b9c463da19p-17', '0x1.f61a869f1c0dfp-3'), '0x1.793c2f18b913cp-53', '2cfce91d8e2a8234', '0x1.793c2f18b913cp-53'),
+    (0.5, 1.0): (('0x1.3ccc2599b28d9p+3', '0x1.4823f1433fda4p-6', '0x1.78a87eb5f5fb1p-23', '0x1.368e64cfbaec2p-8'), '0x1.3c05331c4b459p-45', '474dfca07d8bc7f9', '0x1.3c05331c4b459p-45'),
+    (0.5, 2.0): (('0x1.3c940c940e3cep+4', '0x1.650208c13c7b3p-11', '0x1.64959222bf4e8p-28', '0x1.263e8a8314289p-13'), '0x1.051f920000000p-41', '69885e5c552f4293', '0x1.3c93ba74478ddp-44'),
+}
+_BLOCK_YS = np.append(0.0, np.linspace(0.02, 0.7, 16))
+
+
+@pytest.mark.parametrize("sigma,d", sorted(_MOMENT_BITS))
+def test_moments_keep_their_bits(sigma, d):
+    # the integrand is elementwise in s and the nodes nest bitwise, so
+    # taking two levels in one call and the atom off the s = 0 node moves
+    # no bit
+    m = make_model(d, sigma=sigma)
+    t, _ = scale._roots(m)
+    at_zero, err, block_digest, block_err = _MOMENT_BITS[sigma, d]
+    (got,), got_err = scale._moments(m, d, np.append(t, -1.0), [0.0])
+    assert tuple(float.hex(float(v)) for v in got) == at_zero
+    assert float.hex(got_err) == err
+    block, got_err = scale._moments(m, d, t, _BLOCK_YS)
+    assert block.shape == (17, len(t))
+    text = " ".join(float.hex(float(v)) for v in block.ravel())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == block_digest
+    assert float.hex(got_err) == block_err
+
+
+@pytest.mark.parametrize("d", [0.05, 1.0, 2.0])
+@pytest.mark.parametrize("block", [False, True])
+def test_one_gauss_moment_per_integrand_call(monkeypatch, d, block):
+    # at sigma > 0 the claim-free atom is read off the s = 0 node of the
+    # first call, which holds both end nodes, not from a call of its own
+    m = make_model(d, sigma=0.5)
+    t, _ = scale._roots(m)
+    calls, moments = [], []
+    real_cc, real_gm = scale.adaptive_cc, scale._gauss_moment
+
+    def counted_cc(fun, *args, **kwargs):
+        return real_cc(lambda s: calls.append(s) or fun(s), *args, **kwargs)
+
+    monkeypatch.setattr(scale, "adaptive_cc", counted_cc)
+    monkeypatch.setattr(scale, "_gauss_moment",
+                        lambda *args: moments.append(args) or real_gm(*args))
+    scale._moments(m, d, t, _BLOCK_YS if block else [0.0])
+    assert len(moments) == len(calls) >= 1
+    assert calls[0][-1] == 0.0 and all(np.all(s > 0.0) for s in calls[1:])
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0, 50.0])

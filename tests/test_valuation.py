@@ -157,7 +157,7 @@ class TestClosedCurvatureRoot:
         # the scan optimal_barrier runs on [0, a_max] at its grid_step
         m = db.validate(db.ModelParams(10.0, 15.0, 0.0, 0.1, 0.8, 0.0), tab_dist)
         scan = db.h_d_sigma0(m, 2.0, 1e-3)
-        xs = hfun._solver_nodes(2.0, scan.step)
+        xs = scan.xs
         hpp = scan.read(xs, 2)
         (i,) = np.nonzero(np.sign(hpp[:-1]) * np.sign(hpp[1:]) < 0)[0]
         assert optimal_barrier(m, 2.0).a_star == round(_refine_root(xs, hpp, i), 12)
